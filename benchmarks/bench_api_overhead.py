@@ -1,7 +1,7 @@
 """Facade-overhead smoke: the session API must not change what is measured.
 
 The ``Communicator`` facade adds dispatch layers (compression resolution, the
-tuning table, the backend seam) on top of ``run_simulation``.  None of that
+tuning table, plan building) on top of ``run_simulation``.  None of that
 runs inside the simulated clock, so the *virtual makespan* must stay within
 2% of a direct ``run_simulation`` call at a non-trivial scale (64 ranks) — in
 fact it is exactly equal, and this smoke pins the stronger property too.  The

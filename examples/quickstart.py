@@ -18,15 +18,6 @@ and compares speed and accuracy.
 Run with::
 
     python examples/quickstart.py
-
-To execute the same collectives on a *real* cluster instead of the simulator,
-swap the backend (requires the optional ``mpi4py`` package) and launch under
-``mpiexec -n 8``::
-
-    from repro.api import MPI4PyBackend
-
-    comm = cluster.communicator(N_RANKS, backend=MPI4PyBackend())
-    outcome = comm.allreduce(per_rank)   # same call, real Isend/Irecv/Wait
 """
 
 import numpy as np

@@ -23,7 +23,7 @@ from repro._version import __version__
 # Convenience re-exports of the most common entry points.  The subpackages stay
 # the canonical import locations; these aliases only cover what a quickstart or
 # notebook typically needs.
-from repro.api import Cluster, Communicator, MPI4PyBackend, SimBackend
+from repro.api import Cluster, Communicator
 from repro.apps.image_stacking import run_image_stacking
 from repro.ccoll.config import CCollConfig
 from repro.compression.registry import make_compressor
@@ -37,8 +37,6 @@ __all__ = [
     "__version__",
     "Cluster",
     "Communicator",
-    "SimBackend",
-    "MPI4PyBackend",
     "CCollConfig",
     "CostModel",
     "SZxCompressor",

@@ -15,11 +15,7 @@ This is the package's public surface since PR 3.  The three-layer story:
    :class:`~repro.ccoll.movement.CCollOutcome`): per-rank values plus the
    simulated timeline.
 
-Execution is pluggable through the :class:`~repro.mpisim.backends.Backend`
-protocol: the default :class:`~repro.mpisim.backends.SimBackend` runs the
-discrete-event simulator (bit-for-bit the legacy behaviour) and
-:class:`~repro.mpisim.backends.MPI4PyBackend` interprets the same rank
-programs against real MPI when ``mpi4py`` is available::
+For example::
 
     from repro.api import Cluster, Communicator
 
@@ -27,34 +23,16 @@ programs against real MPI when ``mpi4py`` is available::
     outcome = comm.allreduce(vectors, compression="auto")
     print(outcome.total_time, comm.last_algorithm)
 
-The legacy ``run_*`` free functions still exist as deprecated shims that
-delegate here; new code should not call them.
+Under the facade every collective is a *plan*: the ``_plan_*`` builders of
+:mod:`repro.collectives` and :mod:`repro.ccoll` return a
+:class:`~repro.collectives.context.CollectivePlan` (rank-program factory plus
+the closure that reads the outcome off a finished simulation) and the
+communicator is the single place that launches one on the discrete-event
+simulator — or, through :meth:`Communicator.capture`, hands it out unlaunched
+for :mod:`repro.workload` to replay on a shared multi-job engine.
 """
 
 from repro.api.cluster import Cluster
 from repro.api.communicator import Communicator
-from repro.mpisim.backends import (
-    Backend,
-    BackendUnavailableError,
-    CaptureBackend,
-    CapturedProgram,
-    MPI4PyBackend,
-    ProgramCaptured,
-    SimBackend,
-    default_backend,
-    resolve_backend,
-)
 
-__all__ = [
-    "Backend",
-    "BackendUnavailableError",
-    "CaptureBackend",
-    "CapturedProgram",
-    "Cluster",
-    "Communicator",
-    "MPI4PyBackend",
-    "ProgramCaptured",
-    "SimBackend",
-    "default_backend",
-    "resolve_backend",
-]
+__all__ = ["Cluster", "Communicator"]

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext
-from repro.mpisim.backends import Backend
 from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import Topology
 from repro.perfmodel.costmodel import CostModel
@@ -189,15 +188,11 @@ class Cluster:
         """The execution context the uncompressed baselines run with."""
         return self.config.context()
 
-    def communicator(self, n_ranks: int, backend: Optional[Backend] = None) -> "Communicator":
-        """Open a session of ``n_ranks`` ranks on this cluster.
-
-        ``backend`` selects the executor (``None`` -> the simulator; see
-        :mod:`repro.mpisim.backends`).
-        """
+    def communicator(self, n_ranks: int) -> "Communicator":
+        """Open a session of ``n_ranks`` ranks on this cluster."""
         from repro.api.communicator import Communicator  # noqa: PLC0415 - cycle
 
-        return Communicator(self, n_ranks, backend=backend)
+        return Communicator(self, n_ranks)
 
     def __repr__(self) -> str:
         fabric = self.preset or (

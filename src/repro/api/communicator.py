@@ -10,10 +10,15 @@ once, then exposes the full collective surface as methods::
     outcome = comm.allreduce(vectors, compression="auto")   # PR 2 break-even gate
     comm.last_algorithm                                     # what "auto" chose
 
-Every method returns the same :class:`~repro.collectives.context.CollectiveOutcome`
-(or :class:`~repro.ccoll.movement.CCollOutcome` when compression is involved)
-the legacy ``run_*`` functions returned, produced bit-for-bit identically on
-the default :class:`~repro.mpisim.backends.SimBackend`.
+Every method builds a :class:`~repro.collectives.context.CollectivePlan` (the
+``_plan_*`` builders of :mod:`repro.collectives` and :mod:`repro.ccoll` decide
+the schedule, codecs and payloads but run nothing) and hands it to
+:meth:`Communicator._launch`, the one place a simulation starts: it runs the
+plan's rank programs on the cluster's network and topology through
+:func:`~repro.mpisim.launcher.run_simulation` and returns the plan's
+:class:`~repro.collectives.context.CollectiveOutcome` (or
+:class:`~repro.ccoll.movement.CCollOutcome` when compression is involved).
+:meth:`Communicator.capture` returns the plan unlaunched instead.
 
 The ``compression`` argument is resolved through the *same* alias table as the
 Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
@@ -25,37 +30,38 @@ Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
     The C-Coll variant with that canonical name (``Overlap`` / ``DI`` / ``ND``).
 ``"auto"``
     The placement- and bandwidth-aware choice: on multi-rank-per-node fabrics
-    the topology-aware C-Allreduce with its ``compress_inter="auto"`` gate;
-    elsewhere the break-even gate of
-    :func:`repro.ccoll.topology_aware.select_inter_compression` decides
+    the topology-aware C-Allreduce, compressing the inter-node hops when the
+    break-even gate says so; elsewhere the same gate,
+    :func:`repro.ccoll.topology_aware.select_inter_compression`, decides
     between the full C-collective and the uncompressed baseline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.api.cluster import Cluster
-from repro.ccoll.computation import _run_c_reduce_scatter
-from repro.ccoll.cpr_p2p import _run_cpr_allgather, _run_cpr_bcast, _run_cpr_scatter
-from repro.ccoll.movement import CCollOutcome, _run_c_allgather, _run_c_bcast, _run_c_scatter
+from repro.ccoll.computation import _plan_c_reduce_scatter
+from repro.ccoll.cpr_p2p import _plan_cpr_allgather, _plan_cpr_bcast, _plan_cpr_scatter
+from repro.ccoll.movement import CCollOutcome, _plan_c_allgather, _plan_c_bcast, _plan_c_scatter
 from repro.ccoll.topology_aware import (
-    _run_topology_aware_c_allreduce,
+    _plan_topology_aware_c_allreduce,
     select_inter_compression,
 )
-from repro.ccoll.variants import _VARIANT_RUNNERS, canonical_variant
-from repro.collectives.allgather import _run_ring_allgather
-from repro.collectives.alltoall import _run_pairwise_alltoall
-from repro.collectives.barrier import _run_barrier
-from repro.collectives.bcast import _run_binomial_bcast
-from repro.collectives.context import CollectiveOutcome
-from repro.collectives.gather import _run_binomial_gather
-from repro.collectives.reduce import _run_binomial_reduce
-from repro.collectives.reduce_scatter import _run_ring_reduce_scatter
-from repro.collectives.scatter import _run_binomial_scatter
-from repro.collectives.selection import _run_allreduce
-from repro.mpisim.backends import Backend, resolve_backend
+from repro.ccoll.variants import _plan_compressed_allreduce, canonical_variant
+from repro.collectives.allgather import _plan_ring_allgather
+from repro.collectives.alltoall import _plan_pairwise_alltoall
+from repro.collectives.barrier import _plan_barrier
+from repro.collectives.bcast import _plan_binomial_bcast
+from repro.collectives.context import CollectiveOutcome, CollectivePlan
+from repro.collectives.gather import _plan_binomial_gather
+from repro.collectives.reduce import _plan_binomial_reduce
+from repro.collectives.reduce_scatter import _plan_ring_reduce_scatter
+from repro.collectives.scatter import _plan_binomial_scatter
+from repro.collectives.selection import _plan_allreduce
+from repro.mpisim.launcher import run_simulation
+from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology
 
 __all__ = ["Communicator"]
@@ -70,22 +76,13 @@ class Communicator:
         The machine description (``None`` -> the calibrated default cluster).
     n_ranks:
         Communicator size; bound once, like ``MPI_COMM_WORLD``.
-    backend:
-        Executor for rank programs (``None``/"sim" -> the simulator,
-        "mpi4py" -> real MPI; see :mod:`repro.mpisim.backends`).
     """
 
-    def __init__(
-        self,
-        cluster: Optional[Cluster],
-        n_ranks: int,
-        backend: Union[Backend, str, None] = None,
-    ) -> None:
+    def __init__(self, cluster: Optional[Cluster], n_ranks: int) -> None:
         if int(n_ranks) != n_ranks or n_ranks < 1:
             raise ValueError(f"n_ranks must be a positive integer, got {n_ranks!r}")
         self.cluster = cluster if cluster is not None else Cluster()
         self.n_ranks = int(n_ranks)
-        self.backend = resolve_backend(backend)
         #: compression mode applied when a call does not pass one explicitly
         #: (overridable per session via :meth:`with_options`)
         self.default_compression: Union[str, bool] = "off"
@@ -93,6 +90,8 @@ class Communicator:
         self.algorithm_trace: List[str] = []
         #: canonical compression route of each compressed-capable call
         self.compression_trace: List[str] = []
+        #: set on a :meth:`capture` probe: plans land here instead of running
+        self._captured: Optional[List[CollectivePlan]] = None
 
     # ----------------------------------------------------------------- helpers
 
@@ -120,8 +119,8 @@ class Communicator:
     ) -> "Communicator":
         """A sibling session with some options shallowly overridden.
 
-        The returned communicator shares this session's rank count, backend
-        and — unless ``contention`` changes — the *same* topology object, so
+        The returned communicator shares this session's rank count and —
+        unless ``contention`` changes — the *same* topology object, so
         parameter sweeps (the harness runs many) adjust ``error_bound``,
         ``size_multiplier`` or the compression default without rebuilding the
         fabric's stage caches or the session itself.
@@ -160,7 +159,8 @@ class Communicator:
                     cluster.network, contention=contention
                 )
             cluster = cluster.with_updates(**updates)
-        clone = Communicator(cluster, self.n_ranks, backend=self.backend)
+        clone = Communicator(cluster, self.n_ranks)
+        clone._captured = self._captured
         if compression is not None:
             clone._resolve_compression(compression)  # validate eagerly
             clone.default_compression = compression
@@ -168,37 +168,51 @@ class Communicator:
             clone.default_compression = self.default_compression
         return clone
 
-    def _common(self) -> dict:
-        """Cluster bindings threaded into every runner."""
-        return {
-            "network": self.cluster.network,
-            "topology": self.cluster.topology,
-            "backend": self.backend,
-        }
+    def _launch(self, plan: CollectivePlan, route: Optional[str] = None):
+        """Run ``plan`` on this cluster — the one place a simulation starts.
 
-    def capture(self, call: Callable[["Communicator"], Any]):
-        """Record the rank program ``call`` would execute, without running it.
+        ``route`` is the canonical compression route to trace (compressible
+        collectives only).  A :meth:`capture` probe keeps the plan and
+        returns ``None`` instead.
+        """
+        if self._captured is not None:
+            self._captured.append(plan)
+            return None
+        sim = run_simulation(
+            self.n_ranks,
+            plan.factory,
+            network=self.cluster.network,
+            topology=self.cluster.topology,
+        )
+        outcome = plan.finish(sim)
+        if plan.algorithm is not None:
+            self.algorithm_trace.append(plan.algorithm)
+        if route is not None:
+            self.compression_trace.append(route)
+        return outcome
+
+    def capture(self, call: Callable[["Communicator"], Any]) -> CollectivePlan:
+        """Return the plan ``call`` would launch, without running it.
 
         The session-multiplexing hook behind :mod:`repro.workload`: ``call``
-        receives a sibling communicator wired to a
-        :class:`~repro.mpisim.backends.CaptureBackend` and issues exactly one
-        collective against it (``lambda c: c.allreduce(vectors)``).  All
-        build-time work happens for real — algorithm selection against this
-        cluster's topology, compression planning, payload precomputation —
-        but instead of simulating, the backend stores the per-rank program
-        factory and aborts.  Returns the
-        :class:`~repro.mpisim.backends.CapturedProgram`, whose factory a
-        multi-job engine can bind onto its own slots.
+        receives a sibling communicator and issues exactly one collective
+        against it (``lambda c: c.allreduce(vectors)``), which returns
+        ``None``.  All build-time work happens for real — algorithm selection
+        against this cluster's topology, compression planning, payload
+        precomputation — but no engine is built and no virtual time elapses.
+        The returned :class:`~repro.collectives.context.CollectivePlan` holds
+        the per-rank program ``factory`` a multi-job engine can bind onto its
+        own slots, and the ``finish`` that turns a simulation of it into the
+        collective's outcome.
         """
-        from repro.mpisim.backends import CaptureBackend, ProgramCaptured
-
-        probe = Communicator(self.cluster, self.n_ranks, backend=CaptureBackend())
-        probe.default_compression = self.default_compression
-        try:
-            call(probe)
-        except ProgramCaptured:
-            pass
-        return probe.backend.take()
+        probe = self.with_options()
+        probe._captured = plans = []
+        call(probe)
+        if len(plans) != 1:
+            raise RuntimeError(
+                f"capture() expects exactly one collective call, got {len(plans)}"
+            )
+        return plans[0]
 
     def _resolve_compression(self, compression: Union[str, bool]) -> str:
         """Map a user compression switch to ``"auto"`` or a canonical variant."""
@@ -227,7 +241,8 @@ class Communicator:
     def _gate_says_compress(self) -> bool:
         """The PR 2 break-even gate on this cluster's fabric."""
         topology = self.cluster.topology if self.cluster.topology is not None else FlatTopology()
-        return select_inter_compression(topology, self.cluster.config, self.cluster.network)
+        network = self.cluster.network if self.cluster.network is not None else NetworkModel()
+        return select_inter_compression(topology, self.cluster.config, network.bandwidth)
 
     # --------------------------------------------------------------- allreduce
 
@@ -258,88 +273,57 @@ class Communicator:
             # default: the named algorithms are uncompressed schedules
             mode = "AD"
         if mode == "AD":
-            outcome, used = _run_allreduce(
-                inputs,
-                self.n_ranks,
-                algorithm=algorithm,
-                ctx=self.cluster.context(),
-                **self._common(),
+            plan = _plan_allreduce(
+                inputs, self.n_ranks, algorithm, self.cluster.context(), self.cluster.topology
             )
-            self.algorithm_trace.append(used)
-            self.compression_trace.append("AD")
-            return outcome
-        if algorithm != "auto":
+        elif algorithm != "auto":
             raise ValueError(
                 "algorithm= only applies to compression='off'; the compressed "
                 "variants fix their own schedule (ring / hierarchical)"
             )
-        if mode == "auto":
-            return self._auto_compressed_allreduce(inputs)
-        runner = _VARIANT_RUNNERS[mode]
-        outcome = runner(
-            inputs,
-            self.n_ranks,
-            self.cluster.config,
-            self.cluster.network,
-            self.cluster.topology,
-            self.backend,
-        )
-        self.algorithm_trace.append("ring")
-        self.compression_trace.append(mode)
-        return outcome
+        elif mode == "auto":
+            mode, plan = self._auto_compressed_allreduce(inputs)
+        else:
+            plan = _plan_compressed_allreduce(mode, inputs, self.n_ranks, self.cluster.config)
+        return self._launch(plan, mode)
 
-    def _auto_compressed_allreduce(self, inputs) -> CCollOutcome:
+    def _auto_compressed_allreduce(self, inputs) -> Tuple[str, CollectivePlan]:
         """``compression="auto"``: placement-aware schedule + break-even gate.
 
-        Multi-rank-per-node fabrics get the topology-aware C-Allreduce, whose
-        ``compress_inter="auto"`` gate decides per fabric whether the
-        inter-node hops are worth compressing.  One-rank-per-node fabrics
-        (including flat) have no intra/inter split, so the same break-even
-        gate simply picks between the full C-Allreduce and the tuning-table
-        baseline.
+        Multi-rank-per-node fabrics get the topology-aware C-Allreduce, where
+        the gate decides per fabric whether the inter-node hops are worth
+        compressing.  One-rank-per-node fabrics (including flat) have no
+        intra/inter split, so the same break-even gate simply picks between
+        the full C-Allreduce and the tuning-table baseline.  Returns the
+        compression route and the plan, whose outcome records the gate's call
+        as ``inter_compressed``.
         """
-        topology = self.cluster.topology
+        topology, config = self.cluster.topology, self.cluster.config
+        compress = self._gate_says_compress()
         if topology is not None and topology.max_ranks_per_node(self.n_ranks) > 1:
             # co-located ranks: the hierarchical schedule applies (on a single
             # node it degenerates to the lossless intra-node reduction)
-            outcome = _run_topology_aware_c_allreduce(
-                inputs,
-                self.n_ranks,
-                topology=topology,
-                config=self.cluster.config,
-                network=self.cluster.network,
-                compress_inter="auto",
-                backend=self.backend,
+            return "topology_aware", _plan_topology_aware_c_allreduce(
+                inputs, self.n_ranks, topology, config, compress_inter=compress
             )
-            self.algorithm_trace.append("hierarchical")
-            self.compression_trace.append("topology_aware")
-            return outcome
-        if self._gate_says_compress():
-            variant = self._configured_c_variant()
-            outcome = _VARIANT_RUNNERS[variant](
-                inputs,
-                self.n_ranks,
-                self.cluster.config,
-                self.cluster.network,
-                topology,
-                self.backend,
+        if compress:
+            route = self._configured_c_variant()
+            plan = _plan_compressed_allreduce(route, inputs, self.n_ranks, config)
+        else:
+            route = "AD"
+            plan = _plan_allreduce(inputs, self.n_ranks, "auto", self.cluster.context(), topology)
+        finish = plan.finish
+
+        def gated(sim) -> CCollOutcome:
+            done = finish(sim)
+            return CCollOutcome(
+                values=done.values,
+                sim=done.sim,
+                compression_ratio=getattr(done, "compression_ratio", None),
+                inter_compressed=compress,
             )
-            outcome.inter_compressed = True
-            self.algorithm_trace.append("ring")
-            self.compression_trace.append(variant)
-            return outcome
-        plain, used = _run_allreduce(
-            inputs,
-            self.n_ranks,
-            algorithm="auto",
-            ctx=self.cluster.context(),
-            **self._common(),
-        )
-        self.algorithm_trace.append(used)
-        self.compression_trace.append("AD")
-        return CCollOutcome(
-            values=plain.values, sim=plain.sim, compression_ratio=None, inter_compressed=False
-        )
+
+        return route, dataclasses.replace(plan, finish=gated)
 
     # --------------------------------------------------- data-movement family
 
@@ -347,23 +331,12 @@ class Communicator:
         """Every rank contributes a block; every rank receives all blocks."""
         mode = self._movement_mode("allgather", compression)
         if mode == "AD":
-            return self._record(
-                mode,
-                _run_ring_allgather(
-                    inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_allgather(
-                    inputs, self.n_ranks, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_allgather(inputs, self.n_ranks, config=self.cluster.config, **self._common()),
-        )
+            plan = _plan_ring_allgather(inputs, self.n_ranks, self.cluster.context())
+        elif mode == "DI":
+            plan = _plan_cpr_allgather(inputs, self.n_ranks, self.cluster.config)
+        else:
+            plan = _plan_c_allgather(inputs, self.n_ranks, self.cluster.config)
+        return self._launch(plan, mode)
 
     def bcast(
         self, data, root: int = 0, compression: Union[str, bool, None] = None
@@ -372,25 +345,12 @@ class Communicator:
         self._check_root(root)
         mode = self._movement_mode("bcast", compression)
         if mode == "AD":
-            return self._record(
-                mode,
-                _run_binomial_bcast(
-                    data, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_bcast(
-                    data, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_bcast(
-                data, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-            ),
-        )
+            plan = _plan_binomial_bcast(data, self.n_ranks, self.cluster.context(), root=root)
+        elif mode == "DI":
+            plan = _plan_cpr_bcast(data, self.n_ranks, self.cluster.config, root=root)
+        else:
+            plan = _plan_c_bcast(data, self.n_ranks, self.cluster.config, root=root)
+        return self._launch(plan, mode)
 
     def scatter(
         self, inputs, root: int = 0, compression: Union[str, bool, None] = None
@@ -399,25 +359,12 @@ class Communicator:
         self._check_root(root)
         mode = self._movement_mode("scatter", compression)
         if mode == "AD":
-            return self._record(
-                mode,
-                _run_binomial_scatter(
-                    inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        if mode == "DI":
-            return self._record(
-                mode,
-                _run_cpr_scatter(
-                    inputs, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-                ),
-            )
-        return self._record(
-            mode,
-            _run_c_scatter(
-                inputs, self.n_ranks, root=root, config=self.cluster.config, **self._common()
-            ),
-        )
+            plan = _plan_binomial_scatter(inputs, self.n_ranks, self.cluster.context(), root=root)
+        elif mode == "DI":
+            plan = _plan_cpr_scatter(inputs, self.n_ranks, self.cluster.config, root=root)
+        else:
+            plan = _plan_c_scatter(inputs, self.n_ranks, self.cluster.config, root=root)
+        return self._launch(plan, mode)
 
     def reduce_scatter(
         self,
@@ -432,25 +379,13 @@ class Communicator:
         """
         mode = self._movement_mode("reduce_scatter", compression, di_available=False)
         if mode == "AD":
-            return self._record(
-                mode,
-                _run_ring_reduce_scatter(
-                    inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
-                ),
-            )
-        # trace the schedule that actually runs: the explicit overlap argument,
-        # falling back to the config's PIPE-SZx switch (like the runner does)
-        effective_overlap = self.cluster.config.use_overlap if overlap is None else overlap
-        return self._record(
-            "Overlap" if effective_overlap else "ND",
-            _run_c_reduce_scatter(
-                inputs,
-                self.n_ranks,
-                config=self.cluster.config,
-                overlap=overlap,
-                **self._common(),
-            ),
-        )
+            plan = _plan_ring_reduce_scatter(inputs, self.n_ranks, self.cluster.context())
+        else:
+            if overlap is None:
+                overlap = self.cluster.config.use_overlap
+            plan = _plan_c_reduce_scatter(inputs, self.n_ranks, self.cluster.config, overlap)
+            mode = "Overlap" if overlap else "ND"  # trace the schedule that actually runs
+        return self._launch(plan, mode)
 
     def _movement_mode(
         self, name: str, compression: Union[str, bool, None], di_available: bool = True
@@ -473,35 +408,31 @@ class Communicator:
             )
         return mode
 
-    def _record(self, mode: str, outcome: CollectiveOutcome) -> CollectiveOutcome:
-        self.compression_trace.append(mode)
-        return outcome
-
     # ------------------------------------------------------ uncompressed-only
 
     def gather(self, inputs, root: int = 0) -> CollectiveOutcome:
         """Gather one block per rank to ``root`` (no compressed variant in C-Coll)."""
         self._check_root(root)
-        return _run_binomial_gather(
-            inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
+        return self._launch(
+            _plan_binomial_gather(inputs, self.n_ranks, self.cluster.context(), root=root)
         )
 
     def reduce(self, inputs, root: int = 0) -> CollectiveOutcome:
         """Sum one vector per rank onto ``root`` (no compressed variant in C-Coll)."""
         self._check_root(root)
-        return _run_binomial_reduce(
-            inputs, self.n_ranks, root=root, ctx=self.cluster.context(), **self._common()
+        return self._launch(
+            _plan_binomial_reduce(inputs, self.n_ranks, self.cluster.context(), root=root)
         )
 
     def alltoall(self, inputs) -> CollectiveOutcome:
         """Pairwise exchange: ``inputs[r][d]`` is the block rank ``r`` sends to ``d``."""
-        return _run_pairwise_alltoall(
-            inputs, self.n_ranks, ctx=self.cluster.context(), **self._common()
+        return self._launch(
+            _plan_pairwise_alltoall(inputs, self.n_ranks, self.cluster.context())
         )
 
     def barrier(self) -> CollectiveOutcome:
         """Synchronise all ranks; every rank's value is ``None``."""
-        return _run_barrier(self.n_ranks, **self._common())
+        return self._launch(_plan_barrier())
 
     # -------------------------------------------------------------------- misc
 
@@ -510,7 +441,4 @@ class Communicator:
             raise ValueError(f"root must be in [0, {self.n_ranks}), got {root}")
 
     def __repr__(self) -> str:
-        return (
-            f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r}, "
-            f"backend={self.backend.name!r})"
-        )
+        return f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r})"

@@ -17,8 +17,6 @@ and yields the paper's intermediate "ND" (Novel Design) variant of Table V.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ccoll.adapter import CompressionAdapter
@@ -27,11 +25,8 @@ from repro.ccoll.computation import (
     c_reduce_scatter_program,
 )
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish, c_allgather_program
-from repro.collectives.context import CollectiveContext, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import Topology
+from repro.ccoll.movement import _ccoll_finish, c_allgather_program
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 
 __all__ = ["c_allreduce_program"]
 
@@ -73,42 +68,23 @@ def c_allreduce_program(
     return np.concatenate(blocks)
 
 
-def _run_c_allreduce(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    overlap: Optional[bool] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Allreduce (or its non-overlapped ND variant with ``overlap=False``).
+def _plan_c_allreduce(inputs, n_ranks: int, config: CCollConfig, overlap: bool) -> CollectivePlan:
+    """Plan C-Allreduce (or its non-overlapped ND variant with ``overlap=False``).
 
-    ``topology`` only affects link timing here (the flat ring schedule is kept);
-    use the topology-aware C-Allreduce (``Communicator.allreduce`` with
-    ``compression="auto"``) for the placement-aware schedule that compresses
-    inter-node hops only.
+    The flat ring schedule is kept whatever the fabric; use the topology-aware
+    C-Allreduce (``Communicator.allreduce`` with ``compression="auto"``) for
+    the placement-aware schedule that compresses inter-node hops only.
     """
-    config = config or CCollConfig()
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    use_overlap = config.use_overlap if overlap is None else overlap
-
     rs_adapters = [
         CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)
     ]
     ag_adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return c_allreduce_program(
-            rank,
-            size,
-            vectors[rank],
-            rs_adapters[rank],
-            ag_adapters[rank],
-            ctx,
-            overlap=use_overlap,
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, rs_adapters + ag_adapters)
+    return CollectivePlan(
+        lambda rank, size: c_allreduce_program(
+            rank, size, vectors[rank], rs_adapters[rank], ag_adapters[rank], ctx, overlap=overlap
+        ),
+        _ccoll_finish(rs_adapters + ag_adapters),
+        algorithm="ring",
+    )

@@ -31,13 +31,10 @@ import numpy as np
 
 from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.config import CCollConfig
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Test, Wait, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_COMDECOM, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = [
     "segment_count",
@@ -169,31 +166,15 @@ def c_reduce_scatter_program(
     return chunks[rank]
 
 
-def _run_c_reduce_scatter(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    overlap: Optional[bool] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
-    config = config or CCollConfig()
+def _plan_c_reduce_scatter(
+    inputs, n_ranks: int, config: CCollConfig, overlap: bool
+) -> CollectivePlan:
+    """Plan the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    use_overlap = config.use_overlap if overlap is None else overlap
     adapters = [CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return c_reduce_scatter_program(
-            rank,
-            size,
-            vectors[rank],
-            adapters[rank],
-            ctx,
-            overlap=use_overlap,
+    return CollectivePlan(
+        lambda rank, size: c_reduce_scatter_program(
+            rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap
         )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    )

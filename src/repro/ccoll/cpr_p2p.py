@@ -27,12 +27,10 @@ import numpy as np
 
 from repro.ccoll.adapter import CompressionAdapter
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish
-from repro.collectives.context import CollectiveContext, as_rank_arrays
+from repro.ccoll.movement import _ccoll_finish
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import (
     CAT_ALLGATHER,
     CAT_COMDECOM,
@@ -41,7 +39,6 @@ from repro.mpisim.timeline import (
     CAT_REDUCTION,
     CAT_WAIT,
 )
-from repro.mpisim.topology import Topology
 
 __all__ = [
     "cpr_allreduce_program",
@@ -129,25 +126,16 @@ def cpr_allreduce_program(
     return np.concatenate(chunks)
 
 
-def _run_cpr_allreduce(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P (direct integration) ring allreduce."""
-    config = config or CCollConfig()
+def _plan_cpr_allreduce(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
+    """Plan the CPR-P2P (direct integration) ring allreduce."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return cpr_allreduce_program(rank, size, vectors[rank], adapters[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return CollectivePlan(
+        lambda rank, size: cpr_allreduce_program(rank, size, vectors[rank], adapters[rank], ctx),
+        _ccoll_finish(adapters),
+        algorithm="ring",
+    )
 
 
 # -------------------------------------------------------------------------- allgather
@@ -182,25 +170,15 @@ def cpr_allgather_program(
     return blocks
 
 
-def _run_cpr_allgather(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P ring allgather."""
-    config = config or CCollConfig()
+def _plan_cpr_allgather(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
+    """Plan the CPR-P2P ring allgather."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return CollectivePlan(
+        lambda rank, size: cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx),
+        _ccoll_finish(adapters),
+    )
 
 
 # ------------------------------------------------------------------------------ bcast
@@ -243,28 +221,19 @@ def cpr_bcast_program(
     return buffer
 
 
-def _run_cpr_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P binomial broadcast."""
-    config = config or CCollConfig()
+def _plan_cpr_bcast(
+    data: np.ndarray, n_ranks: int, config: CCollConfig, root: int = 0
+) -> CollectivePlan:
+    """Plan the CPR-P2P binomial broadcast."""
     ctx = config.context()
     data = np.ascontiguousarray(data).reshape(-1)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return cpr_bcast_program(
+    return CollectivePlan(
+        lambda rank, size: cpr_bcast_program(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+        ),
+        _ccoll_finish(adapters),
+    )
 
 
 # ---------------------------------------------------------------------------- scatter
@@ -318,26 +287,15 @@ def cpr_scatter_program(
     return segment[0]
 
 
-def _run_cpr_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the CPR-P2P binomial scatter."""
-    config = config or CCollConfig()
+def _plan_cpr_scatter(inputs, n_ranks: int, config: CCollConfig, root: int = 0) -> CollectivePlan:
+    """Plan the CPR-P2P binomial scatter."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return cpr_scatter_program(
+    return CollectivePlan(
+        lambda rank, size: cpr_scatter_program(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+        ),
+        _ccoll_finish(adapters),
+    )

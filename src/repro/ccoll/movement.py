@@ -16,25 +16,28 @@ broadcast, scatter, gather, all-to-all).  Its two rules are:
 
 This module implements the three collectives the paper evaluates on top of
 the framework: C-Allgather (ring), C-Bcast (binomial tree) and C-Scatter
-(binomial tree), each with a runner that also reports the observed
-compression ratio.
+(binomial tree), each with a plan builder whose outcome also reports the
+observed compression ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.config import CCollConfig
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import (
+    CollectiveContext,
+    CollectiveOutcome,
+    CollectivePlan,
+    as_rank_arrays,
+)
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
+from repro.mpisim.launcher import SimulationResult
 from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_OTHERS, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = [
     "CCollOutcome",
@@ -61,10 +64,22 @@ class CCollOutcome(CollectiveOutcome):
     inter_compressed: Optional[bool] = None
 
 
-def _finish(values, sim, adapters) -> CCollOutcome:
-    ratios = [a.overall_ratio() for a in adapters if a.overall_ratio() is not None]
-    ratio = float(np.mean(ratios)) if ratios else None
-    return CCollOutcome(values=values, sim=sim, compression_ratio=ratio)
+def _ccoll_finish(
+    adapters: Sequence[CompressionAdapter] = (),
+    inter_compressed: Optional[bool] = None,
+) -> Callable[[SimulationResult], CCollOutcome]:
+    """A plan's ``finish`` reporting the mean compression ratio ``adapters`` observed."""
+
+    def finish(sim: SimulationResult) -> CCollOutcome:
+        ratios = [a.overall_ratio() for a in adapters if a.overall_ratio() is not None]
+        return CCollOutcome(
+            values=sim.rank_values,
+            sim=sim,
+            compression_ratio=float(np.mean(ratios)) if ratios else None,
+            inter_compressed=inter_compressed,
+        )
+
+    return finish
 
 
 def exchange_sizes_program(
@@ -166,25 +181,15 @@ def c_allgather_program(
     return blocks
 
 
-def _run_c_allgather(
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Allgather; every rank's result is the list of all (reconstructed) blocks."""
-    config = config or CCollConfig()
+def _plan_c_allgather(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
+    """Plan C-Allgather; every rank's result is the list of all (reconstructed) blocks."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return c_allgather_program(rank, size, blocks[rank], adapters[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+    return CollectivePlan(
+        lambda rank, size: c_allgather_program(rank, size, blocks[rank], adapters[rank], ctx),
+        _ccoll_finish(adapters),
+    )
 
 
 # ----------------------------------------------------------------------------- bcast
@@ -236,28 +241,19 @@ def c_bcast_program(
     return result
 
 
-def _run_c_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Bcast; every rank's result is the (root-exact / reconstructed) buffer."""
-    config = config or CCollConfig()
+def _plan_c_bcast(
+    data: np.ndarray, n_ranks: int, config: CCollConfig, root: int = 0
+) -> CollectivePlan:
+    """Plan C-Bcast; every rank's result is the (root-exact / reconstructed) buffer."""
     ctx = config.context()
     data = np.ascontiguousarray(data).reshape(-1)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return c_bcast_program(
+    return CollectivePlan(
+        lambda rank, size: c_bcast_program(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+        ),
+        _ccoll_finish(adapters),
+    )
 
 
 # --------------------------------------------------------------------------- scatter
@@ -318,26 +314,15 @@ def c_scatter_program(
     return result
 
 
-def _run_c_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run C-Scatter; rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
-    config = config or CCollConfig()
+def _plan_c_scatter(inputs, n_ranks: int, config: CCollConfig, root: int = 0) -> CollectivePlan:
+    """Plan C-Scatter; rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return c_scatter_program(
+    return CollectivePlan(
+        lambda rank, size: c_scatter_program(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return _finish(sim.rank_values, sim, adapters)
+        ),
+        _ccoll_finish(adapters),
+    )

@@ -24,9 +24,11 @@ share each node.
 Compressing the inter-node hops is itself a bet against the wire: on the
 calibrated 0.55 GB/s fabric it pays handsomely, but a rail-optimised or
 non-oversubscribed next-generation fabric can outrun the compressor, in which
-case the same hierarchical schedule should run uncompressed.  The runner's
-default ``compress_inter="auto"`` consults the topology's effective inter-node
-bandwidth (NIC rate tapered by the fabric's oversubscription ratio — see
+case the same hierarchical schedule should run uncompressed.
+:func:`select_inter_compression` (the gate behind
+``Communicator.allreduce(compression="auto")``) compares the topology's
+effective inter-node bandwidth (NIC rate tapered by the fabric's
+oversubscription ratio — see
 :meth:`repro.mpisim.topology.Topology.effective_inter_bandwidth`) against the
 codec's break-even bandwidth
 (:meth:`repro.perfmodel.costmodel.CostModel.codec_break_even_bandwidth`), so a
@@ -36,14 +38,14 @@ rate can legitimately make *opposite* calls.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.ccoll.adapter import CompressionAdapter
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import CCollOutcome, _finish, c_allgather_program
-from repro.collectives.context import CollectiveContext, as_rank_arrays
+from repro.ccoll.movement import _ccoll_finish, c_allgather_program
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.hierarchical import (
     _group_binomial_bcast,
     _group_binomial_reduce,
@@ -51,10 +53,8 @@ from repro.collectives.hierarchical import (
     node_groups,
 )
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import FlatTopology, Topology
+from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
 from repro.mpisim.timeline import CAT_COMDECOM, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
 __all__ = [
@@ -164,7 +164,7 @@ def topology_aware_c_allreduce_program(
 def select_inter_compression(
     topology: Topology,
     config: CCollConfig,
-    network: Optional[NetworkModel] = None,
+    flat_bandwidth: float = DEFAULT_INTER_BANDWIDTH,
 ) -> bool:
     """Decide whether compressing the inter-node hops pays on this fabric.
 
@@ -177,68 +177,44 @@ def select_inter_compression(
     :mod:`repro.faults` re-evaluates the gate on the next collective: a
     fabric that was too fast for compression to pay can cross the break-even
     point exactly when a link slows down.  Topologies that do not report an
-    effective bandwidth (flat fabrics) are judged by the global network
-    model's rate.
+    effective bandwidth (flat fabrics) are judged by ``flat_bandwidth``, the
+    global network model's rate.
     """
     effective = topology.effective_inter_bandwidth()
     if effective is None:
-        effective = (network if network is not None else NetworkModel()).bandwidth
+        effective = flat_bandwidth
     return effective < config.cost.codec_break_even_bandwidth(config.codec)
 
 
-def _run_topology_aware_c_allreduce(
-    inputs,
-    n_ranks: int,
-    topology: Optional[Topology] = None,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    compress_inter: Union[str, bool] = "auto",
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run the topology-aware C-Allreduce (compression on inter-node hops only).
+def _plan_topology_aware_c_allreduce(
+    inputs, n_ranks: int, topology: Topology, config: CCollConfig, compress_inter: bool
+) -> CollectivePlan:
+    """Plan the topology-aware C-Allreduce (compression on inter-node hops only).
 
-    ``compress_inter`` is ``"auto"`` (consult :func:`select_inter_compression`
-    — compress only on fabrics slower than the codec's break-even bandwidth),
-    ``True`` (always compress, the pre-fabric behaviour) or ``False`` (run
-    the hierarchical schedule uncompressed).  The decision taken is recorded
-    on the outcome as ``inter_compressed``.
+    ``compress_inter=False`` runs the same hierarchical schedule with no codec
+    on any hop (the wire outruns it); the choice is recorded on the outcome
+    as ``inter_compressed``.
     """
-    topology = topology if topology is not None else FlatTopology()
-    config = config or CCollConfig()
-    if compress_inter == "auto":
-        compress = select_inter_compression(topology, config, network)
-    elif isinstance(compress_inter, bool):
-        compress = compress_inter
-    else:
-        raise ValueError(
-            f"compress_inter must be 'auto', True or False, got {compress_inter!r}"
-        )
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
 
-    if not compress:
-        # the wire outruns the codec: same schedule, no codec on any hop
-        def plain_factory(rank: int, size: int):
-            return hierarchical_allreduce_program(
+    if not compress_inter:
+        return CollectivePlan(
+            lambda rank, size: hierarchical_allreduce_program(
                 rank, size, vectors[rank], ctx, topology,
                 peers=peers_by_rank[rank], leaders=leaders,
-            )
-
-        sim = _execute(backend, n_ranks, plain_factory, network=network, topology=topology)
-        return CCollOutcome(
-            values=sim.rank_values, sim=sim, compression_ratio=None, inter_compressed=False
+            ),
+            _ccoll_finish(inter_compressed=False),
+            algorithm="hierarchical",
         )
 
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return topology_aware_c_allreduce_program(
+    return CollectivePlan(
+        lambda rank, size: topology_aware_c_allreduce_program(
             rank, size, vectors[rank], adapters[rank], ctx, topology,
             peers=peers_by_rank[rank], leaders=leaders,
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    outcome = _finish(sim.rank_values, sim, adapters)
-    outcome.inter_compressed = True
-    return outcome
+        ),
+        _ccoll_finish(adapters, inter_compressed=True),
+        algorithm="hierarchical",
+    )

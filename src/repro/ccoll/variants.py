@@ -13,25 +13,21 @@ Abbreviation  Implementation
 ============  =================================================================
 
 The alias table below is the *single* mapping from user-facing spellings to
-canonical variants; it is shared by :func:`run_allreduce_variant` (the Table V
-harness entry point) and by ``Communicator.allreduce(compression=...)`` in
-:mod:`repro.api`, so the facade and the harness cannot drift.  The facade's
-``compression="off"``/``"on"`` switches are aliases of ``AD``/``Overlap`` in
-the same table.
+canonical variants: ``Communicator.allreduce(compression=...)`` in
+:mod:`repro.api` resolves every spelling here and the Table V harness goes
+through that method, so the facade and the harness cannot drift.  The
+facade's ``compression="off"``/``"on"`` switches are aliases of
+``AD``/``Overlap`` in the same table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
-from repro.ccoll.allreduce import _run_c_allreduce
+from repro.ccoll.allreduce import _plan_c_allreduce
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.cpr_p2p import _run_cpr_allreduce
-from repro.ccoll.movement import CCollOutcome
-from repro.collectives.allreduce import _run_ring_allreduce
-from repro.mpisim.backends import Backend
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import Topology
+from repro.ccoll.cpr_p2p import _plan_cpr_allreduce
+from repro.collectives.context import CollectivePlan
 
 __all__ = [
     "ALLREDUCE_VARIANTS",
@@ -74,53 +70,11 @@ def canonical_variant(name: str) -> str:
         ) from None
 
 
-def _run_ad(inputs, n_ranks, config, network, topology, backend) -> CCollOutcome:
-    outcome = _run_ring_allreduce(
-        inputs, n_ranks, ctx=config.context(), network=network, topology=topology,
-        backend=backend,
-    )
-    return CCollOutcome(values=outcome.values, sim=outcome.sim, compression_ratio=None)
-
-
-def _run_di(inputs, n_ranks, config, network, topology, backend) -> CCollOutcome:
-    return _run_cpr_allreduce(
-        inputs, n_ranks, config=config, network=network, topology=topology, backend=backend
-    )
-
-
-def _run_nd(inputs, n_ranks, config, network, topology, backend) -> CCollOutcome:
-    return _run_c_allreduce(
-        inputs, n_ranks, config=config, network=network, overlap=False,
-        topology=topology, backend=backend,
-    )
-
-
-def _run_overlap(inputs, n_ranks, config, network, topology, backend) -> CCollOutcome:
-    return _run_c_allreduce(
-        inputs, n_ranks, config=config, network=network, overlap=True,
-        topology=topology, backend=backend,
-    )
-
-
-#: canonical variant -> runner with the uniform positional signature
-_VARIANT_RUNNERS: Dict[str, Callable[..., CCollOutcome]] = {
-    "AD": _run_ad,
-    "DI": _run_di,
-    "ND": _run_nd,
-    "Overlap": _run_overlap,
-}
-
-
-def _run_allreduce_variant(
-    variant: str,
-    inputs,
-    n_ranks: int,
-    config: Optional[CCollConfig] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CCollOutcome:
-    """Run one of the Table V allreduce variants and return its outcome."""
-    config = config or CCollConfig()
-    runner = _VARIANT_RUNNERS[canonical_variant(variant)]
-    return runner(inputs, n_ranks, config, network, topology, backend)
+def _plan_compressed_allreduce(
+    variant: str, inputs, n_ranks: int, config: CCollConfig
+) -> CollectivePlan:
+    """Plan the canonical ``DI``, ``ND`` or ``Overlap`` variant (``AD`` is the
+    uncompressed ring of :mod:`repro.collectives`)."""
+    if variant == "DI":
+        return _plan_cpr_allreduce(inputs, n_ranks, config)
+    return _plan_c_allreduce(inputs, n_ranks, config, overlap=variant == "Overlap")

@@ -14,7 +14,12 @@ from repro.collectives.allreduce import ring_allreduce_program
 from repro.collectives.alltoall import pairwise_alltoall_program
 from repro.collectives.barrier import barrier_program
 from repro.collectives.bcast import binomial_bcast_program
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.collectives.context import (
+    CollectiveContext,
+    CollectiveOutcome,
+    CollectivePlan,
+    as_rank_arrays,
+)
 from repro.collectives.gather import binomial_gather_program
 from repro.collectives.hierarchical import (
     hierarchical_allreduce_program,
@@ -32,13 +37,14 @@ from repro.collectives.reduce_scatter import (
 )
 from repro.collectives.scatter import binomial_scatter_program
 from repro.collectives.selection import (
-    ALGORITHM_RUNNERS,
+    ALGORITHM_PLANNERS,
     select_algorithm,
 )
 
 __all__ = [
     "CollectiveContext",
     "CollectiveOutcome",
+    "CollectivePlan",
     "as_rank_arrays",
     "barrier_program",
     "partition_chunks",
@@ -48,7 +54,7 @@ __all__ = [
     "recursive_doubling_allreduce_program",
     "rabenseifner_allreduce_program",
     "hierarchical_allreduce_program",
-    "ALGORITHM_RUNNERS",
+    "ALGORITHM_PLANNERS",
     "select_algorithm",
     "binomial_bcast_program",
     "binomial_scatter_program",

@@ -12,12 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_ALLGATHER
-from repro.mpisim.topology import Topology
 
 __all__ = ["ring_allgather_program"]
 
@@ -56,24 +53,13 @@ def ring_allgather_program(
     return blocks
 
 
-def _run_ring_allgather(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the ring allgather on ``n_ranks`` simulated ranks.
+def _plan_ring_allgather(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:
+    """Plan the ring allgather.
 
     ``inputs`` holds one block per rank; every rank's result is the list of
     all blocks in rank order.
     """
-    ctx = ctx or CollectiveContext()
     blocks = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return ring_allgather_program(rank, size, blocks[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: ring_allgather_program(rank, size, blocks[rank], ctx)
+    )

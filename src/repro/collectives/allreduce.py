@@ -10,17 +10,14 @@ is "Others".
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_ALLGATHER, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["ring_allreduce_over_group", "ring_allreduce_program"]
 
@@ -97,20 +94,10 @@ def ring_allreduce_program(
     return result
 
 
-def _run_ring_allreduce(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the uncompressed ring allreduce (the paper's AD baseline)."""
-    ctx = ctx or CollectiveContext()
+def _plan_ring_allreduce(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:
+    """Plan the uncompressed ring allreduce (the paper's AD baseline)."""
     vectors = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return ring_allreduce_program(rank, size, vectors[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: ring_allreduce_program(rank, size, vectors[rank], ctx),
+        algorithm="ring",
+    )

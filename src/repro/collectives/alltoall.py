@@ -12,12 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["pairwise_alltoall_program"]
 
@@ -51,26 +48,17 @@ def pairwise_alltoall_program(
     return received
 
 
-def _run_pairwise_alltoall(
-    inputs: List[List[np.ndarray]],
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the pairwise all-to-all.
+def _plan_pairwise_alltoall(
+    inputs: List[List[np.ndarray]], n_ranks: int, ctx: CollectiveContext
+) -> CollectivePlan:
+    """Plan the pairwise all-to-all.
 
     ``inputs[r][d]`` is the block rank ``r`` sends to rank ``d``; rank ``r``'s
     result is ``[inputs[0][r], inputs[1][r], ...]``.
     """
-    ctx = ctx or CollectiveContext()
     if len(inputs) != n_ranks or any(len(row) != n_ranks for row in inputs):
         raise ValueError("inputs must be an n_ranks x n_ranks matrix of blocks")
     blocks = [[np.ascontiguousarray(b).reshape(-1) for b in row] for row in inputs]
-
-    def factory(rank: int, size: int):
-        return pairwise_alltoall_program(rank, size, blocks[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: pairwise_alltoall_program(rank, size, blocks[rank], ctx)
+    )

@@ -2,22 +2,16 @@
 
 The engine's :class:`~repro.mpisim.commands.Barrier` command already
 synchronises all ranks at the maximum arrival time; this module merely wraps
-it in the standard rank-program / runner pair so the facade
-(:meth:`repro.api.Communicator.barrier`) can expose it through the same
-backend seam as every other collective.  There is no legacy ``run_*`` shim:
-the barrier first became public with the session API.
+it in the standard rank-program / plan-builder pair so the facade
+(:meth:`repro.api.Communicator.barrier`) launches it like every other
+collective.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.collectives.context import CollectiveOutcome
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectivePlan
 from repro.mpisim.commands import Barrier
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["barrier_program"]
 
@@ -28,12 +22,6 @@ def barrier_program(rank: int, size: int, category: str = CAT_WAIT):
     return None
 
 
-def _run_barrier(
-    n_ranks: int,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run a barrier across ``n_ranks`` ranks."""
-    sim = _execute(backend, n_ranks, barrier_program, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+def _plan_barrier() -> CollectivePlan:
+    """Plan a barrier across all ranks."""
+    return CollectivePlan(barrier_program)

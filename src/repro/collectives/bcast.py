@@ -10,12 +10,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["binomial_bcast_program"]
 
@@ -58,23 +55,13 @@ def binomial_bcast_program(
     return buffer
 
 
-def _run_binomial_bcast(
-    data: np.ndarray,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Broadcast ``data`` from ``root``; every rank's result is the full buffer."""
-    ctx = ctx or CollectiveContext()
+def _plan_binomial_bcast(
+    data: np.ndarray, n_ranks: int, ctx: CollectiveContext, root: int = 0
+) -> CollectivePlan:
+    """Plan a broadcast of ``data`` from ``root``; every rank's result is the full buffer."""
     data = np.ascontiguousarray(data).reshape(-1)
-
-    def factory(rank: int, size: int):
-        return binomial_bcast_program(
+    return CollectivePlan(
+        lambda rank, size: binomial_bcast_program(
             rank, size, data if rank == root else None, ctx, root=root
         )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    )

@@ -16,7 +16,7 @@ the C-Coll variants in :mod:`repro.ccoll`) needs two things besides the data:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.mpisim.launcher import SimulationResult
 from repro.perfmodel.costmodel import CostModel
 from repro.utils.validation import ensure_positive
 
-__all__ = ["CollectiveContext", "CollectiveOutcome", "as_rank_arrays"]
+__all__ = ["CollectiveContext", "CollectiveOutcome", "CollectivePlan", "as_rank_arrays"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class CollectiveContext:
 
 @dataclass
 class CollectiveOutcome:
-    """Return value of every collective runner: per-rank results plus the simulation."""
+    """Return value of every collective: per-rank results plus the simulation."""
 
     values: List[Any]
     sim: SimulationResult
@@ -86,6 +86,28 @@ class CollectiveOutcome:
     def value(self, rank: int) -> Any:
         """Result of one rank."""
         return self.values[rank]
+
+
+def _plain_outcome(sim: SimulationResult) -> CollectiveOutcome:
+    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+
+
+@dataclass(frozen=True)
+class CollectivePlan:
+    """A collective that is built but not yet run.
+
+    Every ``_plan_*`` builder validates its inputs, constructs codecs and
+    adapters, and returns one of these; :class:`repro.api.Communicator`
+    launches it on its cluster (or hands it out unlaunched from
+    :meth:`~repro.api.Communicator.capture`).
+    """
+
+    #: ``factory(rank, size)`` returns that rank's program generator
+    factory: Callable[[int, int], Generator]
+    #: turns the finished simulation into the collective's outcome
+    finish: Callable[[SimulationResult], CollectiveOutcome] = _plain_outcome
+    #: the allreduce schedule the plan runs (``None`` for other collectives)
+    algorithm: Optional[str] = None
 
 
 def as_rank_arrays(inputs, n_ranks: int) -> List[np.ndarray]:

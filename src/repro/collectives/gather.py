@@ -6,16 +6,13 @@ ends up with all of them in rank order.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["binomial_gather_program"]
 
@@ -64,21 +61,11 @@ def binomial_gather_program(
     return [collected[(r - root) % size] for r in range(size)]
 
 
-def _run_binomial_gather(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Gather one block per rank to ``root``."""
-    ctx = ctx or CollectiveContext()
+def _plan_binomial_gather(
+    inputs, n_ranks: int, ctx: CollectiveContext, root: int = 0
+) -> CollectivePlan:
+    """Plan a gather of one block per rank to ``root``."""
     blocks = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return binomial_gather_program(rank, size, blocks[rank], ctx, root=root)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: binomial_gather_program(rank, size, blocks[rank], ctx, root=root)
+    )

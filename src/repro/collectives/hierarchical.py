@@ -28,10 +28,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.collectives.allreduce import ring_allreduce_over_group
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology, Topology
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
@@ -153,30 +151,22 @@ def hierarchical_allreduce_program(
     return vec
 
 
-def _run_hierarchical_allreduce(
-    inputs,
-    n_ranks: int,
-    topology: Optional[Topology] = None,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the hierarchical allreduce.
+def _plan_hierarchical_allreduce(
+    inputs, n_ranks: int, ctx: CollectiveContext, topology: Optional[Topology] = None
+) -> CollectivePlan:
+    """Plan the hierarchical allreduce.
 
-    ``topology`` drives both the rank grouping and the link timing; with the
-    default flat topology every rank is its own node, so the algorithm
-    degenerates to the plain ring allreduce among all ranks.
+    ``topology`` drives the rank grouping; with the default flat topology
+    every rank is its own node, so the algorithm degenerates to the plain
+    ring allreduce among all ranks.
     """
     topology = topology if topology is not None else FlatTopology()
-    ctx = ctx or CollectiveContext()
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
-
-    def factory(rank: int, size: int):
-        return hierarchical_allreduce_program(
+    return CollectivePlan(
+        lambda rank, size: hierarchical_allreduce_program(
             rank, size, vectors[rank], ctx, topology,
             peers=peers_by_rank[rank], leaders=leaders,
-        )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+        ),
+        algorithm="hierarchical",
+    )

@@ -13,16 +13,11 @@ the real one, and the fold/unfold trick handles non-power-of-two sizes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.recursive_doubling import largest_power_of_two_below
-from repro.mpisim.backends import Backend, execute as _execute
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import Topology
 from repro.mpisim.timeline import (
     CAT_ALLGATHER,
     CAT_MEMCPY,
@@ -153,20 +148,10 @@ def rabenseifner_allreduce_program(
     return buf
 
 
-def _run_rabenseifner_allreduce(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the Rabenseifner (reduce-scatter + allgather) allreduce."""
-    ctx = ctx or CollectiveContext()
+def _plan_rabenseifner_allreduce(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:
+    """Plan the Rabenseifner (reduce-scatter + allgather) allreduce."""
     vectors = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return rabenseifner_allreduce_program(rank, size, vectors[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: rabenseifner_allreduce_program(rank, size, vectors[rank], ctx),
+        algorithm="rabenseifner",
+    )

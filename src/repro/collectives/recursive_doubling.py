@@ -15,15 +15,10 @@ the result is copied back to the idle partners at the end.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.network import NetworkModel
-from repro.mpisim.topology import Topology
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
 __all__ = ["recursive_doubling_allreduce_program"]
@@ -96,20 +91,12 @@ def recursive_doubling_allreduce_program(
     return vec
 
 
-def _run_recursive_doubling_allreduce(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the recursive-doubling allreduce on the simulated fabric."""
-    ctx = ctx or CollectiveContext()
+def _plan_recursive_doubling_allreduce(
+    inputs, n_ranks: int, ctx: CollectiveContext
+) -> CollectivePlan:
+    """Plan the recursive-doubling allreduce."""
     vectors = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return recursive_doubling_allreduce_program(rank, size, vectors[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: recursive_doubling_allreduce_program(rank, size, vectors[rank], ctx),
+        algorithm="recursive_doubling",
+    )

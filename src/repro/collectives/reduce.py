@@ -7,16 +7,11 @@ use case when only the root needs the stacked image.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["binomial_reduce_program"]
 
@@ -55,21 +50,11 @@ def binomial_reduce_program(
     return accumulator
 
 
-def _run_binomial_reduce(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Sum one vector per rank onto ``root``."""
-    ctx = ctx or CollectiveContext()
+def _plan_binomial_reduce(
+    inputs, n_ranks: int, ctx: CollectiveContext, root: int = 0
+) -> CollectivePlan:
+    """Plan a sum of one vector per rank onto ``root``."""
     vectors = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return binomial_reduce_program(rank, size, vectors[rank], ctx, root=root)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: binomial_reduce_program(rank, size, vectors[rank], ctx, root=root)
+    )

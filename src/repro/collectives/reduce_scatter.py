@@ -9,16 +9,13 @@ from the left neighbour, reducing it into its local copy.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_REDUCTION, CAT_WAIT
-from repro.mpisim.topology import Topology
 from repro.utils.chunking import split_counts, split_displacements
 
 __all__ = ["ring_reduce_scatter_program", "partition_chunks"]
@@ -63,20 +60,9 @@ def ring_reduce_scatter_program(
     return chunks[rank]
 
 
-def _run_ring_reduce_scatter(
-    inputs,
-    n_ranks: int,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Run the ring reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
-    ctx = ctx or CollectiveContext()
+def _plan_ring_reduce_scatter(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:
+    """Plan the ring reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
     vectors = as_rank_arrays(inputs, n_ranks)
-
-    def factory(rank: int, size: int):
-        return ring_reduce_scatter_program(rank, size, vectors[rank], ctx)
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    return CollectivePlan(
+        lambda rank, size: ring_reduce_scatter_program(rank, size, vectors[rank], ctx)
+    )

@@ -12,12 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectiveOutcome, as_rank_arrays
-from repro.mpisim.backends import Backend, execute as _execute
+from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
-from repro.mpisim.topology import Topology
 
 __all__ = ["binomial_scatter_program"]
 
@@ -82,29 +79,19 @@ def binomial_scatter_program(
     return segment[0]
 
 
-def _run_binomial_scatter(
-    inputs,
-    n_ranks: int,
-    root: int = 0,
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
-    topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> CollectiveOutcome:
-    """Scatter one block per rank from ``root``.
+def _plan_binomial_scatter(
+    inputs, n_ranks: int, ctx: CollectiveContext, root: int = 0
+) -> CollectivePlan:
+    """Plan a scatter of one block per rank from ``root``.
 
     ``inputs`` holds the block for each (absolute) rank; rank ``r``'s result is
     ``inputs[r]``.
     """
-    ctx = ctx or CollectiveContext()
     blocks = as_rank_arrays(inputs, n_ranks)
     # the root keeps its block list in relative-rank order
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
-
-    def factory(rank: int, size: int):
-        return binomial_scatter_program(
+    return CollectivePlan(
+        lambda rank, size: binomial_scatter_program(
             rank, size, relative_blocks if rank == root else None, ctx, root=root
         )
-
-    sim = _execute(backend, n_ranks, factory, network=network, topology=topology)
-    return CollectiveOutcome(values=sim.rank_values, sim=sim)
+    )

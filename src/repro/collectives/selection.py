@@ -26,21 +26,19 @@ becomes bandwidth-bound at half the message size).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.collectives.allreduce import _run_ring_allreduce
-from repro.collectives.context import CollectiveContext, CollectiveOutcome
-from repro.collectives.hierarchical import _run_hierarchical_allreduce
-from repro.collectives.rabenseifner import _run_rabenseifner_allreduce
-from repro.collectives.recursive_doubling import _run_recursive_doubling_allreduce
-from repro.mpisim.backends import Backend
-from repro.mpisim.network import NetworkModel
+from repro.collectives.allreduce import _plan_ring_allreduce
+from repro.collectives.context import CollectiveContext, CollectivePlan
+from repro.collectives.hierarchical import _plan_hierarchical_allreduce
+from repro.collectives.rabenseifner import _plan_rabenseifner_allreduce
+from repro.collectives.recursive_doubling import _plan_recursive_doubling_allreduce
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
 
 __all__ = [
-    "ALGORITHM_RUNNERS",
+    "ALGORITHM_PLANNERS",
     "PLACEMENT_BLOCK",
     "PLACEMENT_INTERLEAVED",
     "PLACEMENT_IRREGULAR",
@@ -120,12 +118,13 @@ def classify_placement(topology: Topology, n_ranks: int) -> str:
     return PLACEMENT_BLOCK
 
 
-#: algorithm name -> runner with the uniform (inputs, n_ranks, ...) signature
-ALGORITHM_RUNNERS: Dict[str, Callable[..., CollectiveOutcome]] = {
-    "ring": _run_ring_allreduce,
-    "recursive_doubling": _run_recursive_doubling_allreduce,
-    "rabenseifner": _run_rabenseifner_allreduce,
-    "hierarchical": _run_hierarchical_allreduce,
+#: algorithm name -> plan builder taking ``(inputs, n_ranks, ctx)``; the
+#: hierarchical one also takes the topology it groups ranks by
+ALGORITHM_PLANNERS: Dict[str, Callable[..., CollectivePlan]] = {
+    "ring": _plan_ring_allreduce,
+    "recursive_doubling": _plan_recursive_doubling_allreduce,
+    "rabenseifner": _plan_rabenseifner_allreduce,
+    "hierarchical": _plan_hierarchical_allreduce,
 }
 
 
@@ -137,7 +136,7 @@ def select_algorithm(
     """Pick an allreduce algorithm for a ``nbytes`` message on ``n_ranks`` ranks.
 
     Returns one of ``"recursive_doubling"``, ``"rabenseifner"``, ``"ring"`` or
-    ``"hierarchical"`` (keys of :data:`ALGORITHM_RUNNERS`).
+    ``"hierarchical"`` (keys of :data:`ALGORITHM_PLANNERS`).
     """
     if n_ranks <= 2:
         # one exchange either way; the doubling schedule is the simplest
@@ -183,25 +182,22 @@ def select_algorithm(
     return "rabenseifner"
 
 
-def _run_allreduce(
+def _plan_allreduce(
     inputs,
     n_ranks: int,
-    algorithm: str = "auto",
-    ctx: Optional[CollectiveContext] = None,
-    network: Optional[NetworkModel] = None,
+    algorithm: str,
+    ctx: CollectiveContext,
     topology: Optional[Topology] = None,
-    backend: Optional[Backend] = None,
-) -> Tuple[CollectiveOutcome, str]:
-    """Run an allreduce, selecting the algorithm from the tuning table.
+) -> CollectivePlan:
+    """Plan an allreduce, selecting the algorithm from the tuning table.
 
-    ``algorithm`` may name any entry of :data:`ALGORITHM_RUNNERS` or be
+    ``algorithm`` may name any entry of :data:`ALGORITHM_PLANNERS` or be
     ``"auto"`` to consult :func:`select_algorithm` with the per-rank virtual
-    message size.  Returns ``(outcome, algorithm_used)``.
+    message size; the plan's ``algorithm`` records the choice.
     """
-    ctx = ctx or CollectiveContext()
     if algorithm == "auto":
         # size-probe without expanding: as_rank_arrays copies per rank, and
-        # the selected runner normalises the inputs itself anyway
+        # the selected planner normalises the inputs itself anyway
         if isinstance(inputs, np.ndarray):
             probe = inputs
         else:
@@ -210,16 +206,12 @@ def _run_allreduce(
                 raise ValueError(f"expected {n_ranks} per-rank arrays, got 0")
             probe = np.asarray(inputs[0])
         algorithm = select_algorithm(ctx.vbytes(probe), n_ranks, topology)
-    runner = ALGORITHM_RUNNERS.get(algorithm)
-    if runner is None:
+    planner = ALGORITHM_PLANNERS.get(algorithm)
+    if planner is None:
         raise ValueError(
             f"unknown allreduce algorithm {algorithm!r}; "
-            f"available: {', '.join(ALGORITHM_RUNNERS)} or 'auto'"
+            f"available: {', '.join(ALGORITHM_PLANNERS)} or 'auto'"
         )
-    kwargs: Dict[str, Any] = {
-        "ctx": ctx,
-        "network": network,
-        "topology": topology,
-        "backend": backend,
-    }
-    return runner(inputs, n_ranks, **kwargs), algorithm
+    if planner is _plan_hierarchical_allreduce:
+        return planner(inputs, n_ranks, ctx, topology)
+    return planner(inputs, n_ranks, ctx)

@@ -14,7 +14,12 @@ paper builds on:
   uncompressed baselines.
 """
 
-from repro.compression.base import CompressedBuffer, Compressor, check_compressible
+from repro.compression.base import (
+    CompressedBuffer,
+    Compressor,
+    check_compressible,
+    rounding_margin,
+)
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.null import NullCompressor
 from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, CompressedChunk, PipelinedSZx
@@ -26,6 +31,7 @@ __all__ = [
     "Compressor",
     "CompressedBuffer",
     "check_compressible",
+    "rounding_margin",
     "CompressionError",
     "DecompressionError",
     "UnsupportedDataError",

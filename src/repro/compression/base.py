@@ -19,7 +19,7 @@ from repro.compression.errors import UnsupportedDataError
 from repro.metrics.ratios import compression_ratio
 from repro.utils.validation import ensure_1d_float_array
 
-__all__ = ["CompressedBuffer", "Compressor", "check_compressible"]
+__all__ = ["CompressedBuffer", "Compressor", "check_compressible", "rounding_margin"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,22 @@ def check_compressible(data: np.ndarray, name: str = "data") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise UnsupportedDataError(f"{name} contains NaN or Inf values")
     return arr
+
+
+def rounding_margin(data: np.ndarray, bound: float) -> float:
+    """Floating-point slack on top of an absolute error ``bound`` for ``data``.
+
+    The error-bounded codecs hold their bound "up to floating-point
+    rounding": a reconstructed value is at most ``max|data| + bound`` in
+    magnitude, and storing it in ``data``'s dtype (and subtracting it from the
+    original to measure the error) rounds by up to one epsilon of that
+    magnitude.  An error that is exactly ``bound`` in real arithmetic — e.g.
+    0.25 reconstructed as 0.249 under ``bound=1e-3`` — can therefore measure a
+    few ulps above it; checks compare against ``bound + rounding_margin``.
+    """
+    if not data.size:
+        return 0.0
+    return float(np.finfo(data.dtype).eps) * (float(np.max(np.abs(data))) + bound)
 
 
 class Compressor(abc.ABC):

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.api import Cluster
 from repro.faults.schedule import FAULT_MIXES, FaultSchedule
+from repro.mpisim.audit import audit_fabric
 from repro.workload import JobMix, WorkloadEngine
 
 
@@ -39,22 +41,8 @@ def _build(contention: str, seed: int) -> tuple:
 def _run(cluster, specs, seed: int, faults, audit: bool):
     """One simulation; returns (makespan, finishes, violations)."""
     engine = WorkloadEngine(cluster, policy="packed", seed=seed, faults=faults)
-    if not audit:
+    with audit_fabric() if audit else nullcontext([]) as violations:
         report = engine.run(specs, baseline=False)
-        violations: List = []
-    else:
-        from repro.fuzzer.executor import trace_fair_allocations
-        from repro.mpisim.topology import (
-            capacity_conservation_violations,
-            trace_reservations,
-        )
-
-        with trace_reservations() as events, trace_fair_allocations() as fair:
-            report = engine.run(specs, baseline=False)
-        violations = [
-            ("capacity", f"stage overlap at t={begin:.9f}")
-            for _, begin, _ in capacity_conservation_violations(events)
-        ] + list(fair)
     finishes = tuple(record.finished for record in report.records)
     return report.makespan, finishes, violations
 

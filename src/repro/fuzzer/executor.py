@@ -11,16 +11,15 @@ that applies to that scenario:
     error-accumulation envelope for compressed runs.  Skipped for the
     fixed-rate ``zfp_fxr`` codec, whose error is data-dependent by design.
 ``capacity``
-    No shared stage is ever allocated beyond its capacity: the run is traced
-    with :func:`repro.mpisim.topology.trace_reservations` and audited with
-    :func:`~repro.mpisim.topology.capacity_conservation_violations`.  Holds
-    for both contention disciplines (fair runs re-express fluid segments as
-    reservations).
+    No shared stage is ever allocated beyond its capacity: the run executes
+    under :func:`repro.mpisim.audit.audit_fabric`, which traces every
+    reservation.  Holds for both contention disciplines (fair runs
+    re-express fluid segments as reservations).
 ``fair_share``
-    On ``contention="fair"`` runs, every max-min allocation the registry
-    commits is checked live: stages never exceed capacity, backlogged stages
-    are saturated, and every active flow is bottlenecked on some saturated
-    stage of its path.
+    On ``contention="fair"`` runs, the same audit checks every max-min
+    allocation the registry commits, live: stages never exceed capacity,
+    backlogged stages are saturated, and every active flow is bottlenecked
+    on some saturated stage of its path.
 ``determinism``
     Executing the same scenario twice from freshly built sessions yields the
     same makespan, the same bytes-sent counter and bit-identical values.
@@ -38,20 +37,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api import Cluster
 from repro.api.communicator import Communicator
 from repro.collectives.reduce_scatter import partition_chunks
+from repro.compression import rounding_margin
 from repro.fuzzer.generator import _FABRIC_HOSTS, Scenario, placement_list, sanitize
-from repro.mpisim.fairshare import FairShareRegistry
-from repro.mpisim.topology import (
-    capacity_conservation_violations,
-    trace_reservations,
-)
+from repro.mpisim.audit import audit_fabric
 
 __all__ = [
     "build_cluster",
@@ -59,10 +54,7 @@ __all__ = [
     "make_inputs",
     "execute",
     "run_id_for",
-    "trace_fair_allocations",
 ]
-
-_FAIR_TOL = 1e-9
 
 
 def run_id_for(scenario: Scenario) -> str:
@@ -131,75 +123,6 @@ def make_inputs(scenario: Scenario, step: int = 0) -> List[np.ndarray]:
             raise ValueError(f"unknown data profile {profile!r}")
         out.append(np.asarray(arr, dtype=dtype))
     return out
-
-
-# ------------------------------------------------------------ fair-share hook
-
-
-@contextmanager
-def trace_fair_allocations():
-    """Audit every max-min allocation a :class:`FairShareRegistry` commits.
-
-    After each flow arrival and each committed departure the registry's
-    allocation must satisfy the bottleneck property; every violation is
-    appended to the yielded list as a ``(kind, detail)`` pair.  Mirrors the
-    property-suite check, but attached globally so fuzzer runs audit the
-    engine's own registries rather than a synthetic one.
-    """
-    violations: List[Tuple[str, str]] = []
-    real_open, real_commit = FairShareRegistry.open_flow, FairShareRegistry.commit_departure
-
-    def check(registry) -> None:
-        active = registry.active_flows()
-        stages = {id(stage): stage for flow in active for stage in flow.stages}
-        saturated = set()
-        for key, stage in stages.items():
-            rate = stage.allocated_rate()
-            if rate > stage.capacity * (1.0 + _FAIR_TOL):
-                violations.append(
-                    ("overcommit", f"stage allocated {rate:.6g} > capacity {stage.capacity:.6g}")
-                )
-            if rate >= stage.capacity * (1.0 - _FAIR_TOL):
-                saturated.add(key)
-            elif stage.backlogged and any(
-                len(flow.stages) == 1 and flow.stages[0] is stage for flow in active
-            ):
-                # a backlogged stage that is some flow's only stage has no
-                # other bottleneck to defer to: max-min must fill it
-                violations.append(
-                    (
-                        "unsaturated",
-                        f"backlogged single-stage bottleneck allocated {rate:.6g} "
-                        f"< capacity {stage.capacity:.6g}",
-                    )
-                )
-        for flow in active:
-            if flow.remaining <= 0.0:
-                continue
-            if flow.rate <= 0.0:
-                violations.append(("starved", f"flow {flow.flow_id} has rate {flow.rate!r}"))
-            elif not any(id(stage) in saturated for stage in flow.stages):
-                violations.append(
-                    ("unbottlenecked", f"flow {flow.flow_id} is not bottlenecked anywhere")
-                )
-
-    def open_flow(self, *args, **kwargs):
-        flow = real_open(self, *args, **kwargs)
-        check(self)
-        return flow
-
-    def commit_departure(self):
-        result = real_commit(self)
-        check(self)
-        return result
-
-    FairShareRegistry.open_flow = open_flow  # type: ignore[method-assign]
-    FairShareRegistry.commit_departure = commit_departure  # type: ignore[method-assign]
-    try:
-        yield violations
-    finally:
-        FairShareRegistry.open_flow = real_open  # type: ignore[method-assign]
-        FairShareRegistry.commit_departure = real_commit  # type: ignore[method-assign]
 
 
 # ----------------------------------------------------------------- execution
@@ -282,47 +205,28 @@ def _single_run(scenario: Scenario):
     problems: List[Dict[str, str]] = []
     for step in range(scenario.program_len):
         inputs = make_inputs(scenario, step)
-        with trace_reservations() as events, trace_fair_allocations() as fair_violations:
-            outcome = _run_collective(comm, scenario, inputs)
+        outcome, found = _audited(
+            f"step {step}", lambda: _run_collective(comm, scenario, inputs)
+        )
         outcomes.append(outcome)
         step_values.append(
             [np.asarray(outcome.value(rank)) for rank in range(scenario.n_ranks)]
         )
-        for stage, begin, previous in capacity_conservation_violations(events):
-            problems.append(
-                {
-                    "invariant": "capacity",
-                    "detail": (
-                        f"step {step}: stage capacity={stage.capacity:.6g} reservation "
-                        f"begins at {begin:.9g} before previous finish {previous:.9g}"
-                    ),
-                }
-            )
-        for kind, detail in fair_violations:
-            problems.append(
-                {"invariant": "fair_share", "detail": f"step {step}: {kind}: {detail}"}
-            )
+        problems.extend(found)
     return comm, outcomes, step_values, problems
 
 
-def _audit_events(events, fair_violations, label: str) -> List[Dict[str, str]]:
-    """Capacity + fair-share violations from one traced region."""
-    problems: List[Dict[str, str]] = []
-    for stage, begin, previous in capacity_conservation_violations(events):
-        problems.append(
-            {
-                "invariant": "capacity",
-                "detail": (
-                    f"{label}: stage capacity={stage.capacity:.6g} reservation "
-                    f"begins at {begin:.9g} before previous finish {previous:.9g}"
-                ),
-            }
-        )
-    for kind, detail in fair_violations:
-        problems.append(
-            {"invariant": "fair_share", "detail": f"{label}: {kind}: {detail}"}
-        )
-    return problems
+def _audited(label: str, run: Callable[[], object]) -> Tuple[object, List[Dict[str, str]]]:
+    """``run()`` under the fabric audit: its result plus capacity + fair-share problems."""
+    with audit_fabric() as violations:
+        result = run()
+    problems = [
+        {"invariant": "capacity", "detail": f"{label}: {detail}"}
+        if kind == "capacity"
+        else {"invariant": "fair_share", "detail": f"{label}: {kind}: {detail}"}
+        for kind, detail in violations
+    ]
+    return result, problems
 
 
 def _execute_harness(scenario: Scenario, record: Dict[str, object]) -> Dict[str, object]:
@@ -336,9 +240,10 @@ def _execute_harness(scenario: Scenario, record: Dict[str, object]) -> Dict[str,
     from repro.harness.runner import run_experiment
 
     def one_run():
-        with trace_reservations() as events, trace_fair_allocations() as fair:
-            result = run_experiment(scenario.harness_experiment, scale="small")
-        return result, _audit_events(events, fair, scenario.harness_experiment)
+        return _audited(
+            scenario.harness_experiment,
+            lambda: run_experiment(scenario.harness_experiment, scale="small"),
+        )
 
     try:
         first, problems = one_run()
@@ -428,17 +333,16 @@ def _execute_faulted_workload(
                 failure_policy=sc.failure_policy,
                 checkpoint=sc.checkpoint_every,
             )
-            with trace_reservations() as events, trace_fair_allocations() as fair:
-                report = engine.run(specs, baseline=False)
+            report, problems = _audited(
+                sc.fault_mix, lambda: engine.run(specs, baseline=False)
+            )
             # outcome + restart counts join the determinism fingerprint:
             # recovery decisions must replay exactly, not just finish times
             finishes = tuple(
                 (rec.finished, rec.outcome, rec.restarts, rec.last_durable_step)
                 for rec in report.records
             )
-            return report, finishes, _audit_events(
-                events, fair, sc.fault_mix
-            )
+            return report, finishes, problems
 
         report1, finishes, problems = one_run()
         report2, finishes2, rerun_problems = one_run()
@@ -606,14 +510,8 @@ def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
     if data.size:
         eb_fn = getattr(codec, "effective_error_bound", None)
         bound = float(eb_fn(data.astype(np.float64))) if eb_fn else float(codec.error_bound)
-        slack = 0.0
-        if scenario.dtype == "float32":
-            # the bound holds in float64; casting back to the caller's
-            # float32 adds up to one ulp at the value's own magnitude
-            max_abs = float(np.max(np.abs(data.astype(np.float64))))
-            slack = float(np.finfo(np.float32).eps) * (max_abs + bound)
         err = float(np.max(np.abs(restored.astype(np.float64) - data.astype(np.float64))))
-        if not err <= bound * (1.0 + 1e-9) + slack:
+        if not err <= bound + rounding_margin(data, bound):
             return {
                 "invariant": "codec_roundtrip",
                 "detail": f"max round-trip error {err:.6g} exceeds bound {bound:.6g}",

@@ -17,8 +17,9 @@ Two more properties are asserted:
 * under node loss with ``restart_elsewhere`` the fleet retains goodput > 0
   (the CI smoke lane's gate).
 
-``check_invariants=True`` additionally replays every faulted run under the
-fuzzer's capacity-conservation and max-min bottleneck audits.
+``check_invariants=True`` additionally replays every faulted run under
+:func:`repro.mpisim.audit.audit_fabric` (capacity conservation and the
+max-min bottleneck property).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import List, Tuple
 from repro.api import Cluster
 from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
 from repro.harness.reporting import ExperimentResult
+from repro.mpisim.audit import audit_fabric
 from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 
 __all__ = ["run_recovery"]
@@ -82,18 +84,9 @@ def run_recovery(
         )
         if not check_invariants or faults is None:
             return engine.run(specs, baseline=False)
-        from repro.fuzzer.executor import trace_fair_allocations
-        from repro.mpisim.topology import (
-            capacity_conservation_violations,
-            trace_reservations,
-        )
-
-        with trace_reservations() as events, trace_fair_allocations() as fair:
+        with audit_fabric() as violations:
             report = engine.run(specs, baseline=False)
-        capacity = list(capacity_conservation_violations(events))
-        assert not capacity and not fair, (
-            f"invariant violations under faults: {capacity + list(fair)}"
-        )
+        assert not violations, f"invariant violations under faults: {violations}"
         return report
 
     # size the fault times off the healthy run so the kill lands mid-flight

@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-invariants",
         action="store_true",
-        help="audit faulted runs with the fuzzer's capacity/fairness monitors "
+        help="audit faulted runs with the fabric capacity/fairness monitors "
         "(recovery experiment only)",
     )
     parser.add_argument("--list", action="store_true", help="list available experiments")

@@ -18,14 +18,7 @@ from repro.mpisim.commands import (
     Wait,
     Waitall,
 )
-from repro.mpisim.backends import (
-    Backend,
-    BackendUnavailableError,
-    MPI4PyBackend,
-    SimBackend,
-    default_backend,
-    resolve_backend,
-)
+from repro.mpisim.audit import audit_fabric, trace_fair_allocations
 from repro.mpisim.engine import Engine, RankResult, payload_nbytes
 from repro.mpisim.fairshare import (
     CONTENTION_FAIR,
@@ -88,12 +81,6 @@ __all__ = [
     "payload_nbytes",
     "SimulationResult",
     "run_simulation",
-    "Backend",
-    "BackendUnavailableError",
-    "SimBackend",
-    "MPI4PyBackend",
-    "default_backend",
-    "resolve_backend",
     "NetworkModel",
     "TransferState",
     "PROGRESS_ON_POLL",
@@ -116,6 +103,8 @@ __all__ = [
     "reserve_path",
     "trace_reservations",
     "capacity_conservation_violations",
+    "trace_fair_allocations",
+    "audit_fabric",
     "RAIL_HASH",
     "RAIL_STRIPE",
     "ROUTE_MINIMAL",

@@ -1,0 +1,112 @@
+"""Whole-run fabric audits: capacity conservation and the max-min property.
+
+:func:`audit_fabric` is the one seam every caller that wants a run checked
+goes through — the fuzzer, the ``--check-invariants`` flags of the workload
+and harness CLIs and the fault smoke.  It combines the reservation trace of
+:func:`repro.mpisim.topology.trace_reservations` with
+:func:`trace_fair_allocations`, the live check of every allocation a
+:class:`~repro.mpisim.fairshare.FairShareRegistry` commits.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import List, Tuple
+
+from repro.mpisim.fairshare import FairShareRegistry
+from repro.mpisim.topology import capacity_conservation_violations, trace_reservations
+
+__all__ = ["audit_fabric", "trace_fair_allocations"]
+
+_FAIR_TOL = 1e-9
+
+
+@contextmanager
+def trace_fair_allocations():
+    """Audit every max-min allocation a :class:`FairShareRegistry` commits.
+
+    After each flow arrival and each committed departure the registry's
+    allocation must satisfy the bottleneck property; every violation is
+    appended to the yielded list as a ``(kind, detail)`` pair.  Mirrors the
+    property-suite check, but attached globally so audited runs check the
+    engine's own registries rather than a synthetic one.
+    """
+    violations: List[Tuple[str, str]] = []
+    real_open, real_commit = FairShareRegistry.open_flow, FairShareRegistry.commit_departure
+
+    def check(registry) -> None:
+        active = registry.active_flows()
+        stages = {id(stage): stage for flow in active for stage in flow.stages}
+        saturated = set()
+        for key, stage in stages.items():
+            rate = stage.allocated_rate()
+            if rate > stage.capacity * (1.0 + _FAIR_TOL):
+                violations.append(
+                    ("overcommit", f"stage allocated {rate:.6g} > capacity {stage.capacity:.6g}")
+                )
+            if rate >= stage.capacity * (1.0 - _FAIR_TOL):
+                saturated.add(key)
+            elif stage.backlogged and any(
+                len(flow.stages) == 1 and flow.stages[0] is stage for flow in active
+            ):
+                # a backlogged stage that is some flow's only stage has no
+                # other bottleneck to defer to: max-min must fill it
+                violations.append(
+                    (
+                        "unsaturated",
+                        f"backlogged single-stage bottleneck allocated {rate:.6g} "
+                        f"< capacity {stage.capacity:.6g}",
+                    )
+                )
+        for flow in active:
+            if flow.remaining <= 0.0:
+                continue
+            if flow.rate <= 0.0:
+                violations.append(("starved", f"flow {flow.flow_id} has rate {flow.rate!r}"))
+            elif not any(id(stage) in saturated for stage in flow.stages):
+                violations.append(
+                    ("unbottlenecked", f"flow {flow.flow_id} is not bottlenecked anywhere")
+                )
+
+    def open_flow(self, *args, **kwargs):
+        flow = real_open(self, *args, **kwargs)
+        check(self)
+        return flow
+
+    def commit_departure(self):
+        result = real_commit(self)
+        check(self)
+        return result
+
+    FairShareRegistry.open_flow = open_flow  # type: ignore[method-assign]
+    FairShareRegistry.commit_departure = commit_departure  # type: ignore[method-assign]
+    try:
+        yield violations
+    finally:
+        FairShareRegistry.open_flow = real_open  # type: ignore[method-assign]
+        FairShareRegistry.commit_departure = real_commit  # type: ignore[method-assign]
+
+
+@contextmanager
+def audit_fabric():
+    """Audit every simulation run while the context is open.
+
+    Yields a list that, once the block has finished, holds one ``(kind,
+    detail)`` pair per violation: kind ``"capacity"`` for a shared stage
+    reserved beyond its capacity (both contention disciplines — fair runs
+    re-express fluid segments as reservations) and the
+    :func:`trace_fair_allocations` kinds for a committed allocation that
+    breaks the max-min bottleneck property.  Empty means every run was clean.
+    """
+    violations: List[Tuple[str, str]] = []
+    with trace_reservations() as events, trace_fair_allocations() as fair:
+        yield violations
+    violations.extend(
+        (
+            "capacity",
+            f"stage capacity={stage.capacity:.6g} reservation begins at "
+            f"{begin:.9g} before previous finish {previous:.9g}",
+        )
+        for stage, begin, previous in capacity_conservation_violations(events)
+    )
+    violations.extend(fair)

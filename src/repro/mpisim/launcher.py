@@ -15,7 +15,10 @@ from repro.mpisim.network import NetworkModel
 from repro.mpisim.timeline import TimeBreakdown
 from repro.mpisim.topology import Topology
 
-__all__ = ["SimulationResult", "run_simulation"]
+__all__ = ["DEFAULT_MAX_COMMANDS", "SimulationResult", "run_simulation"]
+
+#: safety limit on the commands one simulation may execute
+DEFAULT_MAX_COMMANDS = 50_000_000
 
 
 @dataclass
@@ -75,7 +78,7 @@ def run_simulation(
     n_ranks: int,
     program_factory: Callable[[int, int], Generator],
     network: Optional[NetworkModel] = None,
-    max_commands: int = 50_000_000,
+    max_commands: int = DEFAULT_MAX_COMMANDS,
     topology: Optional[Topology] = None,
 ) -> SimulationResult:
     """Run ``program_factory(rank, size)`` on ``n_ranks`` simulated ranks.

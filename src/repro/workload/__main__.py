@@ -13,9 +13,9 @@ Subcommands
     Re-run a JSONL trace (written by ``run --save-trace`` or by hand) on the
     same fabric flags.  Replaying the same trace twice is deterministic.
 
-``--check-invariants`` audits the run with the same monkeypatched monitors
-the fuzzer uses — stage capacity conservation and the max-min bottleneck
-property — and exits non-zero on any violation, which is what the CI
+``--check-invariants`` runs under :func:`repro.mpisim.audit.audit_fabric`,
+the monitors the fuzzer uses — stage capacity conservation and the max-min
+bottleneck property — and exits non-zero on any violation, which is what the CI
 multi-tenant smoke lane gates on.
 
 ``--fault-mix`` injects a named seeded fault scenario (see
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.api import Cluster
@@ -46,6 +47,7 @@ from repro.faults import (
     FAULT_MIXES,
     FaultSchedule,
 )
+from repro.mpisim.audit import audit_fabric
 from repro.workload.arrivals import JobMix, load_trace, save_trace
 from repro.workload.engine import WorkloadEngine
 from repro.workload.job import COLLECTIVE_OPS, JobSpec
@@ -170,21 +172,7 @@ def build_engine(args: argparse.Namespace) -> WorkloadEngine:
 
 def _execute(args: argparse.Namespace, specs: List[JobSpec]) -> int:
     engine = build_engine(args)
-    violations: List = []
-    if args.check_invariants:
-        from repro.fuzzer.executor import trace_fair_allocations
-        from repro.mpisim.topology import (
-            capacity_conservation_violations,
-            trace_reservations,
-        )
-
-        with trace_reservations() as events, trace_fair_allocations() as fair:
-            report = engine.run(specs, baseline=not args.no_baseline)
-        violations = [
-            ("capacity", f"stage overlap at t={begin:.9f}")
-            for _, begin, _ in capacity_conservation_violations(events)
-        ] + list(fair)
-    else:
+    with audit_fabric() if args.check_invariants else nullcontext([]) as violations:
         report = engine.run(specs, baseline=not args.no_baseline)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

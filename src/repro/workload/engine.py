@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 
 from repro.api import Cluster
 from repro.faults import FaultInjector, FaultSchedule
-from repro.mpisim.backends import DEFAULT_MAX_COMMANDS
 from repro.mpisim.commands import Barrier, Irecv, Isend, Probe
 from repro.mpisim.engine import Engine, EngineJob
+from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
 from repro.workload.job import CompiledJob, JobSpec, compile_job
 from repro.workload.metrics import JobRecord, WorkloadReport, accumulate_stage_time
 from repro.workload.placement import NodeAllocator, slots_for

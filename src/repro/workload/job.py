@@ -12,8 +12,9 @@ program factories via the session API's capture hook
 (:meth:`repro.api.Communicator.capture`): each collective is issued against a
 communicator whose topology is a :class:`~repro.workload.placement.PlacementView`
 of the shared fabric, so algorithm selection and hierarchical grouping see
-the job's true node placement, but no virtual time elapses — the harvested
-factories are replayed later on the shared multi-job engine.
+the job's true node placement, and comes back as an unlaunched
+:class:`~repro.collectives.context.CollectivePlan` — no virtual time elapses;
+the plans' factories are replayed later on the shared multi-job engine.
 """
 
 from __future__ import annotations
@@ -211,15 +212,10 @@ def compile_job(spec: JobSpec, cluster: Cluster, slots: Tuple[int, ...]) -> Comp
     for _ in range(spec.iterations):
         for call in spec.calls:
             inputs = call_inputs(spec, call, len(factories))
-            captured = comm.capture(
+            plan = comm.capture(
                 lambda c, call=call, inputs=inputs: _issue(c, call, inputs)
             )
-            if captured.n_ranks != spec.n_ranks:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"captured a {captured.n_ranks}-rank program for a "
-                    f"{spec.n_ranks}-rank job"
-                )
-            factories.append(captured.program_factory)
+            factories.append(plan.factory)
             step_calls.append(call)
     return CompiledJob(
         spec=spec, slots=tuple(slots), step_factories=factories, step_calls=step_calls

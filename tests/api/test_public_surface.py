@@ -8,19 +8,7 @@ in the same commit as the surface change.
 import repro
 import repro.api as api
 
-EXPECTED_API_ALL = [
-    "Backend",
-    "BackendUnavailableError",
-    "CaptureBackend",
-    "CapturedProgram",
-    "Cluster",
-    "Communicator",
-    "MPI4PyBackend",
-    "ProgramCaptured",
-    "SimBackend",
-    "default_backend",
-    "resolve_backend",
-]
+EXPECTED_API_ALL = ["Cluster", "Communicator"]
 
 #: the facade's collective surface — the methods the issue names, frozen
 EXPECTED_COLLECTIVES = [
@@ -57,5 +45,3 @@ def test_communicator_collective_surface():
 def test_top_level_reexports_session_api():
     assert repro.Cluster is api.Cluster
     assert repro.Communicator is api.Communicator
-    assert repro.SimBackend is api.SimBackend
-    assert repro.MPI4PyBackend is api.MPI4PyBackend

@@ -28,7 +28,6 @@ class TestConfigOverrides:
         assert tweaked.cluster.config.error_bound == 1e-4
         assert comm.cluster.config.error_bound == 1e-3  # original untouched
         assert tweaked.n_ranks == comm.n_ranks
-        assert tweaked.backend is comm.backend
 
     def test_override_equals_a_freshly_built_session(self):
         """Sweeping through with_options must not change results: values and

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Cluster
-from repro.collectives import ALGORITHM_RUNNERS, select_algorithm
+from repro.collectives import ALGORITHM_PLANNERS, select_algorithm
 from repro.collectives.selection import RING_MIN_BYTES, SHORT_MESSAGE_BYTES
 from repro.mpisim import FlatTopology, HierarchicalTopology, SharedUplinkTopology
 
@@ -26,7 +26,7 @@ from repro.mpisim import FlatTopology, HierarchicalTopology, SharedUplinkTopolog
 GOLDEN_RING_MAKESPAN_8x8192 = 0.0005227897696969699
 GOLDEN_RING_BYTES_8x8192 = 917504
 
-ALGORITHMS = tuple(ALGORITHM_RUNNERS)
+ALGORITHMS = tuple(ALGORITHM_PLANNERS)
 
 
 def _inputs(n_ranks: int, length: int, seed: int):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.collectives.selection import (
-    ALGORITHM_RUNNERS,
+    ALGORITHM_PLANNERS,
     PLACEMENT_BLOCK,
     PLACEMENT_INTERLEAVED,
     PLACEMENT_IRREGULAR,
@@ -57,11 +57,11 @@ class TestDegenerateShapes:
         """The table and every runner it names handle p != 2^k."""
         for n_ranks in (3, 6, 12):
             algo = select_algorithm(LARGE, n_ranks)
-            assert algo in ALGORITHM_RUNNERS
+            assert algo in ALGORITHM_PLANNERS
             inputs = [np.full(64, float(rank + 1)) for rank in range(n_ranks)]
             comm = Cluster(network=NET).communicator(n_ranks)
             outcome = comm.allreduce(inputs)
-            assert comm.last_algorithm in ALGORITHM_RUNNERS
+            assert comm.last_algorithm in ALGORITHM_PLANNERS
             expected = np.sum(inputs, axis=0)
             for rank in range(n_ranks):
                 np.testing.assert_allclose(outcome.value(rank), expected, rtol=1e-12)

@@ -5,13 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fuzzer.executor import (
-    build_communicator,
-    execute,
-    make_inputs,
-    trace_fair_allocations,
-)
+from repro.fuzzer.executor import build_communicator, execute, make_inputs
 from repro.fuzzer.generator import Scenario, generate_scenario, sanitize
+from repro.mpisim.audit import trace_fair_allocations
 from repro.mpisim.fairshare import FairShareRegistry
 from repro.mpisim.topology import FairShareLink
 

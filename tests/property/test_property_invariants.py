@@ -22,12 +22,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.api import Cluster
 from repro.collectives import CollectiveContext
-from repro.compression import PipelinedSZx, SZxCompressor, ZFPCompressor
+from repro.compression import PipelinedSZx, SZxCompressor, ZFPCompressor, rounding_margin
 from repro.compression.errors import CompressionError, UnsupportedDataError
 from repro.mpisim import (
     DragonflyTopology,
@@ -123,6 +123,8 @@ class TestCodecEdgeCorners:
     formats cannot represent must raise a typed error instead."""
 
     @given(data=corner_arrays)
+    # an error of exactly eb: 0.25 comes back as 0.249, one float rounding over 1e-3
+    @example(data=np.array([0.25, 0.0]))
     @settings(max_examples=30, deadline=None)
     def test_denormal_and_zero_corners_roundtrip(self, data):
         with warnings.catch_warnings():
@@ -134,7 +136,8 @@ class TestCodecEdgeCorners:
                 if codec.error_bounded and data.size:
                     resolve = getattr(codec, "effective_error_bound", None)
                     bound = resolve(data) if resolve is not None else codec.error_bound
-                    assert float(np.max(np.abs(recon - data))) <= bound
+                    err = float(np.max(np.abs(recon - data)))
+                    assert err <= bound + rounding_margin(data, bound)
 
     def test_empty_arrays_roundtrip_everywhere(self):
         empty = np.zeros(0, dtype=np.float64)

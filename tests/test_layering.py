@@ -1,0 +1,72 @@
+"""Layering: who may import what, checked on the source tree.
+
+* The collective layers (``repro.collectives``, ``repro.ccoll``) *build*
+  plans; only :class:`repro.api.Communicator` executes one.  So nothing there
+  imports the engine, the launcher's entry point or the network model, and no
+  function there takes a ``network`` or ``backend``.
+* ``repro.fuzzer`` is a leaf: nothing outside it imports it.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+EXECUTION_NAMES = {"run_simulation", "Engine", "NetworkModel"}
+
+
+def _trees(*packages):
+    """``(relative path, parsed module)`` for every source file under ``packages``."""
+    for package in packages:
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield path.relative_to(SRC), ast.parse(path.read_text())
+
+
+def _imports(tree: ast.AST):
+    """``(module, name)`` for every import in ``tree`` (name is None for ``import x``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.module or "", alias.name
+
+
+def test_collective_layers_build_plans_and_execute_nothing():
+    offenders = []
+    for path, tree in _trees("collectives", "ccoll"):
+        for module, name in _imports(tree):
+            if name in EXECUTION_NAMES:
+                offenders.append(f"{path} imports {name} from {module}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in ("network", "backend"):
+                        offenders.append(f"{path}:{node.lineno} {node.name}() takes {arg.arg}")
+    assert offenders == []
+
+
+def test_run_simulation_is_called_from_one_place_in_the_api():
+    calls = [
+        f"{path}:{node.lineno}"
+        for path, tree in _trees("api")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_simulation"
+    ]
+    assert len(calls) == 1, calls
+
+
+def test_nothing_outside_the_fuzzer_imports_the_fuzzer():
+    offenders = [
+        str(path)
+        for path, tree in _trees(".")
+        if "fuzzer" not in path.parts
+        for module, _ in _imports(tree)
+        if module == "repro.fuzzer" or module.startswith("repro.fuzzer.")
+    ]
+    assert offenders == []

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.api import Cluster
-from repro.fuzzer.executor import trace_fair_allocations
-from repro.mpisim.topology import (
-    capacity_conservation_violations,
-    trace_reservations,
-)
+from repro.mpisim.audit import audit_fabric
 from repro.workload import CollectiveCall, JobMix, JobSpec, WorkloadEngine
 
 
@@ -59,15 +55,14 @@ class TestConcurrentRuns:
     def test_fair_rates_conserve_stage_capacity_under_concurrency(self):
         """Property: cross-tenant max-min arbitration never overcommits.
 
-        Audits the real run with the fuzzer's live monitors — every committed
+        Audits the real run with the live fabric monitors — every committed
         allocation must satisfy the bottleneck property, and the reservation
         trace must conserve per-stage capacity.
         """
         engine = WorkloadEngine(_fair_cluster(), policy="spread", seed=3)
-        with trace_reservations() as events, trace_fair_allocations() as fair:
+        with audit_fabric() as violations:
             engine.run(_overlapping_jobs(n=4), baseline=False)
-        assert fair == []
-        assert capacity_conservation_violations(events) == []
+        assert violations == []
 
     def test_jobs_queue_fifo_when_fabric_is_full(self):
         # the fat-tree preset always exposes 16 hosts; 18-rank jobs take 9
