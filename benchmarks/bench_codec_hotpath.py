@@ -6,10 +6,8 @@ width-class batched bit-packing primitives underneath them.  The headline
 test also re-runs SZx through a *scalar reference* encoder (one
 ``pack_uint_bits`` call per block, the pre-vectorisation code shape) so the
 batched data plane's speedup is measured inside the suite rather than against
-git archaeology.
-
-Regenerate the committed ``BENCH_codec.json`` baseline with
-``python benchmarks/perf_report.py`` (see ``benchmarks/README.md``).
+git archaeology.  The gated numbers for this path are the ``codec_large`` /
+``codec_small`` workloads of ``benchmarks/ledger`` (see ``benchmarks/README.md``).
 """
 
 import numpy as np

@@ -35,6 +35,10 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+# the fabrics own their stage-family names (``topology.link_families``); the
+# fat tree's are the default LinkDegrade mixes draw from
+from repro.mpisim.topology.switch import DRAGONFLY_LINK_FAMILIES, FAT_TREE_LINK_FAMILIES
+
 __all__ = [
     "DRAGONFLY_LINK_FAMILIES",
     "FAT_TREE_LINK_FAMILIES",
@@ -61,13 +65,6 @@ FAULT_MIXES = (
     "mixed",
     "domain_outage",
 )
-
-#: default stage families LinkDegrade mixes draw from (a fat tree's switch
-#: tier); dragonfly callers pass ``link_families=DRAGONFLY_LINK_FAMILIES``
-FAT_TREE_LINK_FAMILIES = ("ft-up", "ft-down", "ft-agg-core", "ft-core-agg")
-
-#: the dragonfly fabric's degradable stage families
-DRAGONFLY_LINK_FAMILIES = ("df-local", "df-global")
 
 
 def _check_time(time: float) -> None:
@@ -386,7 +383,8 @@ class FaultSchedule:
         ``horizon`` scales every event time (faults land in the first ~70% of
         it, so a run of roughly that makespan actually experiences them);
         ``link_families`` names the switch-tier stage families degradations
-        draw from.  ``(mix, seed)`` fully determines the result.  Mixes:
+        draw from (pass the fabric's ``topology.link_families``).
+        ``(mix, seed)`` fully determines the result.  Mixes:
 
         * ``none`` — the empty schedule.
         * ``degraded_tier`` — one persistent tier-wide degradation.

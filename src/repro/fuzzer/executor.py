@@ -286,11 +286,7 @@ def _execute_faulted_workload(
     degradations are covered) and the fair bottleneck property, and their
     makespans and per-job finish times must be bit-identical.
     """
-    from repro.faults import (
-        DRAGONFLY_LINK_FAMILIES,
-        FAT_TREE_LINK_FAMILIES,
-        FaultSchedule,
-    )
+    from repro.faults import FaultSchedule
     from repro.workload import JobMix, WorkloadEngine
 
     sc = scenario
@@ -317,11 +313,7 @@ def _execute_faulted_workload(
             n_ranks=max(1, n_fabric // 2) * rpn,
             nics_per_node=sc.nics_per_node,
             horizon=6e-3,
-            link_families=(
-                DRAGONFLY_LINK_FAMILIES
-                if sc.preset == "dragonfly"
-                else FAT_TREE_LINK_FAMILIES
-            ),
+            link_families=cluster.topology.link_families,
         )
         # jobs span >= 2 nodes so fabric faults intersect tenant traffic
         mix = JobMix(n_jobs=4, arrival_rate=900.0, sizes=(2 * rpn, 4 * rpn))

@@ -18,7 +18,12 @@ from repro.mpisim.commands import (
     Wait,
     Waitall,
 )
-from repro.mpisim.audit import audit_fabric, trace_fair_allocations
+from repro.mpisim.audit import (
+    audit_fabric,
+    capacity_conservation_violations,
+    trace_fair_allocations,
+    trace_reservations,
+)
 from repro.mpisim.engine import Engine, RankResult, payload_nbytes
 from repro.mpisim.fairshare import (
     CONTENTION_FAIR,
@@ -51,9 +56,7 @@ from repro.mpisim.topology import (
     SharedUplinkTopology,
     SwitchFabricTopology,
     Topology,
-    capacity_conservation_violations,
     reserve_path,
-    trace_reservations,
 )
 from repro.mpisim.timeline import (
     CAT_ALLGATHER,

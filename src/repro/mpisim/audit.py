@@ -3,7 +3,8 @@
 :func:`audit_fabric` is the one seam every caller that wants a run checked
 goes through — the fuzzer, the ``--check-invariants`` flags of the workload
 and harness CLIs and the fault smoke.  It combines the reservation trace of
-:func:`repro.mpisim.topology.trace_reservations` with
+:func:`trace_reservations` (audited by
+:func:`capacity_conservation_violations`) with
 :func:`trace_fair_allocations`, the live check of every allocation a
 :class:`~repro.mpisim.fairshare.FairShareRegistry` commits.
 """
@@ -11,14 +12,77 @@ and harness CLIs and the fault smoke.  It combines the reservation trace of
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.mpisim.fairshare import FairShareRegistry
-from repro.mpisim.topology import capacity_conservation_violations, trace_reservations
+from repro.mpisim.topology import SharedLink
 
-__all__ = ["audit_fabric", "trace_fair_allocations"]
+__all__ = [
+    "audit_fabric",
+    "capacity_conservation_violations",
+    "trace_fair_allocations",
+    "trace_reservations",
+]
 
 _FAIR_TOL = 1e-9
+
+
+@contextmanager
+def trace_reservations():
+    """Record every :class:`SharedLink` reservation made while the context is open.
+
+    Yields a list that fills with ``("reserve", stage, finish, nbytes,
+    capacity)`` and ``("clear", stage, None, None, None)`` events in call
+    order (``clear`` marks a simulation reset, which legitimately rewinds a
+    reused stage).  Each reserve event carries the stage capacity *at reserve
+    time*: fault overlays re-capacitate stages mid-run, so auditing against
+    the stage's current capacity would flag spurious overlaps on any
+    reservation made before the change.  Pair with
+    :func:`capacity_conservation_violations` to audit whole simulations; the
+    property suite and ``bench_fabric_contention.py`` pin the invariant with
+    it.
+    """
+    events: List[Tuple] = []
+    real_reserve, real_clear = SharedLink.reserve, SharedLink.clear
+
+    def reserve(self, start, nbytes):
+        finish = real_reserve(self, start, nbytes)
+        events.append(("reserve", self, finish, nbytes, self.capacity))
+        return finish
+
+    def clear(self):
+        real_clear(self)
+        events.append(("clear", self, None, None, None))
+
+    SharedLink.reserve, SharedLink.clear = reserve, clear  # type: ignore[method-assign]
+    try:
+        yield events
+    finally:
+        SharedLink.reserve, SharedLink.clear = real_reserve, real_clear  # type: ignore[method-assign]
+
+
+def capacity_conservation_violations(events, tolerance: float = 1e-12) -> List[Tuple]:
+    """Overlapping reservations in a :func:`trace_reservations` event list.
+
+    A stage conserves capacity exactly when its reservations are serial (each
+    occupies ``bytes / capacity`` of wire time at its reserve-time capacity
+    and starts no earlier than the previous one finished).  Returns
+    ``(stage, begin, previous_finish)`` triples for every violation — empty
+    means aggregate throughput never exceeded any stage's capacity at any
+    time, including across mid-run capacity changes from fault overlays.
+    """
+    violations: List[Tuple] = []
+    last_finish: Dict[int, float] = {}
+    for kind, stage, finish, nbytes, capacity in events:
+        if kind == "clear":
+            last_finish.pop(id(stage), None)
+            continue
+        begin = finish - max(0.0, nbytes) / capacity
+        previous = last_finish.get(id(stage), float("-inf"))
+        if begin < previous - tolerance:
+            violations.append((stage, begin, previous))
+        last_finish[id(stage)] = finish
+    return violations
 
 
 @contextmanager

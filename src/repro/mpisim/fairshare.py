@@ -33,7 +33,7 @@ aggregate equivalence with the reservation queue for symmetric flow sets.
 As the fluid clock advances, each stage's carried bytes are re-expressed as
 reservations (``stage.reserve(segment_start, carried_bytes)``), so the
 trace-based capacity audit of
-:func:`~repro.mpisim.topology.capacity_conservation_violations` applies to
+:func:`~repro.mpisim.audit.capacity_conservation_violations` applies to
 fair-share runs unchanged, and windowed poll credits observe the wire time
 fluid flows actually consumed.
 """

@@ -123,8 +123,7 @@ class TransferState:
     When the link carries a fair-share registry (``contention="fair"``
     fabrics), bulk streams do not precompute a finish time: the engine calls
     :meth:`activate_fair` when the receiver blocks, the registered flow's
-    rate is re-divided on every arrival/departure (tracked in
-    ``current_rate`` via the rate-change callback), and the engine completes
+    rate is re-divided on every arrival/departure, and the engine completes
     the transfer through :meth:`finish_fair` once the registry commits the
     departure.
     """
@@ -140,7 +139,6 @@ class TransferState:
     completion_time: Optional[float] = None
     # fair-share contention state (None outside contention="fair" fabrics)
     fair_flow: Optional[FairFlow] = None
-    current_rate: Optional[float] = None
 
     @property
     def latency(self) -> float:
@@ -196,7 +194,7 @@ class TransferState:
         if not self.is_eligible or now <= self.eligible_time:
             return False
         window_start = max(self.last_ack_time, self.eligible_time)
-        stages = self.link.shared_stages if self.link is not None else ()
+        stages = self.link.stages if self.link is not None else ()
         if stages:
             # a contended path earns credit only once earlier reservations on
             # every stage it crosses have drained (aggregate stays within
@@ -254,26 +252,16 @@ class TransferState:
             raise RuntimeError("activate_fair called on a non-fair link")
         if not self.is_eligible:
             raise RuntimeError("activate_fair called on an unmatched transfer")
-        stages = self.link.shared_stages
+        stages = self.link.stages
         start = max([now, self.eligible_time] + [s.busy_until for s in stages])
         self.fair_flow = registry.open_flow(
-            stages,
-            start,
-            self.remaining_bytes,
-            token=token,
-            group=group,
-            on_rate_change=self._on_rate_change,
+            stages, start, self.remaining_bytes, token=token, group=group
         )
-        self.current_rate = self.fair_flow.rate
         return self.fair_flow
-
-    def _on_rate_change(self, flow: FairFlow, time: float, rate: float) -> None:
-        self.current_rate = rate
 
     def finish_fair(self, finish: float) -> None:
         """Complete a fair flow at the departure time the registry committed."""
         self.fair_flow = None
-        self.current_rate = None
         self._mark_complete(finish)
         self.last_ack_time = finish
 
@@ -295,7 +283,6 @@ class TransferState:
             if registry is not None:
                 registry.cancel_flow(self.fair_flow, now)
             self.fair_flow = None
-            self.current_rate = None
         if self.link is not None and self.is_eligible:
             self.link.release()
         self.completed = True
@@ -319,11 +306,11 @@ class TransferState:
         self.ack(now, continuous=False)
         if self.completed:
             return max(start, self.completion_time)
-        if self.link is not None and self.link.shared_stages:
+        if self.link is not None and self.link.stages:
             # bulk stream over a contended path: queue behind earlier
             # reservations on every stage crossed (aggregate-equivalent to
             # fair bandwidth splitting; single-stage == SharedLink.reserve)
-            finish = reserve_path(self.link.shared_stages, start, self.remaining_bytes)
+            finish = reserve_path(self.link.stages, start, self.remaining_bytes)
         else:
             finish = start + self.remaining_bytes / self.bandwidth()
         self._mark_complete(finish)

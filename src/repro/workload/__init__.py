@@ -29,7 +29,7 @@ from repro.workload.job import (
     call_inputs,
     compile_job,
 )
-from repro.workload.metrics import JobRecord, WorkloadReport, accumulate_stage_time
+from repro.workload.metrics import JobRecord, WorkloadReport
 from repro.workload.placement import (
     PLACEMENT_POLICIES,
     NodeAllocator,
@@ -62,7 +62,6 @@ __all__ = [
     "PlacementView",
     "WorkloadEngine",
     "WorkloadReport",
-    "accumulate_stage_time",
     "call_inputs",
     "compile_job",
     "load_trace",

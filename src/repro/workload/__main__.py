@@ -41,12 +41,7 @@ from contextlib import nullcontext
 from typing import List, Optional
 
 from repro.api import Cluster
-from repro.faults import (
-    DRAGONFLY_LINK_FAMILIES,
-    FAT_TREE_LINK_FAMILIES,
-    FAULT_MIXES,
-    FaultSchedule,
-)
+from repro.faults import FAULT_MIXES, FaultSchedule
 from repro.mpisim.audit import audit_fabric
 from repro.workload.arrivals import JobMix, load_trace, save_trace
 from repro.workload.engine import WorkloadEngine
@@ -137,11 +132,6 @@ def build_faults(args: argparse.Namespace, cluster: Cluster) -> Optional[FaultSc
         )
     topology = cluster.topology
     n_nodes = int(getattr(topology, "n_fabric_nodes", None) or args.nodes)
-    families = (
-        DRAGONFLY_LINK_FAMILIES
-        if args.preset == "dragonfly"
-        else FAT_TREE_LINK_FAMILIES
-    )
     seed = args.fault_seed if args.fault_seed is not None else args.seed
     try:
         return FaultSchedule.generate(
@@ -150,7 +140,7 @@ def build_faults(args: argparse.Namespace, cluster: Cluster) -> Optional[FaultSc
             n_nodes=n_nodes,
             n_ranks=n_nodes * args.ranks_per_node,
             nics_per_node=int(getattr(topology, "nics_per_node", 1)),
-            link_families=families,
+            link_families=topology.link_families,
         )
     except ValueError as exc:  # e.g. rail_outage on a single-rail preset
         raise SystemExit(f"--fault-mix {mix}: {exc}")

@@ -41,7 +41,7 @@ from repro.mpisim.commands import Barrier, Irecv, Isend, Probe
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
 from repro.workload.job import CompiledJob, JobSpec, compile_job
-from repro.workload.metrics import JobRecord, WorkloadReport, accumulate_stage_time
+from repro.workload.metrics import JobRecord, WorkloadReport
 from repro.workload.placement import NodeAllocator, slots_for
 from repro.workload.recovery import (
     AttemptRecord,
@@ -528,8 +528,7 @@ class WorkloadEngine:
 
         for spec in specs:
             engine.schedule_event(spec.arrival, arrival(spec))
-        with accumulate_stage_time() as occupied:
-            engine.run()
+        engine.run()
         if pending:  # pragma: no cover - fit is validated upfront
             raise RuntimeError(
                 f"jobs never placed: {[s.job_id for s in pending]}"
@@ -539,11 +538,11 @@ class WorkloadEngine:
             if record.finished is None and record.outcome != "failed":
                 # pragma: no cover - defensive
                 raise RuntimeError(f"job {record.spec.job_id!r} never retired")
-        self._last_stage_time = occupied
         return ordered, engine
 
     def _collect(self, records: List[JobRecord], engine: Engine) -> WorkloadReport:
-        registry = engine.topology.fair_registry if engine.topology is not None else None
+        topology = engine.topology  # never None: the constructor requires one
+        registry = topology.fair_registry
         if registry is not None:
             for record in records:
                 record.fair_bytes = registry.group_bytes.get(record.spec.job_id, 0.0)
@@ -553,32 +552,24 @@ class WorkloadEngine:
             for record in records
         ]
         makespan = max(endings, default=0.0)
-        names = self._stage_names(engine.topology)
         utilization: Dict[str, float] = {}
         if makespan > 0.0:
-            for sid, (stage, seconds) in self._last_stage_time.items():
-                name = names.get(sid, f"stage-{len(utilization)}")
-                utilization[name] = seconds / makespan
+            # the run just ended: every stage still holds the wire time it
+            # reserved since the engine's reset
+            utilization = {
+                ":".join(str(part) for part in key): stage.wire_seconds / makespan
+                for key, stage in topology.stages().items()
+                if stage.wire_seconds > 0.0
+            }
         return WorkloadReport(
             records=records,
             makespan=makespan,
             policy=self.policy,
-            contention=engine.topology.contention if engine.topology is not None else "none",
+            contention=topology.contention,
             seed=self.seed,
             stage_utilization=utilization,
             latency=WorkloadReport.collect_latency(records),
         )
-
-    @staticmethod
-    def _stage_names(topology: Any) -> Dict[int, str]:
-        stages = getattr(topology, "_stages", None) or {}
-        names: Dict[int, str] = {}
-        for key, stage in stages.items():
-            if isinstance(key, tuple):
-                names[id(stage)] = ":".join(str(part) for part in key)
-            else:
-                names[id(stage)] = str(key)
-        return names
 
     def _isolated_makespan(self, spec: JobSpec, slots: Tuple[int, ...]) -> float:
         engine = self._fresh_engine()

@@ -2,58 +2,24 @@
 
 The collector pattern: :class:`JobRecord` accumulates per-job facts while
 the shared engine runs (start/finish clocks, per-step latency bounds,
-per-step values); :func:`accumulate_stage_time` meters wire-seconds per
-fabric stage as they are reserved; :class:`WorkloadReport` assembles both
-into the numbers the ROADMAP asks for — per-job slowdown vs. an isolated
-baseline, p50/p99 collective latency, job makespans, per-stage utilization
-and the fair-share registry's cross-job byte attribution.
+per-step values); every fabric stage meters the wire-seconds reserved on it
+(``SharedLink.wire_seconds``, read through ``Topology.stages()``);
+:class:`WorkloadReport` assembles both into the numbers the ROADMAP asks
+for — per-job slowdown vs. an isolated baseline, p50/p99 collective latency,
+job makespans, per-stage utilization and the fair-share registry's cross-job
+byte attribution.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.latency import StreamingSummary, mean_slowdown
-from repro.mpisim.topology import SharedLink
 from repro.workload.job import JobSpec
 from repro.workload.recovery import AttemptRecord, JobFailed
 
-__all__ = [
-    "JobRecord",
-    "WorkloadReport",
-    "accumulate_stage_time",
-]
-
-
-@contextmanager
-def accumulate_stage_time():
-    """Meter wire-seconds reserved per :class:`SharedLink` while open.
-
-    Yields a dict ``id(stage) -> (stage, wire_seconds)`` that fills as
-    reservations land.  Works under both contention disciplines: fair mode
-    re-expresses every fluid segment as a reservation, so ``nbytes /
-    capacity`` is the stage's occupied wire time either way.  Chains through
-    any already-installed patch (e.g. ``trace_reservations``) by capturing
-    the current method, so nesting the two audits is safe.
-    """
-    occupied: Dict[int, Tuple[SharedLink, float]] = {}
-    inner_reserve = SharedLink.reserve
-
-    def reserve(self, start, nbytes):
-        finish = inner_reserve(self, start, nbytes)
-        sid = id(self)
-        previous = occupied.get(sid)
-        seconds = max(0.0, nbytes) / self.capacity
-        occupied[sid] = (self, (previous[1] if previous else 0.0) + seconds)
-        return finish
-
-    SharedLink.reserve = reserve  # type: ignore[method-assign]
-    try:
-        yield occupied
-    finally:
-        SharedLink.reserve = inner_reserve  # type: ignore[method-assign]
+__all__ = ["JobRecord", "WorkloadReport"]
 
 
 @dataclass

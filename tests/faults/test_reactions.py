@@ -81,8 +81,7 @@ class TestRoutingReactions:
         # drain semantics: a failed stage keeps its capacity (in-flight
         # transfers finish at their reserved rates); only routing avoids it
         for stage in failed_up:
-            key = next(k for k, s in topo._stages.items() if s is stage)
-            assert stage.capacity == topo._stage_nominal[key]
+            assert stage.capacity == topo.nic_bandwidth
 
     def test_all_rails_failed_raises(self):
         topo = fat_tree_topology(ranks_per_node=1, nics_per_node=2)

@@ -209,11 +209,11 @@ class TestFatTreeTiming:
         topo = FatTreeTopology(k=4, routing="adaptive", nics_per_node=2, rail_policy="stripe")
         nbytes = 4 * 1024 * 1024
         first = run_simulation(8, pairs_program(nbytes, [(0, 4), (1, 5)]), NET, topology=topo)
-        stages_after_first = len(topo.stage_loads())
+        stages_after_first = len(topo.stages())
         second = run_simulation(8, pairs_program(nbytes, [(0, 4), (1, 5)]), NET, topology=topo)
         assert second.total_time == pytest.approx(first.total_time, rel=1e-12)
-        assert len(topo.stage_loads()) == stages_after_first
-        assert all(active == 0 for active in topo.stage_loads().values())
+        assert len(topo.stages()) == stages_after_first
+        assert all(stage.active == 0 for stage in topo.stages().values())
 
 
 class TestMultiNic:
@@ -256,11 +256,11 @@ class TestMultiNic:
     def test_stripe_counter_resets_with_simulation(self):
         topo = FatTreeTopology(k=4, nics_per_node=2, rail_policy="stripe")
         links = [topo.resolve_link(0, 4), topo.resolve_link(0, 5), topo.resolve_link(0, 6)]
-        rails_before = [link.shared_stages[0] for link in links]
+        rails_before = [link.stages[0] for link in links]
         assert rails_before[0] is not rails_before[1]  # round robin
         assert rails_before[0] is rails_before[2]
         topo.reset()
-        assert topo.resolve_link(0, 4).shared_stages[0] is rails_before[0]
+        assert topo.resolve_link(0, 4).stages[0] is rails_before[0]
 
 
 class TestDragonfly:

@@ -176,13 +176,13 @@ class TestContentionKnob:
         assert topo.fair_registry is None
         # structure is shared, stage state is not
         assert fair.k == topo.k and fair.routing == topo.routing
-        assert not fair.stage_loads()
+        assert not fair.stages()
         link = fair.resolve_link(0, 4)
-        assert all(isinstance(s, FairShareLink) for s in link.shared_stages)
+        assert all(isinstance(s, FairShareLink) for s in link.stages)
         assert link.fair is fair.fair_registry
         # the original keeps plain SharedLink stages
         res_link = topo.resolve_link(0, 4)
-        assert all(type(s) is SharedLink for s in res_link.shared_stages)
+        assert all(type(s) is SharedLink for s in res_link.stages)
         assert res_link.fair is None
 
     def test_shared_uplink_with_contention_clones(self):
@@ -190,7 +190,7 @@ class TestContentionKnob:
         fair = topo.with_contention(CONTENTION_FAIR)
         assert fair is not topo and fair.contention == CONTENTION_FAIR
         link = fair.link(0, 2)
-        assert isinstance(link.shared, FairShareLink)
+        assert isinstance(link.stages[0], FairShareLink)
         assert link.fair is fair.fair_registry
 
     def test_with_contention_is_memoized_both_ways(self):
@@ -259,15 +259,16 @@ class TestResetRegression:
         )
         link = topo.link(0, 2)
         registry = topo.fair_registry
-        flow = registry.open_flow(link.shared_stages, 0.0, 10_000.0)
+        (uplink,) = link.stages
+        flow = registry.open_flow(link.stages, 0.0, 10_000.0)
         assert registry.pending_count() == 1
-        assert link.shared.flows
+        assert uplink.flows
         topo.reset()
         assert registry.pending_count() == 0
-        assert not link.shared.flows
-        assert link.shared.busy_until == float("-inf")
+        assert not uplink.flows
+        assert uplink.busy_until == float("-inf")
         # the stale flow handle is detached: committing it again is impossible
-        assert flow.flow_id not in link.shared.flows
+        assert flow.flow_id not in uplink.flows
         # and a fresh run on the reused topology behaves like a fresh topology
         reused = run_simulation(4, pairs_program([8192], [(0, 2)]), NET, topology=topo)
         fresh_topo = SharedUplinkTopology(

@@ -77,7 +77,7 @@ class TestPlacement:
         inter = topo.link(1, 2)
         assert intra.bandwidth > inter.bandwidth
         assert intra.latency < inter.latency
-        assert intra.shared is None and inter.shared is None
+        assert intra.stages == () and inter.stages == ()
 
 
 class TestFlatEquivalence:
@@ -181,13 +181,12 @@ class TestSharedUplink:
         nbytes = 8 * 1024 * 1024
         run_simulation(4, send_once_program(0, 2, nbytes), NET, topology=topo)
         uplink_after_first = topo.link(0, 2)
-        shared_after_first = uplink_after_first.shared
-        assert shared_after_first is not None
+        (shared_after_first,) = uplink_after_first.stages
         for _ in range(3):
             run_simulation(4, send_once_program(0, 2, nbytes), NET, topology=topo)
         assert topo.link(0, 2) is uplink_after_first
-        assert topo.link(0, 2).shared is shared_after_first
-        assert len(topo._uplinks) == 1
+        assert topo.link(0, 2).stages == (shared_after_first,)
+        assert dict(topo.stages()) == {("uplink", 0): shared_after_first}
         # the reset left no stale accounting behind
         assert shared_after_first.active == 0
         assert topo.uplink_load(0) == 0

@@ -5,6 +5,10 @@
   imports the engine, the launcher's entry point or the network model, and no
   function there takes a ``network`` or ``backend``.
 * ``repro.fuzzer`` is a leaf: nothing outside it imports it.
+* ``repro.mpisim.topology`` is four modules importing one way: ``links`` and
+  ``overlay`` import no sibling, ``base`` only ``links``, ``switch`` the other
+  three.  How a stage is metered lives behind ``links``: nothing under
+  ``repro.workload`` patches :class:`SharedLink`.
 """
 
 from __future__ import annotations
@@ -68,5 +72,42 @@ def test_nothing_outside_the_fuzzer_imports_the_fuzzer():
         if "fuzzer" not in path.parts
         for module, _ in _imports(tree)
         if module == "repro.fuzzer" or module.startswith("repro.fuzzer.")
+    ]
+    assert offenders == []
+
+
+TOPOLOGY = "repro.mpisim.topology"
+TOPOLOGY_SIBLINGS = {
+    "links": set(),
+    "overlay": set(),
+    "base": {"links"},
+    "switch": {"links", "base", "overlay"},
+}
+
+
+def test_topology_modules_import_one_way():
+    trees = {path.stem: tree for path, tree in _trees("mpisim/topology")}
+    assert set(trees) == {"__init__", *TOPOLOGY_SIBLINGS}
+    offenders = []
+    for name, allowed in TOPOLOGY_SIBLINGS.items():
+        for module, imported in _imports(trees[name]):
+            if module == TOPOLOGY:  # ``from repro.mpisim.topology import links``
+                module = f"{TOPOLOGY}.{imported}"
+            if module.startswith(TOPOLOGY + "."):
+                sibling = module[len(TOPOLOGY) + 1 :].split(".")[0]
+                if sibling not in allowed:
+                    offenders.append(f"{name}.py imports {sibling}")
+    assert offenders == []
+
+
+def test_workload_does_not_patch_shared_link():
+    offenders = [
+        f"{path}:{node.lineno}"
+        for path, tree in _trees("workload")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Attribute) and getattr(leaf.value, "id", None) == "SharedLink"
     ]
     assert offenders == []
