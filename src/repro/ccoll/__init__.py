@@ -12,7 +12,7 @@ Public entry points (rank programs composed by the session API):
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
 """
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, make_adapter
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.allreduce import c_allreduce_program
 from repro.ccoll.computation import (
     c_reduce_scatter_program,
@@ -47,7 +47,6 @@ __all__ = [
     "CCollOutcome",
     "CompressionAdapter",
     "CompressedMessage",
-    "make_adapter",
     "c_allreduce_program",
     "c_allgather_program",
     "c_bcast_program",

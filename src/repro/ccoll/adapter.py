@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext
 from repro.compression.base import Compressor
 from repro.metrics.ratios import CompressionStats
@@ -107,7 +106,3 @@ class CompressionAdapter:
             return None
         return self.stats.overall_ratio
 
-
-def make_adapter(config: CCollConfig, ctx: Optional[CollectiveContext] = None) -> CompressionAdapter:
-    """Build the adapter described by ``config`` (convenience for the collectives)."""
-    return CompressionAdapter(config.make_codec(), ctx if ctx is not None else config.context())

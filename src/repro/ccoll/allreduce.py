@@ -20,10 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ccoll.adapter import CompressionAdapter
-from repro.ccoll.computation import (
-    DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
-    c_reduce_scatter_program,
-)
+from repro.ccoll.computation import c_reduce_scatter_program
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_program
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
@@ -42,8 +39,6 @@ def c_allreduce_program(
     ag_adapter: CompressionAdapter,
     ctx: CollectiveContext,
     overlap: bool = True,
-    max_segments: int = 32,
-    segment_bytes: int = DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
 ):
     """Rank program for C-Allreduce; returns the reconstructed reduced vector."""
     if size == 1:
@@ -51,14 +46,7 @@ def c_allreduce_program(
 
     # stage 1: compression-pipelined ring reduce-scatter
     reduced_chunk = yield from c_reduce_scatter_program(
-        rank,
-        size,
-        my_vector,
-        rs_adapter,
-        ctx,
-        overlap=overlap,
-        max_segments=max_segments,
-        segment_bytes=segment_bytes,
+        rank, size, my_vector, rs_adapter, ctx, overlap=overlap
     )
 
     # stage 2: compress-once ring allgather of the reduced chunks

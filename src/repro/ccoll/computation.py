@@ -44,12 +44,15 @@ __all__ = [
 
 #: uncompressed bytes represented by one pipeline segment (virtual)
 DEFAULT_SEGMENT_UNCOMPRESSED_BYTES = 2 * 1024 * 1024
+#: most pipeline segments one reduce-scatter chunk is cut into (also the tag
+#: stride between rounds)
+_MAX_SEGMENTS = 32
 
 
 def segment_count(
     uncompressed_vbytes: int,
     segment_bytes: int = DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
-    max_segments: int = 32,
+    max_segments: int = _MAX_SEGMENTS,
 ) -> int:
     """Number of pipeline segments used for one reduce-scatter chunk.
 
@@ -77,10 +80,6 @@ def c_reduce_scatter_program(
     adapter: CompressionAdapter,
     ctx: CollectiveContext,
     overlap: bool = True,
-    max_segments: int = 32,
-    segment_bytes: int = DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
-    comdecom_category: str = CAT_COMDECOM,
-    wait_category: str = CAT_WAIT,
 ):
     """Ring reduce-scatter with per-round compression.
 
@@ -100,17 +99,15 @@ def c_reduce_scatter_program(
         send_index = (rank - step - 1) % size
         recv_index = (rank - step - 2) % size
         outgoing = chunks[send_index]
-        base_tag = step * (max_segments + 1)
+        base_tag = step * (_MAX_SEGMENTS + 1)
         # segment counts are derived from the (globally known) uncompressed
         # chunk sizes, so the sender and receiver always agree on them; note
         # that the incoming chunk (index ``recv_index``) can be one element
         # longer/shorter than the outgoing one when the vector does not divide
         # evenly across ranks.
         if overlap:
-            segments_out = segment_count(ctx.vbytes(outgoing), segment_bytes, max_segments)
-            segments_in = segment_count(
-                ctx.vbytes(chunks[recv_index]), segment_bytes, max_segments
-            )
+            segments_out = segment_count(ctx.vbytes(outgoing))
+            segments_in = segment_count(ctx.vbytes(chunks[recv_index]))
         else:
             segments_out = segments_in = 1
 
@@ -127,7 +124,7 @@ def c_reduce_scatter_program(
         piece_vbytes = max(1, -(-message.virtual_nbytes // segments_out))
         send_reqs = []
         for seg in range(segments_out):
-            yield Compute(compress_time / segments_out, category=comdecom_category)
+            yield Compute(compress_time / segments_out, category=CAT_COMDECOM)
             if overlap:
                 yield Test(recv_reqs[0])
             send_reqs.append(
@@ -146,18 +143,18 @@ def c_reduce_scatter_program(
         decompress_time_total = None
         incoming_message: Optional[CompressedMessage] = None
         for seg in range(segments_in):
-            received = yield Wait(recv_reqs[seg], category=wait_category)
+            received = yield Wait(recv_reqs[seg], category=CAT_WAIT)
             incoming_message = received[0]
             if decompress_time_total is None:
                 decompress_time_total = adapter.decompress_seconds(incoming_message)
-            yield Compute(decompress_time_total / segments_in, category=comdecom_category)
+            yield Compute(decompress_time_total / segments_in, category=CAT_COMDECOM)
             if overlap and seg + 1 < segments_in:
                 yield Test(recv_reqs[seg + 1])
         incoming = adapter.decompress(incoming_message)
 
         # drain the outgoing sends (mostly complete: the right neighbour has
         # been polling during its own compression/decompression)
-        yield Waitall(send_reqs, category=wait_category)
+        yield Waitall(send_reqs, category=CAT_WAIT)
 
         yield Compute(ctx.memcpy_seconds(incoming), category=CAT_MEMCPY)
         chunks[recv_index] = chunks[recv_index] + incoming

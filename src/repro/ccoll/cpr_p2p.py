@@ -111,19 +111,8 @@ def cpr_allreduce_program(
 
     # allgather stage: the same chunk is re-compressed at every hop, so the
     # compression error of earlier hops is compressed again (error accumulation)
-    send_index = rank
-    for step in range(size - 1):
-        recv_index = (rank - step - 1) % size
-        outgoing_msg = yield from _compress_step(adapter, ctx, chunks[send_index])
-        recv_req = yield Irecv(source=left, tag=size + step)
-        send_req = yield Isend(
-            dest=right, data=outgoing_msg, nbytes=outgoing_msg.nbytes, tag=size + step
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
-        chunks[recv_index] = yield from _decompress_step(adapter, ctx, received)
-        send_index = recv_index
-
-    return np.concatenate(chunks)
+    blocks = yield from cpr_allgather_program(rank, size, chunks[rank], adapter, ctx, size)
+    return np.concatenate(blocks)
 
 
 def _plan_cpr_allreduce(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
@@ -147,8 +136,13 @@ def cpr_allgather_program(
     my_block: np.ndarray,
     adapter: CompressionAdapter,
     ctx: CollectiveContext,
+    tag_base: int,
 ):
-    """Ring allgather with CPR-P2P: every hop re-compresses the forwarded block."""
+    """Ring allgather with CPR-P2P: every hop re-compresses the forwarded block.
+
+    Round ``i`` uses tag ``tag_base + i`` (the CPR-P2P allreduce runs this as
+    its second stage, after the tags of its reduce-scatter rounds).
+    """
     blocks: List[Optional[np.ndarray]] = [None] * size
     blocks[rank] = my_block
     if size == 1:
@@ -160,10 +154,9 @@ def cpr_allgather_program(
     for step in range(size - 1):
         recv_index = (rank - step - 1) % size
         outgoing_msg = yield from _compress_step(adapter, ctx, blocks[send_index])
-        recv_req = yield Irecv(source=left, tag=step)
-        send_req = yield Isend(
-            dest=right, data=outgoing_msg, nbytes=outgoing_msg.nbytes, tag=step
-        )
+        tag = tag_base + step
+        recv_req = yield Irecv(source=left, tag=tag)
+        send_req = yield Isend(dest=right, data=outgoing_msg, nbytes=outgoing_msg.nbytes, tag=tag)
         received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
         blocks[recv_index] = yield from _decompress_step(adapter, ctx, received)
         send_index = recv_index
@@ -176,7 +169,7 @@ def _plan_cpr_allgather(inputs, n_ranks: int, config: CCollConfig) -> Collective
     blocks = as_rank_arrays(inputs, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
     return CollectivePlan(
-        lambda rank, size: cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx),
+        lambda rank, size: cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),
     )
 

@@ -86,7 +86,6 @@ def exchange_sizes_program(
     rank: int,
     size: int,
     my_size: int,
-    category: str = CAT_OTHERS,
     tag_offset: int = 0,
     ring: Optional[List[int]] = None,
 ):
@@ -114,7 +113,7 @@ def exchange_sizes_program(
         tag = _SIZE_TAG + tag_offset + step
         recv_req = yield Irecv(source=left, tag=tag)
         send_req = yield Isend(dest=right, data=carried, nbytes=8, tag=tag)
-        received, _ = yield Waitall([recv_req, send_req], category=category)
+        received, _ = yield Waitall([recv_req, send_req], category=CAT_OTHERS)
         origin, value = received
         sizes[origin] = int(value)
         carried = (origin, value)
@@ -130,7 +129,6 @@ def c_allgather_program(
     my_block: np.ndarray,
     adapter: CompressionAdapter,
     ctx: CollectiveContext,
-    wait_category: str = CAT_ALLGATHER,
     tag_offset: int = 0,
     ring: Optional[List[int]] = None,
 ):
@@ -166,7 +164,7 @@ def c_allgather_program(
         send_req = yield Isend(
             dest=right, data=outgoing, nbytes=outgoing.nbytes, tag=tag_offset + step
         )
-        received, _ = yield Waitall([recv_req, send_req], category=wait_category)
+        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
         messages[recv_index] = received
         send_index = recv_index
 
@@ -202,7 +200,6 @@ def c_bcast_program(
     adapter: CompressionAdapter,
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """C-Bcast: the root compresses once, the compressed buffer rides the binomial
     tree, and every non-root rank decompresses once after its last forward."""
@@ -221,7 +218,7 @@ def c_bcast_program(
         if relative & mask:
             source = (relative - mask + root) % size
             req = yield Irecv(source=source, tag=0)
-            message = yield Wait(req, category=wait_category)
+            message = yield Wait(req, category=CAT_WAIT)
             break
         mask <<= 1
 
@@ -231,7 +228,7 @@ def c_bcast_program(
         if relative + mask < size:
             dest = (relative + mask + root) % size
             req = yield Isend(dest=dest, data=message, nbytes=message.nbytes, tag=0)
-            yield Wait(req, category=wait_category)
+            yield Wait(req, category=CAT_WAIT)
         mask >>= 1
 
     if rank == root:
@@ -266,7 +263,6 @@ def c_scatter_program(
     adapter: CompressionAdapter,
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """C-Scatter: the root compresses every block once; compressed segments ride the
     binomial tree; each rank decompresses only its own block at the very end."""
@@ -288,7 +284,7 @@ def c_scatter_program(
         if relative & mask:
             source = (relative - mask + root) % size
             req = yield Irecv(source=source, tag=0)
-            segment = yield Wait(req, category=wait_category)
+            segment = yield Wait(req, category=CAT_WAIT)
             segment = list(segment)
             break
         mask <<= 1
@@ -302,7 +298,7 @@ def c_scatter_program(
             child_segment = segment[mask : mask + child_count]
             nbytes = sum(m.nbytes for m in child_segment)
             req = yield Isend(dest=dest, data=child_segment, nbytes=nbytes, tag=0)
-            yield Wait(req, category=wait_category)
+            yield Wait(req, category=CAT_WAIT)
             segment = segment[:mask]
         mask >>= 1
 

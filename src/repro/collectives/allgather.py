@@ -8,7 +8,7 @@ neighbour, so each block travels once around the ring.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,38 +19,51 @@ from repro.mpisim.timeline import CAT_ALLGATHER
 __all__ = ["ring_allgather_program"]
 
 
+def _ring_allgather_over_group(
+    my_idx: int,
+    group: Sequence[int],
+    blocks: List[Optional[np.ndarray]],
+    ctx: CollectiveContext,
+    tag_base: int,
+):
+    """The ring allgather loop over an explicit rank group, filling ``blocks``.
+
+    ``group`` lists the participating ranks in ring order, ``my_idx`` is this
+    rank's position in it and ``blocks[my_idx]`` its own block; on return
+    ``blocks`` holds every position's block.  This is the one uncompressed
+    allgather loop: the flat program runs it over ``range(size)`` and the ring
+    allreduce as its second half.
+    """
+    size = len(group)
+    left = group[(my_idx - 1) % size]
+    right = group[(my_idx + 1) % size]
+    send_index = my_idx
+    for step in range(size - 1):
+        recv_index = (my_idx - step - 1) % size
+        outgoing = blocks[send_index]
+        tag = tag_base + step
+        recv_req = yield Irecv(source=left, tag=tag)
+        send_req = yield Isend(
+            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
+        )
+        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
+        blocks[recv_index] = received
+        # copy the received block into the gathered output buffer
+        yield Compute(ctx.memcpy_seconds(received), category=CAT_ALLGATHER)
+        send_index = recv_index
+    return blocks
+
+
 def ring_allgather_program(
     rank: int,
     size: int,
     my_block: np.ndarray,
     ctx: CollectiveContext,
-    wait_category: str = CAT_ALLGATHER,
-    copy_category: str = CAT_ALLGATHER,
 ):
     """Rank program for the ring allgather; returns the list of all blocks."""
     blocks: List[Optional[np.ndarray]] = [None] * size
     blocks[rank] = my_block
-    if size == 1:
-        return blocks
-
-    left = (rank - 1) % size
-    right = (rank + 1) % size
-    send_index = rank
-    for step in range(size - 1):
-        recv_index = (rank - step - 1) % size
-        recv_req = yield Irecv(source=left, tag=step)
-        send_req = yield Isend(
-            dest=right,
-            data=blocks[send_index],
-            nbytes=ctx.vbytes(blocks[send_index]),
-            tag=step,
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=wait_category)
-        blocks[recv_index] = received
-        # copy the received block into the gathered output buffer
-        yield Compute(ctx.memcpy_seconds(received), category=copy_category)
-        send_index = recv_index
-    return blocks
+    return (yield from _ring_allgather_over_group(rank, range(size), blocks, ctx, 0))
 
 
 def _plan_ring_allgather(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:

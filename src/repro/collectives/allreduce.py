@@ -15,9 +15,10 @@ from typing import List
 import numpy as np
 
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
-from repro.mpisim.timeline import CAT_ALLGATHER, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
+from repro.collectives.allgather import _ring_allgather_over_group
+from repro.collectives.reduce_scatter import partition_chunks, _ring_reduce_scatter_over_group
+from repro.mpisim.commands import Compute
+from repro.mpisim.timeline import CAT_OTHERS
 
 __all__ = ["ring_allreduce_over_group", "ring_allreduce_program"]
 
@@ -40,40 +41,8 @@ def ring_allreduce_over_group(
     chunks = partition_chunks(my_vector, size)
     if size == 1:
         return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-
-    left = group[(my_idx - 1) % size]
-    right = group[(my_idx + 1) % size]
-
-    # ---------------------------------------------------------- reduce-scatter
-    for step in range(size - 1):
-        send_index = (my_idx - step - 1) % size
-        recv_index = (my_idx - step - 2) % size
-        outgoing = chunks[send_index]
-        tag = tag_base + step
-        recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
-        yield Compute(ctx.memcpy_seconds(received), category=CAT_MEMCPY)
-        chunks[recv_index] = chunks[recv_index] + received
-        yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
-
-    # ------------------------------------------------------------- allgather
-    send_index = my_idx
-    for step in range(size - 1):
-        recv_index = (my_idx - step - 1) % size
-        outgoing = chunks[send_index]
-        tag = tag_base + size + step
-        recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
-        chunks[recv_index] = received
-        yield Compute(ctx.memcpy_seconds(received), category=CAT_ALLGATHER)
-        send_index = recv_index
-
+    yield from _ring_reduce_scatter_over_group(my_idx, group, chunks, ctx, tag_base)
+    yield from _ring_allgather_over_group(my_idx, group, chunks, ctx, tag_base + size)
     return np.concatenate(chunks)
 
 

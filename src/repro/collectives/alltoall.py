@@ -24,7 +24,6 @@ def pairwise_alltoall_program(
     size: int,
     my_blocks: List[np.ndarray],
     ctx: CollectiveContext,
-    wait_category: str = CAT_WAIT,
 ):
     """Rank program for the pairwise all-to-all.
 
@@ -42,7 +41,7 @@ def pairwise_alltoall_program(
         send_req = yield Isend(
             dest=dest, data=my_blocks[dest], nbytes=ctx.vbytes(my_blocks[dest]), tag=step
         )
-        incoming, _ = yield Waitall([recv_req, send_req], category=wait_category)
+        incoming, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
         received[source] = incoming
         yield Compute(ctx.memcpy_seconds(incoming), category=CAT_MEMCPY)
     return received

@@ -11,8 +11,7 @@ from typing import Optional
 import numpy as np
 
 from repro.collectives.context import CollectiveContext, CollectivePlan
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
+from repro.collectives.hierarchical import _group_binomial_bcast
 
 __all__ = ["binomial_bcast_program"]
 
@@ -23,36 +22,11 @@ def binomial_bcast_program(
     data: Optional[np.ndarray],
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """Rank program for the binomial broadcast; every rank returns the data."""
-    if size == 1:
-        return data
-
-    relative = (rank - root) % size
+    group = [(index + root) % size for index in range(size)]
     buffer = data if rank == root else None
-
-    # receive phase: find the bit at which this rank gets the data
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            buffer = yield Wait(req, category=wait_category)
-            yield Compute(ctx.memcpy_seconds(buffer), category=CAT_MEMCPY)
-            break
-        mask <<= 1
-
-    # send phase: forward to the sub-tree below this rank
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            req = yield Isend(dest=dest, data=buffer, nbytes=ctx.vbytes(buffer), tag=0)
-            yield Wait(req, category=wait_category)
-        mask >>= 1
-
-    return buffer
+    return (yield from _group_binomial_bcast((rank - root) % size, group, buffer, ctx, tag=0))
 
 
 def _plan_binomial_bcast(

@@ -23,7 +23,6 @@ def binomial_gather_program(
     my_block: np.ndarray,
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """Rank program for the binomial gather.
 
@@ -43,13 +42,13 @@ def binomial_gather_program(
             parent = (relative - mask + root) % size
             nbytes = sum(ctx.vbytes(b) for b in collected.values())
             req = yield Isend(dest=parent, data=dict(collected), nbytes=nbytes, tag=0)
-            yield Wait(req, category=wait_category)
+            yield Wait(req, category=CAT_WAIT)
             return None
         child = relative + mask
         if child < size:
             source = (child + root) % size
             req = yield Irecv(source=source, tag=0)
-            incoming = yield Wait(req, category=wait_category)
+            incoming = yield Wait(req, category=CAT_WAIT)
             yield Compute(
                 ctx.cost.memcpy_seconds(sum(ctx.vbytes(b) for b in incoming.values())),
                 category=CAT_MEMCPY,

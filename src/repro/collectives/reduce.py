@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait
-from repro.mpisim.timeline import CAT_REDUCTION, CAT_WAIT
+from repro.collectives.hierarchical import _group_binomial_reduce
 
 __all__ = ["binomial_reduce_program"]
 
@@ -22,32 +21,11 @@ def binomial_reduce_program(
     my_vector: np.ndarray,
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """Rank program for the binomial reduce; the root returns the sum, others None."""
-    relative = (rank - root) % size
-    accumulator = my_vector
-    if size == 1:
-        return accumulator
-
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            parent = (relative - mask + root) % size
-            req = yield Isend(
-                dest=parent, data=accumulator, nbytes=ctx.vbytes(accumulator), tag=0
-            )
-            yield Wait(req, category=wait_category)
-            return None
-        child = relative + mask
-        if child < size:
-            source = (child + root) % size
-            req = yield Irecv(source=source, tag=0)
-            incoming = yield Wait(req, category=wait_category)
-            accumulator = accumulator + incoming
-            yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)
-        mask <<= 1
-    return accumulator
+    group = [(index + root) % size for index in range(size)]
+    total = yield from _group_binomial_reduce((rank - root) % size, group, my_vector, ctx, tag=0)
+    return total if rank == root else None
 
 
 def _plan_binomial_reduce(

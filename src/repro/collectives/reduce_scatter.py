@@ -9,7 +9,7 @@ from the left neighbour, reducing it into its local copy.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -28,35 +28,49 @@ def partition_chunks(vector: np.ndarray, n_ranks: int) -> List[np.ndarray]:
     return [vector[displs[i] : displs[i] + counts[i]].copy() for i in range(n_ranks)]
 
 
+def _ring_reduce_scatter_over_group(
+    my_idx: int,
+    group: Sequence[int],
+    chunks: List[np.ndarray],
+    ctx: CollectiveContext,
+    tag_base: int,
+):
+    """The ring reduce-scatter loop over an explicit rank group, reducing into ``chunks``.
+
+    ``group`` lists the participating ranks in ring order and ``my_idx`` is
+    this rank's position in it; on return ``chunks[my_idx]`` is fully reduced.
+    This is the one uncompressed reduce-scatter loop: the flat program runs it
+    over ``range(size)`` and the ring allreduce as its first half.
+    """
+    size = len(group)
+    left = group[(my_idx - 1) % size]
+    right = group[(my_idx + 1) % size]
+    for step in range(size - 1):
+        send_index = (my_idx - step - 1) % size
+        recv_index = (my_idx - step - 2) % size
+        outgoing = chunks[send_index]
+        tag = tag_base + step
+        recv_req = yield Irecv(source=left, tag=tag)
+        send_req = yield Isend(
+            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
+        )
+        received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
+        # stage the received chunk, then reduce it into the local partial sum
+        yield Compute(ctx.memcpy_seconds(received), category=CAT_MEMCPY)
+        chunks[recv_index] = chunks[recv_index] + received  # out-of-place: sent buffers stay intact
+        yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
+    return chunks
+
+
 def ring_reduce_scatter_program(
     rank: int,
     size: int,
     my_vector: np.ndarray,
     ctx: CollectiveContext,
-    wait_category: str = CAT_WAIT,
-    copy_category: str = CAT_MEMCPY,
-    reduce_category: str = CAT_REDUCTION,
 ):
     """Rank program for the ring reduce-scatter; returns the rank's reduced chunk."""
     chunks = partition_chunks(my_vector, size)
-    if size == 1:
-        return chunks[0]
-
-    left = (rank - 1) % size
-    right = (rank + 1) % size
-    for step in range(size - 1):
-        send_index = (rank - step - 1) % size
-        recv_index = (rank - step - 2) % size
-        outgoing = chunks[send_index]
-        recv_req = yield Irecv(source=left, tag=step)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=step
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=wait_category)
-        # stage the received chunk, then reduce it into the local partial sum
-        yield Compute(ctx.memcpy_seconds(received), category=copy_category)
-        chunks[recv_index] = chunks[recv_index] + received  # out-of-place: sent buffers stay intact
-        yield Compute(ctx.reduce_seconds(received), category=reduce_category)
+    yield from _ring_reduce_scatter_over_group(rank, range(size), chunks, ctx, 0)
     return chunks[rank]
 
 

@@ -29,7 +29,6 @@ def binomial_scatter_program(
     root_blocks: Optional[List[np.ndarray]],
     ctx: CollectiveContext,
     root: int = 0,
-    wait_category: str = CAT_WAIT,
 ):
     """Rank program for the binomial scatter; every rank returns its own block.
 
@@ -51,7 +50,7 @@ def binomial_scatter_program(
         if relative & mask:
             source = (relative - mask + root) % size
             req = yield Irecv(source=source, tag=0)
-            segment = yield Wait(req, category=wait_category)
+            segment = yield Wait(req, category=CAT_WAIT)
             segment = list(segment)
             yield Compute(
                 ctx.cost.memcpy_seconds(_segment_nbytes(segment, ctx)), category=CAT_MEMCPY
@@ -72,7 +71,7 @@ def binomial_scatter_program(
                 nbytes=_segment_nbytes(child_segment, ctx),
                 tag=0,
             )
-            yield Wait(req, category=wait_category)
+            yield Wait(req, category=CAT_WAIT)
             segment = segment[:mask]
         mask >>= 1
 

@@ -14,15 +14,17 @@ interleaved with MPI progress polling:
 This module provides the one-shot :class:`PipelinedSZx` codec (drop-in
 compatible with every other :class:`~repro.compression.base.Compressor`) plus
 the incremental generator API (:meth:`PipelinedSZx.iter_compress`,
-:meth:`PipelinedSZx.iter_decompress`) used by the collective computation
-framework to overlap communication with (de)compression.
+:meth:`PipelinedSZx.iter_decompress`) that hands control back between chunks.
+The simulated collectives do not drive the generators: the collective
+computation framework (:mod:`repro.ccoll.computation`) compresses one-shot
+and *models* the interleaving as pipeline segments in virtual time.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -113,8 +115,8 @@ class PipelinedSZx(Compressor):
     def iter_compress(self, data) -> Iterator[CompressedChunk]:
         """Compress ``data`` chunk by chunk, yielding after every chunk.
 
-        The caller regains control between chunks — exactly the hook the
-        collective computation framework uses to poll communication progress.
+        The caller regains control between chunks — the hook for polling
+        communication progress (``MPI_Test``-style).
         """
         arr = check_compressible(data)
         for index, (start, stop) in enumerate(chunk_bounds(arr.size, self.chunk_elems)):
@@ -150,50 +152,25 @@ class PipelinedSZx(Compressor):
         for piece in chunk_payloads:
             yield self._inner.decompress_bytes(piece)
 
-    def compress_with_progress(
-        self, data, progress: Optional[Callable[[int, int], None]] = None
-    ) -> bytes:
-        """Compress ``data``, invoking ``progress(done, total)`` after each chunk.
+    # ----------------------------------------------------------- one-shot API
 
-        This is the callback-style twin of :meth:`iter_compress`, convenient
-        for callers that only need a progress hook (e.g. MPI_Test polling).
-        """
+    def compress_bytes(self, data: np.ndarray) -> bytes:
         arr = check_compressible(data)
-        total = self.chunk_count(arr.size)
-        chunks: List[CompressedChunk] = []
-        for chunk in self.iter_compress(arr):
-            chunks.append(chunk)
-            if progress is not None:
-                progress(len(chunks), total)
-        return self.assemble(chunks, arr.size, arr.dtype)
+        return self.assemble(list(self.iter_compress(arr)), arr.size, arr.dtype)
 
-    def decompress_with_progress(
-        self, payload: bytes, progress: Optional[Callable[[int, int], None]] = None
-    ) -> np.ndarray:
-        """Decompress, invoking ``progress(done, total)`` after each chunk."""
+    def decompress_bytes(self, payload: bytes) -> np.ndarray:
         header, chunk_payloads = self._parse(payload)
         out = np.empty(header.count, dtype=header.dtype)
         pos = 0
-        total = len(chunk_payloads)
-        for done, piece in enumerate(chunk_payloads, start=1):
+        for piece in chunk_payloads:
             part = self._inner.decompress_bytes(piece)
             out[pos : pos + part.size] = part
             pos += part.size
-            if progress is not None:
-                progress(done, total)
         if pos != header.count:
             raise DecompressionError(
                 f"chunk element counts ({pos}) do not add up to the header count ({header.count})"
             )
         return out
-
-    # ----------------------------------------------------------- one-shot API
-
-    def compress_bytes(self, data: np.ndarray) -> bytes:
-        return self.compress_with_progress(data, progress=None)
-
-    def decompress_bytes(self, payload: bytes) -> np.ndarray:
-        return self.decompress_with_progress(payload, progress=None)
 
     # -------------------------------------------------------------- internal
 

@@ -106,58 +106,48 @@ class FaultInjector:
     # ------------------------------------------------------------- per event
 
     def _install_event(self, engine, event) -> int:
+        if isinstance(event, DomainOutage):
+            # the correlated expansion: every member event rides the same
+            # tier -1 path, all due at the outage timestamp
+            return sum(
+                self._install_event(engine, member) for member in event.expand()
+            )
         if isinstance(event, LinkDegrade):
-            prefix = event.stage_prefix
+            prefix, factor = event.stage_prefix, event.factor
 
-            def degrade(now: float, prefix=prefix, factor=event.factor) -> None:
+            def apply(now: float) -> None:
                 self._apply_overlay(engine, prefix, factor, False, now)
 
-            engine.schedule_event(event.time, degrade)
-            if event.duration is None:
-                return 1
-
-            def restore(now: float, prefix=prefix) -> None:
+            def restore(now: float) -> None:
                 self._clear_overlay(engine, prefix, now)
 
-            engine.schedule_event(event.time + event.duration, restore)
-            return 2
-        if isinstance(event, RailFailure):
+        elif isinstance(event, RailFailure):
             prefixes = (
                 ("nic-up", event.node, event.rail),
                 ("nic-down", event.node, event.rail),
             )
 
-            def fail(now: float, prefixes=prefixes) -> None:
+            def apply(now: float) -> None:
                 for prefix in prefixes:
                     self._apply_overlay(engine, prefix, 1.0, True, now)
 
-            engine.schedule_event(event.time, fail)
-            if event.duration is None:
-                return 1
-
-            def heal(now: float, prefixes=prefixes) -> None:
+            def restore(now: float) -> None:
                 for prefix in prefixes:
                     self._clear_overlay(engine, prefix, now)
 
-            engine.schedule_event(event.time + event.duration, heal)
-            return 2
-        if isinstance(event, SlowRank):
+        elif isinstance(event, SlowRank):
+            rank, factor = event.rank, event.factor
 
-            def slow(now: float, rank=event.rank, factor=event.factor) -> None:
+            def apply(now: float) -> None:
                 engine.set_compute_scale(rank, factor)
 
-            engine.schedule_event(event.time, slow)
-            if event.duration is None:
-                return 1
-
-            def recover(now: float, rank=event.rank) -> None:
+            def restore(now: float) -> None:
                 engine.set_compute_scale(rank, 1.0)
 
-            engine.schedule_event(event.time + event.duration, recover)
-            return 2
-        if isinstance(event, NodeLoss):
+        elif isinstance(event, NodeLoss):
+            node = event.node
 
-            def lose(now: float, node=event.node) -> None:
+            def apply(now: float) -> None:
                 self._apply_overlay(
                     engine, ("nic-up", node), self.node_loss_factor, False, now
                 )
@@ -167,25 +157,19 @@ class FaultInjector:
                 if self.on_node_loss is not None:
                     self.on_node_loss(node, now)
 
-            engine.schedule_event(event.time, lose)
-            if event.duration is None:
-                return 1
-
-            def heal(now: float, node=event.node) -> None:
+            def restore(now: float) -> None:
                 self._clear_overlay(engine, ("nic-up", node), now)
                 self._clear_overlay(engine, ("nic-down", node), now)
                 if self.on_node_heal is not None:
                     self.on_node_heal(node, now)
 
-            engine.schedule_event(event.time + event.duration, heal)
-            return 2
-        if isinstance(event, DomainOutage):
-            # the correlated expansion: every member event rides the same
-            # tier -1 path, all due at the outage timestamp
-            return sum(
-                self._install_event(engine, member) for member in event.expand()
-            )
-        raise TypeError(f"unknown fault event {event!r}")  # pragma: no cover
+        else:  # pragma: no cover
+            raise TypeError(f"unknown fault event {event!r}")
+        engine.schedule_event(event.time, apply)
+        if event.duration is None:
+            return 1
+        engine.schedule_event(event.time + event.duration, restore)
+        return 2
 
     # ------------------------------------------------------------- plumbing
 

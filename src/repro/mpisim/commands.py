@@ -11,6 +11,10 @@ the engine at the same ``yield`` expression::
         incoming = yield Wait(req, category="Wait")
         ...
 
+``source`` and ``dest`` are ranks of the program's own job (for a simulation
+started with a program factory: of the whole engine); the engine resolves
+them to its slots.
+
 The engine advances each rank's *virtual clock*; ``Compute`` advances it by a
 caller-supplied duration (typically derived from
 :class:`repro.perfmodel.CostModel`), communication commands advance it
@@ -141,14 +145,12 @@ class Probe(Command):
 
 @dataclass(slots=True)
 class Barrier(Command):
-    """Synchronise ranks: every participant resumes at the same virtual time
-    (the maximum arrival time), with the blocked span attributed to ``category``.
+    """Synchronise the ranks of the issuing rank's job: every one of them
+    resumes at the same virtual time (the maximum arrival time), with the
+    blocked span attributed to ``category``.
 
-    ``group`` restricts the barrier to a subset of ranks (a tuple of global
-    rank ids that must all arrive before release).  ``None`` means all ranks
-    in the engine — the historical whole-world barrier.  Scoped groups are
-    what lets multiple jobs share one engine without deadlocking each other.
+    The barrier spans the job and nothing else — idle slots and other jobs
+    sharing the engine neither wait in it nor hold it up.
     """
 
     category: str = "Others"
-    group: Optional[Sequence[int]] = None

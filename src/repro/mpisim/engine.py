@@ -17,6 +17,23 @@ Payloads are carried by reference, so all data-level results of a simulated
 collective (reduced arrays, decompressed chunks) are numerically real; only
 *time* is modelled.
 
+Slots and jobs
+--------------
+
+The engine owns ``n_ranks`` *slots* — the endpoints of the fabric — and a
+slot has one life cycle: idle -> ready/blocked (a job's program is bound to
+it) -> idle (the program returned, or the job was killed).  Programs only
+ever run as part of a job (:class:`EngineJob`), and the job is the
+simulator's communicator: rank ``r`` of a job is the slot ``job.slots[r]``,
+programs name their peers by job rank, and the ``Isend``/``Irecv``/``Probe``
+handlers translate to slots where they validate the peer, so a job cannot
+reach a slot outside itself.  ``Barrier`` spans the issuing rank's job.
+Matching keys, request handles and the diagnostics below are in slot
+coordinates.  ``Engine(n, factory)`` is one job over all slots bound at
+t=0 — for it job rank and slot coincide — and goes through the same bind
+as a job a scheduler places mid-run (:meth:`Engine.bind_job`), which is why
+a lone job on a shared fabric replays the standalone simulation bit for bit.
+
 Event-heap core
 ---------------
 
@@ -88,6 +105,7 @@ import heapq
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.mpisim.commands import (
@@ -115,10 +133,9 @@ ProgramFactory = Callable[[int, int], RankProgram]
 
 _READY = "ready"
 _BLOCKED = "blocked"
-_DONE = "done"
 #: a slot with no program bound: it contributes no events and does not gate
-#: run completion.  Jobs bound via :meth:`Engine.bind_job` occupy idle slots
-#: and return them to idle when their programs finish.
+#: run completion.  A job occupies idle slots and returns each one to idle
+#: when its program finishes (or the job is killed).
 _IDLE = "idle"
 
 _BLOCK_RECV_MATCH = "recv-match"
@@ -200,9 +217,11 @@ class _RankState:
     """Execution state of one simulated rank."""
 
     rank: int
-    gen: Optional[RankProgram]
+    gen: Optional[RankProgram] = None
+    #: the job occupying this slot, bind to retire/kill (``None`` while idle)
+    job: Optional["EngineJob"] = None
     clock: float = 0.0
-    status: str = _READY
+    status: str = _IDLE
     resume_value: Any = None
     breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
     result: Any = None
@@ -237,12 +256,18 @@ class RankResult:
 
 
 class EngineJob:
-    """Handle for a group of rank programs bound to engine slots as one job.
+    """The simulator's communicator: rank programs bound to engine slots as one job.
 
-    Created by :meth:`Engine.bind_job`.  The job is *retired* once every one
-    of its slot programs runs to completion; at that point ``finished``,
-    ``results``, ``bytes_sent`` and ``messages_sent`` are final and the
-    ``on_retire`` callback (if any) fires with this handle.
+    Created by :meth:`Engine.bind_job` (and, for ``Engine(n, factory)``, by
+    the engine itself over every slot).  ``slots[r]`` is the engine slot of
+    the job's rank ``r``: the engine resolves every ``dest``/``source`` a
+    program of this job yields through that tuple, and a ``Barrier`` waits
+    for exactly these ranks, so a job cannot address a slot it does not
+    occupy.  The job is *retired* once every one of its slot programs runs
+    to completion; at that point ``finished``, ``results``, ``bytes_sent``
+    and ``messages_sent`` are final (``results`` and ``finish_times`` are
+    keyed by slot) and the ``on_retire`` callback (if any) fires with this
+    handle.
     """
 
     __slots__ = (
@@ -257,6 +282,7 @@ class EngineJob:
         "messages_sent",
         "on_retire",
         "_pending",
+        "_barrier",
         "_bytes0",
         "_messages0",
     )
@@ -280,6 +306,8 @@ class EngineJob:
         self.messages_sent = 0
         self.on_retire = on_retire
         self._pending = set(slots)
+        # (slot, arrival clock) of the ranks waiting in the job's barrier
+        self._barrier: List[Tuple[int, float]] = []
         self._bytes0 = 0
         self._messages0 = 0
 
@@ -308,15 +336,17 @@ class Engine:
     replay stale events from the previous one.  Calling ``run()`` twice
     without a ``reset()`` in between raises.
 
-    Multi-job mode: with ``program_factory=None`` every slot starts *idle*
-    and the engine is driven entirely by scheduled events
-    (:meth:`schedule_event`) that bind jobs onto free slots
-    (:meth:`bind_job`).  Scheduled callbacks occupy priority tier ``-1`` in
-    the event heap — at equal timestamps a job start commits before fair
-    departures and before any rank steps, so a job arriving at ``t`` sees
-    exactly the same event order it would see starting a fresh simulation
-    at ``t``.  The run completes when the heap drains and every slot is
-    done or idle.
+    Every slot starts *idle* and every program runs as part of a job (see
+    "Slots and jobs" in the module docstring).  ``program_factory`` is the
+    single-job shorthand: the engine binds one job of
+    ``program_factory(r, n_ranks)`` over all slots at t=0.  With ``None``
+    the engine is driven by scheduled events (:meth:`schedule_event`) that
+    bind jobs onto free slots (:meth:`bind_job`).  Scheduled callbacks
+    occupy priority tier ``-1`` in the event heap — at equal timestamps a
+    job start commits before fair departures and before any rank steps, so
+    a job arriving at ``t`` sees exactly the same event order it would see
+    starting a fresh simulation at ``t``.  The run completes when the heap
+    drains and every slot is idle.
     """
 
     def __init__(
@@ -365,17 +395,7 @@ class Engine:
         """(Re)build every piece of single-simulation state from scratch."""
         if self.topology is not None:
             self.topology.reset()
-        factory = self._program_factory
-        if factory is None:
-            self._states = [
-                _RankState(rank=r, gen=None, status=_IDLE)
-                for r in range(self.n_ranks)
-            ]
-        else:
-            self._states = [
-                _RankState(rank=r, gen=factory(r, self.n_ranks))
-                for r in range(self.n_ranks)
-            ]
+        self._states = [_RankState(rank=r) for r in range(self.n_ranks)]
         self._next_request_id = 0
         self._next_message_id = 0
         # request id -> _Message (sends, and receives once matched) or _RecvPosting
@@ -388,17 +408,12 @@ class Engine:
         # historical append order).  Completed transfers are removed as they
         # finish, so the per-wait progress sweep touches only live transfers.
         self._inflight: Dict[int, Dict[int, _Message]] = {r: {} for r in range(self.n_ranks)}
-        # barrier group -> [(rank, arrival)]; the ``None`` group is the
-        # whole-world barrier over all n_ranks slots
-        self._barrier_waiting: Dict[Optional[Tuple[int, ...]], List[Tuple[int, float]]] = {}
         # scheduled callbacks, indexed by heap token of the (t, -1, idx) tier
         self._events: List[Callable[[float], None]] = []
         # rank -> compute-rate multiplier installed by fault events (slow
         # ranks); empty means every Compute runs at its modelled duration, so
         # fault-free simulations take the exact historical code path
         self._compute_scale: Dict[int, float] = {}
-        # slot -> the EngineJob currently occupying it (bind to retire)
-        self._slot_job: Dict[int, EngineJob] = {}
         self._commands_total = 0
         self._ran = False
         # the unified event heap: (timestamp, order, token) with order 0 for
@@ -414,9 +429,12 @@ class Engine:
         #: popped (timestamp, order) pairs when ``trace_events`` is set —
         #: the deterministic pop-order witness used by the equivalence suite
         self.event_trace: List[Tuple[float, int]] = []
-        for state in self._states:
-            if state.status == _READY:
-                self._push_ready(state, EV_RANK_STEP)
+        factory = self._program_factory
+        if factory is not None:
+            n_ranks = self.n_ranks
+            self._bind(
+                0.0, {r: partial(factory, r, n_ranks) for r in range(n_ranks)}, None, None
+            )
 
     def reset(self) -> None:
         """Clear the event heap, scheduled fair commits and all run state.
@@ -485,39 +503,55 @@ class Engine:
     ) -> EngineJob:
         """Bind rank-program thunks onto idle slots as one job starting at ``time``.
 
-        ``programs`` maps slot id -> zero-argument generator factory.  Every
-        slot must currently be idle; the slots become ready at ``time`` (or
-        their current clock, if later — a slot freed at ``t > time`` cannot
-        travel back).  Slots are pushed in ascending slot order, so a job
-        bound at ``t`` replays the exact ready order a fresh simulation
-        would produce.  Returns the :class:`EngineJob` handle; when every
-        program finishes, the slots return to idle and ``on_retire(job)``
-        fires (from which a scheduler may immediately bind the next job).
+        ``programs`` maps slot id -> zero-argument generator factory, in the
+        job's rank order: the slot of the first entry is the job's rank 0,
+        and that is the numbering the programs address each other by.
+        Every slot must currently be idle; the slots become ready at
+        ``time`` (or their current clock, if later — a slot freed at
+        ``t > time`` cannot travel back).  Returns the :class:`EngineJob`
+        handle; when every program finishes, the slots are idle again and
+        ``on_retire(job)`` fires (from which a scheduler may immediately
+        bind the next job).
+        """
+        return self._bind(time, programs, tag, on_retire)
+
+    def _bind(
+        self,
+        time: float,
+        programs: Dict[int, Callable[[], RankProgram]],
+        tag: Any,
+        on_retire: Optional[Callable[[EngineJob], None]],
+    ) -> EngineJob:
+        """The one place rank programs start (see :meth:`bind_job`).
+
+        ``__init__`` binds its all-slots job here rather than through the
+        public method, so a wrapper installed around ``bind_job`` sees exactly
+        the jobs a caller binds.
         """
         if not programs:
             raise ValueError("bind_job needs at least one slot program")
-        slots = sorted(programs)
         states = self._states
-        for slot in slots:
+        for slot in programs:
             if not (0 <= slot < self.n_ranks):
                 raise ValueError(f"slot {slot} outside 0..{self.n_ranks - 1}")
-            if states[slot].status != _IDLE:
+            holder = states[slot].job
+            if holder is not None:
                 raise RuntimeError(
-                    f"slot {slot} is {states[slot].status!r}, not idle; "
+                    f"slot {slot} is not idle (job {holder.tag!r} holds it); "
                     f"cannot bind job {tag!r}"
                 )
-        job = EngineJob(tag=tag, slots=tuple(slots), started=float(time), on_retire=on_retire)
-        for slot in slots:
+        job = EngineJob(tag=tag, slots=tuple(programs), started=float(time), on_retire=on_retire)
+        for slot, program in programs.items():
             state = states[slot]
             job._bytes0 += state.bytes_sent
             job._messages0 += state.messages_sent
-            state.gen = programs[slot]()
+            state.gen = program()
+            state.job = job
             state.status = _READY
             state.resume_value = None
             state.result = None
             if time > state.clock:
                 state.clock = float(time)
-            self._slot_job[slot] = job
             self._push_ready(state, EV_RANK_STEP)
         return job
 
@@ -539,7 +573,7 @@ class Engine:
         # unbind only at full retirement: fair flows whose sender program
         # finished early still attribute to this job until the job ends
         for slot in job.slots:
-            self._slot_job.pop(slot, None)
+            states[slot].job = None
         if job.on_retire is not None:
             job.on_retire(job)
 
@@ -552,10 +586,10 @@ class Engine:
         in-flight transfer is cancelled — fair flows are withdrawn from the
         :class:`~repro.mpisim.fairshare.FairShareRegistry`, releasing their
         bandwidth to surviving tenants immediately — and barrier waiters
-        vanish.  The job's slots end idle and rebindable; slot clocks never
-        rewind, so wire time a cancelled reservation-mode transfer had
-        already committed stands (fair-mode flows, by contrast, stop
-        accruing at ``now``).  The handle records ``killed = now``, its
+        vanish with the job.  The job's slots end idle and rebindable; slot
+        clocks never rewind, so wire time a cancelled reservation-mode
+        transfer had already committed stands (fair-mode flows, by contrast,
+        stop accruing at ``now``).  The handle records ``killed = now``, its
         byte counters settle to what was sent before the kill, and
         ``on_retire`` does *not* fire (a kill is not a completion — callers
         observe it via their own hooks).
@@ -568,7 +602,7 @@ class Engine:
         states = self._states
         slots = set(job.slots)
         for slot in job.slots:
-            if self._slot_job.get(slot) is not job:  # pragma: no cover - guard
+            if states[slot].job is not job:  # pragma: no cover - guard
                 raise RuntimeError(
                     f"slot {slot} is no longer bound to job {job.tag!r}"
                 )
@@ -593,9 +627,10 @@ class Engine:
             state.resume_value = None
             if now > state.clock:
                 state.clock = now
-            self._slot_job.pop(slot, None)
-        # drop unmatched postings: job traffic is intra-job, so any key with
-        # an endpoint in the job's slots belongs to it (keys are (dst, src, tag))
+            state.job = None
+        # drop unmatched postings: programs address job ranks only, so any key
+        # with an endpoint in the job's slots belongs to it (keys are
+        # (dst, src, tag))
         for table in (self._unmatched_sends, self._unmatched_recvs):
             for key in [k for k in table if k[0] in slots or k[1] in slots]:
                 del table[key]
@@ -605,14 +640,7 @@ class Engine:
             for message in inflight.values():
                 message.transfer.cancel(now)
             inflight.clear()
-        # barrier waiters: job barriers are scoped to job slots, so any group
-        # containing one vanishes whole (a partial overlap cannot occur)
-        for group in [
-            g
-            for g, waiting in self._barrier_waiting.items()
-            if any(rank in slots for rank, _ in waiting)
-        ]:
-            del self._barrier_waiting[group]
+        job._barrier.clear()
         # request bookkeeping owned by the job's ranks
         for req_id in [
             rid
@@ -726,7 +754,7 @@ class Engine:
                         self._commit_fair_departure()
                         self._sync_fair_event()
                         continue
-                if all(s.status == _DONE or s.status == _IDLE for s in states):
+                if all(s.status == _IDLE for s in states):
                     break
                 raise DeadlockError(self._describe_deadlock())
             if trace is not None:
@@ -799,14 +827,9 @@ class Engine:
             command = state.gen.send(value)
         except StopIteration as stop:
             state.result = stop.value
-            job = self._slot_job.get(state.rank)
-            if job is None:
-                state.status = _DONE
-            else:
-                # job-bound slot: back to idle so a later job can claim it
-                state.status = _IDLE
-                state.gen = None
-                self._retire_slot(job, state)
+            state.status = _IDLE
+            state.gen = None
+            self._retire_slot(state.job, state)
             return
         except Exception as exc:  # surfaces bugs in rank programs with context
             raise RankProgramError(f"rank {state.rank} raised {exc!r}") from exc
@@ -846,11 +869,12 @@ class Engine:
         state.resume_value = None
 
     def _handle_isend(self, state: _RankState, cmd: Isend) -> None:
-        dest = cmd.dest
-        if not (0 <= dest < self.n_ranks):
+        slots = state.job.slots
+        if not (0 <= cmd.dest < len(slots)):
             raise InvalidCommandError(
-                f"rank {state.rank} sent to invalid destination {dest}"
+                f"rank {state.rank} sent to invalid destination {cmd.dest}"
             )
+        dest = slots[cmd.dest]
         nbytes = int(cmd.nbytes) if cmd.nbytes is not None else payload_nbytes(cmd.data)
         req_id = self._next_request_id = self._next_request_id + 1
         msg_id = self._next_message_id = self._next_message_id + 1
@@ -895,20 +919,22 @@ class Engine:
         )
 
     def _handle_irecv(self, state: _RankState, cmd: Irecv) -> None:
-        if not (0 <= cmd.source < self.n_ranks):
+        slots = state.job.slots
+        if not (0 <= cmd.source < len(slots)):
             raise InvalidCommandError(
                 f"rank {state.rank} posted a receive from invalid source {cmd.source}"
             )
+        source = slots[cmd.source]
         req_id = self._next_request_id = self._next_request_id + 1
         posting = _RecvPosting(
             req_id=req_id,
             rank=state.rank,
-            source=cmd.source,
+            source=source,
             tag=cmd.tag,
             post_time=state.clock,
         )
         self._req_obj[req_id] = posting
-        key = (state.rank, cmd.source, cmd.tag)
+        key = (state.rank, source, cmd.tag)
         sends = self._unmatched_sends.get(key)
         if sends:
             message = sends.popleft()
@@ -916,7 +942,7 @@ class Engine:
         else:
             self._unmatched_recvs.setdefault(key, deque()).append(posting)
         state.resume_value = RecvRequest(
-            request_id=req_id, rank=state.rank, source=cmd.source, tag=cmd.tag
+            request_id=req_id, rank=state.rank, source=source, tag=cmd.tag
         )
 
     def _establish_match(self, message: _Message, posting: _RecvPosting) -> None:
@@ -1002,12 +1028,9 @@ class Engine:
             self._ack_incoming(state.rank, now, continuous=False)
             if not transfer.completed:
                 if transfer.fair_flow is None:
-                    group = None
-                    if self._slot_job:
-                        job = self._slot_job.get(message.src)
-                        if job is not None:
-                            group = job.tag
-                    transfer.activate_fair(now, token=message, group=group)
+                    # delivered bytes are attributed to the job (the sender's
+                    # and the receiver's are the same one)
+                    transfer.activate_fair(now, token=message, group=state.job.tag)
                 state.block_kind = _BLOCK_FLOW_COMPLETION
                 state.block_req_id = request.request_id
                 return False
@@ -1111,28 +1134,25 @@ class Engine:
         state.resume_value = complete
 
     def _handle_probe(self, state: _RankState, cmd: Probe) -> None:
-        key = (state.rank, cmd.source, cmd.tag)
-        pending = self._unmatched_sends.get(key)
+        slots = state.job.slots
+        if not (0 <= cmd.source < len(slots)):
+            raise InvalidCommandError(
+                f"rank {state.rank} probed invalid source {cmd.source}"
+            )
+        pending = self._unmatched_sends.get((state.rank, slots[cmd.source], cmd.tag))
         state.resume_value = bool(pending)
 
     # ---------------------------------------------------------------- barrier
 
     def _handle_barrier(self, state: _RankState, cmd: Barrier) -> None:
-        group: Optional[Tuple[int, ...]] = None
-        need = self.n_ranks
-        if cmd.group is not None:
-            group = tuple(cmd.group)
-            if state.rank not in group:
-                raise InvalidCommandError(
-                    f"rank {state.rank} entered a Barrier scoped to group {group}"
-                )
-            need = len(group)
-        waiting = self._barrier_waiting.setdefault(group, [])
+        job = state.job
+        waiting = job._barrier
         waiting.append((state.rank, state.clock))
         state.block_kind = _BLOCK_BARRIER
         state.barrier_category = cmd.category
         state.status = _BLOCKED
-        if len(waiting) == need:
+        if len(waiting) == len(job.slots):
+            job._barrier = []
             release = max(t for _, t in waiting)
             for rank, arrival in waiting:
                 blocked = self._states[rank]
@@ -1142,7 +1162,6 @@ class Engine:
                 blocked.block_kind = None
                 blocked.resume_value = None
                 self._push_ready(blocked, EV_BARRIER_RELEASE)
-            del self._barrier_waiting[group]
 
     # ------------------------------------------------------------ diagnostics
 
@@ -1177,10 +1196,10 @@ class Engine:
                 )
             else:  # pragma: no cover - defensive
                 lines.append(f"  rank {s.rank}: blocked ({s.block_kind})")
-        done = [s.rank for s in self._states if s.status == _DONE]
+        done = [s.rank for s in self._states if s.status == _IDLE and s.job is not None]
         if done:
             lines.append(f"  finished ranks: {done}")
-        idle = sum(1 for s in self._states if s.status == _IDLE)
+        idle = sum(1 for s in self._states if s.job is None)
         if idle:
             lines.append(f"  idle slots: {idle}")
         return "\n".join(lines)

@@ -13,8 +13,8 @@ departure event, so a small flow sharing a stage with a large one always
 drains first.  The pieces:
 
 * :class:`FairFlow` — one registered bulk stream: the stages it crosses, its
-  backlog, and its current max-min rate.  Flows receive *rate-change
-  callbacks* instead of a precomputed finish time.
+  backlog, and its current max-min rate.  A flow has no precomputed finish
+  time: its rate changes until the registry commits its departure.
 * :class:`FairShareRegistry` — the fluid event loop.  ``open_flow`` is an
   arrival (advance the fluid clock, re-divide), ``commit_departure`` retires
   the earliest-draining flow (re-divide again), and the discrete-event engine
@@ -41,7 +41,7 @@ fluid flows actually consumed.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CONTENTION_RESERVATION",
@@ -56,17 +56,13 @@ CONTENTION_RESERVATION = "reservation"
 CONTENTION_FAIR = "fair"
 CONTENTION_MODES = (CONTENTION_RESERVATION, CONTENTION_FAIR)
 
-#: signature of a flow rate-change callback: (flow, virtual_time, new_rate)
-RateCallback = Callable[["FairFlow", float, float], None]
-
 
 class FairFlow:
     """One bulk stream registered with a :class:`FairShareRegistry`.
 
     ``rate`` is the flow's current max-min share (bytes/second); it changes on
-    every arrival/departure that shifts the allocation, with
-    ``on_rate_change(flow, time, rate)`` fired for each change.  ``token`` is
-    an opaque owner handle (the engine stores its message there).
+    every arrival/departure that shifts the allocation.  ``token`` is an
+    opaque owner handle (the engine stores its message there).
     """
 
     __slots__ = (
@@ -80,7 +76,6 @@ class FairFlow:
         "finish_time",
         "token",
         "group",
-        "on_rate_change",
     )
 
     def __init__(
@@ -91,7 +86,6 @@ class FairFlow:
         nbytes: float,
         token: Any = None,
         group: Any = None,
-        on_rate_change: Optional[RateCallback] = None,
     ) -> None:
         self.flow_id = flow_id
         self.stages = stages
@@ -105,7 +99,6 @@ class FairFlow:
         # accounting group (e.g. a job id): delivered bytes of grouped flows
         # accumulate in FairShareRegistry.group_bytes
         self.group = group
-        self.on_rate_change = on_rate_change
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -125,7 +118,7 @@ class FairShareRegistry:
       re-divide every touched stage's bandwidth.
     * :meth:`commit_departure` — retire the earliest-draining flow.  The
       engine calls this only once no simulated rank can act before that
-      departure, which is what makes deferred (callback-updated) finish times
+      departure, which is what makes deferred finish times
       sound: until the commit, later arrivals may still slow the flow down.
 
     Stages are duck-typed: anything with ``capacity``, ``reserve(start,
@@ -171,13 +164,12 @@ class FairShareRegistry:
         nbytes: float,
         token: Any = None,
         group: Any = None,
-        on_rate_change: Optional[RateCallback] = None,
     ) -> FairFlow:
         """Register a bulk stream of ``nbytes`` entering ``stages`` at ``start``.
 
         Arrival event: active flows first progress to ``start`` at their
         current rates, then bandwidth is re-divided across the enlarged flow
-        set (firing rate-change callbacks).  Returns the registered flow.
+        set.  Returns the registered flow.
         """
         unique: Dict[int, Any] = {}
         for stage in stages:
@@ -194,7 +186,6 @@ class FairShareRegistry:
             nbytes=max(0.0, float(nbytes)),
             token=token,
             group=group,
-            on_rate_change=on_rate_change,
         )
         self._flows[flow.flow_id] = flow
         for stage in flow.stages:
@@ -284,7 +275,7 @@ class FairShareRegistry:
         An arrival-like event without a new flow: every active flow first
         settles up to ``now`` at its *old* rate — capacity changes are never
         retroactive — then the connected component reachable from ``stages``
-        re-divides against the new capacities, firing rate-change callbacks.
+        re-divides against the new capacities.
         Stages carrying no fluid flow are left untouched (their next
         ``open_flow`` reads the live capacity anyway), so calling this with
         idle stages is free and changes nothing.
@@ -500,8 +491,4 @@ class FairShareRegistry:
                         (residual[other] / counts[other], stage_idx[other], other),
                     )
         for flow in active:
-            rate = rates.get(flow.flow_id, 0.0)
-            if rate != flow.rate:
-                flow.rate = rate
-                if flow.on_rate_change is not None:
-                    flow.on_rate_change(flow, now, rate)
+            flow.rate = rates.get(flow.flow_id, 0.0)

@@ -20,7 +20,7 @@ package for the architecture and the trace format).
 """
 
 from repro.workload.arrivals import JobMix, load_trace, save_trace
-from repro.workload.engine import TAG_STRIDE, WorkloadEngine
+from repro.workload.engine import WorkloadEngine
 from repro.workload.job import (
     COLLECTIVE_OPS,
     CollectiveCall,
@@ -48,7 +48,6 @@ __all__ = [
     "COLLECTIVE_OPS",
     "FAILURE_POLICY_MODES",
     "PLACEMENT_POLICIES",
-    "TAG_STRIDE",
     "AttemptRecord",
     "CheckpointPolicy",
     "CollectiveCall",

@@ -18,9 +18,8 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.faults import FAULT_MIXES, FaultSchedule
 from repro.workload.job import COLLECTIVE_OPS, CollectiveCall, JobSpec
 
 __all__ = ["JobMix", "load_trace", "save_trace"]
@@ -42,45 +41,12 @@ class JobMix:
     dtypes: Tuple[str, ...] = ("float64",)
     calls_range: Tuple[int, int] = (1, 3)
     iterations_range: Tuple[int, int] = (1, 2)
-    #: named fault mix injected alongside the jobs (see
-    #: :data:`repro.faults.FAULT_MIXES`); ``"none"`` keeps the mix fault-free
-    #: and every generated trace identical to the pre-fault-knob behaviour
-    fault_mix: str = "none"
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
         if self.arrival_rate <= 0.0:
             raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.fault_mix not in FAULT_MIXES:
-            raise ValueError(
-                f"unknown fault mix {self.fault_mix!r}; "
-                f"available: {', '.join(FAULT_MIXES)}"
-            )
-
-    def fault_schedule(
-        self,
-        seed: int,
-        *,
-        n_nodes: int,
-        n_ranks: Optional[int] = None,
-        nics_per_node: int = 1,
-        horizon: float = 2e-3,
-    ) -> FaultSchedule:
-        """The mix's seeded fault scenario, sized for one fabric.
-
-        Delegates to :meth:`repro.faults.FaultSchedule.generate` with this
-        mix's ``fault_mix``; fault draws use their own seeded stream, so the
-        job trace of :meth:`generate` is untouched by the fault knob.
-        """
-        return FaultSchedule.generate(
-            self.fault_mix,
-            seed,
-            n_nodes=n_nodes,
-            n_ranks=n_ranks,
-            nics_per_node=nics_per_node,
-            horizon=horizon,
-        )
 
     def generate(self, seed: int) -> List[JobSpec]:
         """Draw the job list for one seed (deterministic, arrival-ordered)."""

@@ -9,8 +9,9 @@ all slots idle, and is driven by scheduled arrival events:
 2. if placed, its collective steps are *compiled* on the spot — captured via
    :meth:`repro.api.Communicator.capture` against a
    :class:`~repro.workload.placement.PlacementView` of the live fabric — and
-   bound onto the engine's global slots (:meth:`Engine.bind_job`) with tags
-   offset per step and barriers scoped to the job's slot group;
+   bound, unchanged, onto its slots as one engine job
+   (:meth:`Engine.bind_job`): the engine resolves the programs' job-local
+   ranks to slots and scopes their barriers to the job;
 3. if not, it queues; every job retirement frees nodes and re-drains the
    queue first-fit in arrival order;
 4. flows of different jobs meet in the fabric's shared stages, where
@@ -20,9 +21,9 @@ all slots idle, and is driven by scheduled arrival events:
 
 Degenerate guarantee (pinned by ``tests/workload``): a single job arriving
 at t=0 on a packed placement replays the standalone Communicator simulation
-bit-for-bit — same makespan, same values — because identity slot mapping,
-zero tag offsets and the group barrier over all job slots reproduce the
-exact event sequence a dedicated engine would pop.
+bit-for-bit — same makespan, same values — because the standalone
+simulation is itself one engine job over all slots, started by the same
+bind.
 
 Slowdown baselines re-run each job *alone* on the same slots (arrival 0,
 freshly compiled — seeded inputs make recompiles bit-identical), so
@@ -37,7 +38,6 @@ from dataclasses import dataclass, replace
 
 from repro.api import Cluster
 from repro.faults import FaultInjector, FaultSchedule
-from repro.mpisim.commands import Barrier, Irecv, Isend, Probe
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
 from repro.workload.job import CompiledJob, JobSpec, compile_job
@@ -50,48 +50,7 @@ from repro.workload.recovery import (
     JobFailed,
 )
 
-__all__ = ["TAG_STRIDE", "WorkloadEngine"]
-
-#: tag offset between successive collective steps of one job.  Collective
-#: programs use small tags; striding steps 2^22 apart keeps a step's Probe
-#: polls from observing a later step's sends (MPI non-overtaking already
-#: orders the point-to-point matching itself).
-TAG_STRIDE = 1 << 22
-
-
-def _translated(
-    program: Generator,
-    slots: Tuple[int, ...],
-    tag_offset: int,
-    group: Tuple[int, ...],
-) -> Generator:
-    """Rewrite a job-local rank program into shared-fabric coordinates.
-
-    Local rank ids in ``Isend``/``Irecv``/``Probe`` become global slot ids,
-    tags shift by the step's stride, and barriers are scoped to the job's
-    slot group so idle or foreign slots never deadlock them.  Command
-    objects are mutated in place — every program in this repository yields
-    freshly constructed commands.
-    """
-    outcome = None
-    while True:
-        try:
-            command = program.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-        ctype = type(command)
-        if ctype is Isend:
-            command.dest = slots[command.dest]
-            command.tag += tag_offset
-        elif ctype is Irecv:
-            command.source = slots[command.source]
-            command.tag += tag_offset
-        elif ctype is Probe:
-            command.source = slots[command.source]
-            command.tag += tag_offset
-        elif ctype is Barrier:
-            command.group = group
-        outcome = yield command
+__all__ = ["WorkloadEngine"]
 
 
 def _job_program(
@@ -100,28 +59,46 @@ def _job_program(
     local: int,
     record: JobRecord,
     record_values: bool,
-    start_step: int = 0,
+    start_step: int,
 ) -> Generator:
     """One slot's whole job: its rank program of every step, back to back.
 
     ``start_step`` skips steps already covered by a durable checkpoint
-    (restart attempts resume mid-program); tags keep their *global* step
-    stride so a restarted step matches exactly the messages it would have
-    matched the first time.
+    (restart attempts resume mid-program).  Steps reuse the same tags: a
+    rank posts its steps in program order and matching is first-posted
+    first-matched per (destination, source, tag).
     """
     slot = compiled.slots[local]
     n_ranks = compiled.spec.n_ranks
     value = None
     for step in range(start_step, len(compiled.step_factories)):
-        factory = compiled.step_factories[step]
         begin = engine.clock_of(slot)
-        value = yield from _translated(
-            factory(local, n_ranks), compiled.slots, step * TAG_STRIDE, compiled.slots
-        )
+        value = yield from compiled.step_factories[step](local, n_ranks)
         record.note_step(
             step, local, begin, engine.clock_of(slot), value if record_values else None
         )
     return value
+
+
+def _launch_job(
+    engine: Engine,
+    now: float,
+    compiled: CompiledJob,
+    record: JobRecord,
+    record_values: bool,
+    start_step: int,
+    on_retire: Callable[[EngineJob], None],
+) -> EngineJob:
+    """Start ``compiled`` on its slots as one engine job."""
+    programs: Dict[int, Callable[[], Generator]] = {
+        slot: (
+            lambda local=local: _job_program(
+                engine, compiled, local, record, record_values, start_step
+            )
+        )
+        for local, slot in enumerate(compiled.slots)
+    }
+    return engine.bind_job(now, programs, tag=compiled.spec.job_id, on_retire=on_retire)
 
 
 @dataclass
@@ -340,24 +317,14 @@ class WorkloadEngine:
             record.nodes = nodes
             record.slots = slots
             record.resume_step = resume
-            programs: Dict[int, Callable[[], Generator]] = {
-                slot: (
-                    lambda local=local: _job_program(
-                        engine,
-                        compiled,
-                        local,
-                        record,
-                        self.record_values,
-                        start_step=resume,
-                    )
-                )
-                for local, slot in enumerate(slots)
-            }
-            job = engine.bind_job(
+            job = _launch_job(
+                engine,
                 now,
-                programs,
-                tag=spec.job_id,
-                on_retire=lambda job, spec=spec: retire(job, spec),
+                compiled,
+                record,
+                self.record_values,
+                resume,
+                lambda job: retire(job, spec),
             )
             running[spec.job_id] = _Tenancy(
                 spec=spec,
@@ -576,20 +543,11 @@ class WorkloadEngine:
         compiled = compile_job(spec.at_arrival(0.0), self._compile_cluster(engine), slots)
         record = JobRecord(spec=spec)
         record.prepare(spec.n_steps)
-        programs: Dict[int, Callable[[], Generator]] = {
-            slot: (
-                lambda local=local: _job_program(engine, compiled, local, record, False)
-            )
-            for local, slot in enumerate(slots)
-        }
         outcome: List[float] = []
         engine.schedule_event(
             0.0,
-            lambda now: engine.bind_job(
-                now,
-                {s: p for s, p in programs.items()},
-                tag=spec.job_id,
-                on_retire=lambda job: outcome.append(job.finished),
+            lambda now: _launch_job(
+                engine, now, compiled, record, False, 0, lambda job: outcome.append(job.finished)
             ),
         )
         engine.run()

@@ -195,7 +195,7 @@ def compile_job(spec: JobSpec, cluster: Cluster, slots: Tuple[int, ...]) -> Comp
     """Capture every collective step of ``spec`` against its placement.
 
     ``slots`` are the global engine slots the job will occupy (one per job
-    rank, ascending).  The communicator the steps are captured from sees the
+    rank, in rank order).  The communicator the steps are captured from sees the
     fabric through a :class:`PlacementView`, so build-time decisions match
     what an isolated cluster of exactly those nodes would decide.
     """

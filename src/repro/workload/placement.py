@@ -7,17 +7,18 @@ Two pieces live here:
   release/reallocate behaviour so replaying a trace reproduces placements
   exactly.
 * :class:`PlacementView` — a read-only :class:`~repro.mpisim.topology.Topology`
-  wrapper that presents a job's slots ``0..j-1`` remapped onto its global
-  fabric slots.  Collectives are *compiled* against the view (so algorithm
+  wrapper that presents a job's ranks ``0..j-1`` remapped onto its fabric
+  slots.  Collectives are *compiled* against the view (so algorithm
   selection, hierarchical grouping and the compression gate see the job's
-  real node placement) but *executed* on the base fabric with global slot
-  ids — the view never reaches the engine.
+  real node placement); at run time the engine does the same rank -> slot
+  lookup itself (:class:`~repro.mpisim.engine.EngineJob`) and routes on the
+  base fabric — the view never reaches the engine.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.mpisim.topology import LinkModel, Topology
 
@@ -29,7 +30,9 @@ PLACEMENT_POLICIES = ("packed", "spread", "random")
 class PlacementView(Topology):
     """A job-local window onto a shared fabric.
 
-    Rank ``r`` of the job maps to global slot ``slots[r]`` of ``base``.
+    Rank ``r`` of the job maps to slot ``slots[r]`` of ``base`` — the same
+    tuple the job is bound to the engine with, so what a build-time decision
+    sees is what the engine will route.
     The view is deliberately stateless: ``reset()`` is a no-op because jobs
     compile against it *mid-run*, while the base fabric's reservation queues
     and stripe counters are live — wiping them would corrupt every other
@@ -81,8 +84,8 @@ class PlacementView(Topology):
     def resolve_link(self, src: int, dst: int) -> Optional[LinkModel]:
         raise TypeError(
             "PlacementView is compile-time only: collectives are compiled "
-            "against the view but executed on the base fabric with global "
-            "slot ids. resolve_link (engine-side routing) must be called on "
+            "against the view but the engine resolves job ranks to slots "
+            "itself. resolve_link (engine-side routing) must be called on "
             "the base topology, never on the view."
         )
 
@@ -148,8 +151,6 @@ class NodeAllocator:
         self._free = set(range(self.n_nodes))
         self._quarantined: set = set()
         self._busy: set = set()
-        # node -> earliest scheduled heal time (see heal_at/advance_to)
-        self._heals: Dict[int, float] = {}
 
     @property
     def nodes_free(self) -> int:
@@ -165,8 +166,7 @@ class NodeAllocator:
         A free node leaves the pool immediately; a busy node is simply
         marked, and :meth:`release` drops it instead of refreeing it when
         its current job retires.  Quarantining is idempotent; it lasts
-        until :meth:`unquarantine` (or a scheduled :meth:`heal_at`) heals
-        the node.
+        until :meth:`unquarantine` heals the node.
         """
         node = self._check_node(node)
         self._quarantined.add(node)
@@ -186,35 +186,8 @@ class NodeAllocator:
                 f"node {node} is not quarantined (double heal?)"
             )
         self._quarantined.discard(node)
-        self._heals.pop(node, None)
         if node not in self._busy:
             self._free.add(node)
-
-    def heal_at(self, node: int, time: float) -> None:
-        """Schedule ``node`` to be un-quarantined once :meth:`advance_to`
-        reaches ``time``.
-
-        A node scheduled twice keeps the *earliest* heal (a flapping domain
-        cannot push its recovery later).  The node must currently be
-        quarantined.
-        """
-        node = self._check_node(node)
-        if node not in self._quarantined:
-            raise ValueError(f"node {node} is not quarantined")
-        previous = self._heals.get(node)
-        self._heals[node] = float(time) if previous is None else min(previous, float(time))
-
-    def advance_to(self, now: float) -> Tuple[int, ...]:
-        """Apply every heal scheduled at or before ``now``; return the nodes.
-
-        Nodes manually healed in the meantime are skipped silently (the
-        schedule entry is dropped with them in :meth:`unquarantine`), so
-        interleaving scheduled and event-driven heals stays safe.
-        """
-        due = sorted(n for n, t in self._heals.items() if t <= now)
-        for node in due:
-            self.unquarantine(node)
-        return tuple(due)
 
     def allocate(self, count: int) -> Optional[Tuple[int, ...]]:
         if count < 1:

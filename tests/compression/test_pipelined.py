@@ -64,18 +64,6 @@ class TestChunking:
         assert recon.size == smooth_signal.size
         assert_error_bounded(smooth_signal, recon, 1e-3)
 
-    def test_progress_callbacks_fire_per_chunk(self, smooth_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
-        calls = []
-        payload = codec.compress_with_progress(smooth_signal, lambda done, total: calls.append((done, total)))
-        expected = codec.chunk_count(smooth_signal.size)
-        assert len(calls) == expected
-        assert calls[-1] == (expected, expected)
-
-        calls.clear()
-        codec.decompress_with_progress(payload, lambda done, total: calls.append((done, total)))
-        assert len(calls) == expected
-
     def test_assemble_validates_chunk_count(self, smooth_signal):
         codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
         chunks = list(codec.iter_compress(smooth_signal))

@@ -1,9 +1,17 @@
-"""Multi-job engine mode: idle slots, bind_job, scheduled events, group barriers."""
+"""Jobs on a shared engine: idle slots, bind_job, job-local addressing, scheduled events, job barriers."""
 
 import numpy as np
 import pytest
 
-from repro.mpisim import Barrier, Compute, Irecv, Isend, NetworkModel, Wait
+from repro.mpisim import (
+    Barrier,
+    Compute,
+    InvalidCommandError,
+    Irecv,
+    Isend,
+    NetworkModel,
+    Wait,
+)
 from repro.mpisim.engine import Engine, EngineJob
 
 NET = NetworkModel(
@@ -11,18 +19,17 @@ NET = NetworkModel(
 )
 
 
-def _ping(src, dst, payload=None, tag=0):
-    """Programs for a one-message exchange between two global slots."""
+def _ping(payload=None, tag=0):
+    """Programs of a two-rank job: rank 0 sends one message to rank 1."""
 
     def sender(rank, n_ranks):
-        handle = yield Isend(dst, data=payload, tag=tag)
+        handle = yield Isend(1, data=payload, tag=tag)
         yield Wait(handle)
         return "sent"
 
     def receiver(rank, n_ranks):
-        handle = yield Irecv(src, tag=tag)
-        message = yield Wait(handle)
-        return message.data
+        handle = yield Irecv(0, tag=tag)
+        return (yield Wait(handle))
 
     return sender, receiver
 
@@ -64,7 +71,7 @@ class TestBindJob:
 
     def test_job_runs_on_bound_slots_and_retires(self):
         engine = Engine(4, None, network=NET)
-        sender, receiver = _ping(0, 2, payload=np.zeros(50))
+        sender, receiver = _ping(payload=np.zeros(50))
         retired = []
         engine.schedule_event(
             0.5,
@@ -94,7 +101,7 @@ class TestBindJob:
         jobs = {}
 
         def bind(now, tag, src, dst, elems):
-            sender, receiver = _ping(src, dst, payload=np.zeros(elems))
+            sender, receiver = _ping(payload=np.zeros(elems))
             jobs[tag] = engine.bind_job(
                 now, {src: lambda: sender(0, 2), dst: lambda: receiver(1, 2)}, tag=tag
             )
@@ -141,14 +148,94 @@ class TestBindJob:
         assert finishes == [1.0, 6.0]
 
 
-class TestGroupBarriers:
-    def test_disjoint_groups_do_not_wait_for_each_other(self):
-        """A 2-slot barrier group releases even while other slots never barrier."""
+class TestJobLocalAddressing:
+    def test_same_local_rank_reaches_each_jobs_own_slot(self):
+        """Two jobs that both "send to rank 1" deliver to their own slot."""
         engine = Engine(4, None, network=NET)
+        low_send, low_recv = _ping(payload="low")
+        high_send, high_recv = _ping(payload="high")
+        jobs = []
+        engine.schedule_event(
+            0.0,
+            lambda now: jobs.extend(
+                [
+                    engine.bind_job(
+                        now, {0: lambda: low_send(0, 2), 1: lambda: low_recv(1, 2)}, tag="low"
+                    ),
+                    engine.bind_job(
+                        now, {2: lambda: high_send(0, 2), 3: lambda: high_recv(1, 2)}, tag="high"
+                    ),
+                ]
+            ),
+        )
+        engine.run()
+        low, high = jobs
+        assert low.results == {0: "sent", 1: "low"}
+        assert high.results == {2: "sent", 3: "high"}
 
-        def fast(rank, slots):
-            yield Compute(1.0)
-            yield Barrier(group=slots)
+    def test_rank_order_is_the_order_of_the_programs(self):
+        """Rank r of a job is the r-th bound slot, whatever the slot ids are."""
+        engine = Engine(4, None, network=NET)
+        sender, receiver = _ping(payload="x")
+        jobs = []
+        engine.schedule_event(
+            0.0,
+            lambda now: jobs.append(
+                engine.bind_job(now, {3: lambda: sender(0, 2), 1: lambda: receiver(1, 2)})
+            ),
+        )
+        engine.run()
+        assert jobs[0].slots == (3, 1)
+        assert jobs[0].results == {3: "sent", 1: "x"}
+
+    @pytest.mark.parametrize(
+        "command", [Isend(2), Irecv(2), Isend(-1)], ids=["dest", "source", "negative"]
+    )
+    def test_rank_outside_the_job_is_rejected(self, command):
+        """Slot 2 exists on the engine, but a two-rank job has no rank 2."""
+        engine = Engine(4, None, network=NET)
+        sender, receiver = _ping(payload="ok")
+        jobs = []
+
+        def stray(rank, n_ranks):
+            yield Compute(10.0)
+            yield command
+            return None
+
+        def idle(rank, n_ranks):
+            yield Compute(20.0)
+            return None
+
+        engine.schedule_event(
+            0.0,
+            lambda now: jobs.extend(
+                [
+                    engine.bind_job(
+                        now, {0: lambda: sender(0, 2), 1: lambda: receiver(1, 2)}, tag="good"
+                    ),
+                    engine.bind_job(
+                        now, {2: lambda: stray(0, 2), 3: lambda: idle(1, 2)}, tag="stray"
+                    ),
+                ]
+            ),
+        )
+        with pytest.raises(InvalidCommandError, match="invalid"):
+            engine.run()
+        good, stray_job = jobs
+        assert good.retired
+        assert good.results == {0: "sent", 1: "ok"}
+        assert not stray_job.retired
+
+
+class TestJobBarriers:
+    def test_barrier_spans_the_job_and_nothing_else(self):
+        """A job's Barrier releases on its own ranks alone: slots 0 and 4
+        stay idle and slot 2 is busy without ever entering a barrier."""
+        engine = Engine(5, None, network=NET)
+
+        def fast(rank, n_ranks):
+            yield Compute(1.0 + rank)
+            yield Barrier()
             return "fast"
 
         def slow(rank, n_ranks):
@@ -161,7 +248,7 @@ class TestGroupBarriers:
             lambda now: (
                 engine.bind_job(
                     now,
-                    {0: lambda: fast(0, (0, 1)), 1: lambda: fast(1, (0, 1))},
+                    {1: lambda: fast(0, 2), 3: lambda: fast(1, 2)},
                     tag="pair",
                     on_retire=retired.append,
                 ),
@@ -170,19 +257,7 @@ class TestGroupBarriers:
         )
         engine.run()
         pair = next(job for job in retired if job.tag == "pair")
-        assert pair.finished == 1.0  # released at the group max, not at 50
-
-    def test_rank_outside_its_barrier_group_is_rejected(self):
-        from repro.mpisim import InvalidCommandError
-
-        def stray(rank, n_ranks):
-            yield Barrier(group=(1,))
-            return None
-
-        engine = Engine(2, None, network=NET)
-        engine.schedule_event(0.0, lambda now: engine.bind_job(now, {0: lambda: stray(0, 1)}))
-        with pytest.raises(InvalidCommandError, match="scoped to group"):
-            engine.run()
+        assert pair.finish_times == {1: 2.0, 3: 2.0}  # the pair's max, not 50
 
 
 class TestKillJob:
@@ -263,17 +338,17 @@ class TestKillJob:
         assert handles[0].bytes_sent == 400_000
 
     def test_kill_releases_barrier_waiters(self):
-        """A killed job's half-arrived barrier group vanishes (no deadlock,
+        """A killed job's half-arrived barrier vanishes with it (no deadlock,
         no stray waiters for a later job on the same slots)."""
         engine = Engine(2, None, network=NET)
 
-        def early(rank, slots):
-            yield Barrier(group=slots)
+        def early(rank, n_ranks):
+            yield Barrier()
             return None
 
-        def late(rank, slots):
+        def late(rank, n_ranks):
             yield Compute(3.0)
-            yield Barrier(group=slots)
+            yield Barrier()
             return None
 
         handles = []
@@ -282,7 +357,7 @@ class TestKillJob:
             lambda now: handles.append(
                 engine.bind_job(
                     now,
-                    {0: lambda: early(0, (0, 1)), 1: lambda: late(1, (0, 1))},
+                    {0: lambda: early(0, 2), 1: lambda: late(1, 2)},
                     tag="stuck",
                 )
             ),
@@ -293,7 +368,7 @@ class TestKillJob:
             5.0,
             lambda now: engine.bind_job(
                 now,
-                {0: lambda: early(0, (0, 1)), 1: lambda: early(1, (0, 1))},
+                {0: lambda: early(0, 2), 1: lambda: early(1, 2)},
                 tag="fresh",
                 on_retire=retired.append,
             ),
@@ -303,7 +378,7 @@ class TestKillJob:
         assert [job.tag for job in retired] == ["fresh"]
         # the killed job's half-arrived waiter is gone: the fresh barrier
         # needs BOTH fresh ranks (releases at 5.0, when they arrive), not
-        # one fresh rank completing a stale group
+        # one fresh rank completing a stale barrier
         assert retired[0].finished == 5.0
 
     def test_kill_retired_or_killed_job_raises(self):

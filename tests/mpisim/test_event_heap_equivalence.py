@@ -194,6 +194,29 @@ class TestDeterministicPopOrder:
         assert timestamps == sorted(timestamps)
         assert trace_a, "a non-trivial scenario must pop at least one event"
 
+    @pytest.mark.parametrize("contention", ["reservation", "fair"])
+    def test_factory_engine_and_one_bound_job_pop_the_same_trace(self, contention):
+        """``Engine(n, factory)`` is one job bound over all slots at t=0."""
+        n_ranks = 8
+        compute_s = {r: 1e-6 * (r + 1) for r in range(n_ranks)}
+        sizes = {r: 1 << (10 + r % 4) for r in range(n_ranks)}
+        trace, finishes = _trace_of(n_ranks, compute_s, sizes, 3, contention)
+
+        program = _scenario_program(compute_s, sizes, 3)
+        fabric = {}
+        if contention == "fair":
+            fabric = dict(
+                topology=SharedUplinkTopology(ranks_per_node=2, contention="fair"),
+                network=NetworkModel(contention="fair"),
+            )
+        engine = Engine(n_ranks, None, trace_events=True, **fabric)
+        engine.bind_job(
+            0.0, {r: (lambda r=r: program(r, n_ranks)) for r in range(n_ranks)}
+        )
+        results = engine.run()
+        assert engine.event_trace == trace
+        assert [r.finish_time for r in results] == finishes
+
     def test_trace_records_fair_commits_as_priority_zero(self):
         compute_s = {r: 1e-6 for r in range(8)}
         sizes = {r: 1 << 14 for r in range(8)}

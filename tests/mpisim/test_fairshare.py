@@ -50,25 +50,20 @@ def pairs_program(sizes, pairs):
 
 
 class TestRegistryMechanics:
-    def test_rate_change_callbacks_fire_on_arrival_and_departure(self):
+    def test_rates_redivide_on_arrival_and_departure(self):
         stage = FairShareLink(capacity=100.0)
         registry = FairShareRegistry()
-        events = []
-
-        def record(flow, time, rate):
-            events.append((flow.flow_id, time, rate))
-
-        first = registry.open_flow([stage], 0.0, 1000.0, on_rate_change=record)
+        first = registry.open_flow([stage], 0.0, 1000.0)
         assert first.rate == 100.0
-        registry.open_flow([stage], 2.0, 100.0, on_rate_change=record)
+        registry.open_flow([stage], 2.0, 100.0)
         # the arrival halved the first flow's rate at t=2
-        assert (first.flow_id, 2.0, 50.0) in events
+        assert first.rate == 50.0
         finish, flow = registry.commit_departure()
         # small flow: 100 bytes at 50 B/s from t=2
         assert flow.nbytes == 100.0
         assert finish == pytest.approx(4.0)
         # the departure restored the survivor to full capacity
-        assert (first.flow_id, finish, 100.0) in events
+        assert first.rate == 100.0
         final, survivor = registry.commit_departure()
         assert survivor is first
         # 1000 bytes: 200 at full rate, 100 shared, rest at full rate again
@@ -100,17 +95,12 @@ class TestRegistryMechanics:
         not when the dead flow would have drained (the node-loss fix)."""
         stage = FairShareLink(capacity=100.0)
         registry = FairShareRegistry()
-        events = []
-        survivor = registry.open_flow(
-            [stage], 0.0, 1000.0,
-            on_rate_change=lambda f, t, r: events.append((t, r)),
-        )
+        survivor = registry.open_flow([stage], 0.0, 1000.0)
         doomed = registry.open_flow([stage], 0.0, 1000.0)
         assert survivor.rate == 50.0
         assert registry.cancel_flow(doomed, 2.0) is True
         # the survivor jumped back to full capacity at the cancel time
         assert survivor.rate == 100.0
-        assert (2.0, 100.0) in events
         assert doomed.drained and doomed.rate == 0.0
         # 100 shared bytes by t=2, the remaining 900 at full rate
         finish, flow = registry.commit_departure()
@@ -280,8 +270,9 @@ class TestResetRegression:
 
 
 class TestEngineIntegration:
-    def test_transfer_records_mid_flight_rate_changes(self):
+    def test_second_arrival_halves_both_rates_mid_flight(self):
         """The second flow's arrival is visible as a rate drop on the first."""
+        opened = []
         observed = []
 
         class SpyTopology(SharedUplinkTopology):
@@ -294,15 +285,10 @@ class TestEngineIntegration:
         registry = topo.fair_registry
         original = registry.open_flow
 
-        def spying_open_flow(stages, start, nbytes, token=None, group=None, on_rate_change=None):
-            def wrapped(flow, time, rate):
-                observed.append((flow.flow_id, rate))
-                if on_rate_change is not None:
-                    on_rate_change(flow, time, rate)
-
-            return original(
-                stages, start, nbytes, token=token, group=group, on_rate_change=wrapped
-            )
+        def spying_open_flow(*args, **kwargs):
+            opened.append(original(*args, **kwargs))
+            observed.extend((flow.flow_id, flow.rate) for flow in opened)
+            return opened[-1]
 
         registry.open_flow = spying_open_flow  # type: ignore[method-assign]
         nbytes = 8 * 1024 * 1024

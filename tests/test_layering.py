@@ -9,6 +9,9 @@
   ``overlay`` import no sibling, ``base`` only ``links``, ``switch`` the other
   three.  How a stage is metered lives behind ``links``: nothing under
   ``repro.workload`` patches :class:`SharedLink`.
+* The engine owns job-local addressing: ``repro.workload`` binds rank
+  programs as they were captured and never looks at (let alone rewrites) the
+  commands they yield, so it imports nothing from ``repro.mpisim.commands``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import ast
 from pathlib import Path
 
 import repro
+from repro.mpisim import commands
 
 SRC = Path(repro.__file__).resolve().parent
 EXECUTION_NAMES = {"run_simulation", "Engine", "NetworkModel"}
@@ -109,5 +113,16 @@ def test_workload_does_not_patch_shared_link():
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         for leaf in ast.walk(target)
         if isinstance(leaf, ast.Attribute) and getattr(leaf.value, "id", None) == "SharedLink"
+    ]
+    assert offenders == []
+
+
+def test_workload_never_touches_engine_commands():
+    offenders = [
+        f"{path} imports {name} from {module}"
+        for path, tree in _trees("workload")
+        for module, name in _imports(tree)
+        if module == "repro.mpisim.commands"
+        or (module == "repro.mpisim" and name in commands.__all__)
     ]
     assert offenders == []

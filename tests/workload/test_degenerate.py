@@ -3,15 +3,16 @@
 The anchor of the whole multi-tenant layer: a single job arriving at t=0 on
 a packed placement must reproduce the standalone ``Communicator`` simulation
 **bit-for-bit** — the same makespan float and bit-identical per-rank values.
-Pinned across two fabric presets and both compression settings; any drift
-here means slowdown numbers stop being trustworthy.
+Pinned across two fabric presets, every workload operation and both
+compression settings; any drift here means slowdown numbers stop being
+trustworthy.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.workload import CollectiveCall, JobSpec, WorkloadEngine, call_inputs
+from repro.workload import COLLECTIVE_OPS, CollectiveCall, JobSpec, WorkloadEngine, call_inputs
 
 
 def _standalone(cluster, spec):
@@ -19,27 +20,32 @@ def _standalone(cluster, spec):
     comm = cluster.communicator(spec.n_ranks)
     (call,) = spec.calls
     inputs = call_inputs(spec, call, 0)
-    outcome = comm.allreduce(inputs, algorithm=call.algorithm, compression=call.compression)
-    return outcome
+    if call.op == "allreduce":
+        return comm.allreduce(inputs, algorithm=call.algorithm, compression=call.compression)
+    if call.op == "bcast":
+        return comm.bcast(inputs[0], root=0, compression=call.compression)
+    return getattr(comm, call.op)(inputs, compression=call.compression)
 
 
+@pytest.mark.parametrize("compression", ["off", "on"])
+@pytest.mark.parametrize("op", COLLECTIVE_OPS)
 @pytest.mark.parametrize(
-    "preset,contention,compression",
+    "preset,contention",
     [
-        ("fat_tree", "reservation", "off"),
-        ("fat_tree", "fair", "on"),
-        ("dragonfly", "fair", "off"),
-        ("dragonfly", "reservation", "on"),
+        ("fat_tree", "reservation"),
+        ("fat_tree", "fair"),
+        ("dragonfly", "fair"),
+        ("dragonfly", "reservation"),
     ],
 )
-def test_single_job_is_bit_identical_to_standalone(preset, contention, compression):
+def test_single_job_is_bit_identical_to_standalone(preset, contention, op, compression):
     cluster = Cluster.from_preset(preset, ranks_per_node=2, contention=contention)
     spec = JobSpec(
         job_id="solo",
         n_ranks=8,
         arrival=0.0,
         seed=42,
-        calls=(CollectiveCall(op="allreduce", msg_elems=4096, compression=compression),),
+        calls=(CollectiveCall(op=op, msg_elems=4096, compression=compression),),
     )
     outcome = _standalone(cluster, spec)
 
@@ -51,7 +57,7 @@ def test_single_job_is_bit_identical_to_standalone(preset, contention, compressi
     assert record.makespan == outcome.total_time  # exact float equality
     assert record.slowdown == 1.0  # the isolated baseline replays identically
     for rank in range(spec.n_ranks):
-        got = np.asarray(record.step_values[0][rank])
+        got = np.asarray(record.step_values[0][rank])  # allgather: the stacked blocks
         want = np.asarray(outcome.value(rank))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)  # bitwise, not approx

@@ -131,33 +131,6 @@ class TestNodeAllocator:
         alloc.release(nodes)
         assert alloc.nodes_free == 4
 
-    def test_heal_at_applies_on_advance_and_keeps_earliest(self):
-        alloc = NodeAllocator(4, "packed", seed=0)
-        alloc.quarantine(0)
-        alloc.quarantine(1)
-        alloc.heal_at(0, 5.0)
-        alloc.heal_at(0, 3.0)  # flapping domain: earliest heal wins
-        alloc.heal_at(0, 9.0)
-        alloc.heal_at(1, 7.0)
-        assert alloc.advance_to(2.9) == ()
-        assert alloc.advance_to(3.0) == (0,)
-        assert alloc.quarantined == (1,)
-        assert alloc.advance_to(7.0) == (1,)
-        assert alloc.nodes_free == 4
-
-    def test_heal_at_requires_quarantined_node(self):
-        alloc = NodeAllocator(4, "packed", seed=0)
-        with pytest.raises(ValueError, match="not quarantined"):
-            alloc.heal_at(2, 1.0)
-
-    def test_manual_heal_drops_the_scheduled_one(self):
-        alloc = NodeAllocator(4, "packed", seed=0)
-        alloc.quarantine(2)
-        alloc.heal_at(2, 5.0)
-        alloc.unquarantine(2)  # event-driven heal arrives first
-        assert alloc.advance_to(10.0) == ()  # no double heal attempt
-        assert alloc.nodes_free == 4
-
     def test_acquire_is_all_or_nothing(self):
         alloc = NodeAllocator(4, "packed", seed=0)
         assert alloc.acquire((1, 2)) is True
