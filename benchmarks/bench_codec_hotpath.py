@@ -128,6 +128,28 @@ class TestPipelinedHotPath:
         out = benchmark.pedantic(roundtrip, rounds=3, iterations=1)
         assert out.size == data.size
 
+    def test_chunking_costs_no_second_pass(self):
+        """196 chunks ride the same blockwise pass as one: PIPE-SZx must stay
+        close to plain SZx on the same buffer (it was 2.7x when every chunk
+        was a whole-codec call)."""
+        import time
+
+        data = hotpath_field(n=1_000_000)
+
+        def best_roundtrip(codec) -> float:
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                codec.decompress_bytes(codec.compress_bytes(data))
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        plain = best_roundtrip(SZxCompressor(error_bound=HOTPATH_EB))
+        piped = best_roundtrip(PipelinedSZx(error_bound=HOTPATH_EB))
+        print(f"\n1M-value round trip: SZx {plain * 1e3:.1f} ms, PIPE-SZx {piped * 1e3:.1f} ms, "
+              f"ratio {piped / plain:.2f}x")
+        assert piped < 1.5 * plain
+
 
 class TestBitpackPrimitives:
     def test_pack_rows_1m(self, benchmark):

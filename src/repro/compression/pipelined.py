@@ -18,22 +18,32 @@ the incremental generator API (:meth:`PipelinedSZx.iter_compress`,
 The simulated collectives do not drive the generators: the collective
 computation framework (:mod:`repro.ccoll.computation`) compresses one-shot
 and *models* the interleaving as pipeline segments in virtual time.
+
+Both APIs run the same chunked SZx kernel
+(:func:`repro.compression.szx.compress_chunks` /
+:func:`~repro.compression.szx.decompress_chunks`).  The one-shot path hands it
+the whole buffer, so all chunks are classified, quantised and bit-packed in
+**one** blockwise pass and this module only adds (or reads) the chunk index;
+the generators invoke it on one chunk at a time.  The bytes are identical
+either way, which makes the generators the per-chunk oracle the one-shot path
+is tested against.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.compression.base import Compressor, check_compressible
+from repro.compression.base import CompressedBuffer, Compressor, check_compressible
 from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
-from repro.compression.szx import DEFAULT_BLOCK_SIZE, SZxCompressor
+from repro.compression.szx import DEFAULT_BLOCK_SIZE, compress_chunks, decompress_chunks
 from repro.utils.chunking import chunk_bounds
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_1d_float_array, ensure_positive
 
 __all__ = ["PipelinedSZx", "CompressedChunk", "DEFAULT_CHUNK_ELEMS"]
 
@@ -90,8 +100,9 @@ class PipelinedSZx(Compressor):
         if chunk_elems < 1:
             raise ValueError(f"chunk_elems must be >= 1, got {chunk_elems}")
         self.chunk_elems = int(chunk_elems)
+        if block_size < 2:
+            raise ValueError(f"block_size must be >= 2, got {block_size}")
         self.block_size = int(block_size)
-        self._inner = SZxCompressor(error_bound=error_bound, block_size=block_size)
 
     # ------------------------------------------------------------------ API
 
@@ -120,7 +131,9 @@ class PipelinedSZx(Compressor):
         """
         arr = check_compressible(data)
         for index, (start, stop) in enumerate(chunk_bounds(arr.size, self.chunk_elems)):
-            payload = self._inner.compress_bytes(arr[start:stop])
+            (payload,) = compress_chunks(
+                arr[start:stop], stop - start, self.block_size, self.error_bound
+            )
             yield CompressedChunk(index=index, start=start, stop=stop, payload=payload)
 
     def assemble(self, chunks: Sequence[CompressedChunk], count: int, dtype) -> bytes:
@@ -134,47 +147,56 @@ class PipelinedSZx(Compressor):
         expected = self.chunk_count(count)
         if len(chunks) != expected:
             raise ValueError(f"expected {expected} chunks for {count} elements, got {len(chunks)}")
-        header = PayloadHeader(
-            magic=_MAGIC, dtype=np.dtype(dtype), count=count, param=self.error_bound
-        )
-        sizes = np.asarray([c.nbytes for c in chunks], dtype=np.uint32)
-        out = bytearray()
-        out += header.pack()
-        out += _INDEX_HEADER.pack(self.chunk_elems, len(chunks))
-        out += sizes.tobytes()
-        for chunk in chunks:
-            out += chunk.payload
-        return bytes(out)
+        return self._frame([c.payload for c in chunks], count, dtype)
 
     def iter_decompress(self, payload: bytes) -> Iterator[np.ndarray]:
         """Decompress a PIPE-SZx buffer chunk by chunk (in element order)."""
-        _header, chunk_payloads = self._parse(payload)
-        for piece in chunk_payloads:
-            yield self._inner.decompress_bytes(piece)
+        header, chunk_elems, pieces = self._parse(payload)
+        for (start, stop), piece in zip(chunk_bounds(header.count, chunk_elems), pieces):
+            yield decompress_chunks([piece], stop - start, stop - start)
 
     # ----------------------------------------------------------- one-shot API
 
+    def compress(self, data) -> CompressedBuffer:
+        # compress_bytes is itself called with unvalidated buffers and checks
+        # them; the base wrapper's own finiteness pass would be a second one
+        arr = ensure_1d_float_array(data)
+        return CompressedBuffer(
+            payload=self.compress_bytes(arr),
+            original_count=arr.size,
+            original_dtype=arr.dtype,
+            codec=self.name,
+        )
+
     def compress_bytes(self, data: np.ndarray) -> bytes:
         arr = check_compressible(data)
-        return self.assemble(list(self.iter_compress(arr)), arr.size, arr.dtype)
+        payloads = compress_chunks(arr, self.chunk_elems, self.block_size, self.error_bound)
+        return self._frame(payloads, arr.size, arr.dtype)
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
-        header, chunk_payloads = self._parse(payload)
-        out = np.empty(header.count, dtype=header.dtype)
-        pos = 0
-        for piece in chunk_payloads:
-            part = self._inner.decompress_bytes(piece)
-            out[pos : pos + part.size] = part
-            pos += part.size
-        if pos != header.count:
+        header, chunk_elems, pieces = self._parse(payload)
+        if not pieces:
+            return np.zeros(0, dtype=header.dtype)
+        out = decompress_chunks(pieces, chunk_elems, header.count)
+        if out.dtype != header.dtype:
             raise DecompressionError(
-                f"chunk element counts ({pos}) do not add up to the header count ({header.count})"
+                f"chunks hold {out.dtype} values but the PIPE-SZx header announces {header.dtype}"
             )
         return out
 
     # -------------------------------------------------------------- internal
 
+    def _frame(self, payloads: Sequence[bytes], count: int, dtype) -> bytes:
+        """Header, chunk-size index, then the chunk payloads back to back."""
+        header = PayloadHeader(
+            magic=_MAGIC, dtype=np.dtype(dtype), count=count, param=self.error_bound
+        )
+        index = _INDEX_HEADER.pack(self.chunk_elems, len(payloads))
+        index += struct.pack(f"<{len(payloads)}I", *map(len, payloads))
+        return b"".join((header.pack(), index, *payloads))
+
     def _parse(self, payload: bytes):
+        """Validate the header and index; return them with one view per chunk."""
         header = PayloadHeader.unpack(payload, _MAGIC)
         offset = PayloadHeader.SIZE
         if len(payload) < offset + _INDEX_HEADER.size:
@@ -188,16 +210,13 @@ class PipelinedSZx(Compressor):
             raise DecompressionError(
                 f"chunk index announces {n_chunks} chunks but the header count implies {expected}"
             )
-        sizes = np.frombuffer(payload, dtype=np.uint32, count=n_chunks, offset=offset)
-        offset += 4 * n_chunks
-        # vectorised cursor precomputation over the front-of-buffer index: one
-        # cumsum gives every chunk's byte range, and a single total-length
-        # check replaces the per-chunk truncation test
-        ends = offset + np.cumsum(sizes, dtype=np.int64)
-        if n_chunks and len(payload) < int(ends[-1]):
+        if len(payload) < offset + 4 * n_chunks:
+            raise DecompressionError("truncated PIPE-SZx payload (missing chunk index)")
+        # the front-of-buffer index gives every chunk's byte range up front, so
+        # one total-length check replaces a truncation test per chunk
+        sizes = struct.unpack_from(f"<{n_chunks}I", payload, offset)
+        bounds = list(accumulate(sizes, initial=offset + 4 * n_chunks))
+        if len(payload) < bounds[-1]:
             raise DecompressionError("truncated PIPE-SZx payload (missing chunk data)")
-        starts = ends - sizes
-        pieces: List[bytes] = [
-            payload[int(start) : int(end)] for start, end in zip(starts, ends)
-        ]
-        return header, pieces
+        view = memoryview(payload)
+        return header, chunk_elems, [view[start:end] for start, end in zip(bounds, bounds[1:])]

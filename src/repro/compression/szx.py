@@ -45,13 +45,40 @@ on-wire bytes are bit-for-bit identical to the historical per-block loop —
 pinned by ``tests/compression/test_golden_payloads.py`` — while the hot path
 runs a constant number of numpy passes per *distinct width* instead of a
 Python iteration per *block*.
+
+Chunked layout
+--------------
+:func:`compress_chunks` / :func:`decompress_chunks` are the one blockwise
+kernel behind both :class:`SZxCompressor` (the whole buffer is one chunk) and
+PIPE-SZx (5120-value chunks, each a complete SZx payload of its own).  A
+buffer of ``c`` chunks goes through the steps above **once**, not ``c`` times:
+
+* *per-chunk padding*: every chunk is padded to a whole number of blocks with
+  **its own** last value, so chunk ``i`` occupies rows
+  ``[i * ceil(chunk / block), ...)`` of one ``(n_blocks, block)`` matrix and no
+  block ever mixes two chunks.  Chunk sizes need not be a multiple of the block
+  size, nor block counts a multiple of 8;
+* min/max, medium, classification, quantisation, zigzag, bit lengths and
+  ``pack_width_classes`` run over that matrix in one go (rows are byte-aligned,
+  so the packed region of chunk ``i`` is a contiguous slice of the whole);
+* *cutting*: chunk ``i``'s payload is its own header (count = chunk length)
+  followed by four slices — its row of the per-chunk ``packbits`` flag matrix,
+  its blocks' ``medium`` values, the ``nbits`` of its non-constant blocks, and
+  the bytes of the packed region those blocks own.
+
+Decompression walks the chunk fronts once (every header and length is checked
+there, before any array is sized from it), concatenates the same four slices
+back into the shared arrays, decodes them with one ``unpack_width_classes``
+pass and drops each chunk's padding while casting to the output dtype.  The
+bytes equal compressing every chunk on its own, which is how the per-chunk
+generators of :mod:`repro.compression.pipelined` serve as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -73,6 +100,8 @@ __all__ = ["SZxCompressor", "DEFAULT_BLOCK_SIZE"]
 
 _MAGIC = b"SZX1"
 _BLOCK_HEADER = struct.Struct("<II")
+#: byte offset of the flags array inside a (chunk) payload
+_META_OFFSET = PayloadHeader.SIZE + _BLOCK_HEADER.size
 DEFAULT_BLOCK_SIZE = 128
 
 #: offsets larger than this many quantisation bins fall back to raw storage;
@@ -151,141 +180,259 @@ class SZxCompressor(Compressor):
                 f"resolved error bound {eb!r} is not a positive finite number "
                 "(a relative bound underflowed on this data's value range)"
             )
-        header = PayloadHeader(magic=_MAGIC, dtype=data.dtype, count=data.size, param=eb)
         if data.size == 0:
-            return header.pack() + _BLOCK_HEADER.pack(self.block_size, 0)
-
-        block = self.block_size
-        n_blocks = (data.size + block - 1) // block
-        padded = np.empty(n_blocks * block, dtype=np.float64)
-        padded[: data.size] = data
-        if padded.size > data.size:
-            padded[data.size :] = data[-1]
-        blocks = padded.reshape(n_blocks, block)
-
-        mins = blocks.min(axis=1)
-        maxs = blocks.max(axis=1)
-        # The payload stores block anchors as float32; values beyond its range
-        # would overflow the cast (and the float64 midpoint sum) mid-pack.
-        largest = max(-float(mins.min()), float(maxs.max()), 0.0)
-        if largest > float(np.finfo(np.float32).max):
-            raise UnsupportedDataError(
-                "value magnitudes exceed the float32 anchor range of the SZx "
-                f"payload format (max |value| ~ {largest:.3e})"
-            )
-        medium = ((mins + maxs) * 0.5).astype(np.float32)
-        # Classify blocks against the float32 medium actually stored in the
-        # payload, so the error bound holds for the reconstructed values too.
-        offsets_all = blocks - medium.astype(np.float64)[:, None]
-        # max(|row|) <= eb  <=>  row_max <= eb and row_min >= -eb (no abs pass)
-        row_max = offsets_all.max(axis=1)
-        row_min = offsets_all.min(axis=1)
-        const_mask = (row_max <= eb) & (row_min >= -eb)
-
-        # Quantise offsets from the (float32-rounded) medium value for all
-        # non-constant blocks at once; the step of 2*eb keeps |error| <= eb.
-        nonconst_idx = np.nonzero(~const_mask)[0]
-        step = 2.0 * eb
-        nbits_arr = np.zeros(0, dtype=np.int64)
-        data_region = b""
-        if nonconst_idx.size:
-            if nonconst_idx.size == n_blocks:
-                offsets = offsets_all  # every block non-constant: mutate in place
-                max_abs = max(float(row_max.max()), -float(row_min.min()))
-            else:
-                offsets = offsets_all[nonconst_idx]
-                max_abs = max(
-                    float(row_max[nonconst_idx].max()),
-                    -float(row_min[nonconst_idx].min()),
-                )
-            # zigzag magnitude of a quant q is <= 2*|q| + 1; the division
-            # bound (plus rounding margin) picks the narrowest safe dtype.
-            # Reject quants beyond int64 before casting (the width check
-            # below would catch them anyway, but only after the cast emitted
-            # a RuntimeWarning and produced garbage)
-            quant_bound = 2.0 * (max_abs / step + 1.0) + 1.0
-            if not quant_bound < 2.0**63:
-                raise CompressionError(
-                    "quantised offsets exceed the supported width; the error bound "
-                    f"({eb!r}) is too small relative to the data range"
-                )
-            np.divide(offsets, step, out=offsets)
-            np.rint(offsets, out=offsets)
-            quants = offsets.astype(narrow_signed_dtype(quant_bound))
-            encoded = zigzag_encode(quants)
-            nbits_arr = bit_length_u64(encoded.max(axis=1))
-            if int(nbits_arr.max()) > _MAX_QUANT_BITS:
-                raise CompressionError(
-                    "quantised offsets exceed the supported width; the error bound "
-                    f"({eb!r}) is too small relative to the data range"
-                )
-            sizes = row_nbytes(block, nbits_arr)
-            starts = np.cumsum(sizes) - sizes
-            data_region = pack_width_classes(encoded, nbits_arr, starts, int(sizes.sum()))
-
-        flags = np.packbits(const_mask.astype(np.uint8)).tobytes()
-        out = bytearray()
-        out += header.pack()
-        out += _BLOCK_HEADER.pack(block, n_blocks)
-        out += flags
-        out += medium.tobytes()
-        out += nbits_arr.astype(np.uint8).tobytes()
-        out += data_region
-        return bytes(out)
+            return _chunk_head(data.dtype, 0, eb, self.block_size)
+        return compress_chunks(data, data.size, self.block_size, eb)[0]
 
     # --------------------------------------------------------- decompression
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         header = PayloadHeader.unpack(payload, _MAGIC)
-        offset = PayloadHeader.SIZE
-        if len(payload) < offset + _BLOCK_HEADER.size:
+        if len(payload) < _META_OFFSET:
             raise DecompressionError("truncated SZx payload (missing block header)")
-        block, n_blocks = _BLOCK_HEADER.unpack_from(payload, offset)
-        offset += _BLOCK_HEADER.size
         if header.count == 0:
             return np.zeros(0, dtype=header.dtype)
-        if block <= 0 or n_blocks != (header.count + block - 1) // block:
-            raise DecompressionError("inconsistent SZx block metadata")
+        return decompress_chunks([payload], header.count, header.count)
 
-        flag_bytes = (n_blocks + 7) // 8
-        end_flags = offset + flag_bytes
-        end_medium = end_flags + 4 * n_blocks
-        if len(payload) < end_medium:
+
+# ------------------------------------------------------------ chunked kernel
+
+
+def _chunk_grid(count: int, chunk_elems: int, block: int):
+    """How ``count >= 1`` values split into chunks, and each chunk into blocks.
+
+    Returns ``(chunk_elems, n_full, tail, per_chunk, blocks_of)``: the values per
+    full chunk (never more than ``count``), how many chunks are full, the
+    values in the short last chunk (0 when there is none), the blocks per full
+    chunk, and the number of blocks in every chunk, in order.
+    """
+    chunk_elems = min(chunk_elems, count)
+    n_full, tail = divmod(count, chunk_elems)
+    per_chunk = -(-chunk_elems // block)
+    blocks_of = [per_chunk] * n_full
+    if tail:
+        blocks_of.append(-(-tail // block))
+    return chunk_elems, n_full, tail, per_chunk, blocks_of
+
+
+def _chunk_head(dtype, count: int, eb: float, block: int) -> bytes:
+    """The fixed-size front of one chunk payload: ``PayloadHeader`` + block header."""
+    header = PayloadHeader(magic=_MAGIC, dtype=dtype, count=count, param=eb)
+    return header.pack() + _BLOCK_HEADER.pack(block, -(-count // block))
+
+
+def _cursors(counts) -> np.ndarray:
+    """Exclusive prefix sums of ``counts`` with the total appended."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def compress_chunks(data: np.ndarray, chunk_elems: int, block: int, eb: float) -> List[bytes]:
+    """One SZx payload per ``chunk_elems`` values of ``data``, from a single pass.
+
+    ``data`` is a validated 1-D float array (an empty one has no chunks) and
+    ``eb`` the resolved absolute error bound.  Element ``i`` of the result is
+    byte-identical to compressing ``data[i * chunk_elems : (i + 1) * chunk_elems]``
+    on its own (see "Chunked layout" in the module docstring).
+    """
+    if data.size == 0:
+        return []
+    chunk_elems, n_full, tail, per_chunk, blocks_of = _chunk_grid(data.size, chunk_elems, block)
+    n_chunks, n_blocks = len(blocks_of), sum(blocks_of)
+
+    # every chunk is one row, padded to whole blocks with its own last value
+    padded = np.empty((n_chunks, per_chunk * block), dtype=np.float64)
+    body = data[: n_full * chunk_elems].reshape(n_full, chunk_elems)
+    padded[:n_full, :chunk_elems] = body
+    padded[:n_full, chunk_elems:] = body[:, -1:]
+    if tail:
+        padded[n_full, :tail] = data[-tail:]
+        padded[n_full, tail:] = data[-1]
+    blocks = padded.reshape(-1, block)[:n_blocks]
+
+    mins = blocks.min(axis=1)
+    maxs = blocks.max(axis=1)
+    # The payload stores block anchors as float32; values beyond its range
+    # would overflow the cast (and the float64 midpoint sum) mid-pack.
+    largest = max(-float(mins.min()), float(maxs.max()), 0.0)
+    if largest > float(np.finfo(np.float32).max):
+        raise UnsupportedDataError(
+            "value magnitudes exceed the float32 anchor range of the SZx "
+            f"payload format (max |value| ~ {largest:.3e})"
+        )
+    medium = ((mins + maxs) * 0.5).astype(np.float32)
+    # Classify blocks against the float32 medium actually stored in the
+    # payload, so the error bound holds for the reconstructed values too.
+    offsets_all = np.subtract(blocks, medium.astype(np.float64)[:, None], out=blocks)
+    # max(|row|) <= eb  <=>  row_max <= eb and row_min >= -eb (no abs pass)
+    row_max = offsets_all.max(axis=1)
+    row_min = offsets_all.min(axis=1)
+    const_mask = (row_max <= eb) & (row_min >= -eb)
+
+    # Quantise offsets from the (float32-rounded) medium value for all
+    # non-constant blocks at once; the step of 2*eb keeps |error| <= eb.
+    nonconst_idx = np.nonzero(~const_mask)[0]
+    step = 2.0 * eb
+    nbits_arr = np.zeros(0, dtype=np.int64)
+    encoded = np.zeros((0, block), dtype=np.uint8)
+    if nonconst_idx.size:
+        if nonconst_idx.size == n_blocks:
+            offsets = offsets_all  # every block non-constant: mutate in place
+            max_abs = max(float(row_max.max()), -float(row_min.min()))
+        else:
+            offsets = offsets_all[nonconst_idx]
+            max_abs = max(
+                float(row_max[nonconst_idx].max()),
+                -float(row_min[nonconst_idx].min()),
+            )
+        # zigzag magnitude of a quant q is <= 2*|q| + 1; the division
+        # bound (plus rounding margin) picks the narrowest safe dtype.
+        # Reject quants beyond int64 before casting (the width check
+        # below would catch them anyway, but only after the cast emitted
+        # a RuntimeWarning and produced garbage)
+        quant_bound = 2.0 * (max_abs / step + 1.0) + 1.0
+        if not quant_bound < 2.0**63:
+            raise CompressionError(
+                "quantised offsets exceed the supported width; the error bound "
+                f"({eb!r}) is too small relative to the data range"
+            )
+        np.divide(offsets, step, out=offsets)
+        np.rint(offsets, out=offsets)
+        quants = offsets.astype(narrow_signed_dtype(quant_bound))
+        encoded = zigzag_encode(quants)
+        nbits_arr = bit_length_u64(encoded.max(axis=1))
+        if int(nbits_arr.max()) > _MAX_QUANT_BITS:
+            raise CompressionError(
+                "quantised offsets exceed the supported width; the error bound "
+                f"({eb!r}) is too small relative to the data range"
+            )
+    data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
+    region = np.zeros(int(data_at[-1]), dtype=np.uint8)
+    pack_width_classes(encoded, nbits_arr, data_at[:-1], region.size, out=region)
+
+    # cut every chunk's payload out of the shared metadata and data region
+    const_rows = np.zeros((n_chunks, per_chunk), dtype=bool)
+    const_rows.reshape(-1)[:n_blocks] = const_mask
+    flag_stride = (per_chunk + 7) // 8
+    flags = np.packbits(const_rows, axis=1).tobytes()
+    mediums = memoryview(medium.tobytes())
+    widths = nbits_arr.astype(np.uint8).tobytes()
+    packed = memoryview(region)
+    heads = [_chunk_head(data.dtype, chunk_elems, eb, block)] * n_full
+    if tail:
+        heads.append(_chunk_head(data.dtype, tail, eb, block))
+    payloads = []
+    width_at = 0  # cursor into ``widths`` / ``data_at``: one entry per non-constant block
+    for i, (head, n) in enumerate(zip(heads, blocks_of)):
+        chunk_flags = flags[i * flag_stride : i * flag_stride + (n + 7) // 8]
+        width_end = width_at + n - int.from_bytes(chunk_flags, "big").bit_count()
+        payloads.append(b"".join((
+            head,
+            chunk_flags,
+            mediums[4 * i * per_chunk : 4 * (i * per_chunk + n)],
+            widths[width_at:width_end],
+            packed[data_at[width_at] : data_at[width_end]],
+        )))  # fmt: skip
+        width_at = width_end
+    return payloads
+
+
+def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndarray:
+    """Decode the chunk payloads of ``count`` values, ``chunk_elems`` per chunk.
+
+    The inverse of :func:`compress_chunks` for ``count >= 1``: ``pieces`` are
+    buffer objects, one SZx payload each.  Every header and every length is checked before an
+    array is sized from it, so any malformed piece raises
+    :class:`DecompressionError`; the values are then decoded in one pass.
+    """
+    # one walk over the chunk fronts: header, flags, medium values, bit widths
+    flag_parts, medium_parts, width_parts, nonconst_of, data_at = [], [], [], [], []
+    for i, piece in enumerate(pieces):
+        header = PayloadHeader.unpack(piece, _MAGIC)
+        if len(piece) < _META_OFFSET:
+            raise DecompressionError("truncated SZx payload (missing block header)")
+        head = (header.dtype, header.param, header.count) + _BLOCK_HEADER.unpack_from(
+            piece, PayloadHeader.SIZE
+        )
+        if i == 0:
+            # the first chunk names dtype, error bound and block size; with
+            # them the position of a chunk fixes its whole header
+            dtype, eb, _, block, _ = head
+            if block <= 0 or not (eb > 0.0 and math.isfinite(eb)):
+                raise DecompressionError("inconsistent SZx block metadata")
+            chunk_elems, n_full, tail, per_chunk, blocks_of = _chunk_grid(count, chunk_elems, block)
+            if len(pieces) != len(blocks_of):
+                raise DecompressionError(
+                    f"{len(pieces)} SZx chunks cannot hold {count} values at "
+                    f"{chunk_elems} per chunk"
+                )
+        n = blocks_of[i]
+        expected = (dtype, eb, chunk_elems if i < n_full else tail, block, n)
+        if head != expected:
+            raise DecompressionError(
+                f"inconsistent SZx block metadata in chunk {i}: header says {head}, its "
+                f"position implies {expected} (dtype, error bound, count, block size, blocks)"
+            )
+        medium_at = _META_OFFSET + (n + 7) // 8
+        nbits_at = medium_at + 4 * n
+        if len(piece) < nbits_at:
             raise DecompressionError("truncated SZx payload (missing block metadata)")
-        const_mask = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, count=flag_bytes, offset=offset)
-        )[:n_blocks].astype(bool)
-        medium = np.frombuffer(payload, dtype=np.float32, count=n_blocks, offset=end_flags)
-
-        nonconst_idx = np.nonzero(~const_mask)[0]
-        n_nonconst = int(nonconst_idx.size)
-        end_nbits = end_medium + n_nonconst
-        if len(payload) < end_nbits:
+        flags = piece[_META_OFFSET:medium_at]
+        # one bit width per non-constant block: count the 0 flags among the first n
+        nonconst = n - (int.from_bytes(flags, "big") >> (-n % 8)).bit_count()
+        if len(piece) < nbits_at + nonconst:
             raise DecompressionError("truncated SZx payload (missing bit widths)")
-        nbits_arr = np.frombuffer(
-            payload, dtype=np.uint8, count=n_nonconst, offset=end_medium
-        ).astype(np.int64)
+        flag_parts.append(flags)
+        medium_parts.append(piece[medium_at:nbits_at])
+        width_parts.append(piece[nbits_at : nbits_at + nonconst])
+        nonconst_of.append(nonconst)
+        data_at.append(nbits_at + nonconst)
+    n_chunks, n_blocks = len(blocks_of), sum(blocks_of)
 
-        eb = header.param
-        step = 2.0 * eb
-        out = np.empty(n_blocks * block, dtype=np.float64)
-        out_blocks = out.reshape(n_blocks, block)
-        # Constant blocks: every value is the stored medium.
-        out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
+    nbits_arr = np.frombuffer(b"".join(width_parts), dtype=np.uint8).astype(np.int64)
+    widest = int(nbits_arr.max()) if nbits_arr.size else 0
+    if widest > _MAX_QUANT_BITS:
+        raise DecompressionError(
+            f"stored bit width {widest} exceeds the format's {_MAX_QUANT_BITS}"
+        )
+    # packed rows: every chunk's byte count follows from its bit widths
+    starts = _cursors(row_nbytes(block, nbits_arr))
+    data_parts = []
+    width_at = 0  # cursor into ``nbits_arr`` / ``starts``: one entry per non-constant block
+    for piece, at, nonconst in zip(pieces, data_at, nonconst_of):
+        end = at + int(starts[width_at + nonconst] - starts[width_at])
+        if len(piece) < end:
+            raise DecompressionError("truncated SZx payload (missing block data)")
+        data_parts.append(piece[at:end])
+        width_at += nonconst
+    region = np.frombuffer(b"".join(data_parts), dtype=np.uint8)
 
-        if n_nonconst:
-            sizes = row_nbytes(block, nbits_arr)
-            starts = np.cumsum(sizes) - sizes
-            total = int(sizes.sum())
-            if len(payload) < end_nbits + total:
-                raise DecompressionError("truncated SZx payload (missing block data)")
-            region = np.frombuffer(payload, dtype=np.uint8, count=total, offset=end_nbits)
-            # decode in the narrowest dtype the widest class needs, zigzag
-            # branchlessly in that width, and only then widen to float64
-            encoded = unpack_width_classes(region, nbits_arr, starts, block, dtype=None)
-            quants = zigzag_decode(encoded).astype(np.float64)
-            quants *= step
-            quants += medium[nonconst_idx].astype(np.float64)[:, None]
-            out_blocks[nonconst_idx] = quants
+    flag_stride = (per_chunk + 7) // 8
+    flag_parts.append(bytes(flag_stride - len(flag_parts[-1])))  # square off the last row
+    flag_rows = np.frombuffer(b"".join(flag_parts), dtype=np.uint8).reshape(n_chunks, flag_stride)
+    const_mask = np.unpackbits(flag_rows, axis=1, count=per_chunk).reshape(-1)[:n_blocks].view(bool)
+    medium = np.frombuffer(b"".join(medium_parts), dtype=np.float32)
 
-        return out[: header.count].astype(header.dtype)
+    step = 2.0 * eb
+    out_blocks = np.empty((n_blocks, block), dtype=np.float64)
+    # Constant blocks: every value is the stored medium.
+    out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
+    nonconst_idx = np.nonzero(~const_mask)[0]
+    if nonconst_idx.size:
+        # decode in the narrowest dtype the widest class needs, zigzag
+        # branchlessly in that width, and only then widen to float64
+        encoded = unpack_width_classes(region, nbits_arr, starts[:-1], block, dtype=None)
+        quants = zigzag_decode(encoded).astype(np.float64)
+        quants *= step
+        quants += medium[nonconst_idx].astype(np.float64)[:, None]
+        out_blocks[nonconst_idx] = quants
+
+    # drop every chunk's padding while casting to the caller's dtype
+    out = np.empty(count, dtype=dtype)
+    out[: n_full * chunk_elems].reshape(n_full, chunk_elems)[...] = out_blocks[
+        : n_full * per_chunk
+    ].reshape(n_full, per_chunk * block)[:, :chunk_elems]
+    if tail:
+        out[-tail:] = out_blocks[n_full * per_chunk :].reshape(-1)[:tail]
+    return out

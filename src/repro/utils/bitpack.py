@@ -64,19 +64,21 @@ def required_bits_unsigned(max_value: int) -> int:
 def bit_length_u64(values: np.ndarray) -> np.ndarray:
     """Vectorised ``int.bit_length`` for unsigned arrays (exact for all 64 bits).
 
-    Deliberately avoids any float round-trip: ``float64`` cannot represent
-    integers above ``2**53`` exactly, so a log/frexp-based bit length would
-    misreport values adjacent to a power of two.
+    The bit length of a positive integer is the binary exponent
+    :func:`numpy.frexp` reports for it, provided the float holds the integer
+    exactly.  ``float64`` does so for every 32-bit value but not above
+    ``2**53``, where a value next to a power of two would round onto it; wider
+    inputs are therefore split into 32-bit halves, each exact, and the low
+    half only counts when the high half is zero.
     """
-    v = np.asarray(values, dtype=np.uint64).copy()
-    out = np.zeros(v.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = np.uint64(shift)
-        mask = v >= (np.uint64(1) << step)
-        out[mask] += shift
-        v[mask] >>= step
-    out[v > 0] += 1
-    return out
+    v = np.asarray(values)
+    if v.dtype.kind != "u":
+        v = v.astype(np.uint64)
+    if v.dtype.itemsize <= 4:
+        return np.frexp(v.astype(np.float64))[1].astype(np.int64)
+    high = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low).astype(np.int64)
 
 
 def zigzag_encode(q: np.ndarray) -> np.ndarray:
@@ -290,7 +292,7 @@ def pack_width_classes(
     """
     values = np.asarray(values)
     count = values.shape[1]
-    widths = np.unique(nbits)
+    widths = np.flatnonzero(np.bincount(nbits))
     if widths.size and values.size and values.dtype.kind == "u":
         # narrowing to the widest class's dtype cuts the per-class traffic,
         # but only when no value would truncate — otherwise keep the original
@@ -327,7 +329,7 @@ def unpack_width_classes(
     holding the widest class present.
     """
     region = np.asarray(region, dtype=np.uint8)
-    widths = np.unique(nbits)
+    widths = np.flatnonzero(np.bincount(nbits))
     wmax = int(widths[-1]) if widths.size else 0
     dt = narrow_uint_dtype(wmax) if dtype is None else np.dtype(dtype)
     out = np.zeros((len(nbits), count), dtype=dt)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.compression import DecompressionError, PipelinedSZx, SZxCompressor
+from repro.compression import (
+    DecompressionError,
+    PipelinedSZx,
+    SZxCompressor,
+    UnsupportedDataError,
+)
 
 
 def max_err(a, b):
@@ -98,3 +103,98 @@ class TestValidation:
         info = PipelinedSZx(error_bound=1e-4, chunk_elems=2048).describe()
         assert info["chunk_elems"] == 2048
         assert info["error_bound"] == 1e-4
+
+
+class TestInputValidation:
+    """Every public compression entry rejects bad input with the same typed
+    error, and a message pays for one finiteness pass, not one per layer."""
+
+    ENTRIES = {
+        "compress": lambda codec, data: codec.compress(data),
+        "compress_bytes": lambda codec, data: codec.compress_bytes(data),
+        "iter_compress": lambda codec, data: list(codec.iter_compress(data)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "data,error",
+        [
+            (np.array([1.0, np.nan, 2.0], dtype=np.float32), UnsupportedDataError),
+            (np.array([1.0, np.inf], dtype=np.float64), UnsupportedDataError),
+            (np.array([-np.inf] * 6000, dtype=np.float32), UnsupportedDataError),
+            (np.arange(10), TypeError),
+        ],
+        ids=["nan", "inf", "neg-inf-multichunk", "integer"],
+    )
+    def test_bad_input_raises_typed_error(self, entry, data, error):
+        codec = PipelinedSZx(error_bound=1e-3)
+        with pytest.raises(error):
+            self.ENTRIES[entry](codec, data)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_one_finiteness_pass_per_message(self, entry, smooth_signal, monkeypatch):
+        import repro.compression.base as base
+
+        passes = []
+        real = np.isfinite
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def isfinite(arr, *args, **kwargs):
+                passes.append(np.size(arr))
+                return real(arr, *args, **kwargs)
+
+        monkeypatch.setattr(base, "np", CountingNumpy())
+        self.ENTRIES[entry](PipelinedSZx(error_bound=1e-3), smooth_signal)
+        assert passes == [smooth_signal.size]
+
+
+class TestOneBlockwisePass:
+    """Structural pin: the one-shot path runs the SZx kernel once per buffer,
+    not once per chunk, so the per-chunk loop of whole-codec calls stays gone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.compression.szx as szx
+
+        seen = {"pack_width_classes": 0, "unpack_width_classes": 0}
+
+        def counted(name):
+            real = getattr(szx, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(szx, name, counted(name))
+        return seen
+
+    def test_twenty_chunks_one_pack_one_unpack(self, calls, rough_signal):
+        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
+        assert codec.chunk_count(rough_signal.size) == 20
+        payload = codec.compress_bytes(rough_signal)
+        assert calls == {"pack_width_classes": 1, "unpack_width_classes": 0}
+        codec.decompress_bytes(payload)
+        assert calls == {"pack_width_classes": 1, "unpack_width_classes": 1}
+
+    def test_generators_stay_per_chunk(self, calls, rough_signal):
+        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
+        chunks = list(codec.iter_compress(rough_signal))
+        parts = list(codec.iter_decompress(codec.assemble(chunks, rough_signal.size, np.float64)))
+        assert len(parts) == 20
+        assert calls == {"pack_width_classes": 20, "unpack_width_classes": 20}
+
+    def test_one_shot_path_does_not_go_through_szx_codec(self, rough_signal, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("PIPE-SZx one-shot path called the SZx codec object")
+
+        monkeypatch.setattr(SZxCompressor, "compress_bytes", forbidden)
+        monkeypatch.setattr(SZxCompressor, "decompress_bytes", forbidden)
+        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
+        assert codec.roundtrip(rough_signal).size == rough_signal.size

@@ -93,6 +93,21 @@ class TestBitLength:
         np.testing.assert_array_equal(bit_length_u64(powers), exps + 1)
         np.testing.assert_array_equal(bit_length_u64(powers - np.uint64(1)), exps)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    def test_every_power_of_two_neighbourhood(self, dtype):
+        """``2**k - 1, 2**k, 2**k + 1`` for every ``k`` the dtype holds — exactly
+        where a float path lies unless every integer it sees is exact."""
+        top = np.iinfo(dtype).max
+        values = sorted({v for k in range(65) for v in (2**k - 1, 2**k, 2**k + 1) if v <= top})
+        assert top in values
+        got = bit_length_u64(np.array(values, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    def test_signed_and_nested_input(self):
+        assert bit_length_u64([[0, 1], [255, 256]]).tolist() == [[0, 1], [8, 9]]
+        assert bit_length_u64(np.array([5, 2**40], dtype=np.int64)).tolist() == [3, 41]
+
 
 class TestZigzag:
     def test_known_mapping(self):
