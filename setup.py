@@ -2,8 +2,9 @@
 
 The pinned offline environment has no ``wheel`` package, so PEP 517 editable
 installs are unavailable; this classic ``setup.py`` keeps ``pip install -e .``
-working through the legacy (setup.py develop) code path.  All metadata lives
-in ``pyproject.toml``; this file only mirrors what the legacy path needs.
+working through the legacy (setup.py develop) code path.  This file is the
+package's only metadata (there is no ``pyproject.toml``); nothing needs an
+install to run — ``PYTHONPATH=src`` is what the tests and CI use.
 """
 
 from setuptools import find_packages, setup

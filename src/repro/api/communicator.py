@@ -39,12 +39,21 @@ Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.api.cluster import Cluster
 from repro.ccoll.computation import _plan_c_reduce_scatter
-from repro.ccoll.cpr_p2p import _plan_cpr_allgather, _plan_cpr_bcast, _plan_cpr_scatter
-from repro.ccoll.movement import CCollOutcome, _plan_c_allgather, _plan_c_bcast, _plan_c_scatter
+from repro.ccoll.cpr_p2p import cpr_allgather_program, cpr_bcast_program, cpr_scatter_program
+from repro.ccoll.movement import (
+    CCollOutcome,
+    _plan_compressed_allgather,
+    _plan_compressed_bcast,
+    _plan_compressed_scatter,
+    c_allgather_program,
+    c_bcast_program,
+    c_scatter_program,
+)
 from repro.ccoll.topology_aware import (
     _plan_topology_aware_c_allreduce,
     select_inter_compression,
@@ -332,10 +341,9 @@ class Communicator:
         mode = self._movement_mode("allgather", compression)
         if mode == "AD":
             plan = _plan_ring_allgather(inputs, self.n_ranks, self.cluster.context())
-        elif mode == "DI":
-            plan = _plan_cpr_allgather(inputs, self.n_ranks, self.cluster.config)
         else:
-            plan = _plan_c_allgather(inputs, self.n_ranks, self.cluster.config)
+            program = cpr_allgather_program if mode == "DI" else c_allgather_program
+            plan = _plan_compressed_allgather(program, inputs, self.n_ranks, self.cluster.config)
         return self._launch(plan, mode)
 
     def bcast(
@@ -346,10 +354,11 @@ class Communicator:
         mode = self._movement_mode("bcast", compression)
         if mode == "AD":
             plan = _plan_binomial_bcast(data, self.n_ranks, self.cluster.context(), root=root)
-        elif mode == "DI":
-            plan = _plan_cpr_bcast(data, self.n_ranks, self.cluster.config, root=root)
         else:
-            plan = _plan_c_bcast(data, self.n_ranks, self.cluster.config, root=root)
+            program = cpr_bcast_program if mode == "DI" else c_bcast_program
+            plan = _plan_compressed_bcast(
+                program, data, self.n_ranks, self.cluster.config, root=root
+            )
         return self._launch(plan, mode)
 
     def scatter(
@@ -360,10 +369,11 @@ class Communicator:
         mode = self._movement_mode("scatter", compression)
         if mode == "AD":
             plan = _plan_binomial_scatter(inputs, self.n_ranks, self.cluster.context(), root=root)
-        elif mode == "DI":
-            plan = _plan_cpr_scatter(inputs, self.n_ranks, self.cluster.config, root=root)
         else:
-            plan = _plan_c_scatter(inputs, self.n_ranks, self.cluster.config, root=root)
+            program = cpr_scatter_program if mode == "DI" else c_scatter_program
+            plan = _plan_compressed_scatter(
+                program, inputs, self.n_ranks, self.cluster.config, root=root
+            )
         return self._launch(plan, mode)
 
     def reduce_scatter(
@@ -437,8 +447,8 @@ class Communicator:
     # -------------------------------------------------------------------- misc
 
     def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.n_ranks:
-            raise ValueError(f"root must be in [0, {self.n_ranks}), got {root}")
+        if not isinstance(root, numbers.Integral) or not 0 <= root < self.n_ranks:
+            raise ValueError(f"root must be an integer in [0, {self.n_ranks}), got {root!r}")
 
     def __repr__(self) -> str:
         return f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r})"

@@ -6,7 +6,12 @@ Public entry points (rank programs composed by the session API):
 * :func:`c_allgather_program`, :func:`c_bcast_program`,
   :func:`c_scatter_program` — the data-movement-framework collectives
 * :func:`c_reduce_scatter_program` — the computation-framework collective
-* :func:`cpr_allreduce_program` (and friends) — the CPR-P2P baselines
+* :func:`cpr_allreduce_program` (and friends) — the CPR-P2P baselines; for
+  allgather / bcast / scatter each shares its planner with the C-Coll program
+  it is compared against (``repro.ccoll.movement._plan_compressed_*``)
+* the topology-aware C-Allreduce has no rank program of its own: it is the
+  hierarchical skeleton of :mod:`repro.collectives.hierarchical` with the
+  compressed leader stage of :mod:`repro.ccoll.topology_aware` plugged in
 * :data:`ALLREDUCE_VARIANTS` — the AD / DI / ND / Overlap step-wise
   variants of Table V (``Communicator.allreduce(compression=<variant>)``)
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
@@ -14,11 +19,7 @@ Public entry points (rank programs composed by the session API):
 
 from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.allreduce import c_allreduce_program
-from repro.ccoll.computation import (
-    c_reduce_scatter_program,
-    segment_count,
-    split_payload,
-)
+from repro.ccoll.computation import c_reduce_scatter_program, segment_count
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.cpr_p2p import (
     cpr_allgather_program,
@@ -32,9 +33,6 @@ from repro.ccoll.movement import (
     c_bcast_program,
     c_scatter_program,
     exchange_sizes_program,
-)
-from repro.ccoll.topology_aware import (
-    topology_aware_c_allreduce_program,
 )
 from repro.ccoll.variants import (
     ALLREDUCE_VARIANTS,
@@ -54,12 +52,10 @@ __all__ = [
     "exchange_sizes_program",
     "c_reduce_scatter_program",
     "segment_count",
-    "split_payload",
     "cpr_allreduce_program",
     "cpr_allgather_program",
     "cpr_bcast_program",
     "cpr_scatter_program",
-    "topology_aware_c_allreduce_program",
     "ALLREDUCE_VARIANTS",
     "VARIANT_ALIASES",
     "canonical_variant",

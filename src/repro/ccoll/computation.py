@@ -25,7 +25,7 @@ step-wise variants of Table V.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from repro.mpisim.timeline import CAT_COMDECOM, CAT_MEMCPY, CAT_OTHERS, CAT_REDU
 
 __all__ = [
     "segment_count",
-    "split_payload",
     "c_reduce_scatter_program",
 ]
 
@@ -62,15 +61,6 @@ def segment_count(
     if uncompressed_vbytes <= 0:
         return 1
     return max(1, min(max_segments, math.ceil(uncompressed_vbytes / segment_bytes)))
-
-
-def split_payload(payload: bytes, parts: int) -> List[bytes]:
-    """Split a compressed payload into ``parts`` contiguous byte ranges."""
-    if parts <= 1:
-        return [payload]
-    n = len(payload)
-    bounds = [round(i * n / parts) for i in range(parts + 1)]
-    return [payload[bounds[i] : bounds[i + 1]] for i in range(parts)]
 
 
 def c_reduce_scatter_program(
@@ -120,22 +110,16 @@ def c_reduce_scatter_program(
         # changed last round), interleaving sends and progress polls
         message = adapter.compress(outgoing)
         compress_time = adapter.compress_seconds(message)
-        pieces = split_payload(message.payload, segments_out)
         piece_vbytes = max(1, -(-message.virtual_nbytes // segments_out))
         send_reqs = []
         for seg in range(segments_out):
             yield Compute(compress_time / segments_out, category=CAT_COMDECOM)
             if overlap:
                 yield Test(recv_reqs[0])
+            # every segment carries the whole message object; what the wire
+            # is charged for is the segment's share of the compressed bytes
             send_reqs.append(
-                (
-                    yield Isend(
-                        dest=right,
-                        data=(message, seg, pieces[seg]),
-                        nbytes=piece_vbytes,
-                        tag=base_tag + seg,
-                    )
-                )
+                (yield Isend(dest=right, data=message, nbytes=piece_vbytes, tag=base_tag + seg))
             )
 
         # receive and decompress segment by segment; later segments keep
@@ -143,8 +127,7 @@ def c_reduce_scatter_program(
         decompress_time_total = None
         incoming_message: Optional[CompressedMessage] = None
         for seg in range(segments_in):
-            received = yield Wait(recv_reqs[seg], category=CAT_WAIT)
-            incoming_message = received[0]
+            incoming_message = yield Wait(recv_reqs[seg], category=CAT_WAIT)
             if decompress_time_total is None:
                 decompress_time_total = adapter.decompress_seconds(incoming_message)
             yield Compute(decompress_time_total / segments_in, category=CAT_COMDECOM)

@@ -2,8 +2,9 @@
 
 One :class:`CCollConfig` instance describes everything a C-Coll collective
 needs besides the data: which error-bounded codec to use and with what bound,
-how the pipelined compressor is chunked, which of the two optimization
-frameworks are active, and how real bytes map to virtual (paper-scale) bytes.
+how the pipelined compressor is chunked, whether the computation framework
+overlaps compression with communication, and how real bytes map to virtual
+(paper-scale) bytes.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ class CCollConfig:
         Bits per value for the fixed-rate baseline codec.
     pipeline_chunk_elems:
         PIPE-SZx chunk granularity (5120 data points in the paper).
-    overlap_polls_per_chunk:
-        How many progress polls the simulator issues while one reduce-scatter
-        chunk is being (de)compressed in the overlapped framework.  More polls
-        model a finer pipeline at the cost of simulation commands.
-    use_movement_framework:
-        Enable the collective data-movement framework (compress once, forward
-        compressed, decompress at the end).  Disabling it yields the CPR-P2P
-        behaviour for data-movement collectives.
     use_overlap:
         Enable the collective computation framework (PIPE-SZx progress polling
         during compression/decompression in reduce-scatter).
@@ -58,8 +51,6 @@ class CCollConfig:
     error_bound: float = 1e-3
     rate: float = 8.0
     pipeline_chunk_elems: int = DEFAULT_CHUNK_ELEMS
-    overlap_polls_per_chunk: int = 8
-    use_movement_framework: bool = True
     use_overlap: bool = True
     size_multiplier: float = 1.0
     cost: CostModel = field(default_factory=CostModel.broadwell_omnipath)
@@ -69,8 +60,6 @@ class CCollConfig:
         ensure_positive(self.rate, "rate")
         if self.pipeline_chunk_elems < 1:
             raise ValueError("pipeline_chunk_elems must be >= 1")
-        if self.overlap_polls_per_chunk < 1:
-            raise ValueError("overlap_polls_per_chunk must be >= 1")
         ensure_positive(self.size_multiplier, "size_multiplier")
 
     # ---------------------------------------------------------------- helpers

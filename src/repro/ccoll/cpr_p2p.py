@@ -163,17 +163,6 @@ def cpr_allgather_program(
     return blocks
 
 
-def _plan_cpr_allgather(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
-    """Plan the CPR-P2P ring allgather."""
-    ctx = config.context()
-    blocks = as_rank_arrays(inputs, n_ranks)
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-    return CollectivePlan(
-        lambda rank, size: cpr_allgather_program(rank, size, blocks[rank], adapters[rank], ctx, 0),
-        _ccoll_finish(adapters),
-    )
-
-
 # ------------------------------------------------------------------------------ bcast
 
 
@@ -212,21 +201,6 @@ def cpr_bcast_program(
         mask >>= 1
 
     return buffer
-
-
-def _plan_cpr_bcast(
-    data: np.ndarray, n_ranks: int, config: CCollConfig, root: int = 0
-) -> CollectivePlan:
-    """Plan the CPR-P2P binomial broadcast."""
-    ctx = config.context()
-    data = np.ascontiguousarray(data).reshape(-1)
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-    return CollectivePlan(
-        lambda rank, size: cpr_bcast_program(
-            rank, size, data if rank == root else None, adapters[rank], ctx, root=root
-        ),
-        _ccoll_finish(adapters),
-    )
 
 
 # ---------------------------------------------------------------------------- scatter
@@ -278,17 +252,3 @@ def cpr_scatter_program(
         mask >>= 1
 
     return segment[0]
-
-
-def _plan_cpr_scatter(inputs, n_ranks: int, config: CCollConfig, root: int = 0) -> CollectivePlan:
-    """Plan the CPR-P2P binomial scatter."""
-    ctx = config.context()
-    blocks = as_rank_arrays(inputs, n_ranks)
-    relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
-    return CollectivePlan(
-        lambda rank, size: cpr_scatter_program(
-            rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
-        ),
-        _ccoll_finish(adapters),
-    )

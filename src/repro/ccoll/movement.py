@@ -33,6 +33,7 @@ from repro.collectives.context import (
     CollectiveContext,
     CollectiveOutcome,
     CollectivePlan,
+    _flat_float_array,
     as_rank_arrays,
 )
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
@@ -179,13 +180,16 @@ def c_allgather_program(
     return blocks
 
 
-def _plan_c_allgather(inputs, n_ranks: int, config: CCollConfig) -> CollectivePlan:
-    """Plan C-Allgather; every rank's result is the list of all (reconstructed) blocks."""
+def _plan_compressed_allgather(
+    program, inputs, n_ranks: int, config: CCollConfig
+) -> CollectivePlan:
+    """Plan a compressed ring allgather run by ``program`` (:func:`c_allgather_program`
+    or its CPR-P2P twin); every rank's result is the list of all (reconstructed) blocks."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
     return CollectivePlan(
-        lambda rank, size: c_allgather_program(rank, size, blocks[rank], adapters[rank], ctx),
+        lambda rank, size: program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),
     )
 
@@ -238,15 +242,16 @@ def c_bcast_program(
     return result
 
 
-def _plan_c_bcast(
-    data: np.ndarray, n_ranks: int, config: CCollConfig, root: int = 0
+def _plan_compressed_bcast(
+    program, data: np.ndarray, n_ranks: int, config: CCollConfig, root: int = 0
 ) -> CollectivePlan:
-    """Plan C-Bcast; every rank's result is the (root-exact / reconstructed) buffer."""
+    """Plan a compressed binomial broadcast run by ``program`` (:func:`c_bcast_program`
+    or its CPR-P2P twin); every rank's result is the (root-exact / reconstructed) buffer."""
     ctx = config.context()
-    data = np.ascontiguousarray(data).reshape(-1)
+    data = _flat_float_array(data, "bcast data")
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
     return CollectivePlan(
-        lambda rank, size: c_bcast_program(
+        lambda rank, size: program(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
         ),
         _ccoll_finish(adapters),
@@ -310,14 +315,17 @@ def c_scatter_program(
     return result
 
 
-def _plan_c_scatter(inputs, n_ranks: int, config: CCollConfig, root: int = 0) -> CollectivePlan:
-    """Plan C-Scatter; rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
+def _plan_compressed_scatter(
+    program, inputs, n_ranks: int, config: CCollConfig, root: int = 0
+) -> CollectivePlan:
+    """Plan a compressed binomial scatter run by ``program`` (:func:`c_scatter_program`
+    or its CPR-P2P twin); rank ``r``'s result is its (reconstructed) block ``inputs[r]``."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
     return CollectivePlan(
-        lambda rank, size: c_scatter_program(
+        lambda rank, size: program(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root
         ),
         _ccoll_finish(adapters),

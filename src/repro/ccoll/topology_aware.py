@@ -3,18 +3,17 @@
 The paper's central trade — CPU lossy compression versus wire time — is only
 worth taking on links slower than the compressor.  On a two-level topology the
 intra-node links (shared-memory class, ~12 GB/s) are *faster* than SZx, so
-compressing there would cost time and accuracy for nothing.  This variant
-therefore runs the hierarchical schedule of
-:mod:`repro.collectives.hierarchical` with compression applied exclusively to
-the stage that crosses the inter-node fabric:
-
-1. **intra-node reduce** — binomial tree to the node leader, uncompressed;
-2. **inter-node allreduce among leaders** — a compressed ring: the
-   reduce-scatter stage compresses each outgoing chunk per hop (decompress,
-   reduce on arrival), and the allgather stage uses the paper's data-movement
-   framework (compress the reduced chunk once, forward compressed bytes,
-   decompress only at the end);
-3. **intra-node bcast** — binomial tree from the leader, uncompressed.
+compressing there would cost time and accuracy for nothing.  This variant is
+therefore not a schedule of its own but a plug into the hierarchical skeleton
+(:func:`repro.collectives.hierarchical.hierarchical_allreduce_program`:
+intra-node binomial reduce to the node leader, allreduce among the leaders,
+intra-node binomial bcast, the first and last uncompressed).  The skeleton
+takes the leader stage — the only one crossing the inter-node fabric — as a
+rank program, and this module supplies a compressed one,
+:func:`_group_compressed_ring_allreduce`: the reduce-scatter half compresses
+each outgoing chunk per hop (decompress, reduce on arrival) and the allgather
+half uses the paper's data-movement framework (compress the reduced chunk
+once, forward compressed bytes, decompress only at the end).
 
 Because only ``log-free`` inter-node hops see lossy compression, the error a
 value accumulates is bounded by the reduce-scatter hop count among *nodes*
@@ -24,7 +23,8 @@ share each node.
 Compressing the inter-node hops is itself a bet against the wire: on the
 calibrated 0.55 GB/s fabric it pays handsomely, but a rail-optimised or
 non-oversubscribed next-generation fabric can outrun the compressor, in which
-case the same hierarchical schedule should run uncompressed.
+case the plan is the plain hierarchical allreduce (the skeleton with the
+uncompressed leader ring).
 :func:`select_inter_compression` (the gate behind
 ``Communicator.allreduce(compression="auto")``) compares the topology's
 effective inter-node bandwidth (NIC rate tapered by the fabric's
@@ -38,7 +38,9 @@ rate can legitimately make *opposite* calls.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import dataclasses
+from functools import partial
+from typing import List
 
 import numpy as np
 
@@ -47,33 +49,27 @@ from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_program
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.hierarchical import (
-    _group_binomial_bcast,
-    _group_binomial_reduce,
+    _plan_hierarchical_allreduce,
     hierarchical_allreduce_program,
     node_groups,
 )
 from repro.collectives.reduce_scatter import partition_chunks
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
-from repro.mpisim.timeline import CAT_COMDECOM, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
+from repro.mpisim.timeline import CAT_COMDECOM, CAT_REDUCTION, CAT_WAIT
 
-__all__ = [
-    "topology_aware_c_allreduce_program",
-    "select_inter_compression",
-]
+__all__ = ["select_inter_compression"]
 
-_TAG_REDUCE = 0
 _TAG_INTER_RS = 10_000
 _TAG_INTER_AG = 30_000
-_TAG_BCAST = 50_000
 
 
 def _group_compressed_ring_allreduce(
+    adapter: CompressionAdapter,
+    ctx: CollectiveContext,
     my_idx: int,
     group: List[int],
     vec: np.ndarray,
-    adapter: CompressionAdapter,
-    ctx: CollectiveContext,
 ):
     """Compressed ring allreduce over ``group`` (the inter-node leader stage).
 
@@ -118,49 +114,6 @@ def _group_compressed_ring_allreduce(
     return np.concatenate(blocks)
 
 
-def topology_aware_c_allreduce_program(
-    rank: int,
-    size: int,
-    my_vector: np.ndarray,
-    adapter: CompressionAdapter,
-    ctx: CollectiveContext,
-    topology: Topology,
-    peers: Optional[List[int]] = None,
-    leaders: Optional[List[int]] = None,
-):
-    """Rank program for the topology-aware C-Allreduce; returns the reduced vector.
-
-    ``peers``/``leaders`` may be precomputed via
-    :func:`repro.collectives.hierarchical.node_groups`; when omitted they are
-    derived from ``topology``.
-    """
-    vec = np.ascontiguousarray(my_vector).reshape(-1).copy()
-    if size == 1:
-        return vec
-
-    yield Compute(ctx.alloc_seconds(vec), category=CAT_OTHERS)
-
-    peers = peers if peers is not None else topology.node_ranks(rank, size)
-    leaders = leaders if leaders is not None else topology.node_leaders(size)
-    my_idx = peers.index(rank)
-    is_leader = rank == peers[0]
-
-    # stage 1: uncompressed intra-node reduce (links outrun the compressor)
-    vec = yield from _group_binomial_reduce(my_idx, peers, vec, ctx, tag=_TAG_REDUCE)
-
-    # stage 2: compressed allreduce across the inter-node fabric
-    if is_leader and len(leaders) > 1:
-        vec = yield from _group_compressed_ring_allreduce(
-            leaders.index(rank), leaders, vec, adapter, ctx
-        )
-
-    # stage 3: uncompressed intra-node bcast of the reconstructed result
-    vec = yield from _group_binomial_bcast(
-        my_idx, peers, vec if is_leader else None, ctx, tag=_TAG_BCAST
-    )
-    return vec
-
-
 def select_inter_compression(
     topology: Topology,
     config: CCollConfig,
@@ -191,29 +144,21 @@ def _plan_topology_aware_c_allreduce(
 ) -> CollectivePlan:
     """Plan the topology-aware C-Allreduce (compression on inter-node hops only).
 
-    ``compress_inter=False`` runs the same hierarchical schedule with no codec
-    on any hop (the wire outruns it); the choice is recorded on the outcome
-    as ``inter_compressed``.
+    ``compress_inter=False`` is the plain hierarchical plan (the wire outruns
+    the codec); the choice is recorded on the outcome as ``inter_compressed``.
     """
     ctx = config.context()
+    if not compress_inter:
+        plan = _plan_hierarchical_allreduce(inputs, n_ranks, ctx, topology)
+        return dataclasses.replace(plan, finish=_ccoll_finish(inter_compressed=False))
+
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
-
-    if not compress_inter:
-        return CollectivePlan(
-            lambda rank, size: hierarchical_allreduce_program(
-                rank, size, vectors[rank], ctx, topology,
-                peers=peers_by_rank[rank], leaders=leaders,
-            ),
-            _ccoll_finish(inter_compressed=False),
-            algorithm="hierarchical",
-        )
-
     adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
     return CollectivePlan(
-        lambda rank, size: topology_aware_c_allreduce_program(
-            rank, size, vectors[rank], adapters[rank], ctx, topology,
-            peers=peers_by_rank[rank], leaders=leaders,
+        lambda rank, size: hierarchical_allreduce_program(
+            rank, size, vectors[rank], ctx, peers_by_rank[rank], leaders,
+            partial(_group_compressed_ring_allreduce, adapters[rank], ctx),
         ),
         _ccoll_finish(adapters, inter_compressed=True),
         algorithm="hierarchical",

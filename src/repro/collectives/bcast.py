@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectivePlan
+from repro.collectives.context import CollectiveContext, CollectivePlan, _flat_float_array
 from repro.collectives.hierarchical import _group_binomial_bcast
 
 __all__ = ["binomial_bcast_program"]
@@ -33,7 +33,7 @@ def _plan_binomial_bcast(
     data: np.ndarray, n_ranks: int, ctx: CollectiveContext, root: int = 0
 ) -> CollectivePlan:
     """Plan a broadcast of ``data`` from ``root``; every rank's result is the full buffer."""
-    data = np.ascontiguousarray(data).reshape(-1)
+    data = _flat_float_array(data, "bcast data")
     return CollectivePlan(
         lambda rank, size: binomial_bcast_program(
             rank, size, data if rank == root else None, ctx, root=root

@@ -62,14 +62,6 @@ class CollectiveContext:
         """Virtual time to allocate a buffer the size of ``data``."""
         return self.cost.alloc_seconds(self.vbytes(data))
 
-    def compress_seconds(self, codec: Any, data: Any, ratio: Optional[float] = None) -> float:
-        """Virtual time to compress ``data`` (uncompressed size) with ``codec``."""
-        return self.cost.compress_seconds(codec, self.vbytes(data), ratio=ratio)
-
-    def decompress_seconds(self, codec: Any, data: Any, ratio: Optional[float] = None) -> float:
-        """Virtual time to decompress back to ``data``'s uncompressed size."""
-        return self.cost.decompress_seconds(codec, self.vbytes(data), ratio=ratio)
-
 
 @dataclass
 class CollectiveOutcome:
@@ -110,6 +102,14 @@ class CollectivePlan:
     algorithm: Optional[str] = None
 
 
+def _flat_float_array(data, what: str) -> np.ndarray:
+    """``data`` as one flat contiguous array; anything but floats is a ``TypeError``."""
+    arr = np.ascontiguousarray(data).reshape(-1)
+    if not np.issubdtype(arr.dtype, np.floating):
+        raise TypeError(f"{what} must be a float array, got {arr.dtype}")
+    return arr
+
+
 def as_rank_arrays(inputs, n_ranks: int) -> List[np.ndarray]:
     """Normalise collective input into one flat float array per rank.
 
@@ -124,12 +124,7 @@ def as_rank_arrays(inputs, n_ranks: int) -> List[np.ndarray]:
     inputs = list(inputs)
     if len(inputs) != n_ranks:
         raise ValueError(f"expected {n_ranks} per-rank arrays, got {len(inputs)}")
-    arrays = []
-    for rank, arr in enumerate(inputs):
-        arr = np.ascontiguousarray(arr).reshape(-1)
-        if not np.issubdtype(arr.dtype, np.floating):
-            raise TypeError(f"rank {rank} input must be a float array, got {arr.dtype}")
-        arrays.append(arr)
+    arrays = [_flat_float_array(arr, f"rank {rank} input") for rank, arr in enumerate(inputs)]
     first = arrays[0]
     for rank, arr in enumerate(arrays):
         if arr.size != first.size or arr.dtype != first.dtype:

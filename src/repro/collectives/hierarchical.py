@@ -18,12 +18,14 @@ latency dominates.  ``bench_topology_scaling.py`` demonstrates both regimes.
 The building blocks (`_group_binomial_reduce`, `_group_binomial_bcast`, and
 :func:`repro.collectives.allreduce.ring_allreduce_over_group`) operate over an
 explicit list of global ranks, so they compose for any placement the topology
-describes.
+describes.  Stage 2 is a parameter of the skeleton: the topology-aware
+C-Allreduce (:mod:`repro.ccoll.topology_aware`) is this same program with a
+compressed leader ring plugged in.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -35,10 +37,11 @@ from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAI
 
 __all__ = ["hierarchical_allreduce_program", "node_groups"]
 
-#: tag blocks separating the three stages
+#: tag blocks separating the three stages; the broadcast's sits above every
+#: block a leader stage uses (the compressed one's reach 40 000 + leaders)
 _TAG_REDUCE = 0
 _TAG_INTER = 10_000
-_TAG_BCAST = 20_000
+_TAG_BCAST = 50_000
 
 
 def _group_binomial_reduce(
@@ -115,14 +118,17 @@ def hierarchical_allreduce_program(
     size: int,
     my_vector: np.ndarray,
     ctx: CollectiveContext,
-    topology: Topology,
-    peers: Optional[List[int]] = None,
-    leaders: Optional[List[int]] = None,
+    peers: List[int],
+    leaders: List[int],
+    leader_allreduce: Callable[[int, List[int], np.ndarray], Generator],
 ):
     """Rank program for the hierarchical allreduce; returns the global sum.
 
-    ``peers``/``leaders`` may be precomputed via :func:`node_groups`; when
-    omitted they are derived from ``topology``.
+    ``peers`` / ``leaders`` come from :func:`node_groups`.  ``leader_allreduce``
+    is the stage the node leaders run across the fabric, a rank program
+    ``(my_idx, leaders, vec)`` returning the sum over all leaders: the plain
+    plan passes the uncompressed ring, the topology-aware C-Allreduce a
+    compressed one (:mod:`repro.ccoll.topology_aware`).
     """
     vec = np.ascontiguousarray(my_vector).reshape(-1).copy()
     if size == 1:
@@ -130,19 +136,15 @@ def hierarchical_allreduce_program(
 
     yield Compute(ctx.alloc_seconds(vec), category=CAT_OTHERS)
 
-    peers = peers if peers is not None else topology.node_ranks(rank, size)
-    leaders = leaders if leaders is not None else topology.node_leaders(size)
     my_idx = peers.index(rank)
     is_leader = rank == peers[0]
 
     # stage 1: intra-node binomial reduce to the node leader
     vec = yield from _group_binomial_reduce(my_idx, peers, vec, ctx, tag=_TAG_REDUCE)
 
-    # stage 2: inter-node ring allreduce among the node leaders
+    # stage 2: allreduce among the node leaders, the only stage on the fabric
     if is_leader and len(leaders) > 1:
-        vec = yield from ring_allreduce_over_group(
-            leaders.index(rank), leaders, vec, ctx, tag_base=_TAG_INTER
-        )
+        vec = yield from leader_allreduce(leaders.index(rank), leaders, vec)
 
     # stage 3: intra-node binomial broadcast of the reduced vector
     vec = yield from _group_binomial_bcast(
@@ -163,10 +165,13 @@ def _plan_hierarchical_allreduce(
     topology = topology if topology is not None else FlatTopology()
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
+
+    def leader_ring(my_idx: int, group: List[int], vec: np.ndarray):
+        return ring_allreduce_over_group(my_idx, group, vec, ctx, tag_base=_TAG_INTER)
+
     return CollectivePlan(
         lambda rank, size: hierarchical_allreduce_program(
-            rank, size, vectors[rank], ctx, topology,
-            peers=peers_by_rank[rank], leaders=leaders,
+            rank, size, vectors[rank], ctx, peers_by_rank[rank], leaders, leader_ring
         ),
         algorithm="hierarchical",
     )

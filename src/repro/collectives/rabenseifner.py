@@ -16,8 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.collectives.recursive_doubling import largest_power_of_two_below
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
+from repro.collectives.recursive_doubling import (
+    fold_to_power_of_two,
+    largest_power_of_two_below,
+    unfold_from_power_of_two,
+)
+from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
 from repro.mpisim.timeline import (
     CAT_ALLGATHER,
     CAT_MEMCPY,
@@ -46,29 +50,11 @@ def rabenseifner_allreduce_program(
     buf = buf.copy()
 
     pof2 = largest_power_of_two_below(size)
-    rem = size - pof2
-
-    # fold: first 2*rem ranks pair up so pof2 ranks carry the scatter phases
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            req = yield Isend(dest=rank + 1, data=buf, nbytes=ctx.vbytes(buf), tag=tag_base)
-            yield Wait(req, category=CAT_WAIT)
-            newrank = -1
-        else:
-            req = yield Irecv(source=rank - 1, tag=tag_base)
-            received = yield Wait(req, category=CAT_WAIT)
-            buf = buf + received
-            yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
+    buf, newrank, real_rank = yield from fold_to_power_of_two(rank, size, buf, ctx, tag_base)
 
     if newrank != -1 and pof2 > 1:
         cnts = split_counts(buf.size, pof2)
         disps = split_displacements(cnts)
-
-        def real_rank(newdst: int) -> int:
-            return newdst * 2 + 1 if newdst < rem else newdst + rem
 
         # ------------------------------ reduce-scatter by recursive halving
         send_idx = recv_idx = 0
@@ -135,17 +121,9 @@ def rabenseifner_allreduce_program(
             mask >>= 1
             step += 1
 
-    # unfold: hand the full result back to the folded-away even ranks
-    if rank < 2 * rem:
-        unfold_tag = tag_base + 1 + 2 * pof2
-        if rank % 2 == 1:
-            req = yield Isend(dest=rank - 1, data=buf, nbytes=ctx.vbytes(buf), tag=unfold_tag)
-            yield Wait(req, category=CAT_WAIT)
-        else:
-            req = yield Irecv(source=rank + 1, tag=unfold_tag)
-            buf = yield Wait(req, category=CAT_WAIT)
-            yield Compute(ctx.memcpy_seconds(buf), category=CAT_MEMCPY)
-    return buf
+    return (
+        yield from unfold_from_power_of_two(rank, size, buf, ctx, tag_base + 1 + 2 * pof2)
+    )
 
 
 def _plan_rabenseifner_allreduce(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:

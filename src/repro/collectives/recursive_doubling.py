@@ -31,6 +31,50 @@ def largest_power_of_two_below(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
+def fold_to_power_of_two(
+    rank: int, size: int, vec: np.ndarray, ctx: CollectiveContext, tag: int
+):
+    """Fold ``size`` ranks onto the largest power of two below it.
+
+    The first ``2 * (size - pof2)`` ranks pair up: the even one sends its
+    vector to the odd one, which adds it to its own.  Returns ``(vec, newrank,
+    real_rank)``: this rank's index among the ``pof2`` survivors (``-1`` if it
+    was folded away) and the map from a survivor index back to its rank.
+    """
+    rem = size - largest_power_of_two_below(size)
+
+    def real_rank(survivor: int) -> int:
+        return survivor * 2 + 1 if survivor < rem else survivor + rem
+
+    if rank >= 2 * rem:
+        return vec, rank - rem, real_rank
+    if rank % 2 == 0:
+        req = yield Isend(dest=rank + 1, data=vec, nbytes=ctx.vbytes(vec), tag=tag)
+        yield Wait(req, category=CAT_WAIT)
+        return vec, -1, real_rank
+    req = yield Irecv(source=rank - 1, tag=tag)
+    received = yield Wait(req, category=CAT_WAIT)
+    vec = vec + received
+    yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
+    return vec, rank // 2, real_rank
+
+
+def unfold_from_power_of_two(
+    rank: int, size: int, vec: np.ndarray, ctx: CollectiveContext, tag: int
+):
+    """Undo :func:`fold_to_power_of_two`: every odd survivor of a folded pair
+    hands the result back to its even partner.  Returns the result."""
+    if rank < 2 * (size - largest_power_of_two_below(size)):
+        if rank % 2 == 1:
+            req = yield Isend(dest=rank - 1, data=vec, nbytes=ctx.vbytes(vec), tag=tag)
+            yield Wait(req, category=CAT_WAIT)
+        else:
+            req = yield Irecv(source=rank + 1, tag=tag)
+            vec = yield Wait(req, category=CAT_WAIT)
+            yield Compute(ctx.memcpy_seconds(vec), category=CAT_MEMCPY)
+    return vec
+
+
 def recursive_doubling_allreduce_program(
     rank: int,
     size: int,
@@ -47,29 +91,13 @@ def recursive_doubling_allreduce_program(
     vec = vec.copy()
 
     pof2 = largest_power_of_two_below(size)
-    rem = size - pof2
-
-    # fold: the first 2*rem ranks pair up so pof2 ranks survive
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            req = yield Isend(dest=rank + 1, data=vec, nbytes=ctx.vbytes(vec), tag=tag_base)
-            yield Wait(req, category=CAT_WAIT)
-            newrank = -1
-        else:
-            req = yield Irecv(source=rank - 1, tag=tag_base)
-            received = yield Wait(req, category=CAT_WAIT)
-            vec = vec + received
-            yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
-            newrank = rank // 2
-    else:
-        newrank = rank - rem
+    vec, newrank, real_rank = yield from fold_to_power_of_two(rank, size, vec, ctx, tag_base)
 
     # doubling exchange among the pof2 survivors
     if newrank != -1:
         mask = 1
         while mask < pof2:
-            newdst = newrank ^ mask
-            dst = newdst * 2 + 1 if newdst < rem else newdst + rem
+            dst = real_rank(newrank ^ mask)
             tag = tag_base + 1 + mask
             recv_req = yield Irecv(source=dst, tag=tag)
             send_req = yield Isend(dest=dst, data=vec, nbytes=ctx.vbytes(vec), tag=tag)
@@ -78,17 +106,7 @@ def recursive_doubling_allreduce_program(
             yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
             mask <<= 1
 
-    # unfold: hand the result back to the folded-away even ranks
-    if rank < 2 * rem:
-        unfold_tag = tag_base + 1 + pof2
-        if rank % 2 == 1:
-            req = yield Isend(dest=rank - 1, data=vec, nbytes=ctx.vbytes(vec), tag=unfold_tag)
-            yield Wait(req, category=CAT_WAIT)
-        else:
-            req = yield Irecv(source=rank + 1, tag=unfold_tag)
-            vec = yield Wait(req, category=CAT_WAIT)
-            yield Compute(ctx.memcpy_seconds(vec), category=CAT_MEMCPY)
-    return vec
+    return (yield from unfold_from_power_of_two(rank, size, vec, ctx, tag_base + 1 + pof2))
 
 
 def _plan_recursive_doubling_allreduce(

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import Cluster
+from repro.api.cluster import _fat_tree_arity_for
 from repro.collectives.selection import select_algorithm
 from repro.harness.common import (
     default_config,
@@ -73,14 +74,6 @@ FABRIC_NAMES = (
 _ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
 
 
-def _fat_tree_arity(n_nodes: int) -> int:
-    """Smallest even k whose three-level tree (k^3/4 hosts) fits ``n_nodes``."""
-    k = 2
-    while k**3 // 4 < n_nodes:
-        k += 2
-    return k
-
-
 def fabric_factories(
     nic_bandwidth: float,
     ranks_per_node: int,
@@ -96,7 +89,7 @@ def fabric_factories(
     (reservation queue or ``"fair"`` max-min processor sharing).
     """
     n_nodes = -(-n_ranks // ranks_per_node)
-    k = _fat_tree_arity(n_nodes)
+    k = _fat_tree_arity_for(n_nodes)
     nodes_per_router = -(-n_nodes // 4)  # dragonfly: 2 groups x 2 routers
     return {
         "shared_uplink": lambda: shared_uplink_topology(

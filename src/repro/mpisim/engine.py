@@ -378,7 +378,7 @@ class Engine:
         self._program_factory = program_factory
         self._trace_events = bool(trace_events)
         # type-keyed command dispatch (replaces the isinstance chain on the
-        # hottest path; subclasses of command types are memoised on first use)
+        # hottest path; a command is exactly one of these types)
         self._handlers: Dict[type, Callable[[_RankState, Command], None]] = {
             Compute: self._handle_compute,
             Isend: self._handle_isend,
@@ -836,18 +836,10 @@ class Engine:
         state.commands_executed += 1
         handler = self._handlers.get(type(command))
         if handler is None:
-            handler = self._resolve_handler(state, command)
+            raise InvalidCommandError(
+                f"rank {state.rank} yielded {command!r}, which is not a simulator command"
+            )
         handler(state, command)
-
-    def _resolve_handler(self, state: _RankState, command: Command):
-        """Slow path: match subclasses of the command types and memoise them."""
-        for command_type, handler in list(self._handlers.items()):
-            if isinstance(command, command_type):
-                self._handlers[type(command)] = handler
-                return handler
-        raise InvalidCommandError(
-            f"rank {state.rank} yielded {command!r}, which is not a simulator command"
-        )
 
     def _handle_wait(self, state: _RankState, cmd: Wait) -> None:
         self._start_wait(state, [cmd.request], cmd.category, single=True)

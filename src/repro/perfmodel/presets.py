@@ -7,8 +7,6 @@ calibration (and so that ablations can swap a single piece).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.mpisim.network import PROGRESS_ASYNC, NetworkModel
 from repro.mpisim.topology import (
     DragonflyTopology,
@@ -81,164 +79,63 @@ def line_rate_network() -> NetworkModel:
 
 
 # ------------------------------------------------------------------ topologies
+#
+# A preset is its topology class plus the handful of defaults that make it the
+# named regime.  The classes already default their fabric links to the
+# calibrated ``default_network()`` rate (``DEFAULT_INTER_LATENCY`` /
+# ``DEFAULT_INTER_BANDWIDTH``), so a factory that re-declared and forwarded
+# constructor parameters would only be a second copy of a signature to keep in
+# step.  Every keyword goes straight to the class, which documents and
+# validates it and rejects unknown ones with ``TypeError``.
 
 
 def flat_topology() -> FlatTopology:
-    """The paper's placement: one rank per node, uniform calibrated links.
-
-    This is the default everywhere; the engine treats it identically to "no
-    topology", so every calibrated figure reproduces bit-for-bit.
-    """
+    """The paper's placement: one rank per node, uniform calibrated links
+    (bit for bit "no topology" — the default everywhere)."""
     return FlatTopology()
 
 
-def two_level_topology(
-    ranks_per_node: int = 4,
-    placement: Optional[Sequence[int]] = None,
-) -> HierarchicalTopology:
-    """Two-level cluster: fast intra-node links, dedicated inter-node links.
-
-    Intra-node pairs see a shared-memory-class link (12 GB/s, 0.5 us); pairs
-    on different nodes see the calibrated Omni-Path fabric (0.55 GB/s, 20 us)
-    with no contention between concurrent transfers.  Isolates the placement
-    effect from the contention effect.
-    """
-    net = default_network()
-    return HierarchicalTopology(
-        ranks_per_node=ranks_per_node,
-        placement=placement,
-        inter_latency=net.latency,
-        inter_bandwidth=net.bandwidth,
-    )
+def two_level_topology(**overrides) -> HierarchicalTopology:
+    """Two-level cluster, 4 ranks/node: fast intra-node links, dedicated
+    (uncontended) inter-node links — placement without contention."""
+    return HierarchicalTopology(**{"ranks_per_node": 4, **overrides})
 
 
-def shared_uplink_topology(
-    ranks_per_node: int = 4,
-    placement: Optional[Sequence[int]] = None,
-    inter_bandwidth: Optional[float] = None,
-    contention: str = "reservation",
-) -> SharedUplinkTopology:
-    """Two-level cluster whose per-node uplink is split by concurrent egress.
-
-    Same link parameters as :func:`two_level_topology` (``inter_bandwidth``
-    overrides the calibrated uplink rate, e.g. to compare against a fabric
-    preset at equal per-node bandwidth), but all inter-node transfers leaving
-    one node share that node's single uplink.  ``contention`` picks the
-    sharing discipline: the serialising reservation queue (default,
-    aggregate-exact for symmetric egress) or max-min fair processor sharing
-    (``"fair"``, order-exact for asymmetric mixes).  This is the
-    oversubscribed regime where hierarchical / topology-aware collectives
-    beat the flat ring.
-    """
-    net = default_network()
-    return SharedUplinkTopology(
-        ranks_per_node=ranks_per_node,
-        placement=placement,
-        inter_latency=net.latency,
-        inter_bandwidth=inter_bandwidth if inter_bandwidth is not None else net.bandwidth,
-        contention=contention,
-    )
+def shared_uplink_topology(**overrides) -> SharedUplinkTopology:
+    """Two-level cluster, 4 ranks/node, whose single per-node uplink is split by
+    concurrent egress — the oversubscribed regime where hierarchical /
+    topology-aware collectives beat the flat ring."""
+    return SharedUplinkTopology(**{"ranks_per_node": 4, **overrides})
 
 
-def fat_tree_topology(
-    k: int = 4,
-    ranks_per_node: int = 1,
-    oversubscription: float = 1.0,
-    nics_per_node: int = 1,
-    routing: str = "minimal",
-    rail_policy: str = "hash",
-    nic_bandwidth: Optional[float] = None,
-    placement: Optional[Sequence[int]] = None,
-    contention: str = "reservation",
-) -> FatTreeTopology:
-    """Three-level k-ary fat tree with the calibrated NIC as host injection.
-
-    ``oversubscription`` tapers every inter-switch stage to
-    ``nic_bandwidth / oversubscription`` (2.0 gives the classic 2:1 tree where
-    overlapping paths between *different* node pairs contend well before the
-    NICs saturate); ``nics_per_node``/``rail_policy`` enable multi-rail hosts;
-    ``contention`` picks the stage sharing discipline (reservation queue or
-    ``"fair"`` max-min processor sharing).
-    """
-    net = default_network()
-    return FatTreeTopology(
-        k=k,
-        ranks_per_node=ranks_per_node,
-        placement=placement,
-        oversubscription=oversubscription,
-        nics_per_node=nics_per_node,
-        routing=routing,
-        rail_policy=rail_policy,
-        nic_latency=net.latency,
-        nic_bandwidth=nic_bandwidth if nic_bandwidth is not None else net.bandwidth,
-        contention=contention,
-    )
+def fat_tree_topology(**overrides) -> FatTreeTopology:
+    """Three-level k-ary fat tree (k=4, non-blocking) with the calibrated NIC
+    as host injection; ``oversubscription=2.0`` gives the classic 2:1 taper."""
+    return FatTreeTopology(**overrides)
 
 
-def dragonfly_topology(
-    n_groups: int = 4,
-    routers_per_group: int = 4,
-    nodes_per_router: int = 1,
-    ranks_per_node: int = 1,
-    oversubscription: float = 1.0,
-    nics_per_node: int = 1,
-    routing: str = "minimal",
-    rail_policy: str = "hash",
-    nic_bandwidth: Optional[float] = None,
-    placement: Optional[Sequence[int]] = None,
-    contention: str = "reservation",
-) -> DragonflyTopology:
-    """Dragonfly with all-to-all groups and the calibrated NIC as injection.
-
-    Global links taper to ``nic_bandwidth / oversubscription``; pair with
-    ``routing="adaptive"`` to let Valiant detours route around a saturated
-    global link.  ``contention`` picks the stage sharing discipline
-    (reservation queue or ``"fair"`` max-min processor sharing).
-    """
-    net = default_network()
-    return DragonflyTopology(
-        n_groups=n_groups,
-        routers_per_group=routers_per_group,
-        nodes_per_router=nodes_per_router,
-        ranks_per_node=ranks_per_node,
-        placement=placement,
-        oversubscription=oversubscription,
-        nics_per_node=nics_per_node,
-        routing=routing,
-        rail_policy=rail_policy,
-        nic_latency=net.latency,
-        nic_bandwidth=nic_bandwidth if nic_bandwidth is not None else net.bandwidth,
-        contention=contention,
-    )
+def dragonfly_topology(**overrides) -> DragonflyTopology:
+    """Dragonfly (4 groups x 4 routers) with all-to-all groups and the
+    calibrated NIC as injection; pair a tapered global tier with
+    ``routing="adaptive"`` for Valiant detours."""
+    return DragonflyTopology(**overrides)
 
 
-def rail_optimized_fat_tree(
-    k: int = 4,
-    ranks_per_node: int = 4,
-    nics_per_node: int = 2,
-    oversubscription: float = 2.0,
-    nic_bandwidth: Optional[float] = None,
-    contention: str = "reservation",
-) -> FatTreeTopology:
-    """Multi-rail placement preset: co-located ranks stripe over ``nics_per_node`` rails.
-
-    Models the rail-optimised GPU-pod wiring where each host injects over
-    parallel NICs into an oversubscribed tree — the regime in which striping
-    recovers the bandwidth the tapered switch tier takes away.
-    """
-    return fat_tree_topology(
-        k=k,
-        ranks_per_node=ranks_per_node,
-        oversubscription=oversubscription,
-        nics_per_node=nics_per_node,
-        rail_policy="stripe",
-        routing="adaptive",
-        nic_bandwidth=nic_bandwidth,
-        contention=contention,
-    )
+def rail_optimized_fat_tree(**overrides) -> FatTreeTopology:
+    """Rail-optimised GPU-pod wiring: 4 co-located ranks stripe over 2 NIC
+    rails into a 2:1 tree, adaptively routed — striping recovers the bandwidth
+    the tapered switch tier takes away."""
+    named = {
+        "ranks_per_node": 4,
+        "nics_per_node": 2,
+        "oversubscription": 2.0,
+        "rail_policy": "stripe",
+        "routing": "adaptive",
+    }
+    return FatTreeTopology(**{**named, **overrides})
 
 
-#: preset name -> factory accepting (ranks_per_node=...) where applicable
+#: preset name -> factory; keywords override the topology class's parameters
 TOPOLOGY_PRESETS = {
     "flat": flat_topology,
     "two_level": two_level_topology,

@@ -240,16 +240,6 @@ class WorkloadEngine:
                     )
         return report
 
-    def isolated_makespan(self, spec: JobSpec, slots: Optional[Sequence[int]] = None) -> float:
-        """Makespan of one job alone on the fabric (packed slots by default)."""
-        if slots is None:
-            nodes = NodeAllocator(self.n_nodes, "packed", self.seed).allocate(
-                self._nodes_needed(spec)
-            )
-            assert nodes is not None  # fit was validated by the caller
-            slots = slots_for(nodes, self.ranks_per_node, spec.n_ranks)
-        return self._isolated_makespan(spec, tuple(slots))
-
     # -------------------------------------------------------------- internals
 
     def _nodes_needed(self, spec: JobSpec) -> int:

@@ -21,6 +21,11 @@ N_RANKS = 8
 CLUSTERS = {
     "flat": lambda: Cluster.from_preset("flat"),
     "fat_tree": lambda: Cluster.from_preset("fat_tree", nodes=4, ranks_per_node=2),
+    # co-located ranks on an uplink that outruns the codec: "auto" declines to
+    # compress, so the topology-aware route is the plain hierarchical skeleton
+    "fast_uplink": lambda: Cluster.from_preset(
+        "shared_uplink", ranks_per_node=4, inter_bandwidth=12.5e9
+    ),
 }
 
 

@@ -122,6 +122,19 @@ class TestCompressionDispatch:
         assert comm.last_algorithm == "hierarchical"
         assert outcome.inter_compressed in (True, False)
 
+    def test_auto_that_declines_to_compress_is_the_hierarchical_allreduce(self):
+        """One skeleton: when the gate says the wire outruns the codec, the
+        topology-aware route is ``algorithm="hierarchical"`` bit for bit."""
+        cluster = Cluster(topology=SharedUplinkTopology(ranks_per_node=4, inter_bandwidth=12.5e9))
+        vectors = _vectors(13, dtype=np.float32)
+        auto = cluster.communicator(13).allreduce(vectors, compression="auto")
+        plain = cluster.communicator(13).allreduce(vectors, algorithm="hierarchical")
+        assert auto.inter_compressed is False and auto.compression_ratio is None
+        assert auto.total_time == plain.total_time
+        assert auto.sim.rank_times == plain.sim.rank_times
+        for got, want in zip(auto.values, plain.values):
+            assert got.tobytes() == want.tobytes()
+
     def test_movement_collectives_accept_auto(self):
         comm = Cluster(config=CCollConfig(error_bound=1e-3)).communicator(4)
         blocks = _vectors(4, n=2048, dtype=np.float32)
@@ -147,6 +160,30 @@ class TestValidation:
     def test_di_rejected_for_reduce_scatter(self):
         with pytest.raises(ValueError, match="not available for reduce_scatter"):
             Cluster().communicator(2).reduce_scatter(_vectors(2), compression="di")
+
+    @pytest.mark.parametrize("mode", ["off", "on", "di", "auto"])
+    def test_bcast_of_integers_is_a_type_error_at_plan_time(self, mode):
+        comm = Cluster().communicator(4)
+        with pytest.raises(TypeError, match="float array, got int64"):
+            comm.bcast(np.arange(8, dtype=np.int64), compression=mode)
+        with pytest.raises(TypeError, match="float array, got int64"):
+            comm.capture(lambda c: c.bcast(np.arange(8, dtype=np.int64), compression=mode))
+
+    @pytest.mark.parametrize("root", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize(
+        "name, mode",
+        [(name, mode) for name in ("bcast", "scatter") for mode in ("off", "on", "di", "auto")]
+        + [("gather", None), ("reduce", None)],
+    )
+    def test_non_integer_root_is_rejected_before_anything_runs(self, name, mode, root):
+        data = _vectors(4)[0] if name == "bcast" else _vectors(4)
+        options = {} if mode is None else {"compression": mode}
+        with pytest.raises(ValueError, match="root must be an integer"):
+            getattr(Cluster().communicator(4), name)(data, root=root, **options)
+
+    def test_numpy_integer_root_is_accepted(self):
+        comm = Cluster().communicator(4)
+        assert comm.bcast(_vectors(4)[0], root=np.int64(2)).values[0] is not None
 
     def test_gather_reduce_have_no_compression_parameter(self):
         import inspect

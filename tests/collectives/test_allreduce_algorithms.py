@@ -16,9 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Cluster
-from repro.collectives import ALGORITHM_PLANNERS, select_algorithm
+from repro.collectives import ALGORITHM_PLANNERS, CollectiveContext, select_algorithm
+from repro.collectives.recursive_doubling import (
+    fold_to_power_of_two,
+    largest_power_of_two_below,
+    unfold_from_power_of_two,
+)
 from repro.collectives.selection import RING_MIN_BYTES, SHORT_MESSAGE_BYTES
-from repro.mpisim import FlatTopology, HierarchicalTopology, SharedUplinkTopology
+from repro.mpisim import (
+    FlatTopology,
+    HierarchicalTopology,
+    SharedUplinkTopology,
+    run_simulation,
+)
 
 #: the seed's ring-allreduce makespan for 8 ranks x 8192 float64, default
 #: network/cost models, rng(0) inputs — must never drift (see the module
@@ -78,6 +88,39 @@ class TestAllreduceSum:
             comm.allreduce(inputs, algorithm=algorithm)
             for arr, orig in zip(inputs, originals):
                 np.testing.assert_array_equal(arr, orig)
+
+
+class TestPowerOfTwoFold:
+    """The one fold / unfold both log-round allreduces run on odd sizes."""
+
+    @pytest.mark.parametrize("size", range(1, 18))
+    def test_fold_maps_ranks_onto_survivors_and_unfold_restores_them(self, size):
+        ctx = CollectiveContext()
+        pof2 = largest_power_of_two_below(size)
+        rem = size - pof2
+
+        def program(rank, _size):
+            mine = np.array([float(1 << rank)])
+            vec, newrank, real_rank = yield from fold_to_power_of_two(rank, size, mine, ctx, 7)
+            survivors = [real_rank(index) for index in range(pof2)]
+            vec = yield from unfold_from_power_of_two(rank, size, vec, ctx, 8)
+            return float(vec[0]), newrank, survivors
+
+        results = run_simulation(size, program).rank_values
+        # MPICH's map: of the first 2*rem ranks the odd ones survive, the rest shift down
+        expected_survivors = [2 * i + 1 if i < rem else i + rem for i in range(pof2)]
+        for rank, (value, newrank, survivors) in enumerate(results):
+            assert survivors == expected_survivors
+            if rank < 2 * rem:
+                assert newrank == (rank // 2 if rank % 2 else -1)
+                # a folded pair holds the pair's sum on both sides after the unfold
+                assert value == float((1 << (rank | 1)) + (1 << (rank & ~1)))
+            else:
+                assert newrank == rank - rem
+                assert value == float(1 << rank)
+            if newrank != -1:
+                assert survivors[newrank] == rank
+        assert sorted(r[1] for r in results if r[1] != -1) == list(range(pof2))
 
 
 class TestGoldenRegression:
