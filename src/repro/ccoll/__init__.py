@@ -15,9 +15,12 @@ Public entry points (rank programs composed by the session API):
 * :data:`ALLREDUCE_VARIANTS` — the AD / DI / ND / Overlap step-wise
   variants of Table V (``Communicator.allreduce(compression=<variant>)``)
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
+* :class:`CodecMemo` — codec results several plans of one job share (what
+  :mod:`repro.workload` hands its isolated baselines; see
+  :mod:`repro.ccoll.adapter`)
 """
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
+from repro.ccoll.adapter import CodecMemo, CompressedMessage, CompressionAdapter
 from repro.ccoll.allreduce import c_allreduce_program
 from repro.ccoll.computation import c_reduce_scatter_program, segment_count
 from repro.ccoll.config import CCollConfig
@@ -43,6 +46,7 @@ from repro.ccoll.variants import (
 __all__ = [
     "CCollConfig",
     "CCollOutcome",
+    "CodecMemo",
     "CompressionAdapter",
     "CompressedMessage",
     "c_allreduce_program",

@@ -22,7 +22,7 @@ import numpy as np
 from repro.ccoll.adapter import CompressionAdapter
 from repro.ccoll.computation import c_reduce_scatter_program
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import _ccoll_finish, c_allgather_program
+from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 
 __all__ = ["c_allreduce_program"]
@@ -50,7 +50,7 @@ def c_allreduce_program(
     )
 
     # stage 2: compress-once ring allgather of the reduced chunks
-    blocks = yield from c_allgather_program(
+    blocks = yield from c_allgather_stage(
         rank, size, reduced_chunk, ag_adapter, ctx, tag_offset=_AG_TAG_OFFSET
     )
     return np.concatenate(blocks)
@@ -65,10 +65,8 @@ def _plan_c_allreduce(inputs, n_ranks: int, config: CCollConfig, overlap: bool) 
     """
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    rs_adapters = [
-        CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)
-    ]
-    ag_adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
+    ag_adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: c_allreduce_program(
             rank, size, vectors[rank], rs_adapters[rank], ag_adapters[rank], ctx, overlap=overlap

@@ -152,7 +152,7 @@ def _plan_c_reduce_scatter(
     """Plan the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    adapters = [CompressionAdapter(config.make_pipelined_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
     return CollectivePlan(
         lambda rank, size: c_reduce_scatter_program(
             rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap

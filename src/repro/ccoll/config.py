@@ -10,8 +10,9 @@ overlaps compression with communication, and how real bytes map to virtual
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import List, Optional
 
+from repro.ccoll.adapter import CodecMemo, CompressionAdapter
 from repro.collectives.context import CollectiveContext
 from repro.compression.base import Compressor
 from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, PipelinedSZx
@@ -45,6 +46,11 @@ class CCollConfig:
         :class:`repro.collectives.context.CollectiveContext`).
     cost:
         Cost model used to convert work into virtual seconds.
+    codec_memo:
+        Codec results the collectives planned from this config reuse and add
+        to (:class:`repro.ccoll.adapter.CodecMemo`).  Not a setting: it changes
+        no result, so it takes no part in equality or the repr.
+        ``repro.workload`` sets it per job; everywhere else it is ``None``.
     """
 
     codec: str = "szx"
@@ -54,6 +60,7 @@ class CCollConfig:
     use_overlap: bool = True
     size_multiplier: float = 1.0
     cost: CostModel = field(default_factory=CostModel.broadwell_omnipath)
+    codec_memo: Optional[CodecMemo] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ensure_positive(self.error_bound, "error_bound")
@@ -86,6 +93,13 @@ class CCollConfig:
         return PipelinedSZx(
             error_bound=self.error_bound, chunk_elems=self.pipeline_chunk_elems
         )
+
+    def make_adapters(
+        self, ctx: CollectiveContext, n_ranks: int, pipelined: bool = False
+    ) -> List[CompressionAdapter]:
+        """One adapter per rank around the configured (or the PIPE-SZx) codec."""
+        make = self.make_pipelined_codec if pipelined else self.make_codec
+        return [CompressionAdapter(make(), ctx, self.codec_memo) for _ in range(n_ranks)]
 
     def context(self) -> CollectiveContext:
         """Collective execution context (cost model + virtual-size scaling)."""

@@ -119,7 +119,7 @@ def _plan_cpr_allreduce(inputs, n_ranks: int, config: CCollConfig) -> Collective
     """Plan the CPR-P2P (direct integration) ring allreduce."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: cpr_allreduce_program(rank, size, vectors[rank], adapters[rank], ctx),
         _ccoll_finish(adapters),

@@ -43,6 +43,7 @@ from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_OTHERS, CAT_W
 __all__ = [
     "CCollOutcome",
     "exchange_sizes_program",
+    "c_allgather_stage",
     "c_allgather_program",
     "c_bcast_program",
     "c_scatter_program",
@@ -124,7 +125,7 @@ def exchange_sizes_program(
 # --------------------------------------------------------------------------- allgather
 
 
-def c_allgather_program(
+def c_allgather_stage(
     rank: int,
     size: int,
     my_block: np.ndarray,
@@ -133,7 +134,13 @@ def c_allgather_program(
     tag_offset: int = 0,
     ring: Optional[List[int]] = None,
 ):
-    """C-Allgather: ring allgather of compressed blocks, decompressed at the end.
+    """The C-Allgather pipeline as a stage of a larger program.
+
+    Ring allgather of compressed blocks, decompressed at the end.  The remote
+    blocks it returns are *shared and read-only* (every rank of the ring gets
+    the same arrays): the allreduces that run this as their second stage
+    concatenate them into a buffer of their own; :func:`c_allgather_program`
+    is the collective, whose ranks own what they return.
 
     With ``ring`` given (ring position -> global rank; ``rank`` is then this
     rank's position), the same compress-once pipeline runs over a subgroup —
@@ -169,15 +176,32 @@ def c_allgather_program(
         messages[recv_index] = received
         send_index = recv_index
 
-    # 4. decompress everything received (the local block needs no decompression)
+    # 4. decompress everything received (the local block needs no
+    # decompression).  Every rank is charged for every block, as on the real
+    # machine; the host decodes each block once, because all size - 1
+    # receivers hold the same message object and share what it decodes to
     blocks: List[np.ndarray] = [None] * size
     blocks[rank] = my_block
     for index in range(size):
         if index == rank:
             continue
-        blocks[index] = adapter.decompress(messages[index])
+        blocks[index] = adapter.decompress_shared(messages[index])
         yield Compute(adapter.decompress_seconds(messages[index]), category=CAT_COMDECOM)
     return blocks
+
+
+def c_allgather_program(
+    rank: int,
+    size: int,
+    my_block: np.ndarray,
+    adapter: CompressionAdapter,
+    ctx: CollectiveContext,
+    tag_offset: int = 0,
+    ring: Optional[List[int]] = None,
+):
+    """C-Allgather: :func:`c_allgather_stage`, with every block the rank's own."""
+    blocks = yield from c_allgather_stage(rank, size, my_block, adapter, ctx, tag_offset, ring)
+    return [block if index == rank else block.copy() for index, block in enumerate(blocks)]
 
 
 def _plan_compressed_allgather(
@@ -187,7 +211,7 @@ def _plan_compressed_allgather(
     or its CPR-P2P twin); every rank's result is the list of all (reconstructed) blocks."""
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),
@@ -237,9 +261,11 @@ def c_bcast_program(
 
     if rank == root:
         return data
-    result = adapter.decompress(message)
+    # one host decode for all size - 1 receivers (they hold the same message
+    # object); each is charged for its own and returns a buffer of its own
+    result = adapter.decompress_shared(message)
     yield Compute(adapter.decompress_seconds(message), category=CAT_COMDECOM)
-    return result
+    return result.copy()
 
 
 def _plan_compressed_bcast(
@@ -249,7 +275,7 @@ def _plan_compressed_bcast(
     or its CPR-P2P twin); every rank's result is the (root-exact / reconstructed) buffer."""
     ctx = config.context()
     data = _flat_float_array(data, "bcast data")
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: program(
             rank, size, data if rank == root else None, adapters[rank], ctx, root=root
@@ -323,7 +349,7 @@ def _plan_compressed_scatter(
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
     relative_blocks = [blocks[(root + i) % n_ranks] for i in range(n_ranks)]
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: program(
             rank, size, relative_blocks if rank == root else None, adapters[rank], ctx, root=root

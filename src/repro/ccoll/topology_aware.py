@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.ccoll.adapter import CompressionAdapter
 from repro.ccoll.config import CCollConfig
-from repro.ccoll.movement import _ccoll_finish, c_allgather_program
+from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.hierarchical import (
     _plan_hierarchical_allreduce,
@@ -75,7 +75,7 @@ def _group_compressed_ring_allreduce(
 
     Reduce-scatter compresses each hop's chunk (fresh partial sums must be
     re-encoded every round); the allgather reuses the data-movement framework
-    (:func:`repro.ccoll.movement.c_allgather_program` over the leader ring):
+    (:func:`repro.ccoll.movement.c_allgather_stage` over the leader ring):
     one compression of the reduced chunk, compressed forwarding, decompression
     of every remote chunk at the end.
     """
@@ -102,7 +102,7 @@ def _group_compressed_ring_allreduce(
         yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)
 
     # -------------------------------------- compress-once allgather stage
-    blocks = yield from c_allgather_program(
+    blocks = yield from c_allgather_stage(
         my_idx,
         size,
         chunks[my_idx],
@@ -154,7 +154,7 @@ def _plan_topology_aware_c_allreduce(
 
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
-    adapters = [CompressionAdapter(config.make_codec(), ctx) for _ in range(n_ranks)]
+    adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: hierarchical_allreduce_program(
             rank, size, vectors[rank], ctx, peers_by_rank[rank], leaders,

@@ -19,7 +19,7 @@ CLI: ``python -m repro.workload run|replay`` (see ``README.md`` in this
 package for the architecture and the trace format).
 """
 
-from repro.workload.arrivals import JobMix, load_trace, save_trace
+from repro.workload.arrivals import JobMix, TraceFormatError, load_trace, save_trace
 from repro.workload.engine import WorkloadEngine
 from repro.workload.job import (
     COLLECTIVE_OPS,
@@ -59,6 +59,7 @@ __all__ = [
     "JobSpec",
     "NodeAllocator",
     "PlacementView",
+    "TraceFormatError",
     "WorkloadEngine",
     "WorkloadReport",
     "call_inputs",

@@ -43,7 +43,7 @@ from typing import List, Optional
 from repro.api import Cluster
 from repro.faults import FAULT_MIXES, FaultSchedule
 from repro.mpisim.audit import audit_fabric
-from repro.workload.arrivals import JobMix, load_trace, save_trace
+from repro.workload.arrivals import JobMix, TraceFormatError, load_trace, save_trace
 from repro.workload.engine import WorkloadEngine
 from repro.workload.job import COLLECTIVE_OPS, JobSpec
 from repro.workload.recovery import FAILURE_POLICY_MODES
@@ -195,7 +195,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    specs = load_trace(args.trace)
+    try:
+        specs = load_trace(args.trace)
+    except TraceFormatError as exc:
+        print(f"malformed trace: {exc}", file=sys.stderr)
+        return 2
     if not specs:
         print(f"empty trace: {args.trace}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ always generates the same :class:`~repro.workload.job.JobSpec` list.
 Traces are JSONL: one ``JobSpec.to_dict()`` object per line, in arrival
 order.  ``save_trace``/``load_trace`` round-trip exactly, so a generated
 workload can be archived, edited by hand, and replayed bit-for-bit with
-``python -m repro.workload replay``.
+``python -m repro.workload replay``.  A line that is not a valid job raises
+:class:`TraceFormatError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Sequence, Tuple, Union
 
 from repro.workload.job import COLLECTIVE_OPS, CollectiveCall, JobSpec
 
-__all__ = ["JobMix", "load_trace", "save_trace"]
+__all__ = ["JobMix", "TraceFormatError", "load_trace", "save_trace"]
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,22 @@ def save_trace(specs: Sequence[JobSpec], path: Union[str, Path]) -> None:
             fh.write(json.dumps(spec.to_dict(), sort_keys=True) + "\n")
 
 
+class TraceFormatError(ValueError):
+    """A trace line that is not a valid job; the message starts ``<path>:<line>:``."""
+
+
 def load_trace(path: Union[str, Path]) -> List[JobSpec]:
     """Read a JSONL job trace written by :func:`save_trace` (or by hand)."""
     specs: List[JobSpec] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            specs.append(JobSpec.from_dict(json.loads(line)))
+            try:
+                # bad JSON is a ValueError; a non-object, an unknown or missing
+                # key or a value of the wrong type surfaces as a TypeError
+                specs.append(JobSpec.from_dict(json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise TraceFormatError(f"{path}:{number}: {exc}") from exc
     return specs

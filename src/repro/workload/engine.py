@@ -28,6 +28,16 @@ bind.
 Slowdown baselines re-run each job *alone* on the same slots (arrival 0,
 freshly compiled — seeded inputs make recompiles bit-identical), so
 ``makespan / isolated`` isolates cross-tenant interference from placement.
+The job's codec results are reused: with ``baseline=True`` every job gets one
+content-addressed :class:`~repro.ccoll.adapter.CodecMemo` at its first
+compile, shared by its restart attempts and its baseline and dropped as soon
+as that baseline has run, so a baseline costs engine and rank-program time
+only.  What that retains is a job's codec inputs and outputs between its
+first compile and its baseline — the same order as the step inputs
+``compile_job`` materialises anyway.  Content keys need no invalidation: a
+fault-free baseline that plans differently from the faulted concurrent run
+feeds the codec different bytes and simply misses.  With ``baseline=False``
+no memo exists.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tup
 from dataclasses import dataclass, replace
 
 from repro.api import Cluster
+from repro.ccoll import CodecMemo
 from repro.faults import FaultInjector, FaultSchedule
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
@@ -230,13 +241,17 @@ class WorkloadEngine:
                         else ""
                     )
                 )
-        records, engine = self._run_concurrent(specs)
-        report = self._collect(records, engine)
+        # job id -> the codec results its compiles share (baselines only)
+        memos: Optional[Dict[str, CodecMemo]] = {} if baseline else None
+        # run() keeps no reference to the concurrent engine (its messages, its
+        # compiled jobs) while the baselines run
+        report = self._collect(*self._run_concurrent(specs, memos))
         if baseline:
-            for record in records:
+            for record in report.records:
+                memo = memos.pop(record.spec.job_id, None)
                 if record.completed:
                     record.isolated = self._isolated_makespan(
-                        record.spec, record.slots
+                        record.spec, record.slots, memo
                     )
         return report
 
@@ -279,7 +294,7 @@ class WorkloadEngine:
         return self.cluster.with_updates(topology=engine.topology)
 
     def _run_concurrent(
-        self, specs: List[JobSpec]
+        self, specs: List[JobSpec], memos: Optional[Dict[str, CodecMemo]]
     ) -> Tuple[List[JobRecord], Engine]:
         engine = self._fresh_engine()
         compile_cluster = self._compile_cluster(engine)
@@ -292,7 +307,8 @@ class WorkloadEngine:
 
         def start_attempt(spec: JobSpec, now: float, nodes: Tuple[int, ...]) -> None:
             slots = tuple(slots_for(nodes, self.ranks_per_node, spec.n_ranks))
-            compiled = compile_job(spec, compile_cluster, slots)
+            memo = memos.setdefault(spec.job_id, CodecMemo()) if memos is not None else None
+            compiled = compile_job(spec, compile_cluster, slots, memo)
             record = records[spec.job_id]
             resume = record.last_durable_step
             if record.started is None:
@@ -528,9 +544,13 @@ class WorkloadEngine:
             latency=WorkloadReport.collect_latency(records),
         )
 
-    def _isolated_makespan(self, spec: JobSpec, slots: Tuple[int, ...]) -> float:
+    def _isolated_makespan(
+        self, spec: JobSpec, slots: Tuple[int, ...], memo: Optional[CodecMemo]
+    ) -> float:
         engine = self._fresh_engine()
-        compiled = compile_job(spec.at_arrival(0.0), self._compile_cluster(engine), slots)
+        compiled = compile_job(
+            spec.at_arrival(0.0), self._compile_cluster(engine), slots, memo
+        )
         record = JobRecord(spec=spec)
         record.prepare(spec.n_steps)
         outcome: List[float] = []

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api import Cluster, Communicator
+from repro.ccoll import CodecMemo
 from repro.workload.placement import PlacementView
 from repro.workload.recovery import FAILURE_POLICY_MODES
 
@@ -143,9 +144,8 @@ class JobSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
         fields = dict(data)
-        fields["calls"] = tuple(
-            CollectiveCall.from_dict(call) for call in fields.get("calls", [])
-        )
+        if "calls" in fields:  # absent (a hand-written trace): the default call
+            fields["calls"] = tuple(CollectiveCall.from_dict(call) for call in fields["calls"])
         return cls(**fields)
 
 
@@ -191,18 +191,29 @@ class CompiledJob:
     step_calls: List[CollectiveCall]
 
 
-def compile_job(spec: JobSpec, cluster: Cluster, slots: Tuple[int, ...]) -> CompiledJob:
+def compile_job(
+    spec: JobSpec,
+    cluster: Cluster,
+    slots: Tuple[int, ...],
+    codec_memo: Optional[CodecMemo] = None,
+) -> CompiledJob:
     """Capture every collective step of ``spec`` against its placement.
 
     ``slots`` are the global engine slots the job will occupy (one per job
     rank, in rank order).  The communicator the steps are captured from sees the
     fabric through a :class:`PlacementView`, so build-time decisions match
     what an isolated cluster of exactly those nodes would decide.
+
+    ``codec_memo`` is handed to the compiled steps' compression adapters: every
+    compile of the job that is given the same memo (its restart attempts, its
+    isolated baseline) reuses the codec results the others computed.
     """
     if len(slots) != spec.n_ranks:
         raise ValueError(
             f"job {spec.job_id!r} has {spec.n_ranks} ranks but {len(slots)} slots"
         )
+    if codec_memo is not None:
+        cluster = cluster.with_updates(config=cluster.config.with_updates(codec_memo=codec_memo))
     topology = cluster.topology
     view = PlacementView(topology, slots) if topology is not None else None
     job_cluster = cluster.with_updates(topology=view) if view is not None else cluster

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import PipelinedSZx, SZxCompressor
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -33,3 +35,23 @@ def sparse_signal(rng) -> np.ndarray:
         idx = np.arange(center - 200, center + 200)
         data[idx] = np.exp(-((idx - center) / 60.0) ** 2)
     return data
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Counts of the real SZx / PIPE-SZx ``compress_bytes`` / ``decompress_bytes`` calls
+    (neither codec calls the other's, so every count is an outermost call)."""
+    seen = {"compress": 0, "decompress": 0}
+
+    def counted(kind, real):
+        def wrapper(self, *args, **kwargs):
+            seen[kind] += 1
+            return real(self, *args, **kwargs)
+
+        return wrapper
+
+    for codec in (SZxCompressor, PipelinedSZx):
+        for kind in seen:
+            name = f"{kind}_bytes"
+            monkeypatch.setattr(codec, name, counted(kind, vars(codec)[name]))
+    return seen

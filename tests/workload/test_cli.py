@@ -57,6 +57,12 @@ class TestReplay:
         assert main(["replay", str(trace), "--nodes", "8"]) == 2
         assert "empty trace" in capsys.readouterr().err
 
+    def test_malformed_trace_is_reported_with_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('{"job_id": "a", "n_ranks": 2}\n{"job_id": "b"}\n')
+        assert main(["replay", str(trace), "--nodes", "8"]) == 2
+        assert f"malformed trace: {trace}:2: " in capsys.readouterr().err
+
 
 class TestFlags:
     def test_unknown_subcommand_rejected(self):

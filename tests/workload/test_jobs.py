@@ -8,6 +8,7 @@ from repro.workload import (
     CollectiveCall,
     JobMix,
     JobSpec,
+    TraceFormatError,
     call_inputs,
     compile_job,
     load_trace,
@@ -107,3 +108,48 @@ class TestTraces:
         # blank lines are tolerated (hand-edited traces)
         path.write_text(path.read_text() + "\n\n")
         assert load_trace(path) == specs
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_trace(JobMix(n_jobs=6).generate(11), first)
+        save_trace(load_trace(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_hand_written_job_without_calls_gets_the_default_call(self, tmp_path):
+        """Regression: ``from_dict`` forced ``calls=()`` and the spec refused itself."""
+        spec = JobSpec.from_dict({"job_id": "a", "n_ranks": 2})
+        assert spec == JobSpec(job_id="a", n_ranks=2)
+        assert spec.calls == (CollectiveCall(),)
+        path = tmp_path / "hand.jsonl"
+        path.write_text('{"job_id": "a", "n_ranks": 2}\n')
+        assert load_trace(path) == [spec]
+        with pytest.raises(ValueError, match="at least one collective call"):
+            JobSpec.from_dict({"job_id": "a", "n_ranks": 2, "calls": []})
+
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            ('{"job_id": "a", "n_ranks": 2', "Expecting"),  # truncated JSON
+            ('{"job_id": "a", "n_ranks": 2, "color": "red"}', "unexpected keyword argument 'color'"),
+            ('{"n_ranks": 2}', "job_id"),  # missing required key
+            ("[1, 2, 3]", "dictionary update sequence"),  # not an object
+            ("7", "not iterable"),
+            ('{"job_id": "a", "n_ranks": 1}', "n_ranks >= 2"),  # JobSpec's own validation
+            ('{"job_id": "a", "n_ranks": "two"}', "not supported between"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"op": "transmogrify"}]}', "unknown collective op"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"elems": 4}]}', "unexpected keyword argument 'elems'"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": 3}', "not iterable"),
+        ],
+    )  # fmt: skip
+    def test_malformed_line_raises_one_typed_error_with_its_line_number(
+        self, tmp_path, line, complaint
+    ):
+        path = tmp_path / "bad.jsonl"
+        good = '{"job_id": "ok", "n_ranks": 2}'
+        path.write_text(f"{good}\n\n{line}\n{good}\n")
+        with pytest.raises(TraceFormatError) as caught:
+            load_trace(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}:3: ")  # the blank line 2 still counts
+        assert complaint in message
+        assert isinstance(caught.value, ValueError)
