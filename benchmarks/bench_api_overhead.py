@@ -7,8 +7,19 @@ runs inside the simulated clock, so the *virtual makespan* must stay within
 fact it is exactly equal, and this smoke pins the stronger property too.  The
 wall-clock dispatch cost is reported for visibility but not asserted (it is
 microseconds against a ~seconds simulation).
+
+``TestColdStart`` guards the other fixed cost a user pays around every run:
+what importing the program loads before the first line of work.  It is a ratio
+measured in one test, not a wall-clock threshold — ``import repro.workload``
+(the deepest CLI users start) must cost under 4x ``import numpy``, the one
+dependency it cannot avoid (10-15x when ``repro/__init__`` loaded every
+subpackage and SciPy, about 2x now).  ``tests/test_layering.py`` pins *what*
+each subpackage may load; this pins that it stays cheap.
 """
 
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -66,3 +77,26 @@ class TestFacadeOverhead:
             f"\ndirect wall {direct_wall * 1e3:.1f} ms, facade wall {facade_wall * 1e3:.1f} ms "
             f"(makespan {facade_outcome.total_time:.6f}s, identical)"
         )
+
+
+def _import_seconds(module: str) -> float:
+    """Median over three fresh interpreters of how long ``import module`` takes."""
+    code = f"import time; t = time.perf_counter(); import {module}; print(time.perf_counter() - t)"
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True, timeout=120
+        ).stdout
+        for _ in range(3)
+    ]
+    return statistics.median(map(float, runs))
+
+
+class TestColdStart:
+    def test_importing_the_workload_layer_costs_under_4x_numpy(self):
+        numpy_s = _import_seconds("numpy")
+        workload_s = _import_seconds("repro.workload")
+        print(
+            f"\nimport numpy {numpy_s * 1e3:.0f} ms, import repro.workload "
+            f"{workload_s * 1e3:.0f} ms ({workload_s / numpy_s:.1f}x)"
+        )
+        assert workload_s < 4.0 * numpy_s

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
-
 from repro.utils.validation import ensure_positive
 
 __all__ = [
@@ -71,6 +69,8 @@ class AggregationBound:
 def _z_for_confidence(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats  # imported where it is called: 0.45 s no other path pays
+
     return float(stats.norm.ppf(0.5 + confidence / 2.0))
 
 
@@ -118,6 +118,8 @@ def probability_within(n_nodes: int, sigma: float, half_width: float) -> float:
     std = sum_error_std(n_nodes, sigma)
     if std == 0:
         return 1.0
+    from scipy import stats
+
     return float(stats.norm.cdf(half_width / std) - stats.norm.cdf(-half_width / std))
 
 

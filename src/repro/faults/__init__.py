@@ -17,6 +17,7 @@ from repro.faults.schedule import (
     DomainOutage,
     FailureDomain,
     FaultEvent,
+    FaultFormatError,
     FaultSchedule,
     LinkDegrade,
     NodeLoss,
@@ -32,6 +33,7 @@ __all__ = [
     "DomainOutage",
     "FailureDomain",
     "FaultEvent",
+    "FaultFormatError",
     "FaultInjector",
     "FaultSchedule",
     "LinkDegrade",

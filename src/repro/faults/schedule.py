@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 # the fabrics own their stage-family names (``topology.link_families``); the
 # fat tree's are the default LinkDegrade mixes draw from
@@ -46,6 +46,7 @@ __all__ = [
     "DomainOutage",
     "FailureDomain",
     "FaultEvent",
+    "FaultFormatError",
     "FaultSchedule",
     "LinkDegrade",
     "NodeLoss",
@@ -65,6 +66,14 @@ FAULT_MIXES = (
     "mixed",
     "domain_outage",
 )
+
+
+class FaultFormatError(ValueError):
+    """A :meth:`FaultSchedule.from_dicts` payload that is not a schedule.
+
+    The message starts ``event <index>:`` (the position in the payload list)
+    and names the event kind when the entry has one.
+    """
 
 
 def _check_time(time: float) -> None:
@@ -332,22 +341,32 @@ class FaultSchedule:
         return out
 
     @classmethod
-    def from_dicts(cls, payloads: Iterable[Dict[str, Any]]) -> "FaultSchedule":
+    def from_dicts(cls, payloads: Iterable[Mapping[str, Any]]) -> "FaultSchedule":
+        """The schedule :meth:`to_dicts` wrote; anything else is a :class:`FaultFormatError`."""
         events = []
-        for payload in payloads:
-            payload = dict(payload)
-            kind = payload.pop("kind", None)
-            event_type = _EVENT_TYPES.get(kind)
-            if event_type is None:
-                raise ValueError(
-                    f"unknown fault event kind {kind!r}; "
-                    f"available: {', '.join(_EVENT_TYPES)}"
-                )
-            if "stage_prefix" in payload:
-                payload["stage_prefix"] = tuple(payload["stage_prefix"])
-            if "domain" in payload:
-                payload["domain"] = FailureDomain(**payload["domain"])
-            events.append(event_type(**payload))
+        for index, payload in enumerate(payloads):
+            where = f"event {index}"
+            try:
+                if not isinstance(payload, Mapping):
+                    raise TypeError(f"expected an object, got {type(payload).__name__}")
+                fields = dict(payload)
+                kind = fields.pop("kind", None)
+                event_type = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
+                if event_type is None:
+                    raise ValueError(
+                        f"unknown fault event kind {kind!r}; "
+                        f"available: {', '.join(_EVENT_TYPES)}"
+                    )
+                where += f": {kind}"
+                if "stage_prefix" in fields:
+                    fields["stage_prefix"] = tuple(fields["stage_prefix"])
+                if "domain" in fields:
+                    fields["domain"] = FailureDomain(**fields["domain"])
+                events.append(event_type(**fields))
+            except (TypeError, ValueError, OverflowError) as exc:
+                # a wrong key set or a wrongly typed field surfaces as the
+                # constructor's own error (OverflowError: ``int(inf)`` node)
+                raise FaultFormatError(f"{where}: {exc}") from exc
         return cls(events=tuple(events))
 
     def permanent_node_losses(self) -> frozenset:

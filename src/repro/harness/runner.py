@@ -13,6 +13,7 @@ CLI::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Callable, Dict, List
 
 from repro.harness.experiments.allreduce_comparison import (
@@ -78,11 +79,15 @@ def list_experiments() -> List[str]:
     return list(EXPERIMENTS)
 
 
+def _unknown(name: str) -> str:
+    return f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
+
+
 def run_experiment(name: str, scale="small", **kwargs) -> ExperimentResult:
     """Run one experiment by name."""
     key = name.lower()
     if key not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}")
+        raise KeyError(_unknown(name))
     func: Callable[..., ExperimentResult] = EXPERIMENTS[key][0]
     return func(scale=scale, **kwargs)
 
@@ -125,6 +130,10 @@ def main(argv=None) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    for name in names:  # every name is checked before any experiment runs
+        if name.lower() not in EXPERIMENTS:
+            print(_unknown(name), file=sys.stderr)
+            return 2
     for name in names:
         kwargs = {}
         if args.contention is not None and name.lower() in (

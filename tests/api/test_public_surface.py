@@ -5,6 +5,13 @@ anything removed is a breaking change.  Update the snapshot deliberately,
 in the same commit as the surface change.
 """
 
+import hashlib
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
 import repro
 import repro.api as api
 import repro.mpisim.topology as topology
@@ -74,3 +81,90 @@ def test_communicator_collective_surface():
 def test_top_level_reexports_session_api():
     assert repro.Cluster is api.Cluster
     assert repro.Communicator is api.Communicator
+
+
+# --- the lazy top level: names resolve on first use, from their canonical home ---
+
+#: ``repro.__all__``, in order, and the module each name is defined in
+CANONICAL_HOME = {
+    "__version__": "repro._version",
+    "Cluster": "repro.api.cluster",
+    "Communicator": "repro.api.communicator",
+    "CCollConfig": "repro.ccoll.config",
+    "CostModel": "repro.perfmodel.costmodel",
+    "SZxCompressor": "repro.compression.szx",
+    "make_compressor": "repro.compression.registry",
+    "load_field": "repro.datasets.registry",
+    "run_image_stacking": "repro.apps.image_stacking",
+    "run_experiment": "repro.harness.runner",
+    "default_network": "repro.perfmodel.presets",
+    "default_cost_model": "repro.perfmodel.presets",
+}
+
+SUBPACKAGES = sorted(
+    path.parent.name for path in Path(repro.__file__).parent.glob("*/__init__.py")
+)
+
+
+def test_top_level_all_snapshot():
+    assert repro.__all__ == list(CANONICAL_HOME)
+    assert len(SUBPACKAGES) == 15
+
+
+@pytest.mark.parametrize("name", CANONICAL_HOME)
+def test_top_level_name_is_the_canonical_object_and_is_cached(name):
+    value = getattr(repro, name)
+    assert value is getattr(importlib.import_module(CANONICAL_HOME[name]), name)
+    assert vars(repro)[name] is value
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_top_level_subpackage_attribute_is_the_module(name):
+    assert getattr(repro, name) is importlib.import_module(f"repro.{name}")
+    assert vars(repro)[name] is sys.modules[f"repro.{name}"]
+
+
+def test_dir_lists_all_and_the_subpackages():
+    assert set(dir(repro)) >= set(repro.__all__) | set(SUBPACKAGES)
+
+
+def test_unknown_top_level_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+    assert not hasattr(repro, "no_such_name")
+
+
+def test_star_import_binds_all_twelve_names_in_a_fresh_interpreter(fresh_python):
+    out = fresh_python(
+        "from repro import *\n"
+        "import repro\n"
+        "print(sorted(name for name in repro.__all__ if globals()[name] is getattr(repro, name)))"
+    )
+    assert out.strip() == repr(sorted(CANONICAL_HOME))
+
+
+def test_subpackage_attribute_works_after_a_bare_import_in_a_fresh_interpreter(fresh_python):
+    out = fresh_python(
+        "import sys, repro\n"
+        "assert 'repro.harness' not in sys.modules\n"
+        "print(repro.harness.list_experiments()[0], repro.workload.WorkloadEngine.__name__)"
+    )
+    assert out.split() == ["table1", "WorkloadEngine"]
+
+
+# --- SciPy is imported where it is called; the values are the parent commit's ---
+
+
+def test_scipy_backed_functions_return_the_pinned_values():
+    from repro.analysis.propagation import probability_within, sum_error_interval
+    from repro.datasets.base import smooth_random_field
+
+    field = smooth_random_field((24, 40), 2.5, rng=7)
+    assert (field.dtype, field.shape) == ("float32", (24, 40))
+    assert (
+        hashlib.sha256(field.tobytes()).hexdigest()
+        == "9e4677ed4263c0e21279761bb236b71bcbe00a0af0410ce99c557a63fddd7466"
+    )
+    assert probability_within(100, 1e-3 / 3, 20 / 3 * 1e-3).hex() == "0x1.e8b4307d3627ap-1"
+    assert probability_within(16, 0.5, 1.25).hex() == "0x1.df42fa9c366c0p-2"
+    assert sum_error_interval(64, 1e-2 / 3, 0.99).half_width.hex() == "0x1.1959685d5d163p-4"

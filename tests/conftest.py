@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,3 +58,18 @@ def codec_calls(monkeypatch):
             name = f"{kind}_bytes"
             monkeypatch.setattr(codec, name, counted(kind, vars(codec)[name]))
     return seen
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(code) -> stdout`` of ``code`` in a new interpreter with this one's
+    environment and working directory (so ``repro`` is found the same way)."""
+
+    def run(code: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

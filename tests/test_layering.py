@@ -12,12 +12,20 @@
 * The engine owns job-local addressing: ``repro.workload`` binds rank
   programs as they were captured and never looks at (let alone rewrites) the
   commands they yield, so it imports nothing from ``repro.mpisim.commands``.
+
+The last section checks the same layering at run time, where an AST rule
+cannot see it: importing a subpackage in a fresh interpreter loads that
+subpackage and the ones it builds on, nothing else — ``import repro`` alone
+loads no subpackage and no numpy, and nothing loads SciPy before the function
+that calls it runs.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.mpisim import commands
@@ -126,3 +134,51 @@ def test_workload_never_touches_engine_commands():
         or (module == "repro.mpisim" and name in commands.__all__)
     ]
     assert offenders == []
+
+
+_CCOLL = {"collectives", "compression", "metrics", "mpisim", "perfmodel", "utils"}
+_API = {"ccoll", *_CCOLL}
+#: subpackage -> the other subpackages importing it may load
+MAY_LOAD = {
+    "utils": set(),
+    "metrics": {"utils"},
+    "mpisim": {"utils"},
+    "datasets": {"utils"},
+    "compression": {"metrics", "utils"},
+    "perfmodel": {"mpisim", "utils"},
+    "faults": {"mpisim", "utils"},
+    "collectives": {"perfmodel", "mpisim", "utils"},
+    "analysis": {"compression", "metrics", "utils"},
+    "ccoll": _CCOLL,
+    "api": _API,
+    "workload": {"api", "faults", *_API},
+    "fuzzer": {"api", *_API},
+    "apps": {"api", "datasets", *_API},
+}
+MAY_LOAD["harness"] = set(MAY_LOAD) - {"fuzzer"}
+
+
+def _loaded_by(fresh_python, entry: str) -> set:
+    """Top-level module names, and ``repro.<subpackage>`` names, loaded by ``import entry``."""
+    modules = fresh_python(f"import sys, {entry}; print(*sys.modules)").split()
+    return {".".join(name.split(".")[: 2 if name.startswith("repro.") else 1]) for name in modules}
+
+
+def test_import_contract_names_every_subpackage():
+    assert set(MAY_LOAD) == {path.parent.name for path in SRC.glob("*/__init__.py")}
+
+
+def test_importing_repro_loads_no_subpackage_and_no_numpy(fresh_python):
+    loaded = _loaded_by(fresh_python, "repro")
+    assert "repro" in loaded
+    assert {name for name in loaded if name.startswith("repro.")} == {"repro._version"}
+    assert not loaded & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("entry", sorted(MAY_LOAD))
+def test_importing_a_subpackage_loads_only_what_it_builds_on(fresh_python, entry):
+    loaded = _loaded_by(fresh_python, f"repro.{entry}")
+    subpackages = {name[6:] for name in loaded if name.startswith("repro.")} - {"_version"}
+    assert entry in subpackages
+    assert subpackages - {entry} <= MAY_LOAD[entry], sorted(subpackages - {entry} - MAY_LOAD[entry])
+    assert "scipy" not in loaded

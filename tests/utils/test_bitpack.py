@@ -159,9 +159,55 @@ class TestNarrowDtypes:
         assert narrow_signed_dtype(float("inf")) == np.int64
 
 
+def _pack_row_reference(row, nbits) -> bytes:
+    """One row in Python-int arithmetic: MSB first, zero-padded to a whole byte."""
+    acc = 0
+    for value in row:
+        acc = (acc << nbits) | int(value)
+    nbytes = (len(row) * nbits + 7) // 8
+    return (acc << (nbytes * 8 - len(row) * nbits)).to_bytes(nbytes, "big")
+
+
+def _unpack_row_reference(blob: bytes, count: int, nbits: int) -> list:
+    """Inverse of :func:`_pack_row_reference`, again on Python ints only."""
+    acc = int.from_bytes(blob, "big") >> (len(blob) * 8 - count * nbits)
+    mask = (1 << nbits) - 1
+    return [(acc >> (nbits * (count - 1 - i))) & mask for i in range(count)]
+
+
+def _edge_values(rng, shape, nbits) -> np.ndarray:
+    """Random ``nbits``-wide values with the all-ones and all-zeros words present."""
+    values = rng.integers(0, 2**nbits, size=shape, dtype=np.uint64)
+    values.flat[0] = 2**nbits - 1
+    values.flat[-1] = 0
+    return values
+
+
 class TestPackRows:
     def _reference(self, values, nbits):
-        return b"".join(pack_uint_bits(row, nbits) for row in values)
+        # independent of the kernels under test (pack_uint_bits *is*
+        # pack_uint_bits_rows on one row)
+        return b"".join(_pack_row_reference(row, nbits) for row in values)
+
+    @pytest.mark.parametrize("nbits", range(1, 65))
+    def test_every_width_against_python_int_arithmetic(self, nbits):
+        rng = np.random.default_rng(1000 + nbits)
+        for count in (1, 7, 8, 15, 29, 128):
+            values = _edge_values(rng, (3, count), nbits)
+            per_row = (count * nbits + 7) // 8
+            assert per_row == int(row_nbytes(count, nbits))
+            packed = self._reference(values, nbits)
+            assert pack_uint_bits_rows(values, nbits) == packed
+            assert pack_uint_bits(values[1], nbits) == packed[per_row : 2 * per_row]
+            expected = [
+                _unpack_row_reference(packed[i * per_row : (i + 1) * per_row], count, nbits)
+                for i in range(3)
+            ]
+            assert expected == values.tolist()
+            for dtype in (np.uint64, None):
+                decoded = unpack_uint_bits_rows(packed, 3, count, nbits, dtype=dtype)
+                assert decoded.tolist() == expected
+            assert unpack_uint_bits(packed[:per_row], count, nbits).tolist() == expected[0]
 
     @pytest.mark.parametrize("nbits", [1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 33, 48])
     def test_matches_per_row_packing(self, nbits):
@@ -286,6 +332,38 @@ class TestWidthClasses:
             np.frombuffer(region, dtype=np.uint8), nbits, starts, count, dtype=None
         )
         np.testing.assert_array_equal(decoded.astype(np.uint64), values)
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 15, 29, 128])
+    def test_ragged_widths_with_gaps_against_python_int_arithmetic(self, count):
+        """Rows of every width class, out of width order, at cursors with gaps
+        between them: each row lands where its cursor says, byte for byte what
+        Python-int packing gives, and the gaps are left alone."""
+        rng = np.random.default_rng(count)
+        widths = [64, 0, 3, 17, 3, 49, 8, 0, 33, 1, 63, 24, 17, 5]
+        nbits = np.asarray(widths, dtype=np.int64)
+        values = np.zeros((len(widths), count), dtype=np.uint64)
+        for i, w in enumerate(widths):
+            if w:
+                values[i] = _edge_values(rng, count, w)
+        sizes = row_nbytes(count, nbits)
+        gaps = rng.integers(0, 4, size=len(widths))
+        starts = np.cumsum(sizes + gaps) - sizes
+        total = int(starts[-1] + sizes[-1]) + 2
+
+        def expected(fill: int) -> bytes:
+            region = bytearray([fill]) * total
+            for row, w, start in zip(values, widths, starts):
+                blob = _pack_row_reference(row, w)
+                region[start : start + len(blob)] = blob
+            return bytes(region)
+
+        region = np.full(total, 0xAA, dtype=np.uint8)
+        assert pack_width_classes(values, nbits, starts, total, out=region) is region
+        assert region.tobytes() == expected(0xAA)
+        assert pack_width_classes(values, nbits, starts, total) == expected(0)
+        for dtype in (np.uint64, None):
+            decoded = unpack_width_classes(region, nbits, starts, count, dtype=dtype)
+            assert decoded.tolist() == values.tolist()
 
     def test_overwide_values_raise_not_truncate(self):
         """Narrowing to the widest class must never silently truncate a value
