@@ -5,7 +5,9 @@ engine commands; this benchmark tracks the engine's command-processing rate so
 simulator regressions show up independently of the collectives built on top.
 """
 
+import gc
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from repro.workload import JobMix, WorkloadEngine
 NET = NetworkModel(latency=1e-6, bandwidth=1e9, eager_threshold=1024, inflight_window=1024**2)
 
 
-def ring_exchange_program(rounds):
+def ring_exchange_program(rounds, fresh_payloads=False):
     def program(rank, size):
         left = (rank - 1) % size
         right = (rank + 1) % size
         payload = np.zeros(2048)
         for step in range(rounds):
+            if fresh_payloads:
+                payload = np.zeros(2048)
             recv_req = yield Irecv(source=left, tag=step)
             send_req = yield Isend(dest=right, data=payload, tag=step)
             yield Waitall([recv_req, send_req])
@@ -41,6 +45,27 @@ class TestEngineThroughput:
     def test_ring_exchange(self, benchmark, ranks, rounds):
         result = benchmark(run_simulation, ranks, ring_exchange_program(rounds), NET)
         assert result.total_time > 0
+
+
+class TestEngineRetention:
+    def test_traced_peak_does_not_grow_with_rounds(self):
+        """A ratio of two runs in one process, so no wall-clock threshold: the
+        engine keeps nothing for a finished send or receive, so 256 ranks
+        sending a fresh 16 KiB array per round peak at about one round of
+        payloads (4 MiB) however many rounds ran — 1.0x from 8 to 32 rounds,
+        4.0x (35 -> 140 MiB) while the engine kept a table of every request."""
+
+        def traced_peak(rounds):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_simulation(256, ring_exchange_program(rounds, fresh_payloads=True), NET)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = traced_peak(8), traced_peak(32)
+        assert long < 1.25 * short, (short, long)
 
 
 class TestCollectiveThroughput:

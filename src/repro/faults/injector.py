@@ -58,9 +58,9 @@ class FaultInjector:
     node_loss_factor:
         Capacity factor the lost node's NIC stages collapse to.
 
-    ``install(engine)`` must be called after the engine is constructed (or
-    reset) and before ``run()``; engine resets clear scheduled events and
-    fault overlays, so each run needs a fresh ``install``.
+    ``install(engine)`` must be called after the engine is constructed and
+    before ``run()``; an engine is single-use and building one clears the
+    topology's fault overlays, so each run needs a fresh ``install``.
     """
 
     def __init__(

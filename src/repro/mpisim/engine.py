@@ -34,6 +34,21 @@ t=0 — for it job rank and slot coincide — and goes through the same bind
 as a job a scheduler places mid-run (:meth:`Engine.bind_job`), which is why
 a lone job on a shared fabric replays the standalone simulation bit for bit.
 
+What the engine holds
+---------------------
+
+The request handle a program gets back from ``Isend``/``Irecv`` *is* the
+engine's record of that operation (see :mod:`repro.mpisim.requests`); there
+is no request table.  The engine itself references only: the slots (program,
+clock, the handles of the ``Wait`` a rank is inside and the one it blocks on),
+unmatched postings (``_unmatched_sends`` / ``_unmatched_recvs``, a key gone
+with its last entry), matched messages whose transfer is still in flight
+(``_inflight[rank]``, keyed by the message, in match order) and the event
+heap, whose entries are numbers.  For a finished operation it holds nothing:
+message and payload live exactly as long as the program keeps a handle, and
+since a message never points back at its handles, reference counting frees
+them the moment the last handle is dropped.
+
 Event-heap core
 ---------------
 
@@ -106,7 +121,7 @@ import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.mpisim.commands import (
     Barrier,
@@ -142,6 +157,14 @@ _BLOCK_RECV_MATCH = "recv-match"
 _BLOCK_SEND_COMPLETION = "send-completion"
 _BLOCK_BARRIER = "barrier"
 _BLOCK_FLOW_COMPLETION = "flow-completion"
+#: what a deadlock report says of a rank blocked ``on`` a request handle
+_DEADLOCK_DIAGNOSES = {
+    _BLOCK_RECV_MATCH: "Wait on receive from rank {on.peer} (tag {on.tag}) that was never sent",
+    _BLOCK_SEND_COMPLETION: "Wait on send to rank {on.peer} that the receiver never completed",
+    _BLOCK_FLOW_COMPLETION: (
+        "Wait on a fair-share flow from rank {on.peer} whose departure was never committed"
+    ),
+}
 
 #: event-kind labels for the scheduling telemetry in :attr:`Engine.event_counts`
 EV_FAIR_COMMIT = "fair-commit"
@@ -180,36 +203,19 @@ def payload_nbytes(data: Any) -> int:
     return len(pickle.dumps(data))
 
 
-@dataclass(slots=True)
-class _RecvPosting:
-    """A posted receive that has not been matched to a send yet."""
-
-    req_id: int
-    rank: int
-    source: int
-    tag: int
-    post_time: float
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Message:
-    """A posted send and, once matched, the transfer it drives."""
+    """A posted send and, once matched, the transfer it drives.
 
-    msg_id: int
+    Hashed by identity (``eq=False``): ``_inflight`` is keyed by the message.
+    Handles point here; nothing here points back at a handle.
+    """
+
     src: int
     dst: int
-    tag: int
     data: Any
-    nbytes: int
-    send_req_id: int
     send_post_time: float
     transfer: TransferState
-    recv_req_id: Optional[int] = None
-    recv_post_time: Optional[float] = None
-
-    @property
-    def matched(self) -> bool:
-        return self.recv_req_id is not None
 
 
 @dataclass(slots=True)
@@ -230,13 +236,14 @@ class _RankState:
     commands_executed: int = 0
     # wait continuation (shared by Wait and Waitall); wait_pos is the cursor
     # into wait_pending so resuming a blocked wait never mutates the list
-    wait_pending: List[Request] = field(default_factory=list)
+    wait_pending: Sequence[Request] = ()
     wait_pos: int = 0
     wait_results: List[Any] = field(default_factory=list)
     wait_category: str = "Wait"
     wait_single: bool = True
     block_kind: Optional[str] = None
-    block_req_id: Optional[int] = None
+    # the handle whose operation this rank blocks on (None in a barrier)
+    block_on: Optional[Request] = None
     barrier_category: str = "Others"
     # token of this rank's latest entry in the engine's event heap; older
     # heap entries with a stale token are skipped during lazy pop
@@ -329,12 +336,12 @@ class EngineJob:
 class Engine:
     """Runs ``n_ranks`` rank programs to completion in virtual time.
 
-    One engine may be reused for several back-to-back simulations: ``run()``
-    executes a single simulation, and :meth:`reset` rebuilds every piece of
-    run state (rank generators, the event heap, matching queues, scheduled
-    fair-share commits, topology stage clocks) so a later ``run()`` cannot
-    replay stale events from the previous one.  Calling ``run()`` twice
-    without a ``reset()`` in between raises.
+    An engine is single-use: it runs one simulation and ``run()`` raises on a
+    second call.  What is reused across simulations is the *topology* — each
+    new engine rewinds the stage clocks, routing history and fair-share
+    registry of the topology it is given (``topology.reset()``), so a run
+    never sees reservations, flows or faults a previous engine left behind,
+    even one that aborted mid-flight.
 
     Every slot starts *idle* and every program runs as part of a job (see
     "Slots and jobs" in the module docstring).  ``program_factory`` is the
@@ -375,7 +382,6 @@ class Engine:
         # the topology times its shared stages with contention="fair")
         self._fair = topology.fair_registry if topology is not None else None
         self.max_commands = int(max_commands)
-        self._program_factory = program_factory
         self._trace_events = bool(trace_events)
         # type-keyed command dispatch (replaces the isinstance chain on the
         # hottest path; a command is exactly one of these types)
@@ -389,25 +395,18 @@ class Engine:
             Probe: self._handle_probe,
             Barrier: self._handle_barrier,
         }
-        self._init_run_state()
-
-    def _init_run_state(self) -> None:
-        """(Re)build every piece of single-simulation state from scratch."""
-        if self.topology is not None:
-            self.topology.reset()
+        if topology is not None:
+            topology.reset()
         self._states = [_RankState(rank=r) for r in range(self.n_ranks)]
-        self._next_request_id = 0
-        self._next_message_id = 0
-        # request id -> _Message (sends, and receives once matched) or _RecvPosting
-        self._req_obj: Dict[int, Any] = {}
-        # (dst, src, tag) -> FIFO of unmatched sends / receives
+        # (dst, src, tag) -> FIFO of unmatched sends (_Message) / receives
+        # (RecvRequest); a FIFO that empties leaves its table
         self._unmatched_sends: Dict[Tuple[int, int, int], deque] = {}
         self._unmatched_recvs: Dict[Tuple[int, int, int], deque] = {}
-        # receiver rank -> msg_id -> matched inbound message whose transfer is
-        # still *in flight* (insertion-ordered, so progress order matches the
-        # historical append order).  Completed transfers are removed as they
-        # finish, so the per-wait progress sweep touches only live transfers.
-        self._inflight: Dict[int, Dict[int, _Message]] = {r: {} for r in range(self.n_ranks)}
+        # receiver rank -> matched inbound messages whose transfer is still
+        # *in flight*, as the keys of an insertion-ordered dict (never a set:
+        # progress order is match order).  Completed transfers are removed as
+        # they finish, so the per-wait progress sweep touches only live ones.
+        self._inflight: Dict[int, Dict[_Message, None]] = {r: {} for r in range(self.n_ranks)}
         # scheduled callbacks, indexed by heap token of the (t, -1, idx) tier
         self._events: List[Callable[[float], None]] = []
         # rank -> compute-rate multiplier installed by fault events (slow
@@ -429,22 +428,10 @@ class Engine:
         #: popped (timestamp, order) pairs when ``trace_events`` is set —
         #: the deterministic pop-order witness used by the equivalence suite
         self.event_trace: List[Tuple[float, int]] = []
-        factory = self._program_factory
-        if factory is not None:
+        if program_factory is not None:
             n_ranks = self.n_ranks
-            self._bind(
-                0.0, {r: partial(factory, r, n_ranks) for r in range(n_ranks)}, None, None
-            )
-
-    def reset(self) -> None:
-        """Clear the event heap, scheduled fair commits and all run state.
-
-        After ``reset()`` the engine behaves exactly like a freshly
-        constructed one: rank programs are re-created through the original
-        factory, the topology's stage reservations and fair-share registry
-        are rewound, and no event from a previous ``run()`` can fire again.
-        """
-        self._init_run_state()
+            programs = {r: partial(program_factory, r, n_ranks) for r in range(n_ranks)}
+            self._bind(0.0, programs, None, None)
 
     # ------------------------------------------------------------------ run
 
@@ -483,7 +470,7 @@ class Engine:
         models a straggling rank (thermal throttling, a noisy neighbour),
         ``factor == 1`` restores the rank to its modelled speed.  Takes
         effect from the next ``Compute`` the rank executes; in-progress
-        waits are unaffected.  Cleared by :meth:`reset`.
+        waits are unaffected.
         """
         if not (0 <= rank < self.n_ranks):
             raise ValueError(f"rank {rank} outside 0..{self.n_ranks - 1}")
@@ -620,8 +607,8 @@ class Engine:
                 state.gen = None
             state.status = _IDLE
             state.block_kind = None
-            state.block_req_id = None
-            state.wait_pending = []
+            state.block_on = None
+            state.wait_pending = ()
             state.wait_pos = 0
             state.wait_results = []
             state.resume_value = None
@@ -637,21 +624,10 @@ class Engine:
         # cancel matched in-flight transfers (receiver is always a job slot)
         for slot in job.slots:
             inflight = self._inflight[slot]
-            for message in inflight.values():
+            for message in inflight:
                 message.transfer.cancel(now)
             inflight.clear()
         job._barrier.clear()
-        # request bookkeeping owned by the job's ranks
-        for req_id in [
-            rid
-            for rid, obj in self._req_obj.items()
-            if (
-                obj.rank in slots
-                if isinstance(obj, _RecvPosting)
-                else obj.src in slots or obj.dst in slots
-            )
-        ]:
-            del self._req_obj[req_id]
         job._pending.clear()
         job.killed = now
 
@@ -683,13 +659,13 @@ class Engine:
         finish, flow = self._fair.commit_departure()
         message: _Message = flow.token
         message.transfer.finish_fair(finish)
-        self._inflight[message.dst].pop(message.msg_id, None)
+        self._inflight[message.dst].pop(message, None)
         self._notify_send_completion(message)
         receiver = self._states[message.dst]
         if (
             receiver.status == _BLOCKED
             and receiver.block_kind == _BLOCK_FLOW_COMPLETION
-            and receiver.block_req_id == message.recv_req_id
+            and receiver.block_on.message is message
         ):
             self._continue_wait(receiver, EV_FLOW_COMMITTED)
 
@@ -697,8 +673,8 @@ class Engine:
         """Execute every rank program to completion and return per-rank results."""
         if self._ran:
             raise RuntimeError(
-                "this Engine already ran a simulation; call reset() before "
-                "running it again (stale events must not replay)"
+                "this Engine already ran a simulation; build a new Engine "
+                "(on the same topology, if any) to run another"
             )
         self._ran = True
         heap = self._heap
@@ -868,8 +844,6 @@ class Engine:
             )
         dest = slots[cmd.dest]
         nbytes = int(cmd.nbytes) if cmd.nbytes is not None else payload_nbytes(cmd.data)
-        req_id = self._next_request_id = self._next_request_id + 1
-        msg_id = self._next_message_id = self._next_message_id + 1
         # resolve_link (not link) so stateful fabrics can stripe rails and
         # route adaptively per posted send
         link = (
@@ -885,17 +859,12 @@ class Engine:
             link=link,
         )
         message = _Message(
-            msg_id=msg_id,
             src=state.rank,
             dst=dest,
-            tag=cmd.tag,
             data=cmd.data,
-            nbytes=nbytes,
-            send_req_id=req_id,
             send_post_time=state.clock,
             transfer=transfer,
         )
-        self._req_obj[req_id] = message
         state.bytes_sent += nbytes
         state.messages_sent += 1
 
@@ -903,11 +872,13 @@ class Engine:
         postings = self._unmatched_recvs.get(key)
         if postings:
             posting = postings.popleft()
+            if not postings:
+                del self._unmatched_recvs[key]
             self._establish_match(message, posting)
         else:
             self._unmatched_sends.setdefault(key, deque()).append(message)
         state.resume_value = SendRequest(
-            request_id=req_id, rank=state.rank, dest=dest, tag=cmd.tag
+            rank=state.rank, peer=dest, tag=cmd.tag, owner=state, message=message
         )
 
     def _handle_irecv(self, state: _RankState, cmd: Irecv) -> None:
@@ -917,60 +888,56 @@ class Engine:
                 f"rank {state.rank} posted a receive from invalid source {cmd.source}"
             )
         source = slots[cmd.source]
-        req_id = self._next_request_id = self._next_request_id + 1
-        posting = _RecvPosting(
-            req_id=req_id,
-            rank=state.rank,
-            source=source,
-            tag=cmd.tag,
-            post_time=state.clock,
+        posting = RecvRequest(
+            rank=state.rank, peer=source, tag=cmd.tag, owner=state, post_time=state.clock
         )
-        self._req_obj[req_id] = posting
         key = (state.rank, source, cmd.tag)
         sends = self._unmatched_sends.get(key)
         if sends:
             message = sends.popleft()
+            if not sends:
+                del self._unmatched_sends[key]
             self._establish_match(message, posting)
         else:
             self._unmatched_recvs.setdefault(key, deque()).append(posting)
-        state.resume_value = RecvRequest(
-            request_id=req_id, rank=state.rank, source=source, tag=cmd.tag
-        )
+        state.resume_value = posting
 
-    def _establish_match(self, message: _Message, posting: _RecvPosting) -> None:
+    def _establish_match(self, message: _Message, posting: RecvRequest) -> None:
         """Bind a posted send to a posted receive and start the transfer clock."""
-        message.recv_req_id = posting.req_id
-        message.recv_post_time = posting.post_time
-        self._req_obj[posting.req_id] = message
+        posting.message = message
         match_time = max(message.send_post_time, posting.post_time)
         message.transfer.set_eligible(match_time)
-        self._inflight[message.dst][message.msg_id] = message
+        self._inflight[message.dst][message] = None
         # If the receiver is already blocked waiting for exactly this request,
         # it can now make progress.
         receiver = self._states[message.dst]
         if (
             receiver.status == _BLOCKED
             and receiver.block_kind == _BLOCK_RECV_MATCH
-            and receiver.block_req_id == posting.req_id
+            and receiver.block_on is posting
         ):
             self._continue_wait(receiver, EV_RECV_MATCH)
 
     # --------------------------------------------------------------- waiting
 
     def _start_wait(
-        self, state: _RankState, requests: List[Request], category: str, single: bool
+        self, state: _RankState, requests: Sequence[Request], category: str, single: bool
     ) -> None:
         for req in requests:
-            if not isinstance(req, Request):
-                raise InvalidCommandError(
-                    f"rank {state.rank} waited on {req!r}, which is not a request handle"
-                )
+            if not isinstance(req, Request) or req.owner is not state:
+                raise self._not_posted_by(state, req, "waited on")
         state.wait_pending = requests
         state.wait_pos = 0
         state.wait_results = []
         state.wait_category = category
         state.wait_single = single
         self._continue_wait(state)
+
+    def _not_posted_by(self, state: _RankState, request: Any, verb: str) -> InvalidCommandError:
+        return InvalidCommandError(
+            f"rank {state.rank} {verb} {request!r}, which is not a request handle "
+            f"rank {state.rank} of this engine posted"
+        )
 
     def _continue_wait(self, state: _RankState, wake_kind: str = EV_RANK_STEP) -> None:
         """Advance the rank's pending wait list as far as currently possible."""
@@ -987,11 +954,12 @@ class Engine:
                 state.status = _BLOCKED
                 return
             pos += 1
-        # every request completed
-        state.wait_pos = pos
+        # every request completed: the handles are the program's alone again
+        state.wait_pending = ()
+        state.wait_pos = 0
         state.status = _READY
         state.block_kind = None
-        state.block_req_id = None
+        state.block_on = None
         self._push_ready(state, wake_kind)
         if state.wait_single:
             state.resume_value = state.wait_results[0] if state.wait_results else None
@@ -1000,17 +968,12 @@ class Engine:
         state.wait_results = []
 
     def _complete_recv(self, state: _RankState, request: RecvRequest) -> bool:
-        obj = self._req_obj.get(request.request_id)
-        if obj is None:
-            raise InvalidCommandError(
-                f"rank {state.rank} waited on unknown request {request.request_id}"
-            )
-        if type(obj) is _RecvPosting:
+        message: Optional[_Message] = request.message
+        if message is None:
             # not matched yet: block until the sender posts
             state.block_kind = _BLOCK_RECV_MATCH
-            state.block_req_id = request.request_id
+            state.block_on = request
             return False
-        message: _Message = obj
         transfer = message.transfer
         now = state.clock
         if not transfer.completed and transfer.link is not None and transfer.link.fair is not None:
@@ -1024,7 +987,7 @@ class Engine:
                     # and the receiver's are the same one)
                     transfer.activate_fair(now, token=message, group=state.job.tag)
                 state.block_kind = _BLOCK_FLOW_COMPLETION
-                state.block_req_id = request.request_id
+                state.block_on = request
                 return False
         inflight = self._inflight[state.rank]
         if transfer.completed:
@@ -1034,7 +997,7 @@ class Engine:
             if inflight:
                 self._ack_incoming(state.rank, now, continuous=False)
             completion = transfer.completion_from(now)
-            inflight.pop(message.msg_id, None)
+            inflight.pop(message, None)
             self._notify_send_completion(message)
         effective = completion if completion > now else now
         # other inbound transfers keep flowing while this rank sits in MPI_Wait
@@ -1046,12 +1009,7 @@ class Engine:
         return True
 
     def _complete_send(self, state: _RankState, request: SendRequest) -> bool:
-        obj = self._req_obj.get(request.request_id)
-        if obj is None or not isinstance(obj, _Message):
-            raise InvalidCommandError(
-                f"rank {state.rank} waited on unknown send request {request.request_id}"
-            )
-        message: _Message = obj
+        message: _Message = request.message
         now = state.clock
         if message.transfer.eager:
             # buffered by the transport: the sender's wait returns immediately
@@ -1065,7 +1023,7 @@ class Engine:
             return True
         # rendezvous send: completion is driven by the receiver
         state.block_kind = _BLOCK_SEND_COMPLETION
-        state.block_req_id = request.request_id
+        state.block_on = request
         return False
 
     def _notify_send_completion(self, message: _Message) -> None:
@@ -1080,7 +1038,7 @@ class Engine:
         if (
             sender.status == _BLOCKED
             and sender.block_kind == _BLOCK_SEND_COMPLETION
-            and sender.block_req_id == message.send_req_id
+            and sender.block_on.message is message
         ):
             self._continue_wait(sender, EV_TRANSFER_COMPLETE)
 
@@ -1101,7 +1059,7 @@ class Engine:
         *blocked* rank can post or consume messages on its behalf).
         """
         completed: List[_Message] = []
-        for message in self._inflight[rank].values():
+        for message in self._inflight[rank]:
             if message is skip:
                 continue
             if message.transfer.ack(now, continuous=continuous):
@@ -1110,20 +1068,20 @@ class Engine:
         if completed:
             inflight = self._inflight[rank]
             for message in completed:
-                inflight.pop(message.msg_id, None)
+                inflight.pop(message, None)
 
     # ---------------------------------------------------------------- polling
 
     def _handle_test(self, state: _RankState, cmd: Test) -> None:
+        request = cmd.request
+        if not isinstance(request, Request) or request.owner is not state:
+            raise self._not_posted_by(state, request, "tested")
         self._ack_incoming(state.rank, state.clock, continuous=False)
-        obj = self._req_obj.get(cmd.request.request_id)
-        complete = False
-        if isinstance(obj, _Message):
-            if isinstance(cmd.request, SendRequest):
-                complete = obj.transfer.eager or obj.transfer.completed
-            else:
-                complete = obj.transfer.completed
-        state.resume_value = complete
+        message: Optional[_Message] = request.message
+        state.resume_value = message is not None and (
+            message.transfer.completed
+            or (message.transfer.eager and isinstance(request, SendRequest))
+        )
 
     def _handle_probe(self, state: _RankState, cmd: Probe) -> None:
         slots = state.job.slots
@@ -1164,30 +1122,9 @@ class Engine:
                 continue
             if s.block_kind == _BLOCK_BARRIER:
                 lines.append(f"  rank {s.rank}: waiting in Barrier at t={s.clock:.6f}")
-            elif s.block_kind == _BLOCK_RECV_MATCH:
-                obj = self._req_obj.get(s.block_req_id)
-                src = getattr(obj, "source", "?")
-                tag = getattr(obj, "tag", "?")
-                lines.append(
-                    f"  rank {s.rank}: Wait on receive from rank {src} (tag {tag}) "
-                    f"that was never sent"
-                )
-            elif s.block_kind == _BLOCK_SEND_COMPLETION:
-                obj = self._req_obj.get(s.block_req_id)
-                dst = getattr(obj, "dst", "?")
-                lines.append(
-                    f"  rank {s.rank}: Wait on send to rank {dst} that the receiver "
-                    f"never completed"
-                )
-            elif s.block_kind == _BLOCK_FLOW_COMPLETION:
-                obj = self._req_obj.get(s.block_req_id)
-                src = getattr(obj, "src", "?")
-                lines.append(
-                    f"  rank {s.rank}: Wait on a fair-share flow from rank {src} "
-                    f"whose departure was never committed"
-                )
-            else:  # pragma: no cover - defensive
-                lines.append(f"  rank {s.rank}: blocked ({s.block_kind})")
+            else:
+                diagnosis = _DEADLOCK_DIAGNOSES[s.block_kind].format(on=s.block_on)
+                lines.append(f"  rank {s.rank}: {diagnosis}")
         done = [s.rank for s in self._states if s.status == _IDLE and s.job is not None]
         if done:
             lines.append(f"  finished ranks: {done}")

@@ -159,8 +159,6 @@ class TransferState:
             return
         self.eligible_time = match_time + self.latency
         self.last_ack_time = self.eligible_time
-        if self.link is not None:
-            self.link.acquire()
 
     @property
     def is_eligible(self) -> bool:
@@ -174,8 +172,6 @@ class TransferState:
         self.completed = True
         self.delivered_bytes = float(self.nbytes)
         self.completion_time = time
-        if self.link is not None:
-            self.link.release()
 
     def ack(self, now: float, continuous: bool = False) -> bool:
         """Grant transfer progress for the interval since the last progress entry.
@@ -270,11 +266,10 @@ class TransferState:
 
         A registered fair flow is withdrawn through the registry, which
         re-divides the freed bandwidth across its connected component
-        immediately; the link occupancy acquired at match time is released.
-        Reservation-mode transfers hold no forward wire state (their
-        completion is only reserved once the receiver waits), so there is
-        nothing to unwind beyond the occupancy count.  Idempotent; a
-        completed transfer is left untouched.
+        immediately.  Reservation-mode transfers hold no forward wire state
+        (their completion is only reserved once the receiver waits), so there
+        is nothing to unwind.  Idempotent; a completed transfer is left
+        untouched.
         """
         if self.completed:
             return
@@ -283,8 +278,6 @@ class TransferState:
             if registry is not None:
                 registry.cancel_flow(self.fair_flow, now)
             self.fair_flow = None
-        if self.link is not None and self.is_eligible:
-            self.link.release()
         self.completed = True
         self.completion_time = float(now)
         self.last_ack_time = float(now)

@@ -347,11 +347,6 @@ class SharedUplinkTopology(Contended, HierarchicalTopology):
             )
         return cached
 
-    def uplink_load(self, node: int) -> int:
-        """In-flight inter-node transfers currently leaving ``node``."""
-        stage = self._stages.get(("uplink", node))
-        return stage.active if stage is not None else 0
-
     def link(self, src: int, dst: int) -> Optional[LinkModel]:
         if self.same_node(src, dst):
             return self._intra

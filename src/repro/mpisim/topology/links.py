@@ -34,28 +34,19 @@ class SharedLink:
     instantaneous share — is robust to the engine resolving completions
     eagerly, before sibling transfers have matched.
 
-    ``active`` counts matched, uncompleted transfers charged to the link;
-    it is load telemetry (see ``SharedUplinkTopology.uplink_load``), not a
-    rate input.  ``assigned`` counts messages a fabric has *routed* over this
-    stage so far; adaptive routing balances on it because at post time a
-    freshly routed flow has not reserved any wire yet (its backlog is only
-    visible as placement history).  ``wire_seconds`` is the wire time
+    ``assigned`` counts messages a fabric has *routed* over this stage so
+    far; adaptive routing balances on it because at post time a freshly
+    routed flow has not reserved any wire yet (its backlog is only visible
+    as placement history).  ``wire_seconds`` is the wire time
     reserved since the last :meth:`clear` (``bytes / capacity`` at reserve
     time, under both disciplines — fair mode re-expresses every fluid segment
     as a reservation); utilization reports divide it by the run's makespan.
     """
 
     capacity: float
-    active: int = 0
     busy_until: float = float("-inf")
     assigned: int = 0
     wire_seconds: float = 0.0
-
-    def acquire(self) -> None:
-        self.active += 1
-
-    def release(self) -> None:
-        self.active = max(0, self.active - 1)
 
     def reserve(self, start: float, nbytes: float) -> float:
         """Reserve the link for a bulk stream of ``nbytes`` from ``start``.
@@ -69,8 +60,7 @@ class SharedLink:
         return finish
 
     def clear(self) -> None:
-        """Forget all reservations and in-flight accounting (simulation reset)."""
-        self.active = 0
+        """Forget all reservations and routing history (simulation reset)."""
         self.busy_until = float("-inf")
         self.assigned = 0
         self.wire_seconds = 0.0
@@ -152,13 +142,3 @@ class LinkModel:
     def __post_init__(self) -> None:
         ensure_non_negative(self.latency, "latency")
         ensure_positive(self.bandwidth, "bandwidth")
-
-    def acquire(self) -> None:
-        """Register an in-flight transfer (no-op on dedicated links)."""
-        for stage in self.stages:
-            stage.acquire()
-
-    def release(self) -> None:
-        """Deregister a completed transfer (no-op on dedicated links)."""
-        for stage in self.stages:
-            stage.release()

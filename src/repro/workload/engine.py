@@ -528,7 +528,7 @@ class WorkloadEngine:
         utilization: Dict[str, float] = {}
         if makespan > 0.0:
             # the run just ended: every stage still holds the wire time it
-            # reserved since the engine's reset
+            # reserved since the engine was built
             utilization = {
                 ":".join(str(part) for part in key): stage.wire_seconds / makespan
                 for key, stage in topology.stages().items()

@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine: matching, timing, blocking, breakdowns."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -348,6 +351,51 @@ class TestErrors:
         with pytest.raises(DeadlockError, match="never sent"):
             run_simulation(2, program, network=NET)
 
+    def test_deadlock_names_the_unsent_receive(self):
+        def program(rank, size):
+            if rank == 0:
+                yield Wait((yield Irecv(source=1, tag=7)))
+
+        with pytest.raises(DeadlockError) as info:
+            run_simulation(2, program, network=NET)
+        assert (
+            "  rank 0: Wait on receive from rank 1 (tag 7) that was never sent"
+            in str(info.value).splitlines()
+        )
+
+    def test_deadlock_names_the_lost_fair_flow_and_its_sender(self):
+        """A rendezvous send whose fair flow leaves the registry without a
+        commit strands both ends; each is diagnosed from the handle it
+        blocks on."""
+        from repro.mpisim.engine import Engine
+        from repro.mpisim.topology import SharedUplinkTopology
+
+        def program(rank, size):
+            if rank == 0:
+                yield Wait((yield Isend(dest=2, data=None, nbytes=1 << 20)))
+            elif rank == 2:
+                yield Wait((yield Irecv(source=0)))
+
+        engine = Engine(
+            4,
+            program,
+            network=NetworkModel(contention="fair"),
+            topology=SharedUplinkTopology(ranks_per_node=2, contention="fair"),
+        )
+        registry = engine.topology.fair_registry
+
+        def lose_the_flow(now):
+            (flow,) = registry.active_flows()
+            registry.cancel_flow(flow, now)
+
+        engine.schedule_event(1e-4, lose_the_flow)
+        with pytest.raises(DeadlockError) as info:
+            engine.run()
+        assert str(info.value).splitlines()[1:3] == [
+            "  rank 0: Wait on send to rank 2 that the receiver never completed",
+            "  rank 2: Wait on a fair-share flow from rank 0 whose departure was never committed",
+        ]
+
     def test_rank_exception_wrapped(self):
         def program(rank, size):
             yield Compute(1.0)
@@ -377,6 +425,55 @@ class TestErrors:
         with pytest.raises(InvalidCommandError):
             run_simulation(1, program, network=NET)
 
+    @pytest.mark.parametrize(
+        "complete", [Wait, lambda req: Waitall([req]), Poll], ids=["wait", "waitall", "test"]
+    )
+    def test_another_ranks_request_rejected(self, complete):
+        """A handle shared through a closure must not let rank 1 complete (and
+        be handed the payload of) rank 0's receive."""
+        shared = []
+
+        def program(rank, size):
+            if rank == 0:
+                shared.append((yield Irecv(source=1)))
+                yield Compute(2.0)
+            else:
+                yield Compute(1.0)
+                yield Isend(dest=0, data=b"p" * 200)
+                yield complete(shared[0])
+
+        with pytest.raises(
+            InvalidCommandError,
+            match=r"rank 1 (waited on|tested) RecvRequest\(rank=0, .* rank 1 of this engine posted",
+        ):
+            run_simulation(2, program, network=NET)
+
+    def test_request_of_a_different_engine_rejected(self):
+        """A stale handle of an earlier simulation is not one of this engine's,
+        whatever this engine's own first send looks like."""
+        stale = []
+
+        def first(rank, size):
+            if rank == 0:
+                stale.append((yield Isend(dest=1, data=b"x" * 200)))
+                yield Wait(stale[0])
+            else:
+                yield Wait((yield Irecv(source=0)))
+
+        def second(rank, size):
+            if rank == 0:
+                yield Isend(dest=1, data=b"y" * 200)
+                yield Wait(stale[0])
+            else:
+                yield Wait((yield Irecv(source=0)))
+
+        run_simulation(2, first, network=NET)
+        with pytest.raises(
+            InvalidCommandError,
+            match=r"rank 0 waited on SendRequest\(rank=0, .* rank 0 of this engine posted",
+        ):
+            run_simulation(2, second, network=NET)
+
     def test_command_budget_enforced(self):
         def program(rank, size):
             while True:
@@ -405,12 +502,59 @@ class TestSimulationResult:
         assert result.category_seconds("Wait") >= 0.0
 
 
-class TestEngineReuse:
-    """reset() must rebuild all run state — stale events can never replay.
+class TestEngineHoldsOnlyLiveOperations:
+    """The handle is the record: the engine references unmatched postings and
+    in-flight messages, and nothing for an operation that finished."""
 
-    Companion to the topology reset() coverage in test_topology.py: the
-    engine side of the same contract, now that scheduled fair-share commits
-    live in the event heap alongside rank-ready entries.
+    @staticmethod
+    def _ring(rounds, on_round=lambda rank, step, payload: None):
+        def program(rank, size):
+            for step in range(rounds):
+                payload = np.full(64, float(step))  # 512 B: rendezvous
+                on_round(rank, step, payload)
+                send = yield Isend(dest=(rank + 1) % size, data=payload, tag=step)
+                recv = yield Irecv(source=(rank - 1) % size, tag=step)
+                yield Waitall([recv, send])
+
+        return program
+
+    def test_finished_payload_is_freed_while_the_engine_still_runs(self):
+        """Reference counting alone (the collector is off) frees round 1's
+        payload once both programs overwrote their handles."""
+        first = []
+        alive_in_round_3 = []
+
+        def on_round(rank, step, payload):
+            if rank == 0 and step == 0:
+                first.append(weakref.ref(payload))
+            if rank == 0 and step == 3:
+                alive_in_round_3.append(first[0]() is not None)
+
+        gc.disable()
+        try:
+            run_simulation(2, self._ring(4, on_round), network=NET)
+        finally:
+            gc.enable()
+        assert alive_in_round_3 == [False]
+
+    def test_match_tables_and_inflight_sets_end_empty(self):
+        from repro.mpisim.engine import Engine
+
+        engine = Engine(4, self._ring(3), network=NET)
+        engine.run()
+        assert engine._unmatched_sends == {}
+        assert engine._unmatched_recvs == {}
+        assert all(not inflight for inflight in engine._inflight.values())
+
+
+class TestEngineReuse:
+    """An engine is single-use; what simulations reuse is the topology.
+
+    Companion to the topology reset() coverage in test_topology.py: every
+    run in the repo (``run_simulation``, the workload engine) builds a fresh
+    ``Engine`` on a reused topology object, and constructing it must rewind
+    everything the previous engine left there — reservations, scheduled
+    fair-share commits, half-registered flows — so stale events never replay.
     """
 
     @staticmethod
@@ -423,73 +567,63 @@ class TestEngineReuse:
             yield Compute(1e-6)
         return rank
 
-    def test_second_run_without_reset_raises(self):
-        from repro.mpisim.engine import Engine
-
-        engine = Engine(4, self._exchange_program, network=NET)
-        engine.run()
-        with pytest.raises(RuntimeError, match="reset"):
-            engine.run()
-
-    def test_reset_then_run_is_identical(self):
-        from repro.mpisim.engine import Engine
-
-        engine = Engine(4, self._exchange_program, network=NET)
-        first = [r.finish_time for r in engine.run()]
-        engine.reset()
-        second = [r.finish_time for r in engine.run()]
-        assert first == second
-
-    def test_reset_after_fair_run_replays_identically(self):
-        """Fair mode schedules commit events in the heap; reset() must drop
-        them (and rewind the registry) or the second run would replay stale
-        departures."""
+    def _fair_engine(self, topology=None, **kwargs):
         from repro.mpisim.engine import Engine
         from repro.mpisim.topology import SharedUplinkTopology
 
-        def make_engine():
-            return Engine(
-                8,
-                self._exchange_program,
-                network=NetworkModel(contention="fair"),
-                topology=SharedUplinkTopology(ranks_per_node=2, contention="fair"),
-            )
-
-        engine = make_engine()
-        first = [r.finish_time for r in engine.run()]
-        engine.reset()
-        assert engine._heap, "reset() must re-seed the initial rank events"
-        second = [r.finish_time for r in engine.run()]
-        fresh = [r.finish_time for r in make_engine().run()]
-        assert first == second == fresh
-
-    def test_reset_after_interrupted_run_clears_stale_events(self):
-        """A run aborted mid-flight (command budget) leaves events and
-        half-registered fair flows behind; reset() must clear both."""
-        from repro.mpisim.engine import Engine
-        from repro.mpisim.topology import SharedUplinkTopology
-
-        topology = SharedUplinkTopology(ranks_per_node=2, contention="fair")
-        engine = Engine(
+        if topology is None:
+            topology = SharedUplinkTopology(ranks_per_node=2, contention="fair")
+        return Engine(
             8,
             self._exchange_program,
             network=NetworkModel(contention="fair"),
             topology=topology,
-            max_commands=20,
+            **kwargs,
         )
-        with pytest.raises(RuntimeError, match="max_commands"):
+
+    def test_second_run_raises(self):
+        from repro.mpisim.engine import Engine
+
+        engine = Engine(4, self._exchange_program, network=NET)
+        engine.run()
+        with pytest.raises(RuntimeError, match="already ran.*new Engine"):
             engine.run()
-        engine.max_commands = 50_000_000
-        engine.reset()
-        assert topology.fair_registry.pending_count() == 0
-        interrupted_then_reset = [r.finish_time for r in engine.run()]
-        fresh = [
-            r.finish_time
-            for r in Engine(
-                8,
-                self._exchange_program,
-                network=NetworkModel(contention="fair"),
-                topology=SharedUplinkTopology(ranks_per_node=2, contention="fair"),
-            ).run()
+
+    def test_second_engine_on_same_topology_is_identical(self):
+        from repro.mpisim.engine import Engine
+        from repro.mpisim.topology import SharedUplinkTopology
+
+        topology = SharedUplinkTopology(ranks_per_node=2)
+        runs = [
+            [r.finish_time for r in Engine(4, self._exchange_program, NET, topology=topo).run()]
+            for topo in (topology, topology, SharedUplinkTopology(ranks_per_node=2))
         ]
-        assert interrupted_then_reset == fresh
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_second_engine_after_fair_run_replays_identically(self):
+        """Fair mode schedules commit events in the heap and flows in the
+        topology's registry; a second engine on the same topology must see
+        neither, or it would replay stale departures."""
+        first_engine = self._fair_engine()
+        first = [r.finish_time for r in first_engine.run()]
+        second_engine = self._fair_engine(first_engine.topology)
+        assert second_engine.topology is first_engine.topology
+        assert second_engine.topology.fair_registry.pending_count() == 0
+        second = [r.finish_time for r in second_engine.run()]
+        fresh = [r.finish_time for r in self._fair_engine().run()]
+        assert first == second == fresh
+
+    def test_second_engine_after_interrupted_run_sees_no_stale_state(self):
+        """A run aborted mid-flight (command budget) leaves half-registered
+        fair flows in the topology; the next engine built on it must clear
+        them."""
+        aborted = self._fair_engine(max_commands=20)
+        with pytest.raises(RuntimeError, match="max_commands"):
+            aborted.run()
+        topology = aborted.topology
+        assert topology.fair_registry.pending_count() > 0
+        engine = self._fair_engine(topology)
+        assert topology.fair_registry.pending_count() == 0
+        after_abort = [r.finish_time for r in engine.run()]
+        fresh = [r.finish_time for r in self._fair_engine().run()]
+        assert after_abort == fresh

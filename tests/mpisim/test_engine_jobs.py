@@ -1,5 +1,8 @@
 """Jobs on a shared engine: idle slots, bind_job, job-local addressing, scheduled events, job barriers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -318,6 +321,72 @@ class TestKillJob:
         # slot clocks never rewind: the cancelled rendezvous had already
         # committed wire time to 0.4, so the next job starts there, not 0.2
         assert finishes == [1.4]
+
+    def test_kill_drops_every_message_of_the_job_and_spares_the_survivor(self):
+        """In flight, sent but unmatched, received but unmatched: after the
+        kill the engine references none of the victim's operations, and the
+        other job's in-flight transfer finishes when it would have alone."""
+        payloads = []
+
+        def victim_sender(rank, n_ranks):
+            in_flight, unmatched = np.zeros(50_000), np.ones(50_000)
+            payloads.extend(weakref.ref(p) for p in (in_flight, unmatched))
+            yield Isend(1, data=unmatched, tag=9)
+            yield Wait((yield Isend(1, data=in_flight, tag=0)))
+
+        def victim_receiver(rank, n_ranks):
+            yield Irecv(0, tag=5)
+            yield Wait((yield Irecv(0, tag=0)))
+
+        def survivor_sender(rank, n_ranks):
+            yield Wait((yield Isend(1, data=None, nbytes=400_000)))
+
+        def survivor_receiver(rank, n_ranks):
+            handle = yield Irecv(0)
+            yield Compute(0.2)  # matched, not yet waited on, when the kill lands
+            yield Wait(handle)
+
+        def survivor_finish(with_victim):
+            engine = Engine(4, None, network=NET)
+            finished = []
+            victim = []
+
+            def bind(now):
+                if with_victim:
+                    victim.append(
+                        engine.bind_job(
+                            now,
+                            {0: lambda: victim_sender(0, 2), 1: lambda: victim_receiver(1, 2)},
+                        )
+                    )
+                engine.bind_job(
+                    now,
+                    {2: lambda: survivor_sender(0, 2), 3: lambda: survivor_receiver(1, 2)},
+                    on_retire=lambda job: finished.append(job.finished),
+                )
+
+            def kill(now):
+                assert all(ref() is not None for ref in payloads)
+                engine.kill_job(victim[0], now)
+                # freed by reference counting alone (the collector is off)
+                assert [ref() for ref in payloads] == [None, None]
+                for table in (engine._unmatched_sends, engine._unmatched_recvs):
+                    assert not any({0, 1} & set(key[:2]) for key in table)
+                assert [len(engine._inflight[slot]) for slot in range(4)] == [0, 0, 0, 1]
+
+            engine.schedule_event(0.0, bind)
+            if with_victim:
+                engine.schedule_event(0.1, kill)
+            gc.disable()
+            try:
+                engine.run()
+            finally:
+                gc.enable()
+            return finished
+
+        (alone,) = survivor_finish(with_victim=False)
+        assert survivor_finish(with_victim=True) == [alone]
+        assert len(payloads) == 2  # the victim ran, and the kill callback checked it
 
     def test_kill_settles_byte_counters_to_pre_kill_traffic(self):
         engine = Engine(2, None, network=NET)

@@ -213,7 +213,6 @@ class TestFatTreeTiming:
         second = run_simulation(8, pairs_program(nbytes, [(0, 4), (1, 5)]), NET, topology=topo)
         assert second.total_time == pytest.approx(first.total_time, rel=1e-12)
         assert len(topo.stages()) == stages_after_first
-        assert all(stage.active == 0 for stage in topo.stages().values())
 
 
 class TestMultiNic:

@@ -187,29 +187,11 @@ class TestSharedUplink:
         assert topo.link(0, 2) is uplink_after_first
         assert topo.link(0, 2).stages == (shared_after_first,)
         assert dict(topo.stages()) == {("uplink", 0): shared_after_first}
-        # the reset left no stale accounting behind
-        assert shared_after_first.active == 0
-        assert topo.uplink_load(0) == 0
 
     def test_shared_link_accounting(self):
         link = SharedLink(capacity=100.0)
-        link.acquire()
-        link.acquire()
-        assert link.active == 2
-        link.release()
-        link.release()
-        link.release()  # extra release stays clamped
-        assert link.active == 0
         finish = link.reserve(1.0, 200.0)
         assert finish == pytest.approx(3.0)
         # a second stream queues behind the first reservation
         assert link.reserve(0.0, 100.0) == pytest.approx(4.0)
 
-    def test_uplink_load_telemetry(self):
-        topo = SharedUplinkTopology(ranks_per_node=2)
-        assert topo.uplink_load(0) == 0
-        link = topo.link(0, 2)
-        link.acquire()
-        assert topo.uplink_load(0) == 1
-        link.release()
-        assert topo.uplink_load(0) == 0
