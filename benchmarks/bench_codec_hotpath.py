@@ -6,8 +6,10 @@ width-class batched bit-packing primitives underneath them.  The headline
 test also re-runs SZx through a *scalar reference* encoder (one
 ``pack_uint_bits`` call per block, the pre-vectorisation code shape) so the
 batched data plane's speedup is measured inside the suite rather than against
-git archaeology.  The gated numbers for this path are the ``codec_large`` /
-``codec_small`` workloads of ``benchmarks/ledger`` (see ``benchmarks/README.md``).
+git archaeology, and prices the ``restored`` out-parameter against the decode
+it replaces in the simulations.  The gated numbers for this path are the
+``codec_large`` / ``codec_small`` workloads of ``benchmarks/ledger`` (see
+``benchmarks/README.md``).
 """
 
 import numpy as np
@@ -149,6 +151,42 @@ class TestPipelinedHotPath:
         print(f"\n1M-value round trip: SZx {plain * 1e3:.1f} ms, PIPE-SZx {piped * 1e3:.1f} ms, "
               f"ratio {piped / plain:.2f}x")
         assert piped < 1.5 * plain
+
+
+class TestRestoredOutParameter:
+    @pytest.mark.parametrize("codec_type", [SZxCompressor, PipelinedSZx])
+    def test_restored_costs_a_fraction_of_the_decode_it_replaces(self, codec_type):
+        """Ratios of calls timed in one process, so no wall-clock threshold.  At a
+        message size (16 384 values: the simulated collectives send 1-64 KiB) a
+        compress that also fills ``restored`` must stay under 0.85x of compress +
+        decompress — the pair it replaces on the simulation path, ~0.7x measured —
+        and under 1.4x of compress alone (~1.15x measured).  At 1 M values both
+        sit near their limits (0.74-0.90x, 1.29-1.47x): the dequantise pass is
+        bandwidth-bound like everything else there."""
+        import time
+
+        data = hotpath_field(n=16_384)
+        codec = codec_type(error_bound=HOTPATH_EB)
+        restored = np.empty_like(data)
+        payload = codec.compress_bytes(data)
+
+        def best(call) -> float:
+            times = []
+            for _ in range(200):
+                t0 = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        compress = best(lambda: codec.compress_bytes(data))
+        decompress = best(lambda: codec.decompress_bytes(payload))
+        both = best(lambda: codec.compress_bytes(data, restored=restored))
+        print(f"\n{codec.name} at 16 384 values: compress {compress * 1e6:.0f} us, decompress "
+              f"{decompress * 1e6:.0f} us, compress with restored {both * 1e6:.0f} us "
+              f"({both / (compress + decompress):.2f}x of the pair, {both / compress:.2f}x of compress)")
+        assert restored.tobytes() == codec.decompress_bytes(payload).tobytes()
+        assert both < 0.85 * (compress + decompress)
+        assert both < 1.4 * compress
 
 
 class TestBitpackPrimitives:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
+from repro.ccoll import CCollConfig
 from repro.mpisim import Compute, Irecv, Isend, NetworkModel, Waitall, run_simulation
 from repro.workload import JobMix, WorkloadEngine
 
@@ -47,6 +48,38 @@ class TestEngineThroughput:
         assert result.total_time > 0
 
 
+def compressed_ring_program(rounds):
+    """Every round each rank compresses a fresh 64 KiB array, passes the message
+    on and sums what the one it received carries (the C-Coll reduce-scatter shape)."""
+    config = CCollConfig()
+    adapters = config.make_adapters(config.context(), 16)
+
+    def program(rank, size):
+        adapter = adapters[rank]
+        left = (rank - 1) % size
+        right = (rank + 1) % size
+        total = np.zeros(8192)
+        for step in range(rounds):
+            message = adapter.compress(np.sin(np.arange(8192.0) + rank + step))
+            recv_req = yield Irecv(source=left, tag=step)
+            send_req = yield Isend(dest=right, data=message, nbytes=message.nbytes, tag=step)
+            received, _ = yield Waitall([recv_req, send_req])
+            total = total + adapter.decompress_shared(received)
+        return total
+
+    return program
+
+
+def traced_peak(n_ranks, program):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_simulation(n_ranks, program, NET)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEngineRetention:
     def test_traced_peak_does_not_grow_with_rounds(self):
         """A ratio of two runs in one process, so no wall-clock threshold: the
@@ -54,17 +87,17 @@ class TestEngineRetention:
         sending a fresh 16 KiB array per round peak at about one round of
         payloads (4 MiB) however many rounds ran — 1.0x from 8 to 32 rounds,
         4.0x (35 -> 140 MiB) while the engine kept a table of every request."""
+        short, long = (
+            traced_peak(256, ring_exchange_program(rounds, fresh_payloads=True))
+            for rounds in (8, 32)
+        )
+        assert long < 1.25 * short, (short, long)
 
-        def traced_peak(rounds):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                run_simulation(256, ring_exchange_program(rounds, fresh_payloads=True), NET)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        short, long = traced_peak(8), traced_peak(32)
+    def test_a_compressed_message_pins_its_decode_only_while_in_flight(self):
+        """The same ratio for compressed messages, each of which carries the 64 KiB
+        array it decodes to: freed with the message once sender and receiver let
+        go of it, so 16 ranks peak at about one round's worth however many ran."""
+        short, long = (traced_peak(16, compressed_ring_program(rounds)) for rounds in (8, 32))
         assert long < 1.25 * short, (short, long)
 
 

@@ -5,8 +5,8 @@ This corresponds to the "Compression Adapter" box in the paper's architecture
 arrays to the adapter and get back :class:`CompressedMessage` objects that
 bundle the payload with everything the simulation needs:
 
-* the real compressed bytes (what actually travels and is decompressed, so
-  data fidelity is preserved end to end),
+* the real compressed bytes and the array they decode to (what the receivers
+  compute with, so data fidelity is preserved end to end),
 * the *virtual* sizes used by the network/cost models (real sizes scaled by
   the configured ``size_multiplier``),
 * the achieved compression ratio (feeds the ratio-dependent throughput model
@@ -17,42 +17,52 @@ Every payload goes through the codec once
 -----------------------------------------
 Virtual time charges every rank for every compression and decompression it
 performs (the programs still yield one ``Compute`` per call, the adapter still
-records one ratio per call); the *host* does each distinct computation once,
-in two places:
+records one ratio per call).  The *host* compresses each distinct input once
+and, on the simulation path, decodes nothing:
 
-* **A message decoded by many ranks is decoded once.**  Messages travel by
-  reference, so the N-1 receivers of an allgather block or a broadcast buffer
-  hold the same :class:`CompressedMessage`.  :meth:`CompressionAdapter.
-  decompress_shared` remembers the decoded array *on the message*: it lives
-  exactly as long as the message does, every receiver gets the same array,
-  and that array is read-only, so a program that wrote into it would raise
-  instead of corrupting its neighbours.  Messages with one receiver go through
-  :meth:`CompressionAdapter.decompress`, which retains nothing.
+* **A message carries its reconstruction.**  An encoder holds what its payload
+  decodes to as a by-product, so :meth:`CompressionAdapter.compress` asks the
+  codec for it (the ``restored`` out-parameter of ``Compressor.compress``,
+  byte for byte the array ``decompress_bytes(payload)`` returns) and stores it
+  on the message as :attr:`CompressedMessage.decoded`.  Messages travel by
+  reference, so the sender, the one receiver of a reduce-scatter chunk and the
+  N-1 receivers of an allgather block or a broadcast buffer all hold the same
+  array, for exactly as long as the message lives.  That is why it is
+  **read-only**: a program that wrote into it would raise
+  (``ValueError: assignment destination is read-only``) instead of corrupting
+  its neighbours.  :meth:`CompressionAdapter.decompress_shared` hands out the
+  array itself, for receivers that only read it (``chunk + incoming``, a
+  ``concatenate``); :meth:`CompressionAdapter.decompress` hands out a copy the
+  caller owns, for programs that return what they received as their value.
+  The real decoders stay honest through the codec tests and the fuzzer's
+  ``codec_roundtrip`` audit, which compares them with ``restored`` bytewise.
 * **A job's isolated baseline reuses the job's codec results.**
-  :class:`CodecMemo` is content-addressed: compress is keyed by the codec's
+  :class:`CodecMemo` is content-addressed: an entry is keyed by the codec's
   class, every parameter its output depends on (``Compressor.describe()``),
-  the input dtype and the input bytes; decompress by the codec and the
-  payload.  A key therefore *is* the computation, and no invalidation rule is
-  needed: a plan that differs (another fabric state picks another algorithm)
-  feeds different bytes and simply misses.  A memo is an ordinary object that
-  ``WorkloadEngine.run`` creates per job, hands to ``compile_job`` and drops
-  once that job's baseline has run; it reaches the adapters through
-  ``CCollConfig.codec_memo`` (read by ``CCollConfig.make_adapters`` only).
-  Without one — every direct ``Communicator`` call, every ``baseline=False``
-  run — the adapter goes straight to the codec.  Codec errors are raised from
-  the codec call itself and never stored.
+  the input dtype and the input bytes, and holds the compressed buffer with
+  its reconstruction.  A key therefore *is* the computation, and no
+  invalidation rule is needed: a plan that differs (another fabric state picks
+  another algorithm) feeds different bytes and simply misses.  A memo is an
+  ordinary object that ``WorkloadEngine.run`` creates per job, hands to
+  ``compile_job`` and drops once that job's baseline has run; it reaches the
+  adapters through ``CCollConfig.codec_memo`` (read by
+  ``CCollConfig.make_adapters`` only).  Without one — every direct
+  ``Communicator`` call, every ``baseline=False`` run — the adapter goes
+  straight to the codec.  Codec errors are raised from the codec call itself
+  and never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.collectives.context import CollectiveContext
 from repro.compression.base import CompressedBuffer, Compressor
 from repro.metrics.ratios import CompressionStats
+from repro.utils.validation import ensure_1d_float_array
 
 __all__ = ["CodecMemo", "CompressedMessage", "CompressionAdapter"]
 
@@ -61,10 +71,9 @@ class CodecMemo:
     """Content-addressed codec results (see the module docstring for its lifetime)."""
 
     def __init__(self) -> None:
-        #: (codec key, input dtype, input bytes) -> what the codec made of them
-        self.compressed: Dict[Tuple, CompressedBuffer] = {}
-        #: (codec key, payload) -> the read-only array the payload decodes to
-        self.decoded: Dict[Tuple, np.ndarray] = {}
+        #: (codec key, input dtype, input bytes) -> what the codec made of them:
+        #: the compressed buffer and the read-only array it decodes to
+        self.compressed: Dict[Tuple, Tuple[CompressedBuffer, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -72,17 +81,13 @@ class CompressedMessage:
     """A compressed chunk ready to be sent through the simulated network."""
 
     payload: bytes
-    original_count: int
-    original_dtype: np.dtype
     real_nbytes: int
     virtual_nbytes: int
     original_virtual_nbytes: int
     ratio: float
-    #: the decode every receiver shares, once one of them has asked for it
-    #: (at most one entry; see :meth:`CompressionAdapter.decompress_shared`)
-    _decoded: List[np.ndarray] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
+    #: what ``payload`` decodes to, from the encoder that produced it: read-only,
+    #: and shared by everyone who holds the message
+    decoded: np.ndarray = field(repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -115,60 +120,48 @@ class CompressionAdapter:
 
     # ------------------------------------------------------------- compress
 
+    def _encode(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """``data`` through the codec: the buffer and the read-only array it decodes to."""
+        values = ensure_1d_float_array(data)  # what the codec compresses: it widens float16
+        restored = np.empty_like(values)
+        buf = self.codec.compress(values, restored=restored)
+        restored.setflags(write=False)
+        return buf, restored
+
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
         data = np.ascontiguousarray(data).reshape(-1)
         if self.memo is None:
-            buf = self.codec.compress(data)
+            buf, decoded = self._encode(data)
         else:
             key = (self._codec_key, data.dtype.str, data.tobytes())
-            buf = self.memo.compressed.get(key)
-            if buf is None:
-                buf = self.memo.compressed[key] = self.codec.compress(data)
+            entry = self.memo.compressed.get(key)
+            if entry is None:
+                entry = self.memo.compressed[key] = self._encode(data)
+            buf, decoded = entry
         real = buf.nbytes
         original_virtual = self.ctx.vbytes(data)
         virtual = max(1, self.ctx.vbytes_raw(real))
         self.stats.record(buf.original_nbytes, real)
         return CompressedMessage(
             payload=buf.payload,
-            original_count=data.size,
-            original_dtype=data.dtype,
             real_nbytes=real,
             virtual_nbytes=virtual,
             original_virtual_nbytes=original_virtual,
             ratio=buf.ratio,
+            decoded=decoded,
         )
 
     # ----------------------------------------------------------- decompress
 
-    def _decode(self, payload: bytes) -> np.ndarray:
-        """The array ``payload`` decodes to; read-only when a memo holds it."""
-        if self.memo is None:
-            return self.codec.decompress(payload)
-        key = (self._codec_key, payload)
-        data = self.memo.decoded.get(key)
-        if data is None:
-            data = self.memo.decoded[key] = self.codec.decompress(payload)
-            data.setflags(write=False)
-        return data
-
     def decompress(self, message: CompressedMessage) -> np.ndarray:
-        """Reconstruct the array carried by ``message``; the caller owns the result."""
-        data = self._decode(message.payload)
-        return data if data.flags.writeable else data.copy()
+        """The array carried by ``message``, as a copy the caller owns."""
+        return message.decoded.copy()
 
     def decompress_shared(self, message: CompressedMessage) -> np.ndarray:
-        """The array carried by ``message``, decoded once for all its receivers.
-
-        For the endpoints of the data-movement framework, where many ranks
-        decode the same message: the result is read-only and shared, so a
-        program that returns it as its value copies it first.
-        """
-        if not message._decoded:
-            data = self._decode(message.payload)
-            data.setflags(write=False)
-            message._decoded.append(data)
-        return message._decoded[0]
+        """The array carried by ``message`` itself: read-only, and the same
+        object for every holder of the message, so only for callers that read it."""
+        return message.decoded
 
     # ----------------------------------------------------------- time models
 

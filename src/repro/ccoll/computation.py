@@ -133,7 +133,7 @@ def c_reduce_scatter_program(
             yield Compute(decompress_time_total / segments_in, category=CAT_COMDECOM)
             if overlap and seg + 1 < segments_in:
                 yield Test(recv_reqs[seg + 1])
-        incoming = adapter.decompress(incoming_message)
+        incoming = adapter.decompress_shared(incoming_message)  # only read: summed below
 
         # drain the outgoing sends (mostly complete: the right neighbour has
         # been polling during its own compression/decompression)

@@ -178,8 +178,8 @@ def c_allgather_stage(
 
     # 4. decompress everything received (the local block needs no
     # decompression).  Every rank is charged for every block, as on the real
-    # machine; the host decodes each block once, because all size - 1
-    # receivers hold the same message object and share what it decodes to
+    # machine; on the host all size - 1 receivers hold the same message
+    # object and share the reconstruction it carries
     blocks: List[np.ndarray] = [None] * size
     blocks[rank] = my_block
     for index in range(size):
@@ -261,11 +261,11 @@ def c_bcast_program(
 
     if rank == root:
         return data
-    # one host decode for all size - 1 receivers (they hold the same message
-    # object); each is charged for its own and returns a buffer of its own
-    result = adapter.decompress_shared(message)
+    # all size - 1 receivers hold the same message object; each is charged
+    # for its own decode and returns a buffer of its own
+    result = adapter.decompress(message)
     yield Compute(adapter.decompress_seconds(message), category=CAT_COMDECOM)
-    return result.copy()
+    return result
 
 
 def _plan_compressed_bcast(

@@ -96,7 +96,7 @@ def _group_compressed_ring_allreduce(
         recv_req = yield Irecv(source=left, tag=tag)
         send_req = yield Isend(dest=right, data=outgoing, nbytes=outgoing.nbytes, tag=tag)
         received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
-        incoming = adapter.decompress(received)
+        incoming = adapter.decompress_shared(received)  # only read: summed below
         yield Compute(adapter.decompress_seconds(received), category=CAT_COMDECOM)
         chunks[recv_index] = chunks[recv_index] + incoming
         yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)

@@ -19,7 +19,13 @@ from repro.compression.errors import UnsupportedDataError
 from repro.metrics.ratios import compression_ratio
 from repro.utils.validation import ensure_1d_float_array
 
-__all__ = ["CompressedBuffer", "Compressor", "check_compressible", "rounding_margin"]
+__all__ = [
+    "CompressedBuffer",
+    "Compressor",
+    "check_compressible",
+    "check_restored",
+    "rounding_margin",
+]
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,26 @@ def check_compressible(data: np.ndarray, name: str = "data") -> np.ndarray:
     return arr
 
 
+def check_restored(data: np.ndarray, restored: Optional[np.ndarray]) -> None:
+    """Reject a ``restored`` out-parameter that cannot receive ``data``'s reconstruction.
+
+    Every ``compress_bytes`` calls this before any work: the codecs fill
+    ``restored`` through reshaped views, which only write through to a
+    writable, contiguous 1-D array of ``data``'s size and dtype.
+    """
+    if restored is None:
+        return
+    if not isinstance(restored, np.ndarray) or restored.ndim != 1:
+        raise ValueError("restored must be a 1-D numpy array")
+    if restored.size != data.size or restored.dtype != data.dtype:
+        raise ValueError(
+            f"restored must hold {data.size} {data.dtype} values like the data, "
+            f"got {restored.size} of {restored.dtype}"
+        )
+    if not (restored.flags.writeable and restored.flags.c_contiguous):
+        raise ValueError("restored must be writable and contiguous")
+
+
 def rounding_margin(data: np.ndarray, bound: float) -> float:
     """Floating-point slack on top of an absolute error ``bound`` for ``data``.
 
@@ -99,6 +125,16 @@ class Compressor(abc.ABC):
     self-describing byte strings; the public :meth:`compress` /
     :meth:`decompress` wrappers add validation and the
     :class:`CompressedBuffer` bookkeeping.
+
+    ``restored`` is an out-parameter of both compress calls: a writable,
+    contiguous 1-D array of the data's size and dtype that the codec fills
+    with exactly the array :meth:`decompress_bytes` would return for the
+    payload — same dtype, same bytes.  An encoder holds its reconstruction as
+    a by-product, so a caller that needs both sides of the round trip (the
+    simulated collectives) asks for it here instead of decoding the bytes it
+    was just handed.  It selects an extra output, never a behaviour: the
+    payload is the same with or without it, and anything else than such an
+    array is a ``ValueError`` before any work.
     """
 
     #: short identifier used by the registry and in harness tables
@@ -107,17 +143,18 @@ class Compressor(abc.ABC):
     error_bounded: bool = False
 
     @abc.abstractmethod
-    def compress_bytes(self, data: np.ndarray) -> bytes:
-        """Compress a validated 1-D float array into a self-describing payload."""
+    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
+        """Compress a validated 1-D float array into a self-describing payload
+        and, when ``restored`` is given, fill it with what the payload decodes to."""
 
     @abc.abstractmethod
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array from a payload produced by :meth:`compress_bytes`."""
 
-    def compress(self, data) -> CompressedBuffer:
+    def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
         """Validate ``data`` and compress it, returning a :class:`CompressedBuffer`."""
         arr = check_compressible(data)
-        payload = self.compress_bytes(arr)
+        payload = self.compress_bytes(arr, restored)
         return CompressedBuffer(
             payload=payload,
             original_count=arr.size,

@@ -8,9 +8,11 @@ same code paths as the real codecs.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_restored
 from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
 
@@ -25,7 +27,10 @@ class NullCompressor(Compressor):
     name = "null"
     error_bounded = True  # trivially: the error is exactly zero
 
-    def compress_bytes(self, data: np.ndarray) -> bytes:
+    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
+        check_restored(data, restored)
+        if restored is not None:
+            restored[...] = data
         header = PayloadHeader(magic=_MAGIC, dtype=data.dtype, count=data.size, param=0.0)
         return header.pack() + data.tobytes()
 

@@ -34,11 +34,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.compression.base import CompressedBuffer, Compressor, check_compressible
+from repro.compression.base import (
+    CompressedBuffer,
+    Compressor,
+    check_compressible,
+    check_restored,
+)
 from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
 from repro.compression.szx import DEFAULT_BLOCK_SIZE, compress_chunks, decompress_chunks
@@ -157,20 +162,23 @@ class PipelinedSZx(Compressor):
 
     # ----------------------------------------------------------- one-shot API
 
-    def compress(self, data) -> CompressedBuffer:
+    def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
         # compress_bytes is itself called with unvalidated buffers and checks
         # them; the base wrapper's own finiteness pass would be a second one
         arr = ensure_1d_float_array(data)
         return CompressedBuffer(
-            payload=self.compress_bytes(arr),
+            payload=self.compress_bytes(arr, restored),
             original_count=arr.size,
             original_dtype=arr.dtype,
             codec=self.name,
         )
 
-    def compress_bytes(self, data: np.ndarray) -> bytes:
+    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
         arr = check_compressible(data)
-        payloads = compress_chunks(arr, self.chunk_elems, self.block_size, self.error_bound)
+        check_restored(arr, restored)
+        payloads = compress_chunks(
+            arr, self.chunk_elems, self.block_size, self.error_bound, restored
+        )
         return self._frame(payloads, arr.size, arr.dtype)
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:

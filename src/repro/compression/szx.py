@@ -72,17 +72,31 @@ back into the shared arrays, decodes them with one ``unpack_width_classes``
 pass and drops each chunk's padding while casting to the output dtype.  The
 bytes equal compressing every chunk on its own, which is how the per-chunk
 generators of :mod:`repro.compression.pipelined` serve as the oracle.
+
+*The reconstruction is a by-product of encoding.*  Past the bit-unpacking, the
+decoder needs exactly three things — the signed quants, the float32 mediums and
+the constant mask — and the encoder holds all three before it packs a byte.
+The last two steps of decoding are therefore one helper pair, ``_dequantise``
+(``medium + quant * step`` into the block matrix) and ``_unpad`` (drop every
+chunk's padding, cast to the output dtype), that both directions call:
+:func:`decompress_chunks` on what it unpacked, :func:`compress_chunks` — when
+handed the ``restored`` out-parameter of
+:meth:`~repro.compression.base.Compressor.compress_bytes` — on what it is
+about to pack.  ``restored`` then equals the decode byte for byte (``-0.0``
+mediums, float32 rounding and per-chunk padding included) by construction, at
+a fraction of what un-bit-packing the same quants back out of the payload
+costs; ``tests/compression/test_restored.py`` is the differential.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_restored
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.header import PayloadHeader
 from repro.utils.bitpack import (
@@ -173,7 +187,8 @@ class SZxCompressor(Compressor):
 
     # ----------------------------------------------------------- compression
 
-    def compress_bytes(self, data: np.ndarray) -> bytes:
+    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
+        check_restored(data, restored)
         eb = self.effective_error_bound(data)
         if not (eb > 0.0 and math.isfinite(eb)):
             raise CompressionError(
@@ -182,7 +197,7 @@ class SZxCompressor(Compressor):
             )
         if data.size == 0:
             return _chunk_head(data.dtype, 0, eb, self.block_size)
-        return compress_chunks(data, data.size, self.block_size, eb)[0]
+        return compress_chunks(data, data.size, self.block_size, eb, restored)[0]
 
     # --------------------------------------------------------- decompression
 
@@ -228,17 +243,63 @@ def _cursors(counts) -> np.ndarray:
     return out
 
 
-def compress_chunks(data: np.ndarray, chunk_elems: int, block: int, eb: float) -> List[bytes]:
+def _dequantise(
+    out_blocks: np.ndarray,
+    quants: Optional[np.ndarray],
+    medium: np.ndarray,
+    const_mask: np.ndarray,
+    nonconst_idx: np.ndarray,
+    step: float,
+) -> None:
+    """Fill the float64 ``(n_blocks, block)`` matrix with the values a payload stands for.
+
+    A constant block is its float32 ``medium`` throughout; row ``i`` of the
+    signed ``quants`` (``None`` when every block is constant) belongs to block
+    ``nonconst_idx[i]`` and reconstructs to ``medium + quant * step``.  This is
+    *the* reconstruction: the decoder calls it with the quants it unpacked, the
+    encoder with the ones it is about to pack (see "Chunked layout" in the
+    module docstring).
+    """
+    out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
+    if nonconst_idx.size:
+        values = quants.astype(np.float64)
+        values *= step
+        values += medium[nonconst_idx].astype(np.float64)[:, None]
+        out_blocks[nonconst_idx] = values
+
+
+def _unpad(out: np.ndarray, out_blocks: np.ndarray, grid, block: int) -> None:
+    """Copy ``out_blocks`` into the flat ``out``, dropping every chunk's padding
+    while casting to ``out``'s dtype; ``grid`` is what :func:`_chunk_grid` returned."""
+    chunk_elems, n_full, tail, per_chunk, _ = grid
+    out[: n_full * chunk_elems].reshape(n_full, chunk_elems)[...] = out_blocks[
+        : n_full * per_chunk
+    ].reshape(n_full, per_chunk * block)[:, :chunk_elems]
+    if tail:
+        out[-tail:] = out_blocks[n_full * per_chunk :].reshape(-1)[:tail]
+
+
+def compress_chunks(
+    data: np.ndarray,
+    chunk_elems: int,
+    block: int,
+    eb: float,
+    restored: Optional[np.ndarray] = None,
+) -> List[bytes]:
     """One SZx payload per ``chunk_elems`` values of ``data``, from a single pass.
 
     ``data`` is a validated 1-D float array (an empty one has no chunks) and
     ``eb`` the resolved absolute error bound.  Element ``i`` of the result is
     byte-identical to compressing ``data[i * chunk_elems : (i + 1) * chunk_elems]``
-    on its own (see "Chunked layout" in the module docstring).
+    on its own (see "Chunked layout" in the module docstring).  ``restored``,
+    an array the caller has put through
+    :func:`~repro.compression.base.check_restored`, is filled with what
+    :func:`decompress_chunks` makes of the result.
     """
     if data.size == 0:
         return []
-    chunk_elems, n_full, tail, per_chunk, blocks_of = _chunk_grid(data.size, chunk_elems, block)
+    grid = _chunk_grid(data.size, chunk_elems, block)
+    chunk_elems, n_full, tail, per_chunk, blocks_of = grid
     n_chunks, n_blocks = len(blocks_of), sum(blocks_of)
 
     # every chunk is one row, padded to whole blocks with its own last value
@@ -276,6 +337,7 @@ def compress_chunks(data: np.ndarray, chunk_elems: int, block: int, eb: float) -
     step = 2.0 * eb
     nbits_arr = np.zeros(0, dtype=np.int64)
     encoded = np.zeros((0, block), dtype=np.uint8)
+    quants = None
     if nonconst_idx.size:
         if nonconst_idx.size == n_blocks:
             offsets = offsets_all  # every block non-constant: mutate in place
@@ -307,6 +369,10 @@ def compress_chunks(data: np.ndarray, chunk_elems: int, block: int, eb: float) -
                 "quantised offsets exceed the supported width; the error bound "
                 f"({eb!r}) is too small relative to the data range"
             )
+    if restored is not None:
+        # the quants are out of ``blocks`` by now: it is scratch of the right shape
+        _dequantise(blocks, quants, medium, const_mask, nonconst_idx, step)
+        _unpad(restored, blocks, grid, block)
     data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
     region = np.zeros(int(data_at[-1]), dtype=np.uint8)
     pack_width_classes(encoded, nbits_arr, data_at[:-1], region.size, out=region)
@@ -361,7 +427,8 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
             dtype, eb, _, block, _ = head
             if block <= 0 or not (eb > 0.0 and math.isfinite(eb)):
                 raise DecompressionError("inconsistent SZx block metadata")
-            chunk_elems, n_full, tail, per_chunk, blocks_of = _chunk_grid(count, chunk_elems, block)
+            grid = _chunk_grid(count, chunk_elems, block)
+            chunk_elems, n_full, tail, per_chunk, blocks_of = grid
             if len(pieces) != len(blocks_of):
                 raise DecompressionError(
                     f"{len(pieces)} SZx chunks cannot hold {count} values at "
@@ -414,25 +481,16 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
     const_mask = np.unpackbits(flag_rows, axis=1, count=per_chunk).reshape(-1)[:n_blocks].view(bool)
     medium = np.frombuffer(b"".join(medium_parts), dtype=np.float32)
 
-    step = 2.0 * eb
     out_blocks = np.empty((n_blocks, block), dtype=np.float64)
-    # Constant blocks: every value is the stored medium.
-    out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
     nonconst_idx = np.nonzero(~const_mask)[0]
+    quants = None
     if nonconst_idx.size:
-        # decode in the narrowest dtype the widest class needs, zigzag
-        # branchlessly in that width, and only then widen to float64
-        encoded = unpack_width_classes(region, nbits_arr, starts[:-1], block, dtype=None)
-        quants = zigzag_decode(encoded).astype(np.float64)
-        quants *= step
-        quants += medium[nonconst_idx].astype(np.float64)[:, None]
-        out_blocks[nonconst_idx] = quants
-
-    # drop every chunk's padding while casting to the caller's dtype
+        # decode in the narrowest dtype the widest class needs and zigzag
+        # branchlessly in that width; _dequantise widens to float64
+        quants = zigzag_decode(
+            unpack_width_classes(region, nbits_arr, starts[:-1], block, dtype=None)
+        )
+    _dequantise(out_blocks, quants, medium, const_mask, nonconst_idx, 2.0 * eb)
     out = np.empty(count, dtype=dtype)
-    out[: n_full * chunk_elems].reshape(n_full, chunk_elems)[...] = out_blocks[
-        : n_full * per_chunk
-    ].reshape(n_full, per_chunk * block)[:, :chunk_elems]
-    if tail:
-        out[-tail:] = out_blocks[n_full * per_chunk :].reshape(-1)[:tail]
+    _unpad(out, out_blocks, grid, block)
     return out

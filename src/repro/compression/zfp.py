@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, check_restored
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.header import PayloadHeader
 from repro.utils.bitpack import (
@@ -209,7 +209,8 @@ class ZFPCompressor(Compressor):
 
     # ----------------------------------------------------------- compression
 
-    def compress_bytes(self, data: np.ndarray) -> bytes:
+    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
+        check_restored(data, restored)
         param = self.error_bound if self.mode == MODE_ABS else float(self.rate)
         header = PayloadHeader(magic=_MAGIC, dtype=data.dtype, count=data.size, param=param)
         mode_code = 0 if self.mode == MODE_ABS else 1
@@ -241,7 +242,11 @@ class ZFPCompressor(Compressor):
             body += self._compress_abs(coeffs)
         else:
             body += self._compress_fxr(coeffs)
-        return bytes(body)
+        payload = bytes(body)
+        if restored is not None:
+            # quantised Haar coefficients are not a reconstruction: run the inverse
+            restored[...] = self.decompress_bytes(payload)
+        return payload
 
     def _compress_abs(self, coeffs: np.ndarray) -> bytes:
         step = self.error_bound / _ABS_MARGIN

@@ -482,13 +482,19 @@ def execute(scenario: Scenario) -> Dict[str, object]:
 
 
 def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
-    """Round-trip the rank-0 payload through the configured codec."""
+    """Round-trip the rank-0 payload through the configured codec.
+
+    The simulations compute with the reconstruction the encoder hands out
+    (``restored``) and never run the decoder, so the audit also holds the two
+    to each other: the decode of the payload must be that array, byte for byte.
+    """
     if scenario.compression == "off" or scenario.codec == "zfp_fxr":
         return None
     codec = build_cluster(scenario).config.make_codec()
     data = make_inputs(scenario)[0]
+    from_encoder = np.empty_like(data)
     try:
-        restored = codec.decompress_bytes(codec.compress_bytes(data))
+        restored = codec.decompress_bytes(codec.compress_bytes(data, restored=from_encoder))
     except Exception as exc:  # noqa: BLE001
         return {
             "invariant": "codec_roundtrip",
@@ -498,6 +504,11 @@ def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
         return {
             "invariant": "codec_roundtrip",
             "detail": f"round-trip changed shape/dtype to {restored.shape}/{restored.dtype}",
+        }
+    if restored.tobytes() != from_encoder.tobytes():
+        return {
+            "invariant": "codec_roundtrip",
+            "detail": "the encoder's restored array differs from the decode of its payload",
         }
     if data.size:
         eb_fn = getattr(codec, "effective_error_bound", None)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ccoll import CCollConfig
+from repro.compression import SZxCompressor
 from repro.fuzzer.executor import build_communicator, execute, make_inputs
 from repro.fuzzer.generator import Scenario, generate_scenario, sanitize
 from repro.mpisim.audit import trace_fair_allocations
@@ -100,6 +102,23 @@ class TestInvariantSensitivity:
         record = execute(scenario)
         assert record["status"] == "violation"
         assert any(v["invariant"] == "values" for v in record["violations"])
+
+    def test_codec_roundtrip_catches_a_lying_encoder(self, monkeypatch):
+        # the simulations compute with the encoder's ``restored`` and never run the
+        # decoder; a real codec's two sides agree by construction, so a disagreement
+        # has to come from an encoder lying about one element by one ulp
+        class LyingSZx(SZxCompressor):
+            def compress_bytes(self, data, restored=None):
+                payload = super().compress_bytes(data, restored)
+                if restored is not None:
+                    restored[3] = np.nextafter(restored[3], np.inf)
+                return payload
+
+        monkeypatch.setattr(CCollConfig, "make_codec", lambda self: LyingSZx(self.error_bound))
+        record = execute(_scenario(op="allgather", compression="on"))
+        assert record["status"] == "violation"
+        assert [v["invariant"] for v in record["violations"]] == ["codec_roundtrip"]
+        assert "differs from the decode" in record["violations"][0]["detail"]
 
     def test_fair_share_hook_catches_an_overcommitted_stage(self):
         # the real registry always re-divides consistently, so a broken

@@ -51,14 +51,14 @@ def _live_memos():
 
 class TestCodecCalls:
     def test_baselines_cost_no_codec_calls(self, codec_calls):
-        """343 compressions, each decoded once, with or without the 16 baselines
-        (686 / 1 090 before results were reused) — gated here exactly because the
-        committed ledger still holds the old counts."""
+        """343 compressions and no decode (a message carries its reconstruction), with
+        or without the 16 baselines (686 / 1 090 before results were reused) — gated
+        here exactly because the committed ledger still holds the old counts."""
         engine = WorkloadEngine(_cluster(), policy="spread")
         engine.run(_ledger_mix(), baseline=False)
-        assert codec_calls == {"compress": 343, "decompress": 343}
+        assert codec_calls == {"compress": 343, "decompress": 0}
         engine.run(_ledger_mix(), baseline=True)
-        assert codec_calls == {"compress": 686, "decompress": 686}
+        assert codec_calls == {"compress": 686, "decompress": 0}
 
     def test_a_restart_reuses_what_the_killed_attempt_computed(self, codec_calls):
         calls = (CollectiveCall(op="allreduce", msg_elems=4096, compression="on"),)
