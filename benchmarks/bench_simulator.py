@@ -6,7 +6,6 @@ simulator regressions show up independently of the collectives built on top.
 """
 
 import gc
-import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
 from repro.mpisim import Compute, Irecv, Isend, NetworkModel, Waitall, run_simulation
-from repro.workload import JobMix, WorkloadEngine
 
 NET = NetworkModel(latency=1e-6, bandwidth=1e9, eager_threshold=1024, inflight_window=1024**2)
 
@@ -109,25 +107,3 @@ class TestCollectiveThroughput:
         outcome = benchmark(comm.allreduce, inputs, "ring")
         np.testing.assert_allclose(outcome.value(0), np.sum(inputs, axis=0), rtol=1e-10)
 
-
-class TestIsolatedBaselines:
-    def test_baselines_cost_engine_time_only(self):
-        """A ratio of two runs in one process, so no wall-clock threshold: the 16
-        isolated baselines re-run every job, but reuse its codec results, so the
-        whole run stays under 1.6x the concurrent run alone (2.0x when every
-        baseline redid the codec work, ~1.4x since)."""
-        cluster = Cluster.from_preset("fat_tree", nodes=16, ranks_per_node=2, contention="fair")
-        engine = WorkloadEngine(cluster, policy="spread")
-        specs = JobMix(n_jobs=16, arrival_rate=500.0, sizes=(2, 4, 8)).generate(7)
-
-        def best_of_five(baseline):
-            seconds = []
-            for _ in range(5):
-                begin = time.perf_counter()
-                report = engine.run(specs, baseline=baseline)
-                seconds.append(time.perf_counter() - begin)
-                assert all((record.isolated is not None) == baseline for record in report.records)
-            return min(seconds)
-
-        alone, with_baselines = best_of_five(False), best_of_five(True)
-        assert with_baselines < 1.6 * alone, (alone, with_baselines)

@@ -36,6 +36,7 @@ from repro.mpisim.errors import (
     DeadlockError,
     InvalidCommandError,
     RankProgramError,
+    RunawayProgramError,
     SimulationError,
 )
 from repro.mpisim.launcher import SimulationResult, run_simulation
@@ -127,4 +128,5 @@ __all__ = [
     "DeadlockError",
     "InvalidCommandError",
     "RankProgramError",
+    "RunawayProgramError",
 ]

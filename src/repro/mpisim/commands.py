@@ -78,6 +78,8 @@ class Isend(Command):
     overrides the payload size seen by the network model — this is how the
     harness simulates paper-scale messages (hundreds of MB) while carrying
     proportionally smaller real arrays (see ``CCollConfig.size_multiplier``).
+    Without it the payload must size itself (``None``, an array, a bytes-like):
+    any other object is an ``InvalidCommandError``, never serialised for a guess.
     """
 
     dest: int

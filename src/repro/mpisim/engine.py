@@ -117,7 +117,6 @@ which the effect is bounded by a single polling interval.
 from __future__ import annotations
 
 import heapq
-import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -134,7 +133,12 @@ from repro.mpisim.commands import (
     Wait,
     Waitall,
 )
-from repro.mpisim.errors import DeadlockError, InvalidCommandError, RankProgramError
+from repro.mpisim.errors import (
+    DeadlockError,
+    InvalidCommandError,
+    RankProgramError,
+    RunawayProgramError,
+)
 from repro.mpisim.fairshare import CONTENTION_FAIR
 from repro.mpisim.network import NetworkModel, TransferState
 from repro.mpisim.requests import RecvRequest, Request, SendRequest
@@ -176,22 +180,12 @@ EV_BARRIER_RELEASE = "barrier-release"
 EV_SCHEDULED = "scheduled-callback"
 
 
-#: number of times :func:`payload_nbytes` had to fall back to ``pickle.dumps``
-#: to size a payload.  Hot collective paths thread explicit ``nbytes=`` through
-#: every ``Isend`` precisely so this stays flat; the regression test
-#: ``tests/mpisim/test_engine.py::TestPayloadNbytesFallback`` pins that.
-PICKLE_FALLBACK_COUNT = 0
-
-
 def payload_nbytes(data: Any) -> int:
-    """Best-effort size in bytes of a message payload.
+    """Size in bytes of a message payload that carries its own size.
 
-    Sizing objects without an ``nbytes`` attribute or a buffer length costs a
-    full ``pickle.dumps`` of the payload; callers on hot paths should pass
-    explicit ``nbytes=`` to ``Isend`` instead (tracked by
-    :data:`PICKLE_FALLBACK_COUNT`).
+    ``None`` is 0 bytes, an array its ``nbytes``, a bytes-like its length; any
+    other object raises ``TypeError`` — send it with ``Isend(nbytes=...)``.
     """
-    global PICKLE_FALLBACK_COUNT
     if data is None:
         return 0
     nbytes = getattr(data, "nbytes", None)
@@ -199,8 +193,7 @@ def payload_nbytes(data: Any) -> int:
         return int(nbytes)
     if isinstance(data, (bytes, bytearray, memoryview)):
         return len(data)
-    PICKLE_FALLBACK_COUNT += 1
-    return len(pickle.dumps(data))
+    raise TypeError(f"a {type(data).__name__} payload has no nbytes and no length; pass nbytes=")
 
 
 @dataclass(slots=True, eq=False)
@@ -290,8 +283,6 @@ class EngineJob:
         "on_retire",
         "_pending",
         "_barrier",
-        "_bytes0",
-        "_messages0",
     )
 
     def __init__(
@@ -315,8 +306,6 @@ class EngineJob:
         self._pending = set(slots)
         # (slot, arrival clock) of the ranks waiting in the job's barrier
         self._barrier: List[Tuple[int, float]] = []
-        self._bytes0 = 0
-        self._messages0 = 0
 
     @property
     def retired(self) -> bool:
@@ -530,8 +519,6 @@ class Engine:
         job = EngineJob(tag=tag, slots=tuple(programs), started=float(time), on_retire=on_retire)
         for slot, program in programs.items():
             state = states[slot]
-            job._bytes0 += state.bytes_sent
-            job._messages0 += state.messages_sent
             state.gen = program()
             state.job = job
             state.status = _READY
@@ -550,17 +537,10 @@ class Engine:
         if job._pending:
             return
         job.finished = max(job.finish_times.values())
-        states = self._states
-        job.bytes_sent = (
-            sum(states[s].bytes_sent for s in job.slots) - job._bytes0
-        )
-        job.messages_sent = (
-            sum(states[s].messages_sent for s in job.slots) - job._messages0
-        )
         # unbind only at full retirement: fair flows whose sender program
         # finished early still attribute to this job until the job ends
         for slot in job.slots:
-            states[slot].job = None
+            self._states[slot].job = None
         if job.on_retire is not None:
             job.on_retire(job)
 
@@ -593,13 +573,6 @@ class Engine:
                 raise RuntimeError(
                     f"slot {slot} is no longer bound to job {job.tag!r}"
                 )
-        # settle byte counters before slot state is touched
-        job.bytes_sent = (
-            sum(states[s].bytes_sent for s in job.slots) - job._bytes0
-        )
-        job.messages_sent = (
-            sum(states[s].messages_sent for s in job.slots) - job._messages0
-        )
         for slot in job.slots:
             state = states[slot]
             if state.gen is not None:
@@ -743,10 +716,7 @@ class Engine:
                 self._step(state)
                 self._commands_total += 1
                 if self._commands_total > self.max_commands:
-                    raise RuntimeError(
-                        f"simulation exceeded max_commands={self.max_commands}; "
-                        "a rank program is probably looping forever"
-                    )
+                    raise RunawayProgramError(self._describe_runaway())
                 if fair is not None:
                     self._sync_fair_event()
                 if state.status != _READY or state.ready_token != token:
@@ -837,13 +807,17 @@ class Engine:
         state.resume_value = None
 
     def _handle_isend(self, state: _RankState, cmd: Isend) -> None:
-        slots = state.job.slots
+        job = state.job
+        slots = job.slots
         if not (0 <= cmd.dest < len(slots)):
             raise InvalidCommandError(
                 f"rank {state.rank} sent to invalid destination {cmd.dest}"
             )
         dest = slots[cmd.dest]
-        nbytes = int(cmd.nbytes) if cmd.nbytes is not None else payload_nbytes(cmd.data)
+        try:
+            nbytes = int(cmd.nbytes) if cmd.nbytes is not None else payload_nbytes(cmd.data)
+        except TypeError as exc:
+            raise InvalidCommandError(f"rank {state.rank}: {exc}") from None
         # resolve_link (not link) so stateful fabrics can stripe rails and
         # route adaptively per posted send
         link = (
@@ -865,8 +839,11 @@ class Engine:
             send_post_time=state.clock,
             transfer=transfer,
         )
+        # per rank for RankResult, per job for whoever retires or kills it
         state.bytes_sent += nbytes
         state.messages_sent += 1
+        job.bytes_sent += nbytes
+        job.messages_sent += 1
 
         key = (dest, state.rank, cmd.tag)
         postings = self._unmatched_recvs.get(key)
@@ -1114,6 +1091,14 @@ class Engine:
                 self._push_ready(blocked, EV_BARRIER_RELEASE)
 
     # ------------------------------------------------------------ diagnostics
+
+    def _describe_runaway(self) -> str:
+        lines = [f"simulation exceeded max_commands={self.max_commands}; the busiest slots:"]
+        for s in sorted(self._states, key=lambda s: -s.commands_executed)[:3]:
+            tag = s.job.tag if s.job is not None else None
+            status = s.status + (f" ({s.block_kind})" if s.block_kind else "")
+            lines.append(f"  slot {s.rank}, job {tag!r}: {s.commands_executed} commands, {status}")
+        return "\n".join(lines)
 
     def _describe_deadlock(self) -> str:
         lines = ["simulation deadlocked; blocked ranks:"]

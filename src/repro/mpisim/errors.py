@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-__all__ = ["SimulationError", "DeadlockError", "InvalidCommandError", "RankProgramError"]
+__all__ = [
+    "SimulationError", "DeadlockError", "InvalidCommandError", "RankProgramError",
+    "RunawayProgramError",
+]
 
 
 class SimulationError(RuntimeError):
@@ -24,3 +27,12 @@ class InvalidCommandError(SimulationError):
 
 class RankProgramError(SimulationError):
     """Raised when a rank program itself raises; wraps the original exception."""
+
+
+class RunawayProgramError(SimulationError):
+    """Raised when a run exceeds ``max_commands`` (every ``Test`` poll counts).
+
+    The message lists the slots that executed the most commands with the tag of
+    the job on each and its ready/blocked status: on a shared fabric that names
+    the tenant that spun.
+    """

@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.api import Cluster
 from repro.ccoll import CodecMemo
@@ -112,16 +113,233 @@ def _launch_job(
     return engine.bind_job(now, programs, tag=compiled.spec.job_id, on_retire=on_retire)
 
 
+#: a job's life: DUE until its arrival fires, then only along these edges (DONE
+#: and FAILED have none).  A retry that cannot be placed backs off again,
+#: burning budget — it never rejoins the queue
+_DUE, _QUEUED, _RUNNING, _BACKOFF, _DONE, _FAILED = (
+    "DUE", "QUEUED", "RUNNING", "BACKOFF", "DONE", "FAILED"
+)
+_TRANSITIONS = {
+    _DUE: (_QUEUED, _RUNNING),
+    _QUEUED: (_RUNNING,),
+    _RUNNING: (_DONE, _BACKOFF, _FAILED),
+    _BACKOFF: (_RUNNING, _BACKOFF, _FAILED),
+}
+
+
 @dataclass
-class _Tenancy:
-    """One live execution attempt of a job on the shared fabric."""
+class _Job:
+    """One row of the scheduler's table: a job and where in its life it is."""
 
     spec: JobSpec
     record: JobRecord
-    job: EngineJob
-    nodes: Tuple[int, ...]
-    slots: Tuple[int, ...]
-    started: float
+    state: str = _DUE
+    #: retry-budget bookkeeping (kills + failed placements both count)
+    retries_used: int = 0
+    #: the live execution attempt on the shared fabric (RUNNING rows only);
+    #: it runs on ``record.nodes`` / ``record.slots`` since ``live.started``
+    live: Optional[EngineJob] = None
+
+
+class _Scheduler:
+    """The concurrent run as a machine: one table of jobs, one method per event.
+
+    All state is attributes — the ``jobs`` table (spec order), the ``queue`` of
+    rows waiting for nodes (arrival order), the allocator, the shared engine —
+    and every state change goes through :meth:`_move`, so single events can be
+    fired by hand and the table read back without calling ``Engine.run``.
+    """
+
+    def __init__(
+        self,
+        owner: "WorkloadEngine",
+        specs: Sequence[JobSpec],
+        memos: Optional[Dict[str, CodecMemo]],
+    ) -> None:
+        self.owner = owner
+        self.memos = memos
+        self.engine = owner._fresh_engine()
+        self.compile_cluster = owner._compile_cluster(self.engine)
+        self.allocator = NodeAllocator(owner.n_nodes, owner.policy, owner.seed)
+        self.jobs = {spec.job_id: _Job(spec, JobRecord(spec=spec)) for spec in specs}
+        self.queue: List[_Job] = []
+
+    def run(self) -> Tuple[List[JobRecord], Engine]:
+        """Schedule the faults and every arrival, run the engine dry."""
+        faults = self.owner.faults
+        if not faults.empty:
+            # faults interleave with arrivals on the same event heap; node
+            # loss additionally quarantines the node (so the drain never
+            # re-places a queued job on dead hardware) and kills the jobs
+            # running on it, handing them to their failure policies
+            FaultInjector(
+                faults, on_node_loss=self.node_lost, on_node_heal=self.node_healed
+            ).install(self.engine)
+        for job in self.jobs.values():
+            self.engine.schedule_event(job.spec.arrival, partial(self.arrive, job))
+        self.engine.run()
+        rows = self.jobs.values()
+        if any(job.state not in (_DONE, _FAILED) for job in rows):  # pragma: no cover
+            # fit is validated upfront and every started job retires or is killed
+            raise RuntimeError(f"not terminal: {[(j.spec.job_id, j.state) for j in rows]}")
+        return [job.record for job in rows], self.engine
+
+    def _move(self, job: _Job, state: str) -> None:
+        """The one place a row changes state; an edge off the table raises."""
+        if state not in _TRANSITIONS.get(job.state, ()):
+            raise RuntimeError(
+                f"job {job.spec.job_id!r}: illegal transition {job.state} -> {state}"
+            )
+        job.state = state
+
+    def arrive(self, job: _Job, now: float) -> None:
+        if not self.start(job, now):
+            self._move(job, _QUEUED)
+            self.queue.append(job)
+
+    def start(self, job: _Job, now: float) -> bool:
+        """Place ``job`` (DUE, QUEUED or BACKOFF) and bind its next attempt;
+        ``False``, and nothing changed, when it does not fit."""
+        owner, spec, record = self.owner, job.spec, job.record
+        restart = job.state == _BACKOFF
+        if restart and owner._policy_for(spec).mode == "restart":
+            # in-place: the original node set, whole or not at all
+            nodes = record.nodes if self.allocator.acquire(record.nodes) else None
+        else:  # first placement, or restart_elsewhere
+            nodes = self.allocator.allocate(owner._nodes_needed(spec))
+        if nodes is None:
+            return False
+        self._move(job, _RUNNING)
+        record.nodes = nodes
+        record.slots = tuple(slots_for(nodes, owner.ranks_per_node, spec.n_ranks))
+        record.resume_step = record.last_durable_step
+        memo = self.memos.setdefault(spec.job_id, CodecMemo()) if self.memos is not None else None
+        compiled = compile_job(spec, self.compile_cluster, record.slots, memo)
+        if restart:
+            # count it, remember the outage gap, and forget per-step
+            # observations the new attempt will re-produce
+            record.restarts += 1
+            record.recovery_times.append(now - record.attempts[-1].ended)
+            record.reset_steps_from(record.resume_step)
+        else:
+            record.started = now
+            record.prepare(spec.n_steps)
+        job.live = _launch_job(
+            self.engine, now, compiled, record, owner.record_values, record.resume_step,
+            partial(self.retire, job),
+        )
+        return True
+
+    def drain(self, now: float) -> None:
+        # first-fit drain in arrival order: a big job at the head does
+        # not starve smaller jobs behind it, but started jobs keep
+        # arrival order whenever they all fit
+        self.queue = [job for job in self.queue if not self.start(job, now)]
+
+    def _close_attempt(self, job: _Job, upto: int, kill_time: Optional[float]) -> int:
+        """Settle the live attempt: traffic onto the record, nodes back to the
+        allocator, checkpoint writes booked for steps ``[resume_step, upto)``.
+
+        Returns the durable resume step: with ``kill_time`` set, only
+        checkpoints whose write committed (step exit + cost <= kill)
+        count — a write caught mid-flight protects nothing.
+        """
+        spec, record, live = job.spec, job.record, job.live
+        job.live = None
+        record.bytes_sent += live.bytes_sent
+        record.messages_sent += live.messages_sent
+        self.allocator.release(record.nodes)
+        policy = self.owner._checkpoint_for(spec)
+        durable = record.last_durable_step
+        if policy is None:
+            return durable
+        for step in range(record.resume_step, upto):
+            if not policy.takes_after(step, spec.n_steps):
+                continue
+            cost = policy.cost(spec, step)
+            record.checkpoints_written += 1
+            record.checkpoint_overhead += cost
+            if kill_time is None or record.step_bounds[step][1] + cost <= kill_time:
+                durable = max(durable, step + 1)
+        return durable
+
+    def retire(self, job: _Job, live: EngineJob) -> None:
+        """The engine's ``on_retire``: every rank of the attempt returned."""
+        self._move(job, _DONE)
+        spec, record = job.spec, job.record
+        record.finished = live.finished
+        record.outcome = "completed"
+        record.useful_time += live.finished - live.started
+        self._close_attempt(job, spec.n_steps, None)
+        record.last_durable_step = spec.n_steps
+        self.drain(live.finished)
+
+    def kill(self, job: _Job, node: int, now: float) -> None:
+        """``node`` died under the running ``job``: tear the attempt down, book it."""
+        record, live = job.record, job.live
+        self.engine.kill_job(live, now)
+        done = record.completed_through()
+        durable = self._close_attempt(job, done, now)
+        useful = 0.0
+        if durable > record.resume_step:
+            useful = record.step_bounds[durable - 1][1] - live.started
+        record.useful_time += useful
+        record.wasted_time += max(0.0, (now - live.started) - useful)
+        record.attempts.append(
+            AttemptRecord(
+                index=len(record.attempts),
+                nodes=record.nodes,
+                slots=record.slots,
+                started=live.started,
+                resume_step=record.resume_step,
+                ended=now,
+                completed_steps=done - record.resume_step,
+                next_resume_step=durable,
+                reason=f"node_loss:{node}",
+            )
+        )
+        record.last_durable_step = durable
+        self.back_off(job, now)
+
+    def back_off(self, job: _Job, now: float) -> None:
+        """Back off and retry, or fail for good once the budget is gone (a kill
+        and a retry that could not be placed both burn it)."""
+        policy = self.owner._policy_for(job.spec)
+        if policy.restarts and job.retries_used < policy.max_retries:
+            self._move(job, _BACKOFF)
+            delay = policy.delay(job.retries_used)
+            job.retries_used += 1
+            self.engine.schedule_event(now + delay, partial(self.retry, job))
+            return
+        self._move(job, _FAILED)
+        record = job.record
+        record.outcome = "failed"
+        record.failure = JobFailed(
+            job_id=job.spec.job_id,
+            time=now,
+            reason=record.attempts[-1].reason,
+            attempts=len(record.attempts),
+        )
+        # a failed job's retained progress is lost with it
+        record.wasted_time += record.useful_time
+        record.useful_time = 0.0
+
+    def retry(self, job: _Job, now: float) -> None:
+        if not self.start(job, now):
+            self.back_off(job, now)
+
+    def node_lost(self, node: int, now: float) -> None:
+        self.allocator.quarantine(node)
+        # nodes are leased whole, so at most one running job holds ``node``
+        for job in self.jobs.values():
+            if job.state == _RUNNING and node in job.record.nodes:
+                self.kill(job, node, now)
+        self.drain(now)
+
+    def node_healed(self, node: int, now: float) -> None:
+        if node in self.allocator.quarantined:
+            self.allocator.unquarantine(node)
+        self.drain(now)
 
 
 class WorkloadEngine:
@@ -245,7 +463,7 @@ class WorkloadEngine:
         memos: Optional[Dict[str, CodecMemo]] = {} if baseline else None
         # run() keeps no reference to the concurrent engine (its messages, its
         # compiled jobs) while the baselines run
-        report = self._collect(*self._run_concurrent(specs, memos))
+        report = self._collect(*_Scheduler(self, specs, memos).run())
         if baseline:
             for record in report.records:
                 memo = memos.pop(record.spec.job_id, None)
@@ -292,226 +510,6 @@ class WorkloadEngine:
         # the engine upgraded the topology to its fair clone: compile against
         # that clone so build-time decisions see the fabric that will run
         return self.cluster.with_updates(topology=engine.topology)
-
-    def _run_concurrent(
-        self, specs: List[JobSpec], memos: Optional[Dict[str, CodecMemo]]
-    ) -> Tuple[List[JobRecord], Engine]:
-        engine = self._fresh_engine()
-        compile_cluster = self._compile_cluster(engine)
-        allocator = NodeAllocator(self.n_nodes, self.policy, self.seed)
-        records = {spec.job_id: JobRecord(spec=spec) for spec in specs}
-        pending: List[JobSpec] = []
-        running: Dict[str, _Tenancy] = {}
-        # retry-budget bookkeeping (kills + failed placements both count)
-        retries_used: Dict[str, int] = {}
-
-        def start_attempt(spec: JobSpec, now: float, nodes: Tuple[int, ...]) -> None:
-            slots = tuple(slots_for(nodes, self.ranks_per_node, spec.n_ranks))
-            memo = memos.setdefault(spec.job_id, CodecMemo()) if memos is not None else None
-            compiled = compile_job(spec, compile_cluster, slots, memo)
-            record = records[spec.job_id]
-            resume = record.last_durable_step
-            if record.started is None:
-                record.started = now
-                record.prepare(spec.n_steps)
-            else:
-                # a restart: count it, remember the outage gap, and forget
-                # per-step observations the new attempt will re-produce
-                record.restarts += 1
-                record.recovery_times.append(now - record.attempts[-1].ended)
-                record.reset_steps_from(resume)
-            record.nodes = nodes
-            record.slots = slots
-            record.resume_step = resume
-            job = _launch_job(
-                engine,
-                now,
-                compiled,
-                record,
-                self.record_values,
-                resume,
-                lambda job: retire(job, spec),
-            )
-            running[spec.job_id] = _Tenancy(
-                spec=spec,
-                record=record,
-                job=job,
-                nodes=nodes,
-                slots=slots,
-                started=now,
-            )
-
-        def try_start(spec: JobSpec, now: float) -> bool:
-            nodes = allocator.allocate(self._nodes_needed(spec))
-            if nodes is None:
-                return False
-            start_attempt(spec, now, nodes)
-            return True
-
-        def drain(now: float) -> None:
-            # first-fit drain in arrival order: a big job at the head does
-            # not starve smaller jobs behind it, but started jobs keep
-            # arrival order whenever they all fit
-            started = [spec for spec in pending if try_start(spec, now)]
-            for spec in started:
-                pending.remove(spec)
-
-        def account_checkpoints(
-            record: JobRecord, spec: JobSpec, upto: int, kill_time: Optional[float]
-        ) -> int:
-            """Book checkpoint writes for steps ``[resume_step, upto)``.
-
-            Returns the durable resume step: with ``kill_time`` set, only
-            checkpoints whose write committed (step exit + cost <= kill)
-            count — a write caught mid-flight protects nothing.
-            """
-            policy = self._checkpoint_for(spec)
-            durable = record.last_durable_step
-            if policy is None:
-                return durable
-            for step in range(record.resume_step, upto):
-                if not policy.takes_after(step, spec.n_steps):
-                    continue
-                cost = policy.cost(spec, step)
-                record.checkpoints_written += 1
-                record.checkpoint_overhead += cost
-                if kill_time is None:
-                    durable = max(durable, step + 1)
-                else:
-                    committed = record.step_bounds[step][1] + cost
-                    if committed <= kill_time:
-                        durable = max(durable, step + 1)
-            return durable
-
-        def retire(job: EngineJob, spec: JobSpec) -> None:
-            tenancy = running.pop(spec.job_id)
-            record = tenancy.record
-            record.finished = job.finished
-            record.bytes_sent += job.bytes_sent
-            record.messages_sent += job.messages_sent
-            record.outcome = "completed"
-            record.useful_time += job.finished - tenancy.started
-            account_checkpoints(record, spec, spec.n_steps, None)
-            record.last_durable_step = spec.n_steps
-            allocator.release(tenancy.nodes)
-            drain(job.finished)
-
-        def finalize_failed(record: JobRecord, now: float, reason: str) -> None:
-            record.outcome = "failed"
-            record.failure = JobFailed(
-                job_id=record.spec.job_id,
-                time=now,
-                reason=reason,
-                attempts=len(record.attempts),
-            )
-            # a failed job's retained progress is lost with it
-            record.wasted_time += record.useful_time
-            record.useful_time = 0.0
-
-        def schedule_retry(spec: JobSpec, now: float, reason: str) -> None:
-            """Back off and retry, or fail for good once the budget is gone."""
-            record = records[spec.job_id]
-            policy = self._policy_for(spec)
-            used = retries_used.get(spec.job_id, 0)
-            if not policy.restarts or used >= policy.max_retries:
-                finalize_failed(record, now, reason)
-                return
-            retries_used[spec.job_id] = used + 1
-            engine.schedule_event(
-                now + policy.delay(used), retry_callback(spec, reason)
-            )
-
-        def retry_callback(spec: JobSpec, reason: str) -> Callable[[float], None]:
-            def fire(now: float) -> None:
-                record = records[spec.job_id]
-                policy = self._policy_for(spec)
-                if policy.mode == "restart":
-                    # in-place: the original node set, whole or not at all
-                    nodes = record.attempts[-1].nodes
-                    placed = allocator.acquire(nodes)
-                    nodes = nodes if placed else None
-                else:  # restart_elsewhere
-                    nodes = allocator.allocate(self._nodes_needed(spec))
-                if nodes is None:
-                    schedule_retry(spec, now, reason)
-                    return
-                start_attempt(spec, now, nodes)
-
-            return fire
-
-        def fail_attempt(tenancy: _Tenancy, node: int, now: float) -> None:
-            spec, record = tenancy.spec, tenancy.record
-            del running[spec.job_id]
-            engine.kill_job(tenancy.job, now)
-            record.bytes_sent += tenancy.job.bytes_sent
-            record.messages_sent += tenancy.job.messages_sent
-            done = record.completed_through()
-            durable = account_checkpoints(record, spec, done, now)
-            if durable > record.resume_step:
-                useful = record.step_bounds[durable - 1][1] - tenancy.started
-            else:
-                useful = 0.0
-            record.useful_time += useful
-            record.wasted_time += max(0.0, (now - tenancy.started) - useful)
-            record.attempts.append(
-                AttemptRecord(
-                    index=len(record.attempts),
-                    nodes=tenancy.nodes,
-                    slots=tenancy.slots,
-                    started=tenancy.started,
-                    resume_step=record.resume_step,
-                    ended=now,
-                    completed_steps=done - record.resume_step,
-                    next_resume_step=durable,
-                    reason=f"node_loss:{node}",
-                )
-            )
-            record.last_durable_step = durable
-            allocator.release(tenancy.nodes)
-            schedule_retry(spec, now, f"node_loss:{node}")
-
-        def on_node_loss(node: int, now: float) -> None:
-            allocator.quarantine(node)
-            for tenancy in [t for t in running.values() if node in t.nodes]:
-                fail_attempt(tenancy, node, now)
-            drain(now)
-
-        def on_node_heal(node: int, now: float) -> None:
-            if node in allocator.quarantined:
-                allocator.unquarantine(node)
-            drain(now)
-
-        if not self.faults.empty:
-            # faults interleave with arrivals on the same event heap; node
-            # loss additionally quarantines the node (so the drain never
-            # re-places a queued job on dead hardware) and kills the jobs
-            # running on it, handing them to their failure policies
-            FaultInjector(
-                self.faults,
-                on_node_loss=on_node_loss,
-                on_node_heal=on_node_heal,
-            ).install(engine)
-
-        def arrival(spec: JobSpec) -> Callable[[float], None]:
-            def fire(now: float) -> None:
-                if not try_start(spec, now):
-                    pending.append(spec)
-
-            return fire
-
-        for spec in specs:
-            engine.schedule_event(spec.arrival, arrival(spec))
-        engine.run()
-        if pending:  # pragma: no cover - fit is validated upfront
-            raise RuntimeError(
-                f"jobs never placed: {[s.job_id for s in pending]}"
-            )
-        ordered = [records[spec.job_id] for spec in specs]
-        for record in ordered:
-            if record.finished is None and record.outcome != "failed":
-                # pragma: no cover - defensive
-                raise RuntimeError(f"job {record.spec.job_id!r} never retired")
-        return ordered, engine
 
     def _collect(self, records: List[JobRecord], engine: Engine) -> WorkloadReport:
         topology = engine.topology  # never None: the constructor requires one

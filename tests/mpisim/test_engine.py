@@ -38,51 +38,27 @@ class TestPayloadNbytes:
     def test_none(self):
         assert payload_nbytes(None) == 0
 
-    def test_python_object_uses_pickle_size(self):
-        assert payload_nbytes([1, 2, 3]) > 0
+    def test_unsized_payload_raises_sized_ones_never_did(self):
+        """Nothing is pickled to guess a size: an object with neither ``nbytes``
+        nor a buffer length is a typed error, from the bare function and —
+        naming the rank — from the ``Isend`` handler; ``nbytes=`` sizes it."""
+        with pytest.raises(TypeError, match=r"tuple payload .* pass nbytes="):
+            payload_nbytes((3, 1415))
 
+        def program(nbytes):
+            def run(rank, size):
+                if rank == 1:
+                    yield Wait((yield Isend(dest=0, data="unsized", nbytes=nbytes)))
+                else:
+                    return (yield Wait((yield Irecv(source=1))))
 
-class TestPayloadNbytesFallback:
-    """Hot collective paths must never size payloads via ``pickle.dumps``."""
+            return run
 
-    def test_counter_tracks_pickle_fallbacks(self):
-        import repro.mpisim.engine as eng
-
-        before = eng.PICKLE_FALLBACK_COUNT
-        payload_nbytes((3, 1415))  # tuples have no nbytes: must pickle
-        assert eng.PICKLE_FALLBACK_COUNT == before + 1
-        payload_nbytes(np.zeros(4))  # arrays expose nbytes: no pickle
-        payload_nbytes(b"abc")
-        assert eng.PICKLE_FALLBACK_COUNT == before + 1
-
-    def test_full_c_allgather_never_pickles(self):
-        """Every Isend in the C-Allgather pipeline (size-exchange tuples
-        included) passes explicit ``nbytes=``, so a full run never enters the
-        pickle fallback of ``payload_nbytes``."""
-        import repro.mpisim.engine as eng
-        from repro.api import Cluster
-
-        rng = np.random.default_rng(42)
-        comm = Cluster.from_preset("two_level", ranks_per_node=4).communicator(8)
-        inputs = [rng.standard_normal(2048) for _ in range(8)]
-        before = eng.PICKLE_FALLBACK_COUNT
-        outcome = comm.allgather(inputs, compression="on")
-        assert eng.PICKLE_FALLBACK_COUNT == before
-        np.testing.assert_allclose(
-            np.concatenate(outcome.value(0)), np.concatenate(inputs), atol=1e-2
-        )
-
-    def test_compressed_allreduce_never_pickles(self):
-        import repro.mpisim.engine as eng
-        from repro.api import Cluster
-
-        rng = np.random.default_rng(43)
-        comm = Cluster.from_preset("two_level", ranks_per_node=4).communicator(8)
-        inputs = [rng.standard_normal(4096) for _ in range(8)]
-        before = eng.PICKLE_FALLBACK_COUNT
-        comm.allreduce(inputs, compression="on")
-        comm.allreduce(inputs, compression="auto")
-        assert eng.PICKLE_FALLBACK_COUNT == before
+        with pytest.raises(InvalidCommandError, match=r"rank 1: a str payload .* pass nbytes="):
+            run_simulation(2, program(None), network=NET)
+        sized = run_simulation(2, program(7), network=NET)
+        assert sized.rank_values[0] == "unsized"
+        assert sized.ranks[1].bytes_sent == 7
 
 
 class TestComputeOnly:

@@ -13,6 +13,7 @@ from repro.mpisim import (
     Irecv,
     Isend,
     NetworkModel,
+    RunawayProgramError,
     Wait,
 )
 from repro.mpisim.engine import Engine, EngineJob
@@ -22,11 +23,14 @@ NET = NetworkModel(
 )
 
 
-def _ping(payload=None, tag=0):
-    """Programs of a two-rank job: rank 0 sends one message to rank 1."""
+def _ping(payload=None, tag=0, nbytes=None):
+    """Programs of a two-rank job: rank 0 sends one message to rank 1.
+
+    A payload that does not size itself (a ``str``) needs ``nbytes``.
+    """
 
     def sender(rank, n_ranks):
-        handle = yield Isend(1, data=payload, tag=tag)
+        handle = yield Isend(1, data=payload, tag=tag, nbytes=nbytes)
         yield Wait(handle)
         return "sent"
 
@@ -155,8 +159,8 @@ class TestJobLocalAddressing:
     def test_same_local_rank_reaches_each_jobs_own_slot(self):
         """Two jobs that both "send to rank 1" deliver to their own slot."""
         engine = Engine(4, None, network=NET)
-        low_send, low_recv = _ping(payload="low")
-        high_send, high_recv = _ping(payload="high")
+        low_send, low_recv = _ping(payload="low", nbytes=3)
+        high_send, high_recv = _ping(payload="high", nbytes=4)
         jobs = []
         engine.schedule_event(
             0.0,
@@ -179,7 +183,7 @@ class TestJobLocalAddressing:
     def test_rank_order_is_the_order_of_the_programs(self):
         """Rank r of a job is the r-th bound slot, whatever the slot ids are."""
         engine = Engine(4, None, network=NET)
-        sender, receiver = _ping(payload="x")
+        sender, receiver = _ping(payload="x", nbytes=1)
         jobs = []
         engine.schedule_event(
             0.0,
@@ -197,7 +201,7 @@ class TestJobLocalAddressing:
     def test_rank_outside_the_job_is_rejected(self, command):
         """Slot 2 exists on the engine, but a two-rank job has no rank 2."""
         engine = Engine(4, None, network=NET)
-        sender, receiver = _ping(payload="ok")
+        sender, receiver = _ping(payload="ok", nbytes=2)
         jobs = []
 
         def stray(rank, n_ranks):
@@ -490,3 +494,36 @@ class TestKillJob:
         )
         engine2.run()
         assert handles2[0].killed == 1.0
+
+
+class TestRunawayProgram:
+    def test_the_error_names_the_tenant_that_spun(self):
+        """On a shared engine the command budget is everyone's: the error
+        lists the busiest slots with their job tags, so it says who spun."""
+        engine = Engine(5, None, network=NET, max_commands=500)
+
+        def spin(rank, n_ranks):
+            if rank == 2:
+                yield Barrier()  # never released: its two peers never enter
+            while True:
+                yield Compute(1e-3)
+
+        def calm(rank, n_ranks):
+            yield Compute(1e6)
+
+        engine.schedule_event(
+            0.0,
+            lambda now: (
+                engine.bind_job(
+                    now, {slot: (lambda r=slot: spin(r, 3)) for slot in range(3)}, tag="spin"
+                ),
+                engine.bind_job(now, {3: lambda: calm(0, 2), 4: lambda: calm(1, 2)}, tag="calm"),
+            ),
+        )
+        with pytest.raises(RunawayProgramError, match="max_commands=500") as caught:
+            engine.run()
+        assert isinstance(caught.value, RuntimeError)
+        message = str(caught.value)
+        assert message.count("job 'spin'") == 3 and "calm" not in message
+        assert "slot 2, job 'spin': 1 commands, blocked (barrier)" in message
+        assert "commands, ready" in message
