@@ -1,4 +1,7 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the two modelling choices the paper's results rest on
+(the progress semantics behind Figure 9's ND-vs-Overlap wait time and the
+effective bandwidth behind Figure 11; see the calibration note in
+``repro/mpisim/network.py``).
 
 Two ablations isolate *why* C-Coll wins under the calibrated model:
 

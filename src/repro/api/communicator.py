@@ -161,9 +161,8 @@ class Communicator:
             }
             if cluster.network is not None and cluster.network.contention != contention:
                 # keep the network model's contention knob in agreement with
-                # the topology: the engine upgrades any reservation topology
-                # whose network says "fair", so a stale knob would silently
-                # route the session back to the sibling's fair-share fabric
+                # the topology: the engine runs fair when either side says
+                # so, so a stale "fair" here would silently undo a downgrade
                 updates["network"] = dataclasses.replace(
                     cluster.network, contention=contention
                 )

@@ -10,7 +10,7 @@ ratio, the codec that produced it).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -42,16 +42,12 @@ class CompressedBuffer:
         Dtype of the original array (restored on decompression).
     codec:
         Name of the codec that produced the payload.
-    meta:
-        Optional codec-specific metadata (for diagnostics only; decompression
-        must never need it, the payload is self-describing).
     """
 
     payload: bytes
     original_count: int
     original_dtype: np.dtype
     codec: str
-    meta: Dict[str, object] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:

@@ -175,7 +175,7 @@ class FaultInjector:
 
     @staticmethod
     def _notify_fair(engine, changed, now: float) -> None:
-        fair = engine.topology.fair_registry
+        fair = engine.fair_registry
         if fair is not None and changed:
             fair.apply_capacity_change(now, changed)
 

@@ -1,1 +1,1 @@
-"""One experiment module per table/figure of the paper (see DESIGN.md's index)."""
+"""One experiment module per table/figure (index: ``python -m repro.harness --list``)."""

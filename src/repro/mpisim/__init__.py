@@ -48,7 +48,6 @@ from repro.mpisim.topology import (
     ROUTE_ADAPTIVE,
     ROUTE_MINIMAL,
     DragonflyTopology,
-    FairShareLink,
     FatTreeTopology,
     FlatTopology,
     HierarchicalTopology,
@@ -98,7 +97,6 @@ __all__ = [
     "DragonflyTopology",
     "LinkModel",
     "SharedLink",
-    "FairShareLink",
     "FairFlow",
     "FairShareRegistry",
     "CONTENTION_RESERVATION",

@@ -72,16 +72,16 @@ def capacity_conservation_violations(events, tolerance: float = 1e-12) -> List[T
     time, including across mid-run capacity changes from fault overlays.
     """
     violations: List[Tuple] = []
-    last_finish: Dict[int, float] = {}
+    last_finish: Dict[SharedLink, float] = {}
     for kind, stage, finish, nbytes, capacity in events:
         if kind == "clear":
-            last_finish.pop(id(stage), None)
+            last_finish.pop(stage, None)
             continue
         begin = finish - max(0.0, nbytes) / capacity
-        previous = last_finish.get(id(stage), float("-inf"))
+        previous = last_finish.get(stage, float("-inf"))
         if begin < previous - tolerance:
             violations.append((stage, begin, previous))
-        last_finish[id(stage)] = finish
+        last_finish[stage] = finish
     return violations
 
 
@@ -100,16 +100,15 @@ def trace_fair_allocations():
 
     def check(registry) -> None:
         active = registry.active_flows()
-        stages = {id(stage): stage for flow in active for stage in flow.stages}
         saturated = set()
-        for key, stage in stages.items():
+        for stage in dict.fromkeys(stage for flow in active for stage in flow.stages):
             rate = stage.allocated_rate()
             if rate > stage.capacity * (1.0 + _FAIR_TOL):
                 violations.append(
                     ("overcommit", f"stage allocated {rate:.6g} > capacity {stage.capacity:.6g}")
                 )
             if rate >= stage.capacity * (1.0 - _FAIR_TOL):
-                saturated.add(key)
+                saturated.add(stage)
             elif stage.backlogged and any(
                 len(flow.stages) == 1 and flow.stages[0] is stage for flow in active
             ):
@@ -127,7 +126,7 @@ def trace_fair_allocations():
                 continue
             if flow.rate <= 0.0:
                 violations.append(("starved", f"flow {flow.flow_id} has rate {flow.rate!r}"))
-            elif not any(id(stage) in saturated for stage in flow.stages):
+            elif not any(stage in saturated for stage in flow.stages):
                 violations.append(
                     ("unbottlenecked", f"flow {flow.flow_id} is not bottlenecked anywhere")
                 )

@@ -139,7 +139,7 @@ from repro.mpisim.errors import (
     RankProgramError,
     RunawayProgramError,
 )
-from repro.mpisim.fairshare import CONTENTION_FAIR
+from repro.mpisim.fairshare import CONTENTION_FAIR, FairShareRegistry
 from repro.mpisim.network import NetworkModel, TransferState
 from repro.mpisim.requests import RecvRequest, Request, SendRequest
 from repro.mpisim.topology import Topology
@@ -327,10 +327,14 @@ class Engine:
 
     An engine is single-use: it runs one simulation and ``run()`` raises on a
     second call.  What is reused across simulations is the *topology* — each
-    new engine rewinds the stage clocks, routing history and fair-share
-    registry of the topology it is given (``topology.reset()``), so a run
-    never sees reservations, flows or faults a previous engine left behind,
-    even one that aborted mid-flight.
+    new engine rewinds the stage clocks, flow sets and routing history of the
+    topology it is given (``topology.reset()``), so a run never sees
+    reservations, flows or faults a previous engine left behind, even one
+    that aborted mid-flight.  ``engine.topology`` is always the caller's
+    object; what belongs to the run is ``fair_registry`` (read-only), its
+    :class:`~repro.mpisim.fairshare.FairShareRegistry` — created here iff the
+    topology has shared stages and either it or ``network`` asks for
+    ``contention="fair"``, ``None`` otherwise, and gone with the engine.
 
     Every slot starts *idle* and every program runs as part of a job (see
     "Slots and jobs" in the module docstring).  ``program_factory`` is the
@@ -358,18 +362,15 @@ class Engine:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.n_ranks = int(n_ranks)
         self.network = network if network is not None else NetworkModel()
+        self.topology = topology
+        #: fair-share registry driving this run's deferred flow completions
+        self.fair_registry: Optional[FairShareRegistry] = None
         if (
             topology is not None
-            and self.network.contention == CONTENTION_FAIR
-            and topology.contention != CONTENTION_FAIR
+            and topology.shares_uplinks
+            and CONTENTION_FAIR in (topology.contention, self.network.contention)
         ):
-            # the network model requested fair sharing: upgrade the topology
-            # (a cheap clone; reservation-configured topologies are untouched)
-            topology = topology.with_contention(CONTENTION_FAIR)
-        self.topology = topology
-        # fair-share registry driving deferred flow completions (None unless
-        # the topology times its shared stages with contention="fair")
-        self._fair = topology.fair_registry if topology is not None else None
+            self.fair_registry = FairShareRegistry()
         self.max_commands = int(max_commands)
         self._trace_events = bool(trace_events)
         # type-keyed command dispatch (replaces the isinstance chain on the
@@ -612,7 +613,7 @@ class Engine:
         otherwise pushes a fresh ``(finish, 0, version)`` entry — previous
         entries become stale and are skipped during lazy pop.
         """
-        fair = self._fair
+        fair = self.fair_registry
         version = fair.version
         if version == self._fair_event_version:
             return
@@ -629,7 +630,7 @@ class Engine:
         becomes final only once no rank event precedes it in the heap —
         which is exactly when its commit event reaches the top.
         """
-        finish, flow = self._fair.commit_departure()
+        finish, flow = self.fair_registry.commit_departure()
         message: _Message = flow.token
         message.transfer.finish_fair(finish)
         self._inflight[message.dst].pop(message, None)
@@ -652,7 +653,7 @@ class Engine:
         self._ran = True
         heap = self._heap
         states = self._states
-        fair = self._fair
+        fair = self.fair_registry
         counts = self.event_counts
         trace = self.event_trace if self._trace_events else None
         while True:
@@ -831,6 +832,8 @@ class Engine:
             network=network,
             eager=network.is_eager(nbytes),
             link=link,
+            # only a transfer that crosses shared stages is fair-shared
+            fair=self.fair_registry if link is not None and link.stages else None,
         )
         message = _Message(
             src=state.rank,
@@ -953,7 +956,7 @@ class Engine:
             return False
         transfer = message.transfer
         now = state.clock
-        if not transfer.completed and transfer.link is not None and transfer.link.fair is not None:
+        if not transfer.completed and transfer.fair is not None:
             # fair-share path: progress everything inbound, then hand the flow
             # to the registry and block until the engine commits its departure
             # (instead of precomputing a reservation finish time)

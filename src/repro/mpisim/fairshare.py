@@ -121,9 +121,11 @@ class FairShareRegistry:
       departure, which is what makes deferred finish times
       sound: until the commit, later arrivals may still slow the flow down.
 
-    Stages are duck-typed: anything with ``capacity``, ``reserve(start,
-    nbytes)`` and a ``flows`` dict participates
-    (:class:`~repro.mpisim.topology.FairShareLink` in practice).
+    A registry is run state: the :class:`~repro.mpisim.engine.Engine` of a
+    fair run creates one and it dies with that engine.  Stages are
+    :class:`~repro.mpisim.topology.SharedLink` objects: hashed by identity,
+    with ``capacity``, ``reserve(start, nbytes)`` and the ``flows`` dict the
+    registry files their active flows in.
     """
 
     def __init__(self) -> None:
@@ -171,9 +173,7 @@ class FairShareRegistry:
         current rates, then bandwidth is re-divided across the enlarged flow
         set.  Returns the registered flow.
         """
-        unique: Dict[int, Any] = {}
-        for stage in stages:
-            unique.setdefault(id(stage), stage)
+        unique = tuple(dict.fromkeys(stages))
         if not unique:
             raise ValueError("a fair-share flow must cross at least one stage")
         start = max(float(start), self._clock)
@@ -181,7 +181,7 @@ class FairShareRegistry:
         self._next_id += 1
         flow = FairFlow(
             flow_id=self._next_id,
-            stages=tuple(unique.values()),
+            stages=unique,
             start=start,
             nbytes=max(0.0, float(nbytes)),
             token=token,
@@ -282,21 +282,11 @@ class FairShareRegistry:
         """
         now = max(float(now), self._clock)
         self._advance(now)
-        seeds = [stage for stage in stages if getattr(stage, "flows", None)]
+        seeds = [stage for stage in stages if stage.flows]
         if not seeds:
             return
         self._touch()
         self._redivide(now, seeds=seeds)
-
-    def reset(self) -> None:
-        """Forget every flow and rewind the fluid clock (simulation reset)."""
-        for flow in self._flows.values():
-            for stage in flow.stages:
-                stage.flows.pop(flow.flow_id, None)
-        self._flows.clear()
-        self._clock = float("-inf")
-        self.group_bytes.clear()
-        self._touch()
 
     # --------------------------------------------------------- introspection
 
@@ -364,8 +354,7 @@ class FairShareRegistry:
         dt = t1 - t0
         if dt <= 0.0:
             return
-        carried: Dict[int, float] = {}
-        stage_of: Dict[int, Any] = {}
+        carried: Dict[Any, float] = {}
         group_bytes = self.group_bytes
         for flow in streaming:
             if flow.rate <= 0.0:
@@ -376,14 +365,12 @@ class FairShareRegistry:
                     group_bytes.get(flow.group, 0.0) + flow.rate * dt
                 )
             for stage in flow.stages:
-                sid = id(stage)
-                stage_of[sid] = stage
-                carried[sid] = carried.get(sid, 0.0) + flow.rate * dt
+                carried[stage] = carried.get(stage, 0.0) + flow.rate * dt
         # re-express the segment as reservations: the trace-based capacity
         # audit and the windowed poll credits both read stage.busy_until
-        for sid, nbytes in carried.items():
+        for stage, nbytes in carried.items():
             if nbytes > 0.0:
-                stage_of[sid].reserve(t0, nbytes)
+                stage.reserve(t0, nbytes)
 
     def _drain(self, flow: FairFlow, time: float) -> None:
         """Departure event: fix the flow's finish and free its bandwidth."""
@@ -396,7 +383,7 @@ class FairShareRegistry:
         self._touch()
         self._redivide(time, seeds=flow.stages)
 
-    def _redivide(self, now: float, seeds: Optional[Sequence[Any]] = None) -> None:
+    def _redivide(self, now: float, seeds: Sequence[Any]) -> None:
         """Progressive filling: recompute active flows' max-min rates.
 
         Implemented with a lazily-invalidated candidate heap keyed on
@@ -408,79 +395,72 @@ class FairShareRegistry:
         the resulting rates are bit-for-bit the same — only the complexity
         drops from O(stages^2 x flows) to O(incidences x log stages).
 
-        ``seeds`` (the stages of the flow that just arrived or drained)
-        restricts the filling to the *connected component* of stages
-        reachable from them through shared flows.  Max-min allocations
-        decompose exactly over such components — a rate in one component
-        never depends on another component's flows — so the restricted
-        filling produces bit-for-bit the rates the global sweep would, while
-        independent stages (e.g. distinct node uplinks) stop paying for each
-        other's arrivals.
+        ``seeds`` (the stages of the flow that just arrived or drained, or
+        the stages whose capacity changed) restricts the filling to the
+        *connected component* of stages reachable from them through shared
+        flows.  Max-min allocations decompose exactly over such components —
+        a rate in one component never depends on another component's flows —
+        so the restricted filling produces bit-for-bit the rates a sweep over
+        every flow would, while independent stages (e.g. distinct node
+        uplinks) stop paying for each other's arrivals.
         """
         self._touch()
-        if seeds is None:
-            active = [f for f in self._flows.values() if not f.drained]
-        else:
-            component: Dict[int, Any] = {}
-            members: Dict[int, FairFlow] = {}
-            frontier = list(seeds)
-            while frontier:
-                stage = frontier.pop()
-                sid = id(stage)
-                if sid in component:
-                    continue
-                component[sid] = stage
-                for flow in stage.flows.values():
-                    if flow.flow_id not in members:
-                        members[flow.flow_id] = flow
-                        for other in flow.stages:
-                            if id(other) not in component:
-                                frontier.append(other)
-            # registration order, exactly like the global sweep's iteration
-            active = [members[fid] for fid in sorted(members)]
-        if not active:
+        component = set()
+        members: Dict[int, FairFlow] = {}
+        frontier = list(seeds)
+        while frontier:
+            stage = frontier.pop()
+            if stage in component:
+                continue
+            component.add(stage)
+            for flow in stage.flows.values():
+                if flow.flow_id not in members:
+                    members[flow.flow_id] = flow
+                    for other in flow.stages:
+                        if other not in component:
+                            frontier.append(other)
+        if not members:
             return
-        stage_of: Dict[int, Any] = {}
-        stage_idx: Dict[int, int] = {}
-        residual: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        crossing: Dict[int, List[FairFlow]] = {}
+        # registration order, exactly like the sweep over every flow
+        active = [members[fid] for fid in sorted(members)]
+        stage_idx: Dict[Any, int] = {}
+        residual: Dict[Any, float] = {}
+        counts: Dict[Any, int] = {}
+        crossing: Dict[Any, List[FairFlow]] = {}
         for flow in active:
             for stage in flow.stages:
-                sid = id(stage)
-                if sid not in stage_of:
-                    stage_idx[sid] = len(stage_of)
-                    stage_of[sid] = stage
-                    residual[sid] = float(stage.capacity)
-                    counts[sid] = 0
-                    crossing[sid] = []
-                crossing[sid].append(flow)
-                counts[sid] += 1
+                if stage not in stage_idx:
+                    stage_idx[stage] = len(stage_idx)
+                    residual[stage] = float(stage.capacity)
+                    counts[stage] = 0
+                    crossing[stage] = []
+                crossing[stage].append(flow)
+                counts[stage] += 1
         unfixed = {f.flow_id: f for f in active}
         rates: Dict[int, float] = {}
+        # idx is unique per stage, so the heap never compares two stages
         candidates = [
-            (residual[sid] / counts[sid], stage_idx[sid], sid) for sid in stage_of
+            (residual[stage] / counts[stage], idx, stage) for stage, idx in stage_idx.items()
         ]
         heapq.heapify(candidates)
         while unfixed and candidates:
-            share, idx, sid = heapq.heappop(candidates)
-            n = counts[sid]
+            share, idx, stage = heapq.heappop(candidates)
+            n = counts[stage]
             if n == 0:
                 continue
-            current = residual[sid] / n
+            current = residual[stage] / n
             if current != share:
                 # stale entry: the stage changed since it was pushed
-                heapq.heappush(candidates, (current, idx, sid))
+                heapq.heappush(candidates, (current, idx, stage))
                 continue
             share = max(0.0, share)
-            touched: List[int] = []
-            for flow in crossing[sid]:
+            touched: List[Any] = []
+            for flow in crossing[stage]:
                 if flow.flow_id not in unfixed:
                     continue
                 del unfixed[flow.flow_id]
                 rates[flow.flow_id] = share
-                for stage in flow.stages:
-                    other = id(stage)
+                for other in flow.stages:
                     residual[other] = max(0.0, residual[other] - share)
                     counts[other] -= 1
                     touched.append(other)

@@ -70,14 +70,13 @@ class NetworkModel:
         ``"on-poll"`` (rendezvous semantics, default) or ``"async"``.
     contention:
         Contention discipline requested for shared fabric stages:
-        ``"reservation"`` (default) or ``"fair"``.  The topology is the
-        source of truth — contended topologies take their own ``contention``
-        parameter — but the engine honours ``"fair"`` here by upgrading a
-        default-reservation topology via
-        :meth:`~repro.mpisim.topology.Topology.with_contention`, so the knob
-        can be threaded through a :class:`NetworkModel` alone.  The global
-        (flat) fabric has no shared links, so the field only matters when a
-        contended topology is in play.
+        ``"reservation"`` (default) or ``"fair"``.  Either the topology
+        (contended topologies take their own ``contention`` parameter) or
+        this field may ask for fair; the engine resolves it once, on the
+        caller's topology, so the knob can be threaded through a
+        :class:`NetworkModel` alone.  The global (flat) fabric has no shared
+        links, so the field only matters when a contended topology is in
+        play.
     """
 
     latency: float = 20e-6
@@ -120,8 +119,9 @@ class TransferState:
     progress mode) stay with the global :class:`NetworkModel`.  With
     ``link=None`` the arithmetic is exactly the seed's.
 
-    When the link carries a fair-share registry (``contention="fair"``
-    fabrics), bulk streams do not precompute a finish time: the engine calls
+    When ``fair`` is set (the engine fills in its run's registry for every
+    transfer that crosses shared stages of a ``contention="fair"`` run), bulk
+    streams do not precompute a finish time: the engine calls
     :meth:`activate_fair` when the receiver blocks, the registered flow's
     rate is re-divided on every arrival/departure, and the engine completes
     the transfer through :meth:`finish_fair` once the registry commits the
@@ -132,12 +132,14 @@ class TransferState:
     network: NetworkModel
     eager: bool = False
     link: Optional[LinkModel] = None
+    #: the run's fair-share registry, iff this transfer's stages are fair-shared
+    fair: Optional[FairShareRegistry] = None
     eligible_time: Optional[float] = None
     delivered_bytes: float = 0.0
     last_ack_time: Optional[float] = None
     completed: bool = False
     completion_time: Optional[float] = None
-    # fair-share contention state (None outside contention="fair" fabrics)
+    # the registered fluid flow, from activate_fair until its departure
     fair_flow: Optional[FairFlow] = None
 
     @property
@@ -197,7 +199,7 @@ class TransferState:
             # each stage's capacity)
             window_start = max(window_start, max(s.busy_until for s in stages))
         rate = self.bandwidth()
-        if stages and self.link.fair is not None:
+        if self.fair is not None:
             # fair stages: poll credits may only draw the capacity the fluid
             # flows have not claimed, so the two schemes never overcommit
             rate = min(
@@ -225,11 +227,6 @@ class TransferState:
 
     # ------------------------------------------------- fair-share flow protocol
 
-    @property
-    def fair(self) -> Optional[FairShareRegistry]:
-        """The fair-share registry of the resolved link, if any."""
-        return self.link.fair if self.link is not None else None
-
     def activate_fair(self, now: float, token: Any = None, group: Any = None) -> FairFlow:
         """Register the remaining bytes as a max-min fair fluid flow.
 
@@ -245,7 +242,7 @@ class TransferState:
             return self.fair_flow
         registry = self.fair
         if registry is None:
-            raise RuntimeError("activate_fair called on a non-fair link")
+            raise RuntimeError("activate_fair called on a transfer that is not fair-shared")
         if not self.is_eligible:
             raise RuntimeError("activate_fair called on an unmatched transfer")
         stages = self.link.stages
@@ -274,9 +271,7 @@ class TransferState:
         if self.completed:
             return
         if self.fair_flow is not None:
-            registry = self.fair
-            if registry is not None:
-                registry.cancel_flow(self.fair_flow, now)
+            self.fair.cancel_flow(self.fair_flow, now)
             self.fair_flow = None
         self.completed = True
         self.completion_time = float(now)

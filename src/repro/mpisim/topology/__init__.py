@@ -2,7 +2,7 @@
 
 Module map (imports run one way, left to right)::
 
-    links.py    SharedLink / FairShareLink / LinkModel / reserve_path: how a stage is shared and metered
+    links.py    SharedLink / LinkModel / reserve_path: how a stage is shared and metered
     overlay.py  FaultOverlay: which stage ids are degraded or failed
     base.py     Topology, flat / hierarchical / shared-uplink, the Contended mixin   <- links
     switch.py   SwitchFabricTopology (rails, routing), fat tree, dragonfly          <- links, base, overlay
@@ -65,8 +65,12 @@ rail stages selected per message (hash or stripe), and routing is either
 Contention models
 -----------------
 
-Contended topologies time overlapping bulk streams with one of two
-disciplines, chosen by their ``contention`` parameter:
+A run times overlapping bulk streams on shared stages with one of two
+disciplines.  The stage is the same :class:`SharedLink` object under both;
+the discipline is resolved once per run by the engine — fair when either the
+topology's ``contention`` parameter or ``NetworkModel.contention`` asks for
+it — and the fair-share registry belongs to that run (the
+:class:`~repro.mpisim.engine.Engine` creates it), not to the topology:
 
 ``contention="reservation"`` (default)
     A :class:`SharedLink` serialises bulk streams at full capacity and gates
@@ -82,8 +86,8 @@ disciplines, chosen by their ``contention`` parameter:
     small flow queued behind a large one finishes late.
 
 ``contention="fair"``
-    A :class:`FairShareLink` stage applies processor sharing with max-min
-    fair rates (progressive filling, see :mod:`repro.mpisim.fairshare`): the
+    Each stage applies processor sharing with max-min fair rates
+    (progressive filling, see :mod:`repro.mpisim.fairshare`): the
     active-flow set re-divides the stage capacity on every arrival and
     departure, flows receive rate-change callbacks instead of a precomputed
     finish time, and the engine commits a departure only once no rank can act
@@ -148,7 +152,7 @@ from repro.mpisim.topology.base import (
     SharedUplinkTopology,
     Topology,
 )
-from repro.mpisim.topology.links import FairShareLink, LinkModel, SharedLink, reserve_path
+from repro.mpisim.topology.links import LinkModel, SharedLink, reserve_path
 from repro.mpisim.topology.switch import (
     RAIL_HASH,
     RAIL_STRIPE,
@@ -161,7 +165,6 @@ from repro.mpisim.topology.switch import (
 
 __all__ = [
     "SharedLink",
-    "FairShareLink",
     "CONTENTION_RESERVATION",
     "CONTENTION_FAIR",
     "LinkModel",

@@ -1,8 +1,8 @@
 """The :class:`Topology` interface and the fabrics without switches.
 
 Flat, hierarchical and shared-uplink topologies, plus :class:`Contended` —
-the one place the contention discipline of a topology with shared stages is
-stored, cloned and reset (switch fabrics reuse it).
+the one place the shared stages of a topology, and the contention discipline
+it asks for, are stored, cloned and reset (switch fabrics reuse it).
 """
 
 from __future__ import annotations
@@ -11,13 +11,8 @@ import copy
 from abc import ABC, abstractmethod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.mpisim.fairshare import (
-    CONTENTION_FAIR,
-    CONTENTION_MODES,
-    CONTENTION_RESERVATION,
-    FairShareRegistry,
-)
-from repro.mpisim.topology.links import FairShareLink, LinkModel, SharedLink
+from repro.mpisim.fairshare import CONTENTION_MODES, CONTENTION_RESERVATION
+from repro.mpisim.topology.links import LinkModel, SharedLink
 from repro.utils.validation import ensure_in
 
 __all__ = [
@@ -113,11 +108,6 @@ class Topology(ABC):
         both disciplines are identical.
         """
         return CONTENTION_RESERVATION
-
-    @property
-    def fair_registry(self) -> Optional[FairShareRegistry]:
-        """The fair-share registry driving this fabric (``None`` unless fair)."""
-        return None
 
     def with_contention(self, contention: str) -> "Topology":
         """A topology timing its shared stages under ``contention``.
@@ -258,25 +248,20 @@ class Contended:
     """Mixin: named shared stages timed under one contention discipline.
 
     Everything the ``contention`` knob means to a topology lives here — the
-    stage class it instantiates, the fair-share registry, the memoized
-    re-timed clone and the per-simulation reset.  Mix in *before* the
-    :class:`Topology` base so these members override its uncontended
-    defaults; call :meth:`_init_contention` from ``__init__``.
+    discipline it asks the engine for, the stages it instantiates, the
+    re-timed clone and the per-simulation reset.  The stages are the same
+    objects under both disciplines; the fair-share registry belongs to the
+    run (the :class:`~repro.mpisim.engine.Engine` creates it).  Mix in
+    *before* the :class:`Topology` base so these members override its
+    uncontended defaults; call :meth:`_init_contention` from ``__init__``.
     """
 
     def _init_contention(self, contention: str) -> None:
         """(Re)configure the contention discipline with fresh stage state."""
         ensure_in(contention, CONTENTION_MODES, "contention")
         self._contention = contention
-        self._fair = FairShareRegistry() if contention == CONTENTION_FAIR else None
-        self._contention_clones: Dict[str, "Contended"] = {}
         # lazily built, reused across simulations (reset() clears state in place)
         self._stages: Dict[Tuple, SharedLink] = {}
-
-    def _new_stage(self, key: Tuple, capacity: float) -> SharedLink:
-        stage_cls = FairShareLink if self._fair is not None else SharedLink
-        stage = self._stages[key] = stage_cls(capacity=capacity)
-        return stage
 
     @property
     def shares_uplinks(self) -> bool:
@@ -286,24 +271,12 @@ class Contended:
     def contention(self) -> str:
         return self._contention
 
-    @property
-    def fair_registry(self) -> Optional[FairShareRegistry]:
-        return self._fair
-
     def with_contention(self, contention: str):
-        # Memoized: the engine re-resolves per run when NetworkModel.contention
-        # upgrades a topology, and rebuilding stage caches each time would
-        # defeat their reuse.  The clone's cache points back, so
-        # round-tripping returns the original object.
         if contention == self._contention:
             return self
-        cached = self._contention_clones.get(contention)
-        if cached is None:
-            cached = copy.copy(self)
-            cached._init_contention(contention)
-            cached._contention_clones[self._contention] = self
-            self._contention_clones[contention] = cached
-        return cached
+        clone = copy.copy(self)
+        clone._init_contention(contention)
+        return clone
 
     def stages(self) -> Mapping[Tuple, SharedLink]:
         return self._stages
@@ -313,8 +286,6 @@ class Contended:
         # topology object reuse the cached SharedLink / LinkModel instances
         for stage in self._stages.values():
             stage.clear()
-        if self._fair is not None:
-            self._fair.reset()
 
 
 class SharedUplinkTopology(Contended, HierarchicalTopology):
@@ -339,11 +310,9 @@ class SharedUplinkTopology(Contended, HierarchicalTopology):
     def _uplink(self, node: int) -> LinkModel:
         cached = self._uplink_links.get(node)
         if cached is None:
+            stage = self._stages[("uplink", node)] = SharedLink(capacity=self._inter.bandwidth)
             cached = self._uplink_links[node] = LinkModel(
-                latency=self._inter.latency,
-                bandwidth=self._inter.bandwidth,
-                stages=(self._new_stage(("uplink", node), self._inter.bandwidth),),
-                fair=self._fair,
+                latency=self._inter.latency, bandwidth=self._inter.bandwidth, stages=(stage,)
             )
         return cached
 

@@ -1,26 +1,29 @@
 """Link primitives: how one stage is shared and metered.
 
-A :class:`SharedLink` is one contended physical link with a reservation
-queue; a :class:`FairShareLink` is the same stage under max-min fair sharing;
-a :class:`LinkModel` is what one rank pair sees — latency, bottleneck
-bandwidth and the chain of stages its transfers cross.  See the package
-docstring's "Contention models" section for the two disciplines.
+A :class:`SharedLink` is one contended physical link — the one stage class of
+both contention disciplines; a :class:`LinkModel` is what one rank pair sees
+— latency, bottleneck bandwidth and the chain of stages its transfers cross.
+See the package docstring's "Contention models" section for the two
+disciplines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
-from repro.mpisim.fairshare import FairFlow, FairShareRegistry
+from repro.mpisim.fairshare import FairFlow
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
-__all__ = ["SharedLink", "FairShareLink", "LinkModel", "reserve_path"]
+__all__ = ["SharedLink", "LinkModel", "reserve_path"]
 
 
-@dataclass
+@dataclass(eq=False)
 class SharedLink:
     """Contention meter for one shared physical link (e.g. a node uplink).
+
+    Hashed by identity (``eq=False``): the fair-share registry and the audits
+    key their per-stage tables by the stage itself.
 
     The link is modelled as a serial resource with a reservation queue:
     ``busy_until`` marks the time through which earlier bulk streams have
@@ -33,6 +36,17 @@ class SharedLink:
     keeps aggregate throughput bounded by ``capacity``, and — unlike an
     instantaneous share — is robust to the engine resolving completions
     eagerly, before sibling transfers have matched.
+
+    Under ``contention="fair"`` the same stage is processor-shared: ``flows``
+    (empty throughout a reservation run) holds the
+    :class:`~repro.mpisim.fairshare.FairFlow` entries currently streaming
+    across it, the run's :class:`~repro.mpisim.fairshare.FairShareRegistry`
+    re-divides the capacity among them on every arrival/departure event and
+    re-expresses the carried bytes as reservations, so ``busy_until`` (and
+    the trace-based capacity audit) stay meaningful.  Windowed poll credits
+    keep the reservation mechanics but are capped at the stage's *residual*
+    rate — capacity not allocated to fluid flows — so the two accounting
+    schemes never overcommit the wire.
 
     ``assigned`` counts messages a fabric has *routed* over this stage so
     far; adaptive routing balances on it because at post time a freshly
@@ -47,6 +61,7 @@ class SharedLink:
     busy_until: float = float("-inf")
     assigned: int = 0
     wire_seconds: float = 0.0
+    flows: Dict[int, FairFlow] = field(default_factory=dict)
 
     def reserve(self, start: float, nbytes: float) -> float:
         """Reserve the link for a bulk stream of ``nbytes`` from ``start``.
@@ -59,31 +74,6 @@ class SharedLink:
         self.wire_seconds += seconds
         return finish
 
-    def clear(self) -> None:
-        """Forget all reservations and routing history (simulation reset)."""
-        self.busy_until = float("-inf")
-        self.assigned = 0
-        self.wire_seconds = 0.0
-
-
-@dataclass
-class FairShareLink(SharedLink):
-    """Processor-sharing stage: active flows re-divide capacity max-min fairly.
-
-    Drop-in for :class:`SharedLink` wherever a topology wires a contended
-    stage, selected by ``contention="fair"``.  ``flows`` holds the
-    :class:`~repro.mpisim.fairshare.FairFlow` entries currently streaming
-    across this stage; a :class:`~repro.mpisim.fairshare.FairShareRegistry`
-    re-divides the capacity among them on every arrival/departure event and
-    re-expresses the carried bytes as reservations, so ``busy_until`` (and
-    the trace-based capacity audit) stay meaningful.  Windowed poll credits
-    inherit the reservation mechanics but are capped at the stage's
-    *residual* rate — capacity not allocated to fluid flows — so the two
-    accounting schemes never overcommit the wire.
-    """
-
-    flows: Dict[int, FairFlow] = field(default_factory=dict)
-
     def allocated_rate(self) -> float:
         """Bandwidth currently allocated to fluid flows crossing this stage."""
         return sum(flow.rate for flow in self.flows.values())
@@ -94,7 +84,10 @@ class FairShareLink(SharedLink):
         return any(flow.remaining > 0.0 for flow in self.flows.values())
 
     def clear(self) -> None:
-        super().clear()
+        """Forget all reservations, flows and routing history (simulation reset)."""
+        self.busy_until = float("-inf")
+        self.assigned = 0
+        self.wire_seconds = 0.0
         self.flows.clear()
 
 
@@ -124,20 +117,13 @@ class LinkModel:
     crosses — one node uplink, or the NIC and switch stages of a multi-hop
     fabric path; ``bandwidth`` is then the bottleneck (minimum) stage
     capacity and concurrent transfers contend stage by stage.  A dedicated
-    link has no stages.
-
-    ``fair`` switches the contention discipline: when a
-    :class:`~repro.mpisim.fairshare.FairShareRegistry` is attached (and the
-    stages are :class:`FairShareLink` instances), bulk streams register with
-    the registry as max-min fair fluid flows instead of reserving the wire
-    serially; the engine defers their completion until the registry commits
-    the departure.
+    link has no stages.  How the stages are shared — reservation queue or
+    max-min fair — is decided per run by the engine, not by the link.
     """
 
     latency: float
     bandwidth: float
     stages: Tuple[SharedLink, ...] = ()
-    fair: Optional[FairShareRegistry] = None
 
     def __post_init__(self) -> None:
         ensure_non_negative(self.latency, "latency")

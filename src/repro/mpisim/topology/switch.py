@@ -109,9 +109,9 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         Extra latency per switch-to-switch hop.
     contention:
         ``"reservation"`` (default) — stages serialise bulk streams through
-        the :class:`SharedLink` queue; ``"fair"`` — stages are
-        :class:`FairShareLink` instances whose active flows re-divide
-        bandwidth max-min fairly (see the package docstring).
+        the :class:`SharedLink` queue; ``"fair"`` — the active flows of each
+        stage re-divide its bandwidth max-min fairly (see the package
+        docstring).
     """
 
     def __init__(
@@ -282,7 +282,9 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         stage = self._stages.get(key)
         if stage is None:
             # the factor is exactly 1.0 on a healthy fabric
-            stage = self._new_stage(key, self._nominal_capacity(key) * self._overlay.factor(key))
+            stage = self._stages[key] = SharedLink(
+                capacity=self._nominal_capacity(key) * self._overlay.factor(key)
+            )
         return stage
 
     def _routes(self, src_node: int, dst_node: int) -> Tuple[Tuple[StageKey, ...], ...]:
@@ -363,7 +365,6 @@ class SwitchFabricTopology(Contended, PlacedTopology):
                 latency=self.nic_latency + self.hop_latency * (len(path) - 2),
                 bandwidth=min(stage.capacity for stage in stages),
                 stages=stages,
-                fair=self._fair,
             )
         return cached
 

@@ -51,6 +51,7 @@ from repro.api import Cluster
 from repro.ccoll import CodecMemo
 from repro.faults import FaultInjector, FaultSchedule
 from repro.mpisim.engine import Engine, EngineJob
+from repro.mpisim.fairshare import CONTENTION_FAIR, CONTENTION_RESERVATION
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
 from repro.workload.job import CompiledJob, JobSpec, compile_job
 from repro.workload.metrics import JobRecord, WorkloadReport
@@ -159,7 +160,6 @@ class _Scheduler:
         self.owner = owner
         self.memos = memos
         self.engine = owner._fresh_engine()
-        self.compile_cluster = owner._compile_cluster(self.engine)
         self.allocator = NodeAllocator(owner.n_nodes, owner.policy, owner.seed)
         self.jobs = {spec.job_id: _Job(spec, JobRecord(spec=spec)) for spec in specs}
         self.queue: List[_Job] = []
@@ -184,15 +184,20 @@ class _Scheduler:
             raise RuntimeError(f"not terminal: {[(j.spec.job_id, j.state) for j in rows]}")
         return [job.record for job in rows], self.engine
 
-    def _move(self, job: _Job, state: str) -> None:
-        """The one place a row changes state; an edge off the table raises."""
+    def _check(self, job: _Job, state: str) -> None:
+        """Raise unless the table has the edge from the row's state to ``state``."""
         if state not in _TRANSITIONS.get(job.state, ()):
             raise RuntimeError(
                 f"job {job.spec.job_id!r}: illegal transition {job.state} -> {state}"
             )
+
+    def _move(self, job: _Job, state: str) -> None:
+        """The one place a row changes state; an edge off the table raises."""
+        self._check(job, state)
         job.state = state
 
     def arrive(self, job: _Job, now: float) -> None:
+        self._check(job, _QUEUED)  # only a row that may still queue can arrive
         if not self.start(job, now):
             self._move(job, _QUEUED)
             self.queue.append(job)
@@ -201,6 +206,7 @@ class _Scheduler:
         """Place ``job`` (DUE, QUEUED or BACKOFF) and bind its next attempt;
         ``False``, and nothing changed, when it does not fit."""
         owner, spec, record = self.owner, job.spec, job.record
+        self._check(job, _RUNNING)  # before the allocator: an illegal start leases nothing
         restart = job.state == _BACKOFF
         if restart and owner._policy_for(spec).mode == "restart":
             # in-place: the original node set, whole or not at all
@@ -214,7 +220,7 @@ class _Scheduler:
         record.slots = tuple(slots_for(nodes, owner.ranks_per_node, spec.n_ranks))
         record.resume_step = record.last_durable_step
         memo = self.memos.setdefault(spec.job_id, CodecMemo()) if self.memos is not None else None
-        compiled = compile_job(spec, self.compile_cluster, record.slots, memo)
+        compiled = compile_job(spec, owner.cluster, record.slots, memo)
         if restart:
             # count it, remember the outage gap, and forget per-step
             # observations the new attempt will re-produce
@@ -276,6 +282,8 @@ class _Scheduler:
 
     def kill(self, job: _Job, node: int, now: float) -> None:
         """``node`` died under the running ``job``: tear the attempt down, book it."""
+        if job.state != _RUNNING:  # only a RUNNING row holds a live attempt
+            raise RuntimeError(f"job {job.spec.job_id!r}: cannot kill a {job.state} row")
         record, live = job.record, job.live
         self.engine.kill_job(live, now)
         done = record.completed_through()
@@ -503,17 +511,9 @@ class WorkloadEngine:
             max_commands=self.max_commands,
         )
 
-    def _compile_cluster(self, engine: Engine) -> Cluster:
-        """The cluster jobs compile against (the engine's live topology)."""
-        if engine.topology is self.cluster.topology:
-            return self.cluster
-        # the engine upgraded the topology to its fair clone: compile against
-        # that clone so build-time decisions see the fabric that will run
-        return self.cluster.with_updates(topology=engine.topology)
-
     def _collect(self, records: List[JobRecord], engine: Engine) -> WorkloadReport:
         topology = engine.topology  # never None: the constructor requires one
-        registry = topology.fair_registry
+        registry = engine.fair_registry
         if registry is not None:
             for record in records:
                 record.fair_bytes = registry.group_bytes.get(record.spec.job_id, 0.0)
@@ -536,7 +536,7 @@ class WorkloadEngine:
             records=records,
             makespan=makespan,
             policy=self.policy,
-            contention=topology.contention,
+            contention=CONTENTION_FAIR if registry is not None else CONTENTION_RESERVATION,
             seed=self.seed,
             stage_utilization=utilization,
             latency=WorkloadReport.collect_latency(records),
@@ -546,9 +546,7 @@ class WorkloadEngine:
         self, spec: JobSpec, slots: Tuple[int, ...], memo: Optional[CodecMemo]
     ) -> float:
         engine = self._fresh_engine()
-        compiled = compile_job(
-            spec.at_arrival(0.0), self._compile_cluster(engine), slots, memo
-        )
+        compiled = compile_job(spec.at_arrival(0.0), self.cluster, slots, memo)
         record = JobRecord(spec=spec)
         record.prepare(spec.n_steps)
         outcome: List[float] = []

@@ -26,6 +26,9 @@ import numpy as np
 
 from repro.api import Cluster, Communicator
 from repro.ccoll import CodecMemo
+from repro.ccoll.variants import VARIANT_ALIASES
+from repro.collectives.selection import ALGORITHM_PLANNERS
+from repro.utils.validation import ensure_in
 from repro.workload.placement import PlacementView
 from repro.workload.recovery import FAILURE_POLICY_MODES
 
@@ -44,7 +47,12 @@ COLLECTIVE_OPS = ("allreduce", "allgather", "bcast", "reduce_scatter")
 
 @dataclass(frozen=True)
 class CollectiveCall:
-    """One collective step of a job's program."""
+    """One collective step of a job's program.
+
+    The closed vocabularies are checked here, so a call that cannot compile is
+    refused when it is written down (or read from a trace), not when its job
+    arrives mid-run; which modes an op supports stays with the Communicator.
+    """
 
     op: str = "allreduce"
     msg_elems: int = 1024
@@ -60,6 +68,16 @@ class CollectiveCall:
             )
         if self.msg_elems < 1:
             raise ValueError(f"msg_elems must be >= 1, got {self.msg_elems}")
+        try:
+            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
+        except TypeError:  # not a dtype at all
+            floating = False
+        if not floating:
+            raise ValueError(f"dtype must be a numpy floating dtype, got {self.dtype!r}")
+        # the spellings Communicator accepts: case and padding do not matter
+        compression = str(self.compression).strip().lower()
+        ensure_in(compression, ("auto", *VARIANT_ALIASES), "compression")
+        ensure_in(self.algorithm, ("auto", *ALGORITHM_PLANNERS), "algorithm")
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -57,10 +57,6 @@ class PlacementView(Topology):
     def contention(self) -> str:
         return self.base.contention
 
-    @property
-    def fair_registry(self):
-        return self.base.fair_registry
-
     def with_contention(self, contention: str) -> "PlacementView":
         return PlacementView(self.base.with_contention(contention), self.slots)
 

@@ -24,7 +24,6 @@ EXPECTED_TOPOLOGY_ALL = [
     "CONTENTION_FAIR",
     "CONTENTION_RESERVATION",
     "DragonflyTopology",
-    "FairShareLink",
     "FatTreeTopology",
     "FlatTopology",
     "HierarchicalTopology",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.mpisim import CONTENTION_FAIR, CONTENTION_RESERVATION, FairShareRegistry
+from repro.mpisim import CONTENTION_FAIR, CONTENTION_RESERVATION
 
 
 def inputs_for(n_ranks, n_elems=2048, seed=7):
@@ -96,7 +96,6 @@ class TestContentionOverride:
         fair = comm.with_options(contention=CONTENTION_FAIR)
         assert fair.cluster.topology is not comm.cluster.topology
         assert fair.cluster.topology.contention == CONTENTION_FAIR
-        assert isinstance(fair.cluster.topology.fair_registry, FairShareRegistry)
         assert comm.cluster.topology.contention == CONTENTION_RESERVATION
         # the preset name survives: only the stage timing discipline changed
         assert fair.cluster.preset == comm.cluster.preset == "fat_tree"

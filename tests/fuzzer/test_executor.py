@@ -11,7 +11,7 @@ from repro.fuzzer.executor import build_communicator, execute, make_inputs
 from repro.fuzzer.generator import Scenario, generate_scenario, sanitize
 from repro.mpisim.audit import trace_fair_allocations
 from repro.mpisim.fairshare import FairShareRegistry
-from repro.mpisim.topology import FairShareLink
+from repro.mpisim.topology import SharedLink
 
 
 def _scenario(**overrides) -> Scenario:
@@ -123,7 +123,7 @@ class TestInvariantSensitivity:
     def test_fair_share_hook_catches_an_overcommitted_stage(self):
         # the real registry always re-divides consistently, so a broken
         # allocation has to come from the stage itself lying about its rate
-        class OvercommittedLink(FairShareLink):
+        class OvercommittedLink(SharedLink):
             def allocated_rate(self):
                 return self.capacity * 2.0
 
@@ -133,7 +133,7 @@ class TestInvariantSensitivity:
         assert any(kind == "overcommit" for kind, _ in violations)
 
     def test_fair_share_hook_catches_a_starved_bottleneck(self):
-        class IdleLink(FairShareLink):
+        class IdleLink(SharedLink):
             def allocated_rate(self):
                 return 0.0
 
@@ -144,7 +144,7 @@ class TestInvariantSensitivity:
         assert "unbottlenecked" in kinds or "unsaturated" in kinds
 
     def test_fair_share_hook_accepts_legal_allocations(self):
-        stage = FairShareLink(capacity=100.0)
+        stage = SharedLink(capacity=100.0)
         registry = FairShareRegistry()
         with trace_fair_allocations() as violations:
             registry.open_flow([stage], 0.0, 1000.0)

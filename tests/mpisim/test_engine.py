@@ -358,7 +358,7 @@ class TestErrors:
             network=NetworkModel(contention="fair"),
             topology=SharedUplinkTopology(ranks_per_node=2, contention="fair"),
         )
-        registry = engine.topology.fair_registry
+        registry = engine.fair_registry
 
         def lose_the_flow(now):
             (flow,) = registry.active_flows()
@@ -578,28 +578,30 @@ class TestEngineReuse:
 
     def test_second_engine_after_fair_run_replays_identically(self):
         """Fair mode schedules commit events in the heap and flows in the
-        topology's registry; a second engine on the same topology must see
+        engine's registry; a second engine on the same topology must see
         neither, or it would replay stale departures."""
         first_engine = self._fair_engine()
         first = [r.finish_time for r in first_engine.run()]
         second_engine = self._fair_engine(first_engine.topology)
         assert second_engine.topology is first_engine.topology
-        assert second_engine.topology.fair_registry.pending_count() == 0
+        assert second_engine.fair_registry.pending_count() == 0
         second = [r.finish_time for r in second_engine.run()]
         fresh = [r.finish_time for r in self._fair_engine().run()]
         assert first == second == fresh
 
     def test_second_engine_after_interrupted_run_sees_no_stale_state(self):
         """A run aborted mid-flight (command budget) leaves half-registered
-        fair flows in the topology; the next engine built on it must clear
-        them."""
+        fair flows on the topology's stages; the next engine built on it must
+        clear them."""
         aborted = self._fair_engine(max_commands=20)
         with pytest.raises(RuntimeError, match="max_commands"):
             aborted.run()
         topology = aborted.topology
-        assert topology.fair_registry.pending_count() > 0
+        assert aborted.fair_registry.pending_count() > 0
+        assert any(stage.flows for stage in topology.stages().values())
         engine = self._fair_engine(topology)
-        assert topology.fair_registry.pending_count() == 0
+        assert engine.fair_registry.pending_count() == 0
+        assert not any(stage.flows for stage in topology.stages().values())
         after_abort = [r.finish_time for r in engine.run()]
         fresh = [r.finish_time for r in self._fair_engine().run()]
         assert after_abort == fresh

@@ -14,8 +14,8 @@ import pytest
 from repro.mpisim import (
     CONTENTION_FAIR,
     CONTENTION_RESERVATION,
+    DragonflyTopology,
     Engine,
-    FairShareLink,
     FairShareRegistry,
     FatTreeTopology,
     FlatTopology,
@@ -51,7 +51,7 @@ def pairs_program(sizes, pairs):
 
 class TestRegistryMechanics:
     def test_rates_redivide_on_arrival_and_departure(self):
-        stage = FairShareLink(capacity=100.0)
+        stage = SharedLink(capacity=100.0)
         registry = FairShareRegistry()
         first = registry.open_flow([stage], 0.0, 1000.0)
         assert first.rate == 100.0
@@ -71,7 +71,7 @@ class TestRegistryMechanics:
 
     def test_flow_queues_behind_stage_backlog(self):
         """A flow entering a stage with reserved wire time starts after it."""
-        stage = FairShareLink(capacity=100.0)
+        stage = SharedLink(capacity=100.0)
         stage.reserve(0.0, 500.0)  # busy until 5.0 (e.g. windowed poll credits)
         registry = FairShareRegistry()
         flow = registry.open_flow([stage], max(1.0, stage.busy_until), 100.0)
@@ -81,7 +81,7 @@ class TestRegistryMechanics:
 
     def test_zero_byte_flow_departs_at_its_start(self):
         registry = FairShareRegistry()
-        stage = FairShareLink(capacity=10.0)
+        stage = SharedLink(capacity=10.0)
         registry.open_flow([stage], 3.0, 0.0)
         finish, _ = registry.commit_departure()
         assert finish == 3.0
@@ -93,7 +93,7 @@ class TestRegistryMechanics:
     def test_cancel_flow_redivides_immediately(self):
         """Cancelling a mid-stream flow hands its bandwidth to survivors now,
         not when the dead flow would have drained (the node-loss fix)."""
-        stage = FairShareLink(capacity=100.0)
+        stage = SharedLink(capacity=100.0)
         registry = FairShareRegistry()
         survivor = registry.open_flow([stage], 0.0, 1000.0)
         doomed = registry.open_flow([stage], 0.0, 1000.0)
@@ -110,7 +110,7 @@ class TestRegistryMechanics:
         assert stage.flows == {}
 
     def test_cancel_flow_is_idempotent_and_handles_drained(self):
-        stage = FairShareLink(capacity=100.0)
+        stage = SharedLink(capacity=100.0)
         registry = FairShareRegistry()
         flow = registry.open_flow([stage], 0.0, 100.0)
         assert registry.cancel_flow(flow, 0.5) is True
@@ -122,8 +122,8 @@ class TestRegistryMechanics:
         assert registry.earliest_departure() is None
 
     def test_multi_stage_bottleneck_sets_the_rate(self):
-        fast = FairShareLink(capacity=100.0)
-        slow = FairShareLink(capacity=25.0)
+        fast = SharedLink(capacity=100.0)
+        slow = SharedLink(capacity=25.0)
         registry = FairShareRegistry()
         flow = registry.open_flow([fast, slow], 0.0, 100.0)
         assert flow.rate == 25.0
@@ -162,60 +162,20 @@ class TestContentionKnob:
         fair = topo.with_contention(CONTENTION_FAIR)
         assert fair is not topo
         assert fair.contention == CONTENTION_FAIR
-        assert isinstance(fair.fair_registry, FairShareRegistry)
-        assert topo.fair_registry is None
+        assert topo.contention == CONTENTION_RESERVATION
         # structure is shared, stage state is not
         assert fair.k == topo.k and fair.routing == topo.routing
         assert not fair.stages()
         link = fair.resolve_link(0, 4)
-        assert all(isinstance(s, FairShareLink) for s in link.stages)
-        assert link.fair is fair.fair_registry
-        # the original keeps plain SharedLink stages
-        res_link = topo.resolve_link(0, 4)
-        assert all(type(s) is SharedLink for s in res_link.stages)
-        assert res_link.fair is None
+        assert not set(link.stages) & set(topo.stages().values())
 
     def test_shared_uplink_with_contention_clones(self):
         topo = SharedUplinkTopology(ranks_per_node=2)
+        warm = topo.link(0, 2)
         fair = topo.with_contention(CONTENTION_FAIR)
         assert fair is not topo and fair.contention == CONTENTION_FAIR
-        link = fair.link(0, 2)
-        assert isinstance(link.stages[0], FairShareLink)
-        assert link.fair is fair.fair_registry
-
-    def test_with_contention_is_memoized_both_ways(self):
-        """Repeated upgrades reuse one clone (stage caches survive), and the
-        round trip returns the original object."""
-        topo = FatTreeTopology(k=4)
-        fair = topo.with_contention(CONTENTION_FAIR)
-        assert topo.with_contention(CONTENTION_FAIR) is fair
-        assert fair.with_contention(CONTENTION_RESERVATION) is topo
-        # the engine's NetworkModel-driven upgrade therefore reuses it too
-        net = NetworkModel(
-            latency=0.0, bandwidth=1.0e9, eager_threshold=0, contention=CONTENTION_FAIR
-        )
-        engine = Engine(8, pairs_program([1024], [(0, 4)]), network=net, topology=topo)
-        assert engine.topology is fair
-        again = Engine(8, pairs_program([1024], [(0, 4)]), network=net, topology=topo)
-        assert again.topology is fair
-
-    def test_network_model_contention_upgrades_default_topology(self):
-        """contention='fair' threaded through NetworkModel alone is honoured."""
-        net = NetworkModel(
-            latency=0.0, bandwidth=1.0e9, eager_threshold=0, contention=CONTENTION_FAIR
-        )
-        topo = SharedUplinkTopology(
-            ranks_per_node=2, inter_latency=0.0, inter_bandwidth=1.0e9
-        )
-        engine = Engine(4, pairs_program([1024], [(0, 2)]), network=net, topology=topo)
-        assert engine.topology is not topo
-        assert engine.topology.contention == CONTENTION_FAIR
-        # the caller's topology object is untouched
-        assert topo.contention == CONTENTION_RESERVATION
-        # an explicitly fair topology is used as-is
-        fair = topo.with_contention(CONTENTION_FAIR)
-        engine2 = Engine(4, pairs_program([1024], [(0, 2)]), network=net, topology=fair)
-        assert engine2.topology is fair
+        assert not fair.stages()
+        assert fair.link(0, 2).stages[0] is not warm.stages[0]
 
     def test_describe_mentions_the_discipline(self):
         assert "fair" in FatTreeTopology(k=4, contention=CONTENTION_FAIR).describe()
@@ -232,29 +192,28 @@ class TestResetRegression:
         )
         sizes = [16 * 1024 * 1024, 4 * 1024 * 1024]
         pairs = [(0, 4), (1, 5)]
-        first = run_simulation(8, pairs_program(sizes, pairs), NET, topology=topo)
-        registry = topo.fair_registry
+        engine = Engine(8, pairs_program(sizes, pairs), NET, topology=topo)
+        first = [r.finish_time for r in engine.run()]
         # every flow was committed: nothing pending, no stage holds flows
-        assert registry.pending_count() == 0
+        assert engine.fair_registry.pending_count() == 0
         assert all(not stage.flows for stage in topo._stages.values())
         second = run_simulation(8, pairs_program(sizes, pairs), NET, topology=topo)
-        assert second.rank_times == first.rank_times
-        assert registry.pending_count() == 0
+        assert second.rank_times == first
+        assert all(not stage.flows for stage in topo._stages.values())
 
     def test_reset_clears_mid_simulation_state(self):
-        """A registry abandoned mid-flight (e.g. an aborted run) resets clean."""
+        """Stages a registry abandoned mid-flight (e.g. an aborted run) reset clean."""
         topo = SharedUplinkTopology(
             ranks_per_node=2, inter_latency=0.0, inter_bandwidth=1.0e9,
             contention=CONTENTION_FAIR,
         )
         link = topo.link(0, 2)
-        registry = topo.fair_registry
+        registry = FairShareRegistry()
         (uplink,) = link.stages
         flow = registry.open_flow(link.stages, 0.0, 10_000.0)
         assert registry.pending_count() == 1
         assert uplink.flows
         topo.reset()
-        assert registry.pending_count() == 0
         assert not uplink.flows
         assert uplink.busy_until == float("-inf")
         # the stale flow handle is detached: committing it again is impossible
@@ -282,7 +241,11 @@ class TestEngineIntegration:
             ranks_per_node=2, inter_latency=0.0, inter_bandwidth=1.0e9,
             contention=CONTENTION_FAIR,
         )
-        registry = topo.fair_registry
+        nbytes = 8 * 1024 * 1024
+        engine = Engine(
+            4, pairs_program([nbytes, nbytes], [(0, 2), (1, 3)]), NET, topology=topo
+        )
+        registry = engine.fair_registry
         original = registry.open_flow
 
         def spying_open_flow(*args, **kwargs):
@@ -291,10 +254,7 @@ class TestEngineIntegration:
             return opened[-1]
 
         registry.open_flow = spying_open_flow  # type: ignore[method-assign]
-        nbytes = 8 * 1024 * 1024
-        run_simulation(
-            4, pairs_program([nbytes, nbytes], [(0, 2), (1, 3)]), NET, topology=topo
-        )
+        engine.run()
         # both flows shared the uplink: each saw the halved rate at some point
         halved = {fid for fid, rate in observed if rate == 0.5e9}
         assert len(halved) == 2
@@ -311,3 +271,120 @@ class TestEngineIntegration:
             4, pairs_program([1 << 20], [(0, 1)]), fair_net, topology=FlatTopology()
         )
         assert fair.rank_times == res.rank_times
+
+
+def _fabric(name, contention):
+    if name == "shared_uplink":
+        return SharedUplinkTopology(ranks_per_node=3, contention=contention)
+    if name == "fat_tree":
+        return FatTreeTopology(k=4, oversubscription=2.0, contention=contention)
+    return DragonflyTopology(n_groups=2, routers_per_group=2, ranks_per_node=2, contention=contention)
+
+
+def _asymmetric_allreduce(topology, n_ranks=8):
+    """Program factory of the forced-rabenseifner allreduce whose flows are
+    asymmetric under an irregular placement — the traffic of
+    ``tests/fuzzer/regressions/test_with_options_contention.py``."""
+    from repro.api import Cluster
+
+    rng = np.random.default_rng(3)
+    inputs = [rng.standard_normal(4096) for _ in range(n_ranks)]
+    comm = Cluster(topology=topology).communicator(n_ranks)
+    return comm.capture(lambda c: c.allreduce(inputs, algorithm="rabenseifner")).factory
+
+
+class TestOneOwner:
+    """Fair sharing has one owner: the run holds the registry, the topology
+    holds one kind of stage, and the engine never swaps the topology."""
+
+    @pytest.mark.parametrize("fabric", ["shared_uplink", "fat_tree", "dragonfly"])
+    def test_however_fair_is_asked_for_it_is_the_same_run(self, fabric):
+        fair_net = NetworkModel(contention=CONTENTION_FAIR)
+        times = {}
+        for asked, (built, network) in {
+            "topology": (CONTENTION_FAIR, NetworkModel()),
+            "network": (CONTENTION_RESERVATION, fair_net),
+            "both": (CONTENTION_FAIR, fair_net),
+            "neither": (CONTENTION_RESERVATION, NetworkModel()),
+        }.items():
+            topo = _fabric(fabric, built)
+            engine = Engine(8, _asymmetric_allreduce(topo), network=network, topology=topo)
+            assert engine.topology is topo
+            assert (engine.fair_registry is not None) == (asked != "neither")
+            times[asked] = [r.finish_time for r in engine.run()]
+            assert topo.contention == built
+        assert times["topology"] == times["network"] == times["both"]
+        assert times["both"] != times["neither"]  # asymmetric flows tell them apart
+
+    def test_one_stage_class(self):
+        import repro.mpisim
+        import repro.mpisim.topology
+
+        topo = _fabric("fat_tree", CONTENTION_FAIR)
+        Engine(8, _asymmetric_allreduce(topo), topology=topo).run()
+        assert {type(stage) for stage in topo.stages().values()} == {SharedLink}
+        assert "FairShareLink" not in repro.mpisim.__all__
+        assert "FairShareLink" not in repro.mpisim.topology.__all__
+
+    def test_the_registry_dies_with_its_engine(self):
+        topo = _fabric("shared_uplink", CONTENTION_FAIR)
+        sizes, pairs = [1 << 22, 1 << 20, 1 << 21], [(0, 3), (1, 4), (2, 6)]
+
+        def program(rank, size):
+            # every flow is open at once, then the budget runs out
+            mine = [(s, d, n) for (s, d), n in zip(pairs, sizes) if rank in (s, d)]
+            requests = []
+            for s, d, nbytes in mine:
+                if rank == s:
+                    requests.append((yield Isend(dest=d, data=None, nbytes=nbytes)))
+                else:
+                    requests.append((yield Irecv(source=s)))
+            for request in requests:
+                yield Wait(request)
+
+        first = Engine(9, program, NET, topology=topo, max_commands=9)
+        with pytest.raises(RuntimeError, match="max_commands"):
+            first.run()
+        assert first.fair_registry.pending_count() > 0
+        assert any(stage.flows for stage in topo.stages().values())
+        second = Engine(9, program, NET, topology=topo)
+        assert second.fair_registry is not first.fair_registry
+        assert second.fair_registry.pending_count() == 0
+        assert all(stage.flows == {} for stage in topo.stages().values())
+        untouched = Engine(9, program, NET, topology=_fabric("shared_uplink", CONTENTION_FAIR))
+        assert [r.finish_time for r in second.run()] == [
+            r.finish_time for r in untouched.run()
+        ]
+
+    @pytest.mark.parametrize(
+        "network", [NetworkModel(), NetworkModel(contention=CONTENTION_FAIR)]
+    )
+    def test_no_shared_stage_or_no_request_means_no_registry(self, network):
+        uncontended = (None, FlatTopology(), HierarchicalTopology(ranks_per_node=2))
+        for topo in uncontended:
+            assert Engine(4, None, network=network, topology=topo).fair_registry is None
+        if network.contention == CONTENTION_RESERVATION:
+            for fabric in ("shared_uplink", "fat_tree", "dragonfly"):
+                topo = _fabric(fabric, CONTENTION_RESERVATION)
+                assert Engine(4, None, network=network, topology=topo).fair_registry is None
+
+    def test_workload_report_says_what_the_run_used(self):
+        from repro.api import Cluster
+        from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
+
+        specs = [
+            JobSpec(
+                job_id=f"j{i}", n_ranks=8, arrival=0.0, iterations=2, seed=i,
+                calls=(CollectiveCall(op="allreduce", msg_elems=8192),),
+            )
+            for i in range(2)
+        ]
+
+        def report(**kwargs):
+            cluster = Cluster.from_preset("fat_tree", nodes=8, ranks_per_node=2, **kwargs)
+            return WorkloadEngine(cluster, policy="spread", seed=5).run(specs)
+
+        via_network = report(network=NetworkModel(contention=CONTENTION_FAIR))
+        assert via_network.contention == CONTENTION_FAIR
+        assert any(record.fair_bytes > 0 for record in via_network.records)
+        assert via_network.to_dict() == report(contention=CONTENTION_FAIR).to_dict()

@@ -3,7 +3,7 @@
 Invariants pinned here:
 
 * **Bandwidth conservation** — after every arrival/departure event, the
-  rates a :class:`FairShareLink` has allocated to its active flows never
+  rates a :class:`SharedLink` has allocated to its active flows never
   exceed its capacity, and a backlogged bottleneck stage is fully allocated
   (sum of active flow rates equals the stage capacity).
 * **Work conservation** — no idle stage with queued flows: every active flow
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mpisim import (
-    FairShareLink,
     FairShareRegistry,
     Irecv,
     Isend,
@@ -45,7 +44,7 @@ int_times = st.integers(min_value=0, max_value=2**12)
 
 
 def make_stages(capacities):
-    return [FairShareLink(capacity=c) for c in capacities]
+    return [SharedLink(capacity=c) for c in capacities]
 
 
 class TestConservationProperties:
@@ -150,7 +149,7 @@ class TestSymmetricEquivalence:
         serial = SharedLink(capacity=capacity)
         for _ in range(n_flows):
             serial.reserve(float(start), nbytes)
-        stage = FairShareLink(capacity=capacity)
+        stage = SharedLink(capacity=capacity)
         registry = FairShareRegistry()
         for _ in range(n_flows):
             registry.open_flow([stage], float(start), nbytes)
@@ -179,7 +178,7 @@ class TestAsymmetricOrdering:
         res_small = stage.reserve(float(start), small)
         assert res_small > res_big
         # fair: both arrive at `start`
-        fair_stage = FairShareLink(capacity=capacity)
+        fair_stage = SharedLink(capacity=capacity)
         registry = FairShareRegistry()
         flow_big = registry.open_flow([fair_stage], float(start), big)
         flow_small = registry.open_flow([fair_stage], float(start), small)

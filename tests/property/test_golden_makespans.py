@@ -109,4 +109,3 @@ class TestReservationGoldenMakespans:
         for preset, kwargs in PRESETS.items():
             topology = Cluster.from_preset(preset, **kwargs).topology
             assert topology.contention == "reservation"
-            assert topology.fair_registry is None

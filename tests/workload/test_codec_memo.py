@@ -117,13 +117,13 @@ class TestMemoLifetime:
 
     def test_nothing_is_left_behind_when_a_run_raises(self, compiles):
         specs = _ledger_mix()[:4]
-        # the last job's dtype only fails when its inputs are built, mid-run
+        # which modes an op supports is only known at compile time, mid-run
         broken = JobSpec(
             job_id="broken", n_ranks=2, arrival=specs[-1].arrival + 1e-3,
-            calls=(CollectiveCall(dtype="floaty"),),
+            calls=(CollectiveCall(op="bcast", compression="nd"),),
         )  # fmt: skip
         engine = WorkloadEngine(_cluster(), policy="spread")
-        with pytest.raises(TypeError, match="floaty"):
+        with pytest.raises(ValueError, match="'nd' is not available for bcast"):
             engine.run(specs + [broken], baseline=True)
         assert [job_id for job_id, _ in compiles] == [s.job_id for s in specs] + ["broken"]
         assert _live_memos() == []

@@ -31,6 +31,23 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CollectiveCall(msg_elems=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dtype", "int32"), ("dtype", "floaty"), ("compression", "psychic"), ("algorithm", "bogus")],
+    )  # fmt: skip
+    def test_a_call_that_cannot_compile_is_refused_when_written_down(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field}.*{value}"):
+            CollectiveCall(**{field: value})
+
+    def test_every_default_the_mixes_draw_from_constructs(self):
+        mix = JobMix()
+        for op in mix.ops:
+            for compression in mix.compressions:
+                for dtype in mix.dtypes:
+                    CollectiveCall(op=op, dtype=dtype, compression=compression)
+        # spellings the Communicator accepts stay accepted
+        CollectiveCall(dtype="float32", compression=" ON ", algorithm="rabenseifner")
+
     def test_n_steps_and_at_arrival(self):
         spec = JobSpec(
             job_id="j", n_ranks=4, iterations=3,
@@ -139,6 +156,8 @@ class TestTraces:
             ('{"job_id": "a", "n_ranks": 2, "calls": [{"op": "transmogrify"}]}', "unknown collective op"),
             ('{"job_id": "a", "n_ranks": 2, "calls": [{"elems": 4}]}', "unexpected keyword argument 'elems'"),
             ('{"job_id": "a", "n_ranks": 2, "calls": 3}', "not iterable"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"dtype": "int32"}]}', "numpy floating dtype"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"compression": true}]}', "compression must be one of"),
         ],
     )  # fmt: skip
     def test_malformed_line_raises_one_typed_error_with_its_line_number(

@@ -183,5 +183,4 @@ class TestPlacementView:
         topology = Cluster.from_preset("fat_tree", ranks_per_node=2, contention="fair").topology
         view = PlacementView(topology, (0, 1))
         assert view.contention == "fair"
-        assert view.fair_registry is topology.fair_registry
         assert view.effective_inter_bandwidth() == topology.effective_inter_bandwidth()

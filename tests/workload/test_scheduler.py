@@ -277,3 +277,31 @@ class TestTheLawCanFail:
             scheduler.arrive(job, 1e-4)
         assert job.record == before and job.state == "RUNNING"
         assert scheduler.queue == queue
+
+    def test_a_second_arrival_with_room_to_spare_leases_nothing(self):
+        scheduler = _Scheduler(_owner(), [_job("a", 4, 1)], None)
+        job = scheduler.jobs["a"]
+        scheduler.arrive(job, 0.0)
+        free = scheduler.allocator.nodes_free
+        assert job.state == "RUNNING" and free == N_NODES - 2
+        before, live = copy.deepcopy(job.record), job.live
+        for illegal in (scheduler.arrive, scheduler.start, scheduler.retry):
+            with pytest.raises(RuntimeError, match=r"'a'.* RUNNING -> "):
+                illegal(job, 1e-4)
+            assert scheduler.allocator.nodes_free == free
+            assert scheduler.queue == []
+            assert job.record == before and job.state == "RUNNING" and job.live is live
+
+    def test_kill_refuses_a_row_that_is_not_running(self):
+        scheduler = _Scheduler(_owner(), [_job("solo", 4, 1)], None)
+        job = scheduler.jobs["solo"]
+        for state in ("DUE", "DONE"):
+            assert job.state == state
+            before = copy.deepcopy(job.record)
+            with pytest.raises(RuntimeError, match=rf"'solo'.* {state}"):
+                scheduler.kill(job, 0, 1e-4)
+            assert job.record == before and job.state == state and job.live is None
+            assert scheduler.allocator.nodes_free == N_NODES
+            assert scheduler.allocator.quarantined == () and scheduler.queue == []
+            if state == "DUE":
+                scheduler.run()
