@@ -16,8 +16,8 @@ Public entry points (rank programs composed by the session API):
   variants of Table V (``Communicator.allreduce(compression=<variant>)``)
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
 * :class:`CodecMemo` — codec results several plans of one job share (what
-  :mod:`repro.workload` hands its isolated baselines; see
-  :mod:`repro.ccoll.adapter`)
+  :mod:`repro.workload` hands a job's restart attempts and isolated baseline;
+  see :mod:`repro.ccoll.adapter`)
 """
 
 from repro.ccoll.adapter import CodecMemo, CompressedMessage, CompressionAdapter

@@ -36,24 +36,29 @@ and, on the simulation path, decodes nothing:
   caller owns, for programs that return what they received as their value.
   The real decoders stay honest through the codec tests and the fuzzer's
   ``codec_roundtrip`` audit, which compares them with ``restored`` bytewise.
-* **A job's isolated baseline reuses the job's codec results.**
+* **Every re-execution of a job reuses the job's codec results.**
   :class:`CodecMemo` is content-addressed: an entry is keyed by the codec's
   class, every parameter its output depends on (``Compressor.describe()``),
-  the input dtype and the input bytes, and holds the compressed buffer with
-  its reconstruction.  A key therefore *is* the computation, and no
-  invalidation rule is needed: a plan that differs (another fabric state picks
-  another algorithm) feeds different bytes and simply misses.  A memo is an
-  ordinary object that ``WorkloadEngine.run`` creates per job, hands to
-  ``compile_job`` and drops once that job's baseline has run; it reaches the
-  adapters through ``CCollConfig.codec_memo`` (read by
+  the input dtype, the input size and the SHA-256 digest of the input bytes,
+  and holds the compressed buffer with its reconstruction.  A key therefore
+  *is* the computation (up to a 256-bit collision; the digest, not the bytes,
+  so an entry costs 32 bytes on top of what it holds), and no invalidation
+  rule is needed: a plan that differs (another fabric state picks another
+  algorithm, a restart elsewhere groups its ranks differently) feeds different
+  bytes and simply misses.  A memo is an ordinary object that
+  ``WorkloadEngine.run`` creates for a job that can execute more than once — a
+  restart attempt after a kill, its isolated baseline — hands to every
+  ``compile_job`` of that job and drops once no execution can follow; it
+  reaches the adapters through ``CCollConfig.codec_memo`` (read by
   ``CCollConfig.make_adapters`` only).  Without one — every direct
-  ``Communicator`` call, every ``baseline=False`` run — the adapter goes
-  straight to the codec.  Codec errors are raised from the codec call itself
-  and never stored.
+  ``Communicator`` call, every fault-free ``baseline=False`` run — the adapter
+  goes straight to the codec.  Codec errors are raised from the codec call
+  itself and never stored.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -68,11 +73,16 @@ __all__ = ["CodecMemo", "CompressedMessage", "CompressionAdapter"]
 
 
 class CodecMemo:
-    """Content-addressed codec results (see the module docstring for its lifetime)."""
+    """Content-addressed codec results (see the module docstring for its lifetime).
+
+    A key is the computation up to a 256-bit collision: the input enters as its
+    SHA-256 digest, so an entry retains none of the bytes it was computed from.
+    """
 
     def __init__(self) -> None:
-        #: (codec key, input dtype, input bytes) -> what the codec made of them:
-        #: the compressed buffer and the read-only array it decodes to
+        #: (codec key, input dtype, input size, SHA-256 of the input bytes) -> what
+        #: the codec made of them: the compressed buffer and the read-only array
+        #: it decodes to
         self.compressed: Dict[Tuple, Tuple[CompressedBuffer, np.ndarray]] = {}
 
 
@@ -134,7 +144,7 @@ class CompressionAdapter:
         if self.memo is None:
             buf, decoded = self._encode(data)
         else:
-            key = (self._codec_key, data.dtype.str, data.tobytes())
+            key = (self._codec_key, data.dtype.str, data.size, hashlib.sha256(data).digest())
             entry = self.memo.compressed.get(key)
             if entry is None:
                 entry = self.memo.compressed[key] = self._encode(data)

@@ -421,6 +421,12 @@ class FairShareRegistry:
                             frontier.append(other)
         if not members:
             return
+        if len(members) == 1:
+            # alone in its component, a flow is fixed by the filling's first round:
+            # every share is capacity / 1 and the smallest one wins, whatever the tie
+            (flow,) = members.values()
+            flow.rate = max(0.0, min(float(stage.capacity) for stage in flow.stages))
+            return
         # registration order, exactly like the sweep over every flow
         active = [members[fid] for fid in sorted(members)]
         stage_idx: Dict[Any, int] = {}

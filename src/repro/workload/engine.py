@@ -28,16 +28,21 @@ bind.
 Slowdown baselines re-run each job *alone* on the same slots (arrival 0,
 freshly compiled — seeded inputs make recompiles bit-identical), so
 ``makespan / isolated`` isolates cross-tenant interference from placement.
-The job's codec results are reused: with ``baseline=True`` every job gets one
-content-addressed :class:`~repro.ccoll.adapter.CodecMemo` at its first
-compile, shared by its restart attempts and its baseline and dropped as soon
-as that baseline has run, so a baseline costs engine and rank-program time
-only.  What that retains is a job's codec inputs and outputs between its
-first compile and its baseline — the same order as the step inputs
-``compile_job`` materialises anyway.  Content keys need no invalidation: a
-fault-free baseline that plans differently from the faulted concurrent run
-feeds the codec different bytes and simply misses.  With ``baseline=False``
-no memo exists.
+The job's host work happens once: a job that can execute more than once in
+one ``run()`` — ``baseline=True``, or a non-empty fault schedule and a failure
+policy that restarts (:meth:`WorkloadEngine._runs_again`) — gets one
+:class:`~repro.workload.job.JobMemo` at its first compile.  The memo lives on
+the job's row, every compile of the job (restart attempts, the baseline)
+receives the same object, and it is dropped the moment no execution can
+follow: when the row turns FAILED, when it turns DONE and no baseline is
+wanted, otherwise right after the job's baseline has run.  It holds the job's
+drawn step inputs (read-only, shared by the compiles) and a content-addressed
+:class:`~repro.ccoll.adapter.CodecMemo`, so a restart recompresses nothing the
+killed attempt compressed and a baseline costs engine and rank-program time
+only.  Content keys need no invalidation: an execution that plans differently
+(a restart elsewhere, a fault-free baseline of a faulted run) feeds the codec
+different bytes and simply misses.  A fault-free ``baseline=False`` run has no
+second execution, so no memo exists and nothing is retained.
 """
 
 from __future__ import annotations
@@ -48,12 +53,11 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from repro.api import Cluster
-from repro.ccoll import CodecMemo
 from repro.faults import FaultInjector, FaultSchedule
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.fairshare import CONTENTION_FAIR, CONTENTION_RESERVATION
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
-from repro.workload.job import CompiledJob, JobSpec, compile_job
+from repro.workload.job import CompiledJob, JobMemo, JobSpec, compile_job
 from repro.workload.metrics import JobRecord, WorkloadReport
 from repro.workload.placement import NodeAllocator, slots_for
 from repro.workload.recovery import (
@@ -140,6 +144,9 @@ class _Job:
     #: the live execution attempt on the shared fabric (RUNNING rows only);
     #: it runs on ``record.nodes`` / ``record.slots`` since ``live.started``
     live: Optional[EngineJob] = None
+    #: what the job's compiles share, from its first compile until nothing in
+    #: this scheduler can execute it again (``None`` if nothing ever could)
+    memo: Optional[JobMemo] = None
 
 
 class _Scheduler:
@@ -155,10 +162,12 @@ class _Scheduler:
         self,
         owner: "WorkloadEngine",
         specs: Sequence[JobSpec],
-        memos: Optional[Dict[str, CodecMemo]],
+        baselines: Optional[Dict[str, JobMemo]],
     ) -> None:
         self.owner = owner
-        self.memos = memos
+        #: job id -> the memo a DONE job hands on to its isolated baseline;
+        #: ``None`` when no baseline follows this run
+        self.baselines = baselines
         self.engine = owner._fresh_engine()
         self.allocator = NodeAllocator(owner.n_nodes, owner.policy, owner.seed)
         self.jobs = {spec.job_id: _Job(spec, JobRecord(spec=spec)) for spec in specs}
@@ -219,8 +228,9 @@ class _Scheduler:
         record.nodes = nodes
         record.slots = tuple(slots_for(nodes, owner.ranks_per_node, spec.n_ranks))
         record.resume_step = record.last_durable_step
-        memo = self.memos.setdefault(spec.job_id, CodecMemo()) if self.memos is not None else None
-        compiled = compile_job(spec, owner.cluster, record.slots, memo)
+        if not restart and owner._runs_again(spec, self.baselines is not None):
+            job.memo = JobMemo()
+        compiled = compile_job(spec, owner.cluster, record.slots, job.memo)
         if restart:
             # count it, remember the outage gap, and forget per-step
             # observations the new attempt will re-produce
@@ -278,6 +288,9 @@ class _Scheduler:
         record.useful_time += live.finished - live.started
         self._close_attempt(job, spec.n_steps, None)
         record.last_durable_step = spec.n_steps
+        memo, job.memo = job.memo, None  # only the baseline can still execute it
+        if self.baselines is not None:
+            self.baselines[spec.job_id] = memo
         self.drain(live.finished)
 
     def kill(self, job: _Job, node: int, now: float) -> None:
@@ -320,6 +333,7 @@ class _Scheduler:
             self.engine.schedule_event(now + delay, partial(self.retry, job))
             return
         self._move(job, _FAILED)
+        job.memo = None  # nothing executes a failed job again, baseline included
         record = job.record
         record.outcome = "failed"
         record.failure = JobFailed(
@@ -467,17 +481,16 @@ class WorkloadEngine:
                         else ""
                     )
                 )
-        # job id -> the codec results its compiles share (baselines only)
-        memos: Optional[Dict[str, CodecMemo]] = {} if baseline else None
+        # job id -> what a completed job's baseline shares with its concurrent run
+        baselines: Optional[Dict[str, JobMemo]] = {} if baseline else None
         # run() keeps no reference to the concurrent engine (its messages, its
         # compiled jobs) while the baselines run
-        report = self._collect(*_Scheduler(self, specs, memos).run())
+        report = self._collect(*_Scheduler(self, specs, baselines).run())
         if baseline:
             for record in report.records:
-                memo = memos.pop(record.spec.job_id, None)
                 if record.completed:
                     record.isolated = self._isolated_makespan(
-                        record.spec, record.slots, memo
+                        record.spec, record.slots, baselines.pop(record.spec.job_id)
                     )
         return report
 
@@ -491,6 +504,11 @@ class WorkloadEngine:
         if spec.failure_policy is None:
             return self.failure_policy
         return replace(self.failure_policy, mode=spec.failure_policy)
+
+    def _runs_again(self, spec: JobSpec, baseline: bool) -> bool:
+        """Whether one ``run()`` can execute the job more than once — its isolated
+        baseline, or a restart after a kill: such a job's compiles share a memo."""
+        return baseline or (not self.faults.empty and self._policy_for(spec).restarts)
 
     def _checkpoint_for(self, spec: JobSpec) -> Optional[CheckpointPolicy]:
         """The job's checkpoint policy: spec override over the engine default."""
@@ -543,7 +561,7 @@ class WorkloadEngine:
         )
 
     def _isolated_makespan(
-        self, spec: JobSpec, slots: Tuple[int, ...], memo: Optional[CodecMemo]
+        self, spec: JobSpec, slots: Tuple[int, ...], memo: Optional[JobMemo]
     ) -> float:
         engine = self._fresh_engine()
         compiled = compile_job(spec.at_arrival(0.0), self.cluster, slots, memo)

@@ -170,9 +170,10 @@ class JobSpec:
 def call_inputs(spec: JobSpec, call: CollectiveCall, step: int) -> List[np.ndarray]:
     """Seeded per-rank input vectors for one collective step of a job.
 
-    Deterministic in ``(spec.seed, step)`` alone, so recompiling a job — the
-    concurrent run and its isolated baseline compile independently — produces
-    bit-identical buffers.
+    A pure function of ``(spec.seed, call, step)``: whoever compiles a job,
+    whenever, draws bit-identical buffers.  The engine's own compiles of one job
+    (restart attempts, the isolated baseline) draw each step once and share the
+    arrays through the job's :class:`JobMemo`.
     """
     rng = np.random.default_rng(((spec.seed & 0xFFFFFFFF) << 16) ^ (step * 0x9E37 + 0x5EED))
     elems = call.msg_elems
@@ -180,7 +181,7 @@ def call_inputs(spec: JobSpec, call: CollectiveCall, step: int) -> List[np.ndarr
         # reduce_scatter hands each rank an elems // n_ranks chunk
         elems = spec.n_ranks
     return [
-        rng.standard_normal(elems).astype(call.dtype) for _ in range(spec.n_ranks)
+        rng.standard_normal(elems).astype(call.dtype, copy=False) for _ in range(spec.n_ranks)
     ]
 
 
@@ -195,6 +196,31 @@ def _issue(comm: Communicator, call: CollectiveCall, inputs: List[np.ndarray]):
     if call.op == "bcast":
         return comm.bcast(inputs[0], root=0, compression=call.compression)
     return comm.reduce_scatter(inputs, compression=call.compression)
+
+
+@dataclass
+class JobMemo:
+    """What the compiles of one job share, so its host work happens once.
+
+    The workload engine creates one for a job that can execute more than once (a
+    restart attempt, its isolated baseline), hands it to every
+    :func:`compile_job` of that job and drops it when no execution can follow.
+    """
+
+    #: the codec results of every execution so far (see ``repro.ccoll.adapter``)
+    codec: CodecMemo = field(default_factory=CodecMemo)
+    #: step -> the step's drawn per-rank inputs: read-only, because every compile
+    #: hands the same arrays to its programs
+    inputs: Dict[int, List[np.ndarray]] = field(default_factory=dict)
+
+    def step_inputs(self, spec: JobSpec, call: CollectiveCall, step: int) -> List[np.ndarray]:
+        """``call_inputs(spec, call, step)``, drawn on first use and frozen."""
+        inputs = self.inputs.get(step)
+        if inputs is None:
+            inputs = self.inputs[step] = call_inputs(spec, call, step)
+            for buffer in inputs:
+                buffer.setflags(write=False)
+        return inputs
 
 
 @dataclass
@@ -213,7 +239,7 @@ def compile_job(
     spec: JobSpec,
     cluster: Cluster,
     slots: Tuple[int, ...],
-    codec_memo: Optional[CodecMemo] = None,
+    memo: Optional[JobMemo] = None,
 ) -> CompiledJob:
     """Capture every collective step of ``spec`` against its placement.
 
@@ -222,25 +248,29 @@ def compile_job(
     fabric through a :class:`PlacementView`, so build-time decisions match
     what an isolated cluster of exactly those nodes would decide.
 
-    ``codec_memo`` is handed to the compiled steps' compression adapters: every
-    compile of the job that is given the same memo (its restart attempts, its
-    isolated baseline) reuses the codec results the others computed.
+    Every compile of the job that is given the same ``memo`` (its restart
+    attempts, its isolated baseline) reuses what the others computed: the
+    compiled steps' compression adapters share its codec results, and the steps
+    are issued on the same drawn inputs — read-only then, so a program that
+    wrote into one would raise instead of corrupting the other compiles.
+    Without a memo every compile draws its own, writable, inputs.
     """
     if len(slots) != spec.n_ranks:
         raise ValueError(
             f"job {spec.job_id!r} has {spec.n_ranks} ranks but {len(slots)} slots"
         )
-    if codec_memo is not None:
-        cluster = cluster.with_updates(config=cluster.config.with_updates(codec_memo=codec_memo))
+    if memo is not None:
+        cluster = cluster.with_updates(config=cluster.config.with_updates(codec_memo=memo.codec))
     topology = cluster.topology
     view = PlacementView(topology, slots) if topology is not None else None
     job_cluster = cluster.with_updates(topology=view) if view is not None else cluster
     comm = Communicator(job_cluster, spec.n_ranks)
     factories: List[Any] = []
     step_calls: List[CollectiveCall] = []
+    draw = call_inputs if memo is None else memo.step_inputs
     for _ in range(spec.iterations):
         for call in spec.calls:
-            inputs = call_inputs(spec, call, len(factories))
+            inputs = draw(spec, call, len(factories))
             plan = comm.capture(
                 lambda c, call=call, inputs=inputs: _issue(c, call, inputs)
             )

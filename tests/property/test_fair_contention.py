@@ -15,6 +15,9 @@ Invariants pinned here:
   capacities, power-of-two flow counts and integer byte counts, for which
   every intermediate quantity is representable, so bit-equality is the
   correct assertion — any discrepancy is a modelling bug, not float noise.
+* **A lone flow needs no filling** — the rate the one-flow shortcut of
+  ``_redivide`` hands a flow alone in its component is bit-equal to the rate
+  the general progressive filling gives the same flow.
 * **Asymmetric ordering** — in a two-flow mix on one stage the smaller flow
   completes strictly earlier than under the reservation queue, while the
   aggregate finish is unchanged.
@@ -156,6 +159,35 @@ class TestSymmetricEquivalence:
         while registry.pending_count():
             registry.commit_departure()
         assert stage.busy_until == serial.busy_until  # exact, by design
+
+
+class TestLoneFlowShortcut:
+    @given(
+        capacities=st.lists(
+            st.floats(min_value=1e-3, max_value=1e15, allow_nan=False), min_size=1, max_size=5
+        ),
+        other=st.floats(min_value=1e-3, max_value=1e15, allow_nan=False),
+        nbytes=int_bytes,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_flow_alone_gets_the_rate_the_general_filling_gives_it(
+        self, capacities, other, nbytes
+    ):
+        """Checked against the code the shortcut skips: a second flow over a
+        disjoint stage joins the component through one shared stage too wide to
+        bind anyone, so the filling runs in full and fixes the first flow at its
+        own tightest stage."""
+
+        def path():
+            return make_stages(capacities) + [SharedLink(capacity=1e30)]
+
+        alone = FairShareRegistry().open_flow(path(), 0.0, nbytes)
+        stages = path()
+        registry = FairShareRegistry()
+        joined = registry.open_flow(stages, 0.0, nbytes)
+        neighbour = registry.open_flow(make_stages([other]) + stages[-1:], 0.0, nbytes)
+        assert neighbour.rate == other
+        assert alone.rate == joined.rate == min(capacities)  # exact, by design
 
 
 class TestAsymmetricOrdering:

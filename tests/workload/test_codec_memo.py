@@ -1,20 +1,32 @@
-"""A job's isolated baseline reuses the job's codec results: counts and lifetime.
+"""A job's host work happens once: counts, what is shared, and lifetime.
 
 That reuse moves no simulated number is ``test_baseline_pin.py``'s job; here:
-the baselines cost zero codec calls, a memo is per job and per ``run()``, and
-nothing keeps one alive afterwards.
+baselines and restart attempts cost zero codec calls and share their drawn
+inputs, a memo is per job and per ``run()``, it exists only where a second
+execution can happen, and nothing keeps one alive once none can.
 """
 
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 import repro.workload.engine as workload_engine
+import repro.workload.job as workload_job
 from repro.api import Cluster
-from repro.ccoll import CodecMemo
-from repro.faults import FaultSchedule, NodeLoss
-from repro.workload import CollectiveCall, JobMix, JobSpec, WorkloadEngine
+from repro.ccoll import CCollConfig, CodecMemo
+from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
+from repro.workload import (
+    CollectiveCall,
+    FailurePolicy,
+    JobMix,
+    JobSpec,
+    WorkloadEngine,
+    call_inputs,
+    compile_job,
+)
+from repro.workload.job import JobMemo
 
 
 def _cluster():
@@ -26,19 +38,33 @@ def _ledger_mix():
     return JobMix(n_jobs=16, arrival_rate=500.0, sizes=(2, 4, 8)).generate(7)
 
 
+def _four_jobs_and_a_loss():
+    """Four compressed jobs side by side (nodes 0-1, 2-3, 4-5, 6-7 when packed) and
+    the loss of node 1 while all four are mid-flight."""
+    calls = (CollectiveCall(op="allreduce", msg_elems=2048, compression="on"),)
+    specs = [
+        JobSpec(job_id=name, n_ranks=4, iterations=4, seed=seed, calls=calls)
+        for seed, name in enumerate("abcd", start=1)
+    ]
+    healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
+    first_done = min(record.finished for record in healthy.records)
+    return specs, FaultSchedule(events=(NodeLoss(time=0.5 * first_done, node=1),))
+
+
 @pytest.fixture
 def compiles(monkeypatch):
     """Every ``compile_job`` call a run makes, as ``(job id, memo)``: ``memo`` is ``None``
-    or ``(id, weak reference, compress entries held when the compile began)``."""
+    or, of the codec results the compile was handed, ``(id, weak reference, compress
+    entries held when the compile began)``."""
     seen = []
     real = workload_engine.compile_job
 
-    def recording(spec, cluster, slots, codec_memo=None):
-        memo = codec_memo
+    def recording(spec, cluster, slots, memo=None):
+        watched = None
         if memo is not None:
-            memo = (id(memo), weakref.ref(memo), len(memo.compressed))
-        seen.append((spec.job_id, memo))
-        return real(spec, cluster, slots, codec_memo)
+            watched = (id(memo.codec), weakref.ref(memo.codec), len(memo.codec.compressed))
+        seen.append((spec.job_id, watched))
+        return real(spec, cluster, slots, memo)
 
     monkeypatch.setattr(workload_engine, "compile_job", recording)
     return seen
@@ -60,7 +86,8 @@ class TestCodecCalls:
         engine.run(_ledger_mix(), baseline=True)
         assert codec_calls == {"compress": 686, "decompress": 0}
 
-    def test_a_restart_reuses_what_the_killed_attempt_computed(self, codec_calls):
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_a_restart_reuses_what_the_killed_attempt_computed(self, codec_calls, baseline):
         calls = (CollectiveCall(op="allreduce", msg_elems=4096, compression="on"),)
         specs = [JobSpec(job_id="long", n_ranks=8, iterations=4, seed=3, calls=calls)]
         healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
@@ -69,17 +96,106 @@ class TestCodecCalls:
         engine = WorkloadEngine(
             _cluster(), policy="packed", faults=faults, failure_policy="restart_elsewhere"
         )
-        report = engine.run(specs, baseline=True)
-        assert report.total_restarts == 1 and report.records[0].isolated is not None
-        # killed attempt + full re-execution + baseline: still one job's worth
+        report = engine.run(specs, baseline=baseline)
+        assert report.total_restarts == 1
+        assert (report.records[0].isolated is not None) == baseline
+        # killed attempt + full re-execution (+ baseline): still one job's worth
         assert {kind: count - once[kind] for kind, count in codec_calls.items()} == once
+
+    def test_the_recovery_ledger_shape_compresses_what_a_healthy_run_does(
+        self, codec_calls, monkeypatch
+    ):
+        """The ledger's ``workload_recovery`` at its seed 7: 672 compressions healthy,
+        672 under two kills and two restarts from checkpoints (876 before a restart
+        reused the killed attempt's results) — gated here exactly because the
+        committed ledger still holds the old count."""
+        rng = np.random.default_rng(7)
+        calls = (CollectiveCall(op="allreduce", msg_elems=8192, compression="on"),)
+        specs = [
+            JobSpec(job_id=f"long-{index}", n_ranks=n_ranks, arrival=1e-4 * index,
+                    iterations=4, seed=int(rng.integers(1, 2**31)), calls=calls)
+            for index, n_ranks in enumerate((8, 4, 2, 8, 4, 2))
+        ]  # fmt: skip
+        healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
+        assert codec_calls == {"compress": 672, "decompress": 0}
+        zone = FailureDomain(name="pz0", kind="power", nodes=(4, 5))
+        faults = FaultSchedule(
+            events=(
+                NodeLoss(time=0.45 * healthy.makespan, node=1),
+                DomainOutage(time=0.70 * healthy.makespan, domain=zone,
+                             duration=0.10 * healthy.makespan),
+            )
+        )  # fmt: skip
+
+        def faulted():
+            engine = WorkloadEngine(
+                _cluster(), policy="packed", faults=faults,
+                failure_policy="restart_elsewhere", checkpoint=2,
+            )  # fmt: skip
+            return engine.run(specs, baseline=False)
+
+        report = faulted()
+        assert codec_calls == {"compress": 2 * 672, "decompress": 0}
+        assert report.total_restarts == 2
+        # the control: the same run with no memo anywhere pays for every replayed step
+        monkeypatch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
+        assert faulted() == report
+        assert codec_calls["compress"] == 2 * 672 + 876
 
 
 class TestMemoLifetime:
     def test_no_memo_without_baselines(self, compiles):
+        """... unless a restart can execute the job a second time."""
         WorkloadEngine(_cluster(), policy="spread").run(_ledger_mix()[:4], baseline=False)
         assert len(compiles) == 4
         assert all(memo is None for _, memo in compiles)
+        assert _live_memos() == []
+        specs, faults = _four_jobs_and_a_loss()
+
+        def faulted(policy):
+            del compiles[:]
+            engine = WorkloadEngine(
+                _cluster(), policy="packed", faults=faults, failure_policy=policy
+            )
+            return engine.run(specs, baseline=False)
+
+        # a policy that never restarts executes nothing twice either
+        assert faulted("fail").failed_jobs == 1 and len(compiles) == 4
+        assert all(memo is None for _, memo in compiles)
+        assert faulted("restart_elsewhere").total_restarts == 1 and len(compiles) == 5
+        memos = {}
+        for job_id, memo in compiles:
+            # one per job, the same object across that job's attempts
+            assert memos.setdefault(job_id, memo)[0] == memo[0]
+        assert len({memo[0] for memo in memos.values()}) == 4
+        # the restart compiles against what the killed attempt left
+        assert compiles[-1][0] == "a" and compiles[-1][1][2] > 0
+        assert _live_memos() == []
+        assert all(memo[1]() is None for _, memo in compiles)
+
+    def test_a_failed_jobs_memo_dies_with_its_row(self, compiles, monkeypatch):
+        """No memo outlives its job: FAILED drops it on the spot — with a baseline
+        wanted, and while the other jobs (and their memos) are still running."""
+        specs, faults = _four_jobs_and_a_loss()
+        del compiles[:]
+        seen = []
+        real = workload_engine._Scheduler.back_off
+
+        def watching(self, job, now):
+            real(self, job, now)
+            if job.state == "FAILED":
+                gc.collect()
+                mine = [memo[1]() for job_id, memo in compiles if job_id == job.spec.job_id]
+                running = [row for row in self.jobs.values() if row.state == "RUNNING"]
+                seen.append((job.memo, mine, [row.memo is not None for row in running]))
+
+        monkeypatch.setattr(workload_engine._Scheduler, "back_off", watching)
+        # in place, on a node that never comes back: every retry burns budget
+        policy = FailurePolicy(mode="restart", max_retries=2, backoff=1e-5)
+        engine = WorkloadEngine(_cluster(), policy="packed", faults=faults, failure_policy=policy)
+        report = engine.run(specs, baseline=True)
+        assert report.failed_jobs == 1
+        assert seen == [(None, [None], [True, True, True])]
         assert _live_memos() == []
 
     def test_one_memo_per_job_dropped_with_its_baseline(self, compiles):
@@ -131,3 +247,73 @@ class TestMemoLifetime:
         # and the engine is as good as new
         report = engine.run(specs, baseline=True)
         assert all(record.slowdown is not None for record in report.records)
+
+
+class TestWhatAMemoHolds:
+    @pytest.fixture
+    def issued(self, monkeypatch):
+        """The input lists ``compile_job`` issued its steps on, in order."""
+        seen = []
+        real = workload_job._issue
+
+        def recording(comm, call, inputs):
+            seen.append(inputs)
+            return real(comm, call, inputs)
+
+        monkeypatch.setattr(workload_job, "_issue", recording)
+        return seen
+
+    def test_compiles_given_one_memo_share_the_drawn_inputs(self, issued):
+        calls = (
+            CollectiveCall(op="allreduce", msg_elems=512, compression="on"),
+            CollectiveCall(op="allgather", msg_elems=256, dtype="float32"),
+        )
+        spec = JobSpec(job_id="j", n_ranks=4, iterations=2, seed=9, calls=calls)
+        memo = JobMemo()
+        compile_job(spec, _cluster(), (0, 1, 2, 3), memo)
+        compile_job(spec, _cluster(), (4, 5, 16, 17), memo)
+        assert len(issued) == 8 and sorted(memo.inputs) == [0, 1, 2, 3]
+        for step, (first, again) in enumerate(zip(issued[:4], issued[4:])):
+            drawn = call_inputs(spec, calls[step % 2], step)
+            assert len(first) == len(drawn) == 4
+            for ours, theirs, fresh in zip(first, again, drawn):
+                assert ours is theirs and not ours.flags.writeable
+                assert ours.dtype == fresh.dtype and ours.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            issued[0][0][0] = 1.0
+
+    def test_without_a_memo_nothing_is_shared_or_frozen(self, issued):
+        spec = JobSpec(job_id="j", n_ranks=4, iterations=2, seed=9)
+        for _ in range(2):
+            compile_job(spec, _cluster(), (0, 1, 2, 3))
+        for first, again in zip(issued[:2], issued[2:]):
+            for ours, theirs in zip(first, again):
+                assert ours is not theirs and ours.flags.writeable and theirs.flags.writeable
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_digest_keys_separate_what_byte_keys_separated(self, codec_calls):
+        def compress(data, **config):
+            config = CCollConfig(codec_memo=memo, **config)
+            return config.make_adapters(config.context(), 1)[0].compress(data)
+
+        memo = CodecMemo()
+        data = np.random.default_rng(4).uniform(1.0, 2.0, 4096)
+        nudged = data.copy()
+        nudged[1234] = np.nextafter(nudged[1234], 2.0)  # one ulp, one element
+        halves = data.astype(np.float32)  # one buffer, read as two dtypes
+        cases = [
+            (data, {}),
+            (nudged, {}),
+            (halves, {}),
+            (halves.view(np.float64), {}),
+            (data, dict(error_bound=1e-2)),
+        ]
+        for entries, (values, config) in enumerate(cases, start=1):
+            compress(values, **config)
+            assert len(memo.compressed) == codec_calls["compress"] == entries
+        for values, config in cases:  # an equal input, in another buffer, hits
+            compress(values.copy(), **config)
+        assert len(memo.compressed) == codec_calls["compress"] == len(cases)
+        # an entry is keyed by a digest: it holds none of the bytes it was computed from
+        assert {key[-2] for key in memo.compressed} == {4096, 2048}
+        assert all(isinstance(key[-1], bytes) and len(key[-1]) == 32 for key in memo.compressed)

@@ -74,6 +74,30 @@ class TestCallInputs:
         c = call_inputs(spec, call, 1)
         assert not np.array_equal(a[0], c[0])
 
+    @pytest.mark.parametrize(
+        "dtype, first_rank, last_rank",
+        [
+            (
+                "float64",
+                [0.4154250695741336, 0.9141324883890876, -0.33284087784021577],
+                [2.193531642146964, 1.4669175946861397, 1.265403840660142],
+            ),
+            (
+                "float32",
+                [0.41542506217956543, 0.9141324758529663, -0.3328408896923065],
+                [2.1935317516326904, 1.466917634010315, 1.2654038667678833],
+            ),
+        ],
+    )
+    def test_the_drawn_values_are_pinned(self, dtype, first_rank, last_rank):
+        """Taken before float64 draws stopped being copied by ``astype``."""
+        call = CollectiveCall(op="allreduce", msg_elems=64, dtype=dtype)
+        spec = JobSpec(job_id="pin", n_ranks=3, seed=11, calls=(call,))
+        inputs = call_inputs(spec, call, 5)
+        assert all(buffer.dtype == np.dtype(dtype) and buffer.flags.owndata for buffer in inputs)
+        assert inputs[0][:3].tolist() == first_rank
+        assert inputs[2][:3].tolist() == last_rank
+
     def test_reduce_scatter_widens_to_rank_count(self):
         spec = JobSpec(job_id="j", n_ranks=8)
         call = CollectiveCall(op="reduce_scatter", msg_elems=3)
