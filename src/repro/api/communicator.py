@@ -123,25 +123,22 @@ class Communicator:
         self,
         *,
         compression: Union[str, bool, None] = None,
-        contention: Optional[str] = None,
         **config_updates,
     ) -> "Communicator":
         """A sibling session with some options shallowly overridden.
 
-        The returned communicator shares this session's rank count and —
-        unless ``contention`` changes — the *same* topology object, so
-        parameter sweeps (the harness runs many) adjust ``error_bound``,
-        ``size_multiplier`` or the compression default without rebuilding the
-        fabric's stage caches or the session itself.
+        The returned communicator shares this session's rank count and the
+        *same* topology object, so parameter sweeps (the harness runs many)
+        adjust ``error_bound``, ``size_multiplier`` or the compression default
+        without rebuilding the fabric's stage caches or the session itself.
+        The fabric's contention discipline is chosen once, when its topology
+        is built (``Cluster.from_preset(..., contention="fair")``).
 
         Parameters
         ----------
         compression:
             New default compression mode for calls that do not pass one
             (``"off"``/``"on"``/``"di"``/``"nd"``/``"auto"``/bool).
-        contention:
-            Re-time the fabric's shared stages under this discipline
-            (``"reservation"``/``"fair"``); a no-op on uncontended fabrics.
         **config_updates:
             Any :class:`~repro.ccoll.config.CCollConfig` field, e.g.
             ``error_bound=1e-4`` or ``size_multiplier=64.0``.
@@ -151,22 +148,6 @@ class Communicator:
             cluster = cluster.with_updates(
                 config=cluster.config.with_updates(**config_updates)
             )
-        if contention is not None:
-            topology = cluster.topology if cluster.topology is not None else FlatTopology()
-            # preserve the preset name: the machine is the same, only the
-            # stage timing discipline changes
-            updates = {
-                "topology": topology.with_contention(contention),
-                "preset": cluster.preset,
-            }
-            if cluster.network is not None and cluster.network.contention != contention:
-                # keep the network model's contention knob in agreement with
-                # the topology: the engine runs fair when either side says
-                # so, so a stale "fair" here would silently undo a downgrade
-                updates["network"] = dataclasses.replace(
-                    cluster.network, contention=contention
-                )
-            cluster = cluster.with_updates(**updates)
         clone = Communicator(cluster, self.n_ranks)
         clone._captured = self._captured
         if compression is not None:

@@ -9,6 +9,11 @@ Public entry points (rank programs composed by the session API):
 * :func:`cpr_allreduce_program` (and friends) — the CPR-P2P baselines; for
   allgather / bcast / scatter each shares its planner with the C-Coll program
   it is compared against (``repro.ccoll.movement._plan_compressed_*``)
+* the C-Coll data-movement and CPR-P2P programs are hops on the baselines'
+  schedules: the ring reduce-scatter, ring allgather, binomial broadcast and
+  binomial scatter of :mod:`repro.collectives` run them, so each compressed
+  collective moves data exactly as its baseline does (only the pipelined
+  reduce-scatter of :mod:`repro.ccoll.computation` has a schedule of its own)
 * the topology-aware C-Allreduce has no rank program of its own: it is the
   hierarchical skeleton of :mod:`repro.collectives.hierarchical` with the
   compressed leader stage of :mod:`repro.ccoll.topology_aware` plugged in

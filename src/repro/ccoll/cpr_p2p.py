@@ -16,11 +16,15 @@ right after arrival.  Consequences (all reproduced here):
 
 The module provides CPR-P2P variants of allreduce (the DI rung of Table V),
 allgather, broadcast and scatter, each usable with SZx, ZFP(ABS) or ZFP(FXR)
-via :class:`~repro.ccoll.config.CCollConfig`.
+via :class:`~repro.ccoll.config.CCollConfig`.  Each is the baseline's schedule
+from :mod:`repro.collectives` (ring reduce-scatter, ring allgather, binomial
+broadcast, binomial scatter) run with two hops: :func:`_compress_step` before
+every send and :func:`_decompress_step` after every receive.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -28,17 +32,13 @@ import numpy as np
 from repro.ccoll.adapter import CompressionAdapter
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish
+from repro.collectives.allgather import _ring_allgather_over_group
+from repro.collectives.bcast import _binomial_bcast_over_group
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
-from repro.mpisim.timeline import (
-    CAT_ALLGATHER,
-    CAT_COMDECOM,
-    CAT_MEMCPY,
-    CAT_OTHERS,
-    CAT_REDUCTION,
-    CAT_WAIT,
-)
+from repro.collectives.reduce_scatter import _ring_reduce_scatter_over_group, partition_chunks
+from repro.collectives.scatter import _binomial_scatter_over_group
+from repro.mpisim.commands import Compute
+from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_MEMCPY, CAT_OTHERS
 
 __all__ = [
     "cpr_allreduce_program",
@@ -49,7 +49,8 @@ __all__ = [
 
 
 def _compress_step(adapter: CompressionAdapter, ctx: CollectiveContext, data: np.ndarray):
-    """Compress ``data`` and yield the modelled compression + buffer-management time."""
+    """Send hop: compress ``data`` and yield the modelled compression + buffer-management
+    time; returns the message and its modelled size."""
     message = adapter.compress(data)
     yield Compute(adapter.compress_seconds(message), category=CAT_COMDECOM)
     # CPR-P2P allocates and frees the compressor's output buffer on every call
@@ -59,11 +60,11 @@ def _compress_step(adapter: CompressionAdapter, ctx: CollectiveContext, data: np
         ctx.cost.compressor_buffer_seconds(message.original_virtual_nbytes),
         category=CAT_OTHERS,
     )
-    return message
+    return message, message.nbytes
 
 
 def _decompress_step(adapter: CompressionAdapter, ctx: CollectiveContext, message):
-    """Decompress ``message`` and yield the modelled decompression + buffer time."""
+    """Receive hop: decompress ``message`` and yield the modelled decompression + buffer time."""
     data = adapter.decompress(message)
     yield Compute(adapter.decompress_seconds(message), category=CAT_COMDECOM)
     # like the compression side, every CPR-P2P decompression call allocates and
@@ -73,6 +74,35 @@ def _decompress_step(adapter: CompressionAdapter, ctx: CollectiveContext, messag
         category=CAT_OTHERS,
     )
     return data
+
+
+def _hops(adapter: CompressionAdapter, ctx: CollectiveContext):
+    """The send and receive hops of one rank: compress every send, decompress every receive."""
+    return partial(_compress_step, adapter, ctx), partial(_decompress_step, adapter, ctx)
+
+
+def _decompress_then_copy(adapter: CompressionAdapter, ctx: CollectiveContext, message):
+    """The reduce-scatter's receive hop: decompress, then stage the chunk for the reduction."""
+    incoming = yield from _decompress_step(adapter, ctx, message)
+    yield Compute(ctx.memcpy_seconds(incoming), category=CAT_MEMCPY)
+    return incoming
+
+
+def _compress_each(adapter: CompressionAdapter, ctx: CollectiveContext, blocks):
+    """The scatter's send hop: one compression step per block of the forwarded segment."""
+    messages = []
+    for block in blocks:
+        message, _ = yield from _compress_step(adapter, ctx, block)
+        messages.append(message)
+    return messages, sum(m.nbytes for m in messages)
+
+
+def _decompress_each(adapter: CompressionAdapter, ctx: CollectiveContext, messages):
+    """The scatter's receive hop: one decompression step per block of the segment."""
+    blocks = []
+    for message in messages:
+        blocks.append((yield from _decompress_step(adapter, ctx, message)))
+    return blocks
 
 
 # -------------------------------------------------------------------------- allreduce
@@ -89,25 +119,12 @@ def cpr_allreduce_program(
     chunks = partition_chunks(my_vector, size)
     if size == 1:
         return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-
-    left = (rank - 1) % size
-    right = (rank + 1) % size
     yield Compute(ctx.alloc_seconds(my_vector), category=CAT_OTHERS)
 
     # reduce-scatter stage: compress before every send, decompress after every receive
-    for step in range(size - 1):
-        send_index = (rank - step - 1) % size
-        recv_index = (rank - step - 2) % size
-        outgoing_msg = yield from _compress_step(adapter, ctx, chunks[send_index])
-        recv_req = yield Irecv(source=left, tag=step)
-        send_req = yield Isend(
-            dest=right, data=outgoing_msg, nbytes=outgoing_msg.nbytes, tag=step
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
-        incoming = yield from _decompress_step(adapter, ctx, received)
-        yield Compute(ctx.memcpy_seconds(incoming), category=CAT_MEMCPY)
-        chunks[recv_index] = chunks[recv_index] + incoming
-        yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)
+    compress = partial(_compress_step, adapter, ctx)
+    receive = partial(_decompress_then_copy, adapter, ctx)
+    yield from _ring_reduce_scatter_over_group(rank, range(size), chunks, ctx, 0, compress, receive)
 
     # allgather stage: the same chunk is re-compressed at every hop, so the
     # compression error of earlier hops is compressed again (error accumulation)
@@ -145,22 +162,11 @@ def cpr_allgather_program(
     """
     blocks: List[Optional[np.ndarray]] = [None] * size
     blocks[rank] = my_block
-    if size == 1:
-        return blocks
-
-    left = (rank - 1) % size
-    right = (rank + 1) % size
-    send_index = rank
-    for step in range(size - 1):
-        recv_index = (rank - step - 1) % size
-        outgoing_msg = yield from _compress_step(adapter, ctx, blocks[send_index])
-        tag = tag_base + step
-        recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(dest=right, data=outgoing_msg, nbytes=outgoing_msg.nbytes, tag=tag)
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
-        blocks[recv_index] = yield from _decompress_step(adapter, ctx, received)
-        send_index = recv_index
-    return blocks
+    return (
+        yield from _ring_allgather_over_group(
+            rank, range(size), blocks, tag_base, CAT_ALLGATHER, *_hops(adapter, ctx)
+        )
+    )
 
 
 # ------------------------------------------------------------------------------ bcast
@@ -175,32 +181,13 @@ def cpr_bcast_program(
     root: int = 0,
 ):
     """Binomial broadcast with CPR-P2P: every hop decompresses and re-compresses."""
-    if size == 1:
-        return data
-
-    relative = (rank - root) % size
-    buffer = data if rank == root else None
-
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            message = yield Wait(req, category=CAT_WAIT)
-            buffer = yield from _decompress_step(adapter, ctx, message)
-            break
-        mask <<= 1
-
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            message = yield from _compress_step(adapter, ctx, buffer)
-            req = yield Isend(dest=dest, data=message, nbytes=message.nbytes, tag=0)
-            yield Wait(req, category=CAT_WAIT)
-        mask >>= 1
-
-    return buffer
+    group = [(index + root) % size for index in range(size)]
+    payload = data if rank == root else None
+    return (
+        yield from _binomial_bcast_over_group(
+            (rank - root) % size, group, payload, 0, *_hops(adapter, ctx)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------- scatter
@@ -216,39 +203,9 @@ def cpr_scatter_program(
 ):
     """Binomial scatter with CPR-P2P: segments are decompressed and re-compressed
     at every level of the tree."""
-    relative = (rank - root) % size
-    if size == 1:
-        return root_blocks[0]
-
-    segment: Optional[List[np.ndarray]] = None
-    if rank == root:
-        segment = list(root_blocks)
-
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            messages = yield Wait(req, category=CAT_WAIT)
-            segment = []
-            for message in messages:
-                segment.append((yield from _decompress_step(adapter, ctx, message)))
-            break
-        mask <<= 1
-
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            child_count = min(mask, size - (relative + mask))
-            child_blocks = segment[mask : mask + child_count]
-            messages = []
-            for block in child_blocks:
-                messages.append((yield from _compress_step(adapter, ctx, block)))
-            nbytes = sum(m.nbytes for m in messages)
-            req = yield Isend(dest=dest, data=messages, nbytes=nbytes, tag=0)
-            yield Wait(req, category=CAT_WAIT)
-            segment = segment[:mask]
-        mask >>= 1
-
-    return segment[0]
+    group = [(index + root) % size for index in range(size)]
+    segment = list(root_blocks) if rank == root else None
+    send, receive = partial(_compress_each, adapter, ctx), partial(_decompress_each, adapter, ctx)
+    return (
+        yield from _binomial_scatter_over_group((rank - root) % size, group, segment, send, receive)
+    )

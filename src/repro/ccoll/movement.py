@@ -11,13 +11,18 @@ broadcast, scatter, gather, all-to-all).  Its two rules are:
    makes CPR-P2P's error grow with the number of hops.
 2. **Known sizes up front.**  Because nothing is re-compressed, all compressed
    sizes are known after the initial compression; the ranks exchange them in a
-   cheap (eager, 4-bytes-per-rank) synchronisation step so the subsequent
+   cheap (eager, 8-bytes-per-rank) synchronisation step so the subsequent
    intensive communication proceeds with a fixed, balanced pipeline.
 
 This module implements the three collectives the paper evaluates on top of
 the framework: C-Allgather (ring), C-Bcast (binomial tree) and C-Scatter
 (binomial tree), each with a plan builder whose outcome also reports the
-observed compression ratio.
+observed compression ratio.  None of them has a schedule of its own: each
+compresses at the source, runs the baseline's schedule from
+:mod:`repro.collectives` (ring allgather, binomial broadcast, binomial
+scatter) with hops that forward the compressed bytes and keep what arrives,
+and decompresses at the consumer.  The size exchange is the same ring
+allgather with 8-byte hops.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import numpy as np
 
 from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.config import CCollConfig
+from repro.collectives.allgather import _ring_allgather_over_group
+from repro.collectives.bcast import _binomial_bcast_over_group
 from repro.collectives.context import (
     CollectiveContext,
     CollectiveOutcome,
@@ -36,9 +43,10 @@ from repro.collectives.context import (
     _flat_float_array,
     as_rank_arrays,
 )
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
+from repro.collectives.scatter import _binomial_scatter_over_group
+from repro.mpisim.commands import Compute
 from repro.mpisim.launcher import SimulationResult
-from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_OTHERS, CAT_WAIT
+from repro.mpisim.timeline import CAT_ALLGATHER, CAT_COMDECOM, CAT_OTHERS
 
 __all__ = [
     "CCollOutcome",
@@ -84,6 +92,32 @@ def _ccoll_finish(
     return finish
 
 
+# ------------------------------------------------------------------------------ hops
+# What the compress-once framework does at every hop of the shared schedules:
+# forward the compressed bytes at their modelled size and keep what arrives.
+
+
+def _forwarded(message: CompressedMessage):
+    yield from ()
+    return message, message.nbytes
+
+
+def _forwarded_list(messages: List[CompressedMessage]):
+    yield from ()
+    return messages, sum(m.nbytes for m in messages)
+
+
+def _kept(received):
+    yield from ()
+    return received
+
+
+def _size_sent(size: int):
+    """The size exchange's send hop: one eager 8-byte message."""
+    yield from ()
+    return size, 8
+
+
 def exchange_sizes_program(
     rank: int,
     size: int,
@@ -105,21 +139,12 @@ def exchange_sizes_program(
     """
     sizes = [None] * size
     sizes[rank] = int(my_size)
-    if size == 1:
-        return sizes
     ring = range(size) if ring is None else ring
-    left = ring[(rank - 1) % size]
-    right = ring[(rank + 1) % size]
-    carried = (rank, int(my_size))
-    for step in range(size - 1):
-        tag = _SIZE_TAG + tag_offset + step
-        recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(dest=right, data=carried, nbytes=8, tag=tag)
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_OTHERS)
-        origin, value = received
-        sizes[origin] = int(value)
-        carried = (origin, value)
-    return sizes
+    return (
+        yield from _ring_allgather_over_group(
+            rank, ring, sizes, _SIZE_TAG + tag_offset, CAT_OTHERS, _size_sent, _kept
+        )
+    )
 
 
 # --------------------------------------------------------------------------- allgather
@@ -154,6 +179,7 @@ def c_allgather_stage(
     yield Compute(adapter.compress_seconds(message), category=CAT_COMDECOM)
 
     # 2. exchange compressed sizes (fixed, balanced pipeline from here on)
+    ring = range(size) if ring is None else ring
     yield from exchange_sizes_program(
         rank, size, message.real_nbytes, tag_offset=tag_offset, ring=ring
     )
@@ -161,20 +187,9 @@ def c_allgather_stage(
     # 3. circulate the compressed blocks around the ring
     messages: List[Optional[CompressedMessage]] = [None] * size
     messages[rank] = message
-    ring = range(size) if ring is None else ring
-    left = ring[(rank - 1) % size]
-    right = ring[(rank + 1) % size]
-    send_index = rank
-    for step in range(size - 1):
-        recv_index = (rank - step - 1) % size
-        outgoing = messages[send_index]
-        recv_req = yield Irecv(source=left, tag=tag_offset + step)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=outgoing.nbytes, tag=tag_offset + step
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
-        messages[recv_index] = received
-        send_index = recv_index
+    yield from _ring_allgather_over_group(
+        rank, ring, messages, tag_offset, CAT_ALLGATHER, _forwarded, _kept
+    )
 
     # 4. decompress everything received (the local block needs no
     # decompression).  Every rank is charged for every block, as on the real
@@ -234,30 +249,16 @@ def c_bcast_program(
     if size == 1:
         return data
 
-    relative = (rank - root) % size
     message: Optional[CompressedMessage] = None
     if rank == root:
         message = adapter.compress(data)
         yield Compute(adapter.compress_seconds(message), category=CAT_COMDECOM)
 
-    # receive the compressed buffer (non-roots)
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            message = yield Wait(req, category=CAT_WAIT)
-            break
-        mask <<= 1
-
-    # forward the *compressed* buffer to the sub-tree
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            req = yield Isend(dest=dest, data=message, nbytes=message.nbytes, tag=0)
-            yield Wait(req, category=CAT_WAIT)
-        mask >>= 1
+    # the *compressed* buffer rides the tree untouched
+    group = [(index + root) % size for index in range(size)]
+    message = yield from _binomial_bcast_over_group(
+        (rank - root) % size, group, message, 0, _forwarded, _kept
+    )
 
     if rank == root:
         return data
@@ -297,7 +298,6 @@ def c_scatter_program(
 ):
     """C-Scatter: the root compresses every block once; compressed segments ride the
     binomial tree; each rank decompresses only its own block at the very end."""
-    relative = (rank - root) % size
     if size == 1:
         return root_blocks[0]
 
@@ -309,31 +309,11 @@ def c_scatter_program(
             yield Compute(adapter.compress_seconds(message), category=CAT_COMDECOM)
             segment.append(message)
 
-    # receive the compressed segment for this sub-tree
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            segment = yield Wait(req, category=CAT_WAIT)
-            segment = list(segment)
-            break
-        mask <<= 1
-
-    # forward the upper half of the segment (still compressed) to each child
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            child_count = min(mask, size - (relative + mask))
-            child_segment = segment[mask : mask + child_count]
-            nbytes = sum(m.nbytes for m in child_segment)
-            req = yield Isend(dest=dest, data=child_segment, nbytes=nbytes, tag=0)
-            yield Wait(req, category=CAT_WAIT)
-            segment = segment[:mask]
-        mask >>= 1
-
-    own = segment[0]
+    # segments ride the tree still compressed
+    group = [(index + root) % size for index in range(size)]
+    own = yield from _binomial_scatter_over_group(
+        (rank - root) % size, group, segment, _forwarded_list, _kept
+    )
     if rank == root:
         return root_blocks[0]
     result = adapter.decompress(own)

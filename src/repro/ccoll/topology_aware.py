@@ -10,8 +10,9 @@ intra-node binomial reduce to the node leader, allreduce among the leaders,
 intra-node binomial bcast, the first and last uncompressed).  The skeleton
 takes the leader stage — the only one crossing the inter-node fabric — as a
 rank program, and this module supplies a compressed one,
-:func:`_group_compressed_ring_allreduce`: the reduce-scatter half compresses
-each outgoing chunk per hop (decompress, reduce on arrival) and the allgather
+:func:`_group_compressed_ring_allreduce`: the reduce-scatter half is the
+shared ring reduce-scatter schedule with hops that compress each outgoing
+chunk and decompress on arrival (one ``Compute`` each), and the allgather
 half uses the paper's data-movement framework (compress the reduced chunk
 once, forward compressed bytes, decompress only at the end).
 
@@ -53,15 +54,29 @@ from repro.collectives.hierarchical import (
     hierarchical_allreduce_program,
     node_groups,
 )
-from repro.collectives.reduce_scatter import partition_chunks
-from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
+from repro.collectives.reduce_scatter import _ring_reduce_scatter_over_group, partition_chunks
+from repro.mpisim.commands import Compute
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
-from repro.mpisim.timeline import CAT_COMDECOM, CAT_REDUCTION, CAT_WAIT
+from repro.mpisim.timeline import CAT_COMDECOM
 
 __all__ = ["select_inter_compression"]
 
 _TAG_INTER_RS = 10_000
 _TAG_INTER_AG = 30_000
+
+
+def _compressed(adapter: CompressionAdapter, chunk: np.ndarray):
+    """The leader ring's send hop: compress the outgoing partial sum."""
+    message = adapter.compress(chunk)
+    yield Compute(adapter.compress_seconds(message), category=CAT_COMDECOM)
+    return message, message.nbytes
+
+
+def _decompressed_shared(adapter: CompressionAdapter, message):
+    """The leader ring's receive hop: the reconstruction, only read (summed by the schedule)."""
+    incoming = adapter.decompress_shared(message)
+    yield Compute(adapter.decompress_seconds(message), category=CAT_COMDECOM)
+    return incoming
 
 
 def _group_compressed_ring_allreduce(
@@ -74,34 +89,19 @@ def _group_compressed_ring_allreduce(
     """Compressed ring allreduce over ``group`` (the inter-node leader stage).
 
     Reduce-scatter compresses each hop's chunk (fresh partial sums must be
-    re-encoded every round); the allgather reuses the data-movement framework
-    (:func:`repro.ccoll.movement.c_allgather_stage` over the leader ring):
-    one compression of the reduced chunk, compressed forwarding, decompression
-    of every remote chunk at the end.
+    re-encoded every round) on the shared ring schedule; the allgather reuses
+    the data-movement framework (:func:`repro.ccoll.movement.c_allgather_stage`
+    over the leader ring): one compression of the reduced chunk, compressed
+    forwarding, decompression of every remote chunk at the end.
     """
     size = len(group)
     chunks = partition_chunks(vec, size)
     if size == 1:
         return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    left = group[(my_idx - 1) % size]
-    right = group[(my_idx + 1) % size]
-
-    # ------------------------------------------- compressed reduce-scatter
-    for step in range(size - 1):
-        send_index = (my_idx - step - 1) % size
-        recv_index = (my_idx - step - 2) % size
-        outgoing = adapter.compress(chunks[send_index])
-        yield Compute(adapter.compress_seconds(outgoing), category=CAT_COMDECOM)
-        tag = _TAG_INTER_RS + step
-        recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(dest=right, data=outgoing, nbytes=outgoing.nbytes, tag=tag)
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
-        incoming = adapter.decompress_shared(received)  # only read: summed below
-        yield Compute(adapter.decompress_seconds(received), category=CAT_COMDECOM)
-        chunks[recv_index] = chunks[recv_index] + incoming
-        yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)
-
-    # -------------------------------------- compress-once allgather stage
+    send, receive = partial(_compressed, adapter), partial(_decompressed_shared, adapter)
+    yield from _ring_reduce_scatter_over_group(
+        my_idx, group, chunks, ctx, _TAG_INTER_RS, send, receive
+    )
     blocks = yield from c_allgather_stage(
         my_idx,
         size,

@@ -5,8 +5,19 @@ These are the algorithms the paper's evaluation compares against (its "AD" /
 binomial-tree broadcast / scatter / gather / reduce, and pairwise all-to-all —
 plus the MPICH-style allreduce alternatives (recursive doubling, Rabenseifner,
 hierarchical) and the tuning-table selector that picks between them by message
-size, rank count and topology.  The C-Coll variants in :mod:`repro.ccoll`
-reuse the same communication structures with compression integrated.
+size, rank count and topology.
+
+Four schedules are written once and shared: the ring reduce-scatter
+(:mod:`~repro.collectives.reduce_scatter`), the ring allgather
+(:mod:`~repro.collectives.allgather`), the binomial broadcast
+(:mod:`~repro.collectives.bcast`) and the binomial scatter
+(:mod:`~repro.collectives.scatter`).  Each takes what a rank does to every
+message as two *hops* (see :mod:`~repro.collectives.context`): the baselines
+send as is and copy on arrival, while the C-Coll and CPR-P2P variants in
+:mod:`repro.ccoll` run the very same schedules with compressing, forwarding or
+decompressing hops.  A compressed collective and its baseline therefore
+differ only in what happens at each hop, never in who sends to whom in which
+round.
 """
 
 from repro.collectives.allgather import ring_allgather_program

@@ -8,12 +8,12 @@ neighbour, so each block travels once around the ring.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
+from repro.collectives.context import CollectiveContext, CollectivePlan, Hop, as_rank_arrays
+from repro.mpisim.commands import Irecv, Isend, Waitall
 from repro.mpisim.timeline import CAT_ALLGATHER
 
 __all__ = ["ring_allgather_program"]
@@ -22,17 +22,20 @@ __all__ = ["ring_allgather_program"]
 def _ring_allgather_over_group(
     my_idx: int,
     group: Sequence[int],
-    blocks: List[Optional[np.ndarray]],
-    ctx: CollectiveContext,
+    blocks: List[Any],
     tag_base: int,
+    category: str,
+    send: Hop,
+    receive: Hop,
 ):
-    """The ring allgather loop over an explicit rank group, filling ``blocks``.
+    """The ring allgather schedule over an explicit rank group, filling ``blocks``.
 
-    ``group`` lists the participating ranks in ring order, ``my_idx`` is this
-    rank's position in it and ``blocks[my_idx]`` its own block; on return
-    ``blocks`` holds every position's block.  This is the one uncompressed
-    allgather loop: the flat program runs it over ``range(size)`` and the ring
-    allreduce as its second half.
+    ``group`` lists the ranks in ring order, ``my_idx`` is this rank's position
+    in it and ``blocks[my_idx]`` its own block; on return ``blocks`` holds what
+    ``receive`` kept of every other one, and the waits are charged to
+    ``category`` (hops: see :mod:`repro.collectives.context`).  The baseline,
+    the ring allreduce, C-Allgather, its size exchange and the CPR-P2P
+    allgather all run this one schedule.
     """
     size = len(group)
     left = group[(my_idx - 1) % size]
@@ -40,16 +43,12 @@ def _ring_allgather_over_group(
     send_index = my_idx
     for step in range(size - 1):
         recv_index = (my_idx - step - 1) % size
-        outgoing = blocks[send_index]
+        data, nbytes = yield from send(blocks[send_index])
         tag = tag_base + step
         recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
-        )
-        received, _ = yield Waitall([recv_req, send_req], category=CAT_ALLGATHER)
-        blocks[recv_index] = received
-        # copy the received block into the gathered output buffer
-        yield Compute(ctx.memcpy_seconds(received), category=CAT_ALLGATHER)
+        send_req = yield Isend(dest=right, data=data, nbytes=nbytes, tag=tag)
+        received, _ = yield Waitall([recv_req, send_req], category=category)
+        blocks[recv_index] = yield from receive(received)
         send_index = recv_index
     return blocks
 
@@ -63,7 +62,12 @@ def ring_allgather_program(
     """Rank program for the ring allgather; returns the list of all blocks."""
     blocks: List[Optional[np.ndarray]] = [None] * size
     blocks[rank] = my_block
-    return (yield from _ring_allgather_over_group(rank, range(size), blocks, ctx, 0))
+    receive = ctx.copied(CAT_ALLGATHER)  # into the gathered output buffer
+    return (
+        yield from _ring_allgather_over_group(
+            rank, range(size), blocks, 0, CAT_ALLGATHER, ctx.sent_as_is, receive
+        )
+    )
 
 
 def _plan_ring_allgather(inputs, n_ranks: int, ctx: CollectiveContext) -> CollectivePlan:

@@ -18,7 +18,7 @@ from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank
 from repro.collectives.allgather import _ring_allgather_over_group
 from repro.collectives.reduce_scatter import partition_chunks, _ring_reduce_scatter_over_group
 from repro.mpisim.commands import Compute
-from repro.mpisim.timeline import CAT_OTHERS
+from repro.mpisim.timeline import CAT_ALLGATHER, CAT_MEMCPY, CAT_OTHERS
 
 __all__ = ["ring_allreduce_over_group", "ring_allreduce_program"]
 
@@ -41,8 +41,13 @@ def ring_allreduce_over_group(
     chunks = partition_chunks(my_vector, size)
     if size == 1:
         return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    yield from _ring_reduce_scatter_over_group(my_idx, group, chunks, ctx, tag_base)
-    yield from _ring_allgather_over_group(my_idx, group, chunks, ctx, tag_base + size)
+    send = ctx.sent_as_is
+    yield from _ring_reduce_scatter_over_group(
+        my_idx, group, chunks, ctx, tag_base, send, ctx.copied(CAT_MEMCPY)
+    )
+    yield from _ring_allgather_over_group(
+        my_idx, group, chunks, tag_base + size, CAT_ALLGATHER, send, ctx.copied(CAT_ALLGATHER)
+    )
     return np.concatenate(chunks)
 
 

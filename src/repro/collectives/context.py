@@ -11,6 +11,12 @@ the C-Coll variants in :mod:`repro.ccoll`) needs two things besides the data:
   smaller (but still real) arrays without changing any algorithm code.  All
   virtual byte counts — network message sizes and compute durations alike —
   are scaled consistently through this context.
+
+It also supplies the uncompressed *hops*.  The four shared schedules take
+what a rank does to each message as two rank programs: ``send(payload) ->
+(wire data, modelled nbytes)`` before a round posts its receive, and
+``receive(data) -> what the rank keeps`` after its wait.  The baselines send
+as is and copy on arrival; :mod:`repro.ccoll` passes its own hops.
 """
 
 from __future__ import annotations
@@ -20,12 +26,16 @@ from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
+from repro.mpisim.commands import Compute
 from repro.mpisim.engine import payload_nbytes
 from repro.mpisim.launcher import SimulationResult
 from repro.perfmodel.costmodel import CostModel
 from repro.utils.validation import ensure_positive
 
 __all__ = ["CollectiveContext", "CollectiveOutcome", "CollectivePlan", "as_rank_arrays"]
+
+#: a send or receive hop: the rank program a schedule runs on one message
+Hop = Callable[[Any], Generator]
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,22 @@ class CollectiveContext:
     def alloc_seconds(self, data: Any) -> float:
         """Virtual time to allocate a buffer the size of ``data``."""
         return self.cost.alloc_seconds(self.vbytes(data))
+
+    # ------------------------------------------------------- uncompressed hops
+
+    def sent_as_is(self, payload: Any):
+        """Send hop: ``payload`` itself, at its virtual size."""
+        yield from ()
+        return payload, self.vbytes(payload)
+
+    def copied(self, category: str) -> Hop:
+        """Receive hop: keep what arrived, charging one memcpy of it to ``category``."""
+
+        def receive(data: Any):
+            yield Compute(self.memcpy_seconds(data), category=category)
+            return data
+
+        return receive
 
 
 @dataclass

@@ -15,7 +15,8 @@ inter-node bandwidth is contended (:class:`SharedUplinkTopology`, where the
 ring's ``r`` concurrent per-node egress flows split one uplink) or when
 latency dominates.  ``bench_topology_scaling.py`` demonstrates both regimes.
 
-The building blocks (`_group_binomial_reduce`, `_group_binomial_bcast`, and
+The building blocks (`_group_binomial_reduce` here, the shared binomial
+broadcast schedule of :mod:`repro.collectives.bcast` and
 :func:`repro.collectives.allreduce.ring_allreduce_over_group`) operate over an
 explicit list of global ranks, so they compose for any placement the topology
 describes.  Stage 2 is a parameter of the skeleton: the topology-aware
@@ -30,6 +31,7 @@ from typing import Callable, Generator, List, Optional
 import numpy as np
 
 from repro.collectives.allreduce import ring_allreduce_over_group
+from repro.collectives.bcast import _binomial_bcast_over_group
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
 from repro.mpisim.topology import FlatTopology, Topology
@@ -67,33 +69,6 @@ def _group_binomial_reduce(
             vec = vec + received
             yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
         mask <<= 1
-    return vec
-
-
-def _group_binomial_bcast(
-    my_idx: int,
-    group: List[int],
-    vec: Optional[np.ndarray],
-    ctx: CollectiveContext,
-    tag: int,
-):
-    """Binomial-tree broadcast of ``vec`` from ``group[0]``; returns the buffer."""
-    mask = 1
-    while mask < len(group):
-        if my_idx & mask:
-            src = group[my_idx - mask]
-            req = yield Irecv(source=src, tag=tag)
-            vec = yield Wait(req, category=CAT_WAIT)
-            yield Compute(ctx.memcpy_seconds(vec), category=CAT_MEMCPY)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        if my_idx + mask < len(group):
-            dst = group[my_idx + mask]
-            req = yield Isend(dest=dst, data=vec, nbytes=ctx.vbytes(vec), tag=tag)
-            yield Wait(req, category=CAT_WAIT)
-        mask >>= 1
     return vec
 
 
@@ -147,8 +122,9 @@ def hierarchical_allreduce_program(
         vec = yield from leader_allreduce(leaders.index(rank), leaders, vec)
 
     # stage 3: intra-node binomial broadcast of the reduced vector
-    vec = yield from _group_binomial_bcast(
-        my_idx, peers, vec if is_leader else None, ctx, tag=_TAG_BCAST
+    payload = vec if is_leader else None
+    vec = yield from _binomial_bcast_over_group(
+        my_idx, peers, payload, _TAG_BCAST, ctx.sent_as_is, ctx.copied(CAT_MEMCPY)
     )
     return vec
 

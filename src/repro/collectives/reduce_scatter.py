@@ -13,7 +13,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
+from repro.collectives.context import CollectiveContext, CollectivePlan, Hop, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Waitall
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_REDUCTION, CAT_WAIT
 from repro.utils.chunking import split_counts, split_displacements
@@ -34,13 +34,16 @@ def _ring_reduce_scatter_over_group(
     chunks: List[np.ndarray],
     ctx: CollectiveContext,
     tag_base: int,
+    send: Hop,
+    receive: Hop,
 ):
-    """The ring reduce-scatter loop over an explicit rank group, reducing into ``chunks``.
+    """The ring reduce-scatter schedule over an explicit rank group, reducing into ``chunks``.
 
-    ``group`` lists the participating ranks in ring order and ``my_idx`` is
-    this rank's position in it; on return ``chunks[my_idx]`` is fully reduced.
-    This is the one uncompressed reduce-scatter loop: the flat program runs it
-    over ``range(size)`` and the ring allreduce as its first half.
+    ``group`` lists the ranks in ring order and ``my_idx`` is this rank's
+    position in it; on return ``chunks[my_idx]`` is fully reduced.  ``receive``
+    yields the operand summed into the local chunk (hops: see
+    :mod:`repro.collectives.context`).  The baseline, the ring and CPR-P2P
+    allreduces and the topology-aware leader ring all run this one schedule.
     """
     size = len(group)
     left = group[(my_idx - 1) % size]
@@ -48,17 +51,14 @@ def _ring_reduce_scatter_over_group(
     for step in range(size - 1):
         send_index = (my_idx - step - 1) % size
         recv_index = (my_idx - step - 2) % size
-        outgoing = chunks[send_index]
+        data, nbytes = yield from send(chunks[send_index])
         tag = tag_base + step
         recv_req = yield Irecv(source=left, tag=tag)
-        send_req = yield Isend(
-            dest=right, data=outgoing, nbytes=ctx.vbytes(outgoing), tag=tag
-        )
+        send_req = yield Isend(dest=right, data=data, nbytes=nbytes, tag=tag)
         received, _ = yield Waitall([recv_req, send_req], category=CAT_WAIT)
-        # stage the received chunk, then reduce it into the local partial sum
-        yield Compute(ctx.memcpy_seconds(received), category=CAT_MEMCPY)
-        chunks[recv_index] = chunks[recv_index] + received  # out-of-place: sent buffers stay intact
-        yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
+        incoming = yield from receive(received)
+        chunks[recv_index] = chunks[recv_index] + incoming  # out-of-place: sent buffers stay intact
+        yield Compute(ctx.reduce_seconds(incoming), category=CAT_REDUCTION)
     return chunks
 
 
@@ -70,7 +70,10 @@ def ring_reduce_scatter_program(
 ):
     """Rank program for the ring reduce-scatter; returns the rank's reduced chunk."""
     chunks = partition_chunks(my_vector, size)
-    yield from _ring_reduce_scatter_over_group(rank, range(size), chunks, ctx, 0)
+    receive = ctx.copied(CAT_MEMCPY)  # stage each received chunk before reducing it
+    yield from _ring_reduce_scatter_over_group(
+        rank, range(size), chunks, ctx, 0, ctx.sent_as_is, receive
+    )
     return chunks[rank]
 
 

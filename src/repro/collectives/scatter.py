@@ -8,19 +8,50 @@ forward the halves that belong to their children.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
+from repro.collectives.context import CollectiveContext, CollectivePlan, Hop, as_rank_arrays
 from repro.mpisim.commands import Compute, Irecv, Isend, Wait
 from repro.mpisim.timeline import CAT_MEMCPY, CAT_WAIT
 
 __all__ = ["binomial_scatter_program"]
 
 
-def _segment_nbytes(blocks: List[np.ndarray], ctx: CollectiveContext) -> int:
-    return sum(ctx.vbytes(b) for b in blocks)
+def _binomial_scatter_over_group(
+    my_idx: int,
+    group: Sequence[int],
+    segment: Optional[list],
+    send: Hop,
+    receive: Hop,
+):
+    """The binomial-tree scatter schedule from ``group[0]``; returns this rank's own entry.
+
+    ``segment[i]`` is the entry for position ``my_idx + i`` of ``group`` (the
+    whole list on ``group[0]``, ``None`` elsewhere); the hops (see
+    :mod:`repro.collectives.context`) act on the lists forwarded down the
+    tree.  The baseline, C-Scatter and the CPR-P2P scatter all run this one
+    schedule.
+    """
+    size = len(group)
+    mask = 1
+    while mask < size:
+        if my_idx & mask:
+            req = yield Irecv(source=group[my_idx - mask], tag=0)
+            segment = yield from receive((yield Wait(req, category=CAT_WAIT)))
+            break
+        mask <<= 1
+    mask >>= 1
+    while mask > 0:
+        if my_idx + mask < size:
+            child_count = min(mask, size - (my_idx + mask))
+            data, nbytes = yield from send(segment[mask : mask + child_count])
+            req = yield Isend(dest=group[my_idx + mask], data=data, nbytes=nbytes, tag=0)
+            yield Wait(req, category=CAT_WAIT)
+            segment = segment[:mask]
+        mask >>= 1
+    return segment[0]
 
 
 def binomial_scatter_program(
@@ -35,47 +66,21 @@ def binomial_scatter_program(
     ``root_blocks`` is the per-rank block list (indexed by *relative* rank) on
     the root and ``None`` elsewhere.
     """
-    relative = (rank - root) % size
-    if size == 1:
-        return root_blocks[0]
 
-    # segment[i] will hold the block for relative rank `relative + i`
-    segment: Optional[List[np.ndarray]] = None
-    if rank == root:
-        segment = list(root_blocks)
+    def sent(blocks: List[np.ndarray]):
+        yield from ()
+        return blocks, sum(ctx.vbytes(b) for b in blocks)
 
-    # receive phase
-    mask = 1
-    while mask < size:
-        if relative & mask:
-            source = (relative - mask + root) % size
-            req = yield Irecv(source=source, tag=0)
-            segment = yield Wait(req, category=CAT_WAIT)
-            segment = list(segment)
-            yield Compute(
-                ctx.cost.memcpy_seconds(_segment_nbytes(segment, ctx)), category=CAT_MEMCPY
-            )
-            break
-        mask <<= 1
+    def copied(blocks: List[np.ndarray]):  # one memcpy of the whole segment
+        nbytes = sum(ctx.vbytes(b) for b in blocks)
+        yield Compute(ctx.cost.memcpy_seconds(nbytes), category=CAT_MEMCPY)
+        return blocks
 
-    # send phase: pass the upper half of the segment to each child
-    mask >>= 1
-    while mask > 0:
-        if relative + mask < size:
-            dest = (relative + mask + root) % size
-            child_count = min(mask, size - (relative + mask))
-            child_segment = segment[mask : mask + child_count]
-            req = yield Isend(
-                dest=dest,
-                data=child_segment,
-                nbytes=_segment_nbytes(child_segment, ctx),
-                tag=0,
-            )
-            yield Wait(req, category=CAT_WAIT)
-            segment = segment[:mask]
-        mask >>= 1
-
-    return segment[0]
+    group = [(index + root) % size for index in range(size)]
+    segment = list(root_blocks) if rank == root else None
+    return (
+        yield from _binomial_scatter_over_group((rank - root) % size, group, segment, sent, copied)
+    )
 
 
 def _plan_binomial_scatter(

@@ -66,11 +66,13 @@ Contention models
 -----------------
 
 A run times overlapping bulk streams on shared stages with one of two
-disciplines.  The stage is the same :class:`SharedLink` object under both;
-the discipline is resolved once per run by the engine — fair when either the
-topology's ``contention`` parameter or ``NetworkModel.contention`` asks for
-it — and the fair-share registry belongs to that run (the
-:class:`~repro.mpisim.engine.Engine` creates it), not to the topology:
+disciplines.  The stage is the same :class:`SharedLink` object under both; a
+topology's discipline is fixed when it is built (its ``contention``
+parameter — no re-timed clone of a topology exists), and the engine resolves
+the run's once — fair when either that parameter or
+``NetworkModel.contention`` asks for it.  The fair-share registry belongs to
+that run (the :class:`~repro.mpisim.engine.Engine` creates it), not to the
+topology:
 
 ``contention="reservation"`` (default)
     A :class:`SharedLink` serialises bulk streams at full capacity and gates

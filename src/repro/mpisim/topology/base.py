@@ -2,12 +2,11 @@
 
 Flat, hierarchical and shared-uplink topologies, plus :class:`Contended` —
 the one place the shared stages of a topology, and the contention discipline
-it asks for, are stored, cloned and reset (switch fabrics reuse it).
+it asks for, are stored and reset (switch fabrics reuse it).
 """
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -108,16 +107,6 @@ class Topology(ABC):
         both disciplines are identical.
         """
         return CONTENTION_RESERVATION
-
-    def with_contention(self, contention: str) -> "Topology":
-        """A topology timing its shared stages under ``contention``.
-
-        Returns ``self`` when nothing changes (including for uncontended
-        topologies, where the disciplines coincide); contended topologies
-        return a cheap clone with fresh stage state.
-        """
-        ensure_in(contention, CONTENTION_MODES, "contention")
-        return self
 
     def stages(self) -> Mapping[Tuple, SharedLink]:
         """Every shared stage instantiated so far, by stage id (read-only).
@@ -248,16 +237,17 @@ class Contended:
     """Mixin: named shared stages timed under one contention discipline.
 
     Everything the ``contention`` knob means to a topology lives here — the
-    discipline it asks the engine for, the stages it instantiates, the
-    re-timed clone and the per-simulation reset.  The stages are the same
-    objects under both disciplines; the fair-share registry belongs to the
-    run (the :class:`~repro.mpisim.engine.Engine` creates it).  Mix in
-    *before* the :class:`Topology` base so these members override its
-    uncontended defaults; call :meth:`_init_contention` from ``__init__``.
+    discipline it asks the engine for, the stages it instantiates and the
+    per-simulation reset.  The discipline is fixed at construction: no
+    re-timed clone exists.  The stages are the same objects under both
+    disciplines; the fair-share registry belongs to the run (the
+    :class:`~repro.mpisim.engine.Engine` creates it).  Mix in *before* the
+    :class:`Topology` base so these members override its uncontended
+    defaults; call :meth:`_init_contention` from ``__init__``.
     """
 
     def _init_contention(self, contention: str) -> None:
-        """(Re)configure the contention discipline with fresh stage state."""
+        """Configure the contention discipline, with no stage built yet."""
         ensure_in(contention, CONTENTION_MODES, "contention")
         self._contention = contention
         # lazily built, reused across simulations (reset() clears state in place)
@@ -270,13 +260,6 @@ class Contended:
     @property
     def contention(self) -> str:
         return self._contention
-
-    def with_contention(self, contention: str):
-        if contention == self._contention:
-            return self
-        clone = copy.copy(self)
-        clone._init_contention(contention)
-        return clone
 
     def stages(self) -> Mapping[Tuple, SharedLink]:
         return self._stages
@@ -302,9 +285,6 @@ class SharedUplinkTopology(Contended, HierarchicalTopology):
     def __init__(self, *args, contention: str = CONTENTION_RESERVATION, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._init_contention(contention)
-
-    def _init_contention(self, contention: str) -> None:
-        super()._init_contention(contention)
         self._uplink_links: Dict[int, LinkModel] = {}
 
     def _uplink(self, node: int) -> LinkModel:

@@ -148,16 +148,11 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         self.oversubscription_ratio = float(oversubscription)
         #: capacity of every ordinary inter-switch stage
         self.switch_bandwidth = self.nic_bandwidth / self.oversubscription_ratio
-        # route specs are contention-independent pure structure; the cache
-        # survives with_contention clones (and is shared between them)
+        # route specs are contention-independent pure structure
         self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[StageKey, ...], ...]] = {}
         self._init_contention(contention)
-
-    def _init_contention(self, contention: str) -> None:
-        super()._init_contention(contention)
         self._path_links: Dict[Tuple[StageKey, ...], LinkModel] = {}
         self._stripe_counters: Dict[int, int] = {}
-        # per contention clone (a with_contention sibling starts healthy),
         # cleared by reset()
         self._overlay = FaultOverlay()
 

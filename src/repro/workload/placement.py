@@ -57,9 +57,6 @@ class PlacementView(Topology):
     def contention(self) -> str:
         return self.base.contention
 
-    def with_contention(self, contention: str) -> "PlacementView":
-        return PlacementView(self.base.with_contention(contention), self.slots)
-
     @property
     def oversubscription_ratio(self) -> float:
         return self.base.oversubscription_ratio
@@ -83,13 +80,6 @@ class PlacementView(Topology):
             "against the view but the engine resolves job ranks to slots "
             "itself. resolve_link (engine-side routing) must be called on "
             "the base topology, never on the view."
-        )
-
-    def reserve_path(self, *args, **kwargs):
-        raise TypeError(
-            "PlacementView is compile-time only: reserve_path (engine-side "
-            "contention accounting) must be called on the base topology, "
-            "never on the view."
         )
 
     def describe(self) -> str:

@@ -1,17 +1,24 @@
 """Tests for ``Communicator.with_options`` — shallow per-session overrides.
 
 The point of the method is that parameter sweeps (the harness runs many) can
-adjust ``error_bound`` / ``size_multiplier`` / compression defaults /
-``contention`` without rebuilding the session: the clone shares the bound
-topology object (and its warmed stage caches) unless the contention
-discipline itself changes.
+adjust ``error_bound`` / ``size_multiplier`` / compression defaults without
+rebuilding the session: the clone shares the bound topology object (and its
+warmed stage caches).  The fabric's contention discipline is not an option:
+it is chosen once, when the topology is built.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.mpisim import CONTENTION_FAIR, CONTENTION_RESERVATION
+from repro.mpisim import (
+    DragonflyTopology,
+    FatTreeTopology,
+    FlatTopology,
+    HierarchicalTopology,
+    SharedUplinkTopology,
+)
+from repro.workload.placement import PlacementView
 
 
 def inputs_for(n_ranks, n_elems=2048, seed=7):
@@ -88,57 +95,56 @@ class TestCompressionDefault:
             compressed.allreduce(inputs_for(8), algorithm="ring", compression="on")
 
 
-class TestContentionOverride:
-    def test_contention_override_swaps_the_stage_discipline(self):
-        comm = Cluster.from_preset(
-            "fat_tree", nodes=8, oversubscription=2.0
-        ).communicator(8)
-        fair = comm.with_options(contention=CONTENTION_FAIR)
-        assert fair.cluster.topology is not comm.cluster.topology
-        assert fair.cluster.topology.contention == CONTENTION_FAIR
-        assert comm.cluster.topology.contention == CONTENTION_RESERVATION
-        # the preset name survives: only the stage timing discipline changed
-        assert fair.cluster.preset == comm.cluster.preset == "fat_tree"
-        # round-tripping back to reservation is another cheap clone
-        back = fair.with_options(contention=CONTENTION_RESERVATION)
-        assert back.cluster.topology.contention == CONTENTION_RESERVATION
+class TestContentionIsChosenOnce:
+    def test_no_session_or_topology_re_times_a_fabric(self):
+        """A fabric's contention discipline is fixed when its topology is built."""
+        comm = Cluster.from_preset("fat_tree", nodes=8).communicator(8)
+        with pytest.raises(TypeError):
+            comm.with_options(contention="fair")
+        topologies = (
+            FlatTopology,
+            HierarchicalTopology,
+            SharedUplinkTopology,
+            FatTreeTopology,
+            DragonflyTopology,
+            PlacementView,
+        )
+        assert [cls.__name__ for cls in topologies if hasattr(cls, "with_contention")] == []
 
-    def test_same_contention_is_a_no_op_on_the_topology(self):
-        comm = Cluster.from_preset("shared_uplink", ranks_per_node=4).communicator(8)
-        same = comm.with_options(contention=CONTENTION_RESERVATION)
-        assert same.cluster.topology is comm.cluster.topology
+    def test_a_preset_picks_the_discipline_at_construction(self):
+        fair = Cluster.from_preset("fat_tree", nodes=8, oversubscription=2.0, contention="fair")
+        default = Cluster.from_preset("fat_tree", nodes=8, oversubscription=2.0)
+        assert fair.topology.contention == "fair"
+        assert default.topology.contention == "reservation"
+        assert fair.preset == default.preset == "fat_tree"
 
-    def test_contention_on_flat_cluster_is_harmless(self):
-        comm = Cluster().communicator(4)  # no topology bound
-        fair = comm.with_options(contention=CONTENTION_FAIR)
-        outcome = fair.allreduce(inputs_for(4), algorithm="ring")
-        want = comm.allreduce(inputs_for(4), algorithm="ring")
-        assert outcome.total_time == want.total_time
-
-    def test_invalid_contention_rejected(self):
-        comm = Cluster.from_preset("shared_uplink", ranks_per_node=4).communicator(8)
+    def test_an_unknown_discipline_is_refused_at_construction(self):
         with pytest.raises(ValueError):
-            comm.with_options(contention="psychic")
+            Cluster.from_preset("shared_uplink", ranks_per_node=4, contention="psychic")
 
-    def test_fair_override_changes_contended_timing_only(self):
-        """On a tapered tree the fair clone re-times contention, while a
-        reservation round-trip reproduces the original exactly."""
+    def test_a_clone_keeps_the_fabric_discipline(self):
         comm = Cluster.from_preset(
-            "fat_tree", nodes=16, ranks_per_node=1, oversubscription=2.0
-        ).communicator(16)
-        inputs = inputs_for(16, n_elems=65536)
-        res_time = comm.allreduce(inputs, algorithm="ring").total_time
-        fair_comm = comm.with_options(contention=CONTENTION_FAIR)
-        fair_time = fair_comm.allreduce(inputs, algorithm="ring").total_time
-        back_time = (
-            fair_comm.with_options(contention=CONTENTION_RESERVATION)
-            .allreduce(inputs, algorithm="ring")
-            .total_time
-        )
-        assert back_time == res_time
-        # values are identical regardless of the discipline
-        np.testing.assert_array_equal(
-            fair_comm.allreduce(inputs, algorithm="ring").value(0),
-            comm.allreduce(inputs, algorithm="ring").value(0),
-        )
-        assert fair_time > 0.0
+            "fat_tree", nodes=8, oversubscription=2.0, contention="fair"
+        ).communicator(8)
+        tweaked = comm.with_options(error_bound=1e-2)
+        assert tweaked.cluster.topology is comm.cluster.topology
+        assert tweaked.cluster.topology.contention == "fair"
+        inputs = inputs_for(8, n_elems=16384)
+        want = comm.allreduce(inputs, algorithm="ring").total_time
+        assert tweaked.allreduce(inputs, algorithm="ring").total_time == want
+
+    def test_the_discipline_changes_contended_timing_only(self):
+        """On a tapered tree a fair build re-times contention; values are the
+        same, and a second reservation build reproduces the first exactly."""
+
+        def ring(contention):
+            comm = Cluster.from_preset(
+                "fat_tree", nodes=16, ranks_per_node=1, oversubscription=2.0,
+                contention=contention,
+            ).communicator(16)
+            return comm.allreduce(inputs_for(16, n_elems=65536), algorithm="ring")
+
+        reservation, fair = ring("reservation"), ring("fair")
+        assert ring("reservation").total_time == reservation.total_time
+        assert fair.total_time > 0.0
+        np.testing.assert_array_equal(fair.value(0), reservation.value(0))

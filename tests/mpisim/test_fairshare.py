@@ -1,8 +1,8 @@
 """Unit and regression tests for the fair-share contention model.
 
 Covers the pieces the property suite does not: registry mechanics and
-rate-change callbacks, ``with_contention`` cloning, the ``NetworkModel``
-contention knob, and the reset regression — no flow-registry or
+rate-change callbacks, the contention knob of the topology constructors and
+of ``NetworkModel``, and the reset regression — no flow-registry or
 rate-callback state may leak across engine reuse of one topology object.
 """
 
@@ -142,44 +142,42 @@ class TestContentionKnob:
             FatTreeTopology(k=4, contention="psychic")
         with pytest.raises(ValueError):
             NetworkModel(contention="psychic")
-        with pytest.raises(ValueError):
-            FlatTopology().with_contention("psychic")
-
-    def test_with_contention_returns_self_when_unchanged(self):
-        topo = FatTreeTopology(k=4)
-        assert topo.with_contention(CONTENTION_RESERVATION) is topo
-        fair = FatTreeTopology(k=4, contention=CONTENTION_FAIR)
-        assert fair.with_contention(CONTENTION_FAIR) is fair
-        # uncontended topologies have nothing to re-time
-        flat = FlatTopology()
-        assert flat.with_contention(CONTENTION_FAIR) is flat
-        hier = HierarchicalTopology(ranks_per_node=2)
-        assert hier.with_contention(CONTENTION_FAIR) is hier
-
-    def test_with_contention_clones_with_fresh_stage_state(self):
-        topo = FatTreeTopology(k=4)
-        topo.resolve_link(0, 4)  # warm a stage
-        fair = topo.with_contention(CONTENTION_FAIR)
-        assert fair is not topo
-        assert fair.contention == CONTENTION_FAIR
-        assert topo.contention == CONTENTION_RESERVATION
-        # structure is shared, stage state is not
-        assert fair.k == topo.k and fair.routing == topo.routing
-        assert not fair.stages()
-        link = fair.resolve_link(0, 4)
-        assert not set(link.stages) & set(topo.stages().values())
-
-    def test_shared_uplink_with_contention_clones(self):
-        topo = SharedUplinkTopology(ranks_per_node=2)
-        warm = topo.link(0, 2)
-        fair = topo.with_contention(CONTENTION_FAIR)
-        assert fair is not topo and fair.contention == CONTENTION_FAIR
-        assert not fair.stages()
-        assert fair.link(0, 2).stages[0] is not warm.stages[0]
 
     def test_describe_mentions_the_discipline(self):
         assert "fair" in FatTreeTopology(k=4, contention=CONTENTION_FAIR).describe()
         assert "reservation" in SharedUplinkTopology(ranks_per_node=2).describe()
+
+    def test_uncontended_topologies_take_no_discipline(self):
+        """Nothing to re-time: no stage, no knob, and both disciplines agree."""
+        for topo in (FlatTopology(), HierarchicalTopology(ranks_per_node=2)):
+            assert topo.contention == CONTENTION_RESERVATION
+            assert not topo.shares_uplinks
+            assert topo.stages() == {}
+        with pytest.raises(TypeError):
+            HierarchicalTopology(ranks_per_node=2, contention=CONTENTION_FAIR)
+
+    def test_a_fresh_fabric_holds_no_stage_until_a_link_resolves(self):
+        topo = FatTreeTopology(k=4, contention=CONTENTION_FAIR)
+        assert topo.contention == CONTENTION_FAIR
+        assert not topo.stages()
+        link = topo.resolve_link(0, 4)
+        assert set(link.stages) == set(topo.stages().values())
+        # a second fabric built alike shares its structure, not its stages
+        other = FatTreeTopology(k=4, contention=CONTENTION_FAIR)
+        assert not set(other.resolve_link(0, 4).stages) & set(link.stages)
+
+    def test_shared_uplink_caches_one_link_per_node(self):
+        topo = SharedUplinkTopology(ranks_per_node=2, contention=CONTENTION_FAIR)
+        assert not topo.stages()
+        link = topo.link(0, 2)
+        # both ranks of node 0 leave through the one uplink
+        assert topo.link(1, 3) is link
+        assert list(topo.stages()) == [("uplink", 0)]
+        assert link.stages == (topo.stages()[("uplink", 0)],)
+        # reset() clears the stage in place: the cached objects survive
+        topo.reset()
+        assert topo.link(0, 2) is link
+        assert link.stages[0] is topo.stages()[("uplink", 0)]
 
 
 class TestResetRegression:
@@ -284,7 +282,7 @@ def _fabric(name, contention):
 def _asymmetric_allreduce(topology, n_ranks=8):
     """Program factory of the forced-rabenseifner allreduce whose flows are
     asymmetric under an irregular placement — the traffic of
-    ``tests/fuzzer/regressions/test_with_options_contention.py``."""
+    ``tests/fuzzer/regressions/test_contention_siblings.py``."""
     from repro.api import Cluster
 
     rng = np.random.default_rng(3)

@@ -9,6 +9,9 @@
   ``overlay`` import no sibling, ``base`` only ``links``, ``switch`` the other
   three.  How a stage is metered lives behind ``links``: nothing under
   ``repro.workload`` patches :class:`SharedLink`.
+* The compressed collectives (``ccoll/movement.py``, ``cpr_p2p.py``,
+  ``topology_aware.py``) post no message themselves: they are hops on the
+  four shared schedules of :mod:`repro.collectives`.
 * The engine owns job-local addressing: ``repro.workload`` binds rank
   programs as they were captured and never looks at (let alone rewrites) the
   commands they yield, so it imports nothing from ``repro.mpisim.commands``.
@@ -65,6 +68,32 @@ def test_collective_layers_build_plans_and_execute_nothing():
                     if arg.arg in ("network", "backend"):
                         offenders.append(f"{path}:{node.lineno} {node.name}() takes {arg.arg}")
     assert offenders == []
+
+
+#: the C-Coll and CPR-P2P programs that are hops on the baselines' schedules
+HOP_MODULES = ("ccoll/movement.py", "ccoll/cpr_p2p.py", "ccoll/topology_aware.py")
+WIRE_COMMANDS = {"Irecv", "Isend", "Wait", "Waitall"}
+
+
+def test_compressed_collectives_reach_the_wire_only_through_the_shared_schedules():
+    """The compressed collectives post no message themselves.
+
+    Each runs one of the four schedules of :mod:`repro.collectives` (ring
+    reduce-scatter, ring allgather, binomial broadcast, binomial scatter) with
+    its own hops, so the schedule it is compared against is the baseline's by
+    construction, not by copy.  ``ccoll/computation.py`` is the one exception:
+    its pipelined reduce-scatter (segments and ``Test`` polling) is the one
+    compressed schedule of its own.
+    """
+    offenders = [
+        f"{path} imports {name}"
+        for path, tree in _trees("ccoll")
+        if path.as_posix() in HOP_MODULES
+        for _, name in _imports(tree)
+        if name in WIRE_COMMANDS
+    ]
+    assert offenders == []
+    assert {path.as_posix() for path, _ in _trees("ccoll")} >= set(HOP_MODULES)
 
 
 def test_run_simulation_is_called_from_one_place_in_the_api():

@@ -176,8 +176,6 @@ class TestPlacementView:
         view = PlacementView(topology, (0, 1, 2, 3))
         with pytest.raises(TypeError, match="compile-time only"):
             view.resolve_link(0, 1)
-        with pytest.raises(TypeError, match="compile-time only"):
-            view.reserve_path(0, 1, 1024, 0.0)
 
     def test_delegates_fabric_wide_properties(self):
         topology = Cluster.from_preset("fat_tree", ranks_per_node=2, contention="fair").topology
