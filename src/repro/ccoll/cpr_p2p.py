@@ -8,9 +8,14 @@ right after arrival.  Consequences (all reproduced here):
 * a chunk that travels ``k`` hops is compressed and decompressed ``k`` times,
   so the compression overhead scales with the number of rounds (Figures 2, 3
   and 7);
-* the repeated lossy re-compression accumulates error hop after hop, which is
-  why the CPR-P2P stacking images in Figure 18 degrade while C-Coll stays at
-  the single-compression error bound;
+* the repeated lossy re-compression may accumulate error hop after hop: the
+  guarantee is one error bound per hop
+  (:func:`~repro.analysis.propagation.cpr_p2p_movement_bound`, hops x eb)
+  where C-Coll's is one bound.  That is a worst case, not what SZx shows:
+  re-compressing SZx's own reconstruction has not grown its max error in any
+  run measured, and ``harness fig18 --scale small`` prints the same PSNR /
+  NRMSE / max error for ``c-allreduce`` and ``cpr-szx`` at all three bounds
+  (42.89 / 62.04 / 80.58 dB);
 * every compression call allocates/frees working buffers, which the paper
   measures as a sizeable "Others" share for the direct SZx integration.
 

@@ -15,8 +15,9 @@ inter-node bandwidth is contended (:class:`SharedUplinkTopology`, where the
 ring's ``r`` concurrent per-node egress flows split one uplink) or when
 latency dominates.  ``bench_topology_scaling.py`` demonstrates both regimes.
 
-The building blocks (`_group_binomial_reduce` here, the shared binomial
-broadcast schedule of :mod:`repro.collectives.bcast` and
+The building blocks (`_group_binomial_reduce` here, the gather's up-tree
+with an add; the shared binomial broadcast schedule of
+:mod:`repro.collectives.bcast`; and
 :func:`repro.collectives.allreduce.ring_allreduce_over_group`) operate over an
 explicit list of global ranks, so they compose for any placement the topology
 describes.  Stage 2 is a parameter of the skeleton: the topology-aware
@@ -33,9 +34,10 @@ import numpy as np
 from repro.collectives.allreduce import ring_allreduce_over_group
 from repro.collectives.bcast import _binomial_bcast_over_group
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.mpisim.commands import Compute, Irecv, Isend, Wait
+from repro.collectives.gather import _binomial_gather_over_group
+from repro.mpisim.commands import Compute
 from repro.mpisim.topology import FlatTopology, Topology
-from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
+from repro.mpisim.timeline import CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION
 
 __all__ = ["hierarchical_allreduce_program", "node_groups"]
 
@@ -53,23 +55,15 @@ def _group_binomial_reduce(
     ctx: CollectiveContext,
     tag: int,
 ):
-    """Binomial-tree sum reduction of ``vec`` to ``group[0]``; returns the
-    partial sum held by this rank (the full sum on the group root)."""
-    mask = 1
-    while mask < len(group):
-        if my_idx & mask:
-            dst = group[my_idx - mask]
-            req = yield Isend(dest=dst, data=vec, nbytes=ctx.vbytes(vec), tag=tag)
-            yield Wait(req, category=CAT_WAIT)
-            break
-        src_idx = my_idx + mask
-        if src_idx < len(group):
-            req = yield Irecv(source=group[src_idx], tag=tag)
-            received = yield Wait(req, category=CAT_WAIT)
-            vec = vec + received
-            yield Compute(ctx.reduce_seconds(received), category=CAT_REDUCTION)
-        mask <<= 1
-    return vec
+    """Binomial-tree sum reduction of ``vec`` to ``group[0]``: the gather's
+    up-tree with an add; returns the partial sum held by this rank (the full
+    sum on the group root)."""
+
+    def added(held: np.ndarray, arrived: np.ndarray):
+        yield Compute(ctx.reduce_seconds(arrived), category=CAT_REDUCTION)
+        return held + arrived
+
+    return (yield from _binomial_gather_over_group(my_idx, group, vec, tag, ctx.sent_as_is, added))
 
 
 def node_groups(topology: Topology, n_ranks: int):

@@ -53,34 +53,35 @@ Event-heap core
 ---------------
 
 Scheduling is a single global min-heap of ``(timestamp, order, token)``
-events — O(log events) per scheduling decision regardless of rank count,
+entries — O(log events) per scheduling decision regardless of rank count,
 which is what lets one engine drive 10k+ ranks.  ``order`` encodes the
-priority tier and the tiebreak in one integer:
+priority tier and the tiebreak in one integer, and the heap holds three
+tiers:
 
-======================  =====================  ====================================
-event kind              heap entry             scheduled by
-======================  =====================  ====================================
-fair-share commit       ``(finish, 0, ver)``   every :class:`FairShareRegistry`
-                                               state change (arrival, departure,
-                                               re-division) refreshes one entry at
-                                               the registry's earliest departure
-rank ready              ``(clock, r+1, tok)``  a rank whose next command is due at
-                                               ``clock`` — the initial program
-                                               start, the re-queue after a step,
-                                               and every *wakeup* below
-recv-match wakeup       rank-ready entry       a blocked receiver's ``Wait`` can
-                                               progress because the matching send
-                                               was posted
-transfer completion     rank-ready entry       a blocked rendezvous *sender* wakes
-                                               at the transfer's completion time
-                                               once the receiver finishes it
-flow-commit wakeup      rank-ready entry       a blocked fair-mode receiver wakes
-                                               at the departure time the registry
-                                               committed
-barrier release         rank-ready entry       the last arrival releases every
-                                               waiting rank at the max arrival
-                                               clock
-======================  =====================  ====================================
+====================  =====================  ====================================
+tier                  heap entry             live while
+====================  =====================  ====================================
+scheduled callback    ``(t, -1, index)``     always (:meth:`Engine.schedule_event`)
+fair-share commit     ``(finish, 0, ver)``   ``ver`` is the registry version the
+                                             last commit entry was stamped with
+rank step             ``(clock, r+1, tok)``  rank ``r`` is ready and ``tok`` is
+                                             its latest ``ready_token``
+====================  =====================  ====================================
+
+A rank step is pushed when a program starts, when a stepped rank yields the
+minimum, and on every *wakeup*: a blocked receiver whose matching send was
+posted, a rendezvous sender whose transfer the receiver finished, a
+fair-mode receiver whose flow departure was committed, and every rank a
+barrier releases (at the latest arrival's clock).
+
+One peek decides what runs next: :meth:`Engine._live_top` refreshes the
+commit entry (a registry whose version moved gets a fresh ``(earliest
+departure, 0, version)``), pops the stale entries above the earliest live
+one and returns it, left on the heap.  :meth:`Engine.run` pops it and
+dispatches by tier; a stepped rank keeps running inline until the one
+comparison ``top < (clock, r+1)`` says a live entry precedes it (a callback
+or commit due at or before its clock sorts first: its order is below
+``r+1``).  :attr:`Engine.event_counts` counts the three tiers.
 
 Priority/tiebreak contract (what keeps golden makespans bit-for-bit):
 
@@ -103,9 +104,8 @@ Determinism: heap entries are totally ordered (``token`` — a monotone
 per-push counter or registry version — breaks the final tie), every push is
 derived from simulation state alone, and pop timestamps are non-decreasing
 (every event schedules successors at or after its own timestamp).  Stale
-entries (a superseded rank push, an outdated commit projection) are skipped
-lazily by comparing the token against the current ``ready_token`` /
-registry version.
+entries (a superseded rank push, an outdated commit projection) stay on the
+heap until the peek reaches them.
 
 Causality note: rank programs that branch on ``Test``/``Probe`` results may
 observe a message one poll later than a wall-clock-accurate simulation would
@@ -169,15 +169,6 @@ _DEADLOCK_DIAGNOSES = {
         "Wait on a fair-share flow from rank {on.peer} whose departure was never committed"
     ),
 }
-
-#: event-kind labels for the scheduling telemetry in :attr:`Engine.event_counts`
-EV_FAIR_COMMIT = "fair-commit"
-EV_RANK_STEP = "rank-step"
-EV_RECV_MATCH = "recv-match-wakeup"
-EV_TRANSFER_COMPLETE = "transfer-complete-wakeup"
-EV_FLOW_COMMITTED = "flow-commit-wakeup"
-EV_BARRIER_RELEASE = "barrier-release"
-EV_SCHEDULED = "scheduled-callback"
 
 
 def payload_nbytes(data: Any) -> int:
@@ -405,16 +396,15 @@ class Engine:
         self._compute_scale: Dict[int, float] = {}
         self._commands_total = 0
         self._ran = False
-        # the unified event heap: (timestamp, order, token) with order 0 for
-        # fair-share commits and order rank+1 for rank-ready events
+        # the event heap of (timestamp, order, token) entries in three tiers:
+        # order -1 callbacks, 0 fair commits, rank+1 rank steps
         self._heap: List[Tuple[float, int, int]] = []
+        # rank steps pushed; the latest is each rank's live ready_token
         self._ready_tokens = 0
-        # registry version the live fair-commit event was stamped with (the
-        # registry starts at version 0 only before any mutation, so -1 means
-        # "no event scheduled yet")
+        # registry version the latest fair-commit entry was stamped with
         self._fair_event_version = -1
-        #: events processed per kind (scheduling telemetry; cheap counters)
-        self.event_counts: Dict[str, int] = {}
+        self._commits_run = 0
+        self._callbacks_run = 0
         #: popped (timestamp, order) pairs when ``trace_events`` is set —
         #: the deterministic pop-order witness used by the equivalence suite
         self.event_trace: List[Tuple[float, int]] = []
@@ -425,13 +415,48 @@ class Engine:
 
     # ------------------------------------------------------------------ run
 
-    def _push_ready(self, state: _RankState, kind: str = EV_RANK_STEP) -> None:
+    @property
+    def event_counts(self) -> Dict[str, int]:
+        """Scheduling telemetry per heap tier: rank steps pushed, commits and callbacks run."""
+        return {
+            "rank-step": self._ready_tokens,
+            "fair-commit": self._commits_run,
+            "scheduled-callback": self._callbacks_run,
+        }
+
+    def _push_ready(self, state: _RankState) -> None:
         """(Re)insert a ready rank into the event heap at its current clock."""
         self._ready_tokens += 1
         state.ready_token = self._ready_tokens
         heapq.heappush(self._heap, (state.clock, state.rank + 1, self._ready_tokens))
-        counts = self.event_counts
-        counts[kind] = counts.get(kind, 0) + 1
+
+    def _live_top(self) -> Optional[Tuple[float, int, int]]:
+        """The earliest live heap entry, left on the heap (``None`` when there is none).
+
+        Refreshes the commit entry, then pops the stale entries above the
+        live one (tiers and liveness rules: module docstring)."""
+        heap = self._heap
+        fair = self.fair_registry
+        if fair is not None and fair.version != self._fair_event_version:
+            version = self._fair_event_version = fair.version
+            pending = fair.earliest_departure()
+            if pending is not None:
+                heapq.heappush(heap, (pending[0], 0, version))
+        states = self._states
+        while heap:
+            top = heap[0]
+            order = top[1]
+            if order < 0:
+                return top
+            if order == 0:
+                if top[2] == self._fair_event_version:
+                    return top
+            else:
+                state = states[order - 1]
+                if state.status == _READY and top[2] == state.ready_token:
+                    return top
+            heapq.heappop(heap)
+        return None
 
     # ---------------------------------------------------------------- jobs
 
@@ -527,7 +552,7 @@ class Engine:
             state.result = None
             if time > state.clock:
                 state.clock = float(time)
-            self._push_ready(state, EV_RANK_STEP)
+            self._push_ready(state)
         return job
 
     def _retire_slot(self, job: EngineJob, state: _RankState) -> None:
@@ -605,23 +630,6 @@ class Engine:
         job._pending.clear()
         job.killed = now
 
-    def _sync_fair_event(self) -> None:
-        """Keep exactly one live fair-commit event at the earliest departure.
-
-        Called after every mutation window of the registry (each rank step,
-        each commit).  A no-op while the registry version is unchanged;
-        otherwise pushes a fresh ``(finish, 0, version)`` entry — previous
-        entries become stale and are skipped during lazy pop.
-        """
-        fair = self.fair_registry
-        version = fair.version
-        if version == self._fair_event_version:
-            return
-        self._fair_event_version = version
-        pending = fair.earliest_departure()
-        if pending is not None:
-            heapq.heappush(self._heap, (pending[0], 0, version))
-
     def _commit_fair_departure(self) -> None:
         """Retire the registry's earliest fair-share departure.
 
@@ -641,7 +649,7 @@ class Engine:
             and receiver.block_kind == _BLOCK_FLOW_COMPLETION
             and receiver.block_on.message is message
         ):
-            self._continue_wait(receiver, EV_FLOW_COMMITTED)
+            self._continue_wait(receiver)
 
     def run(self) -> List[RankResult]:
         """Execute every rank program to completion and return per-rank results."""
@@ -654,105 +662,52 @@ class Engine:
         heap = self._heap
         states = self._states
         fair = self.fair_registry
-        counts = self.event_counts
+        live_top = self._live_top
         trace = self.event_trace if self._trace_events else None
         while True:
-            # ---- pop the next live event (lazily skipping stale entries)
-            state: Optional[_RankState] = None
-            while heap:
-                timestamp, order, token = heap[0]
-                if order < 0:
-                    # scheduled callback (job start/retire plumbing): never
-                    # stale, runs before anything else due at this timestamp
-                    heapq.heappop(heap)
-                    if trace is not None:
-                        trace.append((timestamp, -1))
-                    counts[EV_SCHEDULED] = counts.get(EV_SCHEDULED, 0) + 1
-                    self._events[token](timestamp)
-                    if fair is not None:
-                        # a callback may have re-divided fair rates (fault
-                        # events change stage capacities mid-run); keep the
-                        # commit event at the registry's fresh horizon.  No-op
-                        # while the registry version is unchanged.
-                        self._sync_fair_event()
+            top = live_top()
+            if top is None:
+                # safety net: a pending flow with no live commit entry (cannot
+                # happen while the peek refreshes it, but a deadlock report
+                # must never mask a pending departure)
+                if fair is not None and fair.earliest_departure() is not None:
+                    self._commit_fair_departure()
                     continue
-                if order == 0:
-                    heapq.heappop(heap)
-                    if fair is not None and token == self._fair_event_version:
-                        # the registry is unchanged since this was scheduled,
-                        # so its earliest departure is still exactly this one
-                        if trace is not None:
-                            trace.append((timestamp, 0))
-                        counts[EV_FAIR_COMMIT] = counts.get(EV_FAIR_COMMIT, 0) + 1
-                        self._commit_fair_departure()
-                        self._sync_fair_event()
-                    continue
-                candidate = states[order - 1]
-                if candidate.status != _READY or token != candidate.ready_token:
-                    heapq.heappop(heap)  # stale entry from a superseded push
-                    continue
-                heapq.heappop(heap)
-                state = candidate
-                break
-            if state is None:
-                if fair is not None:
-                    # safety net: a pending flow with no live commit event
-                    # (cannot happen while the sync invariant holds, but a
-                    # deadlock report must never mask a pending departure)
-                    pending = fair.earliest_departure()
-                    if pending is not None:
-                        self._commit_fair_departure()
-                        self._sync_fair_event()
-                        continue
                 if all(s.status == _IDLE for s in states):
                     break
                 raise DeadlockError(self._describe_deadlock())
+            heapq.heappop(heap)
+            timestamp, order, token = top
             if trace is not None:
-                trace.append((state.clock, state.rank + 1))
-            # ---- inline stepping: keep driving this rank while it provably
-            # stays the minimum event (works in fair mode too — a due commit
-            # surfaces as a tier-0 heap entry and breaks the loop)
+                trace.append((timestamp, order))
+            if order < 0:
+                # job start/retire plumbing or a fault: runs before anything
+                # else due at this timestamp
+                self._callbacks_run += 1
+                self._events[token](timestamp)
+                continue
+            if order == 0:
+                # the registry is unchanged since this entry was stamped, so
+                # its earliest departure is still exactly this one
+                self._commits_run += 1
+                self._commit_fair_departure()
+                continue
+            # ---- inline stepping: keep driving this rank without touching
+            # the heap until a live entry precedes (clock, rank + 1)
+            state = states[order - 1]
             while True:
-                token = state.ready_token
                 self._step(state)
                 self._commands_total += 1
                 if self._commands_total > self.max_commands:
                     raise RunawayProgramError(self._describe_runaway())
-                if fair is not None:
-                    self._sync_fair_event()
                 if state.status != _READY or state.ready_token != token:
                     # done, blocked, or a completed wait/barrier already pushed
                     # a fresh heap entry for this rank
                     break
-                # this rank is still the minimum unless a live heap entry
-                # precedes (clock, rank); skim stale entries while peeking
-                key_t = state.clock
-                key_o = state.rank + 1
-                keep_going = True
-                while heap:
-                    top_t, top_o, top_token = heap[0]
-                    if top_o < 0:
-                        # a scheduled callback at or before this clock must
-                        # run first (a job could bind onto this timestamp)
-                        keep_going = top_t > key_t
-                        break
-                    if top_o == 0:
-                        if fair is None or top_token != self._fair_event_version:
-                            heapq.heappop(heap)  # stale commit projection
-                            continue
-                        # a live commit at or before this clock must run first
-                        keep_going = top_t > key_t
-                    else:
-                        other = states[top_o - 1]
-                        if other.status != _READY or top_token != other.ready_token:
-                            heapq.heappop(heap)  # stale entry from a superseded push
-                            continue
-                        keep_going = (top_t, top_o) >= (key_t, key_o)
+                top = live_top()
+                if top is not None and top < (state.clock, order):
+                    self._push_ready(state)
                     break
-                if not keep_going:
-                    self._push_ready(state, EV_RANK_STEP)
-                    break
-                # keep driving the same rank without touching the heap
         return [
             RankResult(
                 rank=s.rank,
@@ -896,7 +851,7 @@ class Engine:
             and receiver.block_kind == _BLOCK_RECV_MATCH
             and receiver.block_on is posting
         ):
-            self._continue_wait(receiver, EV_RECV_MATCH)
+            self._continue_wait(receiver)
 
     # --------------------------------------------------------------- waiting
 
@@ -919,7 +874,7 @@ class Engine:
             f"rank {state.rank} of this engine posted"
         )
 
-    def _continue_wait(self, state: _RankState, wake_kind: str = EV_RANK_STEP) -> None:
+    def _continue_wait(self, state: _RankState) -> None:
         """Advance the rank's pending wait list as far as currently possible."""
         pending = state.wait_pending
         pos = state.wait_pos
@@ -940,7 +895,7 @@ class Engine:
         state.status = _READY
         state.block_kind = None
         state.block_on = None
-        self._push_ready(state, wake_kind)
+        self._push_ready(state)
         if state.wait_single:
             state.resume_value = state.wait_results[0] if state.wait_results else None
         else:
@@ -1020,7 +975,7 @@ class Engine:
             and sender.block_kind == _BLOCK_SEND_COMPLETION
             and sender.block_on.message is message
         ):
-            self._continue_wait(sender, EV_TRANSFER_COMPLETE)
+            self._continue_wait(sender)
 
     def _ack_incoming(
         self,
@@ -1091,7 +1046,7 @@ class Engine:
                 blocked.status = _READY
                 blocked.block_kind = None
                 blocked.resume_value = None
-                self._push_ready(blocked, EV_BARRIER_RELEASE)
+                self._push_ready(blocked)
 
     # ------------------------------------------------------------ diagnostics
 

@@ -19,6 +19,7 @@ the plans' factories are replayed later on the shared multi-job engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -117,8 +118,8 @@ class JobSpec:
             raise ValueError(f"a job needs n_ranks >= 2, got {self.n_ranks}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.arrival < 0.0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival}")
+        if not (math.isfinite(self.arrival) and self.arrival >= 0.0):
+            raise ValueError(f"arrival must be a finite time >= 0, got {self.arrival}")
         if not self.calls:
             raise ValueError("a job needs at least one collective call")
         if self.failure_policy is not None and self.failure_policy not in FAILURE_POLICY_MODES:

@@ -17,7 +17,13 @@ equivalence* with the scan-loop engine it replaced:
   of the scenario: timestamps never decrease, and rebuilding the same
   scenario (even constructing its parameters in a permuted order) replays
   the identical trace.
+* **Event order, inline steps included** — every program resume and every
+  scheduled callback runs in ``(time, tier)`` order, whether the rank was
+  popped from the heap or kept running inline, and the one live-entry peek
+  drops exactly the stale entries.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Cluster
 from repro.mpisim import (
+    Barrier,
     Compute,
     Irecv,
     Isend,
@@ -224,3 +231,89 @@ class TestDeterministicPopOrder:
         orders = {order for _, order in trace}
         assert 0 in orders, "fair mode must schedule priority-0 commit events"
         assert orders - {0} <= {r + 1 for r in range(8)}
+
+
+def _uplink_fabric(contention):
+    return dict(
+        topology=SharedUplinkTopology(ranks_per_node=2, contention=contention),
+        network=NetworkModel(contention=contention),
+    )
+
+
+class TestEventOrder:
+    """What runs next is decided in ``(time, tier)`` order, inline steps included."""
+
+    @given(
+        n_ranks=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**16),
+        contention=st.sampled_from(["reservation", "fair"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_resumes_and_callbacks_never_go_back_in_time(self, n_ranks, seed, contention):
+        rng = np.random.default_rng(seed)
+        rounds = 3
+        compute_s = [float(rng.uniform(1e-7, 1e-4)) for _ in range(n_ranks)]
+        payloads = [np.zeros(int(rng.integers(64, 1 << 16)), dtype=np.uint8) for _ in range(n_ranks)]
+        barrier_after = int(rng.integers(rounds))
+        log = []  # (time, -1) per callback, (time, 0) per program resume
+
+        def ring(rank, size):
+            for step in range(rounds):
+                yield Compute(compute_s[rank], category="Others")
+                payload = payloads[rank]
+                send = yield Isend(dest=(rank + 1) % size, data=payload, nbytes=payload.nbytes, tag=step)
+                recv = yield Irecv(source=(rank - 1) % size, tag=step)
+                yield Waitall([recv, send])
+                if step == barrier_after:
+                    yield Barrier()
+
+        def logged(rank, size):
+            program, value = ring(rank, size), None
+            while True:
+                log.append((engine.clock_of(rank), 0))
+                try:
+                    command = program.send(value)
+                except StopIteration:
+                    return rank
+                value = yield command
+
+        engine = Engine(n_ranks, logged, **_uplink_fabric(contention))
+        for t in rng.uniform(0.0, 3e-4, size=6):
+            engine.schedule_event(float(t), lambda now: log.append((now, -1)))
+        engine.run()
+        assert sum(1 for _, tier in log if tier < 0) == 6
+        assert log == sorted(log)
+
+
+class TestLiveTop:
+    def test_the_peek_drops_stale_entries_and_leaves_the_live_one(self):
+        program = _scenario_program({r: 1e-6 for r in range(4)}, {r: 64 for r in range(4)}, 1)
+        engine = Engine(4, program, **_uplink_fabric("fair"))
+        heap = engine._heap
+        live = sorted(heap)
+        assert live[0] == (0.0, 1, engine._states[0].ready_token)
+        # a superseded token of rank 0 and an outdated commit version, both
+        # sorting before rank 0's live entry
+        superseded, outdated = (0.0, 1, 0), (0.0, 0, 12345)
+        heapq.heappush(heap, superseded)
+        heapq.heappush(heap, outdated)
+        assert engine._live_top() == live[0]
+        assert heap[0] == live[0]
+        assert sorted(heap) == live
+        # a commit stamped with the current registry version is live
+        current = (0.0, 0, engine._fair_event_version)
+        heapq.heappush(heap, current)
+        assert engine._live_top() == current
+
+    def test_event_counts_are_the_three_heap_tiers(self):
+        """One fair ring with a scheduled callback; the total was taken before
+        the counts were regrouped by tier (rank steps, commits, callbacks)."""
+        compute_s = {r: 1e-6 * (r + 1) for r in range(8)}
+        sizes = {r: 1 << (10 + r % 4) for r in range(8)}
+        engine = Engine(8, _scenario_program(compute_s, sizes, 3), **_uplink_fabric("fair"))
+        engine.schedule_event(5e-6, lambda now: None)
+        engine.run()
+        counts = engine.event_counts
+        assert set(counts) == {"rank-step", "fair-commit", "scheduled-callback"}
+        assert counts["scheduled-callback"] == 1
+        assert sum(counts.values()) == 65

@@ -70,8 +70,15 @@ def test_collective_layers_build_plans_and_execute_nothing():
     assert offenders == []
 
 
-#: the C-Coll and CPR-P2P programs that are hops on the baselines' schedules
-HOP_MODULES = ("ccoll/movement.py", "ccoll/cpr_p2p.py", "ccoll/topology_aware.py")
+#: the C-Coll and CPR-P2P programs that are hops on the baselines' schedules,
+#: and the baselines that run another module's schedule
+HOP_MODULES = (
+    "ccoll/movement.py",
+    "ccoll/cpr_p2p.py",
+    "ccoll/topology_aware.py",
+    "collectives/hierarchical.py",
+    "collectives/reduce.py",
+)
 WIRE_COMMANDS = {"Irecv", "Isend", "Wait", "Waitall"}
 
 
@@ -83,17 +90,34 @@ def test_compressed_collectives_reach_the_wire_only_through_the_shared_schedules
     its own hops, so the schedule it is compared against is the baseline's by
     construction, not by copy.  ``ccoll/computation.py`` is the one exception:
     its pipelined reduce-scatter (segments and ``Test`` polling) is the one
-    compressed schedule of its own.
+    compressed schedule of its own.  The hierarchical allreduce and the
+    binomial reduce likewise only compose schedules (the gather's up-tree
+    with an add, the broadcast, the leader ring).
     """
     offenders = [
         f"{path} imports {name}"
-        for path, tree in _trees("ccoll")
+        for path, tree in _trees("ccoll", "collectives")
         if path.as_posix() in HOP_MODULES
         for _, name in _imports(tree)
         if name in WIRE_COMMANDS
     ]
     assert offenders == []
-    assert {path.as_posix() for path, _ in _trees("ccoll")} >= set(HOP_MODULES)
+    assert {path.as_posix() for path, _ in _trees("ccoll", "collectives")} >= set(HOP_MODULES)
+
+
+def test_the_engine_pops_its_heap_in_the_peek_and_once_in_run():
+    """One function decides which heap entry is live (``Engine._live_top``);
+    ``run`` pops only what it returned, so no second copy of the staleness
+    rules can grow back."""
+    tree = ast.parse((SRC / "mpisim" / "engine.py").read_text())
+    pops = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "heapq.heappop"
+    ]
+    assert sorted(pops) == ["_live_top", "run"]
 
 
 def test_run_simulation_is_called_from_one_place_in_the_api():

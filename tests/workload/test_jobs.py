@@ -31,6 +31,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CollectiveCall(msg_elems=0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_arrival_is_refused(self, arrival):
+        """Regression: NaN passed ``arrival < 0`` and made the report's slowdowns NaN."""
+        with pytest.raises(ValueError, match="arrival must be a finite time"):
+            JobSpec(job_id="x", n_ranks=2, arrival=arrival)
+
     @pytest.mark.parametrize(
         "field, value",
         [("dtype", "int32"), ("dtype", "floaty"), ("compression", "psychic"), ("algorithm", "bogus")],
@@ -196,3 +202,15 @@ class TestTraces:
         assert message.startswith(f"{path}:3: ")  # the blank line 2 still counts
         assert complaint in message
         assert isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_a_non_finite_arrival_line_is_refused_by_line(self, tmp_path, literal):
+        """``json`` reads ``NaN`` / ``Infinity``; the job must not run with them."""
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"job_id": "ok", "n_ranks": 2}\n'
+            f'{{"job_id": "a", "n_ranks": 2, "arrival": {literal}}}\n'
+        )
+        with pytest.raises(TraceFormatError) as caught:
+            load_trace(path)
+        assert str(caught.value).startswith(f"{path}:2: arrival must be a finite time")
