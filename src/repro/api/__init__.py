@@ -8,8 +8,11 @@ This is the package's public surface since PR 3.  The three-layer story:
 2. :class:`Communicator` is an mpi4py-style session bound to a cluster and a
    rank count, exposing ``allreduce / reduce_scatter / allgather / bcast /
    scatter / gather / reduce / alltoall / barrier`` with ``algorithm="auto"``
-   (the MPICH-style tuning table) and ``compression="off"|"on"|"auto"``
-   (the C-Coll variants and the fabric break-even gate).
+   (the MPICH-style tuning table) and one ``compression`` string naming the
+   Table V variant: ``"off"`` (AD, the default), ``"di"`` (CPR-P2P on every
+   hop), ``"nd"`` (C-Coll without PIPE-SZx overlap), ``"on"`` (Overlap, the
+   full C-Coll framework) or ``"auto"`` (the fabric break-even gate).  Which
+   collective runs which variant is ``repro.api.communicator.C_VARIANTS``.
 3. Every call returns the familiar outcome objects
    (:class:`~repro.collectives.context.CollectiveOutcome` /
    :class:`~repro.ccoll.movement.CCollOutcome`): per-rank values plus the

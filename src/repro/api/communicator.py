@@ -20,14 +20,21 @@ plan's rank programs on the cluster's network and topology through
 :class:`~repro.ccoll.movement.CCollOutcome` when compression is involved).
 :meth:`Communicator.capture` returns the plan unlaunched instead.
 
-The ``compression`` argument is resolved through the *same* alias table as the
-Table V harness (:data:`repro.ccoll.variants.VARIANT_ALIASES`):
+The ``compression`` argument (default ``"off"``) is the one name of a C-Coll
+variant.  It is resolved through the *same* alias table as the Table V harness
+(:data:`repro.ccoll.variants.VARIANT_ALIASES`) and checked against
+:data:`C_VARIANTS`, what each compressible collective runs::
 
-``"off"``
+    allreduce                   AD DI ND Overlap
+    allgather / bcast / scatter AD DI Overlap
+    reduce_scatter              AD ND Overlap
+
+``"off"`` (``AD``)
     The uncompressed baseline; ``algorithm`` picks the schedule (``"auto"``
     consults :func:`repro.collectives.selection.select_algorithm`).
-``"on"`` / ``"di"`` / ``"nd"`` (allreduce only for di/nd)
-    The C-Coll variant with that canonical name (``Overlap`` / ``DI`` / ``ND``).
+``"di"`` / ``"nd"`` / ``"on"`` (``DI`` / ``ND`` / ``Overlap``)
+    CPR-P2P compression on every hop; the C-Coll schedule without PIPE-SZx
+    overlap; the full C-Coll framework.
 ``"auto"``
     The placement- and bandwidth-aware choice: on multi-rank-per-node fabrics
     the topology-aware C-Allreduce, compressing the inter-node hops when the
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.cluster import Cluster
 from repro.ccoll.computation import _plan_c_reduce_scatter
@@ -75,6 +82,29 @@ from repro.mpisim.topology import FlatTopology
 
 __all__ = ["Communicator"]
 
+#: the canonical Table V variants each compressible collective runs
+#: (``"auto"`` is accepted by all of them)
+C_VARIANTS: Dict[str, Tuple[str, ...]] = {
+    "allreduce": ("AD", "DI", "ND", "Overlap"),
+    "allgather": ("AD", "DI", "Overlap"),
+    "bcast": ("AD", "DI", "Overlap"),
+    "scatter": ("AD", "DI", "Overlap"),
+    "reduce_scatter": ("AD", "ND", "Overlap"),
+}
+
+
+def compression_mode(op: str, compression: str) -> str:
+    """``"auto"`` or the canonical variant ``compression`` names, if ``op`` runs it."""
+    if str(compression).strip().lower() == "auto":
+        return "auto"
+    mode = canonical_variant(compression)
+    if mode not in C_VARIANTS[op]:
+        raise ValueError(
+            f"compression={compression!r} is not available for {op}; "
+            f"it runs {' / '.join(C_VARIANTS[op])} or 'auto'"
+        )
+    return mode
+
 
 class Communicator:
     """A fixed-size rank session on a :class:`Cluster`.
@@ -92,9 +122,6 @@ class Communicator:
             raise ValueError(f"n_ranks must be a positive integer, got {n_ranks!r}")
         self.cluster = cluster if cluster is not None else Cluster()
         self.n_ranks = int(n_ranks)
-        #: compression mode applied when a call does not pass one explicitly
-        #: (overridable per session via :meth:`with_options`)
-        self.default_compression: Union[str, bool] = "off"
         #: algorithm chosen by each allreduce call, latest last ("auto" trace)
         self.algorithm_trace: List[str] = []
         #: canonical compression route of each compressed-capable call
@@ -119,29 +146,15 @@ class Communicator:
         """Canonical compression route of the most recent compressible call."""
         return self.compression_trace[-1] if self.compression_trace else None
 
-    def with_options(
-        self,
-        *,
-        compression: Union[str, bool, None] = None,
-        **config_updates,
-    ) -> "Communicator":
-        """A sibling session with some options shallowly overridden.
+    def with_options(self, **config_updates) -> "Communicator":
+        """A sibling session with some :class:`~repro.ccoll.config.CCollConfig`
+        fields replaced, e.g. ``error_bound=1e-4`` or ``size_multiplier=64.0``.
 
         The returned communicator shares this session's rank count and the
         *same* topology object, so parameter sweeps (the harness runs many)
-        adjust ``error_bound``, ``size_multiplier`` or the compression default
-        without rebuilding the fabric's stage caches or the session itself.
-        The fabric's contention discipline is chosen once, when its topology
-        is built (``Cluster.from_preset(..., contention="fair")``).
-
-        Parameters
-        ----------
-        compression:
-            New default compression mode for calls that do not pass one
-            (``"off"``/``"on"``/``"di"``/``"nd"``/``"auto"``/bool).
-        **config_updates:
-            Any :class:`~repro.ccoll.config.CCollConfig` field, e.g.
-            ``error_bound=1e-4`` or ``size_multiplier=64.0``.
+        adjust the config without rebuilding the fabric's stage caches or the
+        session itself.  The fabric's contention discipline is chosen once,
+        when its topology is built (``Cluster.from_preset(..., contention="fair")``).
         """
         cluster = self.cluster
         if config_updates:
@@ -150,11 +163,6 @@ class Communicator:
             )
         clone = Communicator(cluster, self.n_ranks)
         clone._captured = self._captured
-        if compression is not None:
-            clone._resolve_compression(compression)  # validate eagerly
-            clone.default_compression = compression
-        else:
-            clone.default_compression = self.default_compression
         return clone
 
     def _launch(self, plan: CollectivePlan, route: Optional[str] = None):
@@ -203,30 +211,6 @@ class Communicator:
             )
         return plans[0]
 
-    def _resolve_compression(self, compression: Union[str, bool]) -> str:
-        """Map a user compression switch to ``"auto"`` or a canonical variant."""
-        if compression is False:
-            return "AD"
-        if compression is True:
-            return "Overlap"
-        key = str(compression).strip().lower()
-        if key == "auto":
-            return "auto"
-        return canonical_variant(key)
-
-    @staticmethod
-    def _is_framework_switch(compression: Union[str, bool]) -> bool:
-        """True for the facade's on/off-style switches (vs explicit variants)."""
-        return compression is True or str(compression).strip().lower() == "on"
-
-    def _effective_compression(self, compression: Union[str, bool, None]) -> Union[str, bool]:
-        """Apply the session's default when the call does not pass a mode."""
-        return self.default_compression if compression is None else compression
-
-    def _configured_c_variant(self) -> str:
-        """The C-Allreduce variant the cluster's config asks for."""
-        return "Overlap" if self.cluster.config.use_overlap else "ND"
-
     def _gate_says_compress(self) -> bool:
         """The PR 2 break-even gate on this cluster's fabric."""
         topology = self.cluster.topology if self.cluster.topology is not None else FlatTopology()
@@ -235,32 +219,15 @@ class Communicator:
 
     # --------------------------------------------------------------- allreduce
 
-    def allreduce(
-        self,
-        inputs,
-        algorithm: str = "auto",
-        compression: Union[str, bool, None] = None,
-    ):
+    def allreduce(self, inputs, algorithm: str = "auto", compression: str = "off"):
         """Element-wise sum across all ranks; every rank gets the result.
 
         ``algorithm`` applies to the uncompressed path (``"auto"`` consults
         the tuning table; or name one of ``ring`` / ``recursive_doubling`` /
-        ``rabenseifner`` / ``hierarchical``).  ``compression`` is resolved via
-        the shared Table V alias table (see the module docstring); ``None``
-        falls back to the session's ``default_compression`` (``"off"`` unless
-        overridden through :meth:`with_options`).
+        ``rabenseifner`` / ``hierarchical``).  ``compression`` names the
+        variant (see the module docstring).
         """
-        explicit = compression is not None
-        compression = self._effective_compression(compression)
-        mode = self._resolve_compression(compression)
-        if mode == "Overlap" and self._is_framework_switch(compression):
-            # "on"/True ask for the C-Coll framework *as configured*; the
-            # explicit "overlap"/"nd" spellings pin the exact Table V variant
-            mode = self._configured_c_variant()
-        if algorithm != "auto" and mode != "AD" and not explicit:
-            # an explicitly named schedule wins over the session's compression
-            # default: the named algorithms are uncompressed schedules
-            mode = "AD"
+        mode = compression_mode("allreduce", compression)
         if mode == "AD":
             plan = _plan_allreduce(
                 inputs, self.n_ranks, algorithm, self.cluster.context(), self.cluster.topology
@@ -296,7 +263,7 @@ class Communicator:
                 inputs, self.n_ranks, topology, config, compress_inter=compress
             )
         if compress:
-            route = self._configured_c_variant()
+            route = "Overlap"
             plan = _plan_compressed_allreduce(route, inputs, self.n_ranks, config)
         else:
             route = "AD"
@@ -316,7 +283,7 @@ class Communicator:
 
     # --------------------------------------------------- data-movement family
 
-    def allgather(self, inputs, compression: Union[str, bool, None] = None) -> CollectiveOutcome:
+    def allgather(self, inputs, compression: str = "off") -> CollectiveOutcome:
         """Every rank contributes a block; every rank receives all blocks."""
         mode = self._movement_mode("allgather", compression)
         if mode == "AD":
@@ -326,9 +293,7 @@ class Communicator:
             plan = _plan_compressed_allgather(program, inputs, self.n_ranks, self.cluster.config)
         return self._launch(plan, mode)
 
-    def bcast(
-        self, data, root: int = 0, compression: Union[str, bool, None] = None
-    ) -> CollectiveOutcome:
+    def bcast(self, data, root: int = 0, compression: str = "off") -> CollectiveOutcome:
         """Broadcast ``data`` from ``root`` to every rank."""
         self._check_root(root)
         mode = self._movement_mode("bcast", compression)
@@ -341,9 +306,7 @@ class Communicator:
             )
         return self._launch(plan, mode)
 
-    def scatter(
-        self, inputs, root: int = 0, compression: Union[str, bool, None] = None
-    ) -> CollectiveOutcome:
+    def scatter(self, inputs, root: int = 0, compression: str = "off") -> CollectiveOutcome:
         """Scatter one block per rank from ``root``."""
         self._check_root(root)
         mode = self._movement_mode("scatter", compression)
@@ -356,46 +319,26 @@ class Communicator:
             )
         return self._launch(plan, mode)
 
-    def reduce_scatter(
-        self,
-        inputs,
-        compression: Union[str, bool, None] = None,
-        overlap: Optional[bool] = None,
-    ) -> CollectiveOutcome:
+    def reduce_scatter(self, inputs, compression: str = "off") -> CollectiveOutcome:
         """Reduce element-wise and scatter chunks; rank ``r`` gets chunk ``r``.
 
-        ``overlap`` overrides the config's PIPE-SZx pipelining switch on the
-        compressed path.
+        ``"nd"`` runs the compressed ring without PIPE-SZx overlap.
         """
-        mode = self._movement_mode("reduce_scatter", compression, di_available=False)
+        mode = self._movement_mode("reduce_scatter", compression)
         if mode == "AD":
             plan = _plan_ring_reduce_scatter(inputs, self.n_ranks, self.cluster.context())
         else:
-            if overlap is None:
-                overlap = self.cluster.config.use_overlap
-            plan = _plan_c_reduce_scatter(inputs, self.n_ranks, self.cluster.config, overlap)
-            mode = "Overlap" if overlap else "ND"  # trace the schedule that actually runs
+            plan = _plan_c_reduce_scatter(
+                inputs, self.n_ranks, self.cluster.config, overlap=mode == "Overlap"
+            )
         return self._launch(plan, mode)
 
-    def _movement_mode(
-        self, name: str, compression: Union[str, bool, None], di_available: bool = True
-    ) -> str:
-        """Resolve a compression switch for the non-allreduce collectives.
-
-        Returns ``"AD"`` (baseline), ``"DI"`` (CPR-P2P) or ``"Overlap"``
-        (the C-Coll framework variant); ``"auto"`` applies the break-even
-        gate.  ``ND`` has no meaning outside allreduce.  ``None`` falls back
-        to the session's ``default_compression``.
-        """
-        compression = self._effective_compression(compression)
-        mode = self._resolve_compression(compression)
+    def _movement_mode(self, name: str, compression: str) -> str:
+        """Resolve ``compression`` for a collective other than allreduce:
+        ``"auto"`` becomes ``"Overlap"`` or ``"AD"`` by the break-even gate."""
+        mode = compression_mode(name, compression)
         if mode == "auto":
             mode = "Overlap" if self._gate_says_compress() else "AD"
-        if mode == "ND" or (mode == "DI" and not di_available):
-            options = "'off', 'on', 'di' or 'auto'" if di_available else "'off', 'on' or 'auto'"
-            raise ValueError(
-                f"compression={compression!r} is not available for {name}; use {options}"
-            )
         return mode
 
     # ------------------------------------------------------ uncompressed-only

@@ -18,8 +18,8 @@ compression and decompression phases, which Figure 9 measures as a 73-80%
 reduction of the reduce-scatter Wait time.
 
 ``c_reduce_scatter_program`` implements both the overlapped version and (with
-``overlap=False``) the plain CPR-P2P-style version used by the DI and ND
-step-wise variants of Table V.
+``overlap=False``) the plain CPR-P2P-style version used by the ND step-wise
+variant of Table V (DI runs :func:`repro.ccoll.cpr_p2p.cpr_allreduce_program`).
 """
 
 from __future__ import annotations

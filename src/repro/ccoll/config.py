@@ -2,9 +2,9 @@
 
 One :class:`CCollConfig` instance describes everything a C-Coll collective
 needs besides the data: which error-bounded codec to use and with what bound,
-how the pipelined compressor is chunked, whether the computation framework
-overlaps compression with communication, and how real bytes map to virtual
-(paper-scale) bytes.
+how the pipelined compressor is chunked and how real bytes map to virtual
+(paper-scale) bytes.  Which C-Coll variant runs is not a setting: a call's
+``compression`` argument names it (:mod:`repro.api.communicator`).
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ class CCollConfig:
         Bits per value for the fixed-rate baseline codec.
     pipeline_chunk_elems:
         PIPE-SZx chunk granularity (5120 data points in the paper).
-    use_overlap:
-        Enable the collective computation framework (PIPE-SZx progress polling
-        during compression/decompression in reduce-scatter).
     size_multiplier:
         Virtual bytes represented by each real byte (see
         :class:`repro.collectives.context.CollectiveContext`).
@@ -57,7 +54,6 @@ class CCollConfig:
     error_bound: float = 1e-3
     rate: float = 8.0
     pipeline_chunk_elems: int = DEFAULT_CHUNK_ELEMS
-    use_overlap: bool = True
     size_multiplier: float = 1.0
     cost: CostModel = field(default_factory=CostModel.broadwell_omnipath)
     codec_memo: Optional[CodecMemo] = field(default=None, compare=False, repr=False)

@@ -10,8 +10,8 @@ the same scenario, and because the scenario records every resolved dimension
 it replays exactly from its dict alone, without the seed.
 
 Raw draws can land on combinations the session API rejects by design
-(``compression="nd"`` outside allreduce, an explicit algorithm on a
-compressed allreduce, placement patterns on the flat fabric).
+(a compression mode the op does not run, such as ``"nd"`` on a bcast, an explicit
+algorithm on a compressed allreduce, placement patterns on the flat fabric).
 :func:`sanitize` folds every such draw onto the nearest valid scenario, so
 the generator's output space is exactly the valid input space — the executor
 never has to distinguish "the generator built nonsense" from "the simulator
@@ -24,6 +24,9 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.api.communicator import C_VARIANTS
+from repro.ccoll.variants import VARIANT_ALIASES
 
 __all__ = [
     "Scenario",
@@ -253,9 +256,8 @@ def sanitize(scenario: Scenario) -> Scenario:
     if compression != "off":
         # the compressed variants fix their own schedule
         updates["algorithm"] = "auto"
-    if scenario.op != "allreduce" and compression == "nd":
-        updates["compression"] = compression = "on"
-    if scenario.op == "reduce_scatter" and compression == "di":
+    mode = VARIANT_ALIASES.get(compression)  # None: "auto", or nonsense left to the executor
+    if mode is not None and mode not in C_VARIANTS.get(scenario.op, (mode,)):
         updates["compression"] = compression = "on"
     if scenario.op != "allreduce":
         updates["algorithm"] = "auto"

@@ -179,15 +179,18 @@ def _execute(args: argparse.Namespace, specs: List[JobSpec]) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    mix = JobMix(
-        n_jobs=args.jobs,
-        arrival_rate=args.rate,
-        sizes=args.sizes,
-        msg_elems=args.msg_elems,
-        ops=args.ops,
-        compressions=args.compressions,
-    )
-    specs = mix.generate(args.seed)
+    try:
+        specs = JobMix(
+            n_jobs=args.jobs,
+            arrival_rate=args.rate,
+            sizes=args.sizes,
+            msg_elems=args.msg_elems,
+            ops=args.ops,
+            compressions=args.compressions,
+        ).generate(args.seed)
+    except ValueError as exc:
+        print(f"invalid job mix: {exc}", file=sys.stderr)
+        return 2
     if args.save_trace:
         save_trace(specs, args.save_trace)
         print(f"trace saved: {args.save_trace} ({len(specs)} jobs)")

@@ -20,12 +20,14 @@ the plans' factories are replayed later on the shared multi-job engine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.api import Cluster, Communicator
+from repro.api.communicator import compression_mode
 from repro.ccoll import CodecMemo
 from repro.ccoll.variants import VARIANT_ALIASES
 from repro.collectives.selection import ALGORITHM_PLANNERS
@@ -46,13 +48,20 @@ __all__ = [
 COLLECTIVE_OPS = ("allreduce", "allgather", "bcast", "reduce_scatter")
 
 
+def _ensure_integer(spec, name: str) -> None:
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CollectiveCall:
     """One collective step of a job's program.
 
-    The closed vocabularies are checked here, so a call that cannot compile is
-    refused when it is written down (or read from a trace), not when its job
-    arrives mid-run; which modes an op supports stays with the Communicator.
+    The closed vocabularies, and whether the op runs the compression mode
+    (the Communicator's table), are checked here, so a call that cannot compile
+    is refused when it is written down (or read from a trace), not when its job
+    arrives mid-run.
     """
 
     op: str = "allreduce"
@@ -69,6 +78,7 @@ class CollectiveCall:
             )
         if self.msg_elems < 1:
             raise ValueError(f"msg_elems must be >= 1, got {self.msg_elems}")
+        _ensure_integer(self, "msg_elems")
         try:
             floating = np.issubdtype(np.dtype(self.dtype), np.floating)
         except TypeError:  # not a dtype at all
@@ -78,6 +88,7 @@ class CollectiveCall:
         # the spellings Communicator accepts: case and padding do not matter
         compression = str(self.compression).strip().lower()
         ensure_in(compression, ("auto", *VARIANT_ALIASES), "compression")
+        compression_mode(self.op, compression)
         ensure_in(self.algorithm, ("auto", *ALGORITHM_PLANNERS), "algorithm")
 
     def to_dict(self) -> Dict[str, Any]:
@@ -118,6 +129,8 @@ class JobSpec:
             raise ValueError(f"a job needs n_ranks >= 2, got {self.n_ranks}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("n_ranks", "iterations", "seed"):
+            _ensure_integer(self, name)
         if not (math.isfinite(self.arrival) and self.arrival >= 0.0):
             raise ValueError(f"arrival must be a finite time >= 0, got {self.arrival}")
         if not self.calls:

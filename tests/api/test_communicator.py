@@ -9,6 +9,8 @@ and argument validation.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from repro.ccoll import CCollConfig, VARIANT_ALIASES, canonical_variant
 from repro.collectives.selection import RING_MIN_BYTES, select_algorithm
 from repro.mpisim import SharedUplinkTopology
 from repro.perfmodel import line_rate_network
+
+
+#: ``reduce_scatter(compression="nd")`` over flat / two_level / fair fat tree x
+#: n in {1, 2, 3, 5, 8}, computed with the former ``compression="on", overlap=False``
+ND_REDUCE_SCATTER_DIGEST = "3560d72d07002de0176d01e899c7fcdf311f2db20765b8e24ee11bc310f40140"
 
 
 def _vectors(n_ranks, n=256, dtype=np.float64):
@@ -75,28 +82,10 @@ class TestCompressionDispatch:
             comm.allreduce(vecs, compression=alias)
             assert comm.last_compression == canonical
 
-    def test_on_switch_honors_config_use_overlap(self):
-        """compression="on" means "the framework as configured": with
-        use_overlap=False it runs the non-overlapped ND schedule (like the
-        legacy run_c_allreduce did), while the explicit "overlap" spelling
-        still pins the overlapped Table V variant."""
-        vecs = _vectors(4, n=2048, dtype=np.float32)
-        no_overlap = Cluster(config=CCollConfig(use_overlap=False)).communicator(4)
-        no_overlap.allreduce(vecs, compression="on")
-        assert no_overlap.last_compression == "ND"
-        no_overlap.allreduce(vecs, compression="overlap")
-        assert no_overlap.last_compression == "Overlap"
-        default = Cluster().communicator(4)
-        default.allreduce(vecs, compression="on")
-        assert default.last_compression == "Overlap"
-
-    def test_bool_switches(self):
-        comm = Cluster().communicator(2)
-        vecs = _vectors(2)
-        comm.allreduce(vecs, compression=False)
-        assert comm.last_compression == "AD"
-        comm.allreduce(vecs, compression=True)
-        assert comm.last_compression == "Overlap"
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_bool_spellings_are_refused(self, switch):
+        with pytest.raises(ValueError, match="unknown allreduce variant"):
+            Cluster().communicator(2).allreduce(_vectors(2), compression=switch)
 
     def test_auto_gate_flat_calibrated_compresses(self):
         """On the calibrated (slow) fabric the break-even gate says compress."""
@@ -203,24 +192,36 @@ class TestSessionState:
         assert comm.algorithm_trace == ["ring", "ring"]
         assert comm.compression_trace == ["AD", "DI"]
 
-    def test_reduce_scatter_overlap_switch(self):
+    def test_reduce_scatter_nd_is_the_ring_without_overlap(self):
         comm = Cluster(
             config=CCollConfig(error_bound=1e-3), size_multiplier=64.0
         ).communicator(4)
         x = np.linspace(0, 20, 65536)
         vecs = [(np.sin(x) * (1 + 1e-6 * r)).astype(np.float32) for r in range(4)]
-        overlapped = comm.reduce_scatter(vecs, compression="on", overlap=True)
-        plain = comm.reduce_scatter(vecs, compression="on", overlap=False)
+        overlapped = comm.reduce_scatter(vecs, compression="on")
+        plain = comm.reduce_scatter(vecs, compression="nd")
         # PIPE-SZx pipelining hides the reduce-scatter waits
         assert overlapped.total_time < plain.total_time
         assert overlapped.sim.category_seconds("Wait") < 0.1 * plain.sim.category_seconds("Wait")
         # the trace reflects the schedule that actually ran
         assert comm.compression_trace[-2:] == ["Overlap", "ND"]
-        no_overlap_comm = Cluster(
-            config=CCollConfig(error_bound=1e-3, use_overlap=False)
-        ).communicator(4)
-        no_overlap_comm.reduce_scatter(vecs, compression="on")
-        assert no_overlap_comm.last_compression == "ND"
+
+    def test_reduce_scatter_nd_matches_the_pinned_non_overlapped_ring(self):
+        """Makespans, rank times, values and traces on 3 fabrics x 5 sizes."""
+        digest = hashlib.sha256()
+        for preset, kwargs in (("flat", {}), ("two_level", {}), ("fat_tree", {"contention": "fair"})):
+            for n in (1, 2, 3, 5, 8):
+                comm = Cluster.from_preset(preset, **kwargs).communicator(n)
+                x = np.linspace(0.0, 20.0, 4096)
+                vecs = [(np.sin(x) * (1 + 1e-3 * r)).astype(np.float32) for r in range(n)]
+                out = comm.reduce_scatter(vecs, compression="nd")
+                case = (preset, n, out.total_time, out.sim.rank_times, comm.compression_trace)
+                digest.update(repr(case).encode())
+                for value in out.values:
+                    arr = np.ascontiguousarray(value)
+                    digest.update(f"{arr.dtype}{arr.shape}".encode())
+                    digest.update(arr.tobytes())
+        assert digest.hexdigest() == ND_REDUCE_SCATTER_DIGEST
 
     def test_empty_inputs_raise_value_error_on_auto(self):
         with pytest.raises(ValueError, match="expected 2 per-rank arrays, got 0"):

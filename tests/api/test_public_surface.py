@@ -5,8 +5,10 @@ anything removed is a breaking change.  Update the snapshot deliberately,
 in the same commit as the surface change.
 """
 
+import dataclasses
 import hashlib
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -15,6 +17,8 @@ import pytest
 import repro
 import repro.api as api
 import repro.mpisim.topology as topology
+from repro.api.communicator import C_VARIANTS
+from repro.ccoll import CCollConfig
 
 EXPECTED_API_ALL = ["Cluster", "Communicator"]
 
@@ -75,6 +79,24 @@ def test_communicator_collective_surface():
         if not name.startswith("_") and callable(getattr(api.Communicator, name))
     ]
     assert sorted(set(methods) & set(EXPECTED_COLLECTIVES)) == EXPECTED_COLLECTIVES
+
+
+def test_one_table_names_every_compression_mode():
+    """``compression`` is the only knob that picks a C-Coll variant, and
+    ``C_VARIANTS`` lists exactly the methods that take it."""
+    compressible = {}
+    for name, method in inspect.getmembers(api.Communicator, inspect.isfunction):
+        if name.startswith("_"):
+            continue
+        parameters = inspect.signature(method).parameters
+        assert "overlap" not in parameters, name
+        if "compression" in parameters:
+            compressible[name] = parameters["compression"]
+    assert sorted(compressible) == sorted(C_VARIANTS)
+    for name, parameter in compressible.items():
+        assert parameter.annotation in (str, "str"), name
+        assert parameter.default == "off", name
+    assert "use_overlap" not in {field.name for field in dataclasses.fields(CCollConfig)}
 
 
 def test_top_level_reexports_session_api():

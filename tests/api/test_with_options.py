@@ -1,10 +1,10 @@
 """Tests for ``Communicator.with_options`` — shallow per-session overrides.
 
 The point of the method is that parameter sweeps (the harness runs many) can
-adjust ``error_bound`` / ``size_multiplier`` / compression defaults without
-rebuilding the session: the clone shares the bound topology object (and its
-warmed stage caches).  The fabric's contention discipline is not an option:
-it is chosen once, when the topology is built.
+adjust ``error_bound`` / ``size_multiplier`` without rebuilding the session:
+the clone shares the bound topology object (and its warmed stage caches).
+The fabric's contention discipline is not an option: it is chosen once, when
+the topology is built.
 """
 
 import numpy as np
@@ -59,40 +59,10 @@ class TestConfigOverrides:
         with pytest.raises(TypeError):
             comm.with_options(errorbound=1e-4)  # typo'd field
 
-
-class TestCompressionDefault:
-    def test_default_compression_applies_to_calls(self):
-        comm = Cluster.from_preset("shared_uplink", ranks_per_node=4).communicator(8)
-        compressed = comm.with_options(compression="on")
-        assert compressed.default_compression == "on"
-        outcome = compressed.allreduce(inputs_for(8))
-        assert compressed.last_compression == "Overlap"
-        assert outcome.compression_ratio is not None
-        # an explicit argument still wins over the session default
-        compressed.allreduce(inputs_for(8), compression="off")
-        assert compressed.last_compression == "AD"
-        # the original session keeps compressing off by default
-        comm.allreduce(inputs_for(8))
-        assert comm.last_compression == "AD"
-
-    def test_invalid_compression_rejected_eagerly(self):
-        comm = Cluster().communicator(4)
-        with pytest.raises(ValueError):
-            comm.with_options(compression="psychic")
-
-    def test_explicit_algorithm_overrides_the_session_default(self):
-        """A named schedule is an uncompressed run: it must not conflict with
-        a compression default set far away via with_options."""
-        comm = Cluster.from_preset("shared_uplink", ranks_per_node=4).communicator(8)
-        compressed = comm.with_options(compression="on")
-        outcome = compressed.allreduce(inputs_for(8), algorithm="ring")
-        assert compressed.last_compression == "AD"
-        assert compressed.last_algorithm == "ring"
-        want = comm.allreduce(inputs_for(8), algorithm="ring")
-        assert outcome.total_time == want.total_time
-        # an *explicit* per-call conflict still errors
-        with pytest.raises(ValueError, match="algorithm="):
-            compressed.allreduce(inputs_for(8), algorithm="ring", compression="on")
+    def test_compression_is_not_a_session_option(self):
+        """A call's ``compression`` argument is the only way to pick a variant."""
+        with pytest.raises(TypeError, match="'compression'"):
+            Cluster().communicator(4).with_options(compression="on")
 
 
 class TestContentionIsChosenOnce:

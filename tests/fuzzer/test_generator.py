@@ -89,6 +89,8 @@ class TestSanitizeRules:
         assert sanitize(self._base(op="bcast", compression="nd")).compression == "on"
         assert sanitize(self._base(op="reduce_scatter", compression="di")).compression == "on"
         assert sanitize(self._base(op="allreduce", compression="nd")).compression == "nd"
+        # the ND reduce-scatter is a scenario of its own
+        assert sanitize(self._base(op="reduce_scatter", compression="nd")).compression == "nd"
 
     def test_reduce_scatter_payload_covers_all_ranks(self):
         fixed = sanitize(self._base(op="reduce_scatter", msg_elems=3, n_ranks=8))

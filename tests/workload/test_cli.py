@@ -35,6 +35,15 @@ class TestRun:
         assert main(["run", *_base_flags(), "--check-invariants"]) == 0
         assert "invariants ok" in capsys.readouterr().out
 
+    def test_a_mix_that_cannot_compile_is_refused_before_the_run(self, capsys):
+        """``di`` is no reduce_scatter variant: refused when the mix is drawn."""
+        flags = ["--ops", "reduce_scatter", "--compressions", "di"]
+        assert main(["run", *_base_flags(), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid job mix: " in captured.err
+        assert "'di' is not available for reduce_scatter" in captured.err
+        assert "workload:" not in captured.out
+
 
 class TestReplay:
     def test_trace_round_trips_through_replay_deterministically(self, tmp_path, capsys):

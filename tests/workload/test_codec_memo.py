@@ -231,15 +231,23 @@ class TestMemoLifetime:
             assert [r.isolated for r in report.records] == [r.isolated for r in reports[0].records]
             assert [r.finished for r in report.records] == [r.finished for r in reports[0].records]
 
-    def test_nothing_is_left_behind_when_a_run_raises(self, compiles):
+    def test_nothing_is_left_behind_when_a_run_raises(self, compiles, monkeypatch):
         specs = _ledger_mix()[:4]
-        # which modes an op supports is only known at compile time, mid-run
+        # a call only job "broken" issues fails when the job compiles, mid-run
+        doomed = CollectiveCall(op="bcast", msg_elems=4321)
         broken = JobSpec(
-            job_id="broken", n_ranks=2, arrival=specs[-1].arrival + 1e-3,
-            calls=(CollectiveCall(op="bcast", compression="nd"),),
-        )  # fmt: skip
+            job_id="broken", n_ranks=2, arrival=specs[-1].arrival + 1e-3, calls=(doomed,)
+        )
+        real = workload_job._issue
+
+        def failing(comm, call, inputs):
+            if call == doomed:
+                raise ValueError("job 'broken' cannot compile")
+            return real(comm, call, inputs)
+
+        monkeypatch.setattr(workload_job, "_issue", failing)
         engine = WorkloadEngine(_cluster(), policy="spread")
-        with pytest.raises(ValueError, match="'nd' is not available for bcast"):
+        with pytest.raises(ValueError, match="job 'broken' cannot compile"):
             engine.run(specs + [broken], baseline=True)
         assert [job_id for job_id, _ in compiles] == [s.job_id for s in specs] + ["broken"]
         assert _live_memos() == []

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
+from repro.api.communicator import C_VARIANTS
 from repro.workload import (
+    COLLECTIVE_OPS,
     CollectiveCall,
     JobMix,
     JobSpec,
@@ -44,6 +46,39 @@ class TestSpecs:
     def test_a_call_that_cannot_compile_is_refused_when_written_down(self, field, value):
         with pytest.raises(ValueError, match=rf"{field}.*{value}"):
             CollectiveCall(**{field: value})
+
+    @pytest.mark.parametrize(
+        "op, mode",
+        [("bcast", "nd"), ("allgather", " ND "), ("reduce_scatter", "di"), ("reduce_scatter", "cpr-p2p")],
+    )  # fmt: skip
+    def test_a_mode_the_op_does_not_run_is_refused_when_written_down(self, op, mode):
+        """Regression: these compiled only when the job arrived, and died mid-run."""
+        with pytest.raises(ValueError, match=f"is not available for {op}"):
+            CollectiveCall(op=op, compression=mode)
+
+    def test_every_mode_the_table_lists_constructs(self):
+        for op in COLLECTIVE_OPS:
+            for variant in C_VARIANTS[op]:
+                CollectiveCall(op=op, compression=variant)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_ranks", 4.5), ("n_ranks", 4.0), ("iterations", 1.5), ("seed", 1.5), ("seed", True), ("seed", "7")],
+    )  # fmt: skip
+    def test_a_non_integer_job_size_is_refused(self, field, value):
+        """Regression: these raised a bare TypeError inside ``Engine.run``."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            JobSpec(**{"job_id": "x", "n_ranks": 2, field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 1024.0, True])
+    def test_a_non_integer_message_size_is_refused(self, value):
+        with pytest.raises(ValueError, match="msg_elems must be an integer"):
+            CollectiveCall(msg_elems=value)
+
+    def test_numpy_integers_are_integers(self):
+        spec = JobSpec(job_id="x", n_ranks=np.int64(4), iterations=np.int32(2), seed=np.int64(7))
+        assert spec.n_steps == 2
+        CollectiveCall(msg_elems=np.int64(64))
 
     def test_every_default_the_mixes_draw_from_constructs(self):
         mix = JobMix()
@@ -214,3 +249,22 @@ class TestTraces:
         with pytest.raises(TraceFormatError) as caught:
             load_trace(path)
         assert str(caught.value).startswith(f"{path}:2: arrival must be a finite time")
+
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            ('{"job_id": "a", "n_ranks": 4.5}', "n_ranks must be an integer, got 4.5"),
+            ('{"job_id": "a", "n_ranks": 2, "iterations": 1.5}', "iterations must be an integer"),
+            ('{"job_id": "a", "n_ranks": 2, "seed": 1.5}', "seed must be an integer"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"msg_elems": 2.5}]}', "msg_elems must be an integer"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"op": "bcast", "compression": "nd"}]}', "'nd' is not available for bcast"),
+            ('{"job_id": "a", "n_ranks": 2, "calls": [{"op": "reduce_scatter", "compression": "di"}]}', "'di' is not available for reduce_scatter"),
+        ],
+    )  # fmt: skip
+    def test_a_line_that_would_fail_mid_run_is_refused_by_line(self, tmp_path, line, complaint):
+        path = tmp_path / "late.jsonl"
+        path.write_text(f'{{"job_id": "ok", "n_ranks": 2}}\n{line}\n')
+        with pytest.raises(TraceFormatError) as caught:
+            load_trace(path)
+        assert str(caught.value).startswith(f"{path}:2: ")
+        assert complaint in str(caught.value)
