@@ -13,9 +13,20 @@ import pytest
 
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
-from repro.mpisim import Compute, Irecv, Isend, NetworkModel, Waitall, run_simulation
+from repro.mpisim import (
+    Compute,
+    Irecv,
+    Isend,
+    NetworkModel,
+    SharedUplinkTopology,
+    Waitall,
+    run_simulation,
+)
 
 NET = NetworkModel(latency=1e-6, bandwidth=1e9, eager_threshold=1024, inflight_window=1024**2)
+FAIR_NET = NetworkModel(
+    latency=1e-6, bandwidth=1e9, eager_threshold=1024, inflight_window=1024**2, contention="fair"
+)
 
 
 def ring_exchange_program(rounds, fresh_payloads=False):
@@ -44,6 +55,18 @@ class TestEngineThroughput:
     def test_ring_exchange(self, benchmark, ranks, rounds):
         result = benchmark(run_simulation, ranks, ring_exchange_program(rounds), NET)
         assert result.total_time > 0
+
+    # The same ring under max-min fair contention on shared node uplinks, the
+    # perf ledger's engine_ring_fair at its own size and at 4x: every engine
+    # peek asks the fair-share registry for its next departure, so this is
+    # the scaling point for the registry's per-event cost.
+    @pytest.mark.parametrize("ranks", [1024, 4096])
+    def test_fair_ring_exchange(self, benchmark, ranks):
+        topology = SharedUplinkTopology(ranks_per_node=8, contention="fair")
+        result = benchmark(
+            run_simulation, ranks, ring_exchange_program(8), FAIR_NET, topology=topology
+        )
+        assert result.rank_values == list(range(ranks))
 
 
 def compressed_ring_program(rounds):

@@ -116,7 +116,7 @@ def run_theory_bounds(scale="small", error_bound: float = 1e-3, trials: int = 40
         rng=0,
     )
     result.add_row(
-        claim="Corollary 1 coverage (measured SZx errors, be ~= 3 sigma assumption)",
+        claim="Corollary 1 coverage (measured SZx errors, be ~= 3 sigma; holds if >= 0.6)",
         n_nodes=8,
         expected=corollary.expected,
         observed=corollary.coverage,

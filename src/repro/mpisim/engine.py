@@ -54,7 +54,10 @@ Event-heap core
 
 Scheduling is a single global min-heap of ``(timestamp, order, token)``
 entries — O(log events) per scheduling decision regardless of rank count,
-which is what lets one engine drive 10k+ ranks.  ``order`` encodes the
+which is what lets one engine drive 10k+ ranks.  That holds for fair runs
+too: the registry keeps its next departure on a heap of its own, so the
+commit entry's refresh costs O(log flows), not a scan of every flow (see
+:mod:`repro.mpisim.fairshare`).  ``order`` encodes the
 priority tier and the tiebreak in one integer, and the heap holds three
 tiers:
 

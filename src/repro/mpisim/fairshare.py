@@ -21,6 +21,15 @@ drains first.  The pieces:
   drives both, interleaving departures with rank steps so in-flight transfers
   genuinely see mid-flight rate changes.
 
+The next departure is read off a heap, not found by scanning: every streaming
+flow keeps one live ``(drain_at, flow_id)`` entry, re-keyed whenever
+progressive filling sets its rate and rebuilt whenever the fluid clock moves,
+and stale entries are popped lazily.  Drained flows awaiting their commit sit
+in a small table of their own.  The engine asks for the earliest departure
+after every registry change, so that query costs O(log flows) rather than
+O(flows); ``(time, flow_id)`` ordering keeps "the earliest-registered flow
+wins a tie" exactly, because flow ids only increase.
+
 Rates are assigned by progressive filling: repeatedly find the stage whose
 residual capacity divided by its unfixed flow count is smallest, fix those
 flows at that share, subtract the share from every stage they cross, and
@@ -74,6 +83,7 @@ class FairFlow:
         "start",
         "drained",
         "finish_time",
+        "drain_at",
         "token",
         "group",
     )
@@ -95,6 +105,8 @@ class FairFlow:
         self.start = float(start)
         self.drained = False
         self.finish_time: Optional[float] = None
+        # the key of the flow's live drain-heap entry (None: no entry)
+        self.drain_at: Optional[float] = None
         self.token = token
         # accounting group (e.g. a job id): delivered bytes of grouped flows
         # accumulate in FairShareRegistry.group_bytes
@@ -130,14 +142,19 @@ class FairShareRegistry:
 
     def __init__(self) -> None:
         self._flows: Dict[int, FairFlow] = {}
+        # drained flows awaiting their commit, by id
+        self._drained: Dict[int, FairFlow] = {}
+        # (drain_at, flow_id) per streaming flow; lazily invalidated: an entry
+        # is live iff its flow is registered, undrained and still keyed at it
+        self._drains: List[Tuple[float, int]] = []
         self._clock = float("-inf")
         self._next_id = 0
-        # monotone change counter: bumped whenever the flow set, the rates or
-        # the fluid clock change, i.e. whenever a previously computed earliest
-        # departure may be stale.  The event-heap engine stamps its scheduled
-        # FAIR_COMMIT events with this version and lazily discards entries
-        # whose stamp no longer matches (see repro.mpisim.engine).
-        self._version = 0
+        #: monotone change counter: bumped whenever the flow set, the rates or
+        #: the fluid clock change, i.e. whenever a previously computed earliest
+        #: departure may be stale.  The event-heap engine stamps its scheduled
+        #: commit events with it and lazily discards entries whose stamp no
+        #: longer matches (see repro.mpisim.engine).
+        self.version = 0
         # cached earliest departure; invalidated together with the version
         self._earliest: Optional[Tuple[float, FairFlow]] = None
         self._earliest_valid = False
@@ -147,15 +164,8 @@ class FairShareRegistry:
 
     def _touch(self) -> None:
         """Record a state change: bump the version, drop the departure cache."""
-        self._version += 1
+        self.version += 1
         self._earliest_valid = False
-
-    @property
-    def version(self) -> int:
-        """Monotone counter of registry state changes (arrivals, departures,
-        rate re-divisions, clock advances).  Unchanged version == the result
-        of :meth:`earliest_departure` is unchanged."""
-        return self._version
 
     # -------------------------------------------------------------- protocol
 
@@ -198,22 +208,20 @@ class FairShareRegistry:
         """The next flow to finish and when, at current rates (``None`` if idle).
 
         Ties resolve to the earliest-registered flow (drained-but-uncommitted
-        flows first), so commits are deterministic.  The result is cached and
-        only recomputed after a state change (see :attr:`version`), so calling
-        this between changes is O(1) — the engine leans on that to keep its
-        scheduled commit events fresh without rescanning the flow set.
+        flows first), so commits are deterministic.  Drained flows are picked
+        from their small table, streaming ones off the drain heap's top
+        (:meth:`_top_drain`), so a query costs O(log flows) amortised rather
+        than a scan of every flow; the result is also cached until the next
+        state change (see :attr:`version`).
         """
         if self._earliest_valid:
             return self._earliest
         best_t: Optional[float] = None
         best_flow: Optional[FairFlow] = None
-        for flow in self._flows.values():
-            if not flow.drained:
-                continue
-            t = flow.finish_time if flow.finish_time is not None else self._clock
-            if best_t is None or t < best_t:
-                best_t, best_flow = t, flow
-        drain_t, drain_flow = self._next_drain(self._flows.values())
+        if self._drained:
+            best_t, fid = min((f.finish_time, fid) for fid, f in self._drained.items())
+            best_flow = self._drained[fid]
+        drain_t, drain_flow = self._top_drain()
         if drain_flow is not None and (best_t is None or drain_t < best_t):
             best_t, best_flow = drain_t, drain_flow
         self._earliest = None if best_flow is None else (best_t, best_flow)
@@ -236,6 +244,7 @@ class FairShareRegistry:
         if not flow.drained:  # pragma: no cover - fp guard
             self._drain(flow, finish)
         self._flows.pop(flow.flow_id, None)
+        self._drained.pop(flow.flow_id, None)
         self._touch()
         assert flow.finish_time is not None
         return flow.finish_time, flow
@@ -259,6 +268,7 @@ class FairShareRegistry:
         self._advance(now)
         was_streaming = not flow.drained
         self._flows.pop(flow.flow_id, None)
+        self._drained.pop(flow.flow_id, None)
         for stage in flow.stages:
             stage.flows.pop(flow.flow_id, None)
         self._touch()
@@ -296,7 +306,11 @@ class FairShareRegistry:
         return self._clock
 
     def active_flows(self) -> List[FairFlow]:
-        """Registered flows that still hold backlog (registration order)."""
+        """Registered flows not yet drained, in registration order.
+
+        A flow stays here until its drain, including a zero-byte flow whose
+        backlog is already empty but whose departure is not yet due.
+        """
         return [f for f in self._flows.values() if not f.drained]
 
     def pending_count(self) -> int:
@@ -305,27 +319,49 @@ class FairShareRegistry:
 
     # --------------------------------------------------------- fluid machinery
 
-    def _next_drain(self, flows) -> Tuple[Optional[float], Optional[FairFlow]]:
-        """Earliest drain among non-drained ``flows`` at current rates.
+    def _top_drain(self) -> Tuple[Optional[float], Optional[FairFlow]]:
+        """Earliest drain among streaming flows at current rates.
 
         The single source of truth for departure selection: both the engine's
-        :meth:`earliest_departure` and the fluid loop of :meth:`_advance` use
+        :meth:`earliest_departure` and the fluid loop of :meth:`_advance` read
         it, so the commit horizon and the internal drains can never diverge.
+        Stale heap entries above the first live one are popped on the way.
         """
-        best_t: Optional[float] = None
-        best_flow: Optional[FairFlow] = None
-        for flow in flows:
-            if flow.drained:
-                continue
-            if flow.remaining <= 0.0:
-                t = max(self._clock, flow.start)
-            elif flow.rate > 0.0:
-                t = self._clock + flow.remaining / flow.rate
-            else:  # pragma: no cover - zero share needs fp pathology
-                continue
-            if best_t is None or t < best_t:
-                best_t, best_flow = t, flow
-        return best_t, best_flow
+        drains = self._drains
+        flows = self._flows
+        while drains:
+            t, fid = drains[0]
+            flow = flows.get(fid)
+            if flow is not None and not flow.drained and flow.drain_at == t:
+                return t, flow
+            heapq.heappop(drains)
+        return None, None
+
+    def _drain_key(self, flow: FairFlow) -> Optional[float]:
+        """When a streaming ``flow`` drains at current clock and rate."""
+        if flow.remaining <= 0.0:
+            return max(self._clock, flow.start)
+        if flow.rate > 0.0:
+            return self._clock + flow.remaining / flow.rate
+        return None  # pragma: no cover - zero share needs fp pathology
+
+    def _rekey(self, flow: FairFlow) -> None:
+        """Give ``flow`` a live drain-heap entry at its current key."""
+        t = self._drain_key(flow)
+        if t != flow.drain_at:
+            flow.drain_at = t
+            if t is not None:
+                heapq.heappush(self._drains, (t, flow.flow_id))
+
+    def _rebuild_drains(self, streaming: List[FairFlow]) -> None:
+        """Re-key every streaming flow after the fluid clock moved."""
+        drains = []
+        for flow in streaming:
+            t = flow.drain_at = self._drain_key(flow)
+            if t is not None:
+                drains.append((t, flow.flow_id))
+        heapq.heapify(drains)
+        self._drains = drains
 
     def _advance(self, target: float) -> None:
         """Progress every active flow to ``target``, draining along the way."""
@@ -339,13 +375,16 @@ class FairShareRegistry:
             if not streaming:
                 self._clock = target
                 return
-            dep_time, dep_flow = self._next_drain(streaming)
+            dep_time, dep_flow = self._top_drain()
             if dep_time is None or dep_time > target:
                 self._stream(self._clock, target, streaming)
                 self._clock = target
+                self._rebuild_drains(streaming)
                 return
-            self._stream(self._clock, dep_time, streaming)
-            self._clock = max(self._clock, dep_time)
+            if dep_time > self._clock:
+                self._stream(self._clock, dep_time, streaming)
+                self._clock = dep_time
+                self._rebuild_drains(streaming)
             assert dep_flow is not None
             self._drain(dep_flow, dep_time)
 
@@ -378,6 +417,7 @@ class FairShareRegistry:
         flow.finish_time = time
         flow.remaining = 0.0
         flow.rate = 0.0
+        self._drained[flow.flow_id] = flow
         for stage in flow.stages:
             stage.flows.pop(flow.flow_id, None)
         self._touch()
@@ -426,6 +466,7 @@ class FairShareRegistry:
             # every share is capacity / 1 and the smallest one wins, whatever the tie
             (flow,) = members.values()
             flow.rate = max(0.0, min(float(stage.capacity) for stage in flow.stages))
+            self._rekey(flow)
             return
         # registration order, exactly like the sweep over every flow
         active = [members[fid] for fid in sorted(members)]
@@ -478,3 +519,4 @@ class FairShareRegistry:
                     )
         for flow in active:
             flow.rate = rates.get(flow.flow_id, 0.0)
+            self._rekey(flow)

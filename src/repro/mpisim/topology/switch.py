@@ -155,6 +155,11 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         self._stripe_counters: Dict[int, int] = {}
         # cleared by reset()
         self._overlay = FaultOverlay()
+        # what survives the live overlays, memoised until they change: the
+        # candidate routes per (src_node, dst_node) and the rail per
+        # (src_node, dst_node, chosen rail); never an empty answer
+        self._surviving_routes: Dict[Tuple[int, int], Tuple[Tuple[StageKey, ...], ...]] = {}
+        self._live_rails: Dict[Tuple[int, int, int], int] = {}
 
     # ------------------------------------------------- fabric structure hooks
 
@@ -253,9 +258,12 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         """Re-capacitate instantiated stages from nominal x live overlays.
 
         Also refreshes the cached path links' bottleneck bandwidth (windowed
-        poll credits read it), so every timing input reflects the overlay set.
+        poll credits read it), so every timing input reflects the overlay set,
+        and forgets the surviving routes and live rails of the old set.
         Returns the stages whose capacity actually changed.
         """
+        self._surviving_routes.clear()
+        self._live_rails.clear()
         changed: List[SharedLink] = []
         for key, stage in self._stages.items():
             capacity = self._nominal_capacity(key) * self._overlay.factor(key)
@@ -296,21 +304,31 @@ class SwitchFabricTopology(Contended, PlacedTopology):
             )
         return cached
 
-    def _choose_route(self, src_node: int, dst_node: int, rail: int) -> Tuple[StageKey, ...]:
-        routes = self._routes(src_node, dst_node)
-        if self._overlay:
-            # failed stages are excluded from routing outright; degradation is
-            # handled below as a soft penalty
+    def _live_routes(self, src_node: int, dst_node: int) -> Tuple[Tuple[StageKey, ...], ...]:
+        """The candidate routes that cross no failed stage (memoised)."""
+        routes = self._surviving_routes.get((src_node, dst_node))
+        if routes is None:
+            is_failed = self._overlay.is_failed
             routes = tuple(
                 route
-                for route in routes
-                if not any(self._overlay.is_failed(key) for key in route)
+                for route in self._routes(src_node, dst_node)
+                if not any(is_failed(key) for key in route)
             )
             if not routes:
                 raise RuntimeError(
                     f"no surviving route {src_node} -> {dst_node}: every "
                     f"candidate crosses a failed stage ({self.describe()})"
                 )
+            self._surviving_routes[(src_node, dst_node)] = routes
+        return routes
+
+    def _choose_route(self, src_node: int, dst_node: int, rail: int) -> Tuple[StageKey, ...]:
+        # failed stages are excluded from routing outright; degradation is
+        # handled below as a soft penalty
+        if self._overlay:
+            routes = self._live_routes(src_node, dst_node)
+        else:
+            routes = self._routes(src_node, dst_node)
         if len(routes) == 1:
             return routes[0]
         if self.routing == ROUTE_ADAPTIVE:
@@ -369,14 +387,19 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         return self._fabric_link(self.node_of(src), self.node_of(dst), self._hash_rail(src, dst))
 
     def _live_rail(self, src_node: int, dst_node: int, rail: int) -> int:
-        """The chosen rail, advanced past failed NIC rails (deterministic)."""
+        """The chosen rail, advanced past failed NIC rails (deterministic, memoised)."""
+        live = self._live_rails.get((src_node, dst_node, rail))
+        if live is not None:
+            return live
         nics = self.nics_per_node
+        is_failed = self._overlay.is_failed
         for offset in range(nics):
             candidate = (rail + offset) % nics
             if not (
-                self._overlay.is_failed(("nic-up", src_node, candidate))
-                or self._overlay.is_failed(("nic-down", dst_node, candidate))
+                is_failed(("nic-up", src_node, candidate))
+                or is_failed(("nic-down", dst_node, candidate))
             ):
+                self._live_rails[(src_node, dst_node, rail)] = candidate
                 return candidate
         raise RuntimeError(
             f"all {nics} NIC rail(s) between nodes {src_node} and {dst_node} "

@@ -100,6 +100,46 @@ class TestRoutingReactions:
         # leaf-local traffic (same edge switch) never climbs: still routable
         assert topo.resolve_link(0, 1) is not None
 
+    def test_route_memo_follows_every_overlay_change(self):
+        """Surviving routes and live rails are memoised per overlay set: every
+        set and clear is seen by the next send, and a dead end raises on every
+        call rather than being remembered."""
+        topo = fat_tree_topology(ranks_per_node=1, nics_per_node=2, routing="adaptive")
+        healthy = topo.route_of(0, 5)
+        core = ("ft-agg-core", 0, 0, 0)
+        assert core in healthy
+        # an overlay off every 0 -> 5 route keeps the memoised path live
+        topo.set_stage_fault(("ft-down", 3), factor=0.5)
+        assert topo.route_of(0, 5) == healthy
+        topo.set_stage_fault(core, failed=True)
+        assert core not in topo.route_of(0, 5)
+        topo.clear_stage_fault(core)
+        assert topo.route_of(0, 5) == healthy
+
+        def nic_up(link):
+            return {
+                key
+                for key, stage in topo._stages.items()
+                if stage in link.stages and key[0] == "nic-up"
+            }
+
+        assert nic_up(topo.resolve_link(0, 5)) == {("nic-up", 0, 0)}
+        topo.set_stage_fault(("nic-up", 0, 0), failed=True)
+        assert nic_up(topo.resolve_link(0, 5)) == {("nic-up", 0, 1)}
+        topo.clear_stage_fault(("nic-up", 0, 0))
+        assert nic_up(topo.resolve_link(0, 5)) == {("nic-up", 0, 0)}
+        topo.set_stage_fault(("nic-up", 0), failed=True)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="NIC rail"):
+                topo.resolve_link(0, 5)
+        topo.clear_stage_fault(("nic-up", 0))
+        topo.set_stage_fault(("ft-up", 0), failed=True)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="no surviving route"):
+                topo.route_of(0, 5)
+        topo.reset()
+        assert topo.route_of(0, 5) == healthy
+
     def test_adaptive_routing_prefers_the_healthy_core(self):
         # degrade one core-crossing stage; the adaptive chooser must route
         # cross-pod traffic over a candidate avoiding the degraded stage

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mpisim import (
     CONTENTION_FAIR,
@@ -132,6 +133,101 @@ class TestRegistryMechanics:
         # each stage booked exactly the wire time the bytes occupied
         assert slow.busy_until == pytest.approx(4.0)
         assert fast.busy_until == pytest.approx(1.0)
+
+
+def scanned_departure(registry):
+    """The earliest departure by a full two-pass scan of the registered flows:
+    drained flows by finish time, then streaming flows by their drain time at
+    the current clock and rate; ties go to the earliest-registered flow, a
+    drained flow winning an exact tie with a streaming one."""
+    clock = registry.clock
+    best = None
+    for flow in registry._flows.values():
+        if flow.drained and (best is None or flow.finish_time < best[0]):
+            best = (flow.finish_time, flow)
+    drain = None
+    for flow in registry._flows.values():
+        if flow.drained:
+            continue
+        if flow.remaining <= 0.0:
+            t = max(clock, flow.start)
+        elif flow.rate > 0.0:
+            t = clock + flow.remaining / flow.rate
+        else:
+            continue
+        if drain is None or t < drain[0]:
+            drain = (t, flow)
+    if drain is not None and (best is None or drain[0] < best[0]):
+        best = drain
+    return best
+
+
+#: few distinct values, so sizes, starts and capacities tie exactly and often;
+#: the non-dyadic ones make a drain time computed at a stale clock round off
+_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("open"),
+            st.sets(st.integers(0, 3), min_size=1, max_size=3),
+            st.sampled_from([0.0, 0.0, 0.3, 2.5]),
+            st.sampled_from([0.0, 70.0, 100.0, 100.0, 300.0]),
+        ),
+        st.tuples(st.just("commit")),
+        st.tuples(st.just("cancel"), st.integers(0, 15), st.sampled_from([0.0, 0.5, 1.0])),
+        st.tuples(
+            st.just("capacity"),
+            st.integers(0, 15),
+            st.sampled_from([0.0, 1.0]),
+            st.sampled_from([30.0, 100.0, 200.0]),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestDrainHeapOracle:
+    """The registry's heap-kept departure equals a full scan after every event."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops, disjoint=st.booleans())
+    def test_earliest_departure_matches_a_full_scan(self, ops, disjoint):
+        # disjoint: every flow gets a private stage, so no two flows interact
+        stages = [SharedLink(capacity=100.0) for _ in range(4)]
+        registry = FairShareRegistry()
+        opened = []
+        for op in ops:
+            now = max(0.0, registry.clock)
+            if op[0] == "open":
+                _, picks, delay, nbytes = op
+                if disjoint:
+                    stages.append(SharedLink(capacity=100.0))
+                    crossed = stages[-1:]
+                else:
+                    crossed = [stages[i] for i in sorted(picks)]
+                opened.append(registry.open_flow(crossed, now + delay, nbytes))
+            elif op[0] == "commit":
+                if registry.pending_count():
+                    registry.commit_departure()
+            elif op[0] == "cancel":
+                if opened:
+                    registry.cancel_flow(opened[op[1] % len(opened)], now + op[2])
+            else:
+                _, index, delay, capacity = op
+                stage = stages[index % len(stages)]
+                stage.capacity = capacity
+                registry.apply_capacity_change(now + delay, [stage])
+            expected = scanned_departure(registry)
+            got = registry.earliest_departure()
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert got[0] == expected[0]
+                assert got[1] is expected[1]
+        while registry.pending_count():
+            expected = scanned_departure(registry)
+            got = registry.commit_departure()
+            assert got[0] == expected[0] and got[1] is expected[1]
 
 
 class TestContentionKnob:
