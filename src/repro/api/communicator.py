@@ -80,7 +80,7 @@ from repro.mpisim.launcher import run_simulation
 from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology
 
-__all__ = ["Communicator"]
+__all__ = ["Communicator", "issue_collective"]
 
 #: the canonical Table V variants each compressible collective runs
 #: (``"auto"`` is accepted by all of them)
@@ -104,6 +104,24 @@ def compression_mode(op: str, compression: str) -> str:
             f"it runs {' / '.join(C_VARIANTS[op])} or 'auto'"
         )
     return mode
+
+
+def issue_collective(
+    comm: "Communicator", op: str, inputs, *, algorithm: str = "auto", compression: str = "off"
+):
+    """Issue collective ``op`` on per-rank ``inputs``: the one op -> method table
+    of the callers that name a collective by string (workload jobs, fuzzer
+    scenarios).  ``bcast`` sends ``inputs[0]`` from root 0; only ``allreduce``
+    takes ``algorithm``."""
+    if op == "allreduce":
+        return comm.allreduce(inputs, algorithm=algorithm, compression=compression)
+    if op == "allgather":
+        return comm.allgather(inputs, compression=compression)
+    if op == "bcast":
+        return comm.bcast(inputs[0], root=0, compression=compression)
+    if op == "reduce_scatter":
+        return comm.reduce_scatter(inputs, compression=compression)
+    raise ValueError(f"unknown collective op {op!r}")
 
 
 class Communicator:

@@ -55,12 +55,12 @@ class FaultInjector:
         :class:`NodeLoss` heals (its ``duration`` elapsed) — the workload
         layer un-quarantines the node here so flapping domains return
         capacity.
-    node_loss_factor:
-        Capacity factor the lost node's NIC stages collapse to.
 
-    ``install(engine)`` must be called after the engine is constructed and
-    before ``run()``; an engine is single-use and building one clears the
-    topology's fault overlays, so each run needs a fresh ``install``.
+    A lost node's NIC stages collapse to :data:`NODE_LOSS_FACTOR` of their
+    capacity.  ``install(engine)`` must be called after the engine is
+    constructed and before ``run()``; an engine is single-use and building one
+    clears the topology's fault overlays, so each run needs a fresh
+    ``install``.
     """
 
     def __init__(
@@ -68,16 +68,10 @@ class FaultInjector:
         schedule: FaultSchedule,
         on_node_loss: Optional[Callable[[int, float], None]] = None,
         on_node_heal: Optional[Callable[[int, float], None]] = None,
-        node_loss_factor: float = NODE_LOSS_FACTOR,
     ) -> None:
-        if not node_loss_factor > 0.0:
-            raise ValueError(
-                f"node_loss_factor must be > 0, got {node_loss_factor}"
-            )
         self.schedule = schedule
         self.on_node_loss = on_node_loss
         self.on_node_heal = on_node_heal
-        self.node_loss_factor = float(node_loss_factor)
 
     def install(self, engine) -> int:
         """Schedule every event of the schedule onto ``engine``.
@@ -148,12 +142,8 @@ class FaultInjector:
             node = event.node
 
             def apply(now: float) -> None:
-                self._apply_overlay(
-                    engine, ("nic-up", node), self.node_loss_factor, False, now
-                )
-                self._apply_overlay(
-                    engine, ("nic-down", node), self.node_loss_factor, False, now
-                )
+                self._apply_overlay(engine, ("nic-up", node), NODE_LOSS_FACTOR, False, now)
+                self._apply_overlay(engine, ("nic-down", node), NODE_LOSS_FACTOR, False, now)
                 if self.on_node_loss is not None:
                     self.on_node_loss(node, now)
 

@@ -164,7 +164,7 @@ class NodeLoss:
 
     The node's NIC stages collapse to retransmit-class rates and the
     workload layer quarantines the node (killing jobs placed on it, per
-    their :class:`~repro.workload.recovery.FailurePolicy`).  ``duration``
+    their failure policy, :mod:`repro.workload.recovery`).  ``duration``
     makes the loss transient: the overlays clear and the node is healed
     (un-quarantined) after that many seconds; ``None`` is permanent.
     """

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api import Cluster
-from repro.api.communicator import Communicator
+from repro.api.communicator import Communicator, issue_collective
 from repro.collectives.reduce_scatter import partition_chunks
 from repro.compression import rounding_margin
 from repro.fuzzer.generator import _FABRIC_HOSTS, Scenario, placement_list, sanitize
@@ -128,21 +128,6 @@ def make_inputs(scenario: Scenario, step: int = 0) -> List[np.ndarray]:
 # ----------------------------------------------------------------- execution
 
 
-def _run_collective(comm: Communicator, scenario: Scenario, inputs: List[np.ndarray]):
-    op = scenario.op
-    if op == "allreduce":
-        return comm.allreduce(
-            inputs, algorithm=scenario.algorithm, compression=scenario.compression
-        )
-    if op == "allgather":
-        return comm.allgather(inputs, compression=scenario.compression)
-    if op == "bcast":
-        return comm.bcast(inputs[0], compression=scenario.compression)
-    if op == "reduce_scatter":
-        return comm.reduce_scatter(inputs, compression=scenario.compression)
-    raise ValueError(f"unknown op {scenario.op!r}")
-
-
 def _expected_values(scenario: Scenario, inputs: List[np.ndarray]) -> List[np.ndarray]:
     wide = [arr.astype(np.float64) for arr in inputs]
     op = scenario.op
@@ -206,7 +191,11 @@ def _single_run(scenario: Scenario):
     for step in range(scenario.program_len):
         inputs = make_inputs(scenario, step)
         outcome, found = _audited(
-            f"step {step}", lambda: _run_collective(comm, scenario, inputs)
+            f"step {step}",
+            lambda: issue_collective(
+                comm, scenario.op, inputs,
+                algorithm=scenario.algorithm, compression=scenario.compression,
+            ),
         )
         outcomes.append(outcome)
         step_values.append(

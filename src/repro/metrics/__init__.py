@@ -6,12 +6,7 @@ package implements those metrics exactly as defined in the referenced
 literature so harness outputs are directly comparable to the paper's numbers.
 """
 
-from repro.metrics.latency import (
-    StreamingSummary,
-    mean_slowdown,
-    percentile,
-    summarize,
-)
+from repro.metrics.latency import mean_slowdown, percentile, summarize
 from repro.metrics.quality import (
     psnr,
     nrmse,
@@ -34,7 +29,6 @@ __all__ = [
     "compression_ratio",
     "CompressionStats",
     "aggregate_ratio_stats",
-    "StreamingSummary",
     "mean_slowdown",
     "percentile",
     "summarize",

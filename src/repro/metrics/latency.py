@@ -1,4 +1,4 @@
-"""Streaming latency summaries: percentiles, tails and slowdowns.
+"""Latency summaries: percentiles, tails and slowdowns.
 
 The multi-tenant workload layer (:mod:`repro.workload`) reports p50/p99
 collective latency and per-job slowdown distributions; the harness reports
@@ -14,10 +14,9 @@ round-trip, and results are plain floats either way.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 __all__ = [
-    "StreamingSummary",
     "mean_slowdown",
     "percentile",
     "summarize",
@@ -49,91 +48,30 @@ def percentile(values: Sequence[float], q: float) -> float:
     return _percentile_sorted(sorted(float(v) for v in values), q)
 
 
-class StreamingSummary:
-    """Accumulates samples one at a time and summarises on demand.
+def summarize(values: Iterable[float]) -> Dict[str, float]:
+    """``{count, mean, p50, p99, min, max}`` of a sample, all floats.
 
-    ``add``/``extend`` are O(1) amortised; ``percentile`` sorts lazily and
-    caches the sorted view until the next insertion, so interleaving a few
-    reads with many writes stays cheap.  Exact (keeps all samples) — the
-    workload collector summarises at most a few hundred thousand collective
-    steps, far below the point where a sketch would pay off.
+    Exact (keeps every sample): the workload collector summarises at most a
+    few hundred thousand collective steps.  The empty sample keeps the full
+    schema with every statistic at ``0.0`` (and ``count == 0.0``), so callers
+    indexing ``["p50"]`` on a quiet interval never hit a ``KeyError``; check
+    ``count`` to tell a genuinely zero latency from an empty sample.
     """
-
-    __slots__ = ("_values", "_sorted", "total", "min", "max")
-
-    def __init__(self, values: Optional[Iterable[float]] = None) -> None:
-        self._values: List[float] = []
-        self._sorted: Optional[List[float]] = None
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        if values is not None:
-            self.extend(values)
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self._values.append(value)
-        self._sorted = None
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError("mean of an empty summary")
-        return self.total / len(self._values)
-
-    def percentile(self, q: float) -> float:
-        if self._sorted is None:
-            self._sorted = sorted(self._values)
-        if not self._sorted:
-            raise ValueError("percentile of an empty summary")
-        return _percentile_sorted(self._sorted, q)
-
-    def summary(self) -> Dict[str, float]:
-        """``{count, mean, p50, p99, min, max}``, all floats.
-
-        The empty summary keeps the full schema with every statistic at
-        ``0.0`` (and ``count == 0.0``), so callers indexing ``["p50"]`` on a
-        quiet interval never hit a ``KeyError``; check ``count`` to tell a
-        genuinely zero latency from an empty sample.
-        """
-        if not self._values:
-            return {
-                "count": 0.0,
-                "mean": 0.0,
-                "p50": 0.0,
-                "p99": 0.0,
-                "min": 0.0,
-                "max": 0.0,
-            }
-        return {
-            "count": float(len(self._values)),
-            "mean": self.mean,
-            "p50": self.percentile(50.0),
-            "p99": self.percentile(99.0),
-            "min": self.min,
-            "max": self.max,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StreamingSummary(count={self.count})"
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """One-shot ``{count, mean, p50, p99, min, max}`` of a sample."""
-    return StreamingSummary(values).summary()
+    samples = [float(value) for value in values]
+    if not samples:
+        return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p99": 0.0, "min": 0.0, "max": 0.0}
+    total = 0.0
+    for value in samples:  # left to right: sum() compensates on Python >= 3.12
+        total += value
+    ordered = sorted(samples)
+    return {
+        "count": float(len(samples)),
+        "mean": total / len(samples),
+        "p50": _percentile_sorted(ordered, 50.0),
+        "p99": _percentile_sorted(ordered, 99.0),
+        "min": min(samples),
+        "max": max(samples),
+    }
 
 
 def mean_slowdown(slowdowns: Sequence[float]) -> float:

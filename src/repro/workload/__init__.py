@@ -36,23 +36,15 @@ from repro.workload.placement import (
     PlacementView,
     slots_for,
 )
-from repro.workload.recovery import (
-    FAILURE_POLICY_MODES,
-    AttemptRecord,
-    CheckpointPolicy,
-    FailurePolicy,
-    JobFailed,
-)
+from repro.workload.recovery import FAILURE_POLICY_MODES, AttemptRecord, JobFailed
 
 __all__ = [
     "COLLECTIVE_OPS",
     "FAILURE_POLICY_MODES",
     "PLACEMENT_POLICIES",
     "AttemptRecord",
-    "CheckpointPolicy",
     "CollectiveCall",
     "CompiledJob",
-    "FailurePolicy",
     "JobFailed",
     "JobMix",
     "JobRecord",

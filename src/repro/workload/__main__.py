@@ -155,8 +155,8 @@ def build_engine(args: argparse.Namespace) -> WorkloadEngine:
         policy=args.policy,
         seed=args.seed,
         faults=build_faults(args, cluster),
-        failure_policy=getattr(args, "failure_policy", "fail"),
-        checkpoint=getattr(args, "checkpoint_every", 0),
+        failure_policy=args.failure_policy,
+        checkpoint=args.checkpoint_every,
     )
 
 
@@ -250,6 +250,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     replay_p.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
+    if args.checkpoint_every < 0:
+        print(
+            f"invalid --checkpoint-every: {args.checkpoint_every} (must be >= 0; 0 disables)",
+            file=sys.stderr,
+        )
+        return 2
     return args.func(args)
 
 

@@ -47,9 +47,9 @@ second execution, so no memo exists and nothing is retained.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from repro.api import Cluster
@@ -61,10 +61,13 @@ from repro.workload.job import CompiledJob, JobMemo, JobSpec, compile_job
 from repro.workload.metrics import JobRecord, WorkloadReport
 from repro.workload.placement import NodeAllocator, slots_for
 from repro.workload.recovery import (
+    FAILURE_POLICY_MODES,
+    MAX_RETRIES,
     AttemptRecord,
-    CheckpointPolicy,
-    FailurePolicy,
     JobFailed,
+    checkpoint_cost,
+    retry_delay,
+    takes_checkpoint,
 )
 
 __all__ = ["WorkloadEngine"]
@@ -217,7 +220,7 @@ class _Scheduler:
         owner, spec, record = self.owner, job.spec, job.record
         self._check(job, _RUNNING)  # before the allocator: an illegal start leases nothing
         restart = job.state == _BACKOFF
-        if restart and owner._policy_for(spec).mode == "restart":
+        if restart and owner._policy_for(spec) == "restart":
             # in-place: the original node set, whole or not at all
             nodes = record.nodes if self.allocator.acquire(record.nodes) else None
         else:  # first placement, or restart_elsewhere
@@ -265,14 +268,14 @@ class _Scheduler:
         record.bytes_sent += live.bytes_sent
         record.messages_sent += live.messages_sent
         self.allocator.release(record.nodes)
-        policy = self.owner._checkpoint_for(spec)
+        every = self.owner._checkpoint_for(spec)
         durable = record.last_durable_step
-        if policy is None:
+        if not every:
             return durable
         for step in range(record.resume_step, upto):
-            if not policy.takes_after(step, spec.n_steps):
+            if not takes_checkpoint(step, every, spec.n_steps):
                 continue
-            cost = policy.cost(spec, step)
+            cost = checkpoint_cost(spec, step)
             record.checkpoints_written += 1
             record.checkpoint_overhead += cost
             if kill_time is None or record.step_bounds[step][1] + cost <= kill_time:
@@ -325,10 +328,9 @@ class _Scheduler:
     def back_off(self, job: _Job, now: float) -> None:
         """Back off and retry, or fail for good once the budget is gone (a kill
         and a retry that could not be placed both burn it)."""
-        policy = self.owner._policy_for(job.spec)
-        if policy.restarts and job.retries_used < policy.max_retries:
+        if self.owner._policy_for(job.spec) != "fail" and job.retries_used < MAX_RETRIES:
             self._move(job, _BACKOFF)
-            delay = policy.delay(job.retries_used)
+            delay = retry_delay(job.retries_used)
             job.retries_used += 1
             self.engine.schedule_event(now + delay, partial(self.retry, job))
             return
@@ -400,16 +402,17 @@ class WorkloadEngine:
         fault impact alongside cross-tenant interference.  ``None`` or an
         empty schedule changes nothing, bit-for-bit.
     failure_policy:
-        Engine-level default :class:`~repro.workload.recovery.FailurePolicy`
-        (or bare mode string) applied to jobs whose spec does not override
-        it.  Default ``"fail"``.
+        Engine-level default recovery mode, one of
+        :data:`~repro.workload.recovery.FAILURE_POLICY_MODES` (``fail`` /
+        ``restart`` / ``restart_elsewhere``), for jobs whose spec does not
+        override it.  Retry budget and backoff are the constants of
+        :mod:`repro.workload.recovery`.
     checkpoint:
-        Engine-level default
-        :class:`~repro.workload.recovery.CheckpointPolicy` (or bare
-        interval int; 0/None disables) for jobs whose spec does not
-        override it.  Checkpoint costs are metered out-of-band — they
-        never perturb the event heap — so any policy combination is
-        bit-for-bit identical to the uninjected run when no fault fires.
+        Engine-level default checkpoint interval in steps (0 disables) for
+        jobs whose spec does not override it.  Checkpoint costs are metered
+        out-of-band — they never perturb the event heap — so any mode and
+        interval is bit-for-bit identical to the uninjected run when no
+        fault fires.
     """
 
     def __init__(
@@ -420,11 +423,19 @@ class WorkloadEngine:
         policy: str = "packed",
         seed: int = 0,
         record_values: bool = False,
-        max_commands: int = DEFAULT_MAX_COMMANDS,
         faults: Optional[FaultSchedule] = None,
-        failure_policy: Any = "fail",
-        checkpoint: Any = None,
+        failure_policy: str = "fail",
+        checkpoint: int = 0,
     ) -> None:
+        if failure_policy not in FAILURE_POLICY_MODES:
+            raise ValueError(
+                f"unknown failure policy {failure_policy!r}; "
+                f"available: {', '.join(FAILURE_POLICY_MODES)}"
+            )
+        if isinstance(checkpoint, bool) or not isinstance(checkpoint, int) or checkpoint < 0:
+            raise ValueError(
+                f"checkpoint must be an interval int >= 0 (0 disables), got {checkpoint!r}"
+            )
         topology = cluster.topology
         if topology is None:
             raise ValueError(
@@ -457,10 +468,9 @@ class WorkloadEngine:
         self.policy = policy
         self.seed = int(seed)
         self.record_values = bool(record_values)
-        self.max_commands = int(max_commands)
         self.faults = faults if faults is not None else FaultSchedule()
-        self.failure_policy = FailurePolicy.coerce(failure_policy)
-        self.checkpoint = CheckpointPolicy.coerce(checkpoint)
+        self.failure_policy = failure_policy
+        self.checkpoint = checkpoint
 
     # ------------------------------------------------------------------ runs
 
@@ -499,26 +509,18 @@ class WorkloadEngine:
     def _nodes_needed(self, spec: JobSpec) -> int:
         return -(-spec.n_ranks // self.ranks_per_node)
 
-    def _policy_for(self, spec: JobSpec) -> FailurePolicy:
-        """The job's failure policy: spec override over the engine default."""
-        if spec.failure_policy is None:
-            return self.failure_policy
-        return replace(self.failure_policy, mode=spec.failure_policy)
+    def _policy_for(self, spec: JobSpec) -> str:
+        """The job's failure mode: spec override, else the engine default."""
+        return self.failure_policy if spec.failure_policy is None else spec.failure_policy
 
     def _runs_again(self, spec: JobSpec, baseline: bool) -> bool:
         """Whether one ``run()`` can execute the job more than once — its isolated
         baseline, or a restart after a kill: such a job's compiles share a memo."""
-        return baseline or (not self.faults.empty and self._policy_for(spec).restarts)
+        return baseline or (not self.faults.empty and self._policy_for(spec) != "fail")
 
-    def _checkpoint_for(self, spec: JobSpec) -> Optional[CheckpointPolicy]:
-        """The job's checkpoint policy: spec override over the engine default."""
-        if spec.checkpoint_every is None:
-            return self.checkpoint
-        if spec.checkpoint_every == 0:
-            return None
-        if self.checkpoint is not None:
-            return replace(self.checkpoint, every=spec.checkpoint_every)
-        return CheckpointPolicy(every=spec.checkpoint_every)
+    def _checkpoint_for(self, spec: JobSpec) -> int:
+        """The job's checkpoint interval (0: none): spec override, else the engine default."""
+        return self.checkpoint if spec.checkpoint_every is None else spec.checkpoint_every
 
     def _fresh_engine(self) -> Engine:
         return Engine(
@@ -526,7 +528,7 @@ class WorkloadEngine:
             program_factory=None,
             network=self.cluster.network,
             topology=self.cluster.topology,
-            max_commands=self.max_commands,
+            max_commands=DEFAULT_MAX_COMMANDS,
         )
 
     def _collect(self, records: List[JobRecord], engine: Engine) -> WorkloadReport:

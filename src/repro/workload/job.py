@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.api import Cluster, Communicator
-from repro.api.communicator import compression_mode
+from repro.api.communicator import compression_mode, issue_collective
 from repro.ccoll import CodecMemo
 from repro.ccoll.variants import VARIANT_ALIASES
 from repro.collectives.selection import ALGORITHM_PLANNERS
@@ -199,19 +199,6 @@ def call_inputs(spec: JobSpec, call: CollectiveCall, step: int) -> List[np.ndarr
     ]
 
 
-def _issue(comm: Communicator, call: CollectiveCall, inputs: List[np.ndarray]):
-    """Issue one collective against a (capture) communicator."""
-    if call.op == "allreduce":
-        return comm.allreduce(
-            inputs, algorithm=call.algorithm, compression=call.compression
-        )
-    if call.op == "allgather":
-        return comm.allgather(inputs, compression=call.compression)
-    if call.op == "bcast":
-        return comm.bcast(inputs[0], root=0, compression=call.compression)
-    return comm.reduce_scatter(inputs, compression=call.compression)
-
-
 @dataclass
 class JobMemo:
     """What the compiles of one job share, so its host work happens once.
@@ -286,7 +273,9 @@ def compile_job(
         for call in spec.calls:
             inputs = draw(spec, call, len(factories))
             plan = comm.capture(
-                lambda c, call=call, inputs=inputs: _issue(c, call, inputs)
+                lambda c, call=call, inputs=inputs: issue_collective(
+                    c, call.op, inputs, algorithm=call.algorithm, compression=call.compression
+                )
             )
             factories.append(plan.factory)
             step_calls.append(call)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.metrics.latency import StreamingSummary, mean_slowdown
+from repro.metrics.latency import mean_slowdown, summarize
 from repro.workload.job import JobSpec
 from repro.workload.recovery import AttemptRecord, JobFailed
 
@@ -235,10 +235,7 @@ class WorkloadReport:
 
     def recovery_summary(self) -> Dict[str, float]:
         """p50/p99/mean over every kill -> re-bind gap across jobs."""
-        summary = StreamingSummary()
-        for record in self.records:
-            summary.extend(record.recovery_times)
-        return summary.summary()
+        return summarize(gap for record in self.records for gap in record.recovery_times)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -341,7 +338,4 @@ class WorkloadReport:
     @staticmethod
     def collect_latency(records: List[JobRecord]) -> Dict[str, float]:
         """p50/p99/mean over every collective step of every job."""
-        summary = StreamingSummary()
-        for record in records:
-            summary.extend(record.step_latencies())
-        return summary.summary()
+        return summarize(step for record in records for step in record.step_latencies())

@@ -1,185 +1,104 @@
 """Recovery semantics: what happens to a job when its hardware dies.
 
-Three pieces of pure data, consumed by
-:class:`~repro.workload.engine.WorkloadEngine`:
+A job's recovery is two plain values, set per
+:class:`~repro.workload.engine.WorkloadEngine` (``failure_policy`` /
+``checkpoint``) and optionally overridden per
+:class:`~repro.workload.job.JobSpec` (``failure_policy`` /
+``checkpoint_every``):
 
-* :class:`FailurePolicy` — ``fail`` (the job is lost), ``restart`` (retry on
-  the *same* node set, waiting for it to heal) or ``restart_elsewhere``
-  (re-place on whatever non-quarantined capacity the allocator has), with
-  exponential backoff between retries and a bounded retry budget.
-* :class:`CheckpointPolicy` — write a checkpoint after every ``every``-th
-  completed step, with a seeded cost model for the write time.  A restarted
-  job resumes from its last *durable* checkpoint instead of step 0.
-* :class:`JobFailed` — the typed outcome attached to a
-  :class:`~repro.workload.metrics.JobRecord` whose job ran out of retries
-  (or whose policy is ``fail``).
+* a mode from :data:`FAILURE_POLICY_MODES` — ``fail`` (the job is killed and
+  reported as a :class:`JobFailed` outcome; its nodes, minus the dead one,
+  return to the pool), ``restart`` (retry on the *same* node set: placement
+  only succeeds once every original node is free and un-quarantined, so it
+  pairs with transient losses and otherwise burns its retry budget) or
+  ``restart_elsewhere`` (re-place through the allocator on currently free,
+  non-quarantined nodes — the usual elastic-training behaviour).  Retry ``i``
+  (0-based) fires ``retry_delay(i)`` virtual seconds after the failure it
+  reacts to; a failed placement at retry time consumes budget too, and once
+  :data:`MAX_RETRIES` are used up the job fails for good;
+* a checkpoint interval ``every`` (0 disables): a checkpoint is written after
+  every ``every``-th completed step but the last (:func:`takes_checkpoint`),
+  at a seeded write cost (:func:`checkpoint_cost`).  A restarted job resumes
+  from its last *durable* checkpoint instead of step 0.
+
+Every other recovery number is a module constant.  :class:`AttemptRecord`
+books one killed execution attempt on the job's
+:class:`~repro.workload.metrics.JobRecord`.
 
 The checkpoint cost model is deliberately out-of-band: writes never inject
-events into the engine, so with an empty fault schedule every policy
-combination replays the uninjected run bit-for-bit (the PR's determinism
-contract).  The cost still has semantic bite: a checkpoint taken after step
-``s`` becomes *durable* only once its write commits — the step's exit time
-plus :meth:`CheckpointPolicy.cost` — so a kill landing mid-write falls back
-to the previous durable step, and goodput charges every write in its
-denominator.  That is exactly the Young/Daly trade-off: checkpoint too
-often and overhead dominates, too rarely and re-executed (wasted) work
-dominates; ``python -m repro.harness recovery`` sweeps the curve.
+events into the engine, so with an empty fault schedule every mode and
+interval replays the uninjected run bit-for-bit.  The cost still has semantic
+bite: a checkpoint taken after step ``s`` becomes *durable* only once its
+write commits — the step's exit time plus :func:`checkpoint_cost` — so a kill
+landing mid-write falls back to the previous durable step, and goodput
+charges every write in its denominator.  That is exactly the Young/Daly
+trade-off: checkpoint too often and overhead dominates, too rarely and
+re-executed (wasted) work dominates; ``python -m repro.harness recovery``
+sweeps the curve.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 __all__ = [
+    "BACKOFF",
+    "BACKOFF_FACTOR",
     "FAILURE_POLICY_MODES",
+    "JITTER",
+    "MAX_RETRIES",
+    "WRITE_BANDWIDTH",
+    "WRITE_LATENCY",
     "AttemptRecord",
-    "CheckpointPolicy",
-    "FailurePolicy",
     "JobFailed",
+    "checkpoint_cost",
+    "retry_delay",
+    "takes_checkpoint",
 ]
 
 #: recovery modes a job may declare
 FAILURE_POLICY_MODES = ("fail", "restart", "restart_elsewhere")
 
+#: retries a restarting job gets (kills and failed placements both count)
+MAX_RETRIES = 4
+#: virtual seconds before the first retry, and its growth per retry
+BACKOFF = 2e-4
+BACKOFF_FACTOR = 2.0
 
-@dataclass(frozen=True)
-class FailurePolicy:
-    """How the workload engine reacts when a node under a running job dies.
+#: a checkpoint streams the job's state to storage at this rate (B/s) after
+#: a fixed latency (s), scaled by a seeded factor in ``1 ± JITTER``
+WRITE_BANDWIDTH = 2e9
+WRITE_LATENCY = 5e-5
+JITTER = 0.1
 
-    ``mode``:
 
-    * ``fail`` — the job is killed and reported as a :class:`JobFailed`
-      outcome; its nodes (minus the dead one) return to the pool.
-    * ``restart`` — retry on the *same* node set.  Placement only succeeds
-      once every original node is free and un-quarantined, so this mode
-      pairs with transient losses (the node heals) and otherwise burns its
-      retry budget.
-    * ``restart_elsewhere`` — re-place through the allocator on currently
-      free, non-quarantined nodes (the usual elastic-training behaviour).
+def retry_delay(retry_index: int) -> float:
+    """Backoff before 0-based retry ``retry_index`` fires."""
+    return BACKOFF * BACKOFF_FACTOR ** max(0, int(retry_index))
 
-    Retries back off exponentially: retry ``i`` (0-based) fires
-    ``backoff * backoff_factor**i`` virtual seconds after the failure it
-    reacts to.  A failed placement at retry time consumes budget too; once
-    ``max_retries`` is exhausted the job fails for good.
+
+def takes_checkpoint(step: int, every: int, n_steps: int) -> bool:
+    """Whether a checkpoint is written once step ``step`` completes
+    (``every >= 1``).  Never after the final step: nothing is left to protect."""
+    return (step + 1) % every == 0 and step + 1 < n_steps
+
+
+def checkpoint_cost(spec, step: int) -> float:
+    """Seeded write time of the checkpoint taken after ``step``.
+
+    The modelled state is the job's working set: ``n_ranks`` times its largest
+    per-rank payload.  Deterministic in ``(spec.seed, step)`` alone, so no two
+    writes cost exactly alike, yet a re-executed step (an attempt that replays
+    it after a restart) re-pays exactly the same cost.
     """
-
-    mode: str = "fail"
-    max_retries: int = 4
-    backoff: float = 2e-4
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in FAILURE_POLICY_MODES:
-            raise ValueError(
-                f"unknown failure policy {self.mode!r}; "
-                f"available: {', '.join(FAILURE_POLICY_MODES)}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not self.backoff > 0.0:
-            raise ValueError(f"backoff must be > 0, got {self.backoff}")
-        if not self.backoff_factor >= 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    @property
-    def restarts(self) -> bool:
-        return self.mode != "fail"
-
-    def delay(self, retry_index: int) -> float:
-        """Backoff before 0-based retry ``retry_index`` fires."""
-        return self.backoff * self.backoff_factor ** max(0, int(retry_index))
-
-    @classmethod
-    def coerce(cls, value: Union[None, str, "FailurePolicy"]) -> "FailurePolicy":
-        """Accept a policy, a bare mode string, or None (-> default)."""
-        if value is None:
-            return cls()
-        if isinstance(value, FailurePolicy):
-            return value
-        if isinstance(value, str):
-            return cls(mode=value)
-        raise TypeError(
-            f"failure policy must be a FailurePolicy or mode string, "
-            f"got {type(value).__name__}"
-        )
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Checkpoint every ``every`` completed steps, at a seeded write cost.
-
-    The modelled state is the job's working set — ``n_ranks`` times its
-    largest per-rank payload — streamed to stable storage at
-    ``write_bandwidth`` after a fixed ``write_latency``, with a seeded
-    ``jitter`` fraction so no two writes cost exactly alike but every rerun
-    reproduces the same costs bit-for-bit (the seed folds the job seed and
-    the step index).  No checkpoint is taken after the final step — there is
-    nothing left to protect.
-    """
-
-    every: int
-    write_bandwidth: float = 2e9
-    write_latency: float = 5e-5
-    jitter: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError(f"checkpoint interval must be >= 1, got {self.every}")
-        if not self.write_bandwidth > 0.0:
-            raise ValueError(
-                f"write_bandwidth must be > 0, got {self.write_bandwidth}"
-            )
-        if self.write_latency < 0.0:
-            raise ValueError(
-                f"write_latency must be >= 0, got {self.write_latency}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    def takes_after(self, step: int, n_steps: int) -> bool:
-        """Whether a checkpoint is written once step ``step`` completes."""
-        return (step + 1) % self.every == 0 and step + 1 < n_steps
-
-    @staticmethod
-    def state_bytes(spec) -> int:
-        """Modelled per-job state: ranks x the largest per-rank payload."""
-        per_rank = max(
-            call.msg_elems * np.dtype(call.dtype).itemsize for call in spec.calls
-        )
-        return spec.n_ranks * per_rank
-
-    def cost(self, spec, step: int) -> float:
-        """Seeded write time of the checkpoint taken after ``step``.
-
-        Deterministic in ``(spec.seed, step)`` alone, so a re-executed step
-        (an attempt that replays it after a restart) re-pays exactly the
-        same cost.
-        """
-        base = self.write_latency + self.state_bytes(spec) / self.write_bandwidth
-        rng = random.Random(f"repro.checkpoint:{spec.seed}:{step}")
-        return base * (1.0 + self.jitter * rng.uniform(-1.0, 1.0))
-
-    @classmethod
-    def coerce(
-        cls, value: Union[None, int, "CheckpointPolicy"]
-    ) -> Optional["CheckpointPolicy"]:
-        """Accept a policy, a bare interval (0 -> no checkpointing), or None."""
-        if value is None or isinstance(value, CheckpointPolicy):
-            return value
-        if isinstance(value, bool):  # bool is an int; reject it explicitly
-            raise TypeError("checkpoint interval must be an int, not bool")
-        if isinstance(value, int):
-            return None if value == 0 else cls(every=value)
-        raise TypeError(
-            f"checkpoint policy must be a CheckpointPolicy or interval int, "
-            f"got {type(value).__name__}"
-        )
+    per_rank = max(call.msg_elems * np.dtype(call.dtype).itemsize for call in spec.calls)
+    base = WRITE_LATENCY + spec.n_ranks * per_rank / WRITE_BANDWIDTH
+    rng = random.Random(f"repro.checkpoint:{spec.seed}:{step}")
+    return base * (1.0 + JITTER * rng.uniform(-1.0, 1.0))
 
 
 @dataclass(frozen=True)

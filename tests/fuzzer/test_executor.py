@@ -91,14 +91,14 @@ class TestInvariantSensitivity:
         scenario = _scenario()
         from repro.fuzzer import executor as executor_module
 
-        real = executor_module._run_collective
+        real = executor_module.issue_collective
 
-        def corrupted(comm, sc, inputs):
-            outcome = real(comm, sc, inputs)
+        def corrupted(comm, op, inputs, **options):
+            outcome = real(comm, op, inputs, **options)
             outcome.values[0] = outcome.values[0] + 1.0
             return outcome
 
-        monkeypatch.setattr(executor_module, "_run_collective", corrupted)
+        monkeypatch.setattr(executor_module, "issue_collective", corrupted)
         record = execute(scenario)
         assert record["status"] == "violation"
         assert any(v["invariant"] == "values" for v in record["violations"])

@@ -1,4 +1,4 @@
-"""Streaming percentile/summary helpers (`repro.metrics.latency`)."""
+"""Percentile/summary helpers (`repro.metrics.latency`)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.metrics.latency import StreamingSummary, mean_slowdown, percentile, summarize
+from repro.metrics.latency import mean_slowdown, percentile, summarize
 
 
 class TestPercentile:
@@ -43,12 +43,12 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
 
-class TestStreamingSummary:
+class TestSummarize:
     def test_empty_summary_keeps_full_schema(self):
         # regression: the empty case used to return {"count": 0} (int, no
         # percentile keys), so callers indexing ["p50"] on a quiet interval
         # crashed with KeyError
-        out = StreamingSummary().summary()
+        out = summarize([])
         assert out == {
             "count": 0.0,
             "mean": 0.0,
@@ -58,46 +58,31 @@ class TestStreamingSummary:
             "max": 0.0,
         }
         assert all(isinstance(v, float) for v in out.values())
-        assert set(out) == set(StreamingSummary([1.0]).summary())
+        assert set(out) == set(summarize([1.0]))
 
-    def test_streaming_percentile_matches_module_percentile(self):
-        # StreamingSummary.percentile used to be a copy-paste of the module
-        # helper; both now share one implementation and must agree exactly
+    def test_percentiles_match_the_module_percentile(self):
+        # one interpolation serves percentile() and summarize(): they agree exactly
         rng = random.Random(29)
         values = [rng.gauss(0.0, 1.0) for _ in range(101)]
-        summary = StreamingSummary(values)
-        for q in (0.0, 12.5, 50.0, 99.0, 100.0):
-            assert summary.percentile(q) == percentile(values, q)
+        out = summarize(values)
+        assert out["p50"] == percentile(values, 50.0)
+        assert out["p99"] == percentile(values, 99.0)
 
-    def test_accumulates_basic_stats(self):
-        summary = StreamingSummary()
-        summary.extend([4.0, 1.0])
-        summary.add(7.0)
-        assert summary.count == 3
-        assert summary.mean == pytest.approx(4.0)
-        out = summary.summary()
+    def test_basic_stats(self):
+        out = summarize(iter([4.0, 1.0, 7.0]))  # any iterable, consumed once
         assert out["count"] == 3
+        assert out["mean"] == pytest.approx(4.0)
         assert out["min"] == 1.0 and out["max"] == 7.0
         assert out["p50"] == pytest.approx(4.0)
 
-    def test_percentiles_stay_correct_across_interleaved_adds(self):
-        summary = StreamingSummary()
-        values: list = []
-        rng = random.Random(11)
-        for _ in range(5):
-            batch = [rng.uniform(0.0, 10.0) for _ in range(20)]
-            summary.extend(batch)
-            values.extend(batch)
-            # the cached sort must refresh after every mutation
-            assert summary.percentile(99.0) == pytest.approx(
-                float(np.percentile(values, 99.0)), rel=1e-12
-            )
-
-    def test_summarize_matches_streaming(self):
-        values = [0.5, 0.1, 0.9, 0.3]
-        streaming = StreamingSummary()
-        streaming.extend(values)
-        assert summarize(values) == streaming.summary()
+    def test_mean_accumulates_left_to_right(self):
+        # a printed mean must not depend on the Python version: sum() compensates
+        # on Python >= 3.12, the summary adds in sample order
+        values = [1e16, 1.0, -1e16, 1.0]
+        total = 0.0
+        for value in values:
+            total += value
+        assert summarize(values)["mean"] == total / 4 == 0.25
 
 
 class TestMeanSlowdown:

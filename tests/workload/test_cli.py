@@ -44,6 +44,14 @@ class TestRun:
         assert "'di' is not available for reduce_scatter" in captured.err
         assert "workload:" not in captured.out
 
+    def test_a_negative_checkpoint_interval_is_refused_before_the_run(self, tmp_path, capsys):
+        trace = tmp_path / "mix.jsonl"
+        flags = ["--checkpoint-every", "-1", "--save-trace", str(trace)]
+        assert main(["run", *_base_flags(), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --checkpoint-every: -1" in captured.err
+        assert captured.out == "" and not trace.exists()
+
 
 class TestReplay:
     def test_trace_round_trips_through_replay_deterministically(self, tmp_path, capsys):
@@ -71,6 +79,14 @@ class TestReplay:
         trace.write_text('{"job_id": "a", "n_ranks": 2}\n{"job_id": "b"}\n')
         assert main(["replay", str(trace), "--nodes", "8"]) == 2
         assert f"malformed trace: {trace}:2: " in capsys.readouterr().err
+
+    def test_a_negative_checkpoint_interval_is_refused_before_the_replay(self, tmp_path, capsys):
+        trace = tmp_path / "one.jsonl"
+        trace.write_text('{"job_id": "a", "n_ranks": 2}\n')
+        assert main(["replay", str(trace), "--nodes", "8", "--checkpoint-every", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid --checkpoint-every: -1" in captured.err
+        assert captured.out == ""
 
 
 class TestFlags:

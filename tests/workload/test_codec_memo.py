@@ -19,7 +19,6 @@ from repro.ccoll import CCollConfig, CodecMemo
 from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
 from repro.workload import (
     CollectiveCall,
-    FailurePolicy,
     JobMix,
     JobSpec,
     WorkloadEngine,
@@ -38,13 +37,13 @@ def _ledger_mix():
     return JobMix(n_jobs=16, arrival_rate=500.0, sizes=(2, 4, 8)).generate(7)
 
 
-def _four_jobs_and_a_loss():
+def _four_jobs_and_a_loss(iterations=(4, 4, 4, 4)):
     """Four compressed jobs side by side (nodes 0-1, 2-3, 4-5, 6-7 when packed) and
     the loss of node 1 while all four are mid-flight."""
     calls = (CollectiveCall(op="allreduce", msg_elems=2048, compression="on"),)
     specs = [
-        JobSpec(job_id=name, n_ranks=4, iterations=4, seed=seed, calls=calls)
-        for seed, name in enumerate("abcd", start=1)
+        JobSpec(job_id=name, n_ranks=4, iterations=count, seed=seed, calls=calls)
+        for seed, (name, count) in enumerate(zip("abcd", iterations), start=1)
     ]
     healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
     first_done = min(record.finished for record in healthy.records)
@@ -176,7 +175,8 @@ class TestMemoLifetime:
     def test_a_failed_jobs_memo_dies_with_its_row(self, compiles, monkeypatch):
         """No memo outlives its job: FAILED drops it on the spot — with a baseline
         wanted, and while the other jobs (and their memos) are still running."""
-        specs, faults = _four_jobs_and_a_loss()
+        # b, c and d run long enough to outlast a's MAX_RETRIES backoffs
+        specs, faults = _four_jobs_and_a_loss(iterations=(4, 24, 24, 24))
         del compiles[:]
         seen = []
         real = workload_engine._Scheduler.back_off
@@ -191,8 +191,9 @@ class TestMemoLifetime:
 
         monkeypatch.setattr(workload_engine._Scheduler, "back_off", watching)
         # in place, on a node that never comes back: every retry burns budget
-        policy = FailurePolicy(mode="restart", max_retries=2, backoff=1e-5)
-        engine = WorkloadEngine(_cluster(), policy="packed", faults=faults, failure_policy=policy)
+        engine = WorkloadEngine(
+            _cluster(), policy="packed", faults=faults, failure_policy="restart"
+        )
         report = engine.run(specs, baseline=True)
         assert report.failed_jobs == 1
         assert seen == [(None, [None], [True, True, True])]
@@ -238,14 +239,14 @@ class TestMemoLifetime:
         broken = JobSpec(
             job_id="broken", n_ranks=2, arrival=specs[-1].arrival + 1e-3, calls=(doomed,)
         )
-        real = workload_job._issue
+        real = workload_job.issue_collective
 
-        def failing(comm, call, inputs):
-            if call == doomed:
+        def failing(comm, op, inputs, **options):
+            if op == doomed.op and len(inputs[0]) == doomed.msg_elems:
                 raise ValueError("job 'broken' cannot compile")
-            return real(comm, call, inputs)
+            return real(comm, op, inputs, **options)
 
-        monkeypatch.setattr(workload_job, "_issue", failing)
+        monkeypatch.setattr(workload_job, "issue_collective", failing)
         engine = WorkloadEngine(_cluster(), policy="spread")
         with pytest.raises(ValueError, match="job 'broken' cannot compile"):
             engine.run(specs + [broken], baseline=True)
@@ -262,13 +263,13 @@ class TestWhatAMemoHolds:
     def issued(self, monkeypatch):
         """The input lists ``compile_job`` issued its steps on, in order."""
         seen = []
-        real = workload_job._issue
+        real = workload_job.issue_collective
 
-        def recording(comm, call, inputs):
+        def recording(comm, op, inputs, **options):
             seen.append(inputs)
-            return real(comm, call, inputs)
+            return real(comm, op, inputs, **options)
 
-        monkeypatch.setattr(workload_job, "_issue", recording)
+        monkeypatch.setattr(workload_job, "issue_collective", recording)
         return seen
 
     def test_compiles_given_one_memo_share_the_drawn_inputs(self, issued):

@@ -1,87 +1,94 @@
-"""Recovery semantics: failure policies, checkpoint/restart, accounting."""
+"""Recovery semantics: retry backoff, checkpoint/restart, accounting."""
+
+import inspect
+from dataclasses import replace
 
 import pytest
 
+from repro import workload
 from repro.api import Cluster
-from repro.faults import FaultSchedule, NodeLoss
-from repro.workload import (
-    CheckpointPolicy,
-    CollectiveCall,
-    FailurePolicy,
-    JobFailed,
-    JobSpec,
-    WorkloadEngine,
+from repro.faults import FaultInjector, FaultSchedule, NodeLoss
+from repro.workload import CollectiveCall, JobFailed, JobSpec, WorkloadEngine
+from repro.workload.recovery import (
+    BACKOFF,
+    BACKOFF_FACTOR,
+    JITTER,
+    MAX_RETRIES,
+    WRITE_BANDWIDTH,
+    WRITE_LATENCY,
+    checkpoint_cost,
+    retry_delay,
+    takes_checkpoint,
 )
 
 
-class TestFailurePolicy:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="unknown failure policy"):
-            FailurePolicy(mode="reincarnate")
-        with pytest.raises(ValueError, match="max_retries"):
-            FailurePolicy(max_retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            FailurePolicy(backoff=0.0)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            FailurePolicy(backoff_factor=0.5)
-
+class TestRetryDelay:
     def test_delay_backs_off_exponentially(self):
-        policy = FailurePolicy(mode="restart", backoff=1e-4, backoff_factor=2.0)
-        assert policy.delay(0) == pytest.approx(1e-4)
-        assert policy.delay(1) == pytest.approx(2e-4)
-        assert policy.delay(3) == pytest.approx(8e-4)
+        assert [retry_delay(i) for i in range(4)] == [
+            BACKOFF, BACKOFF * BACKOFF_FACTOR, BACKOFF * BACKOFF_FACTOR**2,
+            BACKOFF * BACKOFF_FACTOR**3,
+        ]
+        assert [retry_delay(i) for i in range(4)] == pytest.approx([2e-4, 4e-4, 8e-4, 1.6e-3])
+        assert retry_delay(-1) == retry_delay(0)
 
-    def test_restarts_property(self):
-        assert not FailurePolicy(mode="fail").restarts
-        assert FailurePolicy(mode="restart").restarts
-        assert FailurePolicy(mode="restart_elsewhere").restarts
-
-    def test_coerce(self):
-        assert FailurePolicy.coerce(None) == FailurePolicy()
-        assert FailurePolicy.coerce("restart").mode == "restart"
-        policy = FailurePolicy(mode="restart_elsewhere", max_retries=1)
-        assert FailurePolicy.coerce(policy) is policy
-        with pytest.raises(TypeError, match="mode string"):
-            FailurePolicy.coerce(3)
+    def test_the_budget_is_four_retries(self):
+        assert MAX_RETRIES == 4
 
 
-class TestCheckpointPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="interval"):
-            CheckpointPolicy(every=0)
-        with pytest.raises(ValueError, match="write_bandwidth"):
-            CheckpointPolicy(every=1, write_bandwidth=0.0)
-        with pytest.raises(ValueError, match="write_latency"):
-            CheckpointPolicy(every=1, write_latency=-1.0)
-        with pytest.raises(ValueError, match="jitter"):
-            CheckpointPolicy(every=1, jitter=1.0)
-
-    def test_takes_after_skips_the_final_step(self):
-        policy = CheckpointPolicy(every=2)
-        took = [policy.takes_after(step, 6) for step in range(6)]
+class TestCheckpoints:
+    def test_takes_checkpoint_skips_the_final_step(self):
+        took = [takes_checkpoint(step, 2, 6) for step in range(6)]
         # after steps 1 and 3 only: step 5 is the last, nothing left to protect
         assert took == [False, True, False, True, False, False]
-
-    def test_coerce(self):
-        assert CheckpointPolicy.coerce(None) is None
-        assert CheckpointPolicy.coerce(0) is None
-        assert CheckpointPolicy.coerce(3).every == 3
-        policy = CheckpointPolicy(every=2)
-        assert CheckpointPolicy.coerce(policy) is policy
-        with pytest.raises(TypeError, match="not bool"):
-            CheckpointPolicy.coerce(True)
-        with pytest.raises(TypeError, match="interval int"):
-            CheckpointPolicy.coerce(2.0)
+        assert [takes_checkpoint(step, 1, 3) for step in range(3)] == [True, True, False]
 
     def test_cost_is_seeded_and_positive(self):
         spec = JobSpec(job_id="c", n_ranks=4, seed=9,
                        calls=(CollectiveCall(msg_elems=4096),))
-        policy = CheckpointPolicy(every=1)
-        assert policy.state_bytes(spec) == 4 * 4096 * 8  # ranks x elems x f64
-        costs = [policy.cost(spec, step) for step in range(4)]
-        assert all(c > 0.0 for c in costs)
+        base = WRITE_LATENCY + 4 * 4096 * 8 / WRITE_BANDWIDTH  # ranks x elems x f64
+        costs = [checkpoint_cost(spec, step) for step in range(4)]
+        assert all(base * (1 - JITTER) <= c <= base * (1 + JITTER) for c in costs)
         assert len(set(costs)) > 1  # jitter varies per step...
-        assert costs == [policy.cost(spec, step) for step in range(4)]  # ...but replays
+        assert costs == [checkpoint_cost(spec, step) for step in range(4)]  # ...but replays
+        assert checkpoint_cost(spec, 0) != checkpoint_cost(replace(spec, seed=10), 0)
+
+    def test_cost_models_the_largest_per_rank_payload(self):
+        calls = (CollectiveCall(msg_elems=4096), CollectiveCall(msg_elems=10000, dtype="float32"))
+        spec = JobSpec(job_id="c", n_ranks=2, seed=9, calls=calls)
+        base = WRITE_LATENCY + 2 * 10000 * 4 / WRITE_BANDWIDTH
+        assert base * (1 - JITTER) <= checkpoint_cost(spec, 0) <= base * (1 + JITTER)
+
+
+class TestRecoverySurface:
+    """A job's recovery is a mode and an interval; every other number is a constant."""
+
+    def test_a_mode_and_an_interval_are_the_only_recovery_values(self):
+        assert not [name for name in workload.__all__ if name.endswith("Policy")]
+        parameters = inspect.signature(WorkloadEngine.__init__).parameters
+        assert list(parameters) == [
+            "self", "cluster", "nodes", "policy", "seed", "record_values", "faults",
+            "failure_policy", "checkpoint",
+        ]
+        assert parameters["failure_policy"].annotation in (str, "str")
+        assert parameters["failure_policy"].default == "fail"
+        assert parameters["checkpoint"].annotation in (int, "int")
+        assert parameters["checkpoint"].default == 0
+        assert "node_loss_factor" not in inspect.signature(FaultInjector.__init__).parameters
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(failure_policy="reincarnate"), "unknown failure policy"),
+            (dict(failure_policy=None), "unknown failure policy"),
+            (dict(checkpoint=True), "checkpoint must be an interval int"),
+            (dict(checkpoint=2.0), "checkpoint must be an interval int"),
+            (dict(checkpoint=-1), "checkpoint must be an interval int"),
+            (dict(checkpoint=None), "checkpoint must be an interval int"),
+        ],
+    )
+    def test_the_engine_refuses_a_bad_mode_or_interval(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            WorkloadEngine(_cluster(), **kwargs)
 
 
 def _cluster(nodes=8):
@@ -167,18 +174,17 @@ class TestRecoveryRuns:
 
     def test_restart_on_a_permanent_loss_exhausts_the_budget(self):
         _, faults = _loss_schedule()
-        engine = WorkloadEngine(
-            _cluster(), policy="packed", seed=5, faults=faults,
-            failure_policy=FailurePolicy(
-                mode="restart", max_retries=2, backoff=1e-4
-            ),
-        )
-        report = engine.run(_specs(), baseline=False)
+        report = _run(faults=faults, failure_policy="restart")
         train = next(r for r in report.records if r.spec.job_id == "train")
-        # the original node set never heals, so every retry fails to place
+        # the original node set never heals, so every retry fails to place:
+        # the job fails at the last of MAX_RETRIES backed-off retries
         assert train.outcome == "failed"
         assert train.failure is not None
-        assert train.failure.time > faults.events[0].time
+        assert len(train.attempts) == 1 and train.restarts == 0
+        when = faults.events[0].time
+        for retry in range(MAX_RETRIES):
+            when += retry_delay(retry)
+        assert train.failure.time == when
 
     def test_checkpoints_shrink_the_replay(self):
         _, faults = _loss_schedule()

@@ -12,8 +12,9 @@ import pytest
 
 from repro.api import Cluster
 from repro.faults import FaultSchedule, NodeLoss
-from repro.workload import CollectiveCall, FailurePolicy, JobSpec, WorkloadEngine
+from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 from repro.workload.engine import _TRANSITIONS, _Scheduler
+from repro.workload.recovery import MAX_RETRIES
 
 N_NODES = 16  # the fat-tree preset's host count
 
@@ -59,13 +60,7 @@ def _scenarios():
         "fail": (dict(faults=loss, failure_policy="fail"), _train_and_side()),
         "elsewhere": (elsewhere, _train_and_side()),
         "in_place_transient": (dict(faults=flap, failure_policy="restart"), _train_and_side()),
-        "exhausted_budget": (
-            dict(
-                faults=loss,
-                failure_policy=FailurePolicy(mode="restart", max_retries=2, backoff=1e-4),
-            ),
-            _train_and_side(),
-        ),
+        "exhausted_budget": (dict(faults=loss, failure_policy="restart"), _train_and_side()),
         "checkpointed": (dict(elsewhere, checkpoint=2), _train_and_side()),
         "no_faults": (dict(failure_policy="restart", checkpoint=2), _train_and_side()),
         "spec_override": (
@@ -159,17 +154,16 @@ class TestSteppingByHand:
         assert scheduler.queue == []
 
     def test_a_retry_that_cannot_be_placed_backs_off_again(self):
-        scheduler = _overbooked(
-            failure_policy=FailurePolicy(mode="restart", max_retries=2)
-        )
+        scheduler = _overbooked(failure_policy="restart")
         job = scheduler.jobs["a"]
         scheduler.node_lost(0, 1e-4)  # burns retry 1
-        scheduler.retry(job, 2e-4)  # node 0 is still dark: burns retry 2
-        assert job.state == "BACKOFF" and job.retries_used == 2
-        assert job not in scheduler.queue
-        scheduler.retry(job, 3e-4)  # budget gone
+        for used in range(2, MAX_RETRIES + 1):  # node 0 is still dark: burns one more
+            scheduler.retry(job, used * 1e-4)
+            assert job.state == "BACKOFF" and job.retries_used == used
+            assert job not in scheduler.queue
+        scheduler.retry(job, 9e-4)  # budget gone
         assert job.state == "FAILED"
-        assert job.record.failure.time == 3e-4
+        assert job.record.failure.time == 9e-4
         assert job.record.failure.reason == "node_loss:0"
 
 
@@ -205,10 +199,10 @@ class TestTheTableIsTheBehaviour:
             _owner(**kwargs).run(specs, baseline=False)
             return dict(moves)
 
-        # BACKOFF is entered max_retries (2) times: a retry whose placement
+        # BACKOFF is entered MAX_RETRIES times: a retry whose placement
         # fails backs off again, it does not rejoin the queue
         assert walk("exhausted_budget")["train"] == [
-            "DUE", "RUNNING", "BACKOFF", "BACKOFF", "FAILED",
+            "DUE", "RUNNING", *["BACKOFF"] * MAX_RETRIES, "FAILED",
         ]
         assert walk("fail")["train"] == ["DUE", "RUNNING", "FAILED"]
         assert walk("elsewhere")["train"] == ["DUE", "RUNNING", "BACKOFF", "RUNNING", "DONE"]
