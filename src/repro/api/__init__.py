@@ -2,8 +2,10 @@
 
 This is the package's public surface since PR 3.  The three-layer story:
 
-1. :class:`Cluster` describes the machine once — interconnect, topology,
-   cost model, C-Coll settings, virtual-size scaling — either directly or via
+1. :class:`Cluster` describes the machine once — interconnect, topology and
+   the C-Coll settings, which live in its ``config`` (a
+   :class:`~repro.ccoll.config.CCollConfig`: codec, error bound, cost model,
+   virtual-size scaling) — either directly or via
    ``Cluster.from_preset("fat_tree", nodes=8)``.
 2. :class:`Communicator` is an mpi4py-style session bound to a cluster and a
    rank count, exposing ``allreduce / reduce_scatter / allgather / bcast /

@@ -5,26 +5,24 @@ Layer one of the session API's three-layer story::
     Cluster  ->  Communicator  ->  CollectiveOutcome / CCollOutcome
     (machine)    (session)         (per-rank values + simulated timing)
 
-A ``Cluster`` bundles everything the legacy ``run_*`` functions used to take
-as four-to-five separate keyword arguments — the interconnect
+A ``Cluster`` bundles the interconnect
 :class:`~repro.mpisim.network.NetworkModel`, the placement/fabric
-:class:`~repro.mpisim.topology.Topology`, the
-:class:`~repro.perfmodel.costmodel.CostModel`, the C-Coll
-:class:`~repro.ccoll.config.CCollConfig` and the virtual ``size_multiplier``
-— into a single immutable value that is bound *once* and threaded everywhere
-by :class:`repro.api.Communicator`.
+:class:`~repro.mpisim.topology.Topology` and the C-Coll
+:class:`~repro.ccoll.config.CCollConfig` (which holds the
+:class:`~repro.perfmodel.costmodel.CostModel` and the virtual
+``size_multiplier``) into a single immutable value that is bound *once* and
+threaded everywhere by :class:`repro.api.Communicator`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext
 from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import Topology
-from repro.perfmodel.costmodel import CostModel
 from repro.perfmodel.presets import TOPOLOGY_PRESETS, default_network, make_topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -72,18 +70,10 @@ class Cluster:
     topology:
         Placement/fabric model; ``None`` is the flat one-rank-per-node fabric.
     config:
-        C-Coll settings (codec, error bound, frameworks).  Defaults to
-        :class:`CCollConfig`'s calibrated defaults.
-    cost:
-        Shorthand override for ``config.cost``.
-    size_multiplier:
-        Shorthand override for ``config.size_multiplier`` (virtual bytes per
-        real byte — the paper-scale message trick).
-
-    The C-Coll config is the single source of truth for the cost model and the
-    size multiplier; the ``cost``/``size_multiplier`` shorthands are folded
-    into it, so ``cluster.config.context()`` and ``cluster.context()`` always
-    agree.
+        C-Coll settings (codec, error bound, cost model, virtual-size
+        scaling).  Defaults to :class:`CCollConfig`'s calibrated defaults.
+    preset:
+        The topology preset name :meth:`from_preset` recorded, if any.
     """
 
     __slots__ = ("network", "topology", "config", "preset")
@@ -93,21 +83,11 @@ class Cluster:
         network: Optional[NetworkModel] = None,
         topology: Optional[Topology] = None,
         config: Optional[CCollConfig] = None,
-        cost: Optional[CostModel] = None,
-        size_multiplier: Optional[float] = None,
         preset: Optional[str] = None,
     ) -> None:
-        config = config if config is not None else CCollConfig()
-        updates = {}
-        if cost is not None:
-            updates["cost"] = cost
-        if size_multiplier is not None:
-            updates["size_multiplier"] = size_multiplier
-        if updates:
-            config = config.with_updates(**updates)
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "config", config if config is not None else CCollConfig())
         object.__setattr__(self, "preset", preset)
 
     def __setattr__(self, name, value):  # noqa: ANN001 - immutability guard
@@ -122,8 +102,6 @@ class Cluster:
         *,
         network: Optional[NetworkModel] = None,
         config: Optional[CCollConfig] = None,
-        cost: Optional[CostModel] = None,
-        size_multiplier: Optional[float] = None,
         nodes: Optional[int] = None,
         **topology_kwargs,
     ) -> "Cluster":
@@ -152,14 +130,11 @@ class Cluster:
             network=network if network is not None else default_network(),
             topology=make_topology(key, **kwargs),
             config=config,
-            cost=cost,
-            size_multiplier=size_multiplier,
             preset=key,
         )
 
     def with_updates(self, **kwargs) -> "Cluster":
-        """Return a copy with some of (network, topology, config, cost,
-        size_multiplier) replaced."""
+        """Return a copy with some of (network, topology, config, preset) replaced."""
         merged = {
             "network": self.network,
             "topology": self.topology,
@@ -172,17 +147,7 @@ class Cluster:
         merged.update(kwargs)
         return Cluster(**merged)
 
-    # -------------------------------------------------------------- shorthands
-
-    @property
-    def cost(self) -> CostModel:
-        """The cost model (from the C-Coll config)."""
-        return self.config.cost
-
-    @property
-    def size_multiplier(self) -> float:
-        """Virtual bytes per real byte (from the C-Coll config)."""
-        return self.config.size_multiplier
+    # ----------------------------------------------------------------- session
 
     def context(self) -> CollectiveContext:
         """The execution context the uncompressed baselines run with."""
@@ -200,5 +165,5 @@ class Cluster:
         )
         return (
             f"Cluster(fabric={fabric}, codec={self.config.codec!r}, "
-            f"size_multiplier={self.size_multiplier:g})"
+            f"size_multiplier={self.config.size_multiplier:g})"
         )

@@ -21,9 +21,13 @@ plan's rank programs on the cluster's network and topology through
 :meth:`Communicator.capture` returns the plan unlaunched instead.
 
 The ``compression`` argument (default ``"off"``) is the one name of a C-Coll
-variant.  It is resolved through the *same* alias table as the Table V harness
-(:data:`repro.ccoll.variants.VARIANT_ALIASES`) and checked against
-:data:`C_VARIANTS`, what each compressible collective runs::
+variant.  It is one of five exact spellings, and :data:`COMPRESSION_MODES`
+maps each to the Table V label the call reports as its route::
+
+    "off" -> AD    "di" -> DI    "nd" -> ND    "on" -> Overlap    "auto"
+
+It is checked against :data:`C_VARIANTS`, what each compressible collective
+runs::
 
     allreduce                   AD DI ND Overlap
     allgather / bcast / scatter AD DI Overlap
@@ -46,12 +50,17 @@ variant.  It is resolved through the *same* alias table as the Table V harness
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.cluster import Cluster
+from repro.ccoll.allreduce import _plan_c_allreduce
 from repro.ccoll.computation import _plan_c_reduce_scatter
-from repro.ccoll.cpr_p2p import cpr_allgather_program, cpr_bcast_program, cpr_scatter_program
+from repro.ccoll.cpr_p2p import (
+    _plan_cpr_allreduce,
+    cpr_allgather_program,
+    cpr_bcast_program,
+    cpr_scatter_program,
+)
 from repro.ccoll.movement import (
     CCollOutcome,
     _plan_compressed_allgather,
@@ -65,7 +74,6 @@ from repro.ccoll.topology_aware import (
     _plan_topology_aware_c_allreduce,
     select_inter_compression,
 )
-from repro.ccoll.variants import _plan_compressed_allreduce, canonical_variant
 from repro.collectives.allgather import _plan_ring_allgather
 from repro.collectives.alltoall import _plan_pairwise_alltoall
 from repro.collectives.barrier import _plan_barrier
@@ -79,10 +87,21 @@ from repro.collectives.selection import _plan_allreduce
 from repro.mpisim.launcher import run_simulation
 from repro.mpisim.network import NetworkModel
 from repro.mpisim.topology import FlatTopology
+from repro.utils.validation import ensure_integer
 
 __all__ = ["Communicator", "issue_collective"]
 
-#: the canonical Table V variants each compressible collective runs
+#: the five ``compression`` spellings and the Table V label each names
+#: (``"auto"`` picks one per call)
+COMPRESSION_MODES: Dict[str, str] = {
+    "off": "AD",
+    "di": "DI",
+    "nd": "ND",
+    "on": "Overlap",
+    "auto": "auto",
+}
+
+#: the Table V variants each compressible collective runs
 #: (``"auto"`` is accepted by all of them)
 C_VARIANTS: Dict[str, Tuple[str, ...]] = {
     "allreduce": ("AD", "DI", "ND", "Overlap"),
@@ -94,14 +113,14 @@ C_VARIANTS: Dict[str, Tuple[str, ...]] = {
 
 
 def compression_mode(op: str, compression: str) -> str:
-    """``"auto"`` or the canonical variant ``compression`` names, if ``op`` runs it."""
-    if str(compression).strip().lower() == "auto":
-        return "auto"
-    mode = canonical_variant(compression)
-    if mode not in C_VARIANTS[op]:
+    """``"auto"`` or the Table V label ``compression`` names, if ``op`` runs it."""
+    runs = (*C_VARIANTS[op], "auto")
+    mode = COMPRESSION_MODES.get(compression) if isinstance(compression, str) else None
+    if mode not in runs:
+        spellings = [name for name, label in COMPRESSION_MODES.items() if label in runs]
         raise ValueError(
             f"compression={compression!r} is not available for {op}; "
-            f"it runs {' / '.join(C_VARIANTS[op])} or 'auto'"
+            f"it takes {' / '.join(map(repr, spellings))}"
         )
     return mode
 
@@ -136,10 +155,8 @@ class Communicator:
     """
 
     def __init__(self, cluster: Optional[Cluster], n_ranks: int) -> None:
-        if int(n_ranks) != n_ranks or n_ranks < 1:
-            raise ValueError(f"n_ranks must be a positive integer, got {n_ranks!r}")
+        self.n_ranks = ensure_integer(n_ranks, "n_ranks", minimum=1)
         self.cluster = cluster if cluster is not None else Cluster()
-        self.n_ranks = int(n_ranks)
         #: algorithm chosen by each allreduce call, latest last ("auto" trace)
         self.algorithm_trace: List[str] = []
         #: canonical compression route of each compressed-capable call
@@ -257,8 +274,12 @@ class Communicator:
             )
         elif mode == "auto":
             mode, plan = self._auto_compressed_allreduce(inputs)
+        elif mode == "DI":
+            plan = _plan_cpr_allreduce(inputs, self.n_ranks, self.cluster.config)
         else:
-            plan = _plan_compressed_allreduce(mode, inputs, self.n_ranks, self.cluster.config)
+            plan = _plan_c_allreduce(
+                inputs, self.n_ranks, self.cluster.config, overlap=mode == "Overlap"
+            )
         return self._launch(plan, mode)
 
     def _auto_compressed_allreduce(self, inputs) -> Tuple[str, CollectivePlan]:
@@ -282,7 +303,7 @@ class Communicator:
             )
         if compress:
             route = "Overlap"
-            plan = _plan_compressed_allreduce(route, inputs, self.n_ranks, config)
+            plan = _plan_c_allreduce(inputs, self.n_ranks, config, overlap=True)
         else:
             route = "AD"
             plan = _plan_allreduce(inputs, self.n_ranks, "auto", self.cluster.context(), topology)
@@ -388,8 +409,9 @@ class Communicator:
     # -------------------------------------------------------------------- misc
 
     def _check_root(self, root: int) -> None:
-        if not isinstance(root, numbers.Integral) or not 0 <= root < self.n_ranks:
-            raise ValueError(f"root must be an integer in [0, {self.n_ranks}), got {root!r}")
+        ensure_integer(root, "root")
+        if not 0 <= root < self.n_ranks:
+            raise ValueError(f"root must be in [0, {self.n_ranks}), got {root!r}")
 
     def __repr__(self) -> str:
         return f"Communicator(n_ranks={self.n_ranks}, cluster={self.cluster!r})"

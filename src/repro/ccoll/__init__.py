@@ -17,8 +17,6 @@ Public entry points (rank programs composed by the session API):
 * the topology-aware C-Allreduce has no rank program of its own: it is the
   hierarchical skeleton of :mod:`repro.collectives.hierarchical` with the
   compressed leader stage of :mod:`repro.ccoll.topology_aware` plugged in
-* :data:`ALLREDUCE_VARIANTS` — the AD / DI / ND / Overlap step-wise
-  variants of Table V (``Communicator.allreduce(compression=<variant>)``)
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
 * :class:`CodecMemo` — codec results several plans of one job share (what
   :mod:`repro.workload` hands a job's restart attempts and isolated baseline;
@@ -42,11 +40,6 @@ from repro.ccoll.movement import (
     c_scatter_program,
     exchange_sizes_program,
 )
-from repro.ccoll.variants import (
-    ALLREDUCE_VARIANTS,
-    VARIANT_ALIASES,
-    canonical_variant,
-)
 
 __all__ = [
     "CCollConfig",
@@ -65,7 +58,4 @@ __all__ = [
     "cpr_allgather_program",
     "cpr_bcast_program",
     "cpr_scatter_program",
-    "ALLREDUCE_VARIANTS",
-    "VARIANT_ALIASES",
-    "canonical_variant",
 ]

@@ -18,9 +18,12 @@ from repro.compression.base import Compressor
 from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, PipelinedSZx
 from repro.compression.registry import make_compressor
 from repro.perfmodel.costmodel import CostModel
-from repro.utils.validation import ensure_positive
+from repro.utils.validation import ensure_in, ensure_positive
 
 __all__ = ["CCollConfig"]
+
+#: the codec names :meth:`CCollConfig.make_codec` builds
+CCOLL_CODECS = ("szx", "pipe_szx", "zfp_abs", "zfp_fxr", "null")
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,9 @@ class CCollConfig:
     Parameters
     ----------
     codec:
-        Name of the error-bounded codec used by C-Coll ("szx" in the paper;
-        "zfp_abs"/"zfp_fxr" are accepted for the CPR-P2P baselines).
+        Name of the error-bounded codec used by C-Coll, one of
+        :data:`CCOLL_CODECS` ("szx" in the paper; "zfp_abs"/"zfp_fxr" are
+        accepted for the CPR-P2P baselines).
     error_bound:
         Absolute error bound handed to the codec (ignored by "zfp_fxr").
     rate:
@@ -59,6 +63,7 @@ class CCollConfig:
     codec_memo: Optional[CodecMemo] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        ensure_in(self.codec, CCOLL_CODECS, "codec")
         ensure_positive(self.error_bound, "error_bound")
         ensure_positive(self.rate, "rate")
         if self.pipeline_chunk_elems < 1:
@@ -69,20 +74,13 @@ class CCollConfig:
 
     def make_codec(self) -> Compressor:
         """Instantiate the configured codec."""
-        name = self.codec.lower()
-        if name == "szx":
-            return make_compressor("szx", error_bound=self.error_bound)
-        if name == "pipe_szx":
-            return PipelinedSZx(
-                error_bound=self.error_bound, chunk_elems=self.pipeline_chunk_elems
-            )
-        if name == "zfp_abs":
-            return make_compressor("zfp_abs", error_bound=self.error_bound)
-        if name == "zfp_fxr":
+        if self.codec == "pipe_szx":
+            return self.make_pipelined_codec()
+        if self.codec == "zfp_fxr":
             return make_compressor("zfp_fxr", rate=self.rate)
-        if name == "null":
+        if self.codec == "null":
             return make_compressor("null")
-        raise ValueError(f"unsupported C-Coll codec {self.codec!r}")
+        return make_compressor(self.codec, error_bound=self.error_bound)  # szx / zfp_abs
 
     def make_pipelined_codec(self) -> PipelinedSZx:
         """The PIPE-SZx instance used by the collective computation framework."""

@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.communicator import C_VARIANTS
-from repro.ccoll.variants import VARIANT_ALIASES
+from repro.api.communicator import C_VARIANTS, COMPRESSION_MODES
 
 __all__ = [
     "Scenario",
@@ -256,8 +255,8 @@ def sanitize(scenario: Scenario) -> Scenario:
     if compression != "off":
         # the compressed variants fix their own schedule
         updates["algorithm"] = "auto"
-    mode = VARIANT_ALIASES.get(compression)  # None: "auto", or nonsense left to the executor
-    if mode is not None and mode not in C_VARIANTS.get(scenario.op, (mode,)):
+    mode = COMPRESSION_MODES.get(compression)  # None: nonsense left to the executor
+    if mode not in (None, "auto") and mode not in C_VARIANTS.get(scenario.op, (mode,)):
         updates["compression"] = compression = "on"
     if scenario.op != "allreduce":
         updates["algorithm"] = "auto"

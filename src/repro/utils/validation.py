@@ -6,7 +6,8 @@ helpers so that error messages are uniform and informative.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import numbers
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -14,6 +15,7 @@ __all__ = [
     "ensure_1d_float_array",
     "ensure_positive",
     "ensure_non_negative",
+    "ensure_integer",
     "ensure_in",
     "ensure_dtype",
 ]
@@ -59,6 +61,16 @@ def ensure_non_negative(value, name: str = "value") -> float:
     if not np.isfinite(val) or val < 0.0:
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
     return val
+
+
+def ensure_integer(value, name: str = "value", minimum: Optional[int] = None) -> int:
+    """Validate that ``value`` is an integer (a Python or numpy one, never a
+    bool or a whole float), at least ``minimum`` if given; return it as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def ensure_in(value, allowed: Iterable, name: str = "value"):

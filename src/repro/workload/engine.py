@@ -57,6 +57,7 @@ from repro.faults import FaultInjector, FaultSchedule
 from repro.mpisim.engine import Engine, EngineJob
 from repro.mpisim.fairshare import CONTENTION_FAIR, CONTENTION_RESERVATION
 from repro.mpisim.launcher import DEFAULT_MAX_COMMANDS
+from repro.utils.validation import ensure_integer
 from repro.workload.job import CompiledJob, JobMemo, JobSpec, compile_job
 from repro.workload.metrics import JobRecord, WorkloadReport
 from repro.workload.placement import NodeAllocator, slots_for
@@ -432,10 +433,7 @@ class WorkloadEngine:
                 f"unknown failure policy {failure_policy!r}; "
                 f"available: {', '.join(FAILURE_POLICY_MODES)}"
             )
-        if isinstance(checkpoint, bool) or not isinstance(checkpoint, int) or checkpoint < 0:
-            raise ValueError(
-                f"checkpoint must be an interval int >= 0 (0 disables), got {checkpoint!r}"
-            )
+        checkpoint = ensure_integer(checkpoint, "checkpoint", minimum=0)
         topology = cluster.topology
         if topology is None:
             raise ValueError(

@@ -20,7 +20,6 @@ the plans' factories are replayed later on the shared multi-job engine.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -29,9 +28,8 @@ import numpy as np
 from repro.api import Cluster, Communicator
 from repro.api.communicator import compression_mode, issue_collective
 from repro.ccoll import CodecMemo
-from repro.ccoll.variants import VARIANT_ALIASES
 from repro.collectives.selection import ALGORITHM_PLANNERS
-from repro.utils.validation import ensure_in
+from repro.utils.validation import ensure_in, ensure_integer
 from repro.workload.placement import PlacementView
 from repro.workload.recovery import FAILURE_POLICY_MODES
 
@@ -46,12 +44,6 @@ __all__ = [
 
 #: operations a workload job may issue (each maps to one Communicator method)
 COLLECTIVE_OPS = ("allreduce", "allgather", "bcast", "reduce_scatter")
-
-
-def _ensure_integer(spec, name: str) -> None:
-    value = getattr(spec, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,17 +70,14 @@ class CollectiveCall:
             )
         if self.msg_elems < 1:
             raise ValueError(f"msg_elems must be >= 1, got {self.msg_elems}")
-        _ensure_integer(self, "msg_elems")
+        ensure_integer(self.msg_elems, "msg_elems")
         try:
             floating = np.issubdtype(np.dtype(self.dtype), np.floating)
         except TypeError:  # not a dtype at all
             floating = False
         if not floating:
             raise ValueError(f"dtype must be a numpy floating dtype, got {self.dtype!r}")
-        # the spellings Communicator accepts: case and padding do not matter
-        compression = str(self.compression).strip().lower()
-        ensure_in(compression, ("auto", *VARIANT_ALIASES), "compression")
-        compression_mode(self.op, compression)
+        compression_mode(self.op, self.compression)
         ensure_in(self.algorithm, ("auto", *ALGORITHM_PLANNERS), "algorithm")
 
     def to_dict(self) -> Dict[str, Any]:
@@ -130,7 +119,7 @@ class JobSpec:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         for name in ("n_ranks", "iterations", "seed"):
-            _ensure_integer(self, name)
+            ensure_integer(getattr(self, name), name)
         if not (math.isfinite(self.arrival) and self.arrival >= 0.0):
             raise ValueError(f"arrival must be a finite time >= 0, got {self.arrival}")
         if not self.calls:
@@ -140,11 +129,8 @@ class JobSpec:
                 f"unknown failure policy {self.failure_policy!r}; "
                 f"available: {', '.join(FAILURE_POLICY_MODES)}"
             )
-        if self.checkpoint_every is not None and self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0 (0 disables), "
-                f"got {self.checkpoint_every}"
-            )
+        if self.checkpoint_every is not None:
+            ensure_integer(self.checkpoint_every, "checkpoint_every", minimum=0)
         object.__setattr__(self, "calls", tuple(self.calls))
 
     @property

@@ -21,21 +21,23 @@ class TestConstruction:
         cluster = Cluster()
         assert cluster.network is None
         assert cluster.topology is None
-        assert cluster.size_multiplier == 1.0
         assert cluster.config == CCollConfig()
 
-    def test_shorthands_fold_into_config(self):
+    def test_c_coll_settings_live_in_config(self):
         cost = CostModel.broadwell_omnipath()
-        cluster = Cluster(cost=cost, size_multiplier=8.0)
+        cluster = Cluster(config=CCollConfig(cost=cost, size_multiplier=8.0))
         assert cluster.config.cost is cost
-        assert cluster.config.size_multiplier == 8.0
         assert cluster.context().size_multiplier == 8.0
+        assert "size_multiplier=8" in repr(cluster)
 
-    def test_shorthands_override_explicit_config(self):
-        config = CCollConfig(size_multiplier=2.0, error_bound=1e-4)
-        cluster = Cluster(config=config, size_multiplier=16.0)
-        assert cluster.size_multiplier == 16.0
-        assert cluster.config.error_bound == 1e-4  # other fields survive
+    @pytest.mark.parametrize("shorthand", ["cost", "size_multiplier"])
+    def test_no_second_spelling_of_a_config_field(self, shorthand):
+        value = CostModel.broadwell_omnipath() if shorthand == "cost" else 8.0
+        with pytest.raises(TypeError):
+            Cluster(**{shorthand: value})
+        with pytest.raises(TypeError):
+            Cluster.from_preset("fat_tree", **{shorthand: value})
+        assert not hasattr(Cluster(), shorthand)
 
     def test_immutable(self):
         cluster = Cluster()
@@ -43,10 +45,10 @@ class TestConstruction:
             cluster.topology = FlatTopology()
 
     def test_with_updates(self):
-        base = Cluster(size_multiplier=4.0)
+        base = Cluster(config=CCollConfig(size_multiplier=4.0))
         updated = base.with_updates(topology=FlatTopology())
         assert isinstance(updated.topology, FlatTopology)
-        assert updated.size_multiplier == 4.0
+        assert updated.config.size_multiplier == 4.0
         assert base.topology is None
 
     def test_with_updates_clears_stale_preset_on_topology_change(self):
@@ -55,7 +57,7 @@ class TestConstruction:
         assert swapped.preset is None
         assert "fat_tree" not in repr(swapped)
         # updates that keep the topology keep the preset label
-        assert base.with_updates(size_multiplier=2.0).preset == "fat_tree"
+        assert base.with_updates(config=CCollConfig(size_multiplier=2.0)).preset == "fat_tree"
 
 
 class TestFromPreset:
@@ -108,7 +110,7 @@ class TestFromPreset:
 
 class TestCommunicatorFactory:
     def test_communicator_binds_cluster(self):
-        cluster = Cluster(size_multiplier=2.0)
+        cluster = Cluster(config=CCollConfig(size_multiplier=2.0))
         comm = cluster.communicator(4)
         assert comm.cluster is cluster
         assert comm.n_ranks == 4

@@ -3,7 +3,7 @@
 The equivalence pins in ``test_facade_equivalence.py`` prove the facade
 reproduces the legacy runners; these tests cover the facade's *own* logic:
 algorithm tracing (proving ``algorithm="auto"`` consults ``select_algorithm``),
-the shared compression alias table, the ``compression="auto"`` gate routing,
+the five exact ``compression`` spellings, the ``compression="auto"`` gate routing,
 and argument validation.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 import repro.collectives.selection as selection
 from repro.api import Cluster
-from repro.ccoll import CCollConfig, VARIANT_ALIASES, canonical_variant
+from repro.ccoll import CCollConfig
 from repro.collectives.selection import RING_MIN_BYTES, select_algorithm
 from repro.mpisim import SharedUplinkTopology
 from repro.perfmodel import line_rate_network
@@ -58,7 +58,7 @@ class TestAlgorithmTrace:
         comm.allreduce(small)
         assert comm.last_algorithm == select_algorithm(16 * 8, 8, None)
         # size_multiplier pushes the virtual size over the ring threshold
-        big_cluster = Cluster(size_multiplier=float(RING_MIN_BYTES)).communicator(8)
+        big_cluster = Cluster(config=CCollConfig(size_multiplier=float(RING_MIN_BYTES))).communicator(8)
         big_cluster.allreduce(_vectors(8, n=16))
         assert big_cluster.last_algorithm == "ring"
 
@@ -70,21 +70,23 @@ class TestAlgorithmTrace:
 
 
 class TestCompressionDispatch:
-    def test_alias_table_is_shared_with_variants(self):
-        """The facade resolves compression through the exact table the Table V
-        harness uses — including the facade's own off/on switches."""
-        assert VARIANT_ALIASES["off"] == "AD"
-        assert VARIANT_ALIASES["on"] == "Overlap"
+    def test_each_spelling_reports_its_table_v_label(self):
         comm = Cluster().communicator(2)
         vecs = _vectors(2)
-        for alias, canonical in (("cpr-p2p", "DI"), ("novel_design", "ND"), ("on", "Overlap")):
-            assert canonical_variant(alias) == canonical
-            comm.allreduce(vecs, compression=alias)
-            assert comm.last_compression == canonical
+        for spelling, label in (("off", "AD"), ("di", "DI"), ("nd", "ND"), ("on", "Overlap")):
+            comm.allreduce(vecs, compression=spelling)
+            assert comm.last_compression == label
 
-    @pytest.mark.parametrize("switch", [True, False])
-    def test_bool_spellings_are_refused(self, switch):
-        with pytest.raises(ValueError, match="unknown allreduce variant"):
+    @pytest.mark.parametrize(
+        "spelling", ["cpr-p2p", "novel_design", "Overlap", "AD", "ON", " on ", "c-allreduce"]
+    )
+    def test_former_aliases_are_refused(self, spelling):
+        with pytest.raises(ValueError, match="it takes 'off' / 'di' / 'nd' / 'on' / 'auto'"):
+            Cluster().communicator(2).allreduce(_vectors(2), compression=spelling)
+
+    @pytest.mark.parametrize("switch", [True, False, None, 1])
+    def test_non_string_spellings_are_refused(self, switch):
+        with pytest.raises(ValueError, match="not available for allreduce"):
             Cluster().communicator(2).allreduce(_vectors(2), compression=switch)
 
     def test_auto_gate_flat_calibrated_compresses(self):
@@ -139,7 +141,7 @@ class TestValidation:
             Cluster().communicator(2).allreduce(_vectors(2), algorithm="ring", compression="on")
 
     def test_unknown_compression_rejected(self):
-        with pytest.raises(ValueError, match="unknown allreduce variant"):
+        with pytest.raises(ValueError, match="not available for allreduce"):
             Cluster().communicator(2).allreduce(_vectors(2), compression="zip")
 
     def test_nd_rejected_outside_allreduce(self):
@@ -158,7 +160,7 @@ class TestValidation:
         with pytest.raises(TypeError, match="float array, got int64"):
             comm.capture(lambda c: c.bcast(np.arange(8, dtype=np.int64), compression=mode))
 
-    @pytest.mark.parametrize("root", [1.5, 1.0, "1", None])
+    @pytest.mark.parametrize("root", [1.5, 1.0, "1", None, True, np.bool_(True)])
     @pytest.mark.parametrize(
         "name, mode",
         [(name, mode) for name in ("bcast", "scatter") for mode in ("off", "on", "di", "auto")]
@@ -173,6 +175,25 @@ class TestValidation:
     def test_numpy_integer_root_is_accepted(self):
         comm = Cluster().communicator(4)
         assert comm.bcast(_vectors(4)[0], root=np.int64(2)).values[0] is not None
+
+    @pytest.mark.parametrize("root", [-1, 4, np.int64(4)])
+    def test_out_of_range_root_is_rejected(self, root):
+        with pytest.raises(ValueError, match=r"root must be in \[0, 4\)"):
+            Cluster().communicator(4).bcast(_vectors(4)[0], root=root)
+
+    @pytest.mark.parametrize("n_ranks", [True, False, 4.0, 2.5, "4", None])
+    def test_non_integer_rank_count_is_rejected(self, n_ranks):
+        with pytest.raises(ValueError, match="n_ranks must be an integer"):
+            Cluster().communicator(n_ranks)
+
+    @pytest.mark.parametrize("n_ranks", [0, -3, np.int64(0)])
+    def test_rank_count_below_one_is_rejected(self, n_ranks):
+        with pytest.raises(ValueError, match="n_ranks must be >= 1"):
+            Cluster().communicator(n_ranks)
+
+    def test_numpy_integer_rank_count_is_a_python_int(self):
+        comm = Cluster().communicator(np.int64(4))
+        assert comm.n_ranks == 4 and type(comm.n_ranks) is int
 
     def test_gather_reduce_have_no_compression_parameter(self):
         import inspect
@@ -193,9 +214,7 @@ class TestSessionState:
         assert comm.compression_trace == ["AD", "DI"]
 
     def test_reduce_scatter_nd_is_the_ring_without_overlap(self):
-        comm = Cluster(
-            config=CCollConfig(error_bound=1e-3), size_multiplier=64.0
-        ).communicator(4)
+        comm = Cluster(config=CCollConfig(error_bound=1e-3, size_multiplier=64.0)).communicator(4)
         x = np.linspace(0, 20, 65536)
         vecs = [(np.sin(x) * (1 + 1e-6 * r)).astype(np.float32) for r in range(4)]
         overlapped = comm.reduce_scatter(vecs, compression="on")

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 import repro
 import repro.api as api
 import repro.mpisim.topology as topology
-from repro.api.communicator import C_VARIANTS
+from repro.api.communicator import C_VARIANTS, COMPRESSION_MODES, compression_mode
 from repro.ccoll import CCollConfig
 
 EXPECTED_API_ALL = ["Cluster", "Communicator"]
@@ -97,6 +98,45 @@ def test_one_table_names_every_compression_mode():
         assert parameter.annotation in (str, "str"), name
         assert parameter.default == "off", name
     assert "use_overlap" not in {field.name for field in dataclasses.fields(CCollConfig)}
+
+
+def test_cluster_takes_c_coll_settings_only_through_config():
+    assert list(inspect.signature(api.Cluster.__init__).parameters)[1:] == [
+        "network", "topology", "config", "preset",
+    ]
+    named = inspect.signature(api.Cluster.from_preset).parameters
+    assert "cost" not in named and "size_multiplier" not in named
+    assert not hasattr(api.Cluster, "cost") and not hasattr(api.Cluster, "size_multiplier")
+
+
+def test_ccoll_exports_no_alias_table():
+    import repro.ccoll as ccoll
+
+    for name in ("VARIANT_ALIASES", "canonical_variant", "ALLREDUCE_VARIANTS"):
+        assert name not in ccoll.__all__ and not hasattr(ccoll, name)
+
+
+@pytest.mark.parametrize("op", sorted(C_VARIANTS))
+def test_exactly_its_modes_spellings_are_accepted(op):
+    """Every spelling is exact: no case, padding or former alias resolves."""
+    from repro.workload import COLLECTIVE_OPS, CollectiveCall
+
+    def check(spelling):
+        compression_mode(op, spelling)
+        if op in COLLECTIVE_OPS:  # scatter is a session method, not a job step
+            CollectiveCall(op=op, compression=spelling)
+
+    accepted = [
+        spelling
+        for spelling, label in COMPRESSION_MODES.items()
+        if label in (*C_VARIANTS[op], "auto")
+    ]
+    for spelling in accepted:
+        check(spelling)
+    refused = [spelling for spelling in COMPRESSION_MODES if spelling not in accepted]
+    for spelling in (*refused, "cpr-p2p", "Overlap", " ON ", "AD", "Auto"):
+        with pytest.raises(ValueError, match=re.escape(" / ".join(map(repr, accepted)))):
+            check(spelling)
 
 
 def test_top_level_reexports_session_api():

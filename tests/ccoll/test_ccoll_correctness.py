@@ -211,26 +211,24 @@ class TestVariants:
         vectors = smooth_vectors(n_ranks)
         expected = np.sum(vectors, axis=0)
         comm = comm_for(n_ranks)
-        for variant in ("AD", "DI", "ND", "Overlap"):
-            if variant == "AD":
+        for variant in ("off", "di", "nd", "on"):
+            if variant == "off":
                 outcome = comm.allreduce(vectors, algorithm="ring", compression="off")
             else:
                 outcome = comm.allreduce(vectors, compression=variant)
             # AD is exact up to float32 summation-order effects; the compressed
             # variants are bounded by the aggregation-chain worst case
-            tol = 1e-5 if variant == "AD" else 2 * n_ranks * EB
+            tol = 1e-5 if variant == "off" else 2 * n_ranks * EB
             assert max_err(outcome.value(0), expected) <= tol, variant
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             comm_for(2).allreduce(smooth_vectors(2), compression="FOO")
 
-    def test_aliases(self):
-        vectors = smooth_vectors(2)
-        comm = comm_for(2)
-        a = comm.allreduce(vectors, compression="C-Allreduce")
-        b = comm.allreduce(vectors, compression="Overlap")
-        np.testing.assert_allclose(a.value(0), b.value(0))
+    @pytest.mark.parametrize("spelling", ["C-Allreduce", "Overlap", "On", "on "])
+    def test_spelling_must_match_exactly(self, spelling):
+        with pytest.raises(ValueError, match="not available for allreduce"):
+            comm_for(2).allreduce(smooth_vectors(2), compression=spelling)
 
     def test_algorithm_only_applies_uncompressed(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -245,9 +243,12 @@ class TestConfig:
         assert CCollConfig(codec="null").make_codec().name == "null"
         assert CCollConfig(codec="pipe_szx").make_codec().name == "pipe_szx"
 
-    def test_invalid_codec_rejected(self):
-        with pytest.raises(ValueError):
-            CCollConfig(codec="gzip").make_codec()
+    @pytest.mark.parametrize("codec", ["gzip", "SZx", "ZFP_ABS", " szx", None])
+    def test_invalid_codec_rejected_when_written(self, codec):
+        with pytest.raises(ValueError, match="codec must be one of"):
+            CCollConfig(codec=codec)
+        with pytest.raises(ValueError, match="codec must be one of"):
+            CCollConfig().with_updates(codec=codec)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -52,8 +52,8 @@ def variant_times(rank_inputs, config):
     """Run the four Table V variants once and cache their outcomes."""
     comm = make_comm(config)
     outcomes = {"AD": comm.allreduce(rank_inputs, algorithm="ring", compression="off")}
-    for variant in ("DI", "ND", "Overlap"):
-        outcomes[variant] = comm.allreduce(rank_inputs, compression=variant)
+    for variant, spelling in (("DI", "di"), ("ND", "nd"), ("Overlap", "on")):
+        outcomes[variant] = comm.allreduce(rank_inputs, compression=spelling)
     return outcomes
 
 

@@ -118,16 +118,17 @@ class TestRingAllreduce:
     def test_size_multiplier_scales_time_not_values(self):
         vectors = make_inputs(4, n_elements=20_000)
         small = comm_for(4).allreduce(vectors, algorithm="ring")
-        big = comm_for(4, size_multiplier=64.0).allreduce(vectors, algorithm="ring")
+        big = comm_for(4, config=CCollConfig(size_multiplier=64.0)).allreduce(
+            vectors, algorithm="ring"
+        )
         np.testing.assert_allclose(small.value(0), big.value(0))
         assert big.total_time > 10 * small.total_time
 
-    def test_cluster_binds_context_consistently(self):
-        """Cluster(size_multiplier=...) and a full CCollConfig agree."""
-        shorthand = Cluster(network=NET, size_multiplier=16.0)
-        explicit = Cluster(network=NET, config=CCollConfig(size_multiplier=16.0))
-        assert shorthand.context() == explicit.context()
-        assert isinstance(shorthand.context(), CollectiveContext)
+    def test_cluster_context_is_its_config_context(self):
+        config = CCollConfig(size_multiplier=16.0)
+        context = Cluster(network=NET, config=config).context()
+        assert context == config.context()
+        assert isinstance(context, CollectiveContext)
 
 
 class TestBinomialBcast:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import Cluster
+from repro.ccoll import CCollConfig
 from repro.mpisim import Engine
 from repro.mpisim.commands import Compute, Irecv, Isend, Probe, Wait, Waitall
 from repro.mpisim.launcher import SimulationResult
@@ -36,10 +37,12 @@ from repro.mpisim.launcher import SimulationResult
 PIN_PATH = Path(__file__).parent / "command_streams_pin.json"
 
 CLUSTERS = {
-    "flat": lambda: Cluster.from_preset("flat", size_multiplier=8192.0),
-    "two_level": lambda: Cluster.from_preset("two_level", size_multiplier=8192.0),
+    "flat": lambda: Cluster.from_preset("flat", config=CCollConfig(size_multiplier=8192.0)),
+    "two_level": lambda: Cluster.from_preset(
+        "two_level", config=CCollConfig(size_multiplier=8192.0)
+    ),
     "fair_fat_tree": lambda: Cluster.from_preset(
-        "fat_tree", ranks_per_node=2, contention="fair", size_multiplier=8192.0
+        "fat_tree", ranks_per_node=2, contention="fair", config=CCollConfig(size_multiplier=8192.0)
     ),
 }
 SIZES = (1, 2, 3, 5, 8)

@@ -3,6 +3,7 @@
 import inspect
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import workload
@@ -80,15 +81,28 @@ class TestRecoverySurface:
         [
             (dict(failure_policy="reincarnate"), "unknown failure policy"),
             (dict(failure_policy=None), "unknown failure policy"),
-            (dict(checkpoint=True), "checkpoint must be an interval int"),
-            (dict(checkpoint=2.0), "checkpoint must be an interval int"),
-            (dict(checkpoint=-1), "checkpoint must be an interval int"),
-            (dict(checkpoint=None), "checkpoint must be an interval int"),
+            (dict(checkpoint=True), "checkpoint must be an integer"),
+            (dict(checkpoint=2.0), "checkpoint must be an integer"),
+            (dict(checkpoint=-1), "checkpoint must be >= 0"),
+            (dict(checkpoint=None), "checkpoint must be an integer"),
         ],
     )
     def test_the_engine_refuses_a_bad_mode_or_interval(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             WorkloadEngine(_cluster(), **kwargs)
+
+    @pytest.mark.parametrize("every", [np.int64(2), np.int32(0)])
+    def test_the_engine_takes_a_numpy_interval_as_a_spec_does(self, every):
+        engine = WorkloadEngine(_cluster(), checkpoint=every)
+        assert engine.checkpoint == every and type(engine.checkpoint) is int
+        JobSpec(job_id="x", n_ranks=2, checkpoint_every=every)
+
+    @pytest.mark.parametrize("every", [1.5, 2.5, 2.0, True, False, "2"])
+    def test_a_spec_refuses_the_intervals_the_engine_refuses(self, every):
+        with pytest.raises(ValueError, match="checkpoint_every must be an integer"):
+            JobSpec(job_id="x", n_ranks=2, checkpoint_every=every)
+        with pytest.raises(ValueError, match="checkpoint must be an integer"):
+            WorkloadEngine(_cluster(), checkpoint=every)
 
 
 def _cluster(nodes=8):
