@@ -82,7 +82,7 @@ def main() -> None:
                 codec="szx",
                 error_bound=args.error_bound,
                 size_multiplier=multiplier,
-                cost=CostModel.broadwell_omnipath().with_codec_speed("szx", 2000e6, 6600e6),
+                cost=CostModel().with_codec_speed("szx", 2000e6, 6600e6),
             ),
             default_network(),
         ),

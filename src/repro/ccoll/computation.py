@@ -77,6 +77,17 @@ def c_reduce_scatter_program(
     the module docstring is used; with ``overlap=False`` each round is the
     plain compress -> send -> wait -> decompress sequence of CPR-P2P.
     Returns the rank's fully reduced chunk ``rank``.
+
+    The ``overlap=False`` (ND) form deliberately keeps this posting order
+    rather than the shared ring schedule
+    (:func:`repro.collectives.reduce_scatter._ring_reduce_scatter_over_group`
+    with C-Coll hops): it posts the receive *before* compressing, drains its
+    sends only *after* decompressing, charges no CPR-P2P buffer-management
+    cost, and strides its tags by ``_MAX_SEGMENTS + 1`` per round.  The
+    shared ring would change ND's command stream, which
+    ``tests/collectives/command_streams_pin.json`` forbids, so the posting
+    order is a modelling choice of this function, not a second copy of the
+    ring.
     """
     chunks = partition_chunks(my_vector, size)
     if size == 1:

@@ -2,9 +2,10 @@
 
 One :class:`CCollConfig` instance describes everything a C-Coll collective
 needs besides the data: which error-bounded codec to use and with what bound,
-how the pipelined compressor is chunked and how real bytes map to virtual
-(paper-scale) bytes.  Which C-Coll variant runs is not a setting: a call's
-``compression`` argument names it (:mod:`repro.api.communicator`).
+and how real bytes map to virtual (paper-scale) bytes.  Which C-Coll variant
+runs is not a setting: a call's ``compression`` argument names it
+(:mod:`repro.api.communicator`).  Nor is PIPE-SZx's chunking: it is
+:data:`~repro.compression.pipelined.DEFAULT_CHUNK_ELEMS`, the paper's 5120.
 """
 
 from __future__ import annotations
@@ -15,15 +16,12 @@ from typing import List, Optional
 from repro.ccoll.adapter import CodecMemo, CompressionAdapter
 from repro.collectives.context import CollectiveContext
 from repro.compression.base import Compressor
-from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, PipelinedSZx
-from repro.compression.registry import make_compressor
+from repro.compression.pipelined import PipelinedSZx
+from repro.compression.registry import available_compressors, make_compressor
 from repro.perfmodel.costmodel import CostModel
 from repro.utils.validation import ensure_in, ensure_positive
 
 __all__ = ["CCollConfig"]
-
-#: the codec names :meth:`CCollConfig.make_codec` builds
-CCOLL_CODECS = ("szx", "pipe_szx", "zfp_abs", "zfp_fxr", "null")
 
 
 @dataclass(frozen=True)
@@ -33,15 +31,14 @@ class CCollConfig:
     Parameters
     ----------
     codec:
-        Name of the error-bounded codec used by C-Coll, one of
-        :data:`CCOLL_CODECS` ("szx" in the paper; "zfp_abs"/"zfp_fxr" are
-        accepted for the CPR-P2P baselines).
+        Exact name of the error-bounded codec used by C-Coll, one of
+        :func:`~repro.compression.registry.available_compressors` ("szx" in
+        the paper; "zfp_abs"/"zfp_fxr" are accepted for the CPR-P2P
+        baselines).
     error_bound:
         Absolute error bound handed to the codec (ignored by "zfp_fxr").
     rate:
         Bits per value for the fixed-rate baseline codec.
-    pipeline_chunk_elems:
-        PIPE-SZx chunk granularity (5120 data points in the paper).
     size_multiplier:
         Virtual bytes represented by each real byte (see
         :class:`repro.collectives.context.CollectiveContext`).
@@ -57,17 +54,14 @@ class CCollConfig:
     codec: str = "szx"
     error_bound: float = 1e-3
     rate: float = 8.0
-    pipeline_chunk_elems: int = DEFAULT_CHUNK_ELEMS
     size_multiplier: float = 1.0
-    cost: CostModel = field(default_factory=CostModel.broadwell_omnipath)
+    cost: CostModel = field(default_factory=CostModel)
     codec_memo: Optional[CodecMemo] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ensure_in(self.codec, CCOLL_CODECS, "codec")
+        ensure_in(self.codec, available_compressors(), "codec")
         ensure_positive(self.error_bound, "error_bound")
         ensure_positive(self.rate, "rate")
-        if self.pipeline_chunk_elems < 1:
-            raise ValueError("pipeline_chunk_elems must be >= 1")
         ensure_positive(self.size_multiplier, "size_multiplier")
 
     # ---------------------------------------------------------------- helpers
@@ -84,9 +78,7 @@ class CCollConfig:
 
     def make_pipelined_codec(self) -> PipelinedSZx:
         """The PIPE-SZx instance used by the collective computation framework."""
-        return PipelinedSZx(
-            error_bound=self.error_bound, chunk_elems=self.pipeline_chunk_elems
-        )
+        return PipelinedSZx(error_bound=self.error_bound)
 
     def make_adapters(
         self, ctx: CollectiveContext, n_ranks: int, pipelined: bool = False

@@ -42,7 +42,7 @@ Hop = Callable[[Any], Generator]
 class CollectiveContext:
     """Cost model plus virtual-size scaling shared by all collective programs."""
 
-    cost: CostModel = field(default_factory=CostModel.broadwell_omnipath)
+    cost: CostModel = field(default_factory=CostModel)
     size_multiplier: float = 1.0
 
     def __post_init__(self) -> None:

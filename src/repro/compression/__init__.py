@@ -23,7 +23,7 @@ from repro.compression.base import (
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.null import NullCompressor
 from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, CompressedChunk, PipelinedSZx
-from repro.compression.registry import available_compressors, make_compressor, register_compressor
+from repro.compression.registry import available_compressors, make_compressor
 from repro.compression.szx import DEFAULT_BLOCK_SIZE, SZxCompressor
 from repro.compression.zfp import MODE_ABS, MODE_FXR, ZFPCompressor
 
@@ -42,7 +42,6 @@ __all__ = [
     "NullCompressor",
     "make_compressor",
     "available_compressors",
-    "register_compressor",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_CHUNK_ELEMS",
     "MODE_ABS",

@@ -15,23 +15,25 @@ from repro.compression.pipelined import PipelinedSZx
 from repro.compression.szx import SZxCompressor
 from repro.compression.zfp import MODE_ABS, MODE_FXR, ZFPCompressor
 
-__all__ = ["make_compressor", "available_compressors", "register_compressor"]
+__all__ = ["make_compressor", "available_compressors"]
 
-_FACTORIES: Dict[str, Callable[..., Compressor]] = {}
-
-
-def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
-    """Register a codec factory under ``name`` (overwrites an existing entry)."""
-    _FACTORIES[name.lower()] = factory
+#: every codec by its exact name -> its constructor
+_FACTORIES: Dict[str, Callable[..., Compressor]] = {
+    "szx": SZxCompressor,
+    "pipe_szx": PipelinedSZx,
+    "zfp_abs": lambda **kw: ZFPCompressor(mode=MODE_ABS, **kw),
+    "zfp_fxr": lambda **kw: ZFPCompressor(mode=MODE_FXR, **kw),
+    "null": NullCompressor,
+}
 
 
 def available_compressors() -> list:
-    """Names of all registered codecs, sorted."""
+    """Names of all codecs, sorted."""
     return sorted(_FACTORIES)
 
 
 def make_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a codec by name.
+    """Instantiate a codec by its exact name.
 
     Supported names (and their keyword arguments):
 
@@ -41,16 +43,8 @@ def make_compressor(name: str, **kwargs) -> Compressor:
     * ``"zfp_fxr"`` — ``rate``, ``block_size``
     * ``"null"`` — no arguments
     """
-    key = name.lower()
-    if key not in _FACTORIES:
+    if name not in _FACTORIES:
         raise KeyError(
             f"unknown compressor {name!r}; available: {', '.join(available_compressors())}"
         )
-    return _FACTORIES[key](**kwargs)
-
-
-register_compressor("szx", SZxCompressor)
-register_compressor("pipe_szx", PipelinedSZx)
-register_compressor("zfp_abs", lambda **kw: ZFPCompressor(mode=MODE_ABS, **kw))
-register_compressor("zfp_fxr", lambda **kw: ZFPCompressor(mode=MODE_FXR, **kw))
-register_compressor("null", NullCompressor)
+    return _FACTORIES[name](**kwargs)

@@ -38,6 +38,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 # the fabrics own their stage-family names (``topology.link_families``); the
 # fat tree's are the default LinkDegrade mixes draw from
 from repro.mpisim.topology.switch import DRAGONFLY_LINK_FAMILIES, FAT_TREE_LINK_FAMILIES
+from repro.utils.validation import ensure_integer
 
 __all__ = [
     "DRAGONFLY_LINK_FAMILIES",
@@ -131,8 +132,8 @@ class RailFailure:
     def __post_init__(self) -> None:
         _check_time(self.time)
         _check_duration(self.duration)
-        if self.node < 0 or self.rail < 0:
-            raise ValueError("RailFailure node and rail must be >= 0")
+        object.__setattr__(self, "node", ensure_integer(self.node, "RailFailure node", minimum=0))
+        object.__setattr__(self, "rail", ensure_integer(self.rail, "RailFailure rail", minimum=0))
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ class SlowRank:
     def __post_init__(self) -> None:
         _check_time(self.time)
         _check_duration(self.duration)
-        if self.rank < 0:
-            raise ValueError(f"SlowRank rank must be >= 0, got {self.rank}")
+        object.__setattr__(self, "rank", ensure_integer(self.rank, "SlowRank rank", minimum=0))
         if not self.factor > 0.0:
             raise ValueError(f"compute factor must be > 0, got {self.factor}")
 
@@ -177,8 +177,7 @@ class NodeLoss:
     def __post_init__(self) -> None:
         _check_time(self.time)
         _check_duration(self.duration)
-        if self.node < 0:
-            raise ValueError(f"NodeLoss node must be >= 0, got {self.node}")
+        object.__setattr__(self, "node", ensure_integer(self.node, "NodeLoss node", minimum=0))
 
 
 @dataclass(frozen=True)
@@ -201,9 +200,24 @@ class FailureDomain:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("FailureDomain needs a non-empty name")
-        object.__setattr__(self, "nodes", tuple(int(n) for n in self.nodes))
         object.__setattr__(
-            self, "rails", tuple(tuple(pair) for pair in self.rails)
+            self,
+            "nodes",
+            tuple(ensure_integer(n, "FailureDomain node", minimum=0) for n in self.nodes),
+        )
+        rails = tuple(tuple(pair) for pair in self.rails)
+        if any(len(pair) != 2 for pair in rails):
+            raise ValueError("FailureDomain rails must be (node, rail) pairs")
+        object.__setattr__(
+            self,
+            "rails",
+            tuple(
+                (
+                    ensure_integer(node, "FailureDomain rail node", minimum=0),
+                    ensure_integer(rail, "FailureDomain rail", minimum=0),
+                )
+                for node, rail in rails
+            ),
         )
         object.__setattr__(
             self,
@@ -212,10 +226,6 @@ class FailureDomain:
         )
         if not (self.nodes or self.rails or self.stage_prefixes):
             raise ValueError(f"FailureDomain {self.name!r} has no members")
-        if any(n < 0 for n in self.nodes):
-            raise ValueError("FailureDomain nodes must be >= 0")
-        if any(len(pair) != 2 for pair in self.rails):
-            raise ValueError("FailureDomain rails must be (node, rail) pairs")
         if any(not prefix for prefix in self.stage_prefixes):
             raise ValueError("FailureDomain stage prefixes must be non-empty")
 
@@ -363,9 +373,9 @@ class FaultSchedule:
                 if "domain" in fields:
                     fields["domain"] = FailureDomain(**fields["domain"])
                 events.append(event_type(**fields))
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (TypeError, ValueError) as exc:
                 # a wrong key set or a wrongly typed field surfaces as the
-                # constructor's own error (OverflowError: ``int(inf)`` node)
+                # constructor's own error
                 raise FaultFormatError(f"{where}: {exc}") from exc
         return cls(events=tuple(events))
 

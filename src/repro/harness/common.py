@@ -18,14 +18,13 @@ requested virtual message size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.ccoll.config import CCollConfig
 from repro.datasets.base import Field
 from repro.datasets.registry import load_field, message_of_size
-from repro.perfmodel.costmodel import CostModel
 from repro.utils.units import MB
 from repro.utils.validation import ensure_in
 
@@ -119,7 +118,6 @@ def default_config(
     codec: str = "szx",
     size_multiplier: float = 1.0,
     rate: float = 4.0,
-    cost: Optional[CostModel] = None,
 ) -> CCollConfig:
     """The C-Coll configuration used across experiments unless stated otherwise."""
     return CCollConfig(
@@ -127,7 +125,6 @@ def default_config(
         error_bound=error_bound,
         rate=rate,
         size_multiplier=size_multiplier,
-        cost=cost if cost is not None else CostModel.broadwell_omnipath(),
     )
 
 

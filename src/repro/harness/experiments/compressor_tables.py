@@ -77,7 +77,7 @@ def characterise(
 ) -> List[Dict[str, object]]:
     """Run the full codec x setting x dataset sweep once; shared by Tables I-III."""
     settings = resolve_scale(scale)
-    cost = CostModel.broadwell_omnipath()
+    cost = CostModel()
     rows: List[Dict[str, object]] = []
     for application, field in applications:
         files = _dataset_files(application, field, settings.table_points, n_files)

@@ -8,7 +8,7 @@ it asks for, are stored and reset (switch fabrics reuse it).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.mpisim.fairshare import CONTENTION_MODES, CONTENTION_RESERVATION
 from repro.mpisim.topology.links import LinkModel, SharedLink
@@ -67,18 +67,6 @@ class Topology(ABC):
     def same_node(self, src: int, dst: int) -> bool:
         """Whether two ranks are co-located."""
         return self.node_of(src) == self.node_of(dst)
-
-    def node_ranks(self, rank: int, n_ranks: int) -> List[int]:
-        """All ranks sharing ``rank``'s node, in rank order."""
-        node = self.node_of(rank)
-        return [r for r in range(n_ranks) if self.node_of(r) == node]
-
-    def node_leaders(self, n_ranks: int) -> List[int]:
-        """Lowest rank of each node, ordered by first appearance."""
-        leaders: Dict[int, int] = {}
-        for r in range(n_ranks):
-            leaders.setdefault(self.node_of(r), r)
-        return list(leaders.values())
 
     def n_nodes(self, n_ranks: int) -> int:
         """Number of distinct nodes hosting the first ``n_ranks`` ranks."""
@@ -199,24 +187,23 @@ class HierarchicalTopology(PlacedTopology):
         (ignored when ``placement`` is given).
     placement:
         Explicit rank -> node id mapping (overrides ``ranks_per_node``).
-    intra_latency / intra_bandwidth:
-        The shared-memory-class intra-node link.
     inter_latency / inter_bandwidth:
         The inter-node fabric link (defaults match the calibrated
         :class:`~repro.mpisim.network.NetworkModel`).
+
+    The intra-node link is the shared-memory class
+    (``DEFAULT_INTRA_LATENCY`` / ``DEFAULT_INTRA_BANDWIDTH``).
     """
 
     def __init__(
         self,
         ranks_per_node: int = 1,
         placement: Optional[Sequence[int]] = None,
-        intra_latency: float = DEFAULT_INTRA_LATENCY,
-        intra_bandwidth: float = DEFAULT_INTRA_BANDWIDTH,
         inter_latency: float = DEFAULT_INTER_LATENCY,
         inter_bandwidth: float = DEFAULT_INTER_BANDWIDTH,
     ) -> None:
         super().__init__(ranks_per_node=ranks_per_node, placement=placement)
-        self._intra = LinkModel(latency=intra_latency, bandwidth=intra_bandwidth)
+        self._intra = LinkModel(latency=DEFAULT_INTRA_LATENCY, bandwidth=DEFAULT_INTRA_BANDWIDTH)
         self._inter = LinkModel(latency=inter_latency, bandwidth=inter_bandwidth)
 
     def effective_inter_bandwidth(self) -> Optional[float]:

@@ -39,6 +39,8 @@ __all__ = [
 #: per-switch-hop traversal latency (cut-through switching class); the NIC
 #: latency (``DEFAULT_INTER_LATENCY``) dominates, matching the calibration
 DEFAULT_HOP_LATENCY = 200e-9
+#: intermediate groups an adaptively routed dragonfly offers as Valiant detours
+VALIANT_CANDIDATES = 2
 
 #: multi-NIC rail-selection policies
 RAIL_HASH = "hash"
@@ -87,9 +89,8 @@ class SwitchFabricTopology(Contended, PlacedTopology):
     Parameters
     ----------
     ranks_per_node / placement:
-        Rank placement, as for :class:`HierarchicalTopology`.
-    intra_latency / intra_bandwidth:
-        The dedicated shared-memory-class intra-node link.
+        Rank placement, as for :class:`HierarchicalTopology` (whose dedicated
+        shared-memory-class intra-node link this fabric shares).
     nic_latency / nic_bandwidth:
         Host injection: each NIC rail is a :class:`SharedLink` of this
         capacity; ``nic_latency`` is charged once per message (it dominates
@@ -118,8 +119,6 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         self,
         ranks_per_node: int = 1,
         placement: Optional[Sequence[int]] = None,
-        intra_latency: float = DEFAULT_INTRA_LATENCY,
-        intra_bandwidth: float = DEFAULT_INTRA_BANDWIDTH,
         nic_latency: float = DEFAULT_INTER_LATENCY,
         nic_bandwidth: float = DEFAULT_INTER_BANDWIDTH,
         nics_per_node: int = 1,
@@ -138,7 +137,7 @@ class SwitchFabricTopology(Contended, PlacedTopology):
         ensure_in(routing, (ROUTE_MINIMAL, ROUTE_ADAPTIVE), "routing")
         if nics_per_node < 1:
             raise ValueError(f"nics_per_node must be >= 1, got {nics_per_node}")
-        self._intra = LinkModel(latency=intra_latency, bandwidth=intra_bandwidth)
+        self._intra = LinkModel(latency=DEFAULT_INTRA_LATENCY, bandwidth=DEFAULT_INTRA_BANDWIDTH)
         self.nic_latency = float(nic_latency)
         self.nic_bandwidth = float(nic_bandwidth)
         self.rail_policy = rail_policy
@@ -505,12 +504,12 @@ class DragonflyTopology(SwitchFabricTopology):
     connected by local links; each ordered group pair shares one directed
     global link, attached at gateway router ``dst_group % routers_per_group``
     of the source group.  Minimal routes are local -> global -> local; with
-    ``routing="adaptive"``, Valiant detours via ``valiant_candidates``
+    ``routing="adaptive"``, Valiant detours via ``VALIANT_CANDIDATES``
     intermediate groups are offered and the least-backlogged candidate wins —
     the classic remedy when one global link saturates.
 
-    ``local_bandwidth`` defaults to the NIC rate and ``global_bandwidth`` to
-    ``nic_bandwidth / oversubscription`` (global links are the tapered tier).
+    Local links run at the NIC rate and global links at ``switch_bandwidth``
+    (``nic_bandwidth / oversubscription``: global links are the tapered tier).
     """
 
     link_families = DRAGONFLY_LINK_FAMILIES
@@ -520,30 +519,16 @@ class DragonflyTopology(SwitchFabricTopology):
         n_groups: int = 4,
         routers_per_group: int = 4,
         nodes_per_router: int = 1,
-        local_bandwidth: Optional[float] = None,
-        global_bandwidth: Optional[float] = None,
-        valiant_candidates: int = 2,
         **kwargs,
     ) -> None:
         if n_groups < 1 or routers_per_group < 1 or nodes_per_router < 1:
             raise ValueError(
                 "n_groups, routers_per_group and nodes_per_router must all be >= 1"
             )
-        if valiant_candidates < 0:
-            raise ValueError(f"valiant_candidates must be >= 0, got {valiant_candidates}")
         self.n_groups = int(n_groups)
         self.routers_per_group = int(routers_per_group)
         self.nodes_per_router = int(nodes_per_router)
-        self.valiant_candidates = int(valiant_candidates)
         super().__init__(**kwargs)
-        self.local_bandwidth = (
-            float(local_bandwidth) if local_bandwidth is not None else self.nic_bandwidth
-        )
-        self.global_bandwidth = (
-            float(global_bandwidth) if global_bandwidth is not None else self.switch_bandwidth
-        )
-        ensure_positive(self.local_bandwidth, "local_bandwidth")
-        ensure_positive(self.global_bandwidth, "global_bandwidth")
 
     @property
     def n_fabric_nodes(self) -> int:
@@ -552,8 +537,8 @@ class DragonflyTopology(SwitchFabricTopology):
     def _tiers(self) -> Tuple[Tuple[float, Tuple[str, ...]], ...]:
         return (
             (self.nic_bandwidth, NIC_STAGE_FAMILIES),
-            (self.local_bandwidth, ("df-local",)),
-            (self.global_bandwidth, ("df-global",)),
+            (self.nic_bandwidth, ("df-local",)),
+            (self.switch_bandwidth, ("df-global",)),
         )
 
     def _locate(self, node: int) -> Tuple[int, int]:
@@ -602,7 +587,7 @@ class DragonflyTopology(SwitchFabricTopology):
                     + self._hop_chain(mid, via, dgroup, drouter)
                 )
                 added += 1
-                if added >= self.valiant_candidates:
+                if added >= VALIANT_CANDIDATES:
                     break
         return tuple(routes)
 
@@ -611,6 +596,6 @@ class DragonflyTopology(SwitchFabricTopology):
             f"dragonfly ({self.n_groups} groups x {self.routers_per_group} routers x "
             f"{self.nodes_per_router} nodes, {self.ranks_per_node} ranks/node, "
             f"{self.nics_per_node} NIC rail(s), global "
-            f"{self.global_bandwidth / 1e9:.2f} GB/s, {self.routing} routing"
+            f"{self.switch_bandwidth / 1e9:.2f} GB/s, {self.routing} routing"
             f"{self._contention_suffix()})"
         )

@@ -3,14 +3,18 @@
 The discrete-event engine only understands durations; this module is where
 those durations come from.  All values are calibrated against the paper's
 measurements on the Bebop cluster (two-socket Intel Xeon E5-2695v4 "Broadwell"
-nodes, Intel Omni-Path 100 Gbps fabric, MPICH 4.1.1, one rank per node):
+nodes, Intel Omni-Path 100 Gbps fabric, MPICH 4.1.1, one rank per node), and
+one calibration is all there is: every value below is a module constant, and
+only the per-codec throughputs (:attr:`CostModel.codec_speeds`) can be swapped.
 
 * **Compression/decompression throughput** follows Table I: SZx compresses at
   roughly 0.5-1.7 GB/s and decompresses at 0.8-3.6 GB/s depending on how
   compressible the data is; ZFP(ABS) is 2-5x slower, ZFP(FXR) slower still.
-  The model exposes a base throughput per codec plus an optional
-  ratio-dependent speed-up (constant/zero blocks are cheaper to encode, which
-  is exactly why Table I's throughput grows with the error bound).
+  :data:`DEFAULT_CODEC_SPEEDS` holds a base throughput per codec, scaled by
+  ``(ratio / 8) ** RATIO_EXPONENT`` clamped to :data:`RATIO_SPEEDUP_RANGE`
+  (constant/zero blocks are cheaper to encode, which is exactly why Table I's
+  throughput grows with the error bound).  :data:`CALL_OVERHEAD` is the fixed
+  cost of one compressor invocation.
 * **Network**: the headline 100 Gbps (12.5 GB/s) link rate is *not* what a
   ring collective sees at the application level once protocol overheads,
   message-rate limits and fabric sharing across 16-128 busy nodes are paid.
@@ -23,19 +27,25 @@ nodes, Intel Omni-Path 100 Gbps fabric, MPICH 4.1.1, one rank per node):
   around 0.5 GB/s; the default network model therefore uses 0.55 GB/s with a
   20 us latency.  This calibration is what the performance figures' *shapes*
   rest on; absolute times are not comparable to the paper's cluster.
-* **Memcpy / reduction bandwidth**: single-core Broadwell copy and streaming
-  add rates (~8 GB/s and ~5 GB/s).
-* **Buffer management**: the paper's Figure 7 attributes a sizeable "Others"
-  share in the direct SZx integration to allocating/freeing the compressor's
-  output buffers on every call; ``alloc_seconds`` models a first-touch cost so
-  that effect is reproducible.
+* **Memcpy / reduction bandwidth** (:data:`MEMCPY_BANDWIDTH`,
+  :data:`REDUCTION_BANDWIDTH`): single-core Broadwell copy and streaming add
+  rates (~8 GB/s and ~5 GB/s); :data:`ALLOC_BANDWIDTH` is the first-touch
+  rate of a temporary buffer.
+* **Buffer management** (:data:`COMPRESSOR_BUFFER_BANDWIDTH`): the paper's
+  Figure 7 attributes a sizeable "Others" share in the direct SZx integration
+  to allocating and freeing the compressor's output buffer on every call (the
+  reference SZx API makes the caller free it); C-Coll reuses pre-allocated
+  buffers, so only the CPR-P2P code paths charge this cost.
+* **Break-even ratio** (:data:`DEFAULT_BREAK_EVEN_RATIO`): the compression
+  ratio :meth:`CostModel.codec_break_even_bandwidth` assumes before the data
+  is seen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Union
 
 from repro.utils.validation import ensure_positive
 
@@ -49,6 +59,21 @@ _MB = 1e6
 #: error bounds typically compress 15-30x)
 DEFAULT_BREAK_EVEN_RATIO = 16.0
 
+#: Table I: codec throughput scales by ``(ratio / 8) ** RATIO_EXPONENT``,
+#: clamped to ``RATIO_SPEEDUP_RANGE`` (faster compression at looser bounds)
+RATIO_EXPONENT = 0.3
+RATIO_SPEEDUP_RANGE = (0.6, 1.8)
+#: single-core Broadwell streaming copy / element-wise add rates (bytes/s)
+MEMCPY_BANDWIDTH = 8.0e9
+REDUCTION_BANDWIDTH = 5.0e9
+#: first-touch allocation rate of a temporary buffer (bytes/s)
+ALLOC_BANDWIDTH = 12.0e9
+#: Figure 7: rate charged for allocating *and freeing* a compressor's output
+#: buffer around every CPR-P2P call (bytes/s)
+COMPRESSOR_BUFFER_BANDWIDTH = 2.2e9
+#: fixed overhead (seconds) of one compressor invocation or buffer allocation
+CALL_OVERHEAD = 3e-6
+
 
 @dataclass(frozen=True)
 class CodecSpeed:
@@ -57,6 +82,10 @@ class CodecSpeed:
 
     compress_bps: float
     decompress_bps: float
+
+    def __post_init__(self) -> None:
+        ensure_positive(self.compress_bps, "compress_bps")
+        ensure_positive(self.decompress_bps, "decompress_bps")
 
 
 #: calibrated against Table I (values are bytes of uncompressed data per second):
@@ -80,59 +109,15 @@ DEFAULT_CODEC_SPEEDS: Dict[str, CodecSpeed] = {
 class CostModel:
     """Durations of the modelled on-node operations.
 
-    Parameters
-    ----------
-    codec_speeds:
-        Base throughput per codec name (see :data:`DEFAULT_CODEC_SPEEDS`).
-    ratio_speedup:
-        When True, codec throughput additionally scales with the achieved
-        compression ratio (``(ratio / 8) ** ratio_exponent`` clamped to
-        ``ratio_speedup_range``), reproducing Table I's trend of faster
-        compression at looser bounds.
-    memcpy_bandwidth / reduction_bandwidth:
-        Streaming copy / element-wise add rates in bytes/second.
-    alloc_bandwidth:
-        First-touch allocation rate (bytes/second) used for temporary buffers.
-    compressor_buffer_bandwidth:
-        Rate (bytes/second) charged for allocating *and freeing* a
-        compressor's output buffer around every call.  The reference SZx API
-        makes the caller free a freshly allocated buffer after each call, and
-        the paper measures this as a large "Others" share of the direct
-        integration (Figure 7); C-Coll avoids it by reusing pre-allocated
-        buffers, so only the CPR-P2P code paths charge this cost.
-    call_overhead:
-        Fixed per-call overhead (seconds) for a compressor invocation.
+    ``CostModel()`` is the calibration described in the module docstring;
+    ``codec_speeds`` (base throughput per codec name, see
+    :data:`DEFAULT_CODEC_SPEEDS`) is its one replaceable part — use
+    :meth:`with_codec_speed` to swap a single codec.
     """
 
     codec_speeds: Dict[str, CodecSpeed] = field(
         default_factory=lambda: dict(DEFAULT_CODEC_SPEEDS)
     )
-    ratio_speedup: bool = True
-    ratio_exponent: float = 0.3
-    ratio_speedup_range: Tuple[float, float] = (0.6, 1.8)
-    memcpy_bandwidth: float = 8.0e9
-    reduction_bandwidth: float = 5.0e9
-    alloc_bandwidth: float = 12.0e9
-    compressor_buffer_bandwidth: float = 2.2e9
-    call_overhead: float = 3e-6
-
-    def __post_init__(self) -> None:
-        ensure_positive(self.memcpy_bandwidth, "memcpy_bandwidth")
-        ensure_positive(self.reduction_bandwidth, "reduction_bandwidth")
-        ensure_positive(self.alloc_bandwidth, "alloc_bandwidth")
-
-    # ------------------------------------------------------------- factories
-
-    @classmethod
-    def broadwell_omnipath(cls) -> "CostModel":
-        """The default calibration described in the module docstring."""
-        return cls()
-
-    @classmethod
-    def uniform(cls, compress_bps: float, decompress_bps: float, **kwargs) -> "CostModel":
-        """A cost model where every codec shares the same throughput (for ablations)."""
-        speeds = {name: CodecSpeed(compress_bps, decompress_bps) for name in DEFAULT_CODEC_SPEEDS}
-        return cls(codec_speeds=speeds, **kwargs)
 
     # ------------------------------------------------------------ codec costs
 
@@ -150,11 +135,12 @@ class CostModel:
             )
         return self.codec_speeds[name]
 
-    def _ratio_factor(self, ratio: Optional[float]) -> float:
-        if not self.ratio_speedup or ratio is None or ratio <= 0:
+    @staticmethod
+    def _ratio_factor(ratio: Optional[float]) -> float:
+        if ratio is None or ratio <= 0:
             return 1.0
-        lo, hi = self.ratio_speedup_range
-        return float(min(hi, max(lo, math.pow(ratio / 8.0, self.ratio_exponent))))
+        lo, hi = RATIO_SPEEDUP_RANGE
+        return float(min(hi, max(lo, math.pow(ratio / 8.0, RATIO_EXPONENT))))
 
     def compress_seconds(
         self, codec: Union[str, object], nbytes: float, ratio: Optional[float] = None
@@ -163,7 +149,7 @@ class CostModel:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         speed = self._speed(codec)
-        return self.call_overhead + nbytes / (speed.compress_bps * self._ratio_factor(ratio))
+        return CALL_OVERHEAD + nbytes / (speed.compress_bps * self._ratio_factor(ratio))
 
     def decompress_seconds(
         self, codec: Union[str, object], nbytes: float, ratio: Optional[float] = None
@@ -172,63 +158,54 @@ class CostModel:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         speed = self._speed(codec)
-        return self.call_overhead + nbytes / (speed.decompress_bps * self._ratio_factor(ratio))
+        return CALL_OVERHEAD + nbytes / (speed.decompress_bps * self._ratio_factor(ratio))
 
-    def codec_break_even_bandwidth(
-        self, codec: Union[str, object], expected_ratio: float = DEFAULT_BREAK_EVEN_RATIO
-    ) -> float:
+    def codec_break_even_bandwidth(self, codec: Union[str, object]) -> float:
         """Wire bandwidth (bytes/s) below which compressing beats raw transfer.
 
         The topology-aware C-Allreduce's critical path per inter-node byte is
         roughly one compression plus two decompressions (reduce-scatter hop +
         allgather reconstruction); compression saves ``(1 - 1/ratio)`` of the
         wire time.  Solving ``saved wire time > codec time`` for the bandwidth
-        gives the break-even point.  ``expected_ratio`` is the anticipated
-        compression ratio (the ratio-dependent codec speed-up is applied to it
-        as in :meth:`compress_seconds`); scientific float fields at the
-        paper's bounds typically land in the 15-30x range.
+        gives the break-even point at the anticipated ratio
+        :data:`DEFAULT_BREAK_EVEN_RATIO` (the ratio-dependent codec speed-up
+        is applied to it as in :meth:`compress_seconds`); scientific float
+        fields at the paper's bounds typically land in the 15-30x range.
         """
-        ensure_positive(expected_ratio, "expected_ratio")
         speed = self._speed(codec)
-        factor = self._ratio_factor(expected_ratio)
+        factor = self._ratio_factor(DEFAULT_BREAK_EVEN_RATIO)
         codec_seconds_per_byte = 1.0 / (speed.compress_bps * factor) + 2.0 / (
             speed.decompress_bps * factor
         )
-        saved_fraction = 1.0 - 1.0 / expected_ratio
+        saved_fraction = 1.0 - 1.0 / DEFAULT_BREAK_EVEN_RATIO
         return saved_fraction / codec_seconds_per_byte
 
     # ------------------------------------------------------------ local costs
 
     def memcpy_seconds(self, nbytes: float) -> float:
         """Time to copy ``nbytes`` between local buffers."""
-        return max(0.0, nbytes) / self.memcpy_bandwidth
+        return max(0.0, nbytes) / MEMCPY_BANDWIDTH
 
     def reduce_seconds(self, nbytes: float) -> float:
         """Time for an element-wise reduction over ``nbytes`` of operands."""
-        return max(0.0, nbytes) / self.reduction_bandwidth
+        return max(0.0, nbytes) / REDUCTION_BANDWIDTH
 
     def alloc_seconds(self, nbytes: float) -> float:
         """Time to allocate/first-touch a temporary buffer of ``nbytes``."""
-        return self.call_overhead + max(0.0, nbytes) / self.alloc_bandwidth
+        return CALL_OVERHEAD + max(0.0, nbytes) / ALLOC_BANDWIDTH
 
     def compressor_buffer_seconds(self, nbytes: float) -> float:
         """Per-call cost of allocating and freeing a compressor output buffer."""
-        return self.call_overhead + max(0.0, nbytes) / self.compressor_buffer_bandwidth
+        return CALL_OVERHEAD + max(0.0, nbytes) / COMPRESSOR_BUFFER_BANDWIDTH
 
     def with_codec_speed(
         self, codec: str, compress_bps: float, decompress_bps: float
     ) -> "CostModel":
         """Return a copy of the model with one codec's throughput replaced."""
-        speeds = dict(self.codec_speeds)
-        speeds[codec.lower()] = CodecSpeed(compress_bps, decompress_bps)
-        return CostModel(
-            codec_speeds=speeds,
-            ratio_speedup=self.ratio_speedup,
-            ratio_exponent=self.ratio_exponent,
-            ratio_speedup_range=self.ratio_speedup_range,
-            memcpy_bandwidth=self.memcpy_bandwidth,
-            reduction_bandwidth=self.reduction_bandwidth,
-            alloc_bandwidth=self.alloc_bandwidth,
-            compressor_buffer_bandwidth=self.compressor_buffer_bandwidth,
-            call_overhead=self.call_overhead,
+        return replace(
+            self,
+            codec_speeds={
+                **self.codec_speeds,
+                codec.lower(): CodecSpeed(compress_bps, decompress_bps),
+            },
         )

@@ -41,7 +41,7 @@ def default_network() -> NetworkModel:
 
 def default_cost_model() -> CostModel:
     """The calibrated Broadwell cost model (Table I throughput regime)."""
-    return CostModel.broadwell_omnipath()
+    return CostModel()
 
 
 def async_progress_network() -> NetworkModel:

@@ -24,7 +24,7 @@ class TestConstruction:
         assert cluster.config == CCollConfig()
 
     def test_c_coll_settings_live_in_config(self):
-        cost = CostModel.broadwell_omnipath()
+        cost = CostModel()
         cluster = Cluster(config=CCollConfig(cost=cost, size_multiplier=8.0))
         assert cluster.config.cost is cost
         assert cluster.context().size_multiplier == 8.0
@@ -32,7 +32,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("shorthand", ["cost", "size_multiplier"])
     def test_no_second_spelling_of_a_config_field(self, shorthand):
-        value = CostModel.broadwell_omnipath() if shorthand == "cost" else 8.0
+        value = CostModel() if shorthand == "cost" else 8.0
         with pytest.raises(TypeError):
             Cluster(**{shorthand: value})
         with pytest.raises(TypeError):

@@ -44,6 +44,38 @@ EXPECTED_TOPOLOGY_ALL = [
     "reserve_path",
 ]
 
+#: ``repro.compression.__all__``: the codec registry is a literal table, with
+#: no registration hook
+EXPECTED_COMPRESSION_ALL = [
+    "CompressedBuffer",
+    "CompressedChunk",
+    "CompressionError",
+    "Compressor",
+    "DEFAULT_BLOCK_SIZE",
+    "DEFAULT_CHUNK_ELEMS",
+    "DecompressionError",
+    "MODE_ABS",
+    "MODE_FXR",
+    "NullCompressor",
+    "PipelinedSZx",
+    "SZxCompressor",
+    "UnsupportedDataError",
+    "ZFPCompressor",
+    "available_compressors",
+    "check_compressible",
+    "make_compressor",
+    "rounding_margin",
+]
+
+#: the machine-model settings that are module constants, not parameters
+DELETED_FABRIC_PARAMETERS = (
+    "intra_latency",
+    "intra_bandwidth",
+    "local_bandwidth",
+    "global_bandwidth",
+    "valiant_candidates",
+)
+
 #: the facade's collective surface — the methods the issue names, frozen
 EXPECTED_COLLECTIVES = [
     "allgather",
@@ -66,6 +98,38 @@ def test_topology_all_snapshot():
     assert sorted(topology.__all__) == EXPECTED_TOPOLOGY_ALL
     for name in topology.__all__:
         assert getattr(topology, name) is not None
+
+
+def test_compression_all_snapshot():
+    import repro.compression as compression
+
+    assert sorted(compression.__all__) == EXPECTED_COMPRESSION_ALL
+
+
+def test_the_calibration_is_constants():
+    """Only ``codec_speeds`` of the machine model is settable; the rest of the
+    calibration (Table I, Figure 7, the fabrics' intra-node and dragonfly
+    tiers) is module constants."""
+    from repro.harness.common import default_config
+    from repro.perfmodel import CostModel
+
+    assert [field.name for field in dataclasses.fields(CostModel)] == ["codec_speeds"]
+    assert not hasattr(CostModel, "uniform") and not hasattr(CostModel, "broadwell_omnipath")
+    assert list(inspect.signature(CostModel.codec_break_even_bandwidth).parameters) == [
+        "self", "codec",
+    ]
+    assert "pipeline_chunk_elems" not in {field.name for field in dataclasses.fields(CCollConfig)}
+    assert "cost" not in inspect.signature(default_config).parameters
+    fabrics = (
+        topology.HierarchicalTopology,
+        topology.SharedUplinkTopology,
+        topology.FatTreeTopology,
+        topology.DragonflyTopology,
+    )
+    for fabric in fabrics:
+        for name in DELETED_FABRIC_PARAMETERS:
+            with pytest.raises(TypeError):
+                fabric(**{name: 1.0})
 
 
 def test_api_all_entries_resolve():

@@ -254,8 +254,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             CCollConfig(error_bound=0.0)
         with pytest.raises(ValueError):
-            CCollConfig(pipeline_chunk_elems=0)
-        with pytest.raises(ValueError):
             CCollConfig(size_multiplier=0.0)
 
     def test_with_updates(self):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.ccoll import CCollConfig, CodecMemo
+from repro.ccoll import CCollConfig, CodecMemo, CompressionAdapter
+from repro.compression import PipelinedSZx
 from repro.compression.errors import CompressionError, UnsupportedDataError
 
 
@@ -79,8 +80,11 @@ class TestSharedEndpointDecode:
         assert one.decompress_shared(sender.compress(np.linspace(0.0, 1.0, 500))) is not shared
 
 
-def _adapter(memo, **config):
+def _adapter(memo, chunk_elems=None, **config):
     config = CCollConfig(codec_memo=memo, **config)
+    if chunk_elems is not None:  # a PIPE-SZx chunking no config sets, built directly
+        codec = PipelinedSZx(error_bound=config.error_bound, chunk_elems=chunk_elems)
+        return CompressionAdapter(codec, config.context(), memo)
     return config.make_adapters(config.context(), 1)[0]
 
 
@@ -123,7 +127,7 @@ class TestCodecMemo:
             (dict(error_bound=1e-2), buffer),
             (dict(codec="zfp_abs"), buffer),
             (dict(codec="pipe_szx"), buffer),
-            (dict(codec="pipe_szx", pipeline_chunk_elems=512), buffer),
+            (dict(codec="pipe_szx", chunk_elems=512), buffer),
             (dict(), buffer.view(np.float32)),  # the same bytes as twice as many float32
             (dict(), zeros),
             (dict(), -zeros),

@@ -41,6 +41,19 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             RailFailure(time=0.0, node=0, rail=-1)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, None])
+    def test_node_rail_and_rank_are_integers(self, bad):
+        """A non-integer node would match no stage while the allocator
+        quarantined ``int(node)``; a non-integer rank scales no rank."""
+        with pytest.raises(ValueError, match="NodeLoss node must be an integer"):
+            NodeLoss(time=0.0, node=bad)
+        with pytest.raises(ValueError, match="RailFailure node must be an integer"):
+            RailFailure(time=0.0, node=bad, rail=0)
+        with pytest.raises(ValueError, match="RailFailure rail must be an integer"):
+            RailFailure(time=0.0, node=0, rail=bad)
+        with pytest.raises(ValueError, match="SlowRank rank must be an integer"):
+            SlowRank(time=0.0, rank=bad, factor=2.0)
+
     def test_prefix_normalised_to_tuple(self):
         event = LinkDegrade(time=0.0, stage_prefix=["ft-up"], factor=0.5)
         assert event.stage_prefix == ("ft-up",)
@@ -109,6 +122,15 @@ class TestFailureDomains:
             FailureDomain(name="bad", rails=((0,),))
         with pytest.raises(ValueError, match="prefix"):
             FailureDomain(name="bad", stage_prefixes=((),))
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", None])
+    def test_domain_members_are_integers(self, bad):
+        with pytest.raises(ValueError, match="FailureDomain node must be an integer"):
+            FailureDomain(name="bad", nodes=(0, bad))
+        with pytest.raises(ValueError, match="FailureDomain rail node must be an integer"):
+            FailureDomain(name="bad", rails=((bad, 0),))
+        with pytest.raises(ValueError, match="FailureDomain rail must be an integer"):
+            FailureDomain(name="bad", rails=((0, bad),))
 
     def test_expand_covers_every_member_at_outage_time(self):
         outage = DomainOutage(time=1e-3, domain=self._domain(), duration=5e-4)

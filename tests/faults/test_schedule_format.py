@@ -34,6 +34,20 @@ MALFORMED = [
         [{"kind": "domain_outage", "time": 0.1, "domain": {"name": "z", "nodes": [float("inf")]}}],
         "domain_outage",
     ),
+    # a node, rail or rank is an integer: never a float, a whole float or a bool
+    ([{**NODE_LOSS, "node": 1.5}], "node_loss"),
+    ([{**NODE_LOSS, "node": 1.0}], "node_loss"),
+    ([{**NODE_LOSS, "node": True}], "node_loss"),
+    ([{"kind": "slow_rank", "time": 0.0, "rank": 2.5, "factor": 2.0}], "slow_rank"),
+    ([{"kind": "rail_failure", "time": 0.0, "node": 1, "rail": 0.5}], "rail_failure"),
+    (
+        [{"kind": "domain_outage", "time": 0.1, "domain": {"name": "z", "nodes": [1.7]}}],
+        "domain_outage",
+    ),
+    (
+        [{"kind": "domain_outage", "time": 0.1, "domain": {"name": "z", "rails": [[0, False]]}}],
+        "domain_outage",
+    ),
 ]
 
 

@@ -268,8 +268,6 @@ class TestDragonfly:
         assert topo.n_fabric_nodes == 12
         with pytest.raises(ValueError):
             DragonflyTopology(n_groups=0)
-        with pytest.raises(ValueError):
-            DragonflyTopology(valiant_candidates=-1)
 
     def test_route_shapes(self):
         topo = DragonflyTopology(n_groups=4, routers_per_group=2, nodes_per_router=2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.collectives.hierarchical import node_groups
 from repro.mpisim import (
     Compute,
     FlatTopology,
@@ -51,15 +52,17 @@ class TestPlacement:
     def test_block_placement(self):
         topo = HierarchicalTopology(ranks_per_node=4)
         assert [topo.node_of(r) for r in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
-        assert topo.node_ranks(5, 8) == [4, 5, 6, 7]
-        assert topo.node_leaders(8) == [0, 4]
+        peers, leaders = node_groups(topo, 8)
+        assert peers[5] == [4, 5, 6, 7] and leaders == [0, 4]
         assert topo.same_node(1, 3) and not topo.same_node(3, 4)
         assert topo.max_ranks_per_node(6) == 4
 
     def test_explicit_placement(self):
         topo = HierarchicalTopology(placement=[0, 1, 0, 1, 2])
         assert topo.node_of(4) == 2
-        assert topo.node_leaders(5) == [0, 1, 4]
+        peers, leaders = node_groups(topo, 5)
+        assert leaders == [0, 1, 4]
+        assert peers[2] == [0, 2] and peers[3] == [1, 3] and peers[4] == [4]
         with pytest.raises(IndexError):
             topo.node_of(5)
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.compression import SZxCompressor
 from repro.perfmodel import (
+    DEFAULT_CODEC_SPEEDS,
+    CodecSpeed,
     CostModel,
     async_progress_network,
     default_cost_model,
@@ -43,12 +45,6 @@ class TestCostModel:
         # clamping: ratio 100 and ratio 10000 give the same speed-up
         assert fast == pytest.approx(cost.compress_seconds("szx", 1e8, ratio=10_000))
 
-    def test_ratio_speedup_can_be_disabled(self):
-        cost = CostModel(ratio_speedup=False)
-        assert cost.compress_seconds("szx", 1e8, ratio=100) == pytest.approx(
-            cost.compress_seconds("szx", 1e8, ratio=2)
-        )
-
     def test_local_costs_scale_linearly(self):
         cost = default_cost_model()
         assert cost.memcpy_seconds(2e6) == pytest.approx(2 * cost.memcpy_seconds(1e6))
@@ -59,15 +55,30 @@ class TestCostModel:
         with pytest.raises(ValueError):
             default_cost_model().compress_seconds("szx", -1)
 
-    def test_with_codec_speed_and_uniform(self):
-        cost = default_cost_model().with_codec_speed("szx", 2e9, 4e9)
+    def test_with_codec_speed(self):
+        base = default_cost_model()
+        cost = base.with_codec_speed("szx", 2e9, 4e9)
         assert cost.compress_seconds("szx", 2e9, ratio=8) == pytest.approx(
             1.0, rel=0.01
         )
-        uniform = CostModel.uniform(1e9, 1e9)
-        assert uniform.compress_seconds("szx", 1e9, ratio=8) == pytest.approx(
-            uniform.compress_seconds("zfp_fxr", 1e9, ratio=8)
-        )
+        assert cost.codec_speeds["szx"] == CodecSpeed(2e9, 4e9)
+        assert {k: v for k, v in cost.codec_speeds.items() if k != "szx"} == {
+            k: v for k, v in base.codec_speeds.items() if k != "szx"
+        }
+        assert base.codec_speeds == DEFAULT_CODEC_SPEEDS
+
+    @pytest.mark.parametrize("bad", [0.0, -1e9, float("nan"), float("inf")])
+    def test_codec_speed_refuses_non_positive_or_non_finite(self, bad):
+        with pytest.raises(ValueError, match="compress_bps"):
+            CodecSpeed(bad, 1e9)
+        with pytest.raises(ValueError, match="decompress_bps"):
+            CodecSpeed(1e9, bad)
+        with pytest.raises(ValueError):
+            default_cost_model().with_codec_speed("szx", bad, 3.3e9)
+
+    def test_the_default_model_is_the_calibration(self):
+        assert default_cost_model() == CostModel()
+        assert CostModel().codec_speeds == DEFAULT_CODEC_SPEEDS
 
 
 class TestNetworkPresets:
