@@ -13,12 +13,13 @@ bundle the payload with everything the simulation needs:
   and the harness's ratio statistics), and
 * the modelled compression/decompression durations.
 
-Every payload goes through the codec once
------------------------------------------
+Every payload goes through the codec once, a ring round in one call
+-------------------------------------------------------------------
 Virtual time charges every rank for every compression and decompression it
 performs (the programs still yield one ``Compute`` per call, the adapter still
-records one ratio per call).  The *host* compresses each distinct input once
-and, on the simulation path, decodes nothing:
+records one ratio per call).  The *host* compresses each distinct input once,
+compresses the inputs of a C-Coll ring round in one codec call and, on the
+simulation path, decodes nothing:
 
 * **A message carries its reconstruction.**  An encoder holds what its payload
   decodes to as a by-product, so :meth:`CompressionAdapter.compress` asks the
@@ -50,26 +51,41 @@ and, on the simulation path, decodes nothing:
   restart attempt after a kill, its isolated baseline — hands to every
   ``compile_job`` of that job and drops once no execution can follow; it
   reaches the adapters through ``CCollConfig.codec_memo`` (read by
-  ``CCollConfig.make_adapters`` only).  Without one — every direct
-  ``Communicator`` call, every fault-free ``baseline=False`` run — the adapter
+  ``CCollConfig.make_adapters`` / ``plan_memo`` only).  Without one, a ring
+  collective's plan makes a memo of its own (below) and every other adapter
   goes straight to the codec.  Codec errors are raised from the codec call
   itself and never stored.
+* **A ring round is one codec call.**  The values of C-Coll's ring never
+  depend on timing: round ``k`` of rank ``r`` compresses its own chunk plus
+  what round ``k - 1`` of rank ``r - 1`` decoded to.  So the planners of the
+  C-Coll reduce-scatter, allreduce (Overlap and ND) and allgather run their
+  ring ahead of the programs, in lockstep, and :meth:`CompressionAdapter.warm`
+  compresses each round's ``n`` chunks with one ``Compressor.compress_many``
+  call (one kernel pass for SZx and PIPE-SZx, whose small calls are mostly
+  fixed cost) into the memo the programs then hit.  The warm runs when the
+  plan's first program first asks for a compression
+  (:func:`warm_before_compressing`), so a captured plan runs nothing and the
+  codec time is booked to the programs.  Correctness never depends on it:
+  the memo is content-addressed, so a warm that drifted from the schedule
+  would cost a miss and an ordinary codec call, and a round the codec refuses
+  stores nothing, leaving the rank that compresses it to raise.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.collectives.context import CollectiveContext
-from repro.compression.base import CompressedBuffer, Compressor
+from repro.compression.base import CompressedBuffer, Compressor, check_compressible
+from repro.compression.errors import CompressionError
 from repro.metrics.ratios import CompressionStats
 from repro.utils.validation import ensure_1d_float_array
 
-__all__ = ["CodecMemo", "CompressedMessage", "CompressionAdapter"]
+__all__ = ["CodecMemo", "CompressedMessage", "CompressionAdapter", "warm_before_compressing"]
 
 
 class CodecMemo:
@@ -126,9 +142,16 @@ class CompressionAdapter:
         self.memo = memo
         #: what a codec result depends on besides the data
         self._codec_key = (type(codec), tuple(codec.describe().items()))
+        #: runs once, before this adapter's first compression (see
+        #: :func:`warm_before_compressing`)
+        self._before_compress: Optional[Callable[[], None]] = None
         self.stats = CompressionStats()
 
     # ------------------------------------------------------------- compress
+
+    def _key(self, data: np.ndarray) -> Tuple:
+        """The memo key of the flat, contiguous ``data``: the computation, up to SHA-256."""
+        return (self._codec_key, data.dtype.str, data.size, hashlib.sha256(data).digest())
 
     def _encode(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
         """``data`` through the codec: the buffer and the read-only array it decodes to."""
@@ -138,13 +161,46 @@ class CompressionAdapter:
         restored.setflags(write=False)
         return buf, restored
 
+    def warm(self, arrays: Sequence[np.ndarray]) -> Optional[List[np.ndarray]]:
+        """Put every array's codec result in the memo; return the read-only decodes.
+
+        The inputs the memo does not hold yet go through the codec in **one**
+        :meth:`~repro.compression.base.Compressor.compress_many` call, each
+        distinct input once; a later :meth:`compress` of an equal array is then
+        a hit.  Returns what each array decodes to, in order — or ``None``, with
+        nothing stored from this call, when the codec refuses any of them: the
+        rank that compresses the refused input raises the error itself, where
+        and as it would without the warm.
+        """
+        flat = [np.ascontiguousarray(data).reshape(-1) for data in arrays]
+        keys = [self._key(data) for data in flat]
+        missing = {}
+        for key, data in zip(keys, flat):
+            if key not in self.memo.compressed:
+                missing.setdefault(key, data)
+        if missing:
+            try:
+                # validated as compress validates: Compressor.compress refuses NaN / Inf
+                values = [check_compressible(data) for data in missing.values()]
+                restoreds = [np.empty_like(data) for data in values]
+                payloads = self.codec.compress_many(values, restoreds)
+            except CompressionError:
+                return None
+            for key, data, payload, restored in zip(missing, values, payloads, restoreds):
+                restored.setflags(write=False)
+                buf = CompressedBuffer(payload, data.size, data.dtype, self.codec.name)
+                self.memo.compressed[key] = (buf, restored)
+        return [self.memo.compressed[key][1] for key in keys]
+
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
+        if self._before_compress is not None:
+            self._before_compress()
         data = np.ascontiguousarray(data).reshape(-1)
         if self.memo is None:
             buf, decoded = self._encode(data)
         else:
-            key = (self._codec_key, data.dtype.str, data.size, hashlib.sha256(data).digest())
+            key = self._key(data)
             entry = self.memo.compressed.get(key)
             if entry is None:
                 entry = self.memo.compressed[key] = self._encode(data)
@@ -192,3 +248,24 @@ class CompressionAdapter:
         if self.stats.count == 0:
             return None
         return self.stats.overall_ratio
+
+
+def warm_before_compressing(
+    adapters: Sequence[CompressionAdapter], warm: Callable[[], None]
+) -> None:
+    """Run ``warm()`` once, when any of ``adapters`` is first asked to compress.
+
+    The planners of the ring collectives use this to compress a whole ring
+    round in one codec call (:meth:`CompressionAdapter.warm`) from inside the
+    first rank program that needs a compression: not at plan time, when a
+    captured plan must run nothing, and not in the program factory, which the
+    engine calls while it is being built.
+    """
+
+    def once() -> None:
+        for adapter in adapters:
+            adapter._before_compress = None
+        warm()
+
+    for adapter in adapters:
+        adapter._before_compress = once

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter
-from repro.ccoll.computation import c_reduce_scatter_program
+from repro.ccoll.adapter import CompressionAdapter, warm_before_compressing
+from repro.ccoll.computation import c_reduce_scatter_program, warm_ring_reduce_scatter
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
@@ -65,8 +65,16 @@ def _plan_c_allreduce(inputs, n_ranks: int, config: CCollConfig, overlap: bool) 
     """
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
-    ag_adapters = config.make_adapters(ctx, n_ranks)
+    memo = config.plan_memo()
+    rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True, memo=memo)
+    ag_adapters = config.make_adapters(ctx, n_ranks, memo=memo)
+
+    def warm() -> None:
+        reduced = warm_ring_reduce_scatter(vectors, rs_adapters[0])
+        if reduced is not None:
+            ag_adapters[0].warm(reduced)
+
+    warm_before_compressing(rs_adapters + ag_adapters, warm)
     return CollectivePlan(
         lambda rank, size: c_allreduce_program(
             rank, size, vectors[rank], rs_adapters[rank], ag_adapters[rank], ctx, overlap=overlap

@@ -25,11 +25,11 @@ variant of Table V (DI runs :func:`repro.ccoll.cpr_p2p.cpr_allreduce_program`).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, warm_before_compressing
 from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
 from repro.collectives.reduce_scatter import partition_chunks
@@ -157,13 +157,40 @@ def c_reduce_scatter_program(
     return chunks[rank]
 
 
+def warm_ring_reduce_scatter(
+    vectors: List[np.ndarray], adapter: CompressionAdapter
+) -> Optional[List[np.ndarray]]:
+    """Run the ring of :func:`c_reduce_scatter_program` in lockstep, one codec call per round.
+
+    Round ``k`` of rank ``r`` compresses ``input_r[c]`` plus what round
+    ``k - 1`` of rank ``r - 1`` decoded to, whatever the timing, so every
+    round's chunks are known before any rank sends them.  Each round's ``n``
+    outgoing chunks go through ``adapter``'s memo in one
+    :meth:`~repro.ccoll.adapter.CompressionAdapter.warm` call, and the
+    decodes are added in with the program's own ``chunks[i] + incoming``.
+    Returns every rank's reduced chunk (``None`` once the codec refuses a
+    round: the programs then compress it themselves and raise).
+    """
+    size = len(vectors)
+    chunks = [partition_chunks(vector, size) for vector in vectors]
+    for step in range(size - 1):
+        decoded = adapter.warm([chunks[r][(r - step - 1) % size] for r in range(size)])
+        if decoded is None:
+            return None
+        for rank in range(size):
+            index = (rank - step - 2) % size
+            chunks[rank][index] = chunks[rank][index] + decoded[(rank - 1) % size]
+    return [chunks[rank][rank] for rank in range(size)]
+
+
 def _plan_c_reduce_scatter(
     inputs, n_ranks: int, config: CCollConfig, overlap: bool
 ) -> CollectivePlan:
     """Plan the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
+    adapters = config.make_adapters(ctx, n_ranks, pipelined=True, memo=config.plan_memo())
+    warm_before_compressing(adapters, lambda: warm_ring_reduce_scatter(vectors, adapters[0]))
     return CollectivePlan(
         lambda rank, size: c_reduce_scatter_program(
             rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, warm_before_compressing
 from repro.ccoll.config import CCollConfig
 from repro.collectives.allgather import _ring_allgather_over_group
 from repro.collectives.bcast import _binomial_bcast_over_group
@@ -223,10 +223,18 @@ def _plan_compressed_allgather(
     program, inputs, n_ranks: int, config: CCollConfig
 ) -> CollectivePlan:
     """Plan a compressed ring allgather run by ``program`` (:func:`c_allgather_program`
-    or its CPR-P2P twin); every rank's result is the list of all (reconstructed) blocks."""
+    or its CPR-P2P twin); every rank's result is the list of all (reconstructed) blocks.
+
+    C-Allgather compresses every block once, at its source: the first
+    compression any rank asks for compresses all ``n`` in one codec call.
+    """
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
-    adapters = config.make_adapters(ctx, n_ranks)
+    if program is c_allgather_program:
+        adapters = config.make_adapters(ctx, n_ranks, memo=config.plan_memo())
+        warm_before_compressing(adapters, lambda: adapters[0].warm(blocks))
+    else:
+        adapters = config.make_adapters(ctx, n_ranks)
     return CollectivePlan(
         lambda rank, size: program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),

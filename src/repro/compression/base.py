@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -146,6 +146,19 @@ class Compressor(abc.ABC):
     @abc.abstractmethod
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array from a payload produced by :meth:`compress_bytes`."""
+
+    def compress_many(
+        self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
+    ) -> List[bytes]:
+        """:meth:`compress_bytes` of every array, filling the ``restored`` of the same index.
+
+        The payloads are byte-identical to one :meth:`compress_bytes` call per
+        array, in order, and an input that call refuses raises what it raises.
+        This loop is the definition; SZx (absolute bound) and PIPE-SZx run the
+        whole batch through one kernel pass instead, which is what makes many
+        small inputs cheaper than as many calls.
+        """
+        return [self.compress_bytes(data, restored) for data, restored in zip(arrays, restoreds)]
 
     def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
         """Validate ``data`` and compress it, returning a :class:`CompressedBuffer`."""

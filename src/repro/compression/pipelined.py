@@ -16,17 +16,19 @@ compatible with every other :class:`~repro.compression.base.Compressor`) plus
 the incremental generator API (:meth:`PipelinedSZx.iter_compress`,
 :meth:`PipelinedSZx.iter_decompress`) that hands control back between chunks.
 The simulated collectives do not drive the generators: the collective
-computation framework (:mod:`repro.ccoll.computation`) compresses one-shot
-and *models* the interleaving as pipeline segments in virtual time.
+computation framework (:mod:`repro.ccoll.computation`) compresses a whole ring
+round's chunks in one :meth:`PipelinedSZx.compress_many` call and *models* the
+interleaving as pipeline segments in virtual time.
 
 Both APIs run the same chunked SZx kernel
 (:func:`repro.compression.szx.compress_chunks` /
 :func:`~repro.compression.szx.decompress_chunks`).  The one-shot path hands it
 the whole buffer, so all chunks are classified, quantised and bit-packed in
 **one** blockwise pass and this module only adds (or reads) the chunk index;
-the generators invoke it on one chunk at a time.  The bytes are identical
-either way, which makes the generators the per-chunk oracle the one-shot path
-is tested against.
+:meth:`PipelinedSZx.compress_many` hands it every input's chunks back to back,
+one pass for a whole batch of buffers; the generators invoke it on one chunk
+at a time.  The bytes are identical either way, which makes the generators the
+per-chunk oracle the one-shot path is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +48,12 @@ from repro.compression.base import (
 )
 from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
-from repro.compression.szx import DEFAULT_BLOCK_SIZE, compress_chunks, decompress_chunks
+from repro.compression.szx import (
+    DEFAULT_BLOCK_SIZE,
+    compress_batch,
+    compress_chunks,
+    decompress_chunks,
+)
 from repro.utils.chunking import chunk_bounds
 from repro.utils.validation import ensure_1d_float_array, ensure_positive
 
@@ -77,6 +84,12 @@ class CompressedChunk:
     def n_elements(self) -> int:
         """Number of original elements covered by this chunk."""
         return self.stop - self.start
+
+
+def _chunk_lens(count: int, chunk_elems: int) -> List[int]:
+    """The lengths of the pipeline chunks of ``count`` values."""
+    n_full, tail = divmod(count, chunk_elems)
+    return [chunk_elems] * n_full + [tail] * (tail > 0)
 
 
 class PipelinedSZx(Compressor):
@@ -137,7 +150,7 @@ class PipelinedSZx(Compressor):
         arr = check_compressible(data)
         for index, (start, stop) in enumerate(chunk_bounds(arr.size, self.chunk_elems)):
             (payload,) = compress_chunks(
-                arr[start:stop], stop - start, self.block_size, self.error_bound
+                arr[start:stop], [stop - start], self.block_size, self.error_bound
             )
             yield CompressedChunk(index=index, start=start, stop=stop, payload=payload)
 
@@ -158,7 +171,7 @@ class PipelinedSZx(Compressor):
         """Decompress a PIPE-SZx buffer chunk by chunk (in element order)."""
         header, chunk_elems, pieces = self._parse(payload)
         for (start, stop), piece in zip(chunk_bounds(header.count, chunk_elems), pieces):
-            yield decompress_chunks([piece], stop - start, stop - start)
+            yield decompress_chunks([piece], [stop - start])
 
     # ----------------------------------------------------------- one-shot API
 
@@ -176,16 +189,26 @@ class PipelinedSZx(Compressor):
     def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
         arr = check_compressible(data)
         check_restored(arr, restored)
-        payloads = compress_chunks(
-            arr, self.chunk_elems, self.block_size, self.error_bound, restored
-        )
+        lens = _chunk_lens(arr.size, self.chunk_elems)
+        payloads = compress_chunks(arr, lens, self.block_size, self.error_bound, restored)
         return self._frame(payloads, arr.size, arr.dtype)
+
+    def compress_many(
+        self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
+    ) -> List[bytes]:
+        return compress_batch(
+            self,
+            arrays,
+            restoreds,
+            lambda count: _chunk_lens(count, self.chunk_elems),
+            lambda chunks, data: self._frame(chunks, data.size, data.dtype),
+        )
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         header, chunk_elems, pieces = self._parse(payload)
         if not pieces:
             return np.zeros(0, dtype=header.dtype)
-        out = decompress_chunks(pieces, chunk_elems, header.count)
+        out = decompress_chunks(pieces, _chunk_lens(header.count, chunk_elems))
         if out.dtype != header.dtype:
             raise DecompressionError(
                 f"chunks hold {out.dtype} values but the PIPE-SZx header announces {header.dtype}"

@@ -49,15 +49,18 @@ Python iteration per *block*.
 Chunked layout
 --------------
 :func:`compress_chunks` / :func:`decompress_chunks` are the one blockwise
-kernel behind both :class:`SZxCompressor` (the whole buffer is one chunk) and
-PIPE-SZx (5120-value chunks, each a complete SZx payload of its own).  A
-buffer of ``c`` chunks goes through the steps above **once**, not ``c`` times:
+kernel behind :class:`SZxCompressor` (the whole buffer is one chunk), PIPE-SZx
+(5120-value chunks, each a complete SZx payload of its own) and the batches of
+``compress_many`` (every input's chunks back to back).  The kernel takes the
+list of chunk lengths, which may be ragged, and a buffer of ``c`` chunks goes
+through the steps above **once**, not ``c`` times:
 
 * *per-chunk padding*: every chunk is padded to a whole number of blocks with
-  **its own** last value, so chunk ``i`` occupies rows
-  ``[i * ceil(chunk / block), ...)`` of one ``(n_blocks, block)`` matrix and no
-  block ever mixes two chunks.  Chunk sizes need not be a multiple of the block
-  size, nor block counts a multiple of 8;
+  **its own** last value and owns the next ``ceil(length / block)`` rows of one
+  ``(n_blocks, block)`` matrix, so no block ever mixes two chunks.  Chunk
+  lengths need not be a multiple of the block size, nor block counts a
+  multiple of 8.  A run of equal-length chunks is filled with one reshape, so
+  a one-shot call costs no more than the uniform grid it generalises;
 * min/max, medium, classification, quantisation, zigzag, bit lengths and
   ``pack_width_classes`` run over that matrix in one go (rows are byte-aligned,
   so the packed region of chunk ``i`` is a contiguous slice of the whole);
@@ -65,6 +68,11 @@ buffer of ``c`` chunks goes through the steps above **once**, not ``c`` times:
   followed by four slices — its row of the per-chunk ``packbits`` flag matrix,
   its blocks' ``medium`` values, the ``nbits`` of its non-constant blocks, and
   the bytes of the packed region those blocks own.
+
+Every data-dependent refusal of the kernel (the float32 anchor range, the
+quantised width) is a maximum over blocks, so a batch is refused exactly when
+one of its inputs would be on its own; ``compress_many`` then re-runs the
+inputs one by one to raise what that input raises.
 
 Decompression walks the chunk fronts once (every header and length is checked
 there, before any array is sized from it), concatenates the same four slices
@@ -92,7 +100,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, List, Optional, Sequence
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,7 +206,21 @@ class SZxCompressor(Compressor):
             )
         if data.size == 0:
             return _chunk_head(data.dtype, 0, eb, self.block_size)
-        return compress_chunks(data, data.size, self.block_size, eb, restored)[0]
+        return compress_chunks(data, [data.size], self.block_size, eb, restored)[0]
+
+    def compress_many(
+        self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
+    ) -> List[bytes]:
+        if self.error_mode == "rel":
+            return super().compress_many(arrays, restoreds)  # every array resolves its bound
+        eb, block = self.error_bound, self.block_size
+        return compress_batch(
+            self,
+            arrays,
+            restoreds,
+            lambda count: [count] if count else [],
+            lambda chunks, data: chunks[0] if chunks else _chunk_head(data.dtype, 0, eb, block),
+        )
 
     # --------------------------------------------------------- decompression
 
@@ -207,27 +230,35 @@ class SZxCompressor(Compressor):
             raise DecompressionError("truncated SZx payload (missing block header)")
         if header.count == 0:
             return np.zeros(0, dtype=header.dtype)
-        return decompress_chunks([payload], header.count, header.count)
+        return decompress_chunks([payload], [header.count])
 
 
 # ------------------------------------------------------------ chunked kernel
 
 
-def _chunk_grid(count: int, chunk_elems: int, block: int):
-    """How ``count >= 1`` values split into chunks, and each chunk into blocks.
+def _runs(lens: Sequence[int], block: int) -> List[Tuple[int, int, int, int, int]]:
+    """The chunks of lengths ``lens`` (each >= 1) as runs of equal length.
 
-    Returns ``(chunk_elems, n_full, tail, per_chunk, blocks_of)``: the values per
-    full chunk (never more than ``count``), how many chunks are full, the
-    values in the short last chunk (0 when there is none), the blocks per full
-    chunk, and the number of blocks in every chunk, in order.
+    One ``(value offset, block-row offset, length, chunks, blocks per chunk)``
+    tuple per run of consecutive equal lengths: a run is one reshape of the
+    flat values and one of the ``(n_blocks, block)`` matrix, whatever its
+    number of chunks.
     """
-    chunk_elems = min(chunk_elems, count)
-    n_full, tail = divmod(count, chunk_elems)
-    per_chunk = -(-chunk_elems // block)
-    blocks_of = [per_chunk] * n_full
-    if tail:
-        blocks_of.append(-(-tail // block))
-    return chunk_elems, n_full, tail, per_chunk, blocks_of
+    runs = []
+    at = row = 0
+    for length, group in groupby(lens):
+        count = sum(1 for _ in group)
+        per = -(-length // block)
+        runs.append((at, row, length, count, per))
+        at += count * length
+        row += count * per
+    return runs
+
+
+def _extent(runs) -> Tuple[int, int]:
+    """The number of values and of blocks the chunks of ``runs`` hold."""
+    at, row, length, count, per = runs[-1]
+    return at + count * length, row + count * per
 
 
 def _chunk_head(dtype, count: int, eb: float, block: int) -> bytes:
@@ -268,49 +299,44 @@ def _dequantise(
         out_blocks[nonconst_idx] = values
 
 
-def _unpad(out: np.ndarray, out_blocks: np.ndarray, grid, block: int) -> None:
+def _unpad(out: np.ndarray, out_blocks: np.ndarray, runs, block: int) -> None:
     """Copy ``out_blocks`` into the flat ``out``, dropping every chunk's padding
-    while casting to ``out``'s dtype; ``grid`` is what :func:`_chunk_grid` returned."""
-    chunk_elems, n_full, tail, per_chunk, _ = grid
-    out[: n_full * chunk_elems].reshape(n_full, chunk_elems)[...] = out_blocks[
-        : n_full * per_chunk
-    ].reshape(n_full, per_chunk * block)[:, :chunk_elems]
-    if tail:
-        out[-tail:] = out_blocks[n_full * per_chunk :].reshape(-1)[:tail]
+    while casting to ``out``'s dtype; ``runs`` is what :func:`_runs` returned."""
+    for at, row, length, count, per in runs:
+        out[at : at + count * length].reshape(count, length)[...] = out_blocks[
+            row : row + count * per
+        ].reshape(count, per * block)[:, :length]
 
 
 def compress_chunks(
     data: np.ndarray,
-    chunk_elems: int,
+    chunk_lens: Sequence[int],
     block: int,
     eb: float,
     restored: Optional[np.ndarray] = None,
 ) -> List[bytes]:
-    """One SZx payload per ``chunk_elems`` values of ``data``, from a single pass.
+    """One SZx payload per chunk of ``data``, from a single pass.
 
-    ``data`` is a validated 1-D float array (an empty one has no chunks) and
-    ``eb`` the resolved absolute error bound.  Element ``i`` of the result is
-    byte-identical to compressing ``data[i * chunk_elems : (i + 1) * chunk_elems]``
-    on its own (see "Chunked layout" in the module docstring).  ``restored``,
-    an array the caller has put through
-    :func:`~repro.compression.base.check_restored`, is filled with what
-    :func:`decompress_chunks` makes of the result.
+    ``data`` is a validated 1-D float array cut, in order, into chunks of the
+    ``chunk_lens`` values (each >= 1, summing to ``data.size``), and ``eb`` the
+    resolved absolute error bound.  Element ``i`` of the result is
+    byte-identical to compressing chunk ``i`` on its own (see "Chunked layout"
+    in the module docstring).  ``restored``, an array the caller has put
+    through :func:`~repro.compression.base.check_restored`, is filled with
+    what :func:`decompress_chunks` makes of the result.
     """
     if data.size == 0:
         return []
-    grid = _chunk_grid(data.size, chunk_elems, block)
-    chunk_elems, n_full, tail, per_chunk, blocks_of = grid
-    n_chunks, n_blocks = len(blocks_of), sum(blocks_of)
+    runs = _runs(chunk_lens, block)
+    n_blocks = _extent(runs)[1]
 
-    # every chunk is one row, padded to whole blocks with its own last value
-    padded = np.empty((n_chunks, per_chunk * block), dtype=np.float64)
-    body = data[: n_full * chunk_elems].reshape(n_full, chunk_elems)
-    padded[:n_full, :chunk_elems] = body
-    padded[:n_full, chunk_elems:] = body[:, -1:]
-    if tail:
-        padded[n_full, :tail] = data[-tail:]
-        padded[n_full, tail:] = data[-1]
-    blocks = padded.reshape(-1, block)[:n_blocks]
+    # every chunk owns whole rows, padded with its own last value
+    blocks = np.empty((n_blocks, block), dtype=np.float64)
+    for at, row, length, count, per in runs:
+        rows = blocks[row : row + count * per].reshape(count, per * block)
+        body = data[at : at + count * length].reshape(count, length)
+        rows[:, :length] = body
+        rows[:, length:] = body[:, -1:]
 
     mins = blocks.min(axis=1)
     maxs = blocks.max(axis=1)
@@ -372,49 +398,49 @@ def compress_chunks(
     if restored is not None:
         # the quants are out of ``blocks`` by now: it is scratch of the right shape
         _dequantise(blocks, quants, medium, const_mask, nonconst_idx, step)
-        _unpad(restored, blocks, grid, block)
+        _unpad(restored, blocks, runs, block)
     data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
     region = np.zeros(int(data_at[-1]), dtype=np.uint8)
     pack_width_classes(encoded, nbits_arr, data_at[:-1], region.size, out=region)
 
     # cut every chunk's payload out of the shared metadata and data region
-    const_rows = np.zeros((n_chunks, per_chunk), dtype=bool)
-    const_rows.reshape(-1)[:n_blocks] = const_mask
-    flag_stride = (per_chunk + 7) // 8
-    flags = np.packbits(const_rows, axis=1).tobytes()
     mediums = memoryview(medium.tobytes())
     widths = nbits_arr.astype(np.uint8).tobytes()
     packed = memoryview(region)
-    heads = [_chunk_head(data.dtype, chunk_elems, eb, block)] * n_full
-    if tail:
-        heads.append(_chunk_head(data.dtype, tail, eb, block))
     payloads = []
     width_at = 0  # cursor into ``widths`` / ``data_at``: one entry per non-constant block
-    for i, (head, n) in enumerate(zip(heads, blocks_of)):
-        chunk_flags = flags[i * flag_stride : i * flag_stride + (n + 7) // 8]
-        width_end = width_at + n - int.from_bytes(chunk_flags, "big").bit_count()
-        payloads.append(b"".join((
-            head,
-            chunk_flags,
-            mediums[4 * i * per_chunk : 4 * (i * per_chunk + n)],
-            widths[width_at:width_end],
-            packed[data_at[width_at] : data_at[width_end]],
-        )))  # fmt: skip
-        width_at = width_end
+    for _, first_row, length, count, per in runs:
+        head = _chunk_head(data.dtype, length, eb, block)
+        n_flags = (per + 7) // 8
+        rows = const_mask[first_row : first_row + count * per].reshape(count, per)
+        flags = np.packbits(rows, axis=1).tobytes()  # one row of flag bytes per chunk
+        for j in range(count):
+            row = first_row + j * per
+            chunk_flags = flags[j * n_flags : (j + 1) * n_flags]
+            width_end = width_at + per - int.from_bytes(chunk_flags, "big").bit_count()
+            payloads.append(b"".join((
+                head,
+                chunk_flags,
+                mediums[4 * row : 4 * (row + per)],
+                widths[width_at:width_end],
+                packed[data_at[width_at] : data_at[width_end]],
+            )))  # fmt: skip
+            width_at = width_end
     return payloads
 
 
-def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndarray:
-    """Decode the chunk payloads of ``count`` values, ``chunk_elems`` per chunk.
+def decompress_chunks(pieces: Sequence, chunk_lens: Sequence[int]) -> np.ndarray:
+    """Decode the chunk payloads of ``chunk_lens`` values each (at least one chunk).
 
-    The inverse of :func:`compress_chunks` for ``count >= 1``: ``pieces`` are
-    buffer objects, one SZx payload each.  Every header and every length is checked before an
-    array is sized from it, so any malformed piece raises
-    :class:`DecompressionError`; the values are then decoded in one pass.
+    The inverse of :func:`compress_chunks`: ``pieces`` are buffer objects, one
+    SZx payload per length (the caller has matched their number).  Every
+    header and every length is checked before an array is sized from it, so
+    any malformed piece raises :class:`DecompressionError`; the values are
+    then decoded in one pass.
     """
     # one walk over the chunk fronts: header, flags, medium values, bit widths
     flag_parts, medium_parts, width_parts, nonconst_of, data_at = [], [], [], [], []
-    for i, piece in enumerate(pieces):
+    for i, (piece, length) in enumerate(zip(pieces, chunk_lens)):
         header = PayloadHeader.unpack(piece, _MAGIC)
         if len(piece) < _META_OFFSET:
             raise DecompressionError("truncated SZx payload (missing block header)")
@@ -423,19 +449,12 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
         )
         if i == 0:
             # the first chunk names dtype, error bound and block size; with
-            # them the position of a chunk fixes its whole header
+            # them the length of a chunk fixes its whole header
             dtype, eb, _, block, _ = head
             if block <= 0 or not (eb > 0.0 and math.isfinite(eb)):
                 raise DecompressionError("inconsistent SZx block metadata")
-            grid = _chunk_grid(count, chunk_elems, block)
-            chunk_elems, n_full, tail, per_chunk, blocks_of = grid
-            if len(pieces) != len(blocks_of):
-                raise DecompressionError(
-                    f"{len(pieces)} SZx chunks cannot hold {count} values at "
-                    f"{chunk_elems} per chunk"
-                )
-        n = blocks_of[i]
-        expected = (dtype, eb, chunk_elems if i < n_full else tail, block, n)
+        n = -(-length // block)
+        expected = (dtype, eb, length, block, n)
         if head != expected:
             raise DecompressionError(
                 f"inconsistent SZx block metadata in chunk {i}: header says {head}, its "
@@ -455,7 +474,8 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
         width_parts.append(piece[nbits_at : nbits_at + nonconst])
         nonconst_of.append(nonconst)
         data_at.append(nbits_at + nonconst)
-    n_chunks, n_blocks = len(blocks_of), sum(blocks_of)
+    runs = _runs(chunk_lens, block)
+    n_values, n_blocks = _extent(runs)
 
     nbits_arr = np.frombuffer(b"".join(width_parts), dtype=np.uint8).astype(np.int64)
     widest = int(nbits_arr.max()) if nbits_arr.size else 0
@@ -475,10 +495,13 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
         width_at += nonconst
     region = np.frombuffer(b"".join(data_parts), dtype=np.uint8)
 
-    flag_stride = (per_chunk + 7) // 8
-    flag_parts.append(bytes(flag_stride - len(flag_parts[-1])))  # square off the last row
-    flag_rows = np.frombuffer(b"".join(flag_parts), dtype=np.uint8).reshape(n_chunks, flag_stride)
-    const_mask = np.unpackbits(flag_rows, axis=1, count=per_chunk).reshape(-1)[:n_blocks].view(bool)
+    # the flags of a run of equal-length chunks are one matrix of whole bytes
+    masks, first = [], 0
+    for _, _, _, count, per in runs:
+        rows = np.frombuffer(b"".join(flag_parts[first : first + count]), dtype=np.uint8)
+        masks.append(np.unpackbits(rows.reshape(count, -1), axis=1, count=per).reshape(-1))
+        first += count
+    const_mask = (masks[0] if len(masks) == 1 else np.concatenate(masks)).view(bool)
     medium = np.frombuffer(b"".join(medium_parts), dtype=np.float32)
 
     out_blocks = np.empty((n_blocks, block), dtype=np.float64)
@@ -491,6 +514,47 @@ def decompress_chunks(pieces: Sequence, chunk_elems: int, count: int) -> np.ndar
             unpack_width_classes(region, nbits_arr, starts[:-1], block, dtype=None)
         )
     _dequantise(out_blocks, quants, medium, const_mask, nonconst_idx, 2.0 * eb)
-    out = np.empty(count, dtype=dtype)
-    _unpad(out, out_blocks, grid, block)
+    out = np.empty(n_values, dtype=dtype)
+    _unpad(out, out_blocks, runs, block)
+    return out
+
+
+def compress_batch(
+    codec,
+    arrays: Sequence[np.ndarray],
+    restoreds: Sequence[np.ndarray],
+    lens_of: Callable[[int], List[int]],
+    frame: Callable[[List[bytes], np.ndarray], bytes],
+) -> List[bytes]:
+    """``codec.compress_many`` for SZx (absolute bound) and PIPE-SZx: one kernel pass.
+
+    The arrays go through :func:`compress_chunks` back to back, cut as
+    ``lens_of(n)`` cuts an ``n``-value array (no chunk for an empty one), and
+    ``frame(chunk payloads, array)`` makes each array's payload of its chunks,
+    so payload ``i`` and ``restoreds[i]`` are what ``codec.compress_bytes`` of
+    ``arrays[i]`` returns and fills.  Arrays of mixed dtypes (a payload has
+    one) take the per-array loop, and a refused batch re-runs it to raise what
+    the refused input raises (see "Chunked layout" in the module docstring).
+    """
+    if len({data.dtype for data in arrays}) > 1:
+        return Compressor.compress_many(codec, arrays, restoreds)
+    for data, restored in zip(arrays, restoreds):
+        check_restored(data, restored)
+    if not arrays:
+        return []
+    lens = [lens_of(data.size) for data in arrays]
+    values = np.concatenate(arrays)
+    scratch = np.empty_like(values)
+    try:
+        payloads = iter(compress_chunks(
+            values, [n for own in lens for n in own], codec.block_size, codec.error_bound, scratch
+        ))  # fmt: skip
+    except CompressionError:
+        Compressor.compress_many(codec, arrays, restoreds)
+        raise
+    out, at = [], 0
+    for data, restored, own in zip(arrays, restoreds, lens):
+        restored[...] = scratch[at : at + data.size]
+        at += data.size
+        out.append(frame([next(payloads) for _ in own], data))
     return out

@@ -19,10 +19,13 @@ class TestSharedEndpointDecode:
     def test_allreduce_decodes_every_message_once(self, codec_calls):
         """The ledger's ``allreduce_ccoll`` shape: 16 ranks on the fat tree, off / on / auto.
 
-        ``on``: 15 x 16 reduce-scatter messages + 16 allgather blocks; ``auto``:
-        the same over the 8 node leaders (7 x 8 + 8).  Each carries the
-        reconstruction its encoder made, so the decoder never runs (it ran once
-        per message before, and once per receiver, 592 times, before that).
+        ``on``: 15 x 16 reduce-scatter messages + 16 allgather blocks, each ring
+        round compressed as one batch (15 + 1 ``compress_many`` calls, no rank
+        compresses on its own); ``auto``: the topology-aware leader ring over
+        the 8 node leaders, one codec call per message (7 x 8 + 8).  Each
+        message carries the reconstruction its encoder made, so the decoder
+        never runs (it ran once per message before, and once per receiver, 592
+        times, before that).
         """
         cluster = Cluster.from_preset(
             "fat_tree", ranks_per_node=2, config=CCollConfig(codec="szx", size_multiplier=64)
@@ -32,7 +35,9 @@ class TestSharedEndpointDecode:
         inputs = [rng.standard_normal(4096).astype(np.float32) for _ in range(16)]
         for mode in ("off", "on", "auto"):
             comm.allreduce(inputs, compression=mode)
-        assert codec_calls == {"compress": 320, "decompress": 0}
+        assert codec_calls == {
+            "compress": 64, "decompress": 0, "compress_many": 16, "many_inputs": 256
+        }  # fmt: skip
 
     @pytest.mark.parametrize("mode", ["on", "di"])
     @pytest.mark.parametrize("op", ["bcast", "allgather", "allreduce", "scatter"])

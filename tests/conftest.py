@@ -42,21 +42,42 @@ def sparse_signal(rng) -> np.ndarray:
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Counts of the real SZx / PIPE-SZx ``compress_bytes`` / ``decompress_bytes`` calls
-    (neither codec calls the other's, so every count is an outermost call)."""
-    seen = {"compress": 0, "decompress": 0}
+    """Counts of the real SZx / PIPE-SZx calls.
+
+    ``compress`` / ``decompress`` count ``compress_bytes`` / ``decompress_bytes``
+    calls made one input at a time (a rank's own codec call), ``compress_many``
+    the batched calls and ``many_inputs`` the inputs those carried.  Neither
+    codec calls the other's, and what a ``compress_many`` does inside counts
+    as that one call, so every count is an outermost call.
+    """
+    seen = {"compress": 0, "decompress": 0, "compress_many": 0, "many_inputs": 0}
+    inside_many = [False]
 
     def counted(kind, real):
         def wrapper(self, *args, **kwargs):
-            seen[kind] += 1
+            if not inside_many[0]:
+                seen[kind] += 1
             return real(self, *args, **kwargs)
 
         return wrapper
 
+    def counted_many(real):
+        def wrapper(self, arrays, restoreds):
+            seen["compress_many"] += 1
+            seen["many_inputs"] += len(arrays)
+            inside_many[0] = True
+            try:
+                return real(self, arrays, restoreds)
+            finally:
+                inside_many[0] = False
+
+        return wrapper
+
     for codec in (SZxCompressor, PipelinedSZx):
-        for kind in seen:
+        for kind in ("compress", "decompress"):
             name = f"{kind}_bytes"
             monkeypatch.setattr(codec, name, counted(kind, vars(codec)[name]))
+        monkeypatch.setattr(codec, "compress_many", counted_many(vars(codec)["compress_many"]))
     return seen
 
 

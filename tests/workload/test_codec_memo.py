@@ -78,12 +78,18 @@ class TestCodecCalls:
     def test_baselines_cost_no_codec_calls(self, codec_calls):
         """343 compressions and no decode (a message carries its reconstruction), with
         or without the 16 baselines (686 / 1 090 before results were reused) — gated
-        here exactly because the committed ledger still holds the old counts."""
+        here exactly because the committed ledger still holds the old counts.  332
+        of them are ring rounds, one ``compress_many`` batch each; the 11 a rank
+        makes on its own are the bcast roots and the topology-aware leader rings."""
         engine = WorkloadEngine(_cluster(), policy="spread")
         engine.run(_ledger_mix(), baseline=False)
-        assert codec_calls == {"compress": 343, "decompress": 0}
+        assert codec_calls == {
+            "compress": 11, "decompress": 0, "compress_many": 48, "many_inputs": 332
+        }  # fmt: skip
         engine.run(_ledger_mix(), baseline=True)
-        assert codec_calls == {"compress": 686, "decompress": 0}
+        assert codec_calls == {
+            "compress": 22, "decompress": 0, "compress_many": 96, "many_inputs": 664
+        }  # fmt: skip
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_a_restart_reuses_what_the_killed_attempt_computed(self, codec_calls, baseline):
@@ -107,7 +113,8 @@ class TestCodecCalls:
         """The ledger's ``workload_recovery`` at its seed 7: 672 compressions healthy,
         672 under two kills and two restarts from checkpoints (876 before a restart
         reused the killed attempt's results) — gated here exactly because the
-        committed ledger still holds the old count."""
+        committed ledger still holds the old count.  Every one is part of a ring
+        round batch: 112 ``compress_many`` calls, no rank compresses on its own."""
         rng = np.random.default_rng(7)
         calls = (CollectiveCall(op="allreduce", msg_elems=8192, compression="on"),)
         specs = [
@@ -116,7 +123,8 @@ class TestCodecCalls:
             for index, n_ranks in enumerate((8, 4, 2, 8, 4, 2))
         ]  # fmt: skip
         healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
-        assert codec_calls == {"compress": 672, "decompress": 0}
+        once = {"compress": 0, "decompress": 0, "compress_many": 112, "many_inputs": 672}
+        assert codec_calls == once
         zone = FailureDomain(name="pz0", kind="power", nodes=(4, 5))
         faults = FaultSchedule(
             events=(
@@ -134,12 +142,17 @@ class TestCodecCalls:
             return engine.run(specs, baseline=False)
 
         report = faulted()
-        assert codec_calls == {"compress": 2 * 672, "decompress": 0}
+        assert codec_calls == {kind: 2 * count for kind, count in once.items()}
         assert report.total_restarts == 2
-        # the control: the same run with no memo anywhere pays for every replayed step
+        # the control: the same run with no memo anywhere pays for every replayed
+        # step, and a killed attempt's last collective was warmed whole (928 inputs
+        # where its ranks alone compressed 876)
         monkeypatch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
         assert faulted() == report
-        assert codec_calls["compress"] == 2 * 672 + 876
+        assert codec_calls == {
+            "compress": 0, "decompress": 0, "compress_many": 2 * 112 + 144,
+            "many_inputs": 2 * 672 + 928,
+        }  # fmt: skip
 
 
 class TestMemoLifetime:
