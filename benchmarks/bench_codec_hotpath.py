@@ -47,7 +47,7 @@ def scalar_reference_pack(codec: SZxCompressor, data: np.ndarray) -> bytes:
     """
     from repro.utils.bitpack import bit_length_u64, zigzag_encode
 
-    eb = codec.effective_error_bound(data)
+    eb = codec.error_bound
     block = codec.block_size
     n_blocks = (data.size + block - 1) // block
     padded = np.empty(n_blocks * block, dtype=np.float64)

@@ -52,9 +52,11 @@ simulation path, decodes nothing:
   ``compile_job`` of that job and drops once no execution can follow; it
   reaches the adapters through ``CCollConfig.codec_memo`` (read by
   ``CCollConfig.make_adapters`` / ``plan_memo`` only).  Without one, a ring
-  collective's plan makes a memo of its own (below) and every other adapter
-  goes straight to the codec.  Codec errors are raised from the codec call
-  itself and never stored.
+  collective's plan makes a memo of its own (below), which lives as long as
+  the plan: a compiled workload job holds the plans of all its steps, so their
+  memos stay until the job's attempt ends (it retires or is killed).  Every
+  other adapter goes straight to the codec.  Codec errors are raised from the
+  codec call itself and never stored.
 * **A ring round is one codec call.**  The values of C-Coll's ring never
   depend on timing: round ``k`` of rank ``r`` compresses its own chunk plus
   what round ``k - 1`` of rank ``r - 1`` decoded to.  So the planners of the

@@ -66,6 +66,7 @@ class CCollConfig:
         ensure_positive(self.error_bound, "error_bound")
         ensure_positive(self.rate, "rate")
         ensure_positive(self.size_multiplier, "size_multiplier")
+        self.make_codec()  # a codec that refuses its settings does so here, not mid-run
 
     # ---------------------------------------------------------------- helpers
 

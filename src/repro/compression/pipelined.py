@@ -98,40 +98,24 @@ class PipelinedSZx(Compressor):
     Parameters
     ----------
     error_bound:
-        Absolute error bound forwarded to the per-chunk SZx codec.
-    chunk_elems:
-        Values per pipeline chunk (5120 in the paper).
-    block_size:
-        SZx block size inside each chunk.
+        Absolute error bound forwarded to the per-chunk SZx kernel.
+
+    Chunks hold :attr:`chunk_elems` values (5120, the paper's) of SZx blocks
+    of :attr:`block_size` values; the decoder reads both from the payload.
     """
 
     name = "pipe_szx"
     error_bounded = True
+    chunk_elems = DEFAULT_CHUNK_ELEMS
+    block_size = DEFAULT_BLOCK_SIZE
 
-    def __init__(
-        self,
-        error_bound: float = 1e-3,
-        chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
+    def __init__(self, error_bound: float = 1e-3) -> None:
         self.error_bound = ensure_positive(error_bound, "error_bound")
-        if chunk_elems < 1:
-            raise ValueError(f"chunk_elems must be >= 1, got {chunk_elems}")
-        self.chunk_elems = int(chunk_elems)
-        if block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {block_size}")
-        self.block_size = int(block_size)
 
     # ------------------------------------------------------------------ API
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "error_bounded": True,
-            "error_bound": self.error_bound,
-            "chunk_elems": self.chunk_elems,
-            "block_size": self.block_size,
-        }
+        return {"name": self.name, "error_bounded": True, "error_bound": self.error_bound}
 
     def chunk_count(self, n_elements: int) -> int:
         """Number of pipeline chunks used for ``n_elements`` values."""

@@ -37,10 +37,8 @@ def make_compressor(name: str, **kwargs) -> Compressor:
 
     Supported names (and their keyword arguments):
 
-    * ``"szx"`` — ``error_bound``, ``block_size``, ``error_mode``
-    * ``"pipe_szx"`` — ``error_bound``, ``chunk_elems``, ``block_size``
-    * ``"zfp_abs"`` — ``error_bound``, ``block_size``
-    * ``"zfp_fxr"`` — ``rate``, ``block_size``
+    * ``"szx"``, ``"pipe_szx"``, ``"zfp_abs"`` — ``error_bound``
+    * ``"zfp_fxr"`` — ``rate``
     * ``"null"`` — no arguments
     """
     if name not in _FACTORIES:

@@ -3,7 +3,7 @@
 This is a from-scratch numpy implementation of the algorithmic core of SZx
 (Yu et al., HPDC'22), the compressor the paper customises for MPI collectives:
 
-* the input is split into fixed-size blocks (128 values by default);
+* the input is split into fixed-size blocks of 128 values;
 * each block stores its *medium value* ``(min + max) / 2``;
 * a block whose radius ``(max - min) / 2`` is within the error bound is a
   **constant block** — only the medium value is stored (this is where the very
@@ -117,7 +117,7 @@ from repro.utils.bitpack import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.utils.validation import ensure_in, ensure_positive
+from repro.utils.validation import ensure_positive
 
 __all__ = ["SZxCompressor", "DEFAULT_BLOCK_SIZE"]
 
@@ -138,81 +138,36 @@ class SZxCompressor(Compressor):
     Parameters
     ----------
     error_bound:
-        Absolute error bound (``error_mode="abs"``) or relative bound as a
-        fraction of the buffer value range (``error_mode="rel"``).
-    block_size:
-        Number of values per block (SZx uses 128 on CPUs).
-    error_mode:
-        ``"abs"`` (the mode used throughout the paper) or ``"rel"``.
+        Absolute error bound.  A bound relative to the value range is the
+        caller's to resolve (``error_bound * value_range``).
+
+    Every payload has blocks of :attr:`block_size` values (128, as SZx uses
+    on CPUs); the decoder reads the block size from the payload header.
     """
 
     name = "szx"
     error_bounded = True
+    block_size = DEFAULT_BLOCK_SIZE
 
-    def __init__(
-        self,
-        error_bound: float = 1e-3,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        error_mode: str = "abs",
-    ) -> None:
+    def __init__(self, error_bound: float = 1e-3) -> None:
         self.error_bound = ensure_positive(error_bound, "error_bound")
-        if block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {block_size}")
-        self.block_size = int(block_size)
-        self.error_mode = ensure_in(error_mode, ("abs", "rel"), "error_mode")
 
     # ------------------------------------------------------------------ API
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "error_bounded": True,
-            "error_bound": self.error_bound,
-            "error_mode": self.error_mode,
-            "block_size": self.block_size,
-        }
-
-    def effective_error_bound(self, data: np.ndarray) -> float:
-        """Absolute error bound applied to ``data`` (resolves the ``rel`` mode)."""
-        if self.error_mode == "abs":
-            return self.error_bound
-        if data.size == 0:
-            return self.error_bound
-        # subtract in python floats: numpy scalar arithmetic would emit a
-        # RuntimeWarning when the range overflows, the guard below rejects it
-        value_range = float(np.max(data)) - float(np.min(data))
-        if not math.isfinite(value_range):
-            raise UnsupportedDataError(
-                "value range overflows float64; relative-bound SZx cannot "
-                "resolve an absolute error bound for this data"
-            )
-        if value_range == 0.0:
-            value_range = 1.0
-        # a denormal value range can underflow the product to zero; clamp to
-        # the smallest normal float so the quantiser's step stays finite (the
-        # clamped bound exceeds the range, so every block is constant and the
-        # reconstruction is trivially within bound)
-        return max(self.error_bound * value_range, float(np.finfo(np.float64).tiny))
+        return {"name": self.name, "error_bounded": True, "error_bound": self.error_bound}
 
     # ----------------------------------------------------------- compression
 
     def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
         check_restored(data, restored)
-        eb = self.effective_error_bound(data)
-        if not (eb > 0.0 and math.isfinite(eb)):
-            raise CompressionError(
-                f"resolved error bound {eb!r} is not a positive finite number "
-                "(a relative bound underflowed on this data's value range)"
-            )
         if data.size == 0:
-            return _chunk_head(data.dtype, 0, eb, self.block_size)
-        return compress_chunks(data, [data.size], self.block_size, eb, restored)[0]
+            return _chunk_head(data.dtype, 0, self.error_bound, self.block_size)
+        return compress_chunks(data, [data.size], self.block_size, self.error_bound, restored)[0]
 
     def compress_many(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
     ) -> List[bytes]:
-        if self.error_mode == "rel":
-            return super().compress_many(arrays, restoreds)  # every array resolves its bound
         eb, block = self.error_bound, self.block_size
         return compress_batch(
             self,
@@ -526,7 +481,7 @@ def compress_batch(
     lens_of: Callable[[int], List[int]],
     frame: Callable[[List[bytes], np.ndarray], bytes],
 ) -> List[bytes]:
-    """``codec.compress_many`` for SZx (absolute bound) and PIPE-SZx: one kernel pass.
+    """``codec.compress_many`` for SZx and PIPE-SZx: one kernel pass.
 
     The arrays go through :func:`compress_chunks` back to back, cut as
     ``lens_of(n)`` cuts an ``n``-value array (no chunk for an empty one), and

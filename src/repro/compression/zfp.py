@@ -148,23 +148,16 @@ class ZFPCompressor(Compressor):
         Absolute error bound used in ABS mode.
     rate:
         Bits per value in FXR mode (the paper uses 4, 8 and 16).
-    block_size:
-        Values per block; must be a power of two (default 16).
+
+    Every payload has blocks of :attr:`block_size` values (16); the decoder
+    reads the block size from the payload header.
     """
 
     error_bounded = False
+    block_size = DEFAULT_ZFP_BLOCK
 
-    def __init__(
-        self,
-        mode: str = MODE_ABS,
-        error_bound: float = 1e-3,
-        rate: float = 8.0,
-        block_size: int = DEFAULT_ZFP_BLOCK,
-    ) -> None:
+    def __init__(self, mode: str = MODE_ABS, error_bound: float = 1e-3, rate: float = 8.0) -> None:
         self.mode = ensure_in(mode, (MODE_ABS, MODE_FXR), "mode")
-        if block_size < 4 or block_size & (block_size - 1):
-            raise ValueError(f"block_size must be a power of two >= 4, got {block_size}")
-        self.block_size = int(block_size)
         if self.mode == MODE_ABS:
             self.error_bound = ensure_positive(error_bound, "error_bound")
             self.rate = None
@@ -176,7 +169,7 @@ class ZFPCompressor(Compressor):
             budget_bits = int(round(self.rate * self.block_size))
             if budget_bits < 8 + self.block_size:
                 raise ValueError(
-                    f"rate {rate} too small for block_size {block_size}: each block needs "
+                    f"rate {rate} too small for block_size {self.block_size}: each block needs "
                     f"at least {8 + self.block_size} bits"
                 )
             self._budget_bits = budget_bits
@@ -198,7 +191,6 @@ class ZFPCompressor(Compressor):
         info: Dict[str, object] = {
             "name": self.name,
             "mode": self.mode,
-            "block_size": self.block_size,
             "error_bounded": self.error_bounded,
         }
         if self.mode == MODE_ABS:

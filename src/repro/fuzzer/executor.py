@@ -500,8 +500,7 @@ def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
             "detail": "the encoder's restored array differs from the decode of its payload",
         }
     if data.size:
-        eb_fn = getattr(codec, "effective_error_bound", None)
-        bound = float(eb_fn(data.astype(np.float64))) if eb_fn else float(codec.error_bound)
+        bound = float(codec.error_bound)
         err = float(np.max(np.abs(restored.astype(np.float64) - data.astype(np.float64))))
         if not err <= bound + rounding_margin(data, bound):
             return {

@@ -12,7 +12,7 @@ from repro.utils.validation import (
     ensure_in,
     ensure_dtype,
 )
-from repro.utils.chunking import chunk_bounds, iter_chunks, split_counts, split_displacements
+from repro.utils.chunking import chunk_bounds, split_counts, split_displacements
 from repro.utils.rng import resolve_rng
 from repro.utils.bitpack import required_bits_unsigned, pack_uint_bits, unpack_uint_bits
 from repro.utils.units import MB, GB, KB, bytes_to_mb, mb_to_bytes
@@ -24,7 +24,6 @@ __all__ = [
     "ensure_in",
     "ensure_dtype",
     "chunk_bounds",
-    "iter_chunks",
     "split_counts",
     "split_displacements",
     "resolve_rng",

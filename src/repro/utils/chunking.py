@@ -8,11 +8,9 @@ array, uneven splits).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-__all__ = ["chunk_bounds", "iter_chunks", "split_counts", "split_displacements"]
+__all__ = ["chunk_bounds", "split_counts", "split_displacements"]
 
 
 def chunk_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
@@ -32,12 +30,6 @@ def chunk_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def iter_chunks(array: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
-    """Yield contiguous views of ``array`` of at most ``chunk_size`` elements."""
-    for start, stop in chunk_bounds(len(array), chunk_size):
-        yield array[start:stop]
 
 
 def split_counts(total: int, parts: int) -> List[int]:

@@ -132,6 +132,23 @@ def test_the_calibration_is_constants():
                 fabric(**{name: 1.0})
 
 
+def test_a_codec_is_its_name_and_its_bound():
+    """Block and chunk sizes are class constants and SZx's bound is absolute:
+    the constructors take the bound (and ZFP its mode and rate), nothing else."""
+    from repro.compression import PipelinedSZx, SZxCompressor, ZFPCompressor, make_compressor
+
+    assert list(inspect.signature(SZxCompressor).parameters) == ["error_bound"]
+    assert list(inspect.signature(PipelinedSZx).parameters) == ["error_bound"]
+    assert list(inspect.signature(ZFPCompressor).parameters) == ["mode", "error_bound", "rate"]
+    for name, setting in (
+        ("szx", {"block_size": 64}),
+        ("szx", {"error_mode": "rel"}),
+        ("pipe_szx", {"chunk_elems": 512}),
+    ):
+        with pytest.raises(TypeError):
+            make_compressor(name, **setting)
+
+
 def test_api_all_entries_resolve():
     for name in api.__all__:
         assert getattr(api, name) is not None

@@ -256,6 +256,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             CCollConfig(size_multiplier=0.0)
 
+    @pytest.mark.parametrize(
+        "rate,message",
+        [(1.0, "rate 1.0 too small for block_size 16"), (100.0, "asks for 99-bit coefficients")],
+    )
+    def test_an_unusable_fixed_rate_is_refused_when_written(self, rate, message):
+        """The codec's own refusal, at construction rather than when a collective is planned."""
+        with pytest.raises(ValueError, match=message):
+            CCollConfig(codec="zfp_fxr", rate=rate)
+        with pytest.raises(ValueError, match=message):
+            CCollConfig(codec="zfp_fxr").with_updates(rate=rate)
+
+    @pytest.mark.parametrize("rate", [4.0, 8.0])  # the harness's and the default
+    def test_every_codec_constructs_at_the_usual_rates(self, rate):
+        from repro.compression import available_compressors
+
+        for codec in available_compressors():
+            assert CCollConfig(codec=codec, rate=rate).make_codec().name == codec
+
     def test_with_updates(self):
         cfg = CCollConfig(error_bound=1e-3)
         assert cfg.with_updates(error_bound=1e-4).error_bound == 1e-4

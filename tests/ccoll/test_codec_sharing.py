@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.ccoll import CCollConfig, CodecMemo, CompressionAdapter
-from repro.compression import PipelinedSZx
+from repro.ccoll import CCollConfig, CodecMemo
 from repro.compression.errors import CompressionError, UnsupportedDataError
 
 
@@ -85,11 +84,8 @@ class TestSharedEndpointDecode:
         assert one.decompress_shared(sender.compress(np.linspace(0.0, 1.0, 500))) is not shared
 
 
-def _adapter(memo, chunk_elems=None, **config):
+def _adapter(memo, **config):
     config = CCollConfig(codec_memo=memo, **config)
-    if chunk_elems is not None:  # a PIPE-SZx chunking no config sets, built directly
-        codec = PipelinedSZx(error_bound=config.error_bound, chunk_elems=chunk_elems)
-        return CompressionAdapter(codec, config.context(), memo)
     return config.make_adapters(config.context(), 1)[0]
 
 
@@ -121,7 +117,7 @@ class TestCodecMemo:
         assert "memo" not in repr(CCollConfig(codec_memo=CodecMemo()))
 
     def test_the_same_bytes_under_another_computation_never_share_an_entry(self):
-        """Error bound, codec, chunking, dtype and the sign of zero are all in the key."""
+        """Error bound, codec, dtype and the sign of zero are all in the key."""
         # float32 values in [1, 2) read as finite float64 values pair by pair
         buffer = np.random.default_rng(2).uniform(1.0, 2.0, 8192).astype(np.float32).view(np.float64)
         assert np.isfinite(buffer).all()
@@ -132,7 +128,6 @@ class TestCodecMemo:
             (dict(error_bound=1e-2), buffer),
             (dict(codec="zfp_abs"), buffer),
             (dict(codec="pipe_szx"), buffer),
-            (dict(codec="pipe_szx", chunk_elems=512), buffer),
             (dict(), buffer.view(np.float32)),  # the same bytes as twice as many float32
             (dict(), zeros),
             (dict(), -zeros),

@@ -4,14 +4,17 @@
 ``compress_chunks`` / ``decompress_chunks`` once; ``iter_compress`` /
 ``iter_decompress`` and ``SZxCompressor`` invoke the same kernel on one chunk
 at a time.  The bytes and the reconstructed values must agree for every chunk
-size / block size / dtype mix, aligned or not, and every malformed payload must
-be refused with ``DecompressionError``.
+size / block size / dtype mix, aligned or not — the codecs' own geometry (128,
+5120) through the codecs, every other one through the kernel with explicit
+lengths and block size — and every malformed payload must be refused with
+``DecompressionError``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.compression.szx as szx
 from repro.compression import (
     CompressionError,
     DecompressionError,
@@ -41,6 +44,11 @@ def make_field(kind: str, n: int, dtype: str, seed: int) -> np.ndarray:
     return data.astype(dtype)
 
 
+def chunk_lens(n: int, chunk: int) -> list:
+    """The lengths of ``n`` values cut into chunks of ``chunk`` (the last one ragged)."""
+    return [min(chunk, n - start) for start in range(0, n, chunk)]
+
+
 @st.composite
 def cases(draw):
     chunk = draw(st.one_of(st.sampled_from(CHUNKS), st.integers(1, 9000)))
@@ -59,10 +67,37 @@ def cases(draw):
 class TestOneShotEqualsPerChunkOracle:
     @given(case=cases())
     @settings(max_examples=120, deadline=None)
-    def test_bytes_and_values_match(self, case):
+    def test_kernel_bytes_and_values_match(self, case):
+        """Any chunk and block size: one kernel pass is every chunk's own pass."""
         data = make_field(case["kind"], case["n"], case["dtype"], case["seed"])
-        pipe = PipelinedSZx(case["eb"], chunk_elems=case["chunk"], block_size=case["block"])
-        plain = SZxCompressor(case["eb"], block_size=case["block"])
+        lens, block, eb = chunk_lens(data.size, case["chunk"]), case["block"], case["eb"]
+        payloads = szx.compress_chunks(data, lens, block, eb)
+        at = np.cumsum([0] + lens)
+        alone = [
+            szx.compress_chunks(data[start:stop], [stop - start], block, eb)[0]
+            for start, stop in zip(at, at[1:])
+        ]
+        assert payloads == alone
+        if not lens:
+            return
+        restored = szx.decompress_chunks(payloads, lens)
+        assert restored.dtype == data.dtype
+        parts = [szx.decompress_chunks([piece], [n]) for piece, n in zip(alone, lens)]
+        assert restored.tobytes() == np.concatenate(parts).tobytes()
+
+    @given(
+        n=st.integers(0, 30_000),
+        dtype=st.sampled_from(["float32", "float64"]),
+        kind=st.sampled_from(["constant", "mixed", "noisy", "large"]),
+        eb=st.sampled_from([1e-1, 1e-3, 1e-5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_and_values_match(self, n, dtype, kind, eb, seed):
+        """The codecs' geometry: inputs of up to six 5120-value chunks."""
+        data = make_field(kind, n, dtype, seed)
+        pipe = PipelinedSZx(eb)
+        plain = SZxCompressor(eb)
 
         payload = pipe.compress_bytes(data)
         chunks = list(pipe.iter_compress(data))
@@ -81,10 +116,11 @@ class TestOneShotEqualsPerChunkOracle:
 
     def test_single_chunk_payload_is_the_szx_payload(self, smooth_signal):
         """A buffer no longer than one chunk: PIPE-SZx is SZx plus the index."""
-        pipe = PipelinedSZx(error_bound=1e-3, chunk_elems=smooth_signal.size)
-        (chunk,) = pipe.iter_compress(smooth_signal)
-        assert chunk.payload == SZxCompressor(error_bound=1e-3).compress_bytes(smooth_signal)
-        assert pipe.compress_bytes(smooth_signal).endswith(chunk.payload)
+        data = smooth_signal[:5120]
+        pipe = PipelinedSZx(error_bound=1e-3)
+        (chunk,) = pipe.iter_compress(data)
+        assert chunk.payload == SZxCompressor(error_bound=1e-3).compress_bytes(data)
+        assert pipe.compress_bytes(data).endswith(chunk.payload)
 
 
 class TestSameErrorsThroughPipeAsThroughSZx:
@@ -128,12 +164,15 @@ class TestMalformedPayloads:
 
     Every chunk spans at least two blocks: a *single*-block payload may
     legitimately announce any block size, so a flipped block-size byte there is
-    a valid (if enormous) payload rather than a malformed one.
+    a valid (if enormous) payload rather than a malformed one.  A PIPE-SZx
+    payload has the codec's geometry (128-value blocks, 5120-value chunks); an
+    SZx payload may come from the kernel with another block size, which the
+    decoder reads from the payload.
     """
 
     @given(
-        n=st.integers(300, 9000),
-        chunk=st.sampled_from([0, 700, 1677, 5120]),  # 0: plain SZx
+        n=st.integers(300, 16_000),
+        pipe=st.booleans(),
         block=st.sampled_from([8, 100, 128]),
         dtype=st.sampled_from(["float32", "float64"]),
         kind=st.sampled_from(["overwrite", "truncate", "flip"]),
@@ -142,13 +181,15 @@ class TestMalformedPayloads:
         value=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=400, deadline=None)
-    def test_corruption_never_escapes_untyped(self, n, chunk, block, dtype, kind, position, value):
+    def test_corruption_never_escapes_untyped(self, n, pipe, block, dtype, kind, position, value):
         data = make_field("mixed", n, dtype, seed=n)
-        if chunk:
-            codec = PipelinedSZx(error_bound=1e-3, chunk_elems=chunk, block_size=block)
+        if pipe:
+            codec = PipelinedSZx(error_bound=1e-3)
+            payload = codec.compress_bytes(data)
         else:
-            codec = SZxCompressor(error_bound=1e-3, block_size=block)
-        bad = corrupted(codec.compress_bytes(data), kind, position, value)
+            codec = SZxCompressor(error_bound=1e-3)
+            (payload,) = szx.compress_chunks(data, [n], block, 1e-3)
+        bad = corrupted(payload, kind, position, value)
         try:
             # a corrupted error bound that still parses may dequantise out of range
             with np.errstate(over="ignore", invalid="ignore"):
@@ -157,22 +198,28 @@ class TestMalformedPayloads:
             return
         assert restored.ndim == 1 and restored.dtype in (np.float32, np.float64)
 
+    #: three chunks: 5120 + 5120 + 4000 values
+    N = 14_240
+
     @pytest.fixture
-    def payload_and_chunks(self, rough_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=1677)
-        chunks = list(codec.iter_compress(rough_signal[:5000]))  # 1677 + 1677 + 1646
-        return codec, chunks
+    def signal(self):
+        return np.random.default_rng(12345).standard_normal(self.N)
+
+    @pytest.fixture
+    def payload_and_chunks(self, signal):
+        codec = PipelinedSZx(error_bound=1e-3)
+        return codec, list(codec.iter_compress(signal))
 
     def reassembled(self, codec, chunks, index, payload):
         chunks = list(chunks)
         chunks[index] = type(chunks[index])(index, chunks[index].start, chunks[index].stop, payload)
-        return codec.assemble(chunks, 5000, np.float64)
+        return codec.assemble(chunks, self.N, np.float64)
 
-    def test_chunk_count_disagreeing_with_outer_header(self, payload_and_chunks, rough_signal):
-        """The seed bug: a 1677-value chunk where the outer header implies 1646
-        used to escape as ``ValueError: could not broadcast input array``."""
+    def test_chunk_count_disagreeing_with_outer_header(self, payload_and_chunks, signal):
+        """The seed bug: a full chunk where the outer header implies a shorter
+        last one used to escape as ``ValueError: could not broadcast input array``."""
         codec, chunks = payload_and_chunks
-        longer = SZxCompressor(error_bound=1e-3).compress_bytes(rough_signal[:1677])
+        longer = SZxCompressor(error_bound=1e-3).compress_bytes(signal[:5120])
         with pytest.raises(DecompressionError, match="inconsistent SZx block metadata"):
             codec.decompress_bytes(self.reassembled(codec, chunks, 2, longer))
 
@@ -181,20 +228,20 @@ class TestMalformedPayloads:
         [
             lambda x: SZxCompressor(error_bound=1e-3).compress_bytes(x.astype(np.float32)),
             lambda x: SZxCompressor(error_bound=1e-2).compress_bytes(x),
-            lambda x: SZxCompressor(error_bound=1e-3, block_size=64).compress_bytes(x),
+            lambda x: szx.compress_chunks(x, [x.size], 64, 1e-3)[0],
         ],
         ids=["dtype", "error-bound", "block-size"],
     )
-    def test_chunks_disagreeing_with_each_other(self, payload_and_chunks, rough_signal, other):
+    def test_chunks_disagreeing_with_each_other(self, payload_and_chunks, signal, other):
         codec, chunks = payload_and_chunks
-        odd = other(rough_signal[1677 : 2 * 1677])
+        odd = other(signal[5120 : 2 * 5120])
         with pytest.raises(DecompressionError, match="inconsistent SZx block metadata"):
             codec.decompress_bytes(self.reassembled(codec, chunks, 1, odd))
 
     def test_outer_dtype_disagreeing_with_chunks(self, payload_and_chunks):
         codec, chunks = payload_and_chunks
         with pytest.raises(DecompressionError, match="announces float32"):
-            codec.decompress_bytes(codec.assemble(chunks, 5000, np.float32))
+            codec.decompress_bytes(codec.assemble(chunks, self.N, np.float32))
 
     @pytest.mark.parametrize(
         "codec", [SZxCompressor(1e-3), PipelinedSZx(1e-3)], ids=["szx", "pipe"]
@@ -213,6 +260,6 @@ class TestMalformedPayloads:
 
     def test_truncated_chunk_index(self, payload_and_chunks):
         codec, chunks = payload_and_chunks
-        payload = codec.assemble(chunks, 5000, np.float64)
+        payload = codec.assemble(chunks, self.N, np.float64)
         with pytest.raises(DecompressionError, match="missing chunk index"):
             codec.decompress_bytes(payload[:34])  # header + index header + 1 of 3 sizes

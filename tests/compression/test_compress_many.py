@@ -1,11 +1,15 @@
 """``compress_many`` against one ``compress_bytes`` call per array, byte for byte.
 
-SZx with an absolute bound and PIPE-SZx compress a whole batch in one pass of
-the chunked kernel (every input's chunks back to back); every other codec goes
-through the base class's loop.  Either way each payload and each ``restored``
-must equal what the input's own call produces, and an input that call refuses
-must raise the same error class from the batch.
+SZx and PIPE-SZx compress a whole batch in one pass of the chunked kernel
+(every input's chunks back to back); every other codec goes through the base
+class's loop.  Either way each payload and each ``restored`` must equal what
+the input's own call produces, and an input that call refuses must raise the
+same error class from the batch.  Block and chunk sizes other than the codecs'
+go through the kernel with explicit lengths and block size, and through
+codec subclasses whose class constants are those sizes.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -15,18 +19,29 @@ from repro.compression import NullCompressor, PipelinedSZx, SZxCompressor, ZFPCo
 
 SIZES = (0, 1, 127, 128, 129, 5_120, 5_121, 15_552)
 
+#: (block size, chunk length; ``None``: an input is one chunk) of the kernel
+#: geometries no codec constructor takes
+GEOMETRIES = {"szx_block50": (50, None), "pipe_300_64": (64, 300), "pipe_1000_128": (128, 1000)}
+
+
+def _at_geometry(name: str):
+    """SZx (no chunk length) or PIPE-SZx at geometry ``name``: a subclass whose
+    class constants are its block and chunk size, as no constructor takes them
+    (the decoder reads both from the payload)."""
+    block, chunk = GEOMETRIES[name]
+    base, sizes = (SZxCompressor, {}) if chunk is None else (PipelinedSZx, {"chunk_elems": chunk})
+    return type(name, (base,), {"block_size": block, **sizes})(error_bound=1e-3)
+
+
 CODECS = {
     "szx_abs": lambda: SZxCompressor(error_bound=1e-3),
-    "szx_rel": lambda: SZxCompressor(error_bound=1e-3, error_mode="rel"),
-    "szx_block50": lambda: SZxCompressor(error_bound=1e-3, block_size=50),
-    "pipe_5120_128": lambda: PipelinedSZx(error_bound=1e-3, chunk_elems=5120, block_size=128),
-    "pipe_300_64": lambda: PipelinedSZx(error_bound=1e-3, chunk_elems=300, block_size=64),
-    "pipe_1000_128": lambda: PipelinedSZx(error_bound=1e-3, chunk_elems=1000, block_size=128),
+    "pipe_5120_128": lambda: PipelinedSZx(error_bound=1e-3),
     "zfp_abs": lambda: ZFPCompressor(mode="abs", error_bound=1e-3),
     "null": NullCompressor,
+    **{name: functools.partial(_at_geometry, name) for name in GEOMETRIES},
 }
 #: the codecs whose batch is one kernel pass rather than the base class's loop
-ONE_PASS = ("szx_abs", "szx_block50", "pipe_5120_128", "pipe_300_64", "pipe_1000_128")
+ONE_PASS = ("szx_abs", "pipe_5120_128", *GEOMETRIES)
 
 
 def _field(kind: str, n: int, dtype, rng: np.random.Generator) -> np.ndarray:
@@ -77,6 +92,29 @@ def test_a_batch_is_its_inputs_compressed_one_by_one(codec_name, dtype):
         _assert_same_as_one_by_one(codec, [data])  # a batch of one
     _assert_same_as_one_by_one(codec, [arrays[0]] * 3)  # the same input three times
     assert codec.compress_many([], []) == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+def test_a_ragged_batch_is_its_chunks_compressed_one_by_one(geometry, dtype):
+    """Every input's chunks back to back, whatever the block and chunk size: one
+    pass equals every chunk's own, and its ``restored`` equals the decode."""
+    block, chunk = GEOMETRIES[geometry]
+    arrays = [data for data in _batch(dtype) if data.size]
+    lens = [
+        min(chunk or data.size, data.size - start)
+        for data in arrays
+        for start in range(0, data.size, chunk or data.size)
+    ]
+    values = np.concatenate(arrays)
+    restored = np.full(values.size, np.nan, dtype=dtype)
+    payloads = szx.compress_chunks(values, lens, block, 1e-3, restored)
+    at = np.cumsum([0] + lens)
+    for index, (start, stop) in enumerate(zip(at, at[1:])):
+        alone = szx.compress_chunks(values[start:stop], [stop - start], block, 1e-3)
+        assert payloads[index] == alone[0], (index, stop - start)
+    assert len(payloads) == len(lens)
+    assert restored.tobytes() == szx.decompress_chunks(payloads, lens).tobytes()
 
 
 @pytest.mark.parametrize("codec_name", ONE_PASS)

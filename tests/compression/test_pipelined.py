@@ -44,7 +44,7 @@ class TestOneShotApi:
 
 class TestChunking:
     def test_chunk_count(self):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=5120)
+        codec = PipelinedSZx(error_bound=1e-3)
         assert codec.chunk_count(0) == 0
         assert codec.chunk_count(5120) == 1
         assert codec.chunk_count(5121) == 2
@@ -54,7 +54,7 @@ class TestChunking:
         assert PipelinedSZx(error_bound=1e-3).chunk_elems == 5120
 
     def test_iter_compress_yields_expected_chunks(self, smooth_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
+        codec = PipelinedSZx(error_bound=1e-3)
         chunks = list(codec.iter_compress(smooth_signal))
         assert len(chunks) == codec.chunk_count(smooth_signal.size)
         assert [c.index for c in chunks] == list(range(len(chunks)))
@@ -62,7 +62,7 @@ class TestChunking:
         assert all(c.nbytes > 0 for c in chunks)
 
     def test_iter_decompress_matches_chunks(self, smooth_signal, assert_error_bounded):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
+        codec = PipelinedSZx(error_bound=1e-3)
         payload = codec.compress(smooth_signal).payload
         parts = list(codec.iter_decompress(payload))
         recon = np.concatenate(parts)
@@ -70,13 +70,13 @@ class TestChunking:
         assert_error_bounded(smooth_signal, recon, 1e-3)
 
     def test_assemble_validates_chunk_count(self, smooth_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
+        codec = PipelinedSZx(error_bound=1e-3)
         chunks = list(codec.iter_compress(smooth_signal))
         with pytest.raises(ValueError, match="chunks"):
             codec.assemble(chunks[:-1], smooth_signal.size, smooth_signal.dtype)
 
     def test_assemble_reorders_chunks(self, smooth_signal, assert_error_bounded):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=4096)
+        codec = PipelinedSZx(error_bound=1e-3)
         chunks = list(codec.iter_compress(smooth_signal))
         payload = codec.assemble(list(reversed(chunks)), smooth_signal.size, smooth_signal.dtype)
         recon = codec.decompress(payload)
@@ -84,10 +84,6 @@ class TestChunking:
 
 
 class TestValidation:
-    def test_invalid_chunk_elems(self):
-        with pytest.raises(ValueError):
-            PipelinedSZx(error_bound=1e-3, chunk_elems=0)
-
     def test_truncated_payload_rejected(self, smooth_signal):
         codec = PipelinedSZx(error_bound=1e-3)
         payload = codec.compress(smooth_signal).payload
@@ -100,9 +96,9 @@ class TestValidation:
             PipelinedSZx(error_bound=1e-3).decompress(plain)
 
     def test_describe(self):
-        info = PipelinedSZx(error_bound=1e-4, chunk_elems=2048).describe()
-        assert info["chunk_elems"] == 2048
-        assert info["error_bound"] == 1e-4
+        codec = PipelinedSZx(error_bound=1e-4)
+        assert codec.describe() == {"name": "pipe_szx", "error_bounded": True, "error_bound": 1e-4}
+        assert (codec.chunk_elems, codec.block_size) == (5120, 128)
 
 
 class TestInputValidation:
@@ -175,26 +171,31 @@ class TestOneBlockwisePass:
             monkeypatch.setattr(szx, name, counted(name))
         return seen
 
-    def test_twenty_chunks_one_pack_one_unpack(self, calls, rough_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
-        assert codec.chunk_count(rough_signal.size) == 20
-        payload = codec.compress_bytes(rough_signal)
+    @pytest.fixture
+    def twenty_chunks(self):
+        """Noise over nineteen full 5120-value chunks and a ragged twentieth."""
+        return np.random.default_rng(8).standard_normal(19 * 5120 + 777)
+
+    def test_twenty_chunks_one_pack_one_unpack(self, calls, twenty_chunks):
+        codec = PipelinedSZx(error_bound=1e-3)
+        assert codec.chunk_count(twenty_chunks.size) == 20
+        payload = codec.compress_bytes(twenty_chunks)
         assert calls == {"pack_width_classes": 1, "unpack_width_classes": 0}
         codec.decompress_bytes(payload)
         assert calls == {"pack_width_classes": 1, "unpack_width_classes": 1}
 
-    def test_generators_stay_per_chunk(self, calls, rough_signal):
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
-        chunks = list(codec.iter_compress(rough_signal))
-        parts = list(codec.iter_decompress(codec.assemble(chunks, rough_signal.size, np.float64)))
+    def test_generators_stay_per_chunk(self, calls, twenty_chunks):
+        codec = PipelinedSZx(error_bound=1e-3)
+        chunks = list(codec.iter_compress(twenty_chunks))
+        parts = list(codec.iter_decompress(codec.assemble(chunks, twenty_chunks.size, np.float64)))
         assert len(parts) == 20
         assert calls == {"pack_width_classes": 20, "unpack_width_classes": 20}
 
-    def test_one_shot_path_does_not_go_through_szx_codec(self, rough_signal, monkeypatch):
+    def test_one_shot_path_does_not_go_through_szx_codec(self, twenty_chunks, monkeypatch):
         def forbidden(self, *args, **kwargs):
             raise AssertionError("PIPE-SZx one-shot path called the SZx codec object")
 
         monkeypatch.setattr(SZxCompressor, "compress_bytes", forbidden)
         monkeypatch.setattr(SZxCompressor, "decompress_bytes", forbidden)
-        codec = PipelinedSZx(error_bound=1e-3, chunk_elems=500)
-        assert codec.roundtrip(rough_signal).size == rough_signal.size
+        codec = PipelinedSZx(error_bound=1e-3)
+        assert codec.roundtrip(twenty_chunks).size == twenty_chunks.size

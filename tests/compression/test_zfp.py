@@ -120,10 +120,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ZFPCompressor(mode="lossless")
 
-    def test_bad_block_size_rejected(self):
-        with pytest.raises(ValueError):
-            ZFPCompressor(mode="abs", error_bound=1e-3, block_size=12)
-
     def test_rate_too_small_rejected(self):
         with pytest.raises(ValueError):
             ZFPCompressor(mode="fxr", rate=1)

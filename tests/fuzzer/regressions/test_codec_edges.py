@@ -7,9 +7,9 @@ warnings-as-errors round-trip sweep):
   (SZx) or half the float64 range (ZFP's Haar transform doubles magnitudes)
   overflowed mid-pack — RuntimeWarnings followed by garbage payloads.  Both
   now raise :class:`UnsupportedDataError` before touching the payload.
-* **SZx relative-bound degeneracies**: a value range that overflows float64
-  made ``effective_error_bound`` non-finite; the quantiser then cast inf/NaN
-  offsets to int64 garbage.  Now a typed error, raised before the cast.
+* **SZx degenerate bounds**: a bound too small for the data range made the
+  quantiser cast out-of-range offsets to int64 garbage.  Now a typed error,
+  raised before the cast.
 * **ZFP fixed-rate sign flip**: saturated magnitudes were cast to int64
   *before* clipping; positives wrapped to INT64_MIN and were "clipped" to
   ``-limit``, silently flipping the sign of reconstructed values.  Clipping
@@ -52,23 +52,7 @@ class TestMagnitudeOverflowRegression:
                 assert np.all(np.sign(restored) == np.sign(huge))
 
 
-class TestRelativeBoundRegression:
-    def test_rel_mode_range_overflow_raises_cleanly(self):
-        codec = SZxCompressor(error_bound=1e-3, error_mode="rel")
-        data = np.array([-1.7e308, 1.7e308])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(UnsupportedDataError, match="value range overflows"):
-                codec.compress_bytes(data)
-
-    def test_rel_mode_still_works_on_sane_ranges(self):
-        codec = SZxCompressor(error_bound=1e-3, error_mode="rel")
-        data = np.linspace(-5.0, 5.0, 301)
-        restored = codec.decompress_bytes(codec.compress_bytes(data))
-        assert np.max(np.abs(restored - data)) <= codec.effective_error_bound(data) * (
-            1.0 + 1e-12
-        )
-
+class TestDegenerateBoundRegression:
     def test_degenerate_bound_is_a_typed_error_not_garbage(self):
         """A bound too small for the data range must raise, never mis-encode."""
         codec = SZxCompressor(error_bound=1e-300)

@@ -1,9 +1,8 @@
 """Tests for repro.utils.chunking."""
 
-import numpy as np
 import pytest
 
-from repro.utils.chunking import chunk_bounds, iter_chunks, split_counts, split_displacements
+from repro.utils.chunking import chunk_bounds, split_counts, split_displacements
 
 
 class TestChunkBounds:
@@ -29,19 +28,6 @@ class TestChunkBounds:
             chunk_bounds(-1, 4)
         with pytest.raises(ValueError):
             chunk_bounds(10, 0)
-
-
-class TestIterChunks:
-    def test_round_trip_concatenation(self):
-        arr = np.arange(23, dtype=np.float64)
-        parts = list(iter_chunks(arr, 5))
-        assert len(parts) == 5
-        np.testing.assert_array_equal(np.concatenate(parts), arr)
-
-    def test_chunks_are_views(self):
-        arr = np.arange(10, dtype=np.float64)
-        first = next(iter_chunks(arr, 4))
-        assert first.base is arr
 
 
 class TestSplitCounts:
