@@ -17,9 +17,9 @@ Every payload goes through the codec once, a ring round in one call
 -------------------------------------------------------------------
 Virtual time charges every rank for every compression and decompression it
 performs (the programs still yield one ``Compute`` per call, the adapter still
-records one ratio per call).  The *host* compresses each distinct input once,
-compresses the inputs of a C-Coll ring round in one codec call and, on the
-simulation path, decodes nothing:
+records one ratio per call).  The *host* compresses a C-Coll ring round's
+inputs in one codec call, compresses nothing twice for a job that executes
+more than once and, on the simulation path, decodes nothing:
 
 * **A message carries its reconstruction.**  An encoder holds what its payload
   decodes to as a by-product, so :meth:`CompressionAdapter.compress` asks the
@@ -37,6 +37,30 @@ simulation path, decodes nothing:
   caller owns, for programs that return what they received as their value.
   The real decoders stay honest through the codec tests and the fuzzer's
   ``codec_roundtrip`` audit, which compares them with ``restored`` bytewise.
+* **A ring round is one codec call, and a rank finds its round by a byte
+  compare.**  The values of C-Coll's ring never depend on timing: round ``k``
+  of rank ``r`` compresses its own chunk plus what round ``k - 1`` of rank
+  ``r - 1`` decoded to.  So the planners of the C-Coll reduce-scatter,
+  allreduce (Overlap and ND) and allgather run their ring ahead of the
+  programs, in lockstep, and :func:`warm_round` compresses each round's ``n``
+  inputs with one ``Compressor.compress_many`` call (one kernel pass for SZx
+  and PIPE-SZx, whose small calls are mostly fixed cost).  Each result goes
+  on the queue of the rank that will compress it
+  (:attr:`CompressionAdapter.warmed`), in the order that rank compresses, with
+  the input it stands for: an array nothing else can write (one the warm made,
+  or a copy of a caller's block), read-only.
+  :meth:`CompressionAdapter.compress` pops the head of its queue and uses it
+  when that input equals the data bit for bit (a byte compare, so ``-0.0`` is
+  not ``0.0``); otherwise it compresses as it would without the warm.
+  Bit-equal inputs of one round are not merged without a memo: each is
+  compressed in the batch.  The warm runs when the plan's first program first
+  asks for a compression (:func:`warm_before_compressing`), so a captured plan
+  runs nothing and the codec time is booked to the programs.  Correctness
+  never depends on it: a warm that drifted from the schedule costs a miss and
+  an ordinary codec call, never a wrong value, and a round the codec refuses
+  queues nothing, leaving the rank that compresses it to raise.  The queues
+  hold a round's inputs, buffers and reconstructions from the warm until each
+  rank has compressed its own; a successful run leaves every queue empty.
 * **Every re-execution of a job reuses the job's codec results.**
   :class:`CodecMemo` is content-addressed: an entry is keyed by the codec's
   class, every parameter its output depends on (``Compressor.describe()``),
@@ -51,33 +75,20 @@ simulation path, decodes nothing:
   restart attempt after a kill, its isolated baseline — hands to every
   ``compile_job`` of that job and drops once no execution can follow; it
   reaches the adapters through ``CCollConfig.codec_memo`` (read by
-  ``CCollConfig.make_adapters`` / ``plan_memo`` only).  Without one, a ring
-  collective's plan makes a memo of its own (below), which lives as long as
-  the plan: a compiled workload job holds the plans of all its steps, so their
-  memos stay until the job's attempt ends (it retires or is killed).  Every
-  other adapter goes straight to the codec.  Codec errors are raised from the
-  codec call itself and never stored.
-* **A ring round is one codec call.**  The values of C-Coll's ring never
-  depend on timing: round ``k`` of rank ``r`` compresses its own chunk plus
-  what round ``k - 1`` of rank ``r - 1`` decoded to.  So the planners of the
-  C-Coll reduce-scatter, allreduce (Overlap and ND) and allgather run their
-  ring ahead of the programs, in lockstep, and :meth:`CompressionAdapter.warm`
-  compresses each round's ``n`` chunks with one ``Compressor.compress_many``
-  call (one kernel pass for SZx and PIPE-SZx, whose small calls are mostly
-  fixed cost) into the memo the programs then hit.  The warm runs when the
-  plan's first program first asks for a compression
-  (:func:`warm_before_compressing`), so a captured plan runs nothing and the
-  codec time is booked to the programs.  Correctness never depends on it:
-  the memo is content-addressed, so a warm that drifted from the schedule
-  would cost a miss and an ordinary codec call, and a round the codec refuses
-  stores nothing, leaving the rank that compresses it to raise.
+  ``CCollConfig.make_adapters`` only).  With one, a warm digests each input
+  once to look it up and compresses only the inputs the memo lacks, and an
+  adapter's own compression of anything its queue did not hold goes through
+  the memo too.  Without one nothing is digested and nothing outlives the
+  plan.  Codec errors are raised from the codec call itself and never stored.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +98,30 @@ from repro.compression.errors import CompressionError
 from repro.metrics.ratios import CompressionStats
 from repro.utils.validation import ensure_1d_float_array
 
-__all__ = ["CodecMemo", "CompressedMessage", "CompressionAdapter", "warm_before_compressing"]
+__all__ = [
+    "CodecMemo",
+    "CompressedMessage",
+    "CompressionAdapter",
+    "warm_before_compressing",
+    "warm_round",
+]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the flat, contiguous ``a`` and ``b`` hold the same values bit for bit
+    (a byte compare: ``-0.0`` is not ``0.0``; faster than a ufunc on small arrays)."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _empty_like_each(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """An empty array like each of the flat ``arrays``: cuts of one allocation when
+    they share a dtype."""
+    dtypes = {data.dtype for data in arrays}
+    if len(dtypes) != 1:
+        return [np.empty_like(data) for data in arrays]
+    sizes = [data.size for data in arrays]
+    whole = np.empty(sum(sizes), dtype=dtypes.pop())
+    return [whole[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 class CodecMemo:
@@ -133,7 +167,8 @@ class CompressionAdapter:
     ctx:
         Collective context providing the cost model and virtual-size scaling.
     memo:
-        Codec results to reuse and add to; ``None`` calls the codec every time.
+        Codec results to reuse and add to; ``None`` calls the codec for every
+        compression :attr:`warmed` does not hold.
     """
 
     def __init__(
@@ -144,6 +179,9 @@ class CompressionAdapter:
         self.memo = memo
         #: what a codec result depends on besides the data
         self._codec_key = (type(codec), tuple(codec.describe().items()))
+        #: what a warm compressed ahead for this rank, in the order it compresses:
+        #: (the read-only input, its buffer, the read-only array it decodes to)
+        self.warmed: Deque[Tuple[np.ndarray, CompressedBuffer, np.ndarray]] = deque()
         #: runs once, before this adapter's first compression (see
         #: :func:`warm_before_compressing`)
         self._before_compress: Optional[Callable[[], None]] = None
@@ -163,50 +201,30 @@ class CompressionAdapter:
         restored.setflags(write=False)
         return buf, restored
 
-    def warm(self, arrays: Sequence[np.ndarray]) -> Optional[List[np.ndarray]]:
-        """Put every array's codec result in the memo; return the read-only decodes.
+    def _take_warmed(self, data: np.ndarray) -> Optional[Tuple[CompressedBuffer, np.ndarray]]:
+        """Pop the head of :attr:`warmed`: its result if its input is ``data`` bit for bit."""
+        if not self.warmed:
+            return None
+        warmed, buf, decoded = self.warmed.popleft()
+        return (buf, decoded) if _same_bits(warmed, data) else None
 
-        The inputs the memo does not hold yet go through the codec in **one**
-        :meth:`~repro.compression.base.Compressor.compress_many` call, each
-        distinct input once; a later :meth:`compress` of an equal array is then
-        a hit.  Returns what each array decodes to, in order — or ``None``, with
-        nothing stored from this call, when the codec refuses any of them: the
-        rank that compresses the refused input raises the error itself, where
-        and as it would without the warm.
-        """
-        flat = [np.ascontiguousarray(data).reshape(-1) for data in arrays]
-        keys = [self._key(data) for data in flat]
-        missing = {}
-        for key, data in zip(keys, flat):
-            if key not in self.memo.compressed:
-                missing.setdefault(key, data)
-        if missing:
-            try:
-                # validated as compress validates: Compressor.compress refuses NaN / Inf
-                values = [check_compressible(data) for data in missing.values()]
-                restoreds = [np.empty_like(data) for data in values]
-                payloads = self.codec.compress_many(values, restoreds)
-            except CompressionError:
-                return None
-            for key, data, payload, restored in zip(missing, values, payloads, restoreds):
-                restored.setflags(write=False)
-                buf = CompressedBuffer(payload, data.size, data.dtype, self.codec.name)
-                self.memo.compressed[key] = (buf, restored)
-        return [self.memo.compressed[key][1] for key in keys]
+    def _look_up(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """``data``'s entry in :attr:`memo` (made on a miss), or, without a memo,
+        :meth:`_encode` of it."""
+        if self.memo is None:
+            return self._encode(data)
+        key = self._key(data)
+        entry = self.memo.compressed.get(key)
+        if entry is None:
+            entry = self.memo.compressed[key] = self._encode(data)
+        return entry
 
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
         if self._before_compress is not None:
             self._before_compress()
         data = np.ascontiguousarray(data).reshape(-1)
-        if self.memo is None:
-            buf, decoded = self._encode(data)
-        else:
-            key = self._key(data)
-            entry = self.memo.compressed.get(key)
-            if entry is None:
-                entry = self.memo.compressed[key] = self._encode(data)
-            buf, decoded = entry
+        buf, decoded = self._take_warmed(data) or self._look_up(data)
         real = buf.nbytes
         original_virtual = self.ctx.vbytes(data)
         virtual = max(1, self.ctx.vbytes_raw(real))
@@ -252,13 +270,65 @@ class CompressionAdapter:
         return self.stats.overall_ratio
 
 
+def warm_round(
+    arrays: Sequence[np.ndarray], adapters: Sequence[CompressionAdapter]
+) -> Optional[List[np.ndarray]]:
+    """Compress ``arrays[i]`` ahead for ``adapters[i]``; return the read-only decodes.
+
+    The ``adapters`` share one codec and one memo (those of ``adapters[0]``).
+    Every input goes through the codec in **one**
+    :meth:`~repro.compression.base.Compressor.compress_many` call — with a
+    memo, only the inputs it does not hold yet, each distinct input once — and
+    its result joins the back of ``adapters[i].warmed``, so that adapter's next
+    :meth:`~CompressionAdapter.compress` of an array equal to it bit for bit
+    costs no codec call.  The queue keeps ``arrays[i]`` itself, read-only: the
+    caller hands over arrays nothing else writes.  Returns what each array
+    decodes to, in order — or ``None``, with nothing queued or stored from this
+    call, when the codec refuses any of them: the rank that compresses the
+    refused input raises the error itself, where and as it would without the
+    warm.
+    """
+    first = adapters[0]
+    flat = [np.ascontiguousarray(data).reshape(-1) for data in arrays]
+    # with a memo an input is its content key, without one its own entry
+    store = {} if first.memo is None else first.memo.compressed
+    keys = range(len(flat)) if first.memo is None else [first._key(data) for data in flat]
+    missing = {}
+    for key, data in zip(keys, flat):
+        if key not in store:
+            missing.setdefault(key, data)
+    if missing:
+        try:
+            # validated as compress validates: Compressor.compress refuses NaN / Inf
+            values = [check_compressible(data) for data in missing.values()]
+            # a plan alone keeps a round and releases it whole: one allocation;
+            # a job memo keeps each entry for the job, where separate arrays
+            # measured a lower peak
+            restoreds = (
+                _empty_like_each(values)
+                if first.memo is None
+                else [np.empty_like(data) for data in values]
+            )
+            payloads = first.codec.compress_many(values, restoreds)
+        except CompressionError:
+            return None
+        for key, data, payload, restored in zip(missing, values, payloads, restoreds):
+            restored.setflags(write=False)
+            buf = CompressedBuffer(payload, data.size, data.dtype, first.codec.name)
+            store[key] = (buf, restored)
+    for adapter, key, data in zip(adapters, keys, flat):
+        data.setflags(write=False)
+        adapter.warmed.append((data,) + store[key])
+    return [store[key][1] for key in keys]
+
+
 def warm_before_compressing(
     adapters: Sequence[CompressionAdapter], warm: Callable[[], None]
 ) -> None:
     """Run ``warm()`` once, when any of ``adapters`` is first asked to compress.
 
     The planners of the ring collectives use this to compress a whole ring
-    round in one codec call (:meth:`CompressionAdapter.warm`) from inside the
+    round in one codec call (:func:`warm_round`) from inside the
     first rank program that needs a compression: not at plan time, when a
     captured plan must run nothing, and not in the program factory, which the
     engine calls while it is being built.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter, warm_before_compressing
+from repro.ccoll.adapter import CompressionAdapter, warm_before_compressing, warm_round
 from repro.ccoll.computation import c_reduce_scatter_program, warm_ring_reduce_scatter
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
@@ -65,14 +65,13 @@ def _plan_c_allreduce(inputs, n_ranks: int, config: CCollConfig, overlap: bool) 
     """
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    memo = config.plan_memo()
-    rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True, memo=memo)
-    ag_adapters = config.make_adapters(ctx, n_ranks, memo=memo)
+    rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
+    ag_adapters = config.make_adapters(ctx, n_ranks)
 
     def warm() -> None:
-        reduced = warm_ring_reduce_scatter(vectors, rs_adapters[0])
-        if reduced is not None:
-            ag_adapters[0].warm(reduced)
+        reduced = warm_ring_reduce_scatter(vectors, rs_adapters)
+        if reduced is not None:  # sums the warm made: the queues may keep them
+            warm_round(reduced, ag_adapters)
 
     warm_before_compressing(rs_adapters + ag_adapters, warm)
     return CollectivePlan(

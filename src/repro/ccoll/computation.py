@@ -29,10 +29,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, warm_before_compressing
+from repro.ccoll.adapter import (
+    CompressedMessage,
+    CompressionAdapter,
+    warm_before_compressing,
+    warm_round,
+)
 from repro.ccoll.config import CCollConfig
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
-from repro.collectives.reduce_scatter import partition_chunks
+from repro.utils.chunking import split_counts, split_displacements
 from repro.mpisim.commands import Compute, Irecv, Isend, Test, Wait, Waitall
 from repro.mpisim.timeline import CAT_COMDECOM, CAT_MEMCPY, CAT_OTHERS, CAT_REDUCTION, CAT_WAIT
 
@@ -63,6 +68,14 @@ def segment_count(
     return max(1, min(max_segments, math.ceil(uncompressed_vbytes / segment_bytes)))
 
 
+def _chunk_views(vector: np.ndarray, n_ranks: int) -> List[np.ndarray]:
+    """The ``n_ranks`` ring chunks of ``vector`` as views: the ring only reads them,
+    replacing a chunk by a new array when it adds a partial sum in."""
+    counts = split_counts(vector.size, n_ranks)
+    displs = split_displacements(counts)
+    return [vector[displs[i] : displs[i] + counts[i]] for i in range(n_ranks)]
+
+
 def c_reduce_scatter_program(
     rank: int,
     size: int,
@@ -89,9 +102,9 @@ def c_reduce_scatter_program(
     order is a modelling choice of this function, not a second copy of the
     ring.
     """
-    chunks = partition_chunks(my_vector, size)
     if size == 1:
-        return chunks[rank]
+        return my_vector.copy()
+    chunks = _chunk_views(my_vector, size)
 
     left = (rank - 1) % size
     right = (rank + 1) % size
@@ -120,6 +133,8 @@ def c_reduce_scatter_program(
         # compress the outgoing partial sum (this cannot be elided: the data
         # changed last round), interleaving sends and progress polls
         message = adapter.compress(outgoing)
+        # a rank sends each chunk once and never reads it again: let it go
+        chunks[send_index] = outgoing = None
         compress_time = adapter.compress_seconds(message)
         piece_vbytes = max(1, -(-message.virtual_nbytes // segments_out))
         send_reqs = []
@@ -158,23 +173,29 @@ def c_reduce_scatter_program(
 
 
 def warm_ring_reduce_scatter(
-    vectors: List[np.ndarray], adapter: CompressionAdapter
+    vectors: List[np.ndarray], adapters: List[CompressionAdapter]
 ) -> Optional[List[np.ndarray]]:
     """Run the ring of :func:`c_reduce_scatter_program` in lockstep, one codec call per round.
 
     Round ``k`` of rank ``r`` compresses ``input_r[c]`` plus what round
     ``k - 1`` of rank ``r - 1`` decoded to, whatever the timing, so every
     round's chunks are known before any rank sends them.  Each round's ``n``
-    outgoing chunks go through ``adapter``'s memo in one
-    :meth:`~repro.ccoll.adapter.CompressionAdapter.warm` call, and the
-    decodes are added in with the program's own ``chunks[i] + incoming``.
+    outgoing chunks go through one :func:`~repro.ccoll.adapter.warm_round`
+    call onto the queues of the ``adapters`` (one per rank) that will compress
+    them, and the decodes are added in with the program's own
+    ``chunks[i] + incoming``.
+    What the queues keep is the warm's own: round 0 sends copies of the
+    inputs' chunks, every later round the sums the warm made.
     Returns every rank's reduced chunk (``None`` once the codec refuses a
     round: the programs then compress it themselves and raise).
     """
     size = len(vectors)
-    chunks = [partition_chunks(vector, size) for vector in vectors]
+    chunks = [_chunk_views(vector, size) for vector in vectors]
     for step in range(size - 1):
-        decoded = adapter.warm([chunks[r][(r - step - 1) % size] for r in range(size)])
+        outgoing = [chunks[r][(r - step - 1) % size] for r in range(size)]
+        decoded = warm_round(
+            [chunk.copy() for chunk in outgoing] if step == 0 else outgoing, adapters
+        )
         if decoded is None:
             return None
         for rank in range(size):
@@ -189,8 +210,8 @@ def _plan_c_reduce_scatter(
     """Plan the C-Coll reduce-scatter; rank ``r``'s result is reduced chunk ``r``."""
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
-    adapters = config.make_adapters(ctx, n_ranks, pipelined=True, memo=config.plan_memo())
-    warm_before_compressing(adapters, lambda: warm_ring_reduce_scatter(vectors, adapters[0]))
+    adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
+    warm_before_compressing(adapters, lambda: warm_ring_reduce_scatter(vectors, adapters))
     return CollectivePlan(
         lambda rank, size: c_reduce_scatter_program(
             rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap

@@ -48,10 +48,11 @@ class CCollConfig:
         Codec results the collectives planned from this config reuse and add
         to (:class:`repro.ccoll.adapter.CodecMemo`).  Not a setting: it changes
         no result, so it takes no part in equality or the repr.
-        ``repro.workload`` sets it per job; everywhere else it is ``None``,
-        and a ring collective that warms its rounds (C-Coll's reduce-scatter,
-        allreduce and allgather) gives its plan a memo of its own
-        (:meth:`plan_memo`).
+        ``repro.workload`` sets it for a job that can execute more than once;
+        everywhere else it is ``None``, and nothing is digested: a ring
+        collective that warms its rounds (C-Coll's reduce-scatter, allreduce
+        and allgather) hands each rank its results on the rank's adapter
+        queue, which the rank matches by a byte compare.
     """
 
     codec: str = "szx"
@@ -85,21 +86,12 @@ class CCollConfig:
         return PipelinedSZx(error_bound=self.error_bound)
 
     def make_adapters(
-        self,
-        ctx: CollectiveContext,
-        n_ranks: int,
-        pipelined: bool = False,
-        memo: Optional[CodecMemo] = None,
+        self, ctx: CollectiveContext, n_ranks: int, pipelined: bool = False
     ) -> List[CompressionAdapter]:
         """One adapter per rank around the configured (or the PIPE-SZx) codec,
-        sharing ``memo`` (by default :attr:`codec_memo`)."""
+        sharing :attr:`codec_memo`."""
         make = self.make_pipelined_codec if pipelined else self.make_codec
-        memo = self.codec_memo if memo is None else memo
-        return [CompressionAdapter(make(), ctx, memo) for _ in range(n_ranks)]
-
-    def plan_memo(self) -> CodecMemo:
-        """The job's :attr:`codec_memo`, or a new memo for one plan's adapters."""
-        return CodecMemo() if self.codec_memo is None else self.codec_memo
+        return [CompressionAdapter(make(), ctx, self.codec_memo) for _ in range(n_ranks)]
 
     def context(self) -> CollectiveContext:
         """Collective execution context (cost model + virtual-size scaling)."""

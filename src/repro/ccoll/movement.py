@@ -32,7 +32,12 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressedMessage, CompressionAdapter, warm_before_compressing
+from repro.ccoll.adapter import (
+    CompressedMessage,
+    CompressionAdapter,
+    warm_before_compressing,
+    warm_round,
+)
 from repro.ccoll.config import CCollConfig
 from repro.collectives.allgather import _ring_allgather_over_group
 from repro.collectives.bcast import _binomial_bcast_over_group
@@ -226,15 +231,17 @@ def _plan_compressed_allgather(
     or its CPR-P2P twin); every rank's result is the list of all (reconstructed) blocks.
 
     C-Allgather compresses every block once, at its source: the first
-    compression any rank asks for compresses all ``n`` in one codec call.
+    compression any rank asks for compresses all ``n`` in one codec call,
+    queued with a copy of each block (the caller's arrays are not the queues'
+    to freeze).
     """
     ctx = config.context()
     blocks = as_rank_arrays(inputs, n_ranks)
+    adapters = config.make_adapters(ctx, n_ranks)
     if program is c_allgather_program:
-        adapters = config.make_adapters(ctx, n_ranks, memo=config.plan_memo())
-        warm_before_compressing(adapters, lambda: adapters[0].warm(blocks))
-    else:
-        adapters = config.make_adapters(ctx, n_ranks)
+        warm_before_compressing(
+            adapters, lambda: warm_round([block.copy() for block in blocks], adapters)
+        )
     return CollectivePlan(
         lambda rank, size: program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),

@@ -246,6 +246,10 @@ def _dequantise(
     encoder with the ones it is about to pack (see "Chunked layout" in the
     module docstring).
     """
+    if quants is not None and len(quants) == len(out_blocks):  # no constant block: in place
+        np.multiply(quants, step, out=out_blocks)
+        out_blocks += medium.astype(np.float64)[:, None]
+        return
     out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
     if nonconst_idx.size:
         values = quants.astype(np.float64)
@@ -306,10 +310,13 @@ def compress_chunks(
     medium = ((mins + maxs) * 0.5).astype(np.float32)
     # Classify blocks against the float32 medium actually stored in the
     # payload, so the error bound holds for the reconstructed values too.
-    offsets_all = np.subtract(blocks, medium.astype(np.float64)[:, None], out=blocks)
-    # max(|row|) <= eb  <=>  row_max <= eb and row_min >= -eb (no abs pass)
-    row_max = offsets_all.max(axis=1)
-    row_min = offsets_all.min(axis=1)
+    medium64 = medium.astype(np.float64)
+    offsets_all = np.subtract(blocks, medium64[:, None], out=blocks)
+    # max(|row|) <= eb  <=>  row_max <= eb and row_min >= -eb (no abs pass);
+    # rounded subtraction is monotone, so a row's extreme offsets are its
+    # extreme values minus its medium, bit for bit: no pass over the matrix
+    row_max = maxs - medium64
+    row_min = mins - medium64
     const_mask = (row_max <= eb) & (row_min >= -eb)
 
     # Quantise offsets from the (float32-rounded) medium value for all

@@ -42,13 +42,15 @@ killed attempt compressed and a baseline costs engine and rank-program time
 only.  Content keys need no invalidation: an execution that plans differently
 (a restart elsewhere, a fault-free baseline of a faulted run) feeds the codec
 different bytes and simply misses.  A fault-free ``baseline=False`` run has no
-second execution, so its jobs get no ``JobMemo``, but each still retains codec
-results while it runs: the captured plan of every ring collective step has a
-``CodecMemo`` of its own (``CCollConfig.plan_memo``), filled as that step's
-rounds are compressed, and the compiled job holds all of its steps' plans.
-Those memos live until the attempt ends (the job retires or is killed); none
-is left after ``run()`` (a 6-step ``allreduce compression="on"`` job on 4
-ranks holds 6, with 32 / 64 / 96 entries at 20 / 50 / 90 % of its makespan).
+second execution, so its jobs get no ``JobMemo`` and digest nothing.  What a
+job retains while it runs is the rounds its ring collective steps compressed
+ahead: the warm of a step queues each rank's rounds on that rank's adapter
+when the step's first rank first compresses, and each rank pops its own as it
+compresses them, so a step that completes leaves nothing queued; a killed
+attempt's queues go with its compiled job.  None is left after ``run()`` (a
+6-step ``allreduce compression="on"`` job on 4 ranks, 16-node fair fat tree,
+``policy="packed"``, holds 8 / 14 / 0 queued rounds at 20 / 50 / 90 % of its
+makespan, where per-step content memos held 32 / 64 / 96 entries).
 """
 
 from __future__ import annotations

@@ -2,20 +2,29 @@
 
 C-Coll's reduce-scatter, allreduce (Overlap and ND) and allgather compress each
 ring round's chunks ahead of the rank programs, one ``compress_many`` batch per
-round, into the plan's codec memo.  The programs then find every compression
-done.  Nothing they compute may change: the oracle is the same collective with
-the warm switched off, where every rank compresses on its own as it always did.
+round, onto the queue of the rank that compresses each chunk.  The programs
+then find every compression done, after a byte compare and without a digest.
+Nothing they compute may change: the oracle is the same collective with the
+warm switched off, where every rank compresses on its own as it always did.
 """
+
+import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.ccoll.adapter as adapter_module
+import repro.ccoll.allreduce as allreduce_module
+import repro.ccoll.computation as computation_module
+import repro.ccoll.movement as movement_module
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
-from repro.ccoll.adapter import CompressionAdapter
+from repro.ccoll.adapter import CompressionAdapter, warm_round
 from repro.mpisim.errors import RankProgramError
 from repro.mpisim.launcher import run_simulation
 from repro.utils.chunking import split_counts, split_displacements
+from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 
 RANKS = (1, 2, 3, 5, 8, 16)
 CALLS = [
@@ -64,45 +73,72 @@ def _assert_same_outcome(outcome, oracle):
 
 
 @pytest.fixture
+def adapters(monkeypatch):
+    """Every ``CompressionAdapter`` made from here on, in order."""
+    made = []
+    real = CompressionAdapter.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(CompressionAdapter, "__init__", recording)
+    return made
+
+
+def _queued(adapters) -> int:
+    return sum(len(adapter.warmed) for adapter in adapters)
+
+
+def _replace_warm(monkeypatch, warm):
+    """Make every ring planner warm its rounds with ``warm`` instead of ``warm_round``."""
+    for planner in (computation_module, allreduce_module, movement_module):
+        monkeypatch.setattr(planner, "warm_round", warm)
+
+
+@pytest.fixture
 def unwarmed(monkeypatch):
     """Switch the warm off: every compression is the rank's own codec call again."""
 
     def off():
-        monkeypatch.setattr(CompressionAdapter, "warm", lambda self, arrays: None)
+        _replace_warm(monkeypatch, lambda arrays, ranks: None)
 
     return off
 
 
 @pytest.mark.parametrize("op, mode, n, m", list(_cases()))
-def test_the_programs_find_every_compression_done(op, mode, n, m, codec_calls, monkeypatch):
+def test_the_programs_find_every_compression_done(
+    op, mode, n, m, codec_calls, adapters, monkeypatch
+):
     inputs = _inputs(n, m)
     warmed = _run(op, mode, n, inputs)
     assert codec_calls["compress"] == 0  # no rank compressed anything itself
+    assert adapters and _queued(adapters) == 0  # and every rank took all it was queued
     rounds = {"allreduce": n, "reduce_scatter": n - 1, "allgather": 1}[op] if n > 1 else 0
     assert codec_calls["compress_many"] == rounds
     batched = dict(codec_calls)
 
     # a lying warm: the first non-empty array it is handed is off by one
-    real = CompressionAdapter.warm
     lied = []
 
-    def lying(self, arrays):
+    def lying(arrays, ranks):
         arrays = list(arrays)
         for index, data in enumerate(arrays):
             if data.size and not lied:
                 arrays[index] = data + np.float32(1.0)
                 lied.append(index)
-        return real(self, arrays)
+        return warm_round(arrays, ranks)
 
-    monkeypatch.setattr(CompressionAdapter, "warm", lying)
+    _replace_warm(monkeypatch, lying)
     _assert_same_outcome(_run(op, mode, n, inputs), warmed)
     misses = codec_calls["compress"]
     assert misses == (LIE_COST[op](n) if n > 1 else 0)
+    assert _queued(adapters) == 0  # a miss pops the entry it did not match
     for kind in ("compress_many", "many_inputs"):  # the warm did exactly what it did before
         assert codec_calls[kind] == 2 * batched[kind]
 
     # the oracle: no warm, one codec call per compression, as before the warm existed
-    monkeypatch.setattr(CompressionAdapter, "warm", lambda self, arrays: None)
+    _replace_warm(monkeypatch, lambda arrays, ranks: None)
     _assert_same_outcome(_run(op, mode, n, inputs), warmed)
     assert codec_calls["compress"] - misses == batched["many_inputs"]
 
@@ -143,3 +179,116 @@ def test_the_warm_runs_when_a_rank_first_compresses(op, mode, codec_calls):
     assert codec_calls == {
         "compress": 0, "decompress": 0, "compress_many": rounds, "many_inputs": 4 * rounds
     }  # fmt: skip
+
+
+def _signed_zero_lie(monkeypatch):
+    """A warm whose first array has ``-0.0`` where the rank's input has ``0.0``:
+    equal by value, not by bits."""
+    lied = []
+
+    def lying(arrays, ranks):
+        arrays = list(arrays)
+        if not lied:
+            zeros = arrays[0] == 0
+            assert zeros.any() and not np.signbit(arrays[0][zeros]).any()
+            arrays[0] = np.where(zeros, -0.0, arrays[0]).astype(arrays[0].dtype)
+            lied.append(arrays[0])
+        return warm_round(arrays, ranks)
+
+    _replace_warm(monkeypatch, lying)
+    return lied
+
+
+@pytest.mark.parametrize("op, mode", CALLS)
+def test_an_input_equal_by_value_but_not_by_bits_is_a_miss(
+    op, mode, codec_calls, adapters, monkeypatch
+):
+    """A zero inside a noisy block decodes the same with either sign, so the one
+    rank whose queued input has ``-0.0`` compresses its own and nothing else moves."""
+    n, m = 5, 4_097
+    inputs = _inputs(n, m)
+    chunk = (0 - 1) % n if op != "allgather" else 0  # what rank 0 compresses first
+    inputs[0][split_displacements(split_counts(m, n))[chunk] + 7] = 0.0
+    oracle = _run(op, mode, n, inputs)
+    before = dict(codec_calls)
+    lied = _signed_zero_lie(monkeypatch)
+    _assert_same_outcome(_run(op, mode, n, inputs), oracle)
+    assert lied and np.signbit(lied[0]).any()
+    assert codec_calls["compress"] - before["compress"] == 1
+    assert _queued(adapters) == 0
+
+
+def test_a_queued_entry_is_matched_bit_for_bit(codec_calls):
+    config = CCollConfig()
+    warmer, rank = config.make_adapters(config.context(), 2)
+    zeros = np.zeros(256)
+    decoded = warm_round([-zeros, zeros.copy()], [rank, warmer])
+    assert np.signbit(decoded[0]).all() and not np.signbit(decoded[1]).any()
+    assert codec_calls == {"compress": 0, "decompress": 0, "compress_many": 1, "many_inputs": 2}
+    # the queue keeps the input it matches against, frozen
+    assert not rank.warmed[0][0].flags.writeable
+    message = rank.compress(zeros)  # -0.0 queued: a miss, and the entry is gone
+    assert codec_calls["compress"] == 1 and not rank.warmed
+    assert not np.signbit(rank.decompress_shared(message)).any()
+    assert warmer.decompress_shared(warmer.compress(zeros)) is decoded[1]  # a hit
+    assert codec_calls["compress"] == 1 and not warmer.warmed
+    # an empty queue compresses as if no warm had run
+    assert not np.signbit(rank.decompress(rank.compress(zeros))).any()
+    assert codec_calls["compress"] == 2
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """How many SHA-256 digests ``repro.ccoll.adapter`` computes."""
+    seen = [0]
+
+    def counted(*args):
+        seen[0] += 1
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(adapter_module, "hashlib", SimpleNamespace(sha256=counted))
+    return seen
+
+
+def test_a_communicator_collective_digests_nothing(digests, adapters, codec_calls):
+    comm = Cluster.from_preset(
+        "fat_tree", ranks_per_node=2, config=CCollConfig(codec="szx", size_multiplier=64)
+    ).communicator(16)
+    inputs = _inputs(16, 15_552)
+    for op in ("allreduce", "reduce_scatter", "allgather"):
+        getattr(comm, op)(inputs, compression="on")
+    assert codec_calls["compress_many"] == 16 + 15 + 1 and codec_calls["compress"] == 0
+    assert digests[0] == 0 and _queued(adapters) == 0
+
+
+def test_a_job_memo_digests_each_warmed_input_once(digests, codec_calls, monkeypatch):
+    """A job with a baseline holds a ``JobMemo``: each of its two executions' warms
+    digests every input it is handed once, to look it up; its ranks digest nothing."""
+    warmed = [0]
+
+    def counting(arrays, ranks):
+        warmed[0] += len(arrays)
+        return warm_round(arrays, ranks)
+
+    _replace_warm(monkeypatch, counting)
+    calls = (
+        CollectiveCall(op="allreduce", msg_elems=4096, compression="on"),
+        CollectiveCall(op="allgather", msg_elems=1024, compression="on"),
+    )
+    spec = JobSpec(job_id="j", n_ranks=4, iterations=2, seed=5, calls=calls)
+    cluster = Cluster.from_preset("fat_tree", nodes=16, ranks_per_node=2, contention="fair")
+    WorkloadEngine(cluster, policy="packed").run([spec], baseline=True)
+    per_execution = 2 * (4 * 4 + 4)  # two iterations of an allreduce's 4 rounds and an allgather
+    assert warmed[0] == 2 * per_execution
+    assert codec_calls["many_inputs"] == per_execution  # the baseline is all hits
+    assert codec_calls["compress"] == 0
+    assert digests[0] == warmed[0]
+
+
+@pytest.mark.parametrize("mode", ["on", "nd"])
+def test_a_single_rank_reduce_scatter_returns_a_copy(mode):
+    vector = np.linspace(0.0, 1.0, 1000)
+    (value,) = Cluster().communicator(1).reduce_scatter([vector], compression=mode).values
+    assert np.array_equal(value, vector) and not np.shares_memory(value, vector)
+    value[:] = -1.0
+    assert vector[0] == 0.0 and vector[-1] == 1.0
