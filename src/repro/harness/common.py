@@ -31,11 +31,26 @@ from repro.utils.validation import ensure_in
 __all__ = [
     "ScaleSettings",
     "SCALES",
+    "ERROR_BOUND",
+    "FIELD_CASES",
+    "FIELD_ERROR_BOUND",
     "resolve_scale",
     "virtual_message",
     "per_rank_variants",
     "default_config",
 ]
+
+#: the absolute error bound of the evaluation wherever a figure does not sweep it
+ERROR_BOUND = 1e-3
+#: the (application, field) pairs of the per-field comparison (Figure 13 / Table VI)
+FIELD_CASES = (
+    ("hurricane", "PRECIPf"),
+    ("hurricane", "QGRAUPf"),
+    ("hurricane", "CLOUDf"),
+    ("cesm", "Q"),
+)
+#: the bound of that comparison
+FIELD_ERROR_BOUND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -103,18 +118,18 @@ def virtual_message(
     return data, multiplier
 
 
-def per_rank_variants(data: np.ndarray, n_ranks: int, jitter: float = 1e-6) -> List[np.ndarray]:
+def per_rank_variants(data: np.ndarray, n_ranks: int) -> List[np.ndarray]:
     """Per-rank copies of ``data`` with a tiny deterministic scale jitter.
 
-    The jitter keeps the per-rank buffers from being bit-identical (as they
-    would never be in a real allreduce) while staying far below every error
-    bound used in the paper.
+    The 1e-6-per-rank jitter keeps the per-rank buffers from being
+    bit-identical (as they would never be in a real allreduce) while staying
+    far below every error bound used in the paper.
     """
-    return [data * np.array(1.0 + jitter * rank, dtype=data.dtype) for rank in range(n_ranks)]
+    return [data * np.array(1.0 + 1e-6 * rank, dtype=data.dtype) for rank in range(n_ranks)]
 
 
 def default_config(
-    error_bound: float = 1e-3,
+    error_bound: float = ERROR_BOUND,
     codec: str = "szx",
     size_multiplier: float = 1.0,
     rate: float = 4.0,
@@ -128,7 +143,6 @@ def default_config(
     )
 
 
-def load_rtm_message(virtual_mb: float, settings: ScaleSettings, seed: int = 3):
+def load_rtm_message(virtual_mb: float, settings: ScaleSettings):
     """Convenience: an RTM-backed virtual message (the dataset used by most figures)."""
-    field = load_field("rtm", seed=seed)
-    return virtual_message(field, virtual_mb, settings)
+    return virtual_message(load_field("rtm", seed=3), virtual_mb, settings)

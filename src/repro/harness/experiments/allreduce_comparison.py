@@ -13,13 +13,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 import numpy as np
 
 from repro.api import Cluster
 from repro.datasets.registry import load_field
 from repro.harness.common import (
+    ERROR_BOUND,
+    FIELD_CASES,
+    FIELD_ERROR_BOUND,
     default_config,
     load_rtm_message,
     per_rank_variants,
@@ -38,8 +39,13 @@ __all__ = [
     "IMPLEMENTATIONS",
 ]
 
-#: the five implementations compared in Figures 11-13
+#: the five implementations compared in Figure 11
 IMPLEMENTATIONS = ("Allreduce", "ZFP(FXR)", "ZFP(ABS)", "SZx", "C-Allreduce")
+#: the three of them Figures 12 and 13 keep
+SZX_IMPLEMENTATIONS = ("Allreduce", "SZx", "C-Allreduce")
+
+#: the message size of the node-scaling sweep (Figure 12)
+SCALING_SIZE_MB = 678
 
 
 def _run_implementation(
@@ -49,14 +55,13 @@ def _run_implementation(
     multiplier: float,
     network,
     error_bound: float,
-    rate: float = 4.0,
 ):
     """Dispatch one of the Figure 11 implementations through the session API."""
     if name == "Allreduce":
         config = default_config(size_multiplier=multiplier)
         compression = "off"
     elif name == "ZFP(FXR)":
-        config = default_config(codec="zfp_fxr", rate=rate, size_multiplier=multiplier)
+        config = default_config(codec="zfp_fxr", size_multiplier=multiplier)
         compression = "di"
     elif name == "ZFP(ABS)":
         config = default_config(
@@ -77,17 +82,11 @@ def _run_implementation(
     return comm.allreduce(inputs, algorithm=algorithm, compression=compression)
 
 
-def run_fig11_datasizes(
-    scale="small",
-    error_bound: float = 1e-3,
-    sizes_mb: Optional[List[int]] = None,
-    implementations=IMPLEMENTATIONS,
-) -> ExperimentResult:
+def run_fig11_datasizes(scale="small") -> ExperimentResult:
     """Figure 11: normalized execution time vs message size on the large cluster."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
     network = default_network()
-    sizes = list(sizes_mb) if sizes_mb is not None else list(settings.size_sweep_mb)
     result = ExperimentResult(
         experiment="fig11",
         title=f"C-Allreduce vs baselines across message sizes ({n_ranks} ranks)",
@@ -97,13 +96,13 @@ def run_fig11_datasizes(
         ),
         columns=["size_mb", "implementation", "total_time_s", "normalized", "compression_ratio"],
     )
-    for size_mb in sizes:
+    for size_mb in settings.size_sweep_mb:
         data, multiplier = load_rtm_message(size_mb, settings)
         inputs = per_rank_variants(data, n_ranks)
         baseline_time = None
-        for name in implementations:
+        for name in IMPLEMENTATIONS:
             outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, error_bound
+                name, inputs, n_ranks, multiplier, network, ERROR_BOUND
             )
             if name == "Allreduce":
                 baseline_time = outcome.total_time
@@ -118,31 +117,26 @@ def run_fig11_datasizes(
     return result
 
 
-def run_fig12_scaling(
-    scale="small",
-    size_mb: int = 678,
-    error_bound: float = 1e-3,
-    implementations=("Allreduce", "SZx", "C-Allreduce"),
-) -> ExperimentResult:
+def run_fig12_scaling(scale="small") -> ExperimentResult:
     """Figure 12: scaling the node count at a fixed 678 MB message."""
     settings = resolve_scale(scale)
     network = default_network()
     result = ExperimentResult(
         experiment="fig12",
-        title=f"Node scaling at {size_mb} MB",
+        title=f"Node scaling at {SCALING_SIZE_MB} MB",
         paper_reference=(
             "C-Allreduce outperforms every baseline from 2 to 128 nodes, up to 1.8x over the "
             "original Allreduce (Figure 12)"
         ),
         columns=["n_ranks", "implementation", "total_time_s", "normalized"],
     )
-    data, multiplier = load_rtm_message(size_mb, settings)
+    data, multiplier = load_rtm_message(SCALING_SIZE_MB, settings)
     for n_ranks in settings.node_sweep:
         inputs = per_rank_variants(data, n_ranks)
         baseline_time = None
-        for name in implementations:
+        for name in SZX_IMPLEMENTATIONS:
             outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, error_bound
+                name, inputs, n_ranks, multiplier, network, ERROR_BOUND
             )
             if name == "Allreduce":
                 baseline_time = outcome.total_time
@@ -155,28 +149,14 @@ def run_fig12_scaling(
     return result
 
 
-#: the four fields of Figure 13 / Table VI
-FIELD_CASES = (
-    ("hurricane", "PRECIPf"),
-    ("hurricane", "QGRAUPf"),
-    ("hurricane", "CLOUDf"),
-    ("cesm", "Q"),
-)
-
-
-def run_fig13_fields(
-    scale="small",
-    error_bound: float = 1e-4,
-    size_mb: int = 278,
-    implementations=("Allreduce", "SZx", "C-Allreduce"),
-) -> ExperimentResult:
+def run_fig13_fields(scale="small", size_mb: int = 278) -> ExperimentResult:
     """Figure 13: per-field comparison at error bound 1e-4."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
     network = default_network()
     result = ExperimentResult(
         experiment="fig13",
-        title=f"C-Allreduce vs baselines per application field (bound {error_bound:g})",
+        title=f"C-Allreduce vs baselines per application field (bound {FIELD_ERROR_BOUND:g})",
         paper_reference=(
             "C-Allreduce achieves 1.58-2.08x speedups across the Hurricane/CESM fields while the "
             "SZx CPR-P2P baseline stays slower than Allreduce (Figure 13)"
@@ -195,9 +175,9 @@ def run_fig13_fields(
         data, multiplier = virtual_message(field, size_mb, settings)
         inputs = per_rank_variants(data, n_ranks)
         baseline_time = None
-        for name in implementations:
+        for name in SZX_IMPLEMENTATIONS:
             outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, error_bound
+                name, inputs, n_ranks, multiplier, network, FIELD_ERROR_BOUND
             )
             if name == "Allreduce":
                 baseline_time = outcome.total_time
@@ -213,9 +193,7 @@ def run_fig13_fields(
     return result
 
 
-def run_fig14_15_accuracy(
-    scale="small", error_bound: float = 1e-3, size_mb: int = 128
-) -> ExperimentResult:
+def run_fig14_15_accuracy(scale="small") -> ExperimentResult:
     """Figures 14-15: accuracy of the C-Allreduce result on Hurricane and CESM data.
 
     Two bounds are evaluated per field: the paper's absolute 1e-3 (whose PSNR
@@ -228,7 +206,7 @@ def run_fig14_15_accuracy(
     network = default_network()
     result = ExperimentResult(
         experiment="fig14_15",
-        title=f"Accuracy of the C-Allreduce result (error bound {error_bound:g})",
+        title=f"Accuracy of the C-Allreduce result (error bound {ERROR_BOUND:g})",
         paper_reference="PSNR 60.04 / 59.19 and NRMSE ~1e-3 on Hurricane / CESM-ATM (Figures 14-15)",
         columns=[
             "field",
@@ -242,13 +220,13 @@ def run_fig14_15_accuracy(
     )
     for application, field_name in (("hurricane", "TCf"), ("cesm", "CLOUD")):
         field = load_field(application, field_name, seed=4)
-        data, multiplier = virtual_message(field, size_mb, settings)
+        data, multiplier = virtual_message(field, 128, settings)
         inputs = per_rank_variants(data, n_ranks)
         exact = np.sum(np.stack(inputs), axis=0, dtype=np.float64)
         value_range = float(exact.max() - exact.min())
         for mode, bound in (
-            ("abs", error_bound),
-            ("rel (x value range)", error_bound * value_range),
+            ("abs", ERROR_BOUND),
+            ("rel (x value range)", ERROR_BOUND * value_range),
         ):
             config = default_config(codec="szx", error_bound=bound, size_multiplier=multiplier)
             comm = Cluster(network=network, config=config).communicator(n_ranks)

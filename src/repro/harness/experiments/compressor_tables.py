@@ -19,13 +19,13 @@ pure-Python codecs (honest, but not comparable to the C implementations).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.compression.registry import make_compressor
 from repro.datasets.registry import load_field
-from repro.harness.common import resolve_scale
+from repro.harness.common import FIELD_CASES, FIELD_ERROR_BOUND, resolve_scale
 from repro.harness.reporting import ExperimentResult
 from repro.metrics.quality import psnr
 from repro.metrics.ratios import aggregate_ratio_stats
@@ -48,6 +48,9 @@ DATASET_FIELDS: Tuple[Tuple[str, str], ...] = (
 
 ERROR_BOUNDS = (1e-2, 1e-3, 1e-4)
 FIXED_RATES = (4, 8, 16)
+
+#: independently seeded "files" per dataset field (min / avg / max over them)
+N_FILES = 3
 
 
 def _codec_settings() -> List[Tuple[str, str, Dict[str, float]]]:
@@ -72,14 +75,12 @@ def _dataset_files(application: str, field: str, n_points: int, n_files: int) ->
     return files
 
 
-def characterise(
-    scale="small", n_files: int = 3, applications: Iterable[Tuple[str, str]] = DATASET_FIELDS
-) -> List[Dict[str, object]]:
+def characterise(scale="small", n_files: int = N_FILES) -> List[Dict[str, object]]:
     """Run the full codec x setting x dataset sweep once; shared by Tables I-III."""
     settings = resolve_scale(scale)
     cost = CostModel()
     rows: List[Dict[str, object]] = []
-    for application, field in applications:
+    for application, field in DATASET_FIELDS:
         files = _dataset_files(application, field, settings.table_points, n_files)
         for codec_name, label, kwargs in _codec_settings():
             codec = make_compressor(codec_name, **kwargs)
@@ -186,27 +187,18 @@ def run_table3(scale="small", rows: List[Dict[str, object]] = None) -> Experimen
     return result
 
 
-#: the fields of Table VI (used by the Figure 13 experiments)
-TABLE6_FIELDS = (
-    ("hurricane", "PRECIPf"),
-    ("hurricane", "QGRAUPf"),
-    ("hurricane", "CLOUDf"),
-    ("cesm", "Q"),
-)
-
-
-def run_table6(scale="small", error_bound: float = 1e-4, n_files: int = 3) -> ExperimentResult:
+def run_table6(scale="small") -> ExperimentResult:
     """Table VI: SZx compression ratios of the Figure 13 fields at 1e-4."""
     settings = resolve_scale(scale)
-    codec = make_compressor("szx", error_bound=error_bound)
+    codec = make_compressor("szx", error_bound=FIELD_ERROR_BOUND)
     result = ExperimentResult(
         experiment="table6",
-        title=f"Per-field SZx compression ratios (error bound {error_bound:g})",
+        title=f"Per-field SZx compression ratios (error bound {FIELD_ERROR_BOUND:g})",
         paper_reference="PRECIPf 33.8, QGRAUPf 58.3, CLOUDf 39.9, Q 79.1 (Table VI)",
         columns=["dataset", "field", "ratio_min", "ratio_avg", "ratio_max"],
     )
-    for application, field in TABLE6_FIELDS:
-        files = _dataset_files(application, field, settings.table_points, n_files)
+    for application, field in FIELD_CASES:
+        files = _dataset_files(application, field, settings.table_points, N_FILES)
         stats = aggregate_ratio_stats([codec.compress(data).ratio for data in files])
         result.add_row(
             dataset=application,

@@ -8,9 +8,9 @@ switch-level fabrics of :mod:`repro.mpisim.topology`, where overlapping paths
 contend on shared switch stages, and asks the question the paper's trade
 hinges on: *where does the wire actually saturate?*
 
-Every fabric is configured with the **same per-node NIC bandwidth** (by
-default 2x the calibrated rate, modelling a next-generation interconnect), so
-any difference between rows is pure fabric structure:
+Every fabric is configured with the **same per-node NIC bandwidth**
+(:data:`NIC_GBPS`, 2x the calibrated rate, modelling a next-generation
+interconnect), so any difference between rows is pure fabric structure:
 
 * ``shared_uplink`` — per-node egress metering (the PR 1 baseline);
 * ``fat_tree`` — non-blocking three-level k-ary tree (should match
@@ -73,21 +73,26 @@ FABRIC_NAMES = (
 #: topology-aware variant rides along)
 _ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
 
+#: per-node NIC rate (GB/s) of every fabric: 2x the calibrated effective
+#: rate, the regime where the C-Allreduce compression gate sits *between* the
+#: tapered and untapered fabrics, so the 2:1 rows make the opposite call from
+#: the 1:1 rows at identical per-node bandwidth
+NIC_GBPS = 1.1
+#: the taper of the ``*_2to1`` fabrics and the rail-optimised tree
+OVERSUBSCRIPTION = 2.0
+
 
 def fabric_factories(
-    nic_bandwidth: float,
-    ranks_per_node: int,
-    n_ranks: int,
-    oversubscription: float = 2.0,
-    contention: str = "reservation",
+    ranks_per_node: int, n_ranks: int, contention: str = "reservation"
 ) -> Dict[str, Callable[[], Topology]]:
-    """Factories for every swept fabric, all at ``nic_bandwidth`` per node.
+    """Factories for every swept fabric, all at :data:`NIC_GBPS` per node.
 
     Fabric dimensions grow with the communicator (paper scale needs 32 nodes;
     a hardcoded k=4 tree holds 16), keeping every scale runnable.
     ``contention`` selects the stage sharing discipline for every fabric
     (reservation queue or ``"fair"`` max-min processor sharing).
     """
+    nic_bandwidth = NIC_GBPS * 1e9
     n_nodes = -(-n_ranks // ranks_per_node)
     k = _fat_tree_arity_for(n_nodes)
     nodes_per_router = -(-n_nodes // 4)  # dragonfly: 2 groups x 2 routers
@@ -107,7 +112,7 @@ def fabric_factories(
             k=k,
             ranks_per_node=ranks_per_node,
             nic_bandwidth=nic_bandwidth,
-            oversubscription=oversubscription,
+            oversubscription=OVERSUBSCRIPTION,
             contention=contention,
         ),
         "dragonfly_2to1": lambda: dragonfly_topology(
@@ -116,14 +121,14 @@ def fabric_factories(
             nodes_per_router=nodes_per_router,
             ranks_per_node=ranks_per_node,
             nic_bandwidth=nic_bandwidth,
-            oversubscription=oversubscription,
+            oversubscription=OVERSUBSCRIPTION,
             contention=contention,
         ),
         "rail_fat_tree": lambda: rail_optimized_fat_tree(
             k=k,
             ranks_per_node=ranks_per_node,
             nics_per_node=2,
-            oversubscription=oversubscription,
+            oversubscription=OVERSUBSCRIPTION,
             nic_bandwidth=nic_bandwidth,
             contention=contention,
         ),
@@ -134,38 +139,24 @@ def run_fabric_contention(
     scale="small",
     sizes_mb: Optional[List[float]] = None,
     ranks_per_node: int = 4,
-    nic_gbps: float = 1.1,
-    oversubscription: float = 2.0,
-    error_bound: float = 1e-3,
     fabrics=FABRIC_NAMES,
     contention: str = "reservation",
 ) -> ExperimentResult:
     """Allreduce makespan per (fabric, message size, algorithm) cell.
 
-    ``nic_gbps`` defaults to 2x the calibrated effective rate — the regime
-    where the C-Allreduce compression gate sits *between* the tapered and
-    untapered fabrics, so the 2:1 rows make the opposite call from the 1:1
-    rows at identical per-node bandwidth.  ``contention`` times every
-    fabric's shared stages under the reservation queue (default) or max-min
-    fair processor sharing (``"fair"``).
+    ``contention`` times every fabric's shared stages under the reservation
+    queue (default) or max-min fair processor sharing (``"fair"``).
     """
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
     network = default_network()
-    nic_bandwidth = nic_gbps * 1e9
     sizes = list(sizes_mb) if sizes_mb is not None else [28, 278]
-    factories = fabric_factories(
-        nic_bandwidth,
-        ranks_per_node,
-        n_ranks,
-        oversubscription=oversubscription,
-        contention=contention,
-    )
+    factories = fabric_factories(ranks_per_node, n_ranks, contention=contention)
     result = ExperimentResult(
         experiment="fabric",
         title=(
             f"Collectives across switch-level fabrics ({n_ranks} ranks, "
-            f"{ranks_per_node} ranks/node, {nic_gbps:g} GB/s NIC everywhere, "
+            f"{ranks_per_node} ranks/node, {NIC_GBPS:g} GB/s NIC everywhere, "
             f"{contention} contention)"
         ),
         paper_reference=(
@@ -190,9 +181,7 @@ def run_fabric_contention(
         # run) instead of rebuilding the cluster for every cell
         topology = factories[fabric_name]()
         base_comm = Cluster(
-            network=network,
-            topology=topology,
-            config=default_config(error_bound=error_bound),
+            network=network, topology=topology, config=default_config()
         ).communicator(n_ranks)
         for size_mb in sizes:
             data, multiplier = load_rtm_message(size_mb, settings)

@@ -22,20 +22,20 @@ from __future__ import annotations
 
 from repro.api import Cluster
 from repro.faults import FAULT_MIXES, FaultSchedule
+from repro.harness.common import resolve_scale
 from repro.harness.reporting import ExperimentResult
 from repro.workload import JobMix, WorkloadEngine
 
 __all__ = ["run_faults"]
 
+#: placement policy of the job mix, and the seed of the mix, the engine and every fault draw
+POLICY = "packed"
+SEED = 7
 
-def run_faults(
-    scale="small",
-    policy: str = "packed",
-    contention: str = "fair",
-    seed: int = 7,
-) -> ExperimentResult:
+
+def run_faults(scale="small", contention: str = "fair") -> ExperimentResult:
     """Makespan / latency / slowdown of one job mix under each fault mix."""
-    if scale == "paper":
+    if resolve_scale(scale).name == "paper":
         nodes, n_jobs, rate = 16, 12, 1200.0
         sizes = (4, 8, 16)
         horizon = 10e-3
@@ -52,11 +52,11 @@ def run_faults(
         contention=contention,
     )
     mix = JobMix(n_jobs=n_jobs, arrival_rate=rate, sizes=sizes)
-    specs = mix.generate(seed)
+    specs = mix.generate(SEED)
 
     def simulate(faults, baseline=False):
         engine = WorkloadEngine(
-            cluster, policy=policy, seed=seed, faults=faults
+            cluster, policy=POLICY, seed=SEED, faults=faults
         )
         return engine.run(specs, baseline=baseline)
 
@@ -71,8 +71,8 @@ def run_faults(
         experiment="faults",
         title=(
             f"Fault injection on one fat tree ({n_fabric} nodes, 2 ranks/node, "
-            f"2 rails, {n_jobs} jobs, policy={policy}, contention={contention}, "
-            f"seed={seed})"
+            f"2 rails, {n_jobs} jobs, policy={POLICY}, contention={contention}, "
+            f"seed={SEED})"
         ),
         paper_reference=(
             "beyond the paper: its fabric is healthy; this measures what each "
@@ -92,13 +92,13 @@ def run_faults(
     healthy_makespan = None
     for fault_mix in FAULT_MIXES:
         schedule = FaultSchedule.generate(
-            fault_mix, seed, n_nodes=fault_nodes, n_ranks=fault_ranks,
+            fault_mix, SEED, n_nodes=fault_nodes, n_ranks=fault_ranks,
             nics_per_node=2, horizon=horizon,
         )
         report = simulate(schedule, baseline=True)
         replay = simulate(
             FaultSchedule.generate(
-                fault_mix, seed, n_nodes=fault_nodes, n_ranks=fault_ranks,
+                fault_mix, SEED, n_nodes=fault_nodes, n_ranks=fault_ranks,
                 nics_per_node=2, horizon=horizon,
             )
         )

@@ -16,7 +16,7 @@ from repro.analysis.distribution import (
 )
 from repro.compression.registry import make_compressor
 from repro.datasets.registry import load_field
-from repro.harness.common import resolve_scale
+from repro.harness.common import ERROR_BOUND, resolve_scale
 from repro.harness.reporting import ExperimentResult
 
 __all__ = ["run_fig5_fig6"]
@@ -28,7 +28,7 @@ _FIELDS = (
 )
 
 
-def run_fig5_fig6(scale="small", error_bound: float = 1e-3) -> ExperimentResult:
+def run_fig5_fig6(scale="small") -> ExperimentResult:
     """Fit MLE normals to first- and second-generation compression errors."""
     settings = resolve_scale(scale)
     result = ExperimentResult(
@@ -50,9 +50,8 @@ def run_fig5_fig6(scale="small", error_bound: float = 1e-3) -> ExperimentResult:
             "skewness",
         ],
     )
-    for codec_name, kwargs in (("szx", {"error_bound": error_bound}),
-                               ("zfp_abs", {"error_bound": error_bound})):
-        codec = make_compressor(codec_name, **kwargs)
+    for codec_name in ("szx", "zfp_abs"):
+        codec = make_compressor(codec_name, error_bound=ERROR_BOUND)
         for application, field, label in _FIELDS:
             data = load_field(application, None if application == "rtm" else field, seed=2)
             flat = data.flatten()[: settings.table_points]

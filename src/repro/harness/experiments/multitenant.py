@@ -14,20 +14,20 @@ default discipline — this workload is what it was built for.
 from __future__ import annotations
 
 from repro.api import Cluster
+from repro.harness.common import resolve_scale
 from repro.harness.reporting import ExperimentResult
 from repro.workload import JobMix, WorkloadEngine
 
 __all__ = ["run_multitenant"]
 
+#: placement policy of the job mix, and the seed of the mix and of the engine
+POLICY = "spread"
+SEED = 7
 
-def run_multitenant(
-    scale="small",
-    policy: str = "spread",
-    contention: str = "fair",
-    seed: int = 7,
-) -> ExperimentResult:
+
+def run_multitenant(scale="small", contention: str = "fair") -> ExperimentResult:
     """Per-job slowdown / latency / utilization for a seeded job mix."""
-    if scale == "paper":
+    if resolve_scale(scale).name == "paper":
         nodes, n_jobs, rate = 32, 24, 600.0
         sizes = (2, 4, 8, 16)
     else:
@@ -37,14 +37,14 @@ def run_multitenant(
         "fat_tree", nodes=nodes, ranks_per_node=2, contention=contention
     )
     mix = JobMix(n_jobs=n_jobs, arrival_rate=rate, sizes=sizes)
-    engine = WorkloadEngine(cluster, policy=policy, seed=seed)
-    report = engine.run(mix.generate(seed))
+    engine = WorkloadEngine(cluster, policy=POLICY, seed=SEED)
+    report = engine.run(mix.generate(SEED))
 
     result = ExperimentResult(
         experiment="multitenant",
         title=(
             f"Multi-tenant workload on one fat tree ({nodes} nodes, 2 ranks/node, "
-            f"{n_jobs} jobs, policy={policy}, contention={contention}, seed={seed})"
+            f"{n_jobs} jobs, policy={POLICY}, contention={contention}, seed={SEED})"
         ),
         paper_reference=(
             "beyond the paper: its timings assume a quiet cluster; this measures "

@@ -28,16 +28,20 @@ from typing import List, Tuple
 
 from repro.api import Cluster
 from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
+from repro.harness.common import ScaleSettings, resolve_scale
 from repro.harness.reporting import ExperimentResult
 from repro.mpisim.audit import audit_fabric
 from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 
 __all__ = ["run_recovery"]
 
+#: the workload engine's seed in every run
+SEED = 7
 
-def _job_mix(scale: str) -> Tuple[List[JobSpec], int]:
+
+def _job_mix(settings: ScaleSettings) -> Tuple[List[JobSpec], int]:
     """A deterministic mix of long jobs (many steps, so intervals matter)."""
-    if scale == "paper":
+    if settings.name == "paper":
         nodes = 16
         iterations = 16
     else:
@@ -66,20 +70,17 @@ def _fault_schedule(makespan_hint: float) -> FaultSchedule:
 
 
 def run_recovery(
-    scale="small",
-    contention: str = "fair",
-    seed: int = 7,
-    check_invariants: bool = False,
+    scale="small", contention: str = "fair", check_invariants: bool = False
 ) -> ExperimentResult:
     """Goodput / wasted work across checkpoint intervals and failure policies."""
-    specs, nodes = _job_mix(scale)
+    specs, nodes = _job_mix(resolve_scale(scale))
     cluster = Cluster.from_preset(
         "fat_tree", nodes=nodes, ranks_per_node=2, contention=contention
     )
 
     def simulate(faults, failure_policy="restart_elsewhere", checkpoint=0):
         engine = WorkloadEngine(
-            cluster, policy="packed", seed=seed, faults=faults,
+            cluster, policy="packed", seed=SEED, faults=faults,
             failure_policy=failure_policy, checkpoint=checkpoint,
         )
         if not check_invariants or faults is None:
@@ -98,7 +99,7 @@ def run_recovery(
         title=(
             f"Checkpoint/restart under node loss on one fat tree "
             f"({nodes} nodes, 2 ranks/node, {len(specs)} jobs, "
-            f"contention={contention}, seed={seed})"
+            f"contention={contention}, seed={SEED})"
         ),
         paper_reference=(
             "beyond the paper: its fabric never loses a node; this measures "

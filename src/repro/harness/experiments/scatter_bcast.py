@@ -10,8 +10,6 @@ baselines.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.api import Cluster
 from repro.harness.common import (
     default_config,
@@ -25,16 +23,11 @@ from repro.perfmodel.presets import default_network
 __all__ = ["run_fig16_scatter_bcast"]
 
 
-def run_fig16_scatter_bcast(
-    scale="small",
-    error_bound: float = 1e-3,
-    sizes_mb: Optional[List[int]] = None,
-) -> ExperimentResult:
+def run_fig16_scatter_bcast(scale="small") -> ExperimentResult:
     """Figure 16: C-Scatter / C-Bcast speedups vs the originals and CPR-P2P."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_small_cluster
     network = default_network()
-    sizes = list(sizes_mb) if sizes_mb is not None else list(settings.size_sweep_mb)
     result = ExperimentResult(
         experiment="fig16",
         title=f"C-Scatter and C-Bcast vs baselines ({n_ranks} ranks)",
@@ -50,9 +43,9 @@ def run_fig16_scatter_bcast(
             "speedup_vs_baseline",
         ],
     )
-    for size_mb in sizes:
+    for size_mb in settings.size_sweep_mb:
         data, multiplier = load_rtm_message(size_mb, settings)
-        config = default_config(codec="szx", error_bound=error_bound, size_multiplier=multiplier)
+        config = default_config(codec="szx", size_multiplier=multiplier)
         comm = Cluster(network=network, config=config).communicator(n_ranks)
 
         # ---- broadcast: the root sends the full message to everyone

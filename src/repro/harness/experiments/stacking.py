@@ -26,7 +26,7 @@ FIXED_RATES = (4, 8, 16)
 
 
 def stacking_sweep(
-    scale="small", virtual_mb: float = 128.0, image_shape=None, seed: int = 1
+    scale="small", virtual_mb: float = 128.0, image_shape=None
 ) -> List[Dict[str, object]]:
     """Run the stacking experiment for every method x setting combination."""
     settings = resolve_scale(scale)
@@ -35,7 +35,7 @@ def stacking_sweep(
     if image_shape is None:
         side = 96 if settings.name == "small" else 192
         image_shape = (side, side)
-    partials = generate_partial_images(n_ranks, image_shape=image_shape, depth=16, seed=seed)
+    partials = generate_partial_images(n_ranks, image_shape=image_shape, depth=16, seed=1)
     multiplier = max(1.0, virtual_mb * MB / partials[0].nbytes)
 
     rows: List[Dict[str, object]] = []

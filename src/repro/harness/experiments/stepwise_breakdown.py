@@ -18,7 +18,7 @@ functions slice the shared rows accordingly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.api import Cluster
 from repro.api.communicator import COMPRESSION_MODES
@@ -46,22 +46,16 @@ VARIANTS = ("AD", "DI", "ND", "Overlap")
 _SPELLING = {label: spelling for spelling, label in COMPRESSION_MODES.items()}
 
 
-def stepwise_sweep(
-    scale="small",
-    error_bound: float = 1e-3,
-    sizes_mb: Optional[List[int]] = None,
-    variants=VARIANTS,
-) -> List[Dict[str, object]]:
+def stepwise_sweep(scale="small", variants=VARIANTS) -> List[Dict[str, object]]:
     """Run the Table V variants over the message-size sweep; one row per (size, variant)."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_small_cluster
     network = default_network()
-    sizes = list(sizes_mb) if sizes_mb is not None else list(settings.size_sweep_mb)
     rows: List[Dict[str, object]] = []
-    for size_mb in sizes:
+    for size_mb in settings.size_sweep_mb:
         data, multiplier = load_rtm_message(size_mb, settings)
         inputs = per_rank_variants(data, n_ranks)
-        config = default_config(error_bound=error_bound, size_multiplier=multiplier)
+        config = default_config(size_multiplier=multiplier)
         comm = Cluster(network=network, config=config).communicator(n_ranks)
         for variant in variants:
             # the paper's AD is the ring; the compressed variants fix their schedule

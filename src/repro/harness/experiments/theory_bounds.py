@@ -23,17 +23,17 @@ from repro.analysis.propagation import (
 )
 from repro.compression.szx import SZxCompressor
 from repro.datasets.registry import load_field
-from repro.harness.common import resolve_scale
+from repro.harness.common import ERROR_BOUND, resolve_scale
 from repro.harness.reporting import ExperimentResult
 from repro.utils.rng import resolve_rng
 
 __all__ = ["run_theory_bounds"]
 
 
-def run_theory_bounds(scale="small", error_bound: float = 1e-3, trials: int = 40_000) -> ExperimentResult:
+def run_theory_bounds(scale="small", trials: int = 40_000) -> ExperimentResult:
     """Validate Theorems 1-2 and Corollaries 1-2 numerically."""
     settings = resolve_scale(scale)
-    sigma = sigma_from_error_bound(error_bound)
+    sigma = sigma_from_error_bound(ERROR_BOUND)
     result = ExperimentResult(
         experiment="theory",
         title="Error-propagation theory validation (Section III-B)",
@@ -55,8 +55,8 @@ def run_theory_bounds(scale="small", error_bound: float = 1e-3, trials: int = 40
             holds=coverage.satisfied,
         )
 
-    interval = corollary1_interval(100, error_bound)
-    expected_half_width = (20.0 / 3.0) * error_bound
+    interval = corollary1_interval(100, ERROR_BOUND)
+    expected_half_width = (20.0 / 3.0) * ERROR_BOUND
     result.add_row(
         claim="Corollary 1 half-width at n=100 equals 20/3 * be",
         n_nodes=100,
@@ -95,9 +95,9 @@ def run_theory_bounds(scale="small", error_bound: float = 1e-3, trials: int = 40
         (base + rng.normal(0, 5e-3, base.size).astype(base.dtype)) for _ in range(8)
     ]
     measured = measured_sum_coverage(
-        SZxCompressor(error_bound=error_bound),
+        SZxCompressor(error_bound=ERROR_BOUND),
         per_node,
-        error_bound=error_bound,
+        error_bound=ERROR_BOUND,
         use_measured_sigma=True,
         rng=0,
     )
@@ -109,9 +109,9 @@ def run_theory_bounds(scale="small", error_bound: float = 1e-3, trials: int = 40
         holds=measured.coverage >= measured.expected - 0.03,
     )
     corollary = measured_sum_coverage(
-        SZxCompressor(error_bound=error_bound),
+        SZxCompressor(error_bound=ERROR_BOUND),
         per_node,
-        error_bound=error_bound,
+        error_bound=ERROR_BOUND,
         use_measured_sigma=False,
         rng=0,
     )

@@ -44,11 +44,7 @@ _ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
 
 
 def run_topology_scaling(
-    scale="small",
-    sizes_mb: Optional[List[float]] = None,
-    ranks_per_node: int = 4,
-    error_bound: float = 1e-3,
-    topologies=TOPOLOGY_NAMES,
+    scale="small", sizes_mb: Optional[List[float]] = None, ranks_per_node: int = 4
 ) -> ExperimentResult:
     """Allreduce makespan per (topology, message size, algorithm) cell."""
     settings = resolve_scale(scale)
@@ -74,12 +70,12 @@ def run_topology_scaling(
             "selected",
         ],
     )
-    for topo_name in topologies:
+    for topo_name in TOPOLOGY_NAMES:
         topo_kwargs = {} if topo_name == "flat" else {"ranks_per_node": ranks_per_node}
         for size_mb in sizes:
             data, multiplier = load_rtm_message(size_mb, settings)
             inputs = per_rank_variants(data, n_ranks)
-            config = default_config(error_bound=error_bound, size_multiplier=multiplier)
+            config = default_config(size_multiplier=multiplier)
             virtual_nbytes = int(size_mb * MB)
             ring_time = None
             rows: List[Dict[str, object]] = []

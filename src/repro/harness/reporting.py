@@ -64,8 +64,8 @@ class ExperimentResult:
     rows:
         One dictionary per row/series point, directly printable as a table.
     paper_reference:
-        Short statement of what the paper reports for this experiment, for
-        side-by-side comparison in EXPERIMENTS.md.
+        Short statement of what the paper reports for this experiment,
+        printed above the table for side-by-side comparison.
     notes:
         Free-form remarks (deviations, calibration caveats, scale used).
     """

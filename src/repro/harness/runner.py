@@ -93,7 +93,7 @@ def run_experiment(name: str, scale="small", **kwargs) -> ExperimentResult:
 
 
 def run_all(scale="small") -> List[ExperimentResult]:
-    """Run every registered experiment (used to build EXPERIMENTS.md)."""
+    """Run every registered experiment, in paper order."""
     return [run_experiment(name, scale=scale) for name in EXPERIMENTS]
 
 
@@ -113,7 +113,8 @@ def main(argv=None) -> int:
         "--contention",
         choices=("reservation", "fair"),
         default=None,
-        help="shared-stage sharing discipline for the fabric/multitenant experiments",
+        help="shared-stage sharing discipline for the fabric, multitenant, faults "
+        "and recovery experiments",
     )
     parser.add_argument(
         "--check-invariants",

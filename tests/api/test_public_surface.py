@@ -149,6 +149,64 @@ def test_a_codec_is_its_name_and_its_bound():
             make_compressor(name, **setting)
 
 
+def test_an_experiment_is_its_scale():
+    """Bounds, sizes, implementations, fabrics' NIC rate and taper, policies
+    and seeds are module constants: what a runner still takes besides
+    ``scale`` is the CLI's ``contention`` / ``check_invariants``, the shared
+    sweeps' ``rows`` / ``variants`` and the shrink settings of the tests and
+    benches."""
+    from repro.harness.experiments import (
+        allreduce_comparison,
+        compressor_tables,
+        fabric_contention,
+        faults,
+        fig5_error_distribution,
+        multitenant,
+        recovery,
+        scatter_bcast,
+        stacking,
+        stepwise_breakdown,
+        theory_bounds,
+        topology_scaling,
+    )
+    from repro.harness.common import load_rtm_message, per_rank_variants
+
+    expected = {
+        allreduce_comparison.run_fig11_datasizes: ["scale"],
+        allreduce_comparison.run_fig12_scaling: ["scale"],
+        allreduce_comparison.run_fig13_fields: ["scale", "size_mb"],
+        allreduce_comparison.run_fig14_15_accuracy: ["scale"],
+        compressor_tables.characterise: ["scale", "n_files"],
+        compressor_tables.run_table1: ["scale", "rows"],
+        compressor_tables.run_table2: ["scale", "rows"],
+        compressor_tables.run_table3: ["scale", "rows"],
+        compressor_tables.run_table6: ["scale"],
+        fabric_contention.fabric_factories: ["ranks_per_node", "n_ranks", "contention"],
+        fabric_contention.run_fabric_contention: [
+            "scale", "sizes_mb", "ranks_per_node", "fabrics", "contention",
+        ],
+        faults.run_faults: ["scale", "contention"],
+        fig5_error_distribution.run_fig5_fig6: ["scale"],
+        multitenant.run_multitenant: ["scale", "contention"],
+        recovery.run_recovery: ["scale", "contention", "check_invariants"],
+        scatter_bcast.run_fig16_scatter_bcast: ["scale"],
+        stacking.stacking_sweep: ["scale", "virtual_mb", "image_shape"],
+        stacking.run_fig17_stacking_perf: ["scale", "rows"],
+        stacking.run_fig18_stacking_quality: ["scale", "rows"],
+        stepwise_breakdown.stepwise_sweep: ["scale", "variants"],
+        stepwise_breakdown.run_fig7_breakdown: ["scale", "rows"],
+        stepwise_breakdown.run_fig8_di_vs_nd: ["scale", "rows"],
+        stepwise_breakdown.run_fig9_wait_overlap: ["scale", "rows"],
+        stepwise_breakdown.run_fig10_stepwise: ["scale", "rows"],
+        theory_bounds.run_theory_bounds: ["scale", "trials"],
+        topology_scaling.run_topology_scaling: ["scale", "sizes_mb", "ranks_per_node"],
+        per_rank_variants: ["data", "n_ranks"],
+        load_rtm_message: ["virtual_mb", "settings"],
+    }
+    for runner, parameters in expected.items():
+        assert list(inspect.signature(runner).parameters) == parameters, runner.__name__
+
+
 def test_api_all_entries_resolve():
     for name in api.__all__:
         assert getattr(api, name) is not None

@@ -6,6 +6,8 @@ result plus the headline qualitative findings that each paper table/figure is
 supposed to show.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.harness import EXPERIMENTS, ExperimentResult, list_experiments, run_experiment
@@ -25,8 +27,10 @@ from repro.harness.experiments.stepwise_breakdown import (
     stepwise_sweep,
 )
 from repro.harness.experiments.fabric_contention import FABRIC_NAMES, run_fabric_contention
+from repro.harness.experiments.recovery import _job_mix
 from repro.harness.experiments.topology_scaling import run_topology_scaling
 from repro.harness.runner import main
+from repro.mpisim.engine import Engine
 
 #: a miniature scale so harness tests stay fast
 TINY = ScaleSettings(
@@ -76,6 +80,20 @@ class TestRegistry:
         assert resolve_scale(TINY) is TINY
         with pytest.raises(ValueError):
             resolve_scale("huge")
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_unknown_scale_rejected_before_any_simulation(self, name, monkeypatch):
+        def simulated(self):
+            raise AssertionError(f"{name} simulated before checking its scale")
+
+        monkeypatch.setattr(Engine, "run", simulated)
+        with pytest.raises(ValueError, match="scale"):
+            run_experiment(name, scale="huge")
+
+    def test_a_scale_instance_selects_the_paper_job_mix(self):
+        specs, nodes = _job_mix(SCALES["paper"])
+        assert nodes == 16
+        assert {spec.iterations for spec in specs} == {16}
 
     def test_cli_list(self, capsys):
         assert main(["--list"]) == 0
@@ -151,7 +169,7 @@ class TestCompressorTables:
 class TestStepwiseFigures:
     @pytest.fixture(scope="class")
     def rows(self):
-        return stepwise_sweep(TINY, sizes_mb=[64, 160])
+        return stepwise_sweep(dataclasses.replace(TINY, size_sweep_mb=(64, 160)))
 
     def test_sweep_rows(self, rows):
         assert len(rows) == 2 * 4
@@ -178,7 +196,7 @@ class TestStepwiseFigures:
 
 class TestComparisonFigures:
     def test_fig11_structure_and_winner(self):
-        result = run_fig11_datasizes(scale=TINY, sizes_mb=[96])
+        result = run_fig11_datasizes(scale=dataclasses.replace(TINY, size_sweep_mb=(96,)))
         impls = {row["implementation"] for row in result.rows}
         assert impls == {"Allreduce", "ZFP(FXR)", "ZFP(ABS)", "SZx", "C-Allreduce"}
         ccoll = [r for r in result.rows if r["implementation"] == "C-Allreduce"]
@@ -199,7 +217,7 @@ class TestComparisonFigures:
         assert all(45 < r["psnr_db"] < 75 for r in rel_rows)
 
     def test_fig16(self):
-        result = run_fig16_scatter_bcast(scale=TINY, sizes_mb=[96])
+        result = run_fig16_scatter_bcast(scale=dataclasses.replace(TINY, size_sweep_mb=(96,)))
         c_rows = [
             r
             for r in result.rows
