@@ -18,12 +18,9 @@ Public entry points (rank programs composed by the session API):
   hierarchical skeleton of :mod:`repro.collectives.hierarchical` with the
   compressed leader stage of :mod:`repro.ccoll.topology_aware` plugged in
 * :class:`CCollConfig` — codec, error bound, pipelining and scaling settings
-* :class:`CodecMemo` — codec results several plans of one job share (what
-  :mod:`repro.workload` hands a job's restart attempts and isolated baseline;
-  see :mod:`repro.ccoll.adapter`)
 """
 
-from repro.ccoll.adapter import CodecMemo, CompressedMessage, CompressionAdapter
+from repro.ccoll.adapter import CompressedMessage, CompressionAdapter
 from repro.ccoll.allreduce import c_allreduce_program
 from repro.ccoll.computation import c_reduce_scatter_program, segment_count
 from repro.ccoll.config import CCollConfig
@@ -44,7 +41,6 @@ from repro.ccoll.movement import (
 __all__ = [
     "CCollConfig",
     "CCollOutcome",
-    "CodecMemo",
     "CompressionAdapter",
     "CompressedMessage",
     "c_allreduce_program",

@@ -52,39 +52,33 @@ more than once and, on the simulation path, decodes nothing:
   :meth:`CompressionAdapter.compress` pops the head of its queue and uses it
   when that input equals the data bit for bit (a byte compare, so ``-0.0`` is
   not ``0.0``); otherwise it compresses as it would without the warm.
-  Bit-equal inputs of one round are not merged without a memo: each is
-  compressed in the batch.  The warm runs when the plan's first program first
+  Bit-equal inputs of one round are not merged: each is compressed in the
+  batch.  The warm runs when the plan's first program first
   asks for a compression (:func:`warm_before_compressing`), so a captured plan
   runs nothing and the codec time is booked to the programs.  Correctness
   never depends on it: a warm that drifted from the schedule costs a miss and
   an ordinary codec call, never a wrong value, and a round the codec refuses
   queues nothing, leaving the rank that compresses it to raise.  The queues
   hold a round's inputs, buffers and reconstructions from the warm until each
-  rank has compressed its own; a successful run leaves every queue empty.
-* **Every re-execution of a job reuses the job's codec results.**
-  :class:`CodecMemo` is content-addressed: an entry is keyed by the codec's
-  class, every parameter its output depends on (``Compressor.describe()``),
-  the input dtype, the input size and the SHA-256 digest of the input bytes,
-  and holds the compressed buffer with its reconstruction.  A key therefore
-  *is* the computation (up to a 256-bit collision; the digest, not the bytes,
-  so an entry costs 32 bytes on top of what it holds), and no invalidation
-  rule is needed: a plan that differs (another fabric state picks another
-  algorithm, a restart elsewhere groups its ranks differently) feeds different
-  bytes and simply misses.  A memo is an ordinary object that
-  ``WorkloadEngine.run`` creates for a job that can execute more than once — a
-  restart attempt after a kill, its isolated baseline — hands to every
-  ``compile_job`` of that job and drops once no execution can follow; it
-  reaches the adapters through ``CCollConfig.codec_memo`` (read by
-  ``CCollConfig.make_adapters`` only).  With one, a warm digests each input
-  once to look it up and compresses only the inputs the memo lacks, and an
-  adapter's own compression of anything its queue did not hold goes through
-  the memo too.  Without one nothing is digested and nothing outlives the
-  plan.  Codec errors are raised from the codec call itself and never stored.
+  rank has compressed its own (a tape, below, keeps them longer); a
+  successful run leaves every queue empty.
+* **A re-execution replays the first execution's queues.**  A job compresses
+  the same inputs in the same order, rank by rank, every time it executes.  A
+  :class:`CodecTape` records a plan's queues — per adapter, in creation order,
+  what a warm queued for it and what it compressed with an empty queue — and
+  a later plan given the tape starts each adapter with those entries as its
+  queue and skips its warm.  They are byte-compared like any queue: a plan
+  that differs (a restart elsewhere that groups its ranks differently) costs
+  misses and codec calls, never a wrong value, and an adapter whose codec
+  differs from the recording's replays nothing.  ``repro.workload`` keeps a
+  tape per step of a job that can execute again (a restart, its isolated
+  baseline) and hands it to every compile through ``CCollConfig.codec_tape``.
+  A warm queues a whole step at its first compression, so a step warmed and
+  then killed is complete on its tape; a refused compression records nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -99,12 +93,16 @@ from repro.metrics.ratios import CompressionStats
 from repro.utils.validation import ensure_1d_float_array
 
 __all__ = [
-    "CodecMemo",
+    "CodecTape",
     "CompressedMessage",
     "CompressionAdapter",
     "warm_before_compressing",
     "warm_round",
 ]
+
+#: one compression as a queue holds it: the read-only input, its buffer and the
+#: read-only array it decodes to
+Entry = Tuple[np.ndarray, CompressedBuffer, np.ndarray]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -124,18 +122,25 @@ def _empty_like_each(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
     return [whole[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
 
 
-class CodecMemo:
-    """Content-addressed codec results (see the module docstring for its lifetime).
+class CodecTape:
+    """One plan's handle on a recording (see the module docstring): ``recorded``
+    holds, per adapter in the order the plans make them, its codec's description
+    and its entries; every plan of the computation takes a new handle on it."""
 
-    A key is the computation up to a 256-bit collision: the input enters as its
-    SHA-256 digest, so an entry retains none of the bytes it was computed from.
-    """
+    def __init__(self, recorded: List[Tuple[Dict[str, object], List[Entry]]]) -> None:
+        self.recorded = recorded
+        self._made = 0
 
-    def __init__(self) -> None:
-        #: (codec key, input dtype, input size, SHA-256 of the input bytes) -> what
-        #: the codec made of them: the compressed buffer and the read-only array
-        #: it decodes to
-        self.compressed: Dict[Tuple, Tuple[CompressedBuffer, np.ndarray]] = {}
+    def entries_for(self, codec: Compressor) -> List[Entry]:
+        """The next adapter's entries: those recorded at its position under an equal
+        codec, else a new list to record into."""
+        position, described = self._made, codec.describe()
+        self._made += 1
+        if position == len(self.recorded):
+            self.recorded.append((described, []))
+        elif self.recorded[position][0] != described:
+            self.recorded[position] = (described, [])
+        return self.recorded[position][1]
 
 
 @dataclass(frozen=True)
@@ -166,32 +171,27 @@ class CompressionAdapter:
         The error-bounded codec (or fixed-rate baseline codec) to use.
     ctx:
         Collective context providing the cost model and virtual-size scaling.
-    memo:
-        Codec results to reuse and add to; ``None`` calls the codec for every
-        compression :attr:`warmed` does not hold.
+    tape:
+        The plan's tape: this adapter replays and records its next entries;
+        ``None`` records nothing.
     """
 
     def __init__(
-        self, codec: Compressor, ctx: CollectiveContext, memo: Optional[CodecMemo] = None
+        self, codec: Compressor, ctx: CollectiveContext, tape: Optional[CodecTape] = None
     ) -> None:
         self.codec = codec
         self.ctx = ctx
-        self.memo = memo
-        #: what a codec result depends on besides the data
-        self._codec_key = (type(codec), tuple(codec.describe().items()))
-        #: what a warm compressed ahead for this rank, in the order it compresses:
-        #: (the read-only input, its buffer, the read-only array it decodes to)
-        self.warmed: Deque[Tuple[np.ndarray, CompressedBuffer, np.ndarray]] = deque()
+        #: where this adapter's results are recorded for a later plan to replay
+        self.tape = None if tape is None else tape.entries_for(codec)
+        #: what was compressed ahead for this rank, in the order it compresses: a
+        #: replayed tape, or a warm's rounds
+        self.warmed: Deque[Entry] = deque(self.tape or ())
         #: runs once, before this adapter's first compression (see
         #: :func:`warm_before_compressing`)
         self._before_compress: Optional[Callable[[], None]] = None
         self.stats = CompressionStats()
 
     # ------------------------------------------------------------- compress
-
-    def _key(self, data: np.ndarray) -> Tuple:
-        """The memo key of the flat, contiguous ``data``: the computation, up to SHA-256."""
-        return (self._codec_key, data.dtype.str, data.size, hashlib.sha256(data).digest())
 
     def _encode(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
         """``data`` through the codec: the buffer and the read-only array it decodes to."""
@@ -201,30 +201,25 @@ class CompressionAdapter:
         restored.setflags(write=False)
         return buf, restored
 
-    def _take_warmed(self, data: np.ndarray) -> Optional[Tuple[CompressedBuffer, np.ndarray]]:
-        """Pop the head of :attr:`warmed`: its result if its input is ``data`` bit for bit."""
-        if not self.warmed:
-            return None
-        warmed, buf, decoded = self.warmed.popleft()
-        return (buf, decoded) if _same_bits(warmed, data) else None
-
-    def _look_up(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        """``data``'s entry in :attr:`memo` (made on a miss), or, without a memo,
-        :meth:`_encode` of it."""
-        if self.memo is None:
-            return self._encode(data)
-        key = self._key(data)
-        entry = self.memo.compressed.get(key)
-        if entry is None:
-            entry = self.memo.compressed[key] = self._encode(data)
-        return entry
+    def _result(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """The head of :attr:`warmed` if its input is ``data`` bit for bit, else
+        :meth:`_encode` of it — recorded on :attr:`tape` when the queue was empty."""
+        if self.warmed:
+            warmed, buf, decoded = self.warmed.popleft()
+            return (buf, decoded) if _same_bits(warmed, data) else self._encode(data)
+        buf, decoded = self._encode(data)
+        if self.tape is not None:
+            frozen = data.copy()  # the caller's array is not the tape's to freeze
+            frozen.setflags(write=False)
+            self.tape.append((frozen, buf, decoded))
+        return buf, decoded
 
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
         if self._before_compress is not None:
             self._before_compress()
         data = np.ascontiguousarray(data).reshape(-1)
-        buf, decoded = self._take_warmed(data) or self._look_up(data)
+        buf, decoded = self._result(data)
         real = buf.nbytes
         original_virtual = self.ctx.vbytes(data)
         virtual = max(1, self.ctx.vbytes_raw(real))
@@ -275,51 +270,37 @@ def warm_round(
 ) -> Optional[List[np.ndarray]]:
     """Compress ``arrays[i]`` ahead for ``adapters[i]``; return the read-only decodes.
 
-    The ``adapters`` share one codec and one memo (those of ``adapters[0]``).
-    Every input goes through the codec in **one**
-    :meth:`~repro.compression.base.Compressor.compress_many` call — with a
-    memo, only the inputs it does not hold yet, each distinct input once — and
-    its result joins the back of ``adapters[i].warmed``, so that adapter's next
-    :meth:`~CompressionAdapter.compress` of an array equal to it bit for bit
-    costs no codec call.  The queue keeps ``arrays[i]`` itself, read-only: the
-    caller hands over arrays nothing else writes.  Returns what each array
-    decodes to, in order — or ``None``, with nothing queued or stored from this
-    call, when the codec refuses any of them: the rank that compresses the
-    refused input raises the error itself, where and as it would without the
-    warm.
+    The ``adapters`` share one codec (that of ``adapters[0]``).  Every input
+    goes through it in **one**
+    :meth:`~repro.compression.base.Compressor.compress_many` call, and its
+    result joins the back of ``adapters[i].warmed`` (and of its tape, if it
+    has one), so that adapter's next :meth:`~CompressionAdapter.compress` of
+    an array equal to it bit for bit costs no codec call.  The queue keeps
+    ``arrays[i]`` itself, read-only: the caller hands over arrays nothing else
+    writes.  Returns what each array decodes to, in order — or ``None``, with
+    nothing queued from this call, when the codec refuses any of them: the
+    rank that compresses the refused input raises the error itself, where and
+    as it would without the warm.
     """
-    first = adapters[0]
+    codec = adapters[0].codec
     flat = [np.ascontiguousarray(data).reshape(-1) for data in arrays]
-    # with a memo an input is its content key, without one its own entry
-    store = {} if first.memo is None else first.memo.compressed
-    keys = range(len(flat)) if first.memo is None else [first._key(data) for data in flat]
-    missing = {}
-    for key, data in zip(keys, flat):
-        if key not in store:
-            missing.setdefault(key, data)
-    if missing:
-        try:
-            # validated as compress validates: Compressor.compress refuses NaN / Inf
-            values = [check_compressible(data) for data in missing.values()]
-            # a plan alone keeps a round and releases it whole: one allocation;
-            # a job memo keeps each entry for the job, where separate arrays
-            # measured a lower peak
-            restoreds = (
-                _empty_like_each(values)
-                if first.memo is None
-                else [np.empty_like(data) for data in values]
-            )
-            payloads = first.codec.compress_many(values, restoreds)
-        except CompressionError:
-            return None
-        for key, data, payload, restored in zip(missing, values, payloads, restoreds):
-            restored.setflags(write=False)
-            buf = CompressedBuffer(payload, data.size, data.dtype, first.codec.name)
-            store[key] = (buf, restored)
-    for adapter, key, data in zip(adapters, keys, flat):
+    try:
+        # validated as compress validates: Compressor.compress refuses NaN / Inf
+        values = [check_compressible(data) for data in flat]
+        restoreds = _empty_like_each(values)
+        payloads = codec.compress_many(values, restoreds)
+    except CompressionError:
+        return None
+    for adapter, data, value, payload, restored in zip(
+        adapters, flat, values, payloads, restoreds
+    ):
         data.setflags(write=False)
-        adapter.warmed.append((data,) + store[key])
-    return [store[key][1] for key in keys]
+        restored.setflags(write=False)
+        entry = (data, CompressedBuffer(payload, value.size, value.dtype, codec.name), restored)
+        adapter.warmed.append(entry)
+        if adapter.tape is not None:
+            adapter.tape.append(entry)
+    return restoreds
 
 
 def warm_before_compressing(
@@ -331,8 +312,11 @@ def warm_before_compressing(
     round in one codec call (:func:`warm_round`) from inside the
     first rank program that needs a compression: not at plan time, when a
     captured plan must run nothing, and not in the program factory, which the
-    engine calls while it is being built.
+    engine calls while it is being built.  Adapters that start with a queue
+    replay a tape: their rounds are compressed already, and ``warm`` never runs.
     """
+    if any(adapter.warmed for adapter in adapters):
+        return
 
     def once() -> None:
         for adapter in adapters:

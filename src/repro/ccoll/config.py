@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.ccoll.adapter import CodecMemo, CompressionAdapter
+from repro.ccoll.adapter import CodecTape, CompressionAdapter
 from repro.collectives.context import CollectiveContext
 from repro.compression.base import Compressor
 from repro.compression.pipelined import PipelinedSZx
@@ -44,15 +44,14 @@ class CCollConfig:
         :class:`repro.collectives.context.CollectiveContext`).
     cost:
         Cost model used to convert work into virtual seconds.
-    codec_memo:
-        Codec results the collectives planned from this config reuse and add
-        to (:class:`repro.ccoll.adapter.CodecMemo`).  Not a setting: it changes
+    codec_tape:
+        The queues an earlier plan of the same computation recorded, for the
+        collectives planned from this config to replay and extend
+        (:class:`repro.ccoll.adapter.CodecTape`).  Not a setting: it changes
         no result, so it takes no part in equality or the repr.
-        ``repro.workload`` sets it for a job that can execute more than once;
-        everywhere else it is ``None``, and nothing is digested: a ring
-        collective that warms its rounds (C-Coll's reduce-scatter, allreduce
-        and allgather) hands each rank its results on the rank's adapter
-        queue, which the rank matches by a byte compare.
+        ``repro.workload`` sets it per step of a job that can execute more
+        than once; everywhere else it is ``None``.  Nothing is digested
+        either way.
     """
 
     codec: str = "szx"
@@ -60,7 +59,7 @@ class CCollConfig:
     rate: float = 8.0
     size_multiplier: float = 1.0
     cost: CostModel = field(default_factory=CostModel)
-    codec_memo: Optional[CodecMemo] = field(default=None, compare=False, repr=False)
+    codec_tape: Optional[CodecTape] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ensure_in(self.codec, available_compressors(), "codec")
@@ -89,9 +88,9 @@ class CCollConfig:
         self, ctx: CollectiveContext, n_ranks: int, pipelined: bool = False
     ) -> List[CompressionAdapter]:
         """One adapter per rank around the configured (or the PIPE-SZx) codec,
-        sharing :attr:`codec_memo`."""
+        on :attr:`codec_tape`."""
         make = self.make_pipelined_codec if pipelined else self.make_codec
-        return [CompressionAdapter(make(), ctx, self.codec_memo) for _ in range(n_ranks)]
+        return [CompressionAdapter(make(), ctx, self.codec_tape) for _ in range(n_ranks)]
 
     def context(self) -> CollectiveContext:
         """Collective execution context (cost model + virtual-size scaling)."""

@@ -36,21 +36,19 @@ the job's row, every compile of the job (restart attempts, the baseline)
 receives the same object, and it is dropped the moment no execution can
 follow: when the row turns FAILED, when it turns DONE and no baseline is
 wanted, otherwise right after the job's baseline has run.  It holds the job's
-drawn step inputs (read-only, shared by the compiles) and a content-addressed
-:class:`~repro.ccoll.adapter.CodecMemo`, so a restart recompresses nothing the
-killed attempt compressed and a baseline costs engine and rank-program time
-only.  Content keys need no invalidation: an execution that plans differently
-(a restart elsewhere, a fault-free baseline of a faulted run) feeds the codec
-different bytes and simply misses.  A fault-free ``baseline=False`` run has no
-second execution, so its jobs get no ``JobMemo`` and digest nothing.  What a
-job retains while it runs is the rounds its ring collective steps compressed
-ahead: the warm of a step queues each rank's rounds on that rank's adapter
-when the step's first rank first compresses, and each rank pops its own as it
-compresses them, so a step that completes leaves nothing queued; a killed
-attempt's queues go with its compiled job.  None is left after ``run()`` (a
-6-step ``allreduce compression="on"`` job on 4 ranks, 16-node fair fat tree,
-``policy="packed"``, holds 8 / 14 / 0 queued rounds at 20 / 50 / 90 % of its
-makespan, where per-step content memos held 32 / 64 / 96 entries).
+drawn step inputs (read-only, shared by the compiles) and a tape per step of
+what the step's adapters were queued or compressed (``repro.ccoll.adapter``),
+so a restart recompresses nothing the killed attempt compressed and a
+baseline costs engine and rank-program time only; an execution that plans
+differently pays codec calls for what no longer matches, never a wrong value.
+Without a memo, what a job retains while it runs is the rounds its ring
+collective steps compressed ahead: the warm of a step queues each rank's
+rounds on that rank's adapter when the step's first rank first compresses,
+and each rank pops its own as it compresses them, so a step that completes
+leaves nothing queued; a killed attempt's queues go with its compiled job
+(a 6-step ``allreduce compression="on"`` job on 4 ranks, 16-node fair fat
+tree, ``policy="packed"``, holds 8 / 14 / 0 queued rounds at 20 / 50 / 90 %
+of its makespan).  Nothing is left after ``run()``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.api import Cluster, Communicator
 from repro.api.communicator import compression_mode, issue_collective
-from repro.ccoll import CodecMemo
+from repro.ccoll.adapter import CodecTape
 from repro.collectives.selection import ALGORITHM_PLANNERS
 from repro.utils.validation import ensure_in, ensure_integer
 from repro.workload.placement import PlacementView
@@ -192,13 +192,20 @@ class JobMemo:
     The workload engine creates one for a job that can execute more than once (a
     restart attempt, its isolated baseline), hands it to every
     :func:`compile_job` of that job and drops it when no execution can follow.
+    The first execution of a step records its adapters' queues on the step's
+    tape, and every later one replays them (see ``repro.ccoll.adapter``).
     """
 
-    #: the codec results of every execution so far (see ``repro.ccoll.adapter``)
-    codec: CodecMemo = field(default_factory=CodecMemo)
+    #: step -> the step's tape: per compression adapter, in the order the step's
+    #: plan makes them, its codec and every entry it was queued or compressed
+    tapes: Dict[int, list] = field(default_factory=dict)
     #: step -> the step's drawn per-rank inputs: read-only, because every compile
     #: hands the same arrays to its programs
     inputs: Dict[int, List[np.ndarray]] = field(default_factory=dict)
+
+    def step_tape(self, step: int) -> CodecTape:
+        """Step ``step``'s tape, for one compile to replay and extend."""
+        return CodecTape(self.tapes.setdefault(step, []))
 
     def step_inputs(self, spec: JobSpec, call: CollectiveCall, step: int) -> List[np.ndarray]:
         """``call_inputs(spec, call, step)``, drawn on first use and frozen."""
@@ -236,18 +243,16 @@ def compile_job(
     what an isolated cluster of exactly those nodes would decide.
 
     Every compile of the job that is given the same ``memo`` (its restart
-    attempts, its isolated baseline) reuses what the others computed: the
-    compiled steps' compression adapters share its codec results, and the steps
-    are issued on the same drawn inputs — read-only then, so a program that
-    wrote into one would raise instead of corrupting the other compiles.
+    attempts, its isolated baseline) reuses what the others computed: each
+    step's compression adapters replay and extend the step's tape, and the
+    steps are issued on the same drawn inputs — read-only then, so a program
+    that wrote into one would raise instead of corrupting the other compiles.
     Without a memo every compile draws its own, writable, inputs.
     """
     if len(slots) != spec.n_ranks:
         raise ValueError(
             f"job {spec.job_id!r} has {spec.n_ranks} ranks but {len(slots)} slots"
         )
-    if memo is not None:
-        cluster = cluster.with_updates(config=cluster.config.with_updates(codec_memo=memo.codec))
     topology = cluster.topology
     view = PlacementView(topology, slots) if topology is not None else None
     job_cluster = cluster.with_updates(topology=view) if view is not None else cluster
@@ -257,8 +262,10 @@ def compile_job(
     draw = call_inputs if memo is None else memo.step_inputs
     for _ in range(spec.iterations):
         for call in spec.calls:
-            inputs = draw(spec, call, len(factories))
-            plan = comm.capture(
+            step = len(factories)
+            inputs = draw(spec, call, step)
+            step_comm = comm if memo is None else comm.with_options(codec_tape=memo.step_tape(step))
+            plan = step_comm.capture(
                 lambda c, call=call, inputs=inputs: issue_collective(
                     c, call.op, inputs, algorithm=call.algorithm, compression=call.compression
                 )

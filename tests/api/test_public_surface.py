@@ -255,6 +255,19 @@ def test_ccoll_exports_no_alias_table():
         assert name not in ccoll.__all__ and not hasattr(ccoll, name)
 
 
+def test_a_jobs_codec_results_are_a_tape_not_a_memo():
+    """A re-execution replays its tape by a byte compare: no content-addressed memo."""
+    import repro.ccoll as ccoll
+    import repro.ccoll.adapter as adapter
+
+    assert "CodecMemo" not in ccoll.__all__ and not hasattr(ccoll, "CodecMemo")
+    assert not hasattr(adapter, "CodecMemo") and not hasattr(adapter, "hashlib")
+    assert not hasattr(adapter.CompressionAdapter, "_key")
+    assert [field.name for field in dataclasses.fields(CCollConfig)] == [
+        "codec", "error_bound", "rate", "size_multiplier", "cost", "codec_tape",
+    ]
+
+
 @pytest.mark.parametrize("op", sorted(C_VARIANTS))
 def test_exactly_its_modes_spellings_are_accepted(op):
     """Every spelling is exact: no case, padding or former alias resolves."""

@@ -1,8 +1,8 @@
-"""Every payload through the codec once: the reconstruction a message carries and the codec memo.
+"""Every payload through the codec once: the reconstruction a message carries and the codec tape.
 
 Virtual time, values and payload bytes are pinned elsewhere (golden makespans,
 ``tests/workload/baseline_pin.json``); this file pins what the host does: how
-often the codec really runs, who owns what comes back, and that a memo entry is
+often the codec really runs, who owns what comes back, and that a tape entry is
 never served to a computation it does not belong to.
 """
 
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.api import Cluster
-from repro.ccoll import CCollConfig, CodecMemo
+from repro.ccoll import CCollConfig
+from repro.ccoll.adapter import CodecTape
 from repro.compression.errors import CompressionError, UnsupportedDataError
 
 
@@ -84,73 +85,93 @@ class TestSharedEndpointDecode:
         assert one.decompress_shared(sender.compress(np.linspace(0.0, 1.0, 500))) is not shared
 
 
-def _adapter(memo, **config):
-    config = CCollConfig(codec_memo=memo, **config)
+def _adapter(recorded, **config):
+    """The one adapter of a plan made from ``config`` on the tape ``recorded``
+    (``None``: no tape)."""
+    tape = None if recorded is None else CodecTape(recorded)
+    config = CCollConfig(codec_tape=tape, **config)
     return config.make_adapters(config.context(), 1)[0]
 
 
-class TestCodecMemo:
-    def test_a_hit_skips_the_codec_and_changes_nothing(self, codec_calls):
+class TestCodecTape:
+    def test_a_replay_skips_the_codec_and_changes_nothing(self, codec_calls):
         data = np.random.default_rng(1).standard_normal(2000)
         plain = _adapter(None)
         expected = plain.compress(data)
-        memo = CodecMemo()
-        first, second = _adapter(memo), _adapter(memo)
-        messages = [first.compress(data), second.compress(data), second.compress(data.copy())]
-        assert codec_calls["compress"] == 2  # the memo-less one, and one for all three
+        recorded = []
+        first = _adapter(recorded)
+        messages = [first.compress(data)]
+        # the plain call and the recorded one
+        assert codec_calls["compress"] == 2 and len(recorded) == 1
+        (_, entries), = recorded
+        replay = _adapter(recorded)
+        assert len(replay.warmed) == 1 and len(entries) == 1
+        messages.append(replay.compress(data.copy()))  # an equal input, in another buffer
+        assert codec_calls["compress"] == 2 and not replay.warmed
+        assert len(entries) == 1  # a hit records nothing
+        messages.append(replay.compress(data))  # past the end of the tape: recorded
+        assert codec_calls["compress"] == 3 and len(entries) == 2
         for message in messages:
             assert message == expected and message.payload == expected.payload
         # every call is still a call: the ratio statistics count them all
-        assert (first.stats.count, second.stats.count) == (1, 2)
-        assert second.overall_ratio() == plain.overall_ratio()
-        decoded = [first.decompress(messages[0]), second.decompress(messages[1])]
+        assert (first.stats.count, replay.stats.count) == (1, 2)
+        assert replay.overall_ratio() == plain.overall_ratio()
+        decoded = [first.decompress(messages[0]), replay.decompress(messages[1])]
         assert np.array_equal(decoded[0], plain.decompress(expected))
-        # what the memo holds never escapes writable
+        # what the tape holds never escapes writable, and holds nothing a caller owns
         assert decoded[0] is not decoded[1] and decoded[0].flags.writeable
-        assert not second.decompress_shared(messages[2]).flags.writeable
-        assert second.decompress_shared(messages[2]) is first.decompress_shared(messages[0])
-        assert codec_calls["decompress"] == 0  # with a memo or without
+        assert replay.decompress_shared(messages[1]) is first.decompress_shared(messages[0])
+        for tape_input, _, tape_decoded in entries:
+            assert not tape_input.flags.writeable and not tape_decoded.flags.writeable
+            assert not np.shares_memory(tape_input, data)
+            assert tape_input.tobytes() == data.tobytes()
+        assert codec_calls["decompress"] == 0  # with a tape or without
         assert np.array_equal(decoded[0], plain.codec.decompress(expected.payload))
 
-    def test_config_equality_ignores_the_memo(self):
-        assert CCollConfig(codec_memo=CodecMemo()) == CCollConfig()
-        assert "memo" not in repr(CCollConfig(codec_memo=CodecMemo()))
+    def test_config_equality_ignores_the_tape(self):
+        assert CCollConfig(codec_tape=CodecTape([])) == CCollConfig()
+        assert "tape" not in repr(CCollConfig(codec_tape=CodecTape([])))
 
-    def test_the_same_bytes_under_another_computation_never_share_an_entry(self):
-        """Error bound, codec, dtype and the sign of zero are all in the key."""
+    def test_a_replay_serves_only_the_same_bits_under_the_same_codec(self, codec_calls):
+        """Error bound, codec, dtype and the sign of zero all turn a replay into a miss."""
         # float32 values in [1, 2) read as finite float64 values pair by pair
         buffer = np.random.default_rng(2).uniform(1.0, 2.0, 8192).astype(np.float32).view(np.float64)
         assert np.isfinite(buffer).all()
         zeros = np.zeros(256)
-        memo = CodecMemo()
         cases = [
-            (dict(), buffer),
-            (dict(error_bound=1e-2), buffer),
-            (dict(codec="zfp_abs"), buffer),
-            (dict(codec="pipe_szx"), buffer),
-            (dict(), buffer.view(np.float32)),  # the same bytes as twice as many float32
-            (dict(), zeros),
-            (dict(), -zeros),
+            (dict(), buffer, dict(error_bound=1e-2), buffer),
+            (dict(), buffer, dict(codec="zfp_abs"), buffer),
+            (dict(), buffer, dict(codec="pipe_szx"), buffer),
+            # the same bytes, read as twice as many float32
+            (dict(), buffer, dict(), buffer.view(np.float32)),
+            (dict(), zeros, dict(), -zeros),
+            (dict(), -zeros, dict(), zeros),
         ]
-        for entries, (config, data) in enumerate(cases, start=1):
-            through_memo = _adapter(memo, **config).compress(data)
-            assert len(memo.compressed) == entries
+        for recorded_under, recorded_data, config, data in cases:
+            recorded = []
+            _adapter(recorded, **recorded_under).compress(recorded_data)
+            before = codec_calls["compress"]
+            replay = _adapter(recorded, **config)
+            message = replay.compress(data)
+            assert not replay.warmed
+            if config.get("codec") != "zfp_abs":  # the counting fixture watches SZx / PIPE-SZx
+                assert codec_calls["compress"] == before + 1
             plain = _adapter(None, **config)
-            assert through_memo == plain.compress(data)
-            restored = _adapter(memo, **config).decompress(through_memo)
+            assert message == plain.compress(data)
+            restored = replay.decompress(message)
             assert restored.dtype == data.dtype
-            assert np.array_equal(restored, plain.codec.decompress(through_memo.payload))
-        assert np.signbit(_adapter(memo).decompress(_adapter(memo).compress(-zeros))).all()
-        assert not np.signbit(_adapter(memo).decompress(_adapter(memo).compress(zeros))).any()
+            assert np.array_equal(restored, plain.codec.decompress(message.payload))
+            if not data.any():  # a zero keeps its sign through the codec
+                assert np.array_equal(np.signbit(restored), np.signbit(data))
 
-    def test_codec_errors_raise_the_same_and_are_never_stored(self):
-        memo = CodecMemo()
-        for adapter in (_adapter(None), _adapter(memo), _adapter(memo)):
+    def test_codec_errors_raise_the_same_and_are_never_recorded(self):
+        recorded = []
+        for adapter in (_adapter(None), _adapter(recorded), _adapter(recorded)):
             with pytest.raises(UnsupportedDataError, match="NaN or Inf"):
                 adapter.compress(np.array([1.0, np.nan, 3.0]))
             # refused by the kernel itself, between quantising and filling ``restored``
             with pytest.raises(CompressionError, match="too small relative to the data range"):
                 adapter.compress(np.array([0.0, 1e30]))
-        assert not memo.compressed
-        _adapter(memo).compress(np.array([1.0, 2.0, 3.0]))
-        assert len(memo.compressed) == 1
+        assert recorded == [(CCollConfig().make_codec().describe(), [])]
+        _adapter(recorded).compress(np.array([1.0, 2.0, 3.0]))
+        assert len(recorded[0][1]) == 1

@@ -8,13 +8,9 @@ Nothing they compute may change: the oracle is the same collective with the
 warm switched off, where every rank compresses on its own as it always did.
 """
 
-import hashlib
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-import repro.ccoll.adapter as adapter_module
 import repro.ccoll.allreduce as allreduce_module
 import repro.ccoll.computation as computation_module
 import repro.ccoll.movement as movement_module
@@ -237,20 +233,7 @@ def test_a_queued_entry_is_matched_bit_for_bit(codec_calls):
     assert codec_calls["compress"] == 2
 
 
-@pytest.fixture
-def digests(monkeypatch):
-    """How many SHA-256 digests ``repro.ccoll.adapter`` computes."""
-    seen = [0]
-
-    def counted(*args):
-        seen[0] += 1
-        return hashlib.sha256(*args)
-
-    monkeypatch.setattr(adapter_module, "hashlib", SimpleNamespace(sha256=counted))
-    return seen
-
-
-def test_a_communicator_collective_digests_nothing(digests, adapters, codec_calls):
+def test_a_communicator_collective_digests_nothing(sha256_calls, adapters, codec_calls):
     comm = Cluster.from_preset(
         "fat_tree", ranks_per_node=2, config=CCollConfig(codec="szx", size_multiplier=64)
     ).communicator(16)
@@ -258,12 +241,14 @@ def test_a_communicator_collective_digests_nothing(digests, adapters, codec_call
     for op in ("allreduce", "reduce_scatter", "allgather"):
         getattr(comm, op)(inputs, compression="on")
     assert codec_calls["compress_many"] == 16 + 15 + 1 and codec_calls["compress"] == 0
-    assert digests[0] == 0 and _queued(adapters) == 0
+    assert sum(sha256_calls.values()) == 0 and _queued(adapters) == 0
 
 
-def test_a_job_memo_digests_each_warmed_input_once(digests, codec_calls, monkeypatch):
-    """A job with a baseline holds a ``JobMemo``: each of its two executions' warms
-    digests every input it is handed once, to look it up; its ranks digest nothing."""
+def test_a_baseline_replays_its_tape_and_warms_nothing(sha256_calls, codec_calls, monkeypatch):
+    """A job with a baseline holds a ``JobMemo``: its first execution warms every
+    round and records it on the step's tape; the baseline's adapters start with
+    that tape as their queues, so its warms never run and its ranks hit every
+    entry.  Nothing is digested."""
     warmed = [0]
 
     def counting(arrays, ranks):
@@ -279,10 +264,9 @@ def test_a_job_memo_digests_each_warmed_input_once(digests, codec_calls, monkeyp
     cluster = Cluster.from_preset("fat_tree", nodes=16, ranks_per_node=2, contention="fair")
     WorkloadEngine(cluster, policy="packed").run([spec], baseline=True)
     per_execution = 2 * (4 * 4 + 4)  # two iterations of an allreduce's 4 rounds and an allgather
-    assert warmed[0] == 2 * per_execution
-    assert codec_calls["many_inputs"] == per_execution  # the baseline is all hits
+    assert warmed[0] == codec_calls["many_inputs"] == per_execution
     assert codec_calls["compress"] == 0
-    assert digests[0] == warmed[0]
+    assert sum(sha256_calls.values()) == 0
 
 
 @pytest.mark.parametrize("mode", ["on", "nd"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -78,6 +80,24 @@ def codec_calls(monkeypatch):
             name = f"{kind}_bytes"
             monkeypatch.setattr(codec, name, counted(kind, vars(codec)[name]))
         monkeypatch.setattr(codec, "compress_many", counted_many(vars(codec)["compress_many"]))
+    return seen
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """SHA-256 digests started anywhere in the process, counted per calling module.
+
+    ``hashlib.sha256`` is replaced on the module itself, so every
+    ``hashlib.sha256(...)`` call, whoever makes it, goes through the count.
+    """
+    seen = Counter()
+    real = hashlib.sha256
+
+    def counted(*args, **kwargs):
+        seen[sys._getframe(1).f_globals.get("__name__")] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
     return seen
 
 

@@ -2,8 +2,9 @@
 
 That reuse moves no simulated number is ``test_baseline_pin.py``'s job; here:
 baselines and restart attempts cost zero codec calls and share their drawn
-inputs, a memo is per job and per ``run()``, it exists only where a second
-execution can happen, and nothing keeps one alive once none can.
+inputs, a lying tape costs codec calls and never a value, nothing is digested,
+a memo is per job and per ``run()``, it exists only where a second execution
+can happen, and nothing keeps one alive once none can.
 """
 
 import gc
@@ -15,7 +16,7 @@ import pytest
 import repro.workload.engine as workload_engine
 import repro.workload.job as workload_job
 from repro.api import Cluster
-from repro.ccoll import CCollConfig, CodecMemo
+from repro.ccoll import CCollConfig
 from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
 from repro.workload import (
     CollectiveCall,
@@ -26,6 +27,7 @@ from repro.workload import (
     compile_job,
 )
 from repro.workload.job import JobMemo
+from repro.workload.metrics import JobRecord
 
 
 def _cluster():
@@ -50,18 +52,53 @@ def _four_jobs_and_a_loss(iterations=(4, 4, 4, 4)):
     return specs, FaultSchedule(events=(NodeLoss(time=0.5 * first_done, node=1),))
 
 
+def _recovery_shape():
+    """The ledger's ``workload_recovery`` at its seed 7: six compressed jobs, their
+    healthy makespan, and the node loss and domain outage it runs under."""
+    rng = np.random.default_rng(7)
+    calls = (CollectiveCall(op="allreduce", msg_elems=8192, compression="on"),)
+    specs = [
+        JobSpec(job_id=f"long-{index}", n_ranks=n_ranks, arrival=1e-4 * index,
+                iterations=4, seed=int(rng.integers(1, 2**31)), calls=calls)
+        for index, n_ranks in enumerate((8, 4, 2, 8, 4, 2))
+    ]  # fmt: skip
+    healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
+    zone = FailureDomain(name="pz0", kind="power", nodes=(4, 5))
+    faults = FaultSchedule(
+        events=(
+            NodeLoss(time=0.45 * healthy.makespan, node=1),
+            DomainOutage(time=0.70 * healthy.makespan, domain=zone,
+                         duration=0.10 * healthy.makespan),
+        )
+    )  # fmt: skip
+    return specs, faults
+
+
+def _recovery_run(specs, faults):
+    engine = WorkloadEngine(
+        _cluster(), policy="packed", faults=faults,
+        failure_policy="restart_elsewhere", checkpoint=2,
+    )  # fmt: skip
+    return engine.run(specs, baseline=False)
+
+
+def _taped(memo: JobMemo) -> int:
+    """The entries on every tape of ``memo``."""
+    return sum(len(entries) for tape in memo.tapes.values() for _, entries in tape)
+
+
 @pytest.fixture
 def compiles(monkeypatch):
     """Every ``compile_job`` call a run makes, as ``(job id, memo)``: ``memo`` is ``None``
-    or, of the codec results the compile was handed, ``(id, weak reference, compress
-    entries held when the compile began)``."""
+    or, of the ``JobMemo`` the compile was handed, ``(id, weak reference, tape entries
+    held when the compile began)``."""
     seen = []
     real = workload_engine.compile_job
 
     def recording(spec, cluster, slots, memo=None):
         watched = None
         if memo is not None:
-            watched = (id(memo.codec), weakref.ref(memo.codec), len(memo.codec.compressed))
+            watched = (id(memo), weakref.ref(memo), _taped(memo))
         seen.append((spec.job_id, watched))
         return real(spec, cluster, slots, memo)
 
@@ -71,7 +108,7 @@ def compiles(monkeypatch):
 
 def _live_memos():
     gc.collect()
-    return [obj for obj in gc.get_objects() if isinstance(obj, CodecMemo)]
+    return [obj for obj in gc.get_objects() if isinstance(obj, JobMemo)]
 
 
 class TestCodecCalls:
@@ -115,44 +152,98 @@ class TestCodecCalls:
         reused the killed attempt's results) — gated here exactly because the
         committed ledger still holds the old count.  Every one is part of a ring
         round batch: 112 ``compress_many`` calls, no rank compresses on its own."""
-        rng = np.random.default_rng(7)
-        calls = (CollectiveCall(op="allreduce", msg_elems=8192, compression="on"),)
-        specs = [
-            JobSpec(job_id=f"long-{index}", n_ranks=n_ranks, arrival=1e-4 * index,
-                    iterations=4, seed=int(rng.integers(1, 2**31)), calls=calls)
-            for index, n_ranks in enumerate((8, 4, 2, 8, 4, 2))
-        ]  # fmt: skip
-        healthy = WorkloadEngine(_cluster(), policy="packed").run(specs, baseline=False)
+        specs, faults = _recovery_shape()
         once = {"compress": 0, "decompress": 0, "compress_many": 112, "many_inputs": 672}
         assert codec_calls == once
-        zone = FailureDomain(name="pz0", kind="power", nodes=(4, 5))
-        faults = FaultSchedule(
-            events=(
-                NodeLoss(time=0.45 * healthy.makespan, node=1),
-                DomainOutage(time=0.70 * healthy.makespan, domain=zone,
-                             duration=0.10 * healthy.makespan),
-            )
-        )  # fmt: skip
-
-        def faulted():
-            engine = WorkloadEngine(
-                _cluster(), policy="packed", faults=faults,
-                failure_policy="restart_elsewhere", checkpoint=2,
-            )  # fmt: skip
-            return engine.run(specs, baseline=False)
-
-        report = faulted()
+        report = _recovery_run(specs, faults)
         assert codec_calls == {kind: 2 * count for kind, count in once.items()}
         assert report.total_restarts == 2
         # the control: the same run with no memo anywhere pays for every replayed
         # step, and a killed attempt's last collective was warmed whole (928 inputs
         # where its ranks alone compressed 876)
         monkeypatch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
-        assert faulted() == report
+        assert _recovery_run(specs, faults) == report
         assert codec_calls == {
             "compress": 0, "decompress": 0, "compress_many": 2 * 112 + 144,
             "many_inputs": 2 * 672 + 928,
         }  # fmt: skip
+
+    def test_a_workload_run_digests_nothing(self, sha256_calls):
+        """The ledger's two job mixes, baselines and restarts included: a re-execution
+        finds its codec results on its tape by position and a byte compare (686 and
+        928 SHA-256 digests when they were content-addressed)."""
+        WorkloadEngine(_cluster(), policy="spread").run(_ledger_mix(), baseline=True)
+        assert _recovery_run(*_recovery_shape()).total_restarts == 2
+        ours = {
+            module: count
+            for module, count in sha256_calls.items()
+            if module.startswith(("repro.ccoll", "repro.workload"))
+        }
+        assert ours == {}
+
+
+def _execute(spec, memo):
+    """``spec`` run alone on slots ``0..n-1`` from time 0, as a baseline runs:
+    its makespan and every rank's value of every step."""
+    owner = WorkloadEngine(_cluster(), policy="packed")
+    engine = owner._fresh_engine()
+    compiled = compile_job(spec, owner.cluster, tuple(range(spec.n_ranks)), memo)
+    record = JobRecord(spec=spec)
+    record.prepare(spec.n_steps)
+    finished = []
+    engine.schedule_event(
+        0.0,
+        lambda now: workload_engine._launch_job(
+            engine, now, compiled, record, True, 0, lambda job: finished.append(job.finished)
+        ),
+    )
+    engine.run()
+    values = [[step[rank].tobytes() for rank in sorted(step)] for step in record.step_values]
+    return finished, values
+
+
+class TestALyingTape:
+    """A tape is checked like any queue: what it gets wrong costs codec calls, never values."""
+
+    SPEC = JobSpec(
+        job_id="j", n_ranks=4, iterations=2, seed=11,
+        calls=(CollectiveCall(op="allreduce", msg_elems=4096, compression="on"),),
+    )  # fmt: skip
+    #: inputs one step compresses: 3 reduce-scatter rounds of 4 chunks, and the
+    #: allgather stage's 4 reduced chunks
+    PER_STEP = 4 * 3 + 4
+
+    def test_a_flipped_bit_costs_one_codec_call(self, codec_calls):
+        memo = JobMemo()
+        truth = _execute(self.SPEC, memo)
+        assert codec_calls["many_inputs"] == 2 * self.PER_STEP and _taped(memo) == 2 * self.PER_STEP
+        assert _execute(self.SPEC, memo) == truth
+        assert codec_calls["many_inputs"] == 2 * self.PER_STEP and codec_calls["compress"] == 0
+        # one bit of the input rank 2's second reduce-scatter round was recorded with
+        describe, entries = memo.tapes[1][2]
+        recorded, buf, decoded = entries[1]
+        lied = recorded.copy()
+        lied.view(np.uint8)[5] ^= 0x10
+        lied.setflags(write=False)
+        entries[1] = (lied, buf, decoded)
+        assert _execute(self.SPEC, memo) == truth
+        assert codec_calls["compress"] == 1
+        assert codec_calls["many_inputs"] == 2 * self.PER_STEP  # no warm ran either
+        assert entries[1][0] is lied  # a miss leaves the tape as it was
+
+    def test_another_steps_tape_misses_everywhere_and_changes_nothing(self, codec_calls):
+        truth = _execute(self.SPEC, None)
+        untaped = dict(codec_calls)
+        assert untaped["many_inputs"] == 2 * self.PER_STEP
+        memo = JobMemo()
+        _execute(self.SPEC, memo)
+        memo.tapes[1] = memo.tapes[0]  # step 1 replays what step 0 compressed
+        before = dict(codec_calls)
+        assert _execute(self.SPEC, memo) == truth
+        # step 0 hits everything; step 1 skips its warm and every rank compresses
+        # its own: one codec call per input the tape-less run batched for that step
+        assert codec_calls["compress"] - before["compress"] == self.PER_STEP
+        assert codec_calls["many_inputs"] == before["many_inputs"]
 
 
 class TestMemoLifetime:
@@ -313,29 +404,29 @@ class TestWhatAMemoHolds:
                 assert ours is not theirs and ours.flags.writeable and theirs.flags.writeable
                 assert ours.tobytes() == theirs.tobytes()
 
-    def test_digest_keys_separate_what_byte_keys_separated(self, codec_calls):
-        def compress(data, **config):
-            config = CCollConfig(codec_memo=memo, **config)
-            return config.make_adapters(config.context(), 1)[0].compress(data)
-
-        memo = CodecMemo()
+    def test_a_replay_matches_its_inputs_bit_for_bit(self, codec_calls):
+        """What a digest key told apart, the byte compare tells apart: one ulp of one
+        element, and one buffer read as two dtypes."""
         data = np.random.default_rng(4).uniform(1.0, 2.0, 4096)
         nudged = data.copy()
         nudged[1234] = np.nextafter(nudged[1234], 2.0)  # one ulp, one element
-        halves = data.astype(np.float32)  # one buffer, read as two dtypes
-        cases = [
-            (data, {}),
-            (nudged, {}),
-            (halves, {}),
-            (halves.view(np.float64), {}),
-            (data, dict(error_bound=1e-2)),
-        ]
-        for entries, (values, config) in enumerate(cases, start=1):
-            compress(values, **config)
-            assert len(memo.compressed) == codec_calls["compress"] == entries
-        for values, config in cases:  # an equal input, in another buffer, hits
-            compress(values.copy(), **config)
-        assert len(memo.compressed) == codec_calls["compress"] == len(cases)
-        # an entry is keyed by a digest: it holds none of the bytes it was computed from
-        assert {key[-2] for key in memo.compressed} == {4096, 2048}
-        assert all(isinstance(key[-1], bytes) and len(key[-1]) == 32 for key in memo.compressed)
+        halves = data.astype(np.float32)
+        memo = JobMemo()
+
+        def compress(values, step=0):
+            config = CCollConfig(codec_tape=memo.step_tape(step))
+            return config.make_adapters(config.context(), 1)[0].compress(values)
+
+        expected = compress(data)
+        assert codec_calls["compress"] == 1 and _taped(memo) == 1
+        for calls, values in enumerate((nudged, halves.view(np.float64)), start=2):
+            compress(values)  # a miss: the codec's own call
+            assert codec_calls["compress"] == calls
+        assert compress(data.copy()) == expected  # an equal input, in another buffer, hits
+        assert codec_calls["compress"] == 3
+        # an entry holds the bytes it was computed from, frozen, and misses record nothing
+        ((_, entries),) = memo.tapes[0]
+        assert len(entries) == 1 and entries[0][0].tobytes() == data.tobytes()
+        assert not entries[0][0].flags.writeable
+        compress(halves, step=1)  # float32 values
+        assert memo.tapes[1][0][1][0][0].dtype == np.float32
