@@ -1,7 +1,9 @@
 """Golden compressed-payload pins for the codec data plane.
 
 The SHA-256 digests below were generated from the scalar (pre-vectorization)
-SZx / ZFP / PIPE-SZx implementations on fixed seeded fields.  The width-class
+SZx / ZFP / PIPE-SZx implementations on fixed seeded fields; ZFP's decoded
+values are pinned too (``GOLDEN_ZFP_*_DECODED``), so a rewrite of its
+dequantise or inverse-transform passes cannot drift unseen.  The width-class
 batched data plane must keep the on-wire format **bit-for-bit identical**, so
 any change to these digests is a format break, not a refactor.
 
@@ -113,6 +115,48 @@ GOLDEN_ZFP_FXR = {
     ("sparse", "float64", 16.0): "f0723d80af64f234783ca9826d1256aa80d34064b92c8e57897e256bbbd18f75",
 }
 
+#: (field kind, dtype, error bound) -> sha256(decompress_bytes(compress_bytes(...)))
+GOLDEN_ZFP_ABS_DECODED = {
+    ("mixed", "float32", 0.0001): "c3ae34d23f5c3bdd266f2183741143fcb5ce7ff71d8981ae139c03a23ce35ad0",
+    ("mixed", "float32", 0.01): "75ac874f0e649265b78e7029fd6be46aec74844fab460eb87b2ba10602195de4",
+    ("mixed", "float64", 0.0001): "7d4d779c3dbcabe2cfa8704dc19cfcc164cb4d8748a9dbf294cc9f0433721276",
+    ("mixed", "float64", 0.01): "9b922a085b1e7e37f37c969aae1cd880d28e7fa97d81fa5a55ef8cb993b267a5",
+    ("rough", "float32", 0.0001): "9553c1ab584e92770d268bef7533e5173d927a55e443d9f38886ad0c5d143614",
+    ("rough", "float32", 0.01): "7fb30d2f68042eb996dc74be95f06399a15d389bf765ba4a36989529aa441d43",
+    ("rough", "float64", 0.0001): "ed99e40707f7fd1fc167ad414ca5f99d5260ab46386d6b9a3f1aa74264af2b98",
+    ("rough", "float64", 0.01): "ecdf070d6c69dd2ea79e436e956397def831036024dcfb02bff6c6d27b31af19",
+    ("smooth", "float32", 0.0001): "0f8d482834418dfba615e302ad24ffb6f12ad07170bc8b5b9ba2020a3b370864",
+    ("smooth", "float32", 0.01): "8b32462579785ee6fa574929f2bf42af800312d2d4de65a45d8f69f4266cb22d",
+    ("smooth", "float64", 0.0001): "2993bb515eefdac8d27e56a357e800640034c6070223087a36773d13c8f5456b",
+    ("smooth", "float64", 0.01): "5c86d1d9d8b96d3e8925312c33fdbe1ad0b7818b4d8f28894289db862f26935d",
+    ("sparse", "float32", 0.0001): "7a6638c71f924700bca974335e58586dc638900706c6bf5db5b1503c70841509",
+    ("sparse", "float32", 0.01): "8c7ae5f650437c1995925cee6732419989faa370bf85fd00622c8cfc3662e9b8",
+    ("sparse", "float64", 0.0001): "82fbade6866e3c50184860c462aed96e67c05ab4cc6e63892774d318b2bc232a",
+    ("sparse", "float64", 0.01): "7d8af1fa9d29855107d65b2ee3bbef575d5db2827744b629c21797a041cbaf17",
+}
+
+#: (field kind, dtype, rate) -> sha256(decompress_bytes(compress_bytes(...)))
+GOLDEN_ZFP_FXR_DECODED = {
+    ("mixed", "float64", 4.0): "e5663316543f16c0e6ca15bc8d6b2e17ce3fe5c9ac4ba8cb39ac9e5a691c640d",
+    ("mixed", "float64", 8.0): "df0b1ac735ac73b269a8d81cdfcc0852f9b4d13a7dab255797e04a8eaf2d1385",
+    ("mixed", "float64", 16.0): "91d22ea03d5df4baae6f3f9b06ced4f1c74d4e0479991a02872a7e086b161242",
+    ("rough", "float32", 4.0): "bf925bb6a778a02768695df31a0d3b2b5d273198a607e55802040fe02f9d4c04",
+    ("rough", "float32", 8.0): "90840795f80fac5409cd77e0ff060494e5f3fe5a44e94c1dbd2feeaaa646fdb7",
+    ("rough", "float32", 16.0): "9a043bad8d535a787a13b4db4b2f28e120526470e7a08b06d8175d7f60ef5cd8",
+    ("rough", "float64", 4.0): "461bc03310b49e1685352556fc4c65e683148f5f42cd9be1aaacd52594017e21",
+    ("rough", "float64", 8.0): "8009c2125903bcfb45a2bfad50f691ef21e52b83374927a5a7feb24158f40eeb",
+    ("rough", "float64", 16.0): "7c7e78d705d4d84ccabb6f3fafb000ff268455282740c6d12e83e3ab02fc5c05",
+    ("smooth", "float32", 4.0): "30b00378559c9e3ecdfc482184d9720ae99b46c8507f16fa00835eaecbde2c4c",
+    ("smooth", "float32", 8.0): "d5d7ab76c07043928e6c460e72d8e67fbac7654e13fffd905bb862e35560b739",
+    ("smooth", "float32", 16.0): "aa4a1709cfbb2174cbc74965ac9ea44a73dfcab5cde01c9ab4f58b6985bfc84f",
+    ("smooth", "float64", 4.0): "a6221d72732056b789f2b2b41e99ad5d0ae7056d0e0770039172cdde7c420ade",
+    ("smooth", "float64", 8.0): "8f107b03790aec99c8574b1c1a607c9441f7e8f9216d96819df3525cf6f9ad7e",
+    ("smooth", "float64", 16.0): "979ef1e1007e6dea2bac3f1bdfeb72042ea2657d57def9a2ff9c0b50d7993fcf",
+    ("sparse", "float64", 4.0): "6dd9a0d1f4e1b689c69a1c9839efe080be5255973efea896925725f8711f7bb9",
+    ("sparse", "float64", 8.0): "b204af660947aacb8c83a06f74f3e0d8da239c83dab4be1c25b89045fd496782",
+    ("sparse", "float64", 16.0): "a0b3fc3c8d142f5b7539c9d97a9a251b664506a251671eee178efb5f03ce6775",
+}
+
 GOLDEN_PIPE_SZX = {
     ("smooth", "float32", 0.01): "16ac9c060d77f510eb873b51f4b349d2f26570b6c887bdfe43c9a20bf1f8a33b",
     ("smooth", "float32", 0.0001): "dcb45a9576d0d303c6bd6668617aaded7b44c71aa3c0e431371301a73e5febef",
@@ -149,6 +193,25 @@ class TestGoldenZFPFxr:
         assert digest(payload) == GOLDEN_ZFP_FXR[(kind, dtype, rate)]
 
 
+class TestGoldenZFPDecoded:
+    """The decoded values of the ZFP payloads above: the payload digests pin
+    the encoder, these pin the dequantise and inverse Haar passes behind it."""
+
+    @pytest.mark.parametrize("kind,dtype,eb", sorted(GOLDEN_ZFP_ABS_DECODED))
+    def test_abs_decoded_digest(self, kind, dtype, eb):
+        codec = ZFPCompressor(mode="abs", error_bound=eb)
+        decoded = codec.decompress_bytes(codec.compress_bytes(field(kind, FIELD_N, dtype)))
+        assert decoded.dtype == np.dtype(dtype)
+        assert digest(decoded.tobytes()) == GOLDEN_ZFP_ABS_DECODED[(kind, dtype, eb)]
+
+    @pytest.mark.parametrize("kind,dtype,rate", sorted(GOLDEN_ZFP_FXR_DECODED))
+    def test_fxr_decoded_digest(self, kind, dtype, rate):
+        codec = ZFPCompressor(mode="fxr", rate=rate)
+        decoded = codec.decompress_bytes(codec.compress_bytes(field(kind, FIELD_N, dtype)))
+        assert decoded.dtype == np.dtype(dtype)
+        assert digest(decoded.tobytes()) == GOLDEN_ZFP_FXR_DECODED[(kind, dtype, rate)]
+
+
 class TestGoldenPipelinedSZx:
     @pytest.mark.parametrize("kind,dtype,eb", sorted(GOLDEN_PIPE_SZX))
     def test_payload_digest(self, kind, dtype, eb):
@@ -170,4 +233,14 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
         for kind, dtype, param in sorted(table):
             payload = codec(param).compress_bytes(field(kind, n, dtype))
             print(f'    ("{kind}", "{dtype}", {param!r}): "{digest(payload)}",')
+        print("}")
+    for name, table, codec in (
+        ("GOLDEN_ZFP_ABS_DECODED", GOLDEN_ZFP_ABS, lambda p: ZFPCompressor(mode="abs", error_bound=p)),
+        ("GOLDEN_ZFP_FXR_DECODED", GOLDEN_ZFP_FXR, lambda p: ZFPCompressor(mode="fxr", rate=p)),
+    ):
+        print(f"{name} = {{")
+        for kind, dtype, param in sorted(table):
+            zfp = codec(param)
+            decoded = zfp.decompress_bytes(zfp.compress_bytes(field(kind, FIELD_N, dtype)))
+            print(f'    ("{kind}", "{dtype}", {param!r}): "{digest(decoded.tobytes())}",')
         print("}")
