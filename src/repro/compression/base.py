@@ -141,7 +141,12 @@ class Compressor(abc.ABC):
     @abc.abstractmethod
     def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
         """Compress a validated 1-D float array into a self-describing payload
-        and, when ``restored`` is given, fill it with what the payload decodes to."""
+        and, when ``restored`` is given, fill it with what the payload decodes to.
+
+        Every codec fills ``restored`` from its encoder — SZx and PIPE-SZx
+        from the quants and mediums they pack, ZFP from the quants it packs
+        through the same inverse transform its decoder runs, ``null`` with
+        the data — and never runs its decoder to do it."""
 
     @abc.abstractmethod
     def decompress_bytes(self, payload: bytes) -> np.ndarray:

@@ -33,13 +33,30 @@ bit-for-bit those of the historical per-block loop (pinned by
   which yields an exact compression ratio of ``bits_per_value / rate`` and a
   data-dependent, unbounded error — exactly the trade-off the paper exploits
   when comparing against fixed-rate baselines.
+
+*The reconstruction is a by-product of encoding*, as in
+:mod:`repro.compression.szx`.  Past the bit-unpacking, the decoder needs the
+signed quants, the step of every block (one step in ABS, one per block in FXR)
+and which blocks are all-zero — and the encoder holds all three before it
+packs a byte.  An all-zero block's quants are all 0, so dequantising every
+block the encoder quantised gives the decoder's coefficients by construction:
+``quant * step`` in float64 (FXR's per-block form, zero blocks left at 0, is
+``_dequantise_rows`` in both directions).  Both directions then end in
+``_reconstruct`` — the inverse Haar transform, its finest level written
+straight into the output dtype, padding dropped —
+:meth:`ZFPCompressor.decompress_bytes` on what it unpacked and
+:meth:`ZFPCompressor.compress_bytes`, when handed the ``restored``
+out-parameter, on what it is about to pack.  ``restored`` then equals the
+decode byte for byte at a fraction of what un-bit-packing the same quants back
+out of the payload costs; ``tests/compression/test_restored.py`` is the
+differential and ``tests/compression/test_zfp.py`` checks no decoder runs.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -84,36 +101,104 @@ _MAX_TRANSFORM_SAFE = float(np.finfo(np.float64).max) / 2.0
 def _haar_forward(blocks: np.ndarray) -> np.ndarray:
     """Multi-level Haar transform of shape ``(n_blocks, block_size)`` blocks.
 
-    Returns coefficients laid out as ``[DC, d_coarsest, ..., d_finest]`` so the
-    first column is the block average.
+    Returns float64 coefficients laid out as ``[DC, d_coarsest, ..., d_finest]``
+    so the first column is the block average.  Each level's details are
+    written straight into that output; ``blocks`` may be float32, every
+    difference and average is formed in float64.
     """
-    a = blocks.astype(np.float64)
-    details: List[np.ndarray] = []
-    while a.shape[1] > 1:
+    n, width = blocks.shape
+    out = np.empty((n, width), dtype=np.float64)
+    a = blocks
+    while width > 1:
+        width //= 2
         even = a[:, 0::2]
         odd = a[:, 1::2]
-        details.append(odd - even)
-        a = (even + odd) * 0.5
-    return np.concatenate([a] + details[::-1], axis=1)
+        np.subtract(odd, even, out=out[:, width : 2 * width], dtype=np.float64)
+        a = np.add(even, odd, dtype=np.float64)
+        a *= 0.5
+    out[:, :1] = a
+    return out
 
 
-def _haar_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_haar_forward`."""
+def _haar_inverse(coeffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse of :func:`_haar_forward`, written into ``out``.
+
+    ``out`` is a contiguous array of the shape of ``coeffs`` and any float
+    dtype (a fresh float64 array when omitted).  Each level's halved details
+    go to one preallocated buffer and its merge is two flat strided writes;
+    only the finest level lands in ``out``, cast on store, so a float32
+    ``out`` holds exactly the float64 result cast to float32.
+    """
     n, width = coeffs.shape
-    a = coeffs[:, 0:1].astype(np.float64)
-    pos = 1
+    if out is None:
+        out = np.empty((n, width), dtype=np.float64)
+    if width == 1:
+        out[...] = coeffs
+        return out
+    half = np.empty(n * (width // 2), dtype=np.float64)
+    a = coeffs[:, 0]
     size = 1
-    while pos < width:
-        d = coeffs[:, pos : pos + size]
-        pos += size
-        even = a - d * 0.5
-        odd = a + d * 0.5
-        merged = np.empty((n, size * 2), dtype=np.float64)
-        merged[:, 0::2] = even
-        merged[:, 1::2] = odd
+    while size < width:
+        h = half[: n * size].reshape(n, size)
+        np.multiply(coeffs[:, size : 2 * size], 0.5, out=h)
+        h = h.reshape(-1)
+        merged = out if 2 * size == width else np.empty((n, 2 * size), dtype=np.float64)
+        merged = merged.reshape(-1)
+        np.subtract(a, h, out=merged[0::2])
+        np.add(a, h, out=merged[1::2])
         a = merged
         size *= 2
-    return a
+    return out
+
+
+def _reconstruct(
+    coeffs: np.ndarray, count: int, dtype: np.dtype, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The ``count`` values of ``dtype`` that dequantised ``coeffs`` decode to.
+
+    Written into ``out`` (a contiguous 1-D array of ``count`` values) when
+    given.  Both directions end here: the decoder on the coefficients it
+    unpacked, the encoder on the quants it is about to pack.
+    """
+    if out is not None and out.size == coeffs.size:
+        _haar_inverse(coeffs, out.reshape(coeffs.shape))
+        return out
+    values = _haar_inverse(coeffs, np.empty(coeffs.shape, dtype=dtype)).reshape(-1)[:count]
+    if out is not None:
+        out[...] = values
+    return values
+
+
+def _dequantise_rows(
+    quants: np.ndarray, steps: np.ndarray, rows: np.ndarray, n_blocks: int
+) -> np.ndarray:
+    """Coefficients of ``n_blocks`` blocks: row ``rows[i]`` is ``quants[i] * steps[i]``
+    and every other (all-zero) block is 0."""
+    if rows.size == n_blocks:
+        return np.multiply(quants, steps, dtype=np.float64)
+    coeffs = np.zeros((n_blocks, quants.shape[1]), dtype=np.float64)
+    coeffs[rows] = np.multiply(quants, steps, dtype=np.float64)
+    return coeffs
+
+
+def _fxr_geometry(rate: float, block: int) -> Tuple[int, int]:
+    """``(coefficient bits, bytes)`` of one fixed-rate block of
+    ``block`` values at ``rate`` bits per value; ``ValueError`` for a rate no
+    block can be coded at."""
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate!r}")
+    budget_bits = int(round(rate * block))
+    if budget_bits < 8 + block:
+        raise ValueError(
+            f"rate {rate} too small for block_size {block}: each block needs "
+            f"at least {8 + block} bits"
+        )
+    coef_bits = (budget_bits - 8) // block
+    if coef_bits > 64:
+        raise ValueError(
+            f"rate {rate} asks for {coef_bits}-bit coefficients; the packer supports at most 64"
+        )
+    return coef_bits, (budget_bits + 7) // 8
 
 
 def _ceil_log2(values: np.ndarray) -> np.ndarray:
@@ -166,20 +251,7 @@ class ZFPCompressor(Compressor):
             self.rate = ensure_positive(rate, "rate")
             self.error_bound = None
             self.error_bounded = False
-            budget_bits = int(round(self.rate * self.block_size))
-            if budget_bits < 8 + self.block_size:
-                raise ValueError(
-                    f"rate {rate} too small for block_size {self.block_size}: each block needs "
-                    f"at least {8 + self.block_size} bits"
-                )
-            self._budget_bits = budget_bits
-            self._coef_bits = (budget_bits - 8) // self.block_size
-            if self._coef_bits > 64:
-                raise ValueError(
-                    f"rate {rate} asks for {self._coef_bits}-bit coefficients; "
-                    "the packer supports at most 64"
-                )
-            self._block_bytes = (budget_bits + 7) // 8
+            self._coef_bits, self._block_bytes = _fxr_geometry(self.rate, self.block_size)
 
     # ------------------------------------------------------------------ API
 
@@ -209,13 +281,7 @@ class ZFPCompressor(Compressor):
         if data.size == 0:
             return header.pack() + _BODY_HEADER.pack(mode_code, 0, self.block_size, 0)
 
-        block = self.block_size
-        n_blocks = (data.size + block - 1) // block
-        padded = np.empty(n_blocks * block, dtype=np.float64)
-        padded[: data.size] = data
-        if padded.size > data.size:
-            padded[data.size :] = data[-1]
-        largest = float(np.max(np.abs(padded)))
+        largest = max(float(data.max()), -float(data.min()))
         if not math.isfinite(largest):
             raise UnsupportedDataError(
                 "non-finite values cannot be encoded; ZFP requires finite input data"
@@ -225,24 +291,32 @@ class ZFPCompressor(Compressor):
                 "value magnitudes exceed the Haar-transform-safe range "
                 f"(max |value| ~ {largest:.3e} > float64 max / 2)"
             )
-        coeffs = _haar_forward(padded.reshape(n_blocks, block))
-
-        body = bytearray()
-        body += header.pack()
-        body += _BODY_HEADER.pack(mode_code, 0, block, n_blocks)
-        if self.mode == MODE_ABS:
-            body += self._compress_abs(coeffs)
+        block = self.block_size
+        n_blocks = (data.size + block - 1) // block
+        if n_blocks * block == data.size:
+            blocks = data.reshape(n_blocks, block)
         else:
-            body += self._compress_fxr(coeffs)
-        payload = bytes(body)
+            padded = np.empty(n_blocks * block, dtype=data.dtype)
+            padded[: data.size] = data
+            padded[data.size :] = data[-1]
+            blocks = padded.reshape(n_blocks, block)
+        coeffs = _haar_forward(blocks)
+
+        encode = self._compress_abs if self.mode == MODE_ABS else self._compress_fxr
+        parts, dequantised = encode(coeffs, restored is not None)
+        payload = b"".join(
+            [header.pack(), _BODY_HEADER.pack(mode_code, 0, block, n_blocks), *parts]
+        )
         if restored is not None:
-            # quantised Haar coefficients are not a reconstruction: run the inverse
-            restored[...] = self.decompress_bytes(payload)
+            _reconstruct(dequantised, data.size, data.dtype, restored)
         return payload
 
-    def _compress_abs(self, coeffs: np.ndarray) -> bytes:
+    def _compress_abs(self, coeffs: np.ndarray, restore: bool) -> Tuple[list, Optional[np.ndarray]]:
+        """The body after the block header, as byte-like parts, and — when
+        ``restore`` — the coefficients the decoder will unpack.  Quantises
+        ``coeffs`` in place."""
         step = self.error_bound / _ABS_MARGIN
-        max_abs = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+        max_abs = max(float(coeffs.max()), -float(coeffs.min()))
         # reject quants beyond int64 before casting: the width check below
         # would catch them anyway, but only after the cast emitted a
         # RuntimeWarning and produced garbage
@@ -252,43 +326,48 @@ class ZFPCompressor(Compressor):
                 "quantised coefficients exceed the supported width; the error bound "
                 f"({self.error_bound!r}) is too small relative to the data range"
             )
-        qdt = narrow_signed_dtype(quant_bound)
-        scaled = coeffs / step
-        np.rint(scaled, out=scaled)
-        encoded = zigzag_encode(scaled.astype(qdt))
-        zero_mask = encoded.max(axis=1) == 0
-
-        out = bytearray()
-        out += np.packbits(zero_mask.astype(np.uint8)).tobytes()
-        nonzero_idx = np.nonzero(~zero_mask)[0]
-        if not nonzero_idx.size:
-            return bytes(out)
-        enc = encoded[nonzero_idx] if nonzero_idx.size != len(encoded) else encoded
+        np.divide(coeffs, step, out=coeffs)
+        np.rint(coeffs, out=coeffs)
+        quants = coeffs.astype(narrow_signed_dtype(quant_bound))
+        encoded = zigzag_encode(quants)
         # per-block widths of the DC field (1 value) and the detail field
-        # (block-1 values); both are width-class batched below
-        nbits_dc = bit_length_u64(enc[:, 0])
-        nbits_det = bit_length_u64(enc[:, 1:].max(axis=1))
+        # (block-1 values; an OR has the bit length of the maximum and
+        # reduces faster); a block is all-zero when both are 0
+        nbits_dc = bit_length_u64(encoded[:, 0])
+        nbits_det = bit_length_u64(np.bitwise_or.reduce(encoded[:, 1:], axis=1))
         if max(int(nbits_dc.max()), int(nbits_det.max())) > _MAX_QUANT_BITS:
             raise CompressionError(
                 "quantised coefficients exceed the supported width; the error bound "
                 f"({self.error_bound!r}) is too small relative to the data range"
             )
+        zero_mask = (nbits_dc == 0) & (nbits_det == 0)
+        # an all-zero block's quants are all 0, so every block dequantises as
+        # the decoder's does: zero blocks to 0, the others to quants * step
+        dequantised = np.multiply(quants, step, out=coeffs, dtype=np.float64) if restore else None
+        parts = [np.packbits(zero_mask)]
+        nonzero_idx = np.nonzero(~zero_mask)[0]
+        if not nonzero_idx.size:
+            return parts, dequantised
+        if nonzero_idx.size != len(encoded):
+            encoded = encoded[nonzero_idx]
+            nbits_dc = nbits_dc[nonzero_idx]
+            nbits_det = nbits_det[nonzero_idx]
         meta = np.empty((nonzero_idx.size, 2), dtype=np.uint8)
         meta[:, 0] = nbits_dc
         meta[:, 1] = nbits_det
-        out += meta.tobytes()
         dc_sizes = row_nbytes(1, nbits_dc)
-        det_sizes = row_nbytes(enc.shape[1] - 1, nbits_det)
+        det_sizes = row_nbytes(encoded.shape[1] - 1, nbits_det)
         piece_sizes = dc_sizes + det_sizes
         piece_starts = np.cumsum(piece_sizes) - piece_sizes
         total = int(piece_sizes.sum())
         region = np.zeros(total, dtype=np.uint8)
-        pack_width_classes(enc[:, :1], nbits_dc, piece_starts, total, out=region)
-        pack_width_classes(enc[:, 1:], nbits_det, piece_starts + dc_sizes, total, out=region)
-        out += region.tobytes()
-        return bytes(out)
+        pack_width_classes(encoded[:, :1], nbits_dc, piece_starts, total, out=region)
+        pack_width_classes(encoded[:, 1:], nbits_det, piece_starts + dc_sizes, total, out=region)
+        parts += [meta, region]
+        return parts, dequantised
 
-    def _compress_fxr(self, coeffs: np.ndarray) -> bytes:
+    def _compress_fxr(self, coeffs: np.ndarray, restore: bool) -> Tuple[list, Optional[np.ndarray]]:
+        """As :meth:`_compress_abs`, for the fixed-rate body."""
         block = self.block_size
         coef_bits = self._coef_bits
         block_bytes = self._block_bytes
@@ -299,44 +378,47 @@ class ZFPCompressor(Compressor):
 
         chunks = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
         chunks[zero_mask, 0] = _FXR_ZERO_EXPONENT & 0xFF
-        if nonzero_idx.size:
-            if not np.isfinite(max_abs[nonzero_idx]).all():
-                # the scalar loop failed loudly on int(ceil(log2(inf/nan)));
-                # keep non-finite input an error, not a corrupt payload
-                raise CompressionError(
-                    "non-finite values cannot be fixed-rate encoded; ZFP FXR "
-                    "requires finite input data"
-                )
-            emax = np.clip(_ceil_log2(max_abs[nonzero_idx]), -127, 127)
-            chunks[nonzero_idx, 0] = (emax & 0xFF).astype(np.uint8)
-            # step chosen so the largest coefficient fits in coef_bits signed bits
-            denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
-            steps = np.ldexp(1.0, emax.astype(np.int32)) / denom
-            limit = 2 ** (coef_bits - 1) - 1 if coef_bits > 1 else 0
-            scaled = coeffs[nonzero_idx] / steps[:, None]
-            np.rint(scaled, out=scaled)
-            if coef_bits <= 48 and float(max_abs.max()) < 2.0**127:
-                # emax was not clipped, so |scaled| <= limit + rounding and the
-                # quants provably fit a narrow dtype; clipping the integral
-                # floats first gives the same values the historical int64
-                # cast-then-clip produced
-                np.clip(scaled, float(-limit), float(limit), out=scaled)
-                q = scaled.astype(narrow_signed_dtype(2.0 * limit + 1.0))
-            else:
-                # Huge rates or emax-saturated magnitudes.  Clip in the float
-                # domain first so the int64 cast cannot overflow: the
-                # historical cast-then-clip wrapped saturated positives to
-                # INT64_MIN and then "clipped" them to -limit, flipping the
-                # sign of the reconstructed value.
-                fbound = min(float(limit), 2.0**62)
-                np.clip(scaled, -fbound, fbound, out=scaled)
-                q = scaled.astype(np.int64)
-                np.clip(q, -limit, limit, out=q)
-            blob = pack_uint_bits_rows(zigzag_encode(q), coef_bits)
-            per_row = int(row_nbytes(block, coef_bits))
-            packed = np.frombuffer(blob, dtype=np.uint8).reshape(nonzero_idx.size, per_row)
-            chunks[nonzero_idx, 1 : 1 + per_row] = packed
-        return chunks.tobytes()
+        if not nonzero_idx.size:
+            return [chunks], (np.zeros(coeffs.shape) if restore else None)
+        if not np.isfinite(max_abs[nonzero_idx]).all():
+            # the scalar loop failed loudly on int(ceil(log2(inf/nan)));
+            # keep non-finite input an error, not a corrupt payload
+            raise CompressionError(
+                "non-finite values cannot be fixed-rate encoded; ZFP FXR "
+                "requires finite input data"
+            )
+        emax = np.clip(_ceil_log2(max_abs[nonzero_idx]), -127, 127)
+        chunks[nonzero_idx, 0] = (emax & 0xFF).astype(np.uint8)
+        # step chosen so the largest coefficient fits in coef_bits signed bits
+        denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
+        steps = (np.ldexp(1.0, emax.astype(np.int32)) / denom)[:, None]
+        limit = 2 ** (coef_bits - 1) - 1 if coef_bits > 1 else 0
+        scaled = coeffs if nonzero_idx.size == n_blocks else coeffs[nonzero_idx]
+        np.divide(scaled, steps, out=scaled)
+        np.rint(scaled, out=scaled)
+        if coef_bits <= 48 and float(max_abs.max()) < 2.0**127:
+            # emax was not clipped, so |scaled| <= limit + rounding and the
+            # quants provably fit a narrow dtype; clipping the integral
+            # floats first gives the same values the historical int64
+            # cast-then-clip produced
+            np.clip(scaled, float(-limit), float(limit), out=scaled)
+            q = scaled.astype(narrow_signed_dtype(2.0 * limit + 1.0))
+        else:
+            # Huge rates or emax-saturated magnitudes.  Clip in the float
+            # domain first so the int64 cast cannot overflow: the
+            # historical cast-then-clip wrapped saturated positives to
+            # INT64_MIN and then "clipped" them to -limit, flipping the
+            # sign of the reconstructed value.
+            fbound = min(float(limit), 2.0**62)
+            np.clip(scaled, -fbound, fbound, out=scaled)
+            q = scaled.astype(np.int64)
+            np.clip(q, -limit, limit, out=q)
+        blob = pack_uint_bits_rows(zigzag_encode(q), coef_bits)
+        per_row = int(row_nbytes(block, coef_bits))
+        packed = np.frombuffer(blob, dtype=np.uint8).reshape(nonzero_idx.size, per_row)
+        chunks[nonzero_idx, 1 : 1 + per_row] = packed
+        dequantised = _dequantise_rows(q, steps, nonzero_idx, n_blocks) if restore else None
+        return [chunks], dequantised
 
     # --------------------------------------------------------- decompression
 
@@ -349,7 +431,8 @@ class ZFPCompressor(Compressor):
         offset += _BODY_HEADER.size
         if header.count == 0:
             return np.zeros(0, dtype=header.dtype)
-        if block <= 0 or n_blocks != (header.count + block - 1) // block:
+        # the Haar levels halve a block down to its DC value
+        if block <= 0 or block & (block - 1) or n_blocks != (header.count + block - 1) // block:
             raise DecompressionError("inconsistent ZFP block metadata")
 
         if mode_code == 0:
@@ -358,13 +441,15 @@ class ZFPCompressor(Compressor):
             coeffs = self._decompress_fxr(payload, offset, block, n_blocks, header.param)
         else:
             raise DecompressionError(f"unknown ZFP mode code {mode_code}")
-
-        values = _haar_inverse(coeffs).reshape(-1)
-        return values[: header.count].astype(header.dtype)
+        return _reconstruct(coeffs, header.count, header.dtype)
 
     def _decompress_abs(
         self, payload: bytes, offset: int, block: int, n_blocks: int, error_bound: float
     ) -> np.ndarray:
+        if not (math.isfinite(error_bound) and error_bound > 0.0):
+            raise DecompressionError(
+                f"ZFP payload error bound must be a finite positive number, got {error_bound!r}"
+            )
         step = error_bound / _ABS_MARGIN
         flag_bytes = (n_blocks + 7) // 8
         if len(payload) < offset + flag_bytes:
@@ -380,9 +465,8 @@ class ZFPCompressor(Compressor):
         meta = np.frombuffer(payload, dtype=np.uint8, count=2 * n_nonzero, offset=offset)
         offset += 2 * n_nonzero
 
-        coeffs = np.zeros((n_blocks, block), dtype=np.float64)
         if not n_nonzero:
-            return coeffs
+            return np.zeros((n_blocks, block), dtype=np.float64)
         nbits_dc = meta[0::2].astype(np.int64)
         nbits_det = meta[1::2].astype(np.int64)
         dc_sizes = row_nbytes(1, nbits_dc)
@@ -397,16 +481,24 @@ class ZFPCompressor(Compressor):
         det_q = zigzag_decode(
             unpack_width_classes(region, nbits_det, piece_starts + dc_sizes, block - 1, dtype=None)
         )
-        coeffs[nonzero_idx, 0] = dc_q[:, 0].astype(np.float64) * step
-        coeffs[nonzero_idx, 1:] = det_q.astype(np.float64) * step
+        if n_nonzero == n_blocks:
+            # every value is overwritten: no zero-fill, no scatter
+            coeffs = np.empty((n_blocks, block), dtype=np.float64)
+            np.multiply(dc_q, step, out=coeffs[:, :1], dtype=np.float64)
+            np.multiply(det_q, step, out=coeffs[:, 1:], dtype=np.float64)
+            return coeffs
+        coeffs = np.zeros((n_blocks, block), dtype=np.float64)
+        coeffs[nonzero_idx, :1] = np.multiply(dc_q, step, dtype=np.float64)
+        coeffs[nonzero_idx, 1:] = np.multiply(det_q, step, dtype=np.float64)
         return coeffs
 
     def _decompress_fxr(
         self, payload: bytes, offset: int, block: int, n_blocks: int, rate: float
     ) -> np.ndarray:
-        budget_bits = int(round(rate * block))
-        coef_bits = (budget_bits - 8) // block
-        block_bytes = (budget_bits + 7) // 8
+        try:
+            coef_bits, block_bytes = _fxr_geometry(rate, block)
+        except ValueError as exc:
+            raise DecompressionError(f"unusable ZFP payload rate: {exc}") from None
         if len(payload) < offset + n_blocks * block_bytes:
             raise DecompressionError("truncated ZFP payload (missing fixed-rate blocks)")
         chunks = np.frombuffer(
@@ -414,9 +506,8 @@ class ZFPCompressor(Compressor):
         ).reshape(n_blocks, block_bytes)
         emax = chunks[:, 0].view(np.int8).astype(np.int64)
         nonzero_idx = np.nonzero(emax != _FXR_ZERO_EXPONENT)[0]
-        coeffs = np.zeros((n_blocks, block), dtype=np.float64)
         if not nonzero_idx.size:
-            return coeffs
+            return np.zeros((n_blocks, block), dtype=np.float64)
         denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
         steps = np.ldexp(1.0, emax[nonzero_idx].astype(np.int32)) / denom
         per_row = int(row_nbytes(block, coef_bits))
@@ -424,5 +515,4 @@ class ZFPCompressor(Compressor):
         q = zigzag_decode(
             unpack_uint_bits_rows(body, nonzero_idx.size, block, coef_bits, dtype=None)
         )
-        coeffs[nonzero_idx] = q.astype(np.float64) * steps[:, None]
-        return coeffs
+        return _dequantise_rows(q, steps[:, None], nonzero_idx, n_blocks)

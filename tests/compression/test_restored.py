@@ -60,6 +60,13 @@ def _fields(rng: np.random.Generator, n: int, dtype) -> dict:
         "signed_zeros": np.where(rng.integers(0, 2, n) == 1, -0.0, 0.0),
         "half_constant": half,
     }
+    # zero and non-zero blocks side by side: only then do ZFP's decoders
+    # zero-fill and scatter, so these two compare that branch with restored
+    sparse = np.zeros(n)
+    spikes = rng.integers(0, n, size=max(1, n // 50))
+    sparse[spikes] = 5.0 * rng.standard_normal(spikes.size)
+    fields["sparse"] = sparse
+    fields["zero_heavy"] = np.where((np.arange(n) // 40) % 3 == 0, sine, 0.0)
     return {name: values.astype(dtype) for name, values in fields.items()}
 
 

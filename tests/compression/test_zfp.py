@@ -1,9 +1,13 @@
 """Tests for the ZFP-style transform codec (ABS and FXR modes)."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from repro.compression import CompressionError, DecompressionError, ZFPCompressor
+from repro.compression.header import PayloadHeader
 from repro.compression.zfp import _haar_forward, _haar_inverse
 
 
@@ -155,3 +159,78 @@ class TestFxrNonFinite:
         data = np.array([1.0, np.nan] + [0.5] * 30)
         with pytest.raises(CompressionError, match="non-finite"):
             ZFPCompressor(mode="fxr", rate=8).compress_bytes(data)
+
+
+def _with_param(payload: bytes, param: float) -> bytes:
+    """``payload`` with its header's error bound / rate replaced by ``param``."""
+    header = PayloadHeader.unpack(payload, payload[:4])
+    return dataclasses.replace(header, param=param).pack() + payload[PayloadHeader.SIZE :]
+
+
+class TestDecoderRefusesWhatTheConstructorRefuses:
+    """A header parameter no codec can be built with is a ``DecompressionError``,
+    not NaNs, zeros, garbage or another exception type (a ``RuntimeWarning`` is
+    an error under ``pytest.ini``)."""
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_abs_error_bound(self, bound, smooth_signal):
+        codec = ZFPCompressor(mode="abs", error_bound=1e-3)
+        payload = _with_param(codec.compress_bytes(smooth_signal), bound)
+        with pytest.raises(DecompressionError, match="error bound must be"):
+            codec.decompress_bytes(payload)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -8.0, 0.0, 0.5, 100.0])
+    def test_fxr_rate(self, rate, smooth_signal):
+        codec = ZFPCompressor(mode="fxr", rate=8)
+        payload = _with_param(codec.compress_bytes(smooth_signal), rate)
+        with pytest.raises(DecompressionError, match="unusable ZFP payload rate"):
+            codec.decompress_bytes(payload)
+
+    @pytest.mark.parametrize("block", [3, 12])
+    def test_a_block_size_the_transform_cannot_halve(self, block):
+        """Any block size but a power of two would leave output values unwritten."""
+        data = np.linspace(-1.0, 1.0, 96)
+        codec = ZFPCompressor(mode="abs", error_bound=1e-3)
+        payload = codec.compress_bytes(data)
+        body = struct.pack("<BBHI", 0, 0, block, -(-data.size // block))
+        payload = payload[: PayloadHeader.SIZE] + body + payload[PayloadHeader.SIZE + len(body) :]
+        with pytest.raises(DecompressionError, match="block metadata"):
+            codec.decompress_bytes(payload)
+
+    @pytest.mark.parametrize("mode", ["abs", "fxr"])
+    def test_the_usual_parameters_still_decode(self, mode, smooth_signal):
+        codec = ZFPCompressor(mode=mode, error_bound=1e-3, rate=8)
+        payload = codec.compress_bytes(smooth_signal)
+        assert codec.decompress_bytes(payload).size == smooth_signal.size
+
+
+class TestRestoredComesFromTheEncoder:
+    """``compress_bytes(restored=)`` dequantises the quants it packs: no decoder runs."""
+
+    @staticmethod
+    def _inputs(rng) -> dict:
+        sparse = np.zeros(16 * 40)
+        sparse[rng.integers(0, sparse.size, 12)] = rng.standard_normal(12)
+        return {
+            "all_zero": np.zeros(100),
+            "sparse": sparse,
+            "single_block": rng.standard_normal(16),
+            "ragged": np.sin(np.linspace(0.0, 9.0, 1_001)),
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("mode", ["abs", "fxr"])
+    def test_no_decoder_call(self, mode, dtype, rng, monkeypatch):
+        codec = ZFPCompressor(mode=mode, error_bound=1e-3, rate=8)
+        inputs = {name: data.astype(dtype) for name, data in self._inputs(rng).items()}
+        expected = {name: codec.decompress_bytes(codec.compress_bytes(data)) for name, data in inputs.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compress_bytes ran the decoder")
+
+        for name in ("decompress_bytes", "_decompress_abs", "_decompress_fxr"):
+            monkeypatch.setattr(ZFPCompressor, name, refuse)
+        for name, data in inputs.items():
+            restored = np.full(data.size, np.nan, dtype=dtype)
+            codec.compress_bytes(data, restored=restored)
+            assert restored.tobytes() == expected[name].tobytes(), name
