@@ -13,7 +13,6 @@ and 6 visualise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -51,18 +50,6 @@ class NormalFit:
     mu: float
     sigma: float
     n_samples: int
-
-    def pdf(self, x) -> np.ndarray:
-        """Density of the fitted normal at ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.sigma == 0:
-            return np.where(x == self.mu, np.inf, 0.0)
-        z = (x - self.mu) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2 * np.pi))
-
-    def within(self, k: float) -> Tuple[float, float]:
-        """The +- ``k`` sigma interval around the fitted mean."""
-        return (self.mu - k * self.sigma, self.mu + k * self.sigma)
 
 
 def fit_normal_mle(errors) -> NormalFit:

@@ -18,7 +18,7 @@ exact (uncompressed) stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -46,18 +46,6 @@ class StackingResult:
     quality: QualityReport
     total_time: float
     compression_ratio: Optional[float]
-
-    def summary(self) -> Dict[str, float]:
-        """Flat dictionary used by the harness tables."""
-        return {
-            "method": self.method,
-            "n_ranks": self.n_ranks,
-            "time": self.total_time,
-            "psnr": self.quality.psnr,
-            "nrmse": self.quality.nrmse,
-            "max_abs_error": self.quality.max_abs_error,
-            "compression_ratio": self.compression_ratio,
-        }
 
 
 def generate_partial_images(

@@ -22,7 +22,7 @@ from repro.compression.base import (
 )
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.null import NullCompressor
-from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, CompressedChunk, PipelinedSZx
+from repro.compression.pipelined import DEFAULT_CHUNK_ELEMS, PipelinedSZx
 from repro.compression.registry import available_compressors, make_compressor
 from repro.compression.szx import DEFAULT_BLOCK_SIZE, SZxCompressor
 from repro.compression.zfp import MODE_ABS, MODE_FXR, ZFPCompressor
@@ -37,7 +37,6 @@ __all__ = [
     "UnsupportedDataError",
     "SZxCompressor",
     "PipelinedSZx",
-    "CompressedChunk",
     "ZFPCompressor",
     "NullCompressor",
     "make_compressor",

@@ -11,32 +11,30 @@ interleaved with MPI progress polling:
 * between chunks the caller gets control back, so it can poll the progress of
   outstanding non-blocking sends/receives (``MPI_Test``-style).
 
-This module provides the one-shot :class:`PipelinedSZx` codec (drop-in
-compatible with every other :class:`~repro.compression.base.Compressor`) plus
-the incremental generator API (:meth:`PipelinedSZx.iter_compress`,
-:meth:`PipelinedSZx.iter_decompress`) that hands control back between chunks.
-The simulated collectives do not drive the generators: the collective
-computation framework (:mod:`repro.ccoll.computation`) compresses a whole ring
-round's chunks in one :meth:`PipelinedSZx.compress_many` call and *models* the
-interleaving as pipeline segments in virtual time.
+:class:`PipelinedSZx` is a drop-in :class:`~repro.compression.base.Compressor`
+for that payload format.  The simulation never hands control back between
+chunks on the host: the collective computation framework
+(:mod:`repro.ccoll.computation`) compresses a whole ring round's chunks in one
+:meth:`PipelinedSZx.compress_many` call and *models* the interleaving as
+pipeline segments in virtual time.
 
-Both APIs run the same chunked SZx kernel
+Every path runs the same chunked SZx kernel
 (:func:`repro.compression.szx.compress_chunks` /
-:func:`~repro.compression.szx.decompress_chunks`).  The one-shot path hands it
-the whole buffer, so all chunks are classified, quantised and bit-packed in
-**one** blockwise pass and this module only adds (or reads) the chunk index;
-:meth:`PipelinedSZx.compress_many` hands it every input's chunks back to back,
-one pass for a whole batch of buffers; the generators invoke it on one chunk
-at a time.  The bytes are identical either way, which makes the generators the
-per-chunk oracle the one-shot path is tested against.
+:func:`~repro.compression.szx.decompress_chunks`).
+:meth:`PipelinedSZx.compress_bytes` hands it the whole buffer, so all chunks
+are classified, quantised and bit-packed in **one** blockwise pass and this
+module only adds (or reads) the chunk index; :meth:`PipelinedSZx.compress_many`
+hands it every input's chunks back to back, one pass for a whole batch of
+buffers.  Each chunk's payload is byte for byte the
+:class:`~repro.compression.szx.SZxCompressor` payload of its 5120-value slice,
+which makes plain SZx the per-chunk oracle PIPE-SZx is tested against.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,36 +52,15 @@ from repro.compression.szx import (
     compress_chunks,
     decompress_chunks,
 )
-from repro.utils.chunking import chunk_bounds
 from repro.utils.validation import ensure_1d_float_array, ensure_positive
 
-__all__ = ["PipelinedSZx", "CompressedChunk", "DEFAULT_CHUNK_ELEMS"]
+__all__ = ["PipelinedSZx", "DEFAULT_CHUNK_ELEMS"]
 
 _MAGIC = b"PSZX"
 _INDEX_HEADER = struct.Struct("<II")  # chunk_elems, n_chunks
 
 #: the chunk granularity used by the paper (5120 data points per chunk)
 DEFAULT_CHUNK_ELEMS = 5120
-
-
-@dataclass(frozen=True)
-class CompressedChunk:
-    """One compressed chunk produced by :meth:`PipelinedSZx.iter_compress`."""
-
-    index: int
-    start: int
-    stop: int
-    payload: bytes
-
-    @property
-    def nbytes(self) -> int:
-        """Compressed size of this chunk."""
-        return len(self.payload)
-
-    @property
-    def n_elements(self) -> int:
-        """Number of original elements covered by this chunk."""
-        return self.stop - self.start
 
 
 def _chunk_lens(count: int, chunk_elems: int) -> List[int]:
@@ -116,48 +93,6 @@ class PipelinedSZx(Compressor):
 
     def describe(self) -> dict:
         return {"name": self.name, "error_bounded": True, "error_bound": self.error_bound}
-
-    def chunk_count(self, n_elements: int) -> int:
-        """Number of pipeline chunks used for ``n_elements`` values."""
-        if n_elements <= 0:
-            return 0
-        return (n_elements + self.chunk_elems - 1) // self.chunk_elems
-
-    # ------------------------------------------------------ incremental API
-
-    def iter_compress(self, data) -> Iterator[CompressedChunk]:
-        """Compress ``data`` chunk by chunk, yielding after every chunk.
-
-        The caller regains control between chunks — the hook for polling
-        communication progress (``MPI_Test``-style).
-        """
-        arr = check_compressible(data)
-        for index, (start, stop) in enumerate(chunk_bounds(arr.size, self.chunk_elems)):
-            (payload,) = compress_chunks(
-                arr[start:stop], [stop - start], self.block_size, self.error_bound
-            )
-            yield CompressedChunk(index=index, start=start, stop=stop, payload=payload)
-
-    def assemble(self, chunks: Sequence[CompressedChunk], count: int, dtype) -> bytes:
-        """Assemble chunk payloads into the single self-describing PIPE-SZx buffer.
-
-        The per-chunk compressed sizes are written as a contiguous index right
-        after the header (the "pre-allocated space at the front of the buffer"
-        described in the paper), followed by the concatenated chunk payloads.
-        """
-        chunks = sorted(chunks, key=lambda c: c.index)
-        expected = self.chunk_count(count)
-        if len(chunks) != expected:
-            raise ValueError(f"expected {expected} chunks for {count} elements, got {len(chunks)}")
-        return self._frame([c.payload for c in chunks], count, dtype)
-
-    def iter_decompress(self, payload: bytes) -> Iterator[np.ndarray]:
-        """Decompress a PIPE-SZx buffer chunk by chunk (in element order)."""
-        header, chunk_elems, pieces = self._parse(payload)
-        for (start, stop), piece in zip(chunk_bounds(header.count, chunk_elems), pieces):
-            yield decompress_chunks([piece], [stop - start])
-
-    # ----------------------------------------------------------- one-shot API
 
     def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
         # compress_bytes is itself called with unvalidated buffers and checks

@@ -14,25 +14,22 @@ from repro.datasets.hurricane import (
 from repro.datasets.registry import (
     DATASET_SPECS,
     DatasetSpec,
-    available_fields,
     load_field,
     message_of_size,
 )
-from repro.datasets.rtm import DEFAULT_RTM_SHAPE, generate_rtm_snapshot, generate_rtm_snapshots
+from repro.datasets.rtm import DEFAULT_RTM_SHAPE, generate_rtm_snapshot
 
 __all__ = [
     "Field",
     "smooth_random_field",
     "sparse_random_field",
     "generate_rtm_snapshot",
-    "generate_rtm_snapshots",
     "generate_hurricane_field",
     "generate_cesm_field",
     "HURRICANE_FIELDS",
     "CESM_FIELDS",
     "DATASET_SPECS",
     "DatasetSpec",
-    "available_fields",
     "load_field",
     "message_of_size",
     "DEFAULT_RTM_SHAPE",

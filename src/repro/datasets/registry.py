@@ -23,7 +23,7 @@ from repro.datasets.hurricane import (
 )
 from repro.datasets.rtm import DEFAULT_RTM_SHAPE, generate_rtm_snapshot
 
-__all__ = ["DatasetSpec", "DATASET_SPECS", "load_field", "available_fields", "message_of_size"]
+__all__ = ["DatasetSpec", "DATASET_SPECS", "load_field", "message_of_size"]
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         fields=tuple(sorted(CESM_FIELDS)),
     ),
 }
-
-
-def available_fields() -> Dict[str, Tuple[str, ...]]:
-    """Mapping application -> tuple of field names."""
-    return {app: spec.fields for app, spec in DATASET_SPECS.items()}
 
 
 def load_field(application: str, field: str = None, seed=0, shape=None, **kwargs) -> Field:

@@ -18,14 +18,14 @@ rough component controlling how hard the data becomes at tight error bounds.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.datasets.base import Field
 from repro.utils.rng import resolve_rng
 
-__all__ = ["generate_rtm_snapshot", "generate_rtm_snapshots", "DEFAULT_RTM_SHAPE"]
+__all__ = ["generate_rtm_snapshot", "DEFAULT_RTM_SHAPE"]
 
 DEFAULT_RTM_SHAPE: Tuple[int, int, int] = (48, 72, 72)
 _WAVE_SPEED = 0.35  # grid cells per unit time step (controls front radius)
@@ -86,27 +86,3 @@ def generate_rtm_snapshot(
         field += noise_amplitude * rng.standard_normal(shape)
 
     return Field(application="rtm", name=f"snapshot_t{time_index:04d}", data=field.astype(np.float32))
-
-
-def generate_rtm_snapshots(
-    count: int,
-    shape: Tuple[int, int, int] = DEFAULT_RTM_SHAPE,
-    start_time: int = 10,
-    time_stride: int = 8,
-    seed=0,
-    **kwargs,
-) -> List[Field]:
-    """Generate a sequence of snapshots at increasing time steps.
-
-    The snapshots share the same source layout (same seed) so that summing
-    them — the image-stacking use case of Section IV-E — produces a coherent
-    stacked image.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [
-        generate_rtm_snapshot(
-            shape=shape, time_index=start_time + i * time_stride, seed=seed, **kwargs
-        )
-        for i in range(count)
-    ]

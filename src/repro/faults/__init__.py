@@ -17,7 +17,6 @@ from repro.faults.schedule import (
     DomainOutage,
     FailureDomain,
     FaultEvent,
-    FaultFormatError,
     FaultSchedule,
     LinkDegrade,
     NodeLoss,
@@ -33,7 +32,6 @@ __all__ = [
     "DomainOutage",
     "FailureDomain",
     "FaultEvent",
-    "FaultFormatError",
     "FaultInjector",
     "FaultSchedule",
     "LinkDegrade",

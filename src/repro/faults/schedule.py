@@ -22,18 +22,17 @@ The event types cover the taxonomy in the ROADMAP's failure-scenarios item:
   ``NodeLoss``/``RailFailure``/``LinkDegrade`` constituents for every member,
   all at the same timestamp.
 
-Schedules are plain data: they sort, compare, round-trip through
-``to_dicts``/``from_dicts`` (JSON-friendly), and :meth:`FaultSchedule.generate`
-derives a named *fault mix* from a seed, so one ``(mix, seed)`` pair names a
-reproducible scenario everywhere — the harness ``faults`` experiment, the
-workload CLI and the fuzzer all share it.
+Schedules are plain data: they sort and compare, and
+:meth:`FaultSchedule.generate` derives a named *fault mix* from a seed, so
+one ``(mix, seed)`` pair names a reproducible scenario everywhere — the
+harness ``faults`` experiment, the workload CLI and the fuzzer all share it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 # the fabrics own their stage-family names (``topology.link_families``); the
 # fat tree's are the default LinkDegrade mixes draw from
@@ -47,7 +46,6 @@ __all__ = [
     "DomainOutage",
     "FailureDomain",
     "FaultEvent",
-    "FaultFormatError",
     "FaultSchedule",
     "LinkDegrade",
     "NodeLoss",
@@ -67,14 +65,6 @@ FAULT_MIXES = (
     "mixed",
     "domain_outage",
 )
-
-
-class FaultFormatError(ValueError):
-    """A :meth:`FaultSchedule.from_dicts` payload that is not a schedule.
-
-    The message starts ``event <index>:`` (the position in the payload list)
-    and names the event kind when the entry has one.
-    """
 
 
 def _check_time(time: float) -> None:
@@ -289,14 +279,6 @@ class DomainOutage:
 
 FaultEvent = Any  # union of the event dataclasses above (kept duck-typed)
 
-_EVENT_TYPES = {
-    "link_degrade": LinkDegrade,
-    "rail_failure": RailFailure,
-    "slow_rank": SlowRank,
-    "node_loss": NodeLoss,
-    "domain_outage": DomainOutage,
-}
-
 
 def _event_key(event: FaultEvent) -> Tuple[float, str, str]:
     # (time, kind, field repr): a total order so equal-time events of mixed
@@ -332,52 +314,6 @@ class FaultSchedule:
 
     def __iter__(self):
         return iter(self.events)
-
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """JSON-friendly representation (round-trips through :meth:`from_dicts`)."""
-        out = []
-        for event in self.events:
-            payload = asdict(event)
-            if "stage_prefix" in payload:
-                payload["stage_prefix"] = list(payload["stage_prefix"])
-            if "domain" in payload:
-                domain = payload["domain"]
-                domain["nodes"] = list(domain["nodes"])
-                domain["rails"] = [list(pair) for pair in domain["rails"]]
-                domain["stage_prefixes"] = [
-                    list(prefix) for prefix in domain["stage_prefixes"]
-                ]
-            out.append(payload)
-        return out
-
-    @classmethod
-    def from_dicts(cls, payloads: Iterable[Mapping[str, Any]]) -> "FaultSchedule":
-        """The schedule :meth:`to_dicts` wrote; anything else is a :class:`FaultFormatError`."""
-        events = []
-        for index, payload in enumerate(payloads):
-            where = f"event {index}"
-            try:
-                if not isinstance(payload, Mapping):
-                    raise TypeError(f"expected an object, got {type(payload).__name__}")
-                fields = dict(payload)
-                kind = fields.pop("kind", None)
-                event_type = _EVENT_TYPES.get(kind) if isinstance(kind, str) else None
-                if event_type is None:
-                    raise ValueError(
-                        f"unknown fault event kind {kind!r}; "
-                        f"available: {', '.join(_EVENT_TYPES)}"
-                    )
-                where += f": {kind}"
-                if "stage_prefix" in fields:
-                    fields["stage_prefix"] = tuple(fields["stage_prefix"])
-                if "domain" in fields:
-                    fields["domain"] = FailureDomain(**fields["domain"])
-                events.append(event_type(**fields))
-            except (TypeError, ValueError) as exc:
-                # a wrong key set or a wrongly typed field surfaces as the
-                # constructor's own error
-                raise FaultFormatError(f"{where}: {exc}") from exc
-        return cls(events=tuple(events))
 
     def permanent_node_losses(self) -> frozenset:
         """Nodes permanently lost by this schedule (domain outages expanded).
@@ -520,13 +456,3 @@ class FaultSchedule:
             degraded_tier()
             straggler()
         return cls(events=tuple(events))
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        if self.empty:
-            return "fault schedule: empty"
-        kinds: Dict[str, int] = {}
-        for event in self.events:
-            kinds[event.kind] = kinds.get(event.kind, 0) + 1
-        parts = ", ".join(f"{n}x {kind}" for kind, n in sorted(kinds.items()))
-        return f"fault schedule: {len(self.events)} event(s) ({parts})"

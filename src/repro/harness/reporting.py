@@ -94,7 +94,3 @@ class ExperimentResult:
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n".join(parts)
-
-    def column(self, name: str) -> List[object]:
-        """Extract one column across all rows (missing values become None)."""
-        return [row.get(name) for row in self.rows]

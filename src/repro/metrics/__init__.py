@@ -6,7 +6,7 @@ package implements those metrics exactly as defined in the referenced
 literature so harness outputs are directly comparable to the paper's numbers.
 """
 
-from repro.metrics.latency import mean_slowdown, percentile, summarize
+from repro.metrics.latency import mean_slowdown, summarize
 from repro.metrics.quality import (
     psnr,
     nrmse,
@@ -30,6 +30,5 @@ __all__ = [
     "CompressionStats",
     "aggregate_ratio_stats",
     "mean_slowdown",
-    "percentile",
     "summarize",
 ]

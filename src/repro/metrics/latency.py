@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Sequence
 
 __all__ = [
     "mean_slowdown",
-    "percentile",
     "summarize",
 ]
 
@@ -35,17 +34,6 @@ def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
     if frac == 0.0:
         return ordered[lo]
     return ordered[lo] + frac * (ordered[lo + 1] - ordered[lo])
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation.
-
-    ``values`` need not be sorted; raises ``ValueError`` when empty so a
-    silent 0.0 can never masquerade as a real latency.
-    """
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    return _percentile_sorted(sorted(float(v) for v in values), q)
 
 
 def summarize(values: Iterable[float]) -> Dict[str, float]:

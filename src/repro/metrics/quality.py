@@ -91,16 +91,6 @@ class QualityReport:
     max_abs_error: float
     mean_abs_error: float
 
-    def as_dict(self) -> dict:
-        """Return the report as a plain dictionary (for table printing / JSON)."""
-        return {
-            "psnr": self.psnr,
-            "nrmse": self.nrmse,
-            "rmse": self.rmse,
-            "max_abs_error": self.max_abs_error,
-            "mean_abs_error": self.mean_abs_error,
-        }
-
 
 def quality_report(original, reconstructed) -> QualityReport:
     """Compute all quality metrics at once for one reconstruction."""

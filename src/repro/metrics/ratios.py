@@ -1,9 +1,10 @@
 """Compression-ratio bookkeeping.
 
 Tables II and VI of the paper report min/avg/max compression ratios over many
-files of a dataset; :class:`CompressionStats` accumulates per-buffer ratios and
-:func:`aggregate_ratio_stats` reduces them to the min/avg/max triple used in
-the harness tables.
+files of a dataset; the harness reduces the per-file ratios to that triple with
+:func:`aggregate_ratio_stats`.  :class:`CompressionStats` accumulates the
+outcomes of one rank's compressions, from which a collective reports its
+overall ratio.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ def compression_ratio(original_nbytes: int, compressed_nbytes: int) -> float:
 class CompressionStats:
     """Accumulates compression outcomes across multiple buffers.
 
-    Used by the experiment harness to produce the min/avg/max ratio rows of
-    Tables II and VI and by the collectives to report how much traffic was
-    saved on the wire.
+    Each C-Coll compression adapter keeps one, so a collective can report how
+    much traffic was saved on the wire.
     """
 
     original_bytes: int = 0
@@ -55,17 +55,6 @@ class CompressionStats:
     def overall_ratio(self) -> float:
         """Ratio of the total original bytes to the total compressed bytes."""
         return compression_ratio(self.original_bytes, self.compressed_bytes)
-
-    def merge(self, other: "CompressionStats") -> "CompressionStats":
-        """Merge another stats object into this one (in place) and return self."""
-        self.original_bytes += other.original_bytes
-        self.compressed_bytes += other.compressed_bytes
-        self.ratios.extend(other.ratios)
-        return self
-
-    def summary(self) -> Dict[str, float]:
-        """Return min/avg/max per-buffer ratio plus the overall ratio."""
-        return aggregate_ratio_stats(self.ratios) | {"overall": self.overall_ratio}
 
 
 def aggregate_ratio_stats(ratios: Iterable[float]) -> Dict[str, float]:

@@ -13,7 +13,6 @@ from repro.mpisim.commands import (
     Compute,
     Irecv,
     Isend,
-    Probe,
     Test,
     Wait,
     Waitall,
@@ -77,7 +76,6 @@ __all__ = [
     "Wait",
     "Waitall",
     "Test",
-    "Probe",
     "Barrier",
     "Engine",
     "RankResult",

@@ -38,7 +38,6 @@ __all__ = [
     "Wait",
     "Waitall",
     "Test",
-    "Probe",
     "Barrier",
     "CATEGORY_OTHERS",
 ]
@@ -131,18 +130,6 @@ class Test(Command):
     """
 
     request: Request
-
-
-@dataclass(slots=True)
-class Probe(Command):
-    """Non-destructively ask whether a matching message has been posted.
-
-    The yield result is ``True`` if a send matching (source, tag) has been
-    posted, ``False`` otherwise.  Consumes no virtual time.
-    """
-
-    source: int
-    tag: int = 0
 
 
 @dataclass(slots=True)

@@ -25,9 +25,9 @@ slot has one life cycle: idle -> ready/blocked (a job's program is bound to
 it) -> idle (the program returned, or the job was killed).  Programs only
 ever run as part of a job (:class:`EngineJob`), and the job is the
 simulator's communicator: rank ``r`` of a job is the slot ``job.slots[r]``,
-programs name their peers by job rank, and the ``Isend``/``Irecv``/``Probe``
-handlers translate to slots where they validate the peer, so a job cannot
-reach a slot outside itself.  ``Barrier`` spans the issuing rank's job.
+programs name their peers by job rank, and the ``Isend``/``Irecv`` handlers
+translate to slots where they validate the peer, so a job cannot reach a
+slot outside itself.  ``Barrier`` spans the issuing rank's job.
 Matching keys, request handles and the diagnostics below are in slot
 coordinates.  ``Engine(n, factory)`` is one job over all slots bound at
 t=0 — for it job rank and slot coincide — and goes through the same bind
@@ -110,9 +110,9 @@ derived from simulation state alone, and pop timestamps are non-decreasing
 entries (a superseded rank push, an outdated commit projection) stay on the
 heap until the peek reaches them.
 
-Causality note: rank programs that branch on ``Test``/``Probe`` results may
-observe a message one poll later than a wall-clock-accurate simulation would
-deliver it (the engine evaluates polls against the messages posted so far).
+Causality note: a rank program that branches on a ``Test`` result may see
+a transfer complete one poll later than a wall-clock-accurate simulation
+would (the engine evaluates a poll against the progress made so far).
 All algorithms in this package use polling purely as a progress hook, for
 which the effect is bounded by a single polling interval.
 """
@@ -131,7 +131,6 @@ from repro.mpisim.commands import (
     Compute,
     Irecv,
     Isend,
-    Probe,
     Test,
     Wait,
     Waitall,
@@ -376,7 +375,6 @@ class Engine:
             Wait: self._handle_wait,
             Waitall: self._handle_waitall,
             Test: self._handle_test,
-            Probe: self._handle_probe,
             Barrier: self._handle_barrier,
         }
         if topology is not None:
@@ -1020,15 +1018,6 @@ class Engine:
             message.transfer.completed
             or (message.transfer.eager and isinstance(request, SendRequest))
         )
-
-    def _handle_probe(self, state: _RankState, cmd: Probe) -> None:
-        slots = state.job.slots
-        if not (0 <= cmd.source < len(slots)):
-            raise InvalidCommandError(
-                f"rank {state.rank} probed invalid source {cmd.source}"
-            )
-        pending = self._unmatched_sends.get((state.rank, slots[cmd.source], cmd.tag))
-        state.resume_value = bool(pending)
 
     # ---------------------------------------------------------------- barrier
 

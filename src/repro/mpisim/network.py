@@ -94,10 +94,6 @@ class NetworkModel:
         ensure_in(self.progress, (PROGRESS_ON_POLL, PROGRESS_ASYNC), "progress")
         ensure_in(self.contention, CONTENTION_MODES, "contention")
 
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Pure network time for a message of ``nbytes`` (latency + size/bw)."""
-        return self.latency + max(0, nbytes) / self.bandwidth
-
     def is_eager(self, nbytes: int) -> bool:
         """Whether a message of ``nbytes`` uses the eager protocol."""
         return nbytes <= self.eager_threshold

@@ -82,13 +82,6 @@ class TimeBreakdown:
         """Return a new breakdown with every category multiplied by ``factor``."""
         return TimeBreakdown({c: v * factor for c, v in self.seconds.items()})
 
-    def normalized(self, reference: float | None = None) -> Dict[str, float]:
-        """Category shares relative to ``reference`` (defaults to this total)."""
-        ref = self.total if reference is None else float(reference)
-        if ref <= 0:
-            return {c: 0.0 for c in self.seconds}
-        return {c: v / ref for c, v in self.seconds.items()}
-
     @staticmethod
     def mean(breakdowns: Iterable["TimeBreakdown"]) -> "TimeBreakdown":
         """Average several per-rank breakdowns into one."""

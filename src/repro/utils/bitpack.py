@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "required_bits_unsigned",
     "bit_length_u64",
     "zigzag_encode",
     "zigzag_decode",
@@ -48,17 +47,6 @@ __all__ = [
     "narrow_uint_dtype",
     "narrow_signed_dtype",
 ]
-
-
-def required_bits_unsigned(max_value: int) -> int:
-    """Number of bits needed to represent unsigned integers up to ``max_value``.
-
-    ``max_value == 0`` requires 0 bits (all values are zero and nothing needs to
-    be stored).
-    """
-    if max_value < 0:
-        raise ValueError(f"max_value must be >= 0, got {max_value}")
-    return int(max_value).bit_length()
 
 
 def bit_length_u64(values: np.ndarray) -> np.ndarray:

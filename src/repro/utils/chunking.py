@@ -1,35 +1,15 @@
 """Chunk partitioning helpers.
 
-Both the pipelined compressor (PIPE-SZx) and the collective algorithms slice
-flat arrays into contiguous chunks; the helpers here centralise that index
-arithmetic (and its corner cases: empty arrays, chunk sizes larger than the
-array, uneven splits).
+The collective algorithms split flat arrays into one contiguous block per
+rank; the helpers here centralise that index arithmetic (and its corner
+cases: empty arrays, more ranks than elements, uneven splits).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-__all__ = ["chunk_bounds", "split_counts", "split_displacements"]
-
-
-def chunk_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
-    """Return ``(start, stop)`` index pairs covering ``range(total)`` in order.
-
-    The final chunk may be shorter than ``chunk_size``.  ``total == 0`` yields
-    an empty list.
-    """
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
-    bounds = []
-    start = 0
-    while start < total:
-        stop = min(start + chunk_size, total)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+__all__ = ["split_counts", "split_displacements"]
 
 
 def split_counts(total: int, parts: int) -> List[int]:

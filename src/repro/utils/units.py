@@ -1,28 +1,13 @@
-"""Byte-size unit constants and conversions.
+"""Byte-size unit constants.
 
-The paper reports message sizes in megabytes (28 MB ... 678 MB) and network
-bandwidth in Gbps; these helpers keep unit conversions explicit and uniform.
+The paper reports message sizes in megabytes (28 MB ... 678 MB); these
+constants keep the conversions explicit and uniform.
 """
 
 from __future__ import annotations
 
-__all__ = ["KB", "MB", "GB", "bytes_to_mb", "mb_to_bytes", "gbps_to_bytes_per_s"]
+__all__ = ["KB", "MB", "GB"]
 
 KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
-
-
-def bytes_to_mb(nbytes: float) -> float:
-    """Convert a byte count to mebibytes."""
-    return float(nbytes) / MB
-
-
-def mb_to_bytes(mb: float) -> int:
-    """Convert mebibytes to a byte count (rounded down to an integer)."""
-    return int(float(mb) * MB)
-
-
-def gbps_to_bytes_per_s(gbps: float) -> float:
-    """Convert a link rate in gigabits per second to bytes per second."""
-    return float(gbps) * 1e9 / 8.0

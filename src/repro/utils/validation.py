@@ -7,7 +7,7 @@ helpers so that error messages are uniform and informative.
 from __future__ import annotations
 
 import numbers
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "ensure_non_negative",
     "ensure_integer",
     "ensure_in",
-    "ensure_dtype",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -79,12 +78,3 @@ def ensure_in(value, allowed: Iterable, name: str = "value"):
     if value not in allowed:
         raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value
-
-
-def ensure_dtype(dtype, allowed: Sequence = _FLOAT_DTYPES, name: str = "dtype") -> np.dtype:
-    """Validate that ``dtype`` is one of the ``allowed`` numpy dtypes."""
-    dt = np.dtype(dtype)
-    allowed_dts = tuple(np.dtype(a) for a in allowed)
-    if dt not in allowed_dts:
-        raise TypeError(f"{name} must be one of {allowed_dts!r}, got {dt!r}")
-    return dt

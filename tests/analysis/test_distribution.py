@@ -34,16 +34,6 @@ class TestNormalFit:
         assert fit.sigma == pytest.approx(1.5, rel=0.02)
         assert fit.n_samples == 100_000
 
-    def test_pdf_peaks_at_mean(self):
-        fit = fit_normal_mle(np.array([0.0, 1.0, -1.0, 0.5, -0.5]))
-        assert fit.pdf(fit.mu) > fit.pdf(fit.mu + fit.sigma)
-
-    def test_within_interval(self):
-        fit = fit_normal_mle(np.linspace(-1, 1, 101))
-        low, high = fit.within(2)
-        assert low == pytest.approx(fit.mu - 2 * fit.sigma)
-        assert high == pytest.approx(fit.mu + 2 * fit.sigma)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_normal_mle(np.array([]))

@@ -31,7 +31,7 @@ import numpy as np
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
 from repro.mpisim import Engine
-from repro.mpisim.commands import Compute, Irecv, Isend, Probe, Wait, Waitall
+from repro.mpisim.commands import Compute, Irecv, Isend, Wait, Waitall
 from repro.mpisim.launcher import SimulationResult
 
 PIN_PATH = Path(__file__).parent / "command_streams_pin.json"
@@ -98,7 +98,7 @@ def _describe(command):
         return (kind, command.seconds.hex(), command.category)
     if isinstance(command, Isend):
         return (kind, command.dest, command.tag, command.nbytes)
-    if isinstance(command, (Irecv, Probe)):
+    if isinstance(command, Irecv):
         return (kind, command.source, command.tag)
     if isinstance(command, Waitall):
         return (kind, len(command.requests), command.category)

@@ -1,12 +1,13 @@
 """The one-pass chunked SZx kernel against its per-chunk oracle.
 
 ``PipelinedSZx.compress_bytes`` / ``decompress_bytes`` hand the whole buffer to
-``compress_chunks`` / ``decompress_chunks`` once; ``iter_compress`` /
-``iter_decompress`` and ``SZxCompressor`` invoke the same kernel on one chunk
-at a time.  The bytes and the reconstructed values must agree for every chunk
-size / block size / dtype mix, aligned or not — the codecs' own geometry (128,
-5120) through the codecs, every other one through the kernel with explicit
-lengths and block size — and every malformed payload must be refused with
+``compress_chunks`` / ``decompress_chunks`` once; ``SZxCompressor`` invokes the
+same kernel on one buffer, so plain SZx on each 5120-value slice, framed by
+``PipelinedSZx._frame``, is the per-chunk oracle.  The bytes and the
+reconstructed values must agree for every chunk size / block size / dtype
+mix, aligned or not — the codecs' own geometry (128, 5120) through the
+codecs, every other one through the kernel with explicit lengths and block
+size — and every malformed payload must be refused with
 ``DecompressionError``.
 """
 
@@ -47,6 +48,12 @@ def make_field(kind: str, n: int, dtype: str, seed: int) -> np.ndarray:
 def chunk_lens(n: int, chunk: int) -> list:
     """The lengths of ``n`` values cut into chunks of ``chunk`` (the last one ragged)."""
     return [min(chunk, n - start) for start in range(0, n, chunk)]
+
+
+def szx_pieces(data: np.ndarray, eb: float) -> list:
+    """Plain SZx on each PIPE-SZx chunk of ``data``: the per-chunk oracle."""
+    plain, chunk = SZxCompressor(eb), PipelinedSZx.chunk_elems
+    return [plain.compress_bytes(data[at : at + chunk]) for at in range(0, data.size, chunk)]
 
 
 @st.composite
@@ -100,27 +107,49 @@ class TestOneShotEqualsPerChunkOracle:
         plain = SZxCompressor(eb)
 
         payload = pipe.compress_bytes(data)
-        chunks = list(pipe.iter_compress(data))
-        assert payload == pipe.assemble(chunks, data.size, data.dtype)
-        assert len(chunks) == pipe.chunk_count(data.size)
-        for chunk in chunks:
-            assert chunk.payload == plain.compress_bytes(data[chunk.start : chunk.stop])
+        pieces = szx_pieces(data, eb)
+        assert len(pieces) == len(chunk_lens(data.size, pipe.chunk_elems))
+        assert payload == pipe._frame(pieces, data.size, data.dtype)
 
         restored = pipe.decompress_bytes(payload)
         assert restored.dtype == data.dtype
-        parts = [plain.decompress_bytes(chunk.payload) for chunk in chunks]
+        parts = [plain.decompress_bytes(piece) for piece in pieces]
         oracle = np.concatenate(parts) if parts else np.zeros(0, dtype=data.dtype)
         assert restored.tobytes() == oracle.tobytes()
-        streamed = list(pipe.iter_decompress(payload))
-        assert [part.tobytes() for part in streamed] == [part.tobytes() for part in parts]
 
     def test_single_chunk_payload_is_the_szx_payload(self, smooth_signal):
         """A buffer no longer than one chunk: PIPE-SZx is SZx plus the index."""
         data = smooth_signal[:5120]
-        pipe = PipelinedSZx(error_bound=1e-3)
-        (chunk,) = pipe.iter_compress(data)
-        assert chunk.payload == SZxCompressor(error_bound=1e-3).compress_bytes(data)
-        assert pipe.compress_bytes(data).endswith(chunk.payload)
+        piece = SZxCompressor(error_bound=1e-3).compress_bytes(data)
+        assert PipelinedSZx(error_bound=1e-3).compress_bytes(data).endswith(piece)
+
+
+class TestChunkBoundaries:
+    """Every size on either side of a 5120-value boundary, through all three
+    codec paths: ``compress_bytes``, ``compress_many`` and ``restored``."""
+
+    SIZES = [0, 1, 5119, 5120, 5121, 10_240, 10_241, 15_359]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_size_matches_the_per_slice_oracle(self, n, dtype):
+        data = make_field("mixed", n, dtype, seed=n)
+        pipe, plain = PipelinedSZx(1e-3), SZxCompressor(1e-3)
+        pieces = szx_pieces(data, 1e-3)
+        assert len(pieces) == len(chunk_lens(n, pipe.chunk_elems))
+        framed = pipe._frame(pieces, n, data.dtype)
+
+        restored = np.empty_like(data)
+        assert pipe.compress_bytes(data, restored) == framed
+        batched = np.empty_like(data)
+        assert pipe.compress_many([data], [batched]) == [framed]
+
+        parts = [plain.decompress_bytes(piece) for piece in pieces]
+        oracle = np.concatenate(parts) if parts else np.zeros(0, dtype=data.dtype)
+        decoded = pipe.decompress_bytes(framed)
+        assert decoded.dtype == data.dtype
+        for values in (decoded, restored, batched):
+            assert values.tobytes() == oracle.tobytes()
 
 
 class TestSameErrorsThroughPipeAsThroughSZx:
@@ -132,8 +161,6 @@ class TestSameErrorsThroughPipeAsThroughSZx:
             SZxCompressor(error_bound=1e-3).compress_bytes(data)
         with pytest.raises(UnsupportedDataError, match="float32 anchor range"):
             PipelinedSZx(error_bound=1e-3).compress_bytes(data)
-        with pytest.raises(UnsupportedDataError, match="float32 anchor range"):
-            list(PipelinedSZx(error_bound=1e-3).iter_compress(data))
 
     @pytest.mark.parametrize("where", [0, 3], ids=["first-chunk", "last-chunk"])
     def test_bound_too_small_for_the_range(self, where):
@@ -206,22 +233,21 @@ class TestMalformedPayloads:
         return np.random.default_rng(12345).standard_normal(self.N)
 
     @pytest.fixture
-    def payload_and_chunks(self, signal):
-        codec = PipelinedSZx(error_bound=1e-3)
-        return codec, list(codec.iter_compress(signal))
+    def codec_and_pieces(self, signal):
+        return PipelinedSZx(error_bound=1e-3), szx_pieces(signal, 1e-3)
 
-    def reassembled(self, codec, chunks, index, payload):
-        chunks = list(chunks)
-        chunks[index] = type(chunks[index])(index, chunks[index].start, chunks[index].stop, payload)
-        return codec.assemble(chunks, self.N, np.float64)
+    def reassembled(self, codec, pieces, index, piece):
+        pieces = list(pieces)
+        pieces[index] = piece
+        return codec._frame(pieces, self.N, np.float64)
 
-    def test_chunk_count_disagreeing_with_outer_header(self, payload_and_chunks, signal):
+    def test_chunk_count_disagreeing_with_outer_header(self, codec_and_pieces, signal):
         """The seed bug: a full chunk where the outer header implies a shorter
         last one used to escape as ``ValueError: could not broadcast input array``."""
-        codec, chunks = payload_and_chunks
+        codec, pieces = codec_and_pieces
         longer = SZxCompressor(error_bound=1e-3).compress_bytes(signal[:5120])
         with pytest.raises(DecompressionError, match="inconsistent SZx block metadata"):
-            codec.decompress_bytes(self.reassembled(codec, chunks, 2, longer))
+            codec.decompress_bytes(self.reassembled(codec, pieces, 2, longer))
 
     @pytest.mark.parametrize(
         "other",
@@ -232,16 +258,16 @@ class TestMalformedPayloads:
         ],
         ids=["dtype", "error-bound", "block-size"],
     )
-    def test_chunks_disagreeing_with_each_other(self, payload_and_chunks, signal, other):
-        codec, chunks = payload_and_chunks
+    def test_chunks_disagreeing_with_each_other(self, codec_and_pieces, signal, other):
+        codec, pieces = codec_and_pieces
         odd = other(signal[5120 : 2 * 5120])
         with pytest.raises(DecompressionError, match="inconsistent SZx block metadata"):
-            codec.decompress_bytes(self.reassembled(codec, chunks, 1, odd))
+            codec.decompress_bytes(self.reassembled(codec, pieces, 1, odd))
 
-    def test_outer_dtype_disagreeing_with_chunks(self, payload_and_chunks):
-        codec, chunks = payload_and_chunks
+    def test_outer_dtype_disagreeing_with_chunks(self, codec_and_pieces):
+        codec, pieces = codec_and_pieces
         with pytest.raises(DecompressionError, match="announces float32"):
-            codec.decompress_bytes(codec.assemble(chunks, self.N, np.float32))
+            codec.decompress_bytes(codec._frame(pieces, self.N, np.float32))
 
     @pytest.mark.parametrize(
         "codec", [SZxCompressor(1e-3), PipelinedSZx(1e-3)], ids=["szx", "pipe"]
@@ -258,8 +284,8 @@ class TestMalformedPayloads:
         with pytest.raises(DecompressionError, match="bit width 49"):
             codec.decompress_bytes(bytes(payload))
 
-    def test_truncated_chunk_index(self, payload_and_chunks):
-        codec, chunks = payload_and_chunks
-        payload = codec.assemble(chunks, self.N, np.float64)
+    def test_truncated_chunk_index(self, codec_and_pieces):
+        codec, pieces = codec_and_pieces
+        payload = codec._frame(pieces, self.N, np.float64)
         with pytest.raises(DecompressionError, match="missing chunk index"):
             codec.decompress_bytes(payload[:34])  # header + index header + 1 of 3 sizes

@@ -1,5 +1,7 @@
 """Tests for PIPE-SZx (the pipelined, chunked SZx used by the computation framework)."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,44 +45,19 @@ class TestOneShotApi:
 
 
 class TestChunking:
-    def test_chunk_count(self):
-        codec = PipelinedSZx(error_bound=1e-3)
-        assert codec.chunk_count(0) == 0
-        assert codec.chunk_count(5120) == 1
-        assert codec.chunk_count(5121) == 2
-        assert codec.chunk_count(51200) == 10
-
     def test_default_chunk_is_paper_value(self):
         assert PipelinedSZx(error_bound=1e-3).chunk_elems == 5120
 
-    def test_iter_compress_yields_expected_chunks(self, smooth_signal):
-        codec = PipelinedSZx(error_bound=1e-3)
-        chunks = list(codec.iter_compress(smooth_signal))
-        assert len(chunks) == codec.chunk_count(smooth_signal.size)
-        assert [c.index for c in chunks] == list(range(len(chunks)))
-        assert chunks[-1].stop == smooth_signal.size
-        assert all(c.nbytes > 0 for c in chunks)
-
-    def test_iter_decompress_matches_chunks(self, smooth_signal, assert_error_bounded):
-        codec = PipelinedSZx(error_bound=1e-3)
-        payload = codec.compress(smooth_signal).payload
-        parts = list(codec.iter_decompress(payload))
-        recon = np.concatenate(parts)
-        assert recon.size == smooth_signal.size
-        assert_error_bounded(smooth_signal, recon, 1e-3)
-
-    def test_assemble_validates_chunk_count(self, smooth_signal):
-        codec = PipelinedSZx(error_bound=1e-3)
-        chunks = list(codec.iter_compress(smooth_signal))
-        with pytest.raises(ValueError, match="chunks"):
-            codec.assemble(chunks[:-1], smooth_signal.size, smooth_signal.dtype)
-
-    def test_assemble_reorders_chunks(self, smooth_signal, assert_error_bounded):
-        codec = PipelinedSZx(error_bound=1e-3)
-        chunks = list(codec.iter_compress(smooth_signal))
-        payload = codec.assemble(list(reversed(chunks)), smooth_signal.size, smooth_signal.dtype)
-        recon = codec.decompress(payload)
-        assert_error_bounded(smooth_signal, recon, 1e-3)
+    def test_each_chunk_is_the_szx_payload_of_its_slice(self, smooth_signal):
+        """Four chunks (three full, one ragged): PIPE-SZx is plain SZx on every
+        5120-value slice behind the front-of-buffer index."""
+        codec, plain = PipelinedSZx(error_bound=1e-3), SZxCompressor(error_bound=1e-3)
+        starts = range(0, smooth_signal.size, codec.chunk_elems)
+        pieces = [plain.compress_bytes(smooth_signal[at : at + codec.chunk_elems]) for at in starts]
+        payload = codec.compress_bytes(smooth_signal)
+        assert payload == codec._frame(pieces, smooth_signal.size, smooth_signal.dtype)
+        parts = [plain.decompress_bytes(piece) for piece in pieces]
+        assert codec.decompress_bytes(payload).tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestValidation:
@@ -108,7 +85,6 @@ class TestInputValidation:
     ENTRIES = {
         "compress": lambda codec, data: codec.compress(data),
         "compress_bytes": lambda codec, data: codec.compress_bytes(data),
-        "iter_compress": lambda codec, data: list(codec.iter_compress(data)),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -178,18 +154,11 @@ class TestOneBlockwisePass:
 
     def test_twenty_chunks_one_pack_one_unpack(self, calls, twenty_chunks):
         codec = PipelinedSZx(error_bound=1e-3)
-        assert codec.chunk_count(twenty_chunks.size) == 20
         payload = codec.compress_bytes(twenty_chunks)
+        assert struct.unpack_from("<II", payload, 22) == (5120, 20)  # the chunk index header
         assert calls == {"pack_width_classes": 1, "unpack_width_classes": 0}
         codec.decompress_bytes(payload)
         assert calls == {"pack_width_classes": 1, "unpack_width_classes": 1}
-
-    def test_generators_stay_per_chunk(self, calls, twenty_chunks):
-        codec = PipelinedSZx(error_bound=1e-3)
-        chunks = list(codec.iter_compress(twenty_chunks))
-        parts = list(codec.iter_decompress(codec.assemble(chunks, twenty_chunks.size, np.float64)))
-        assert len(parts) == 20
-        assert calls == {"pack_width_classes": 20, "unpack_width_classes": 20}
 
     def test_one_shot_path_does_not_go_through_szx_codec(self, twenty_chunks, monkeypatch):
         def forbidden(self, *args, **kwargs):

@@ -8,11 +8,9 @@ from repro.datasets import (
     HURRICANE_FIELDS,
     DATASET_SPECS,
     Field,
-    available_fields,
     generate_cesm_field,
     generate_hurricane_field,
     generate_rtm_snapshot,
-    generate_rtm_snapshots,
     load_field,
     message_of_size,
     smooth_random_field,
@@ -64,16 +62,9 @@ class TestRtm:
         late = generate_rtm_snapshot(shape=(24, 32, 32), time_index=40, seed=0, noise_amplitude=0)
         assert np.count_nonzero(late.data) > np.count_nonzero(early.data)
 
-    def test_snapshot_sequence(self):
-        snaps = generate_rtm_snapshots(3, shape=(8, 16, 16), seed=0)
-        assert len(snaps) == 3
-        assert len({s.name for s in snaps}) == 3
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             generate_rtm_snapshot(time_index=-1)
-        with pytest.raises(ValueError):
-            generate_rtm_snapshots(0)
 
 
 class TestHurricane:
@@ -121,11 +112,6 @@ class TestRegistry:
         assert DATASET_SPECS["rtm"].paper_dimensions == (849, 849, 235)
         assert DATASET_SPECS["hurricane"].paper_dimensions == (100, 500, 500)
         assert DATASET_SPECS["cesm"].paper_dimensions == (1800, 3600)
-
-    def test_available_fields(self):
-        fields = available_fields()
-        assert "QVAPORf" in fields["hurricane"]
-        assert "CLOUD" in fields["cesm"]
 
     @pytest.mark.parametrize("app", ["rtm", "hurricane", "cesm"])
     def test_load_field_default(self, app):

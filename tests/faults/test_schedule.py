@@ -1,6 +1,6 @@
-"""Tests for the typed fault schedule: sorting, round-trips, seeded mixes."""
+"""Tests for the typed fault schedule: sorting, failure domains, seeded mixes."""
 
-import json
+import dataclasses
 
 import pytest
 
@@ -18,7 +18,48 @@ from repro.faults import (
 )
 
 
+NAN = float("nan")
+POD = FailureDomain(name="pod0", nodes=(1, 2))
+UP = ("ft-up",)
+
+#: (id, constructor, message fragment): every kind refuses a bad value with a
+#: ValueError that names what is wrong, before the event exists
+MALFORMED = [
+    ("node-loss-nan-time", lambda: NodeLoss(time=NAN, node=1), "time"),
+    ("node-loss-negative-time", lambda: NodeLoss(time=-1.0, node=1), "time"),
+    ("node-loss-negative-duration", lambda: NodeLoss(0.0, 1, duration=-1.0), "duration"),
+    ("node-loss-string-node", lambda: NodeLoss(0.0, "1"), "NodeLoss node must be an integer"),
+    ("rail-nan-time", lambda: RailFailure(time=NAN, node=0, rail=0), "time"),
+    ("rail-nan-duration", lambda: RailFailure(0.0, 0, 0, duration=NAN), "duration"),
+    ("rail-negative-node", lambda: RailFailure(0.0, -1, 0), "RailFailure node must be >= 0"),
+    ("link-negative-time", lambda: LinkDegrade(-1e-9, UP, 0.5), "time"),
+    ("link-negative-factor", lambda: LinkDegrade(0.0, UP, -0.5), "factor"),
+    ("link-nan-factor", lambda: LinkDegrade(0.0, UP, NAN), "factor"),
+    ("link-zero-duration", lambda: LinkDegrade(0.0, UP, 0.5, duration=0.0), "duration"),
+    ("slow-rank-zero-factor", lambda: SlowRank(0.0, 0, 0.0), "factor"),
+    ("slow-rank-nan-factor", lambda: SlowRank(0.0, 0, NAN), "factor"),
+    ("slow-rank-negative-rank", lambda: SlowRank(0.0, -1, 2.0), "SlowRank rank must be >= 0"),
+    ("outage-negative-time", lambda: DomainOutage(-1.0, POD), "time"),
+    ("outage-zero-duration", lambda: DomainOutage(0.1, POD, duration=0.0), "duration"),
+    ("outage-domain-is-an-int", lambda: DomainOutage(0.1, 7), "must be a FailureDomain, got int"),
+    (
+        "outage-domain-is-a-dict",
+        lambda: DomainOutage(0.1, {"name": "z", "nodes": [1]}),
+        "must be a FailureDomain, got dict",
+    ),
+    ("outage-zero-degrade", lambda: DomainOutage(0.1, POD, degrade_factor=0.0), "degrade factor"),
+    ("outage-nan-degrade", lambda: DomainOutage(0.1, POD, degrade_factor=NAN), "degrade factor"),
+]
+
+
 class TestEventValidation:
+    @pytest.mark.parametrize(
+        "build, named", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_malformed_event_is_a_value_error(self, build, named):
+        with pytest.raises(ValueError, match=named):
+            build()
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="time"):
             SlowRank(time=-0.1, rank=0, factor=2.0)
@@ -73,36 +114,6 @@ class TestSchedule:
         assert not schedule.empty
         assert len(schedule) == 1
 
-    def test_round_trip_through_dicts_is_json_safe(self):
-        schedule = FaultSchedule(
-            events=(
-                LinkDegrade(time=1e-3, stage_prefix=("ft-down",), factor=0.25,
-                            duration=5e-4),
-                RailFailure(time=2e-3, node=3, rail=1),
-                SlowRank(time=0.0, rank=7, factor=3.0),
-                NodeLoss(time=1.5e-3, node=2),
-            )
-        )
-        payload = json.loads(json.dumps(schedule.to_dicts()))
-        assert FaultSchedule.from_dicts(payload) == schedule
-
-    def test_from_dicts_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown fault event kind"):
-            FaultSchedule.from_dicts([{"kind": "meteor_strike", "time": 0.0}])
-
-    def test_describe_counts_kinds(self):
-        assert FaultSchedule().describe() == "fault schedule: empty"
-        schedule = FaultSchedule(
-            events=(
-                SlowRank(time=0.0, rank=0, factor=2.0),
-                SlowRank(time=1e-3, rank=1, factor=2.0),
-                NodeLoss(time=2e-3, node=0),
-            )
-        )
-        assert "3 event(s)" in schedule.describe()
-        assert "2x slow_rank" in schedule.describe()
-        assert "1x node_loss" in schedule.describe()
-
 
 class TestFailureDomains:
     def _domain(self):
@@ -148,28 +159,6 @@ class TestFailureDomains:
         outage = DomainOutage(time=1e-3, domain=self._domain())
         assert all(ev.duration is None for ev in outage.expand())
 
-    def test_round_trip_with_domain_outage(self):
-        schedule = FaultSchedule(
-            events=(
-                DomainOutage(time=2e-3, domain=self._domain(), duration=1e-3),
-                NodeLoss(time=1e-3, node=5),
-            )
-        )
-        payload = json.loads(json.dumps(schedule.to_dicts()))
-        assert FaultSchedule.from_dicts(payload) == schedule
-
-    def test_old_schema_without_domain_outage_still_loads(self):
-        # a schedule serialised before DomainOutage (and before
-        # NodeLoss.duration) existed: plain kind/time/field dicts
-        payload = [
-            {"kind": "node_loss", "time": 1e-3, "node": 2},
-            {"kind": "link_degrade", "time": 0.0, "stage_prefix": ["ft-up"],
-             "factor": 0.5},
-        ]
-        schedule = FaultSchedule.from_dicts(payload)
-        assert schedule.events[1] == NodeLoss(time=1e-3, node=2)
-        assert schedule.events[1].duration is None
-
     def test_permanent_node_losses_sees_through_domains(self):
         schedule = FaultSchedule(
             events=(
@@ -201,6 +190,25 @@ class TestGenerate:
         assert first == second
         assert not first.empty
         assert all(0.0 <= ev.time <= 6e-3 for ev in first)
+
+    @pytest.mark.parametrize("mix", FAULT_MIXES)
+    def test_generated_events_are_well_formed(self, mix):
+        """A generated event passes its own constructor again and stays inside
+        the fabric it was drawn for: (mix, seed) names a usable scenario."""
+        schedule = FaultSchedule.generate(
+            mix, 11, n_nodes=8, n_ranks=16, nics_per_node=2, horizon=6e-3
+        )
+        assert FaultSchedule(events=tuple(reversed(schedule.events))) == schedule
+        for event in schedule:
+            assert dataclasses.replace(event) == event
+            assert 0.0 <= event.time < 6e-3
+            members = event.expand() if isinstance(event, DomainOutage) else (event,)
+            for member in members:
+                assert 0 <= getattr(member, "node", 0) < 8
+                assert 0 <= getattr(member, "rail", 0) < 2
+                assert 0 <= getattr(member, "rank", 0) < 16
+                if isinstance(member, LinkDegrade):
+                    assert member.stage_prefix[0] in FAT_TREE_LINK_FAMILIES
 
     def test_different_seeds_diverge_somewhere(self):
         schedules = {

@@ -44,9 +44,4 @@ class TestExperimentResult:
         assert "figX" in text
         assert "ref" in text
         assert "a note" in text
-        assert result.column("size") == [28, 128]
-
-    def test_column_missing(self):
-        result = ExperimentResult(experiment="x", title="t")
-        result.add_row(a=1)
-        assert result.column("b") == [None]
+        assert result.rows == [{"size": 28, "time": 1.0}, {"size": 128, "time": 2.0}]

@@ -7,40 +7,33 @@ import random
 import numpy as np
 import pytest
 
-from repro.metrics.latency import mean_slowdown, percentile, summarize
+from repro.metrics.latency import _percentile_sorted, mean_slowdown, summarize
 
 
-class TestPercentile:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50.0)
+class TestPercentileSorted:
+    """The one interpolation behind ``summarize``'s p50 and p99."""
 
-    def test_single_value_is_every_percentile(self):
-        for q in (0.0, 50.0, 99.0, 100.0):
-            assert percentile([3.5], q) == 3.5
+    @pytest.mark.parametrize("q", [0.0, 50.0, 99.0, 100.0])
+    def test_single_value_is_every_percentile(self, q):
+        assert _percentile_sorted([3.5], q) == 3.5
 
     def test_endpoints_are_min_and_max(self):
-        values = [5.0, 1.0, 9.0, 3.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 100.0) == 9.0
+        ordered = [1.0, 3.0, 5.0, 9.0]
+        assert _percentile_sorted(ordered, 0.0) == 1.0
+        assert _percentile_sorted(ordered, 100.0) == 9.0
 
-    def test_median_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == pytest.approx(2.5)
-        assert percentile([1.0, 2.0, 3.0], 50.0) == pytest.approx(2.0)
+    @pytest.mark.parametrize("q", [-1.0, 100.5, float("nan")])
+    def test_out_of_range_q_rejected(self, q):
+        with pytest.raises(ValueError, match="percentile q"):
+            _percentile_sorted([1.0, 2.0], q)
 
-    def test_matches_numpy_linear_interpolation(self):
+    @pytest.mark.parametrize("q", [0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0])
+    def test_matches_numpy_linear_interpolation(self, q):
         rng = random.Random(3)
-        values = [rng.gauss(0.0, 1.0) for _ in range(257)]
-        for q in (1.0, 10.0, 50.0, 90.0, 99.0):
-            assert percentile(values, q) == pytest.approx(
-                float(np.percentile(values, q)), rel=1e-12
-            )
-
-    def test_out_of_range_q_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], -1.0)
-        with pytest.raises(ValueError):
-            percentile([1.0], 101.0)
+        ordered = sorted(rng.gauss(0.0, 1.0) for _ in range(257))
+        assert _percentile_sorted(ordered, q) == pytest.approx(
+            float(np.percentile(ordered, q)), rel=1e-12, abs=1e-15
+        )
 
 
 class TestSummarize:
@@ -60,13 +53,19 @@ class TestSummarize:
         assert all(isinstance(v, float) for v in out.values())
         assert set(out) == set(summarize([1.0]))
 
-    def test_percentiles_match_the_module_percentile(self):
-        # one interpolation serves percentile() and summarize(): they agree exactly
-        rng = random.Random(29)
-        values = [rng.gauss(0.0, 1.0) for _ in range(101)]
+    def test_single_value_is_every_statistic(self):
+        assert set(summarize([3.5]).values()) == {1.0, 3.5}
+
+    def test_median_interpolates(self):
+        assert summarize([1.0, 2.0, 3.0, 4.0])["p50"] == pytest.approx(2.5)
+        assert summarize([3.0, 1.0, 2.0])["p50"] == pytest.approx(2.0)
+
+    def test_percentiles_match_numpy_linear_interpolation(self):
+        rng = random.Random(3)
+        values = [rng.gauss(0.0, 1.0) for _ in range(257)]
         out = summarize(values)
-        assert out["p50"] == percentile(values, 50.0)
-        assert out["p99"] == percentile(values, 99.0)
+        for key, q in (("p50", 50.0), ("p99", 99.0)):
+            assert out[key] == pytest.approx(float(np.percentile(values, q)), rel=1e-12)
 
     def test_basic_stats(self):
         out = summarize(iter([4.0, 1.0, 7.0]))  # any iterable, consumed once

@@ -85,10 +85,3 @@ class TestQualityReport:
         assert report.psnr == pytest.approx(psnr(a, b))
         assert report.nrmse == pytest.approx(nrmse(a, b))
         assert report.max_abs_error <= 1e-2 + 1e-12
-        assert set(report.as_dict()) == {
-            "psnr",
-            "nrmse",
-            "rmse",
-            "max_abs_error",
-            "mean_abs_error",
-        }

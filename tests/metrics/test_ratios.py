@@ -22,30 +22,13 @@ class TestCompressionRatio:
 
 
 class TestCompressionStats:
-    def test_record_and_summary(self):
+    def test_record(self):
         stats = CompressionStats()
-        stats.record(1000, 100)
-        stats.record(1000, 500)
-        summary = stats.summary()
-        assert summary["min"] == pytest.approx(2.0)
-        assert summary["max"] == pytest.approx(10.0)
-        assert summary["avg"] == pytest.approx(6.0)
-        assert summary["overall"] == pytest.approx(2000 / 600)
+        assert stats.record(1000, 100) == pytest.approx(10.0)
+        assert stats.record(1000, 500) == pytest.approx(2.0)
+        assert stats.ratios == [pytest.approx(10.0), pytest.approx(2.0)]
+        assert stats.overall_ratio == pytest.approx(2000 / 600)
         assert stats.count == 2
-
-    def test_merge(self):
-        a = CompressionStats()
-        a.record(100, 10)
-        b = CompressionStats()
-        b.record(100, 50)
-        a.merge(b)
-        assert a.count == 2
-        assert a.original_bytes == 200
-        assert a.compressed_bytes == 60
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(ValueError, match="no ratios"):
-            CompressionStats().summary()
 
 
 class TestAggregate:

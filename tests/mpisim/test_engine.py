@@ -14,7 +14,6 @@ from repro.mpisim import (
     Irecv,
     Isend,
     NetworkModel,
-    Probe,
     RankProgramError,
     Wait,
     Waitall,
@@ -287,21 +286,6 @@ class TestCollectiveBuildingBlocks:
 
         result = run_simulation(4, program, network=NET)
         assert result.rank_times == pytest.approx([3.0, 3.0, 3.0, 3.0])
-
-    def test_probe_sees_posted_send(self):
-        def program(rank, size):
-            if rank == 0:
-                req = yield Isend(dest=1, data=b"z" * 200)
-                yield Wait(req)
-            else:
-                yield Compute(1.0)
-                seen = yield Probe(source=0)
-                req = yield Irecv(source=0)
-                yield Wait(req)
-                return seen
-
-        result = run_simulation(2, program, network=NET)
-        assert result.rank_values[1] is True
 
     def test_ring_neighbour_exchange(self):
         """Each rank sends its id to the right neighbour; everyone must end up

@@ -12,10 +12,6 @@ def make_network(**kwargs):
 
 
 class TestNetworkModel:
-    def test_transfer_seconds(self):
-        net = make_network(latency=1e-6, bandwidth=1e9)
-        assert net.transfer_seconds(1_000_000) == pytest.approx(1e-6 + 1e-3)
-
     def test_eager_threshold(self):
         net = make_network(eager_threshold=4096)
         assert net.is_eager(4096)

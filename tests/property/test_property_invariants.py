@@ -43,7 +43,7 @@ from repro.mpisim import (
     trace_reservations,
 )
 from repro.utils.bitpack import pack_uint_bits, unpack_uint_bits
-from repro.utils.chunking import chunk_bounds, split_counts
+from repro.utils.chunking import split_counts
 
 NET = NetworkModel(latency=1e-6, bandwidth=1e9, eager_threshold=512, inflight_window=1 << 20)
 
@@ -193,15 +193,6 @@ class TestBitPackProperties:
 
 
 class TestChunkingProperties:
-    @given(total=st.integers(min_value=0, max_value=5000), chunk=st.integers(min_value=1, max_value=600))
-    @settings(max_examples=80, deadline=None)
-    def test_chunk_bounds_partition(self, total, chunk):
-        bounds = chunk_bounds(total, chunk)
-        assert sum(stop - start for start, stop in bounds) == total
-        for (a_start, a_stop), (b_start, _) in zip(bounds, bounds[1:]):
-            assert a_stop == b_start
-        assert all(stop - start <= chunk for start, stop in bounds)
-
     @given(total=st.integers(min_value=0, max_value=5000), parts=st.integers(min_value=1, max_value=64))
     @settings(max_examples=80, deadline=None)
     def test_split_counts_partition(self, total, parts):

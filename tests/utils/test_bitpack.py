@@ -11,7 +11,6 @@ from repro.utils.bitpack import (
     pack_uint_bits,
     pack_uint_bits_rows,
     pack_width_classes,
-    required_bits_unsigned,
     row_nbytes,
     unpack_uint_bits,
     unpack_uint_bits_rows,
@@ -19,18 +18,6 @@ from repro.utils.bitpack import (
     zigzag_decode,
     zigzag_encode,
 )
-
-
-class TestRequiredBits:
-    @pytest.mark.parametrize(
-        "value,expected", [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (255, 8), (256, 9)]
-    )
-    def test_known_values(self, value, expected):
-        assert required_bits_unsigned(value) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            required_bits_unsigned(-1)
 
 
 class TestPackUnpack:
@@ -150,6 +137,14 @@ class TestNarrowDtypes:
         assert narrow_uint_dtype(9) == np.uint16
         assert narrow_uint_dtype(17) == np.uint32
         assert narrow_uint_dtype(48) == np.uint64
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+    def test_uint_width_is_the_narrowest_that_holds_every_value(self, nbits):
+        dtype = narrow_uint_dtype(nbits)
+        assert np.iinfo(dtype).max == 2 ** (8 * dtype.itemsize) - 1 >= 2**nbits - 1
+        assert dtype.itemsize == 1 or 2 ** (4 * dtype.itemsize) - 1 < 2**nbits - 1
+        top = np.array([2**nbits - 1], dtype=np.uint64)
+        assert int(top.astype(dtype)[0]) == 2**nbits - 1
 
     def test_signed_bounds(self):
         assert narrow_signed_dtype(100.0) == np.int16

@@ -2,32 +2,7 @@
 
 import pytest
 
-from repro.utils.chunking import chunk_bounds, split_counts, split_displacements
-
-
-class TestChunkBounds:
-    def test_even_split(self):
-        assert chunk_bounds(10, 5) == [(0, 5), (5, 10)]
-
-    def test_uneven_split_last_chunk_short(self):
-        assert chunk_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_chunk_larger_than_total(self):
-        assert chunk_bounds(3, 100) == [(0, 3)]
-
-    def test_empty(self):
-        assert chunk_bounds(0, 4) == []
-
-    def test_covers_every_index_exactly_once(self):
-        bounds = chunk_bounds(1000, 77)
-        covered = [i for start, stop in bounds for i in range(start, stop)]
-        assert covered == list(range(1000))
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            chunk_bounds(-1, 4)
-        with pytest.raises(ValueError):
-            chunk_bounds(10, 0)
+from repro.utils.chunking import split_counts, split_displacements
 
 
 class TestSplitCounts:
@@ -58,3 +33,19 @@ class TestSplitDisplacements:
 
     def test_empty(self):
         assert split_displacements([]) == []
+
+
+@pytest.mark.parametrize(
+    "total, parts",
+    [(0, 1), (0, 4), (1, 4), (10, 4), (12, 4), (17, 16), (1000, 7), (5, 5)],
+)
+def test_counts_and_displacements_tile_every_index_once(total, parts):
+    """Rank ``r`` owns ``[displs[r], displs[r] + counts[r])``: the blocks cover
+    ``range(total)`` exactly once, in rank order, and differ by at most one."""
+    counts = split_counts(total, parts)
+    displs = split_displacements(counts)
+    assert len(counts) == len(displs) == parts
+    owned = [i for start, n in zip(displs, counts) for i in range(start, start + n)]
+    assert owned == list(range(total))
+    assert max(counts) - min(counts) <= 1
+    assert counts == sorted(counts, reverse=True)  # the extras go to the first ranks

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import resolve_rng
-from repro.utils.units import GB, KB, MB, bytes_to_mb, gbps_to_bytes_per_s, mb_to_bytes
+from repro.utils.units import GB, KB, MB
 
 
 class TestUnits:
@@ -12,13 +12,6 @@ class TestUnits:
         assert KB == 1024
         assert MB == 1024**2
         assert GB == 1024**3
-
-    def test_bytes_to_mb_round_trip(self):
-        assert bytes_to_mb(mb_to_bytes(678)) == pytest.approx(678)
-
-    def test_gbps_conversion(self):
-        # 100 Gbps Omni-Path = 12.5e9 bytes per second
-        assert gbps_to_bytes_per_s(100) == pytest.approx(12.5e9)
 
 
 class TestResolveRng:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.utils.validation import (
     ensure_1d_float_array,
-    ensure_dtype,
     ensure_in,
     ensure_non_negative,
     ensure_positive,
@@ -75,10 +74,3 @@ class TestScalarValidators:
     def test_ensure_in_rejects_non_member(self):
         with pytest.raises(ValueError, match="must be one of"):
             ensure_in("fxr", ("abs", "rel"))
-
-    def test_ensure_dtype_accepts_float32(self):
-        assert ensure_dtype(np.float32) == np.dtype(np.float32)
-
-    def test_ensure_dtype_rejects_int(self):
-        with pytest.raises(TypeError):
-            ensure_dtype(np.int32)
