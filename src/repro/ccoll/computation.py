@@ -47,17 +47,13 @@ __all__ = [
 ]
 
 #: uncompressed bytes represented by one pipeline segment (virtual)
-DEFAULT_SEGMENT_UNCOMPRESSED_BYTES = 2 * 1024 * 1024
+_SEGMENT_BYTES = 2 * 1024 * 1024
 #: most pipeline segments one reduce-scatter chunk is cut into (also the tag
 #: stride between rounds)
 _MAX_SEGMENTS = 32
 
 
-def segment_count(
-    uncompressed_vbytes: int,
-    segment_bytes: int = DEFAULT_SEGMENT_UNCOMPRESSED_BYTES,
-    max_segments: int = _MAX_SEGMENTS,
-) -> int:
+def segment_count(uncompressed_vbytes: int) -> int:
     """Number of pipeline segments used for one reduce-scatter chunk.
 
     Both the sender and the receiver derive this from the (globally known)
@@ -65,7 +61,7 @@ def segment_count(
     """
     if uncompressed_vbytes <= 0:
         return 1
-    return max(1, min(max_segments, math.ceil(uncompressed_vbytes / segment_bytes)))
+    return max(1, min(_MAX_SEGMENTS, math.ceil(uncompressed_vbytes / _SEGMENT_BYTES)))
 
 
 def _chunk_views(vector: np.ndarray, n_ranks: int) -> List[np.ndarray]:

@@ -12,7 +12,7 @@ evaluation:
   amplitude decays geometrically with distance from the source.
 
 ``generate_rtm_snapshot`` synthesises exactly that structure: expanding
-spherical Ricker-like wavefronts from a few source locations, plus a small
+spherical Ricker-like wavefronts from three source locations, plus a small
 rough component controlling how hard the data becomes at tight error bounds.
 """
 
@@ -33,6 +33,8 @@ _WAVE_SPEED = 0.35  # grid cells per unit time step (controls front radius)
 #: which is why the paper's absolute error bounds (1e-2 ... 1e-4) yield very
 #: high compression ratios on RTM (Table II).
 _WAVE_AMPLITUDE = 0.05
+#: seismic sources in one snapshot
+_N_SOURCES = 3
 
 
 def _ricker(radial_offset: np.ndarray, width: float) -> np.ndarray:
@@ -44,7 +46,6 @@ def _ricker(radial_offset: np.ndarray, width: float) -> np.ndarray:
 def generate_rtm_snapshot(
     shape: Tuple[int, int, int] = DEFAULT_RTM_SHAPE,
     time_index: int = 20,
-    n_sources: int = 3,
     noise_amplitude: float = 2e-5,
     seed=0,
 ) -> Field:
@@ -57,8 +58,6 @@ def generate_rtm_snapshot(
     time_index:
         Virtual time step; larger values move the wavefronts further from the
         sources (and fill more of the volume with signal).
-    n_sources:
-        Number of seismic sources.
     noise_amplitude:
         Amplitude of the rough component relative to the unit wave amplitude;
         this is what limits compressibility at error bounds below ~1e-4.
@@ -71,7 +70,7 @@ def generate_rtm_snapshot(
     grid = np.indices(shape).astype(np.float64)
     field = np.zeros(shape, dtype=np.float64)
 
-    for _ in range(max(1, int(n_sources))):
+    for _ in range(_N_SOURCES):
         source = np.array([rng.uniform(0.2, 0.8) * (s - 1) for s in shape])
         radius = np.sqrt(sum((grid[d] - source[d]) ** 2 for d in range(len(shape))))
         front_radius = _WAVE_SPEED * time_index

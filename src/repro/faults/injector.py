@@ -14,13 +14,19 @@ carrying live fluid flows, the injector hands those stages to
 ``FairShareRegistry.apply_capacity_change``, so in-flight transfers in
 ``contention="fair"`` mode genuinely see mid-flight rate changes.
 
+Faults may overlap on one stage prefix (a permanent degrade and a flap of
+the same link family, two losses of one node): while they do, their factors
+multiply, and each heal removes only its own fault.
+
 An empty schedule schedules nothing and leaves the engine byte-identical to
 an uninjected one — the empty-schedule golden-pin contract.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import math
+from collections import Counter, defaultdict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.faults.schedule import (
     DomainOutage,
@@ -36,6 +42,8 @@ __all__ = ["FaultInjector"]
 #: capacity factor a lost node's NIC stages collapse to: traffic drains at
 #: retransmit-class rates instead of deadlocking mid-collective ranks
 NODE_LOSS_FACTOR = 1e-3
+#: a node's NIC stage families, injection first
+_NIC_FAMILIES = ("nic-up", "nic-down")
 
 
 class FaultInjector:
@@ -52,9 +60,9 @@ class FaultInjector:
         node.
     on_node_heal:
         Optional ``(node, time)`` callback fired when a *transient*
-        :class:`NodeLoss` heals (its ``duration`` elapsed) — the workload
-        layer un-quarantines the node here so flapping domains return
-        capacity.
+        :class:`NodeLoss` heals (its ``duration`` elapsed) and no other loss
+        of the node is live — the workload layer un-quarantines the node here
+        so flapping domains return capacity.
 
     A lost node's NIC stages collapse to :data:`NODE_LOSS_FACTOR` of their
     capacity.  ``install(engine)`` must be called after the engine is
@@ -92,44 +100,17 @@ class FaultInjector:
                 f"with stage-fault overlays (SwitchFabricTopology); engine "
                 f"has {type(topology).__name__ if topology is not None else None}"
             )
-        count = 0
-        for event in events:
-            count += self._install_event(engine, event)
-        return count
+        live = _LiveFaults(engine)
+        return sum(self._install_event(engine, event, live) for event in events)
 
-    # ------------------------------------------------------------- per event
-
-    def _install_event(self, engine, event) -> int:
+    def _install_event(self, engine, event, live: "_LiveFaults") -> int:
         if isinstance(event, DomainOutage):
             # the correlated expansion: every member event rides the same
             # tier -1 path, all due at the outage timestamp
             return sum(
-                self._install_event(engine, member) for member in event.expand()
+                self._install_event(engine, member, live) for member in event.expand()
             )
-        if isinstance(event, LinkDegrade):
-            prefix, factor = event.stage_prefix, event.factor
-
-            def apply(now: float) -> None:
-                self._apply_overlay(engine, prefix, factor, False, now)
-
-            def restore(now: float) -> None:
-                self._clear_overlay(engine, prefix, now)
-
-        elif isinstance(event, RailFailure):
-            prefixes = (
-                ("nic-up", event.node, event.rail),
-                ("nic-down", event.node, event.rail),
-            )
-
-            def apply(now: float) -> None:
-                for prefix in prefixes:
-                    self._apply_overlay(engine, prefix, 1.0, True, now)
-
-            def restore(now: float) -> None:
-                for prefix in prefixes:
-                    self._clear_overlay(engine, prefix, now)
-
-        elif isinstance(event, SlowRank):
+        if isinstance(event, SlowRank):
             rank, factor = event.rank, event.factor
 
             def apply(now: float) -> None:
@@ -138,43 +119,77 @@ class FaultInjector:
             def restore(now: float) -> None:
                 engine.set_compute_scale(rank, 1.0)
 
-        elif isinstance(event, NodeLoss):
-            node = event.node
+        else:
+            fault, overlays = object(), _overlays(event)  # ``fault`` keys it on each prefix
+            node = event.node if isinstance(event, NodeLoss) else None
 
             def apply(now: float) -> None:
-                self._apply_overlay(engine, ("nic-up", node), NODE_LOSS_FACTOR, False, now)
-                self._apply_overlay(engine, ("nic-down", node), NODE_LOSS_FACTOR, False, now)
-                if self.on_node_loss is not None:
-                    self.on_node_loss(node, now)
+                for prefix, factor, failed in overlays:
+                    live.add(prefix, fault, factor, failed, now)
+                if node is not None:
+                    live.losses[node] += 1
+                    if self.on_node_loss is not None:
+                        self.on_node_loss(node, now)
 
             def restore(now: float) -> None:
-                self._clear_overlay(engine, ("nic-up", node), now)
-                self._clear_overlay(engine, ("nic-down", node), now)
-                if self.on_node_heal is not None:
-                    self.on_node_heal(node, now)
+                for prefix, _, _ in overlays:
+                    live.remove(prefix, fault, now)
+                if node is not None:
+                    live.losses[node] -= 1
+                    if self.on_node_heal is not None and not live.losses[node]:
+                        self.on_node_heal(node, now)
 
-        else:  # pragma: no cover
-            raise TypeError(f"unknown fault event {event!r}")
         engine.schedule_event(event.time, apply)
         if event.duration is None:
             return 1
         engine.schedule_event(event.time + event.duration, restore)
         return 2
 
-    # ------------------------------------------------------------- plumbing
 
-    @staticmethod
-    def _notify_fair(engine, changed, now: float) -> None:
-        fair = engine.fair_registry
+def _overlays(event) -> Tuple[Tuple[tuple, float, bool], ...]:
+    """The ``(stage prefix, factor, failed)`` overlays a link, rail or node fault installs."""
+    if isinstance(event, LinkDegrade):
+        return ((event.stage_prefix, event.factor, False),)
+    if isinstance(event, RailFailure):
+        return tuple(((family, event.node, event.rail), 1.0, True) for family in _NIC_FAMILIES)
+    if isinstance(event, NodeLoss):
+        return tuple(((family, event.node), NODE_LOSS_FACTOR, False) for family in _NIC_FAMILIES)
+    raise TypeError(f"unknown fault event {event!r}")  # pragma: no cover
+
+
+class _LiveFaults:
+    """The faults live on one engine run, per stage prefix, and its lost nodes.
+
+    A fabric keeps one overlay per prefix, so the faults live on a prefix go
+    in as one: their factors multiply and any failure fails the stages.
+    """
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.overlays: Dict[tuple, Dict[object, Tuple[float, bool]]] = defaultdict(dict)
+        #: node -> live losses of it
+        self.losses: Counter = Counter()
+
+    def add(self, prefix, fault, factor: float, failed: bool, now: float) -> None:
+        self.overlays[prefix][fault] = (factor, failed)
+        self._refresh(prefix, now)
+
+    def remove(self, prefix, fault, now: float) -> None:
+        del self.overlays[prefix][fault]
+        self._refresh(prefix, now)
+
+    def _refresh(self, prefix, now: float) -> None:
+        """Install the prefix's composed overlay; re-divide the fair flows it touches."""
+        live = self.overlays[prefix].values()
+        topology = self.engine.topology
+        if live:
+            changed = topology.set_stage_fault(
+                prefix,
+                factor=math.prod(factor for factor, _ in live),
+                failed=any(failed for _, failed in live),
+            )
+        else:
+            changed = topology.clear_stage_fault(prefix)
+        fair = self.engine.fair_registry
         if fair is not None and changed:
             fair.apply_capacity_change(now, changed)
-
-    def _apply_overlay(
-        self, engine, prefix, factor: float, failed: bool, now: float
-    ) -> None:
-        changed = engine.topology.set_stage_fault(prefix, factor=factor, failed=failed)
-        self._notify_fair(engine, changed, now)
-
-    def _clear_overlay(self, engine, prefix, now: float) -> None:
-        changed = engine.topology.clear_stage_fault(prefix)
-        self._notify_fair(engine, changed, now)

@@ -7,7 +7,7 @@ corresponding table/figure; ``EXPERIMENTS`` lists everything available.
 
 from repro.harness.common import SCALES, ScaleSettings, resolve_scale
 from repro.harness.reporting import ExperimentResult, format_table
-from repro.harness.runner import EXPERIMENTS, list_experiments, run_all, run_experiment
+from repro.harness.runner import EXPERIMENTS, list_experiments, run_experiment
 
 __all__ = [
     "ExperimentResult",
@@ -15,7 +15,6 @@ __all__ = [
     "EXPERIMENTS",
     "list_experiments",
     "run_experiment",
-    "run_all",
     "SCALES",
     "ScaleSettings",
     "resolve_scale",

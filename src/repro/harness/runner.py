@@ -8,12 +8,18 @@ CLI::
     python -m repro.harness --list
     python -m repro.harness fig11 --scale small
     python -m repro.harness all --scale small
+    python -m repro.harness faults recovery --check-invariants
+
+``--check-invariants`` runs each experiment under
+:func:`repro.mpisim.audit.audit_fabric` and exits 1 if any run of it broke
+capacity conservation or the max-min bottleneck property.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Callable, Dict, List
 
 from repro.harness.experiments.allreduce_comparison import (
@@ -44,8 +50,9 @@ from repro.harness.experiments.stepwise_breakdown import (
 from repro.harness.experiments.theory_bounds import run_theory_bounds
 from repro.harness.experiments.topology_scaling import run_topology_scaling
 from repro.harness.reporting import ExperimentResult
+from repro.mpisim.audit import audit_fabric, report_audit
 
-__all__ = ["EXPERIMENTS", "list_experiments", "run_experiment", "run_all", "main"]
+__all__ = ["EXPERIMENTS", "list_experiments", "run_experiment", "main"]
 
 #: experiment name -> (callable, one-line description)
 EXPERIMENTS: Dict[str, tuple] = {
@@ -92,11 +99,6 @@ def run_experiment(name: str, scale="small", **kwargs) -> ExperimentResult:
     return func(scale=scale, **kwargs)
 
 
-def run_all(scale="small") -> List[ExperimentResult]:
-    """Run every registered experiment, in paper order."""
-    return [run_experiment(name, scale=scale) for name in EXPERIMENTS]
-
-
 def main(argv=None) -> int:
     """CLI entry point: run experiments and print their tables."""
     parser = argparse.ArgumentParser(
@@ -119,8 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-invariants",
         action="store_true",
-        help="audit faulted runs with the fabric capacity/fairness monitors "
-        "(recovery experiment only)",
+        help="audit every run with the fabric capacity/fairness monitors; "
+        "exit 1 on any violation",
     )
     parser.add_argument("--list", action="store_true", help="list available experiments")
     args = parser.parse_args(argv)
@@ -135,6 +137,7 @@ def main(argv=None) -> int:
         if name.lower() not in EXPERIMENTS:
             print(_unknown(name), file=sys.stderr)
             return 2
+    status = 0
     for name in names:
         kwargs = {}
         if args.contention is not None and name.lower() in (
@@ -144,12 +147,13 @@ def main(argv=None) -> int:
             "recovery",
         ):
             kwargs["contention"] = args.contention
-        if args.check_invariants and name.lower() == "recovery":
-            kwargs["check_invariants"] = True
-        result = run_experiment(name, scale=args.scale, **kwargs)
+        with audit_fabric() if args.check_invariants else nullcontext([]) as violations:
+            result = run_experiment(name, scale=args.scale, **kwargs)
         print(result.to_text())
+        if args.check_invariants:
+            status = max(status, report_audit(violations, f" in {name}"))
         print()
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

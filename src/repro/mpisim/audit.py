@@ -1,9 +1,9 @@
 """Whole-run fabric audits: capacity conservation and the max-min property.
 
 :func:`audit_fabric` is the one seam every caller that wants a run checked
-goes through — the fuzzer, the ``--check-invariants`` flags of the workload
-and harness CLIs and the fault smoke.  It combines the reservation trace of
-:func:`trace_reservations` (audited by
+goes through — the fuzzer and the ``--check-invariants`` flags of the
+workload and harness CLIs, which print its verdict with :func:`report_audit`.
+It combines the reservation trace of :func:`trace_reservations` (audited by
 :func:`capacity_conservation_violations`) with
 :func:`trace_fair_allocations`, the live check of every allocation a
 :class:`~repro.mpisim.fairshare.FairShareRegistry` commits.
@@ -11,6 +11,7 @@ and harness CLIs and the fault smoke.  It combines the reservation trace of
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
@@ -20,11 +21,15 @@ from repro.mpisim.topology import SharedLink
 __all__ = [
     "audit_fabric",
     "capacity_conservation_violations",
+    "report_audit",
     "trace_fair_allocations",
     "trace_reservations",
 ]
 
 _FAIR_TOL = 1e-9
+#: slack, in seconds, before a reservation that begins ahead of the previous
+#: finish on its stage counts as an overlap
+_CAPACITY_TOL = 1e-12
 
 
 @contextmanager
@@ -61,7 +66,7 @@ def trace_reservations():
         SharedLink.reserve, SharedLink.clear = real_reserve, real_clear  # type: ignore[method-assign]
 
 
-def capacity_conservation_violations(events, tolerance: float = 1e-12) -> List[Tuple]:
+def capacity_conservation_violations(events) -> List[Tuple]:
     """Overlapping reservations in a :func:`trace_reservations` event list.
 
     A stage conserves capacity exactly when its reservations are serial (each
@@ -79,7 +84,7 @@ def capacity_conservation_violations(events, tolerance: float = 1e-12) -> List[T
             continue
         begin = finish - max(0.0, nbytes) / capacity
         previous = last_finish.get(stage, float("-inf"))
-        if begin < previous - tolerance:
+        if begin < previous - _CAPACITY_TOL:
             violations.append((stage, begin, previous))
         last_finish[stage] = finish
     return violations
@@ -173,3 +178,20 @@ def audit_fabric():
         for stage, begin, previous in capacity_conservation_violations(events)
     )
     violations.extend(fair)
+
+
+def report_audit(violations, where: str = "") -> int:
+    """Print an :func:`audit_fabric` verdict; return the exit status it earns.
+
+    A clean audit prints one ``invariants ok`` line on stdout and returns 0.
+    Otherwise the count and the first violations go to stderr, one
+    ``[kind] detail`` line each, and it returns 1.  ``where`` follows the
+    heading, e.g. ``" in recovery"`` to name what was audited.
+    """
+    if not violations:
+        print(f"invariants ok{where}: capacity conservation + fair bottleneck property")
+        return 0
+    print(f"INVARIANT VIOLATIONS{where} ({len(violations)}):", file=sys.stderr)
+    for kind, detail in violations[:20]:
+        print(f"  [{kind}] {detail}", file=sys.stderr)
+    return 1

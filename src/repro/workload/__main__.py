@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from repro.api import Cluster
 from repro.faults import FAULT_MIXES, FaultSchedule
-from repro.mpisim.audit import audit_fabric
+from repro.mpisim.audit import audit_fabric, report_audit
 from repro.workload.arrivals import JobMix, TraceFormatError, load_trace, save_trace
 from repro.workload.engine import WorkloadEngine
 from repro.workload.job import COLLECTIVE_OPS, JobSpec
@@ -168,14 +168,7 @@ def _execute(args: argparse.Namespace, specs: List[JobSpec]) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.to_text())
-    if violations:
-        print(f"INVARIANT VIOLATIONS ({len(violations)}):", file=sys.stderr)
-        for kind, detail in violations[:20]:
-            print(f"  [{kind}] {detail}", file=sys.stderr)
-        return 1
-    if args.check_invariants:
-        print("invariants ok: capacity conservation + fair bottleneck property")
-    return 0
+    return report_audit(violations) if args.check_invariants else 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:

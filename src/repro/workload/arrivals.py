@@ -1,10 +1,10 @@
 """Arrival processes and replayable job traces.
 
 :class:`JobMix` draws a seeded Poisson job stream: exponential inter-arrival
-gaps at ``arrival_rate`` jobs per second of *virtual* time, with sizes,
-message sizes, ops, compression modes and iteration counts sampled from the
-mix's (weighted-by-repetition) choice tuples.  The same ``(mix, seed)`` pair
-always generates the same :class:`~repro.workload.job.JobSpec` list.
+gaps at ``arrival_rate`` jobs per second of *virtual* time, one or two
+iterations a job, and sizes, message sizes, ops and compression modes sampled
+from the mix's (weighted-by-repetition) choice tuples.  The same ``(mix,
+seed)`` pair always draws the same :class:`~repro.workload.job.JobSpec` list.
 
 Traces are JSONL: one ``JobSpec.to_dict()`` object per line, in arrival
 order.  ``save_trace``/``load_trace`` round-trip exactly, so a generated
@@ -25,6 +25,9 @@ from repro.workload.job import COLLECTIVE_OPS, CollectiveCall, JobSpec
 
 __all__ = ["JobMix", "TraceFormatError", "load_trace", "save_trace"]
 
+#: fewest and most iterations a generated job runs (inclusive)
+_ITERATIONS_RANGE = (1, 2)
+
 
 @dataclass(frozen=True)
 class JobMix:
@@ -41,7 +44,6 @@ class JobMix:
     compressions: Tuple[str, ...] = ("off", "on", "auto")
     dtypes: Tuple[str, ...] = ("float64",)
     calls_range: Tuple[int, int] = (1, 3)
-    iterations_range: Tuple[int, int] = (1, 2)
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
@@ -74,7 +76,7 @@ class JobMix:
                     job_id=f"job{index:03d}",
                     n_ranks=n_ranks,
                     arrival=clock,
-                    iterations=rng.randint(*self.iterations_range),
+                    iterations=rng.randint(*_ITERATIONS_RANGE),
                     seed=seed * 1_000_003 + index,
                     calls=tuple(calls),
                 )

@@ -368,8 +368,8 @@ class _Scheduler:
         self.drain(now)
 
     def node_healed(self, node: int, now: float) -> None:
-        if node in self.allocator.quarantined:
-            self.allocator.unquarantine(node)
+        # the injector heals a node once, when its last live loss ends
+        self.allocator.unquarantine(node)
         self.drain(now)
 
 

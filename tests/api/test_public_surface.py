@@ -201,7 +201,7 @@ def test_a_codec_is_its_name_and_its_bound():
 def test_an_experiment_is_its_scale():
     """Bounds, sizes, implementations, fabrics' NIC rate and taper, policies
     and seeds are module constants: what a runner still takes besides
-    ``scale`` is the CLI's ``contention`` / ``check_invariants``, the shared
+    ``scale`` is the CLI's ``contention``, the shared
     sweeps' ``rows`` / ``variants`` and the shrink settings of the tests and
     benches."""
     from repro.harness.experiments import (
@@ -237,7 +237,7 @@ def test_an_experiment_is_its_scale():
         faults.run_faults: ["scale", "contention"],
         fig5_error_distribution.run_fig5_fig6: ["scale"],
         multitenant.run_multitenant: ["scale", "contention"],
-        recovery.run_recovery: ["scale", "contention", "check_invariants"],
+        recovery.run_recovery: ["scale", "contention"],
         scatter_bcast.run_fig16_scatter_bcast: ["scale"],
         stacking.stacking_sweep: ["scale", "virtual_mb", "image_shape"],
         stacking.run_fig17_stacking_perf: ["scale", "rows"],
@@ -254,6 +254,20 @@ def test_an_experiment_is_its_scale():
     }
     for runner, parameters in expected.items():
         assert list(inspect.signature(runner).parameters) == parameters, runner.__name__
+
+
+def test_settings_no_caller_sets_are_constants():
+    """Pipeline segmenting, a generated job's iteration count, the capacity
+    audit's slack and an RTM snapshot's source count are module constants."""
+    from repro.ccoll.computation import segment_count
+    from repro.datasets import generate_rtm_snapshot
+    from repro.mpisim.audit import capacity_conservation_violations
+    from repro.workload import JobMix
+
+    assert list(inspect.signature(segment_count).parameters) == ["uncompressed_vbytes"]
+    assert list(inspect.signature(capacity_conservation_violations).parameters) == ["events"]
+    assert "n_sources" not in inspect.signature(generate_rtm_snapshot).parameters
+    assert "iterations_range" not in {field.name for field in dataclasses.fields(JobMix)}
 
 
 def test_api_all_entries_resolve():

@@ -170,3 +170,69 @@ class TestNodeLoss:
         FaultInjector(schedule).install(engine)
         results = engine.run()
         assert all(result.finish_time >= 0.0 for result in results)
+
+
+class TestOverlappingFaults:
+    """Faults sharing a stage prefix compose, and a heal undoes only its own."""
+
+    def _run(self, schedule, times, **callbacks):
+        """Run a 2 s program under ``schedule``; the live overlays at each of ``times``."""
+        topo = fat_tree_topology(k=4, ranks_per_node=1)
+        engine = Engine(4, _compute_barrier_compute, network=NET, topology=topo)
+        FaultInjector(schedule, **callbacks).install(engine)
+        seen = []
+        for time in times:
+            engine.schedule_event(time, lambda now: seen.append(topo.active_faults()))
+        engine.run()
+        return seen, topo.active_faults()
+
+    def test_a_transient_loss_does_not_heal_a_permanent_one(self):
+        lost, healed = [], []
+        schedule = FaultSchedule(events=(
+            NodeLoss(time=1e-3, node=2),
+            NodeLoss(time=2e-3, node=2, duration=1e-3),
+        ))
+        seen, after = self._run(
+            schedule, (1.5e-3, 2.5e-3),
+            on_node_loss=lambda node, now: lost.append((node, now)),
+            on_node_heal=lambda node, now: healed.append((node, now)),
+        )
+        assert lost == [(2, 1e-3), (2, 2e-3)]
+        assert healed == []
+        for prefix in (("nic-up", 2), ("nic-down", 2)):
+            assert seen[0][prefix] == (NODE_LOSS_FACTOR, False)
+            assert seen[1][prefix] == (NODE_LOSS_FACTOR * NODE_LOSS_FACTOR, False)
+            assert after[prefix] == (NODE_LOSS_FACTOR, False)
+
+    def test_a_node_heals_once_its_last_loss_does(self):
+        healed = []
+        schedule = FaultSchedule(events=(
+            NodeLoss(time=1e-3, node=2, duration=2e-3),
+            NodeLoss(time=2e-3, node=2, duration=2e-3),
+        ))
+        _, after = self._run(
+            schedule, (), on_node_heal=lambda node, now: healed.append((node, now))
+        )
+        assert healed == [(2, 4e-3)]
+        assert after == {}
+
+    def test_a_flap_on_a_degraded_family_restores_the_degrade(self):
+        schedule = FaultSchedule(events=(
+            LinkDegrade(time=0.0, stage_prefix=("ft-up",), factor=0.5),
+            LinkDegrade(time=1e-3, stage_prefix=("ft-up",), factor=0.25, duration=1e-3),
+        ))
+        seen, after = self._run(schedule, (0.5e-3, 1.5e-3, 2.5e-3))
+        assert [faults[("ft-up",)] for faults in seen] == [
+            (0.5, False), (0.125, False), (0.5, False),
+        ]
+        assert after == {("ft-up",): (0.5, False)}
+
+    def test_a_degrade_under_a_rail_failure_keeps_the_rail_failed(self):
+        prefix = ("nic-up", 0, 0)
+        schedule = FaultSchedule(events=(
+            RailFailure(time=0.0, node=0, rail=0),
+            LinkDegrade(time=1e-3, stage_prefix=prefix, factor=0.5, duration=1e-3),
+        ))
+        seen, after = self._run(schedule, (1.5e-3,))
+        assert seen[0][prefix] == (0.5, True)
+        assert after[prefix] == (1.0, True)

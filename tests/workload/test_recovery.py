@@ -243,6 +243,22 @@ class TestRecoveryRuns:
                 assert report.makespan == baseline.makespan
                 assert all(r.restarts == 0 for r in report.records)
 
+    def test_a_healed_flap_does_not_return_a_node_lost_for_good(self):
+        faults = FaultSchedule(events=(
+            NodeLoss(time=1e-3, node=2),
+            NodeLoss(time=2e-3, node=2, duration=1e-3),
+        ))
+        # four two-node jobs after the flap healed want all eight nodes
+        specs = [
+            JobSpec(job_id=f"late{index}", n_ranks=4, arrival=4e-3, iterations=1,
+                    seed=20 + index,
+                    calls=(CollectiveCall(op="allreduce", msg_elems=2048),))
+            for index in range(4)
+        ]
+        report = _run(faults=faults, specs=specs)
+        assert [r.outcome for r in report.records] == ["completed"] * 4
+        assert all(2 not in r.nodes for r in report.records)
+
     def test_spec_level_policy_overrides_the_engine_default(self):
         _, faults = _loss_schedule()
         specs = _specs()
