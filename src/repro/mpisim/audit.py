@@ -183,13 +183,18 @@ def audit_fabric():
 def report_audit(violations, where: str = "") -> int:
     """Print an :func:`audit_fabric` verdict; return the exit status it earns.
 
-    A clean audit prints one ``invariants ok`` line on stdout and returns 0.
-    Otherwise the count and the first violations go to stderr, one
-    ``[kind] detail`` line each, and it returns 1.  ``where`` follows the
-    heading, e.g. ``" in recovery"`` to name what was audited.
+    Every line goes to stderr, so stdout stays the caller's machine channel
+    (``repro.workload run --json --check-invariants`` prints JSON alone).  A
+    clean audit prints one ``invariants ok`` line and returns 0.  Otherwise
+    the count and the first violations follow, one ``[kind] detail`` line
+    each, and it returns 1.  ``where`` follows the heading, e.g.
+    ``" in recovery"`` to name what was audited.
     """
     if not violations:
-        print(f"invariants ok{where}: capacity conservation + fair bottleneck property")
+        print(
+            f"invariants ok{where}: capacity conservation + fair bottleneck property",
+            file=sys.stderr,
+        )
         return 0
     print(f"INVARIANT VIOLATIONS{where} ({len(violations)}):", file=sys.stderr)
     for kind, detail in violations[:20]:

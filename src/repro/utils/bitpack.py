@@ -20,6 +20,14 @@ Three granularities are provided:
   the vectorised codec data plane — the produced bytes are bit-for-bit what a
   per-row Python loop would emit, but the hot path runs a constant number of
   numpy passes per *distinct width* instead of an iteration per *row*.
+  A class's rows are placed as byte windows: the region is viewed, without a
+  copy, as every ``per_row``-byte window of itself (one opaque item per
+  window, one byte apart), and the class's row cursors index that view, one
+  index per row rather than one per byte.  The windows overlap in memory,
+  yet the write is safe: the rows' byte ranges are disjoint (each codec lays
+  its rows out with a running sum of their sizes), so no byte is written by
+  two rows, and the bytes written are exactly those a per-byte scatter
+  would write.
 
 The module also hosts the zigzag signed<->unsigned mapping shared by the SZx
 and ZFP codecs (previously duplicated in both).  All hot-path helpers work in
@@ -258,6 +266,17 @@ def unpack_uint_bits_rows(
 # ------------------------------------------------------------- width classes
 
 
+def _row_windows(region: np.ndarray, per_row: int) -> np.ndarray:
+    """Every ``per_row``-byte window of a contiguous ``uint8`` region, no copy.
+
+    Item ``k`` of the result is ``region[k : k + per_row]`` as one opaque
+    ``V{per_row}`` value, so indexing it with row cursors places or fetches
+    whole rows with one index per row.
+    """
+    n_windows = max(region.size - per_row + 1, 0)
+    return np.ndarray((n_windows,), f"V{per_row}", buffer=region, strides=(1,))
+
+
 def pack_width_classes(
     values: np.ndarray,
     nbits: np.ndarray,
@@ -273,10 +292,11 @@ def pack_width_classes(
     its rows land at their cursors, so the region is byte-identical to packing
     row by row in order.
 
-    Returns the region as ``bytes``; when ``out`` (a ``uint8`` array of at
-    least ``total_nbytes``) is given, rows are scattered into it instead and
-    ``out`` is returned — this lets codecs interleave several fields (e.g.
-    ZFP's DC and detail planes) in one region.
+    Returns the region as ``bytes``; when ``out`` (a 1-D C-contiguous
+    ``uint8`` array of at least ``total_nbytes``) is given, rows are
+    scattered into it instead and ``out`` is returned — this lets codecs
+    interleave several fields (e.g. ZFP's DC and detail planes) in one
+    region.  Any other ``out`` raises ``ValueError`` before a byte is written.
     """
     values = np.asarray(values)
     count = values.shape[1]
@@ -290,6 +310,10 @@ def pack_width_classes(
             int(values.max()) >> (dt.itemsize * 8) == 0
         ):
             values = values.astype(dt)
+    if out is not None and not (
+        out.dtype == np.uint8 and out.ndim == 1 and out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a 1-D C-contiguous uint8 array")
     region = np.zeros(total_nbytes, dtype=np.uint8) if out is None else out
     for width in widths:
         w = int(width)
@@ -298,8 +322,7 @@ def pack_width_classes(
         rows = np.nonzero(nbits == width)[0]
         per_row = int(row_nbytes(count, w))
         blob = np.frombuffer(pack_uint_bits_rows(values[rows], w), dtype=np.uint8)
-        positions = starts[rows][:, None] + np.arange(per_row, dtype=np.int64)[None, :]
-        region[positions] = blob.reshape(rows.size, per_row)
+        _row_windows(region, per_row)[starts[rows]] = blob.view(f"V{per_row}")
     return region if out is not None else region.tobytes()
 
 
@@ -314,9 +337,10 @@ def unpack_width_classes(
 
     Returns a matrix of shape ``(len(nbits), count)`` (zero rows for
     zero-width entries).  ``dtype=None`` selects the narrowest unsigned dtype
-    holding the widest class present.
+    holding the widest class present.  ``region`` may be read-only; a
+    non-contiguous one is copied once first.
     """
-    region = np.asarray(region, dtype=np.uint8)
+    region = np.ascontiguousarray(region, dtype=np.uint8)
     widths = np.flatnonzero(np.bincount(nbits))
     wmax = int(widths[-1]) if widths.size else 0
     dt = narrow_uint_dtype(wmax) if dtype is None else np.dtype(dtype)
@@ -327,8 +351,7 @@ def unpack_width_classes(
             continue
         rows = np.nonzero(nbits == width)[0]
         per_row = int(row_nbytes(count, w))
-        positions = starts[rows][:, None] + np.arange(per_row, dtype=np.int64)[None, :]
         out[rows] = unpack_uint_bits_rows(
-            np.ascontiguousarray(region[positions]), rows.size, count, w, dtype=dt
+            _row_windows(region, per_row)[starts[rows]], rows.size, count, w, dtype=dt
         )
     return out

@@ -360,6 +360,97 @@ class TestWidthClasses:
             decoded = unpack_width_classes(region, nbits, starts, count, dtype=dtype)
             assert decoded.tolist() == values.tolist()
 
+    def test_two_fields_share_one_region_with_gaps_up_to_its_last_byte(self):
+        """ZFP's layout: a one-value DC row, then a 15-value detail row, per
+        block, here with gap bytes between the blocks and the last detail row
+        ending on the region's last byte.  Each field is packed into the same
+        sentinel-filled region; the rows match Python-int packing and every
+        byte no row names keeps its sentinel."""
+        rng = np.random.default_rng(11)
+        n_rows, detail = 40, 15
+        nbits_dc = rng.integers(0, 20, size=n_rows).astype(np.int64)
+        nbits_det = rng.integers(0, 13, size=n_rows).astype(np.int64)
+        dc = np.zeros((n_rows, 1), dtype=np.uint64)
+        det = np.zeros((n_rows, detail), dtype=np.uint64)
+        for i in range(n_rows):
+            if nbits_dc[i]:
+                dc[i] = _edge_values(rng, 1, int(nbits_dc[i]))
+            if nbits_det[i]:
+                det[i] = _edge_values(rng, detail, int(nbits_det[i]))
+        nbits_det[-1] = 11  # the last row is not empty, so it reaches the end
+        det[-1] = _edge_values(rng, detail, 11)
+        dc_sizes = row_nbytes(1, nbits_dc)
+        piece_sizes = dc_sizes + row_nbytes(detail, nbits_det)
+        gaps = rng.integers(1, 4, size=n_rows)  # before every block
+        piece_starts = np.cumsum(piece_sizes + gaps) - piece_sizes
+        total = int(piece_starts[-1] + piece_sizes[-1])
+
+        expected = bytearray([0x5A]) * total
+        for i in range(n_rows):
+            dc_at = int(piece_starts[i])
+            det_at = dc_at + int(dc_sizes[i])
+            for row, w, at in ((dc[i], nbits_dc[i], dc_at), (det[i], nbits_det[i], det_at)):
+                blob = _pack_row_reference(row, int(w))
+                expected[at : at + len(blob)] = blob
+        assert expected[-1] == 0  # the last row's zero tail, not the sentinel
+
+        region = np.full(total, 0x5A, dtype=np.uint8)
+        pack_width_classes(dc, nbits_dc, piece_starts, total, out=region)
+        pack_width_classes(det, nbits_det, piece_starts + dc_sizes, total, out=region)
+        assert region.tobytes() == bytes(expected)
+        np.testing.assert_array_equal(
+            unpack_width_classes(region, nbits_dc, piece_starts, 1), dc
+        )
+        np.testing.assert_array_equal(
+            unpack_width_classes(region, nbits_det, piece_starts + dc_sizes, detail), det
+        )
+
+    def test_unpack_reads_strided_and_read_only_regions(self):
+        """A strided slice and a read-only ``frombuffer`` region decode to what
+        the contiguous region decodes to."""
+        rng = np.random.default_rng(12)
+        count = 9
+        nbits = rng.integers(0, 17, size=30).astype(np.int64)
+        values = np.zeros((nbits.size, count), dtype=np.uint64)
+        for i, w in enumerate(nbits):
+            if w:
+                values[i] = _edge_values(rng, count, int(w))
+        _, starts, total = self._layout(nbits, count)
+        packed = pack_width_classes(values, nbits, starts, total)
+        contiguous = unpack_width_classes(
+            np.frombuffer(packed, np.uint8).copy(), nbits, starts, count
+        )
+        np.testing.assert_array_equal(contiguous, values)
+
+        interleaved = np.full(2 * total, 0xFF, dtype=np.uint8)
+        interleaved[::2] = np.frombuffer(packed, np.uint8)
+        read_only = np.frombuffer(packed, np.uint8)
+        assert not read_only.flags.writeable
+        for region in (interleaved[::2], read_only):
+            for dtype in (np.uint64, None):
+                decoded = unpack_width_classes(region, nbits, starts, count, dtype=dtype)
+                np.testing.assert_array_equal(decoded, contiguous)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda total: np.full(2 * total, 0x33, dtype=np.uint8)[::2],
+            lambda total: np.full((total, 1), 0x33, dtype=np.uint8),
+            lambda total: np.full(total, 0x33, dtype=np.uint16),
+        ],
+        ids=["strided", "2-D", "uint16"],
+    )
+    def test_an_out_that_is_not_flat_contiguous_uint8_is_refused_unwritten(self, make_out):
+        values = np.array([[5, 1], [2, 3]], dtype=np.uint64)
+        nbits = np.array([3, 2], dtype=np.int64)
+        _, starts, total = self._layout(nbits, 2)
+        out = make_out(total)
+        base = out if out.base is None else out.base
+        before = base.copy()
+        with pytest.raises(ValueError, match="1-D C-contiguous uint8"):
+            pack_width_classes(values, nbits, starts, total, out=out)
+        np.testing.assert_array_equal(base, before)
+
     def test_overwide_values_raise_not_truncate(self):
         """Narrowing to the widest class must never silently truncate a value
         that the documented per-row equivalent would reject."""

@@ -33,7 +33,15 @@ class TestRun:
 
     def test_check_invariants_clean_run(self, capsys):
         assert main(["run", *_base_flags(), "--check-invariants"]) == 0
-        assert "invariants ok" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "invariants ok" in captured.err and "invariants" not in captured.out
+
+    def test_check_invariants_keeps_json_stdout_parseable(self, capsys):
+        flags = ["--jobs", "2", "--nodes", "8", "--seed", "7", "--no-baseline"]
+        assert main(["run", *flags, "--json", "--check-invariants"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n_jobs"] == 2
+        assert captured.err.startswith("invariants ok: ")
 
     def test_a_mix_that_cannot_compile_is_refused_before_the_run(self, capsys):
         """``di`` is no reduce_scatter variant: refused when the mix is drawn."""
