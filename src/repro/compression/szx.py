@@ -31,20 +31,25 @@ keep a compact chunk index at the front of its buffer.
 Width-class batched layout
 --------------------------
 The per-block payload region is written and read **by width class** rather
-than block by block.  All non-constant blocks sharing the same bit width
-``w`` form one class; the whole class is encoded in a single
-:func:`~repro.utils.bitpack.pack_uint_bits_rows` call (one numpy pass over an
-``(n_class, block)`` matrix, each row padded to a whole byte) and the
-resulting rows are scattered into the payload at cursors precomputed from the
-``nbits`` metadata (``cumsum`` of the per-block byte sizes).  Decompression
-mirrors this: cursors are precomputed the same way, each class's rows are
-gathered with one fancy-index and decoded with one
-:func:`~repro.utils.bitpack.unpack_uint_bits_rows` call.  Because every row
-is byte-aligned exactly like an independent ``pack_uint_bits`` call, the
-on-wire bytes are bit-for-bit identical to the historical per-block loop —
-pinned by ``tests/compression/test_golden_payloads.py`` — while the hot path
-runs a constant number of numpy passes per *distinct width* instead of a
-Python iteration per *block*.
+than block by block (:func:`~repro.utils.bitpack.pack_width_classes` /
+:func:`~repro.utils.bitpack.unpack_width_classes`).  All non-constant blocks
+sharing the same bit width ``w`` form one class; the whole class is encoded
+by one call of the word-level packing kernel over an ``(n_class, block)``
+matrix, each row padded to a whole byte.  A block of 128 values is 16 groups
+of 8 values, and 8 values take exactly ``w`` bytes, so the kernel makes a
+fixed number of numpy passes at any width: one per value slot of a group,
+each over one value per group (see "Word layout" in
+:mod:`repro.utils.bitpack`).  The resulting rows are scattered into the
+payload at cursors precomputed from the ``nbits`` metadata (``cumsum`` of the
+per-block byte sizes), one index per row.  Decompression mirrors this:
+cursors are precomputed the same way, each class's rows are gathered with
+one fancy-index, decoded by the kernel's twin and placed in the result as
+whole rows.  Because every row is byte-aligned exactly like an independent
+``pack_uint_bits`` call, the on-wire bytes are bit-for-bit identical to the
+historical per-block loop — pinned by
+``tests/compression/test_golden_payloads.py`` — while the hot path runs a
+constant number of numpy passes per *distinct width* instead of a Python
+iteration per *block*.
 
 Chunked layout
 --------------

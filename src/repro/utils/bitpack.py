@@ -27,7 +27,27 @@ Three granularities are provided:
   yet the write is safe: the rows' byte ranges are disjoint (each codec lays
   its rows out with a running sum of their sizes), so no byte is written by
   two rows, and the bytes written are exactly those a per-byte scatter
-  would write.
+  would write.  The class values, packed rows and decoded rows move between
+  the wrappers and the kernels as arrays, and a decoded class lands in the
+  result as whole rows, one index per row.
+
+Word layout
+-----------
+Eight ``nbits``-bit values are exactly ``nbits`` bytes, so a row is a run of
+8-value *groups* of ``nbits`` bytes each, its last group cut to the bytes its
+remaining values occupy.  Value ``k`` of a group starts at bit ``k * nbits``
+of it, most significant bit first, which places it in 64-bit word
+``k * nbits // 64`` of the group read as big-endian words; a value that
+crosses a word boundary spills its low bits into the next word.  Packing
+therefore costs a fixed number of numpy passes at any width: for each slot
+of the row's full groups, and again for each real slot of its short last
+group, a shift and an OR over one value per group (one more shift when the
+slot spills), then one in-place byteswap of the words and one copy of each
+group's bytes.  Unpacking reads a slot of every group with one strided
+big-endian load of the narrowest word that holds it, starting in byte
+``k * nbits // 8`` of the group, and two shifts.  A row of fewer than 8
+values (ZFP's DC field) is one short group.  Widths of 8, 16, 32 and 64 bits
+skip all of this: their packed row is the values as big-endian integers.
 
 The module also hosts the zigzag signed<->unsigned mapping shared by the SZx
 and ZFP codecs (previously duplicated in both).  All hot-path helpers work in
@@ -37,9 +57,29 @@ halves the memory traffic of the typical (< 16 bit) codec payload.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: widths whose packed row is the values themselves as big-endian unsigned
+#: integers, with no shifting at all
+_WHOLE_WORDS = (8, 16, 32, 64)
+
+
+def _shift_amounts(dtype) -> tuple:
+    """Every shift amount of ``dtype`` as a read-only 0-d array of it: numpy
+    dispatches a shift by one of these in about half the time it takes for
+    a scalar, which is most of a shift's cost on a small class."""
+    amounts = tuple(np.array(s, dtype=dtype) for s in range(np.dtype(dtype).itemsize * 8))
+    for a in amounts:
+        a.setflags(write=False)
+    return amounts
+
+
+_SHIFTS = {np.dtype(t): _shift_amounts(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
 
 __all__ = [
     "bit_length_u64",
@@ -204,23 +244,7 @@ def pack_uint_bits_rows(values: np.ndarray, nbits: int) -> bytes:
     if nbits == 0 or n_rows == 0 or count == 0:
         return b""
     _check_fits(values, nbits)
-    if nbits % 8 == 0:
-        # byte-aligned widths: the packed row is just the big-endian tail
-        # bytes of every value — no bit expansion needed
-        nb = nbits // 8
-        storage = max(1 << (nb - 1).bit_length(), 1)  # 1, 2, 4 or 8 bytes
-        be = values.astype(f">u{storage}")
-        tail = be.view(np.uint8).reshape(n_rows, count, storage)[:, :, storage - nb :]
-        return np.ascontiguousarray(tail).tobytes()
-    dt = narrow_uint_dtype(nbits)
-    v = values.astype(dt, copy=False)
-    row_bits = int(row_nbytes(count, nbits)) * 8
-    bits = np.zeros((n_rows, row_bits), dtype=np.uint8)
-    view = bits[:, : count * nbits].reshape(n_rows, count, nbits)
-    one = dt.type(1)
-    for j in range(nbits):
-        view[:, :, j] = (v >> dt.type(nbits - 1 - j)) & one
-    return np.packbits(bits.reshape(-1)).tobytes()
+    return _pack_rows(values, nbits).tobytes()
 
 
 def unpack_uint_bits_rows(
@@ -246,21 +270,142 @@ def unpack_uint_bits_rows(
         raise ValueError(
             f"buffer too small: need {n_rows * per_row} bytes, got {raw.size}"
         )
-    raw = raw[: n_rows * per_row].reshape(n_rows, per_row)
-    if nbits % 8 == 0:
-        nb = nbits // 8
-        storage = max(1 << (nb - 1).bit_length(), 1)
-        full = np.zeros((n_rows, count, storage), dtype=np.uint8)
-        full[:, :, storage - nb :] = raw.reshape(n_rows, count, nb)
-        return full.view(f">u{storage}").reshape(n_rows, count).astype(dt, copy=False)
-    bits = np.unpackbits(raw, axis=1)[:, : count * nbits].reshape(n_rows, count, nbits)
-    acc = narrow_uint_dtype(nbits)
-    out = np.zeros((n_rows, count), dtype=acc)
-    one = acc.type(1)
-    for j in range(nbits):
-        np.left_shift(out, one, out=out)
-        out |= bits[:, :, j]
-    return out.astype(dt, copy=False)
+    return _unpack_rows(raw[: n_rows * per_row].reshape(n_rows, per_row), count, nbits, dt)
+
+
+# ------------------------------------------------------------ word kernels
+
+
+def _items(buf: np.ndarray, itemsize: int, shape, strides, offset: int = 0) -> np.ndarray:
+    """A view of the contiguous ``buf`` as opaque ``itemsize``-byte items at
+    byte ``offset`` and byte ``strides``: copying through it moves each item
+    with one ``memcpy``, far cheaper than a ``uint8`` copy whose inner axis is
+    a handful of bytes long."""
+    return np.ndarray(shape, f"V{itemsize}", buffer=buf, offset=offset, strides=strides)
+
+
+def _groups(count: int, nbits: int):
+    """The 8-value groups of a ``count``-value row at ``nbits`` bits.
+
+    Yields ``(first value, first byte, groups, values per group, bytes per
+    group)`` for the row's run of full groups and then for its partial last
+    group, each when present.
+    """
+    full, tail = divmod(count, 8)
+    if full:
+        yield 0, 0, full, 8, nbits
+    if tail:
+        yield 8 * full, full * nbits, 1, tail, (tail * nbits + 7) // 8
+
+
+def _load_dtype(nbits: int) -> np.dtype:
+    """The narrowest unsigned word that holds an ``nbits``-bit value starting
+    at any bit of its first byte (past 57 bits a value can need a ninth byte,
+    which is read on its own)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if nbits + 7 <= np.dtype(dtype).itemsize * 8:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def _pack_rows(values: np.ndarray, nbits: int) -> np.ndarray:
+    """The packing kernel: ``(n_rows, count)`` fitting values to an
+    ``(n_rows, row_nbytes)`` ``uint8`` matrix, ``1 <= nbits <= 64``.
+
+    Slot ``k`` of a row's full groups is one strided column of the values, as
+    is slot ``k`` of its partial last group; each costs a shift and an OR into
+    its word (two when it spills into the next word) over one value per
+    group.  The words are then byte-swapped to big-endian in place and each
+    group's bytes copied out as one item.
+    """
+    n_rows, count = values.shape
+    per_row = int(row_nbytes(count, nbits))
+    if nbits in _WHOLE_WORDS:
+        return values.astype(f">u{nbits // 8}").view(np.uint8).reshape(n_rows, per_row)
+    values = np.ascontiguousarray(values)
+    out = np.empty((n_rows, per_row), dtype=np.uint8)
+    shifts = _SHIFTS[np.dtype(np.uint64)]
+    for first, byte, n_groups, slots, size in _groups(count, nbits):
+        groups = values[:, first : first + 8 * n_groups].reshape(n_rows, n_groups, slots)
+        n_words = (slots * nbits + 63) // 64
+        words = np.empty((n_rows, n_groups, n_words), dtype=np.uint64)
+        shifted = np.empty((n_rows, n_groups), dtype=np.uint64)  # one scratch for every slot
+        for k in range(slots):
+            j, offset = divmod(k * nbits, 64)
+            end = offset + nbits
+            # slots fill the words in order: a word's first writer (a slot
+            # starting it, or the spill of the slot before) assigns it, the
+            # others OR into it; a uint64 shift amount widens the values
+            column = groups[:, :, k]
+            if end > 64:
+                np.left_shift(column, shifts[128 - end], out=words[:, :, j + 1])
+                np.right_shift(column, shifts[end - 64], out=shifted)
+                words[:, :, j] |= shifted
+            elif offset == 0:
+                np.left_shift(column, shifts[64 - end], out=words[:, :, j])
+            else:
+                np.left_shift(column, shifts[64 - end], out=shifted)
+                words[:, :, j] |= shifted
+        if _LITTLE_ENDIAN:
+            words.byteswap(inplace=True)
+        shape = (n_rows, n_groups)
+        _items(out, size, shape, (per_row, nbits), byte)[...] = _items(
+            words, size, shape, (n_groups * n_words * 8, n_words * 8)
+        )
+    return out
+
+
+def _unpack_rows(raw: np.ndarray, count: int, nbits: int, dt: np.dtype) -> np.ndarray:
+    """The unpacking kernel: an ``(n_rows, row_nbytes)`` ``uint8`` matrix to
+    ``(n_rows, count)`` values of dtype ``dt``, ``1 <= nbits <= 64``.
+
+    Slot ``k`` of a group starts in byte ``k * nbits // 8`` of it, so one
+    strided big-endian load of the narrowest word that holds it, a shift up
+    to drop the bits before it and a shift down to drop the bits after it
+    decode that slot of every group at once (a 58-64-bit value that runs past
+    8 bytes takes its last bits from the ninth).  Each load is placed inside
+    its own row — a load that would run past the row's end starts earlier —
+    so nothing is read beyond the matrix and nothing is copied first, save
+    rows shorter than one load.
+    """
+    n_rows, per_row = raw.shape
+    raw = np.ascontiguousarray(raw)
+    if nbits in _WHOLE_WORDS:
+        return raw.view(f">u{nbits // 8}").astype(dt)
+    load = _load_dtype(nbits)
+    if per_row < load.itemsize:
+        padded = np.zeros((n_rows, load.itemsize), dtype=np.uint8)
+        padded[:, :per_row] = raw
+        raw, per_row = padded, load.itemsize
+    load_bits = load.itemsize * 8
+    big_endian = load.newbyteorder(">")
+    shifts = _SHIFTS[load]
+    out = np.empty((n_rows, count), dtype=dt)
+    for first, byte, n_groups, slots, _size in _groups(count, nbits):
+        dest = out[:, first : first + 8 * n_groups].reshape(n_rows, n_groups, slots)
+        # loads stay below this byte of their group: the row's end for a
+        # lone group, the group's own end in a run of them
+        limit = per_row - byte if n_groups == 1 else nbits
+        shape, strides = (n_rows, n_groups), (per_row, nbits)
+        v = np.empty(shape, dtype=load)  # one scratch for every slot
+        for k in range(slots):
+            start, offset = divmod(k * nbits, 8)
+            spill = offset + nbits - load_bits
+            if spill <= 0:
+                # a load that would run past ``limit`` starts earlier instead
+                shift = min(start, limit - load.itemsize) - start
+                start, offset = start + shift, offset - 8 * shift
+            v[...] = np.ndarray(shape, big_endian, buffer=raw, offset=byte + start,
+                                strides=strides)
+            if offset:
+                np.left_shift(v, shifts[offset], out=v)
+            np.right_shift(v, shifts[load_bits - nbits], out=v)
+            if spill > 0:
+                ninth = np.ndarray(shape, np.uint8, buffer=raw, offset=byte + start + 8,
+                                   strides=strides)
+                v |= np.right_shift(ninth, shifts[8 - spill])
+            dest[:, :, k] = v
+    return out
 
 
 # ------------------------------------------------------------- width classes
@@ -299,9 +444,11 @@ def pack_width_classes(
     region.  Any other ``out`` raises ``ValueError`` before a byte is written.
     """
     values = np.asarray(values)
+    if values.dtype.kind != "u":
+        values = values.astype(np.uint64)
     count = values.shape[1]
     widths = np.flatnonzero(np.bincount(nbits))
-    if widths.size and values.size and values.dtype.kind == "u":
+    if widths.size and values.size:
         # narrowing to the widest class's dtype cuts the per-class traffic,
         # but only when no value would truncate — otherwise keep the original
         # dtype so the per-class fits check raises instead of corrupting
@@ -310,19 +457,24 @@ def pack_width_classes(
             int(values.max()) >> (dt.itemsize * 8) == 0
         ):
             values = values.astype(dt)
+    # np.take copies a non-contiguous source whole on every call: copy the
+    # field once here, not once per class (ZFP hands in column slices)
+    values = np.ascontiguousarray(values)
     if out is not None and not (
         out.dtype == np.uint8 and out.ndim == 1 and out.flags.c_contiguous
     ):
         raise ValueError("out must be a 1-D C-contiguous uint8 array")
     region = np.zeros(total_nbytes, dtype=np.uint8) if out is None else out
     for width in widths:
-        w = int(width)
-        if w == 0:
-            continue  # zero-width rows occupy no bytes
-        rows = np.nonzero(nbits == width)[0]
+        w = _check_nbits(int(width))
+        if w == 0 or count == 0:
+            continue  # such rows occupy no bytes
+        rows = np.flatnonzero(nbits == width)
+        class_values = np.take(values, rows, axis=0)
+        _check_fits(class_values, w)
         per_row = int(row_nbytes(count, w))
-        blob = np.frombuffer(pack_uint_bits_rows(values[rows], w), dtype=np.uint8)
-        _row_windows(region, per_row)[starts[rows]] = blob.view(f"V{per_row}")
+        packed = _pack_rows(class_values, w).view(f"V{per_row}").reshape(rows.size)
+        _row_windows(region, per_row)[starts[rows]] = packed
     return region if out is not None else region.tobytes()
 
 
@@ -345,13 +497,22 @@ def unpack_width_classes(
     wmax = int(widths[-1]) if widths.size else 0
     dt = narrow_uint_dtype(wmax) if dtype is None else np.dtype(dtype)
     out = np.zeros((len(nbits), count), dtype=dt)
+    if not count:
+        return out
+    # whole rows of ``out`` as opaque items: a class's decoded rows land with
+    # one index per row
+    out_rows = out.view(f"V{count * dt.itemsize}").reshape(len(nbits))
     for width in widths:
-        w = int(width)
+        w = _check_nbits(int(width))
         if w == 0:
             continue
-        rows = np.nonzero(nbits == width)[0]
+        rows = np.flatnonzero(nbits == width)
         per_row = int(row_nbytes(count, w))
-        out[rows] = unpack_uint_bits_rows(
-            _row_windows(region, per_row)[starts[rows]], rows.size, count, w, dtype=dt
-        )
+        raw = _row_windows(region, per_row)[starts[rows]].view(np.uint8)
+        decoded = _unpack_rows(raw.reshape(rows.size, per_row), count, w, dt)
+        del raw
+        out_rows[rows] = decoded.view(out_rows.dtype).reshape(rows.size)
+        # freed before the next class allocates its own, same-sized buffers
+        # reuse this memory instead of faulting in fresh pages
+        del decoded
     return out

@@ -187,7 +187,9 @@ class TestPackRows:
     @pytest.mark.parametrize("nbits", range(1, 65))
     def test_every_width_against_python_int_arithmetic(self, nbits):
         rng = np.random.default_rng(1000 + nbits)
-        for count in (1, 7, 8, 15, 29, 128):
+        # 9 and 17 end in a one-value group, 16 and 64 in a full one; at
+        # widths 57-64 a value can straddle two 64-bit words
+        for count in (1, 7, 8, 9, 15, 16, 17, 29, 64, 128):
             values = _edge_values(rng, (3, count), nbits)
             per_row = (count * nbits + 7) // 8
             assert per_row == int(row_nbytes(count, nbits))
@@ -228,6 +230,29 @@ class TestPackRows:
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             pack_uint_bits_rows(np.zeros(4, dtype=np.uint64), 3)
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 9, 13, 24, 31, 57, 63])
+    @pytest.mark.parametrize("count", [1, 5, 15, 16])
+    def test_packs_strided_and_read_only_input_and_leaves_it_alone(self, nbits, count):
+        """ZFP packs a column slice of its quants (``encoded[:, 1:]``) and
+        decoders hand in read-only payload bytes: both are read as they are
+        and neither is written to."""
+        rng = np.random.default_rng(nbits * 100 + count)
+        field = _edge_values(rng, (6, count + 1), nbits).astype(narrow_uint_dtype(nbits))
+        field.setflags(write=False)
+        before = field.copy()
+        strided = field[:, 1:]
+        assert not strided.flags.c_contiguous
+        expected = self._reference(strided, nbits)
+        assert pack_uint_bits_rows(strided, nbits) == expected
+        assert pack_uint_bits_rows(field, nbits) == self._reference(field, nbits)
+        np.testing.assert_array_equal(field, before)
+
+        read_only = np.frombuffer(expected, np.uint8)
+        assert not read_only.flags.writeable
+        for buffer in (expected, read_only):
+            decoded = unpack_uint_bits_rows(buffer, 6, count, nbits, dtype=None)
+            np.testing.assert_array_equal(decoded, strided)
 
     def test_truncated_buffer_rejected(self):
         values = np.ones((5, 10), dtype=np.uint64)
@@ -430,6 +455,46 @@ class TestWidthClasses:
             for dtype in (np.uint64, None):
                 decoded = unpack_width_classes(region, nbits, starts, count, dtype=dtype)
                 np.testing.assert_array_equal(decoded, contiguous)
+
+    def test_packs_strided_read_only_values_and_leaves_them_alone(self):
+        """ZFP packs its DC and detail fields as column slices of one quant
+        matrix; the wrapper must read them as they are and write none of it."""
+        rng = np.random.default_rng(13)
+        n_rows, block = 40, 16
+        nbits_dc = rng.integers(0, 12, size=n_rows).astype(np.int64)
+        nbits_det = rng.integers(0, 12, size=n_rows).astype(np.int64)
+        encoded = np.zeros((n_rows, block), dtype=np.uint16)
+        for i in range(n_rows):
+            if nbits_dc[i]:
+                encoded[i, :1] = _edge_values(rng, 1, int(nbits_dc[i]))
+            if nbits_det[i]:
+                encoded[i, 1:] = _edge_values(rng, block - 1, int(nbits_det[i]))
+        encoded.setflags(write=False)
+        before = encoded.copy()
+        for field, nbits in ((encoded[:, :1], nbits_dc), (encoded[:, 1:], nbits_det)):
+            assert not field.flags.c_contiguous
+            count = field.shape[1]
+            _, starts, total = self._layout(nbits, count)
+            packed = pack_width_classes(field, nbits, starts, total)
+            assert packed == b"".join(
+                _pack_row_reference(row, int(w)) for row, w in zip(field, nbits) if w
+            )
+            decoded = unpack_width_classes(
+                np.frombuffer(packed, np.uint8), nbits, starts, count, dtype=None
+            )
+            np.testing.assert_array_equal(decoded, field)
+        np.testing.assert_array_equal(encoded, before)
+
+    def test_widths_over_64_are_refused_both_ways(self):
+        """The wrappers call the kernels below the public entry points, so they
+        check each class's width themselves."""
+        nbits = np.array([65], dtype=np.int64)
+        starts = np.zeros(1, dtype=np.int64)
+        total = int(row_nbytes(1, 65))
+        with pytest.raises(ValueError, match="nbits must be"):
+            pack_width_classes(np.array([[1 << 20]], dtype=np.uint32), nbits, starts, total)
+        with pytest.raises(ValueError, match="nbits must be"):
+            unpack_width_classes(np.zeros(total, dtype=np.uint8), nbits, starts, 1)
 
     @pytest.mark.parametrize(
         "make_out",
