@@ -169,16 +169,6 @@ def _reconstruct(
     return values
 
 
-def _block_steps(steps: np.ndarray, block: int) -> np.ndarray:
-    """Every coefficient's step, ``(n, block)``: each block's repeated along it.
-
-    Dividing or multiplying ``(n, block)`` coefficients by a full-shape step
-    matrix is one contiguous pass; an ``(n, 1)`` column broadcasts one
-    ``block``-value row at a time, which costs more than the repeat.
-    """
-    return np.repeat(steps, block).reshape(-1, block)
-
-
 def _dequantise_rows(
     quants: np.ndarray, steps: np.ndarray, rows: np.ndarray, n_blocks: int
 ) -> np.ndarray:
@@ -385,28 +375,25 @@ class ZFPCompressor(Compressor):
         max_abs = np.abs(coeffs).max(axis=1)
         zero_mask = max_abs == 0.0
         nonzero_idx = np.nonzero(~zero_mask)[0]
-        # with no all-zero block (the usual case) the rows are a plain slice
-        rows = slice(None) if nonzero_idx.size == n_blocks else nonzero_idx
 
         chunks = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
         chunks[zero_mask, 0] = _FXR_ZERO_EXPONENT & 0xFF
         if not nonzero_idx.size:
             return [chunks], (np.zeros(coeffs.shape) if restore else None)
-        max_abs = max_abs[rows]
-        if not np.isfinite(max_abs).all():
+        if not np.isfinite(max_abs[nonzero_idx]).all():
             # the scalar loop failed loudly on int(ceil(log2(inf/nan)));
             # keep non-finite input an error, not a corrupt payload
             raise CompressionError(
                 "non-finite values cannot be fixed-rate encoded; ZFP FXR "
                 "requires finite input data"
             )
-        emax = np.clip(_ceil_log2(max_abs), -127, 127)
-        chunks[rows, 0] = (emax & 0xFF).astype(np.uint8)
+        emax = np.clip(_ceil_log2(max_abs[nonzero_idx]), -127, 127)
+        chunks[nonzero_idx, 0] = (emax & 0xFF).astype(np.uint8)
         # step chosen so the largest coefficient fits in coef_bits signed bits
         denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
-        steps = _block_steps(np.ldexp(1.0, emax.astype(np.int32)) / denom, block)
+        steps = (np.ldexp(1.0, emax.astype(np.int32)) / denom)[:, None]
         limit = 2 ** (coef_bits - 1) - 1 if coef_bits > 1 else 0
-        scaled = coeffs[rows]
+        scaled = coeffs if nonzero_idx.size == n_blocks else coeffs[nonzero_idx]
         np.divide(scaled, steps, out=scaled)
         np.rint(scaled, out=scaled)
         if coef_bits <= 48 and float(max_abs.max()) < 2.0**127:
@@ -429,14 +416,8 @@ class ZFPCompressor(Compressor):
         blob = pack_uint_bits_rows(zigzag_encode(q), coef_bits)
         per_row = int(row_nbytes(block, coef_bits))
         packed = np.frombuffer(blob, dtype=np.uint8).reshape(nonzero_idx.size, per_row)
-        chunks[rows, 1 : 1 + per_row] = packed
-        dequantised = None
-        if restore:
-            # ``scaled`` holds the quants as integral floats, save that a
-            # rounded-to-zero one may be -0.0: adding 0.0 makes it +0.0, so
-            # ``scaled`` dequantises exactly as ``q`` does, without the cast
-            np.add(scaled, 0.0, out=scaled)
-            dequantised = _dequantise_rows(scaled, steps, nonzero_idx, n_blocks)
+        chunks[nonzero_idx, 1 : 1 + per_row] = packed
+        dequantised = _dequantise_rows(q, steps, nonzero_idx, n_blocks) if restore else None
         return [chunks], dequantised
 
     # --------------------------------------------------------- decompression
@@ -528,10 +509,10 @@ class ZFPCompressor(Compressor):
         if not nonzero_idx.size:
             return np.zeros((n_blocks, block), dtype=np.float64)
         denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
-        steps = _block_steps(np.ldexp(1.0, emax[nonzero_idx].astype(np.int32)) / denom, block)
+        steps = np.ldexp(1.0, emax[nonzero_idx].astype(np.int32)) / denom
         per_row = int(row_nbytes(block, coef_bits))
         body = np.ascontiguousarray(chunks[nonzero_idx, 1 : 1 + per_row])
         q = zigzag_decode(
             unpack_uint_bits_rows(body, nonzero_idx.size, block, coef_bits, dtype=None)
         )
-        return _dequantise_rows(q, steps, nonzero_idx, n_blocks)
+        return _dequantise_rows(q, steps[:, None], nonzero_idx, n_blocks)

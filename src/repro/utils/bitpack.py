@@ -335,16 +335,19 @@ def _pack_rows(values: np.ndarray, nbits: int) -> np.ndarray:
             end = offset + nbits
             # slots fill the words in order: a word's first writer (a slot
             # starting it, or the spill of the slot before) assigns it, the
-            # others OR into it; a uint64 shift amount widens the values
+            # others OR into it; ``dtype`` makes every shift run on uint64
+            # values (under value-based casting a small 0-d shift amount
+            # would leave a narrow column in its own dtype, losing the bits
+            # shifted past it)
             column = groups[:, :, k]
             if end > 64:
-                np.left_shift(column, shifts[128 - end], out=words[:, :, j + 1])
-                np.right_shift(column, shifts[end - 64], out=shifted)
+                np.left_shift(column, shifts[128 - end], out=words[:, :, j + 1], dtype=np.uint64)
+                np.right_shift(column, shifts[end - 64], out=shifted, dtype=np.uint64)
                 words[:, :, j] |= shifted
             elif offset == 0:
-                np.left_shift(column, shifts[64 - end], out=words[:, :, j])
+                np.left_shift(column, shifts[64 - end], out=words[:, :, j], dtype=np.uint64)
             else:
-                np.left_shift(column, shifts[64 - end], out=shifted)
+                np.left_shift(column, shifts[64 - end], out=shifted, dtype=np.uint64)
                 words[:, :, j] |= shifted
         if _LITTLE_ENDIAN:
             words.byteswap(inplace=True)

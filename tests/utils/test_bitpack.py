@@ -316,6 +316,29 @@ class TestWidthClasses:
         )
         assert empty == b""
 
+    @pytest.mark.parametrize("dtype, widths", [(np.uint8, (1, 3, 7, 8)), (np.uint16, (5, 9, 11, 16))])
+    @pytest.mark.parametrize("count", [1, 7, 15, 128])
+    def test_narrow_input_dtypes_keep_bits_shifted_past_their_width(self, dtype, widths, count):
+        """The codecs hand in uint8 / uint16 values, and the packing kernel
+        shifts them up to 63 bits into 64-bit words: every bit must survive
+        whatever dtype numpy's promotion rules give a narrow array shifted
+        by a 0-d uint64 amount."""
+        rng = np.random.default_rng(count)
+        nbits = np.array(widths * 3, dtype=np.int64)
+        values = np.zeros((nbits.size, count), dtype=dtype)
+        for i, w in enumerate(nbits):
+            values[i] = _edge_values(rng, count, int(w))
+        sizes, starts, total = self._layout(nbits, count)
+        expected = b"".join(_pack_row_reference(row, int(w)) for row, w in zip(values, nbits))
+        assert pack_width_classes(values, nbits, starts, total) == expected
+        for w in widths:
+            rows = values[nbits == w]
+            assert pack_uint_bits_rows(rows, w) == b"".join(
+                _pack_row_reference(row, w) for row in rows
+            )
+        decoded = unpack_width_classes(np.frombuffer(expected, np.uint8), nbits, starts, count)
+        np.testing.assert_array_equal(decoded, values)
+
     def test_scatter_into_provided_region(self):
         """The out= form interleaves several fields in one region (ZFP layout)."""
         values = np.array([[5], [2]], dtype=np.uint64)
