@@ -41,11 +41,11 @@ more than once and, on the simulation path, decodes nothing:
   compare.**  The values of C-Coll's ring never depend on timing: round ``k``
   of rank ``r`` compresses its own chunk plus what round ``k - 1`` of rank
   ``r - 1`` decoded to.  So the planners of the C-Coll reduce-scatter,
-  allreduce (Overlap and ND) and allgather run their ring ahead of the
-  programs, in lockstep, and :func:`warm_round` compresses each round's ``n``
-  inputs with one ``Compressor.compress_many`` call (one kernel pass for SZx
-  and PIPE-SZx, whose small calls are mostly fixed cost).  Each result goes
-  on the queue of the rank that will compress it
+  allreduce (Overlap and ND), allgather and topology-aware allreduce run their
+  ring ahead of the programs, in lockstep, and :func:`warm_round` compresses
+  each round's ``n`` inputs with one ``Compressor.compress_many`` call (one
+  kernel pass for SZx and PIPE-SZx, whose small calls are mostly fixed cost).
+  Each result goes on the queue of the rank that will compress it
   (:attr:`CompressionAdapter.warmed`), in the order that rank compresses, with
   the input it stands for: an array nothing else can write (one the warm made,
   or a copy of a caller's block), read-only.
@@ -53,15 +53,25 @@ more than once and, on the simulation path, decodes nothing:
   when that input equals the data bit for bit (a byte compare, so ``-0.0`` is
   not ``0.0``); otherwise it compresses as it would without the warm.
   Bit-equal inputs of one round are not merged: each is compressed in the
-  batch.  The warm runs when the plan's first program first
-  asks for a compression (:func:`warm_before_compressing`), so a captured plan
-  runs nothing and the codec time is booked to the programs.  Correctness
-  never depends on it: a warm that drifted from the schedule costs a miss and
-  an ordinary codec call, never a wrong value, and a round the codec refuses
-  queues nothing, leaving the rank that compresses it to raise.  The queues
-  hold a round's inputs, buffers and reconstructions from the warm until each
-  rank has compressed its own (a tape, below, keeps them longer); a
-  successful run leaves every queue empty.
+  batch.  Correctness never depends on the warm: one that drifted from the
+  schedule costs a miss and an ordinary codec call, never a wrong value, and
+  a round the codec refuses queues nothing, leaving the rank that compresses
+  it to raise.
+* **A warm runs when a rank finds its queue empty.**  A planner hands
+  :func:`warm_ahead` its adapters and its rounds, a generator that queues
+  work each time it is resumed; whenever one of those adapters is asked to
+  compress with nothing queued, the generator is resumed once.  So a
+  captured plan runs nothing, the codec time is booked to the programs, and
+  how far ahead a warm runs is the planner's choice of where its generator
+  pauses.  The flat rings (the C-Coll reduce-scatter, allreduce and
+  allgather) queue their whole step at the first compression: their rounds
+  are small and one resumption is cheapest.  The topology-aware leader ring
+  queues one round per resumption, so each leader's queue runs at most one
+  round ahead of it: its chunks are the node sums of every rank's vector, and
+  holding every round of them at once would cost more memory than the batch
+  saves time.  The queues hold a round's inputs, buffers and reconstructions
+  until each rank has compressed its own (a tape, below, keeps them longer);
+  a successful run leaves every queue empty.
 * **A re-execution replays the first execution's queues.**  A job compresses
   the same inputs in the same order, rank by rank, every time it executes.  A
   :class:`CodecTape` records a plan's queues — per adapter, in creation order,
@@ -73,8 +83,11 @@ more than once and, on the simulation path, decodes nothing:
   differs from the recording's replays nothing.  ``repro.workload`` keeps a
   tape per step of a job that can execute again (a restart, its isolated
   baseline) and hands it to every compile through ``CCollConfig.codec_tape``.
-  A warm queues a whole step at its first compression, so a step warmed and
-  then killed is complete on its tape; a refused compression records nothing.
+  A tape holds what its warm had queued, so a flat ring's step killed after
+  its first compression is complete on it and a killed leader ring's holds
+  the rounds queued so far: a replay runs out of entries there and its ranks
+  compress (and record) the rest themselves.  A refused compression records
+  nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +95,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +109,7 @@ __all__ = [
     "CodecTape",
     "CompressedMessage",
     "CompressionAdapter",
-    "warm_before_compressing",
+    "warm_ahead",
     "warm_round",
 ]
 
@@ -186,9 +199,9 @@ class CompressionAdapter:
         #: what was compressed ahead for this rank, in the order it compresses: a
         #: replayed tape, or a warm's rounds
         self.warmed: Deque[Entry] = deque(self.tape or ())
-        #: runs once, before this adapter's first compression (see
-        #: :func:`warm_before_compressing`)
-        self._before_compress: Optional[Callable[[], None]] = None
+        #: resumes the plan's warm when this adapter compresses with an empty queue
+        #: (see :func:`warm_ahead`)
+        self._warm: Optional[Callable[[], None]] = None
         self.stats = CompressionStats()
 
     # ------------------------------------------------------------- compress
@@ -216,8 +229,8 @@ class CompressionAdapter:
 
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
-        if self._before_compress is not None:
-            self._before_compress()
+        if not self.warmed and self._warm is not None:
+            self._warm()
         data = np.ascontiguousarray(data).reshape(-1)
         buf, decoded = self._result(data)
         real = buf.nbytes
@@ -303,25 +316,30 @@ def warm_round(
     return restoreds
 
 
-def warm_before_compressing(
-    adapters: Sequence[CompressionAdapter], warm: Callable[[], None]
-) -> None:
-    """Run ``warm()`` once, when any of ``adapters`` is first asked to compress.
+def warm_ahead(adapters: Sequence[CompressionAdapter], rounds: Iterator[None]) -> None:
+    """Resume ``rounds`` whenever one of ``adapters`` would compress with an empty queue.
 
-    The planners of the ring collectives use this to compress a whole ring
-    round in one codec call (:func:`warm_round`) from inside the
-    first rank program that needs a compression: not at plan time, when a
-    captured plan must run nothing, and not in the program factory, which the
-    engine calls while it is being built.  Adapters that start with a queue
-    replay a tape: their rounds are compressed already, and ``warm`` never runs.
+    ``rounds`` is a generator that queues what the ``adapters`` compress next
+    (with :func:`warm_round`) each time it is resumed, and pauses at a
+    ``yield``; once it returns, the warm is over and every later compression
+    finds what is left on its queue or compresses on its own.  A resumption
+    must queue one entry for every adapter that is short of one (or end the
+    warm), so the queues stay aligned with the order each rank compresses.
+    Nothing runs at plan time, when a captured plan must run nothing, nor in
+    the program factory, which the engine calls while it is being built: the
+    generator first runs inside the first rank program that asks for a
+    compression.  Adapters that start with a queue replay a tape: their
+    rounds are compressed already, and ``rounds`` never runs.
     """
     if any(adapter.warmed for adapter in adapters):
         return
 
-    def once() -> None:
-        for adapter in adapters:
-            adapter._before_compress = None
-        warm()
+    def resume() -> None:
+        try:
+            next(rounds)
+        except StopIteration:
+            for adapter in adapters:
+                adapter._warm = None
 
     for adapter in adapters:
-        adapter._before_compress = once
+        adapter._warm = resume

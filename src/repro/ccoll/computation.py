@@ -32,7 +32,7 @@ import numpy as np
 from repro.ccoll.adapter import (
     CompressedMessage,
     CompressionAdapter,
-    warm_before_compressing,
+    warm_ahead,
     warm_round,
 )
 from repro.ccoll.config import CCollConfig
@@ -207,7 +207,12 @@ def _plan_c_reduce_scatter(
     ctx = config.context()
     vectors = as_rank_arrays(inputs, n_ranks)
     adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
-    warm_before_compressing(adapters, lambda: warm_ring_reduce_scatter(vectors, adapters))
+
+    def warm():  # every round at the first compression
+        warm_ring_reduce_scatter(vectors, adapters)
+        yield from ()
+
+    warm_ahead(adapters, warm())
     return CollectivePlan(
         lambda rank, size: c_reduce_scatter_program(
             rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap

@@ -35,7 +35,7 @@ import numpy as np
 from repro.ccoll.adapter import (
     CompressedMessage,
     CompressionAdapter,
-    warm_before_compressing,
+    warm_ahead,
     warm_round,
 )
 from repro.ccoll.config import CCollConfig
@@ -239,9 +239,12 @@ def _plan_compressed_allgather(
     blocks = as_rank_arrays(inputs, n_ranks)
     adapters = config.make_adapters(ctx, n_ranks)
     if program is c_allgather_program:
-        warm_before_compressing(
-            adapters, lambda: warm_round([block.copy() for block in blocks], adapters)
-        )
+
+        def warm():  # every block at the first compression
+            warm_round([block.copy() for block in blocks], adapters)
+            yield from ()
+
+        warm_ahead(adapters, warm())
     return CollectivePlan(
         lambda rank, size: program(rank, size, blocks[rank], adapters[rank], ctx, 0),
         _ccoll_finish(adapters),

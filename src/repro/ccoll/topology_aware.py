@@ -35,17 +35,36 @@ codec's break-even bandwidth
 (:meth:`repro.perfmodel.costmodel.CostModel.codec_break_even_bandwidth`), so a
 2:1-oversubscribed fat tree and a shared-uplink cluster at equal per-node NIC
 rate can legitimately make *opposite* calls.
+
+The leader ring is compressed one round per codec call, one round ahead
+--------------------------------------------------------------------------
+Like the flat C-Coll rings (see :mod:`repro.ccoll.adapter`), the leader
+ring's values never depend on timing: a leader's node sum is the binomial
+reduce of its node's inputs, and round ``k`` of leader ``i`` compresses a
+chunk of that sum plus what round ``k - 1`` of leader ``i - 1`` decoded to.
+So the plan warms the leaders' adapters with :func:`_leader_rounds`: each
+resumption compresses one round, the ``L - 1`` reduce-scatter rounds and then
+the allgather's compress-once blocks, for all ``L`` leaders in one
+``compress_many`` call, and :func:`~repro.ccoll.adapter.warm_ahead` resumes
+it only when a leader asks to compress with an empty queue.  A round's
+chunks are built slice by slice from the inputs, in the order
+``_group_binomial_reduce`` adds them (elementwise sums of slices are the
+slices of the sums, bit for bit), and between rounds the warm keeps nothing
+but the decodes the queues hold anyway: no node vector is ever summed whole
+on its behalf.  A leader finds its chunk by a byte compare, so a warm that
+drifts costs a codec call, never a wrong value; a plan that replays a tape
+runs no warm.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import List
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter
+from repro.ccoll.adapter import CompressionAdapter, warm_ahead, warm_round
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
@@ -58,6 +77,7 @@ from repro.collectives.reduce_scatter import _ring_reduce_scatter_over_group, pa
 from repro.mpisim.commands import Compute
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
 from repro.mpisim.timeline import CAT_COMDECOM
+from repro.utils.chunking import split_counts, split_displacements
 
 __all__ = ["select_inter_compression"]
 
@@ -114,6 +134,53 @@ def _group_compressed_ring_allreduce(
     return np.concatenate(blocks)
 
 
+def _binomial_sum(parts: Sequence[np.ndarray], position: int = 0) -> np.ndarray:
+    """What :func:`~repro.collectives.hierarchical._group_binomial_reduce` leaves
+    at ``position`` of a group whose ranks hold ``parts``: its own part plus each
+    child's subtree sum, low bits first, added as ``held + arrived``."""
+    held, mask = parts[position], 1
+    while mask < len(parts) and not position & mask:
+        if position + mask < len(parts):
+            held = held + _binomial_sum(parts, position + mask)
+        mask <<= 1
+    return held
+
+
+def _leader_rounds(
+    vectors: List[np.ndarray], nodes: List[List[int]], adapters: List[CompressionAdapter]
+) -> Iterator[None]:
+    """The leader ring run ahead of its programs, one round per resumption.
+
+    ``nodes[i]`` lists the ranks of leader ``i``'s node (the leader first) and
+    ``adapters[i]`` is that leader's adapter.  Round ``k < L - 1`` queues what
+    each leader sends in reduce-scatter round ``k``, round ``L - 1`` the
+    reduced chunk it compresses once for the allgather; each chunk is the
+    slice of the node sum the ring sends (partitioned as
+    :func:`~repro.collectives.reduce_scatter.partition_chunks` does) plus,
+    after round 0, what the left neighbour's chunk decoded to.  Stops early
+    when the codec refuses a round: the leader that compresses it raises.
+    """
+    size = len(nodes)
+    counts = split_counts(vectors[0].size, size)
+    bounds = [(at, at + count) for at, count in zip(split_displacements(counts), counts)]
+    decoded = None
+    for step in range(size):
+        if step:
+            yield
+        outgoing = []
+        for index, ranks in enumerate(nodes):
+            lo, hi = bounds[(index - step - 1) % size]
+            chunk = _binomial_sum([vectors[rank][lo:hi] for rank in ranks])
+            if decoded is not None:
+                chunk = chunk + decoded[(index - 1) % size]
+            elif len(ranks) == 1:
+                chunk = chunk.copy()  # the rank's input itself: not the queue's to freeze
+            outgoing.append(chunk)
+        decoded = warm_round(outgoing, adapters)
+        if decoded is None:
+            return
+
+
 def select_inter_compression(
     topology: Topology,
     config: CCollConfig,
@@ -155,6 +222,10 @@ def _plan_topology_aware_c_allreduce(
     vectors = as_rank_arrays(inputs, n_ranks)
     peers_by_rank, leaders = node_groups(topology, n_ranks)
     adapters = config.make_adapters(ctx, n_ranks)
+    if len(leaders) > 1:
+        ring = [adapters[leader] for leader in leaders]
+        nodes = [peers_by_rank[leader] for leader in leaders]
+        warm_ahead(ring, _leader_rounds(vectors, nodes, ring))
     return CollectivePlan(
         lambda rank, size: hierarchical_allreduce_program(
             rank, size, vectors[rank], ctx, peers_by_rank[rank], leaders,

@@ -68,7 +68,10 @@ through the steps above **once**, not ``c`` times:
   a one-shot call costs no more than the uniform grid it generalises;
 * min/max, medium, classification, quantisation, zigzag, bit lengths and
   ``pack_width_classes`` run over that matrix in one go (rows are byte-aligned,
-  so the packed region of chunk ``i`` is a contiguous slice of the whole);
+  so the packed region of chunk ``i`` is a contiguous slice of the whole).
+  The matrix is quantised in place, every row: a constant block's offsets
+  are within the bound, so its quants are 0 and are simply not packed, and no
+  copy of the non-constant rows is made;
 * *cutting*: chunk ``i``'s payload is its own header (count = chunk length)
   followed by four slices — its row of the per-chunk ``packbits`` flag matrix,
   its blocks' ``medium`` values, the ``nbits`` of its non-constant blocks, and
@@ -95,10 +98,13 @@ chunk's padding, cast to the output dtype), that both directions call:
 :func:`decompress_chunks` on what it unpacked, :func:`compress_chunks` — when
 handed the ``restored`` out-parameter of
 :meth:`~repro.compression.base.Compressor.compress_bytes` — on what it is
-about to pack.  ``restored`` then equals the decode byte for byte (``-0.0``
+about to pack, dequantised in place into the block matrix it has finished
+with.  ``restored`` then equals the decode byte for byte (``-0.0``
 mediums, float32 rounding and per-chunk padding included) by construction, at
 a fraction of what un-bit-packing the same quants back out of the payload
-costs; ``tests/compression/test_restored.py`` is the differential.
+costs; ``tests/compression/test_restored.py`` is the differential.  A batch
+(``compress_batch``) restores into its own concatenated input, which the
+kernel has read whole by then, so filling ``restoreds`` costs no buffer.
 """
 
 from __future__ import annotations
@@ -246,14 +252,17 @@ def _dequantise(
 
     A constant block is its float32 ``medium`` throughout; row ``i`` of the
     signed ``quants`` (``None`` when every block is constant) belongs to block
-    ``nonconst_idx[i]`` and reconstructs to ``medium + quant * step``.  This is
-    *the* reconstruction: the decoder calls it with the quants it unpacked, the
-    encoder with the ones it is about to pack (see "Chunked layout" in the
-    module docstring).
+    ``nonconst_idx[i]`` and reconstructs to ``medium + quant * step``; with a
+    row per block, the rows of constant blocks are ignored.  This is *the*
+    reconstruction: the decoder calls it with the quants it unpacked, the
+    encoder with the ones it is about to pack, a row per block (see "Chunked
+    layout" in the module docstring).
     """
-    if quants is not None and len(quants) == len(out_blocks):  # no constant block: in place
-        np.multiply(quants, step, out=out_blocks)
+    if quants is not None and len(quants) == len(out_blocks):  # a row per block: in place
+        np.multiply(quants, step, out=out_blocks, dtype=np.float64)
         out_blocks += medium.astype(np.float64)[:, None]
+        if nonconst_idx.size < len(out_blocks):  # a constant block is its medium, -0.0 too
+            out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
         return
     out_blocks[const_mask] = medium[const_mask].astype(np.float64)[:, None]
     if nonconst_idx.size:
@@ -287,7 +296,8 @@ def compress_chunks(
     byte-identical to compressing chunk ``i`` on its own (see "Chunked layout"
     in the module docstring).  ``restored``, an array the caller has put
     through :func:`~repro.compression.base.check_restored`, is filled with
-    what :func:`decompress_chunks` makes of the result.
+    what :func:`decompress_chunks` makes of the result; it may be ``data``
+    itself, which is read whole before ``restored`` is written.
     """
     if data.size == 0:
         return []
@@ -330,13 +340,11 @@ def compress_chunks(
     step = 2.0 * eb
     nbits_arr = np.zeros(0, dtype=np.int64)
     encoded = np.zeros((0, block), dtype=np.uint8)
-    quants = None
+    every_quant = None
     if nonconst_idx.size:
         if nonconst_idx.size == n_blocks:
-            offsets = offsets_all  # every block non-constant: mutate in place
             max_abs = max(float(row_max.max()), -float(row_min.min()))
         else:
-            offsets = offsets_all[nonconst_idx]
             max_abs = max(
                 float(row_max[nonconst_idx].max()),
                 -float(row_min[nonconst_idx].min()),
@@ -352,9 +360,12 @@ def compress_chunks(
                 "quantised offsets exceed the supported width; the error bound "
                 f"({eb!r}) is too small relative to the data range"
             )
-        np.divide(offsets, step, out=offsets)
-        np.rint(offsets, out=offsets)
-        quants = offsets.astype(narrow_signed_dtype(quant_bound))
+        # every block in place: a constant one's offsets are within eb, so its
+        # quants are 0 (the cast cannot overflow) and only the others are packed
+        np.divide(offsets_all, step, out=offsets_all)
+        np.rint(offsets_all, out=offsets_all)
+        every_quant = offsets_all.astype(narrow_signed_dtype(quant_bound))
+        quants = every_quant if nonconst_idx.size == n_blocks else every_quant[nonconst_idx]
         encoded = zigzag_encode(quants)
         nbits_arr = bit_length_u64(encoded.max(axis=1))
         if int(nbits_arr.max()) > _MAX_QUANT_BITS:
@@ -364,7 +375,7 @@ def compress_chunks(
             )
     if restored is not None:
         # the quants are out of ``blocks`` by now: it is scratch of the right shape
-        _dequantise(blocks, quants, medium, const_mask, nonconst_idx, step)
+        _dequantise(blocks, every_quant, medium, const_mask, nonconst_idx, step)
         _unpad(restored, blocks, runs, block)
     data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
     region = np.zeros(int(data_at[-1]), dtype=np.uint8)
@@ -511,17 +522,17 @@ def compress_batch(
         return []
     lens = [lens_of(data.size) for data in arrays]
     values = np.concatenate(arrays)
-    scratch = np.empty_like(values)
     try:
+        # the kernel restores the batch into ``values``, whose inputs it has read
         payloads = iter(compress_chunks(
-            values, [n for own in lens for n in own], codec.block_size, codec.error_bound, scratch
+            values, [n for own in lens for n in own], codec.block_size, codec.error_bound, values
         ))  # fmt: skip
     except CompressionError:
         Compressor.compress_many(codec, arrays, restoreds)
         raise
     out, at = [], 0
     for data, restored, own in zip(arrays, restoreds, lens):
-        restored[...] = scratch[at : at + data.size]
+        restored[...] = values[at : at + data.size]
         at += data.size
         out.append(frame([next(payloads) for _ in own], data))
     return out

@@ -42,10 +42,11 @@ so a restart recompresses nothing the killed attempt compressed and a
 baseline costs engine and rank-program time only; an execution that plans
 differently pays codec calls for what no longer matches, never a wrong value.
 Without a memo, what a job retains while it runs is the rounds its ring
-collective steps compressed ahead: the warm of a step queues each rank's
-rounds on that rank's adapter when the step's first rank first compresses,
-and each rank pops its own as it compresses them, so a step that completes
-leaves nothing queued; a killed attempt's queues go with its compiled job
+collective steps compressed ahead: the warm of a flat ring step queues each
+rank's rounds on that rank's adapter when the step's first rank first
+compresses (a topology-aware leader ring's queues one round at a time, as its
+leaders need them), and each rank pops its own as it compresses them, so a
+step that completes leaves nothing queued; a killed attempt's queues go with its compiled job
 (a 6-step ``allreduce compression="on"`` job on 4 ranks, 16-node fair fat
 tree, ``policy="packed"``, holds 8 / 14 / 0 queued rounds at 20 / 50 / 90 %
 of its makespan).  Nothing is left after ``run()``.

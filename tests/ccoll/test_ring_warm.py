@@ -16,7 +16,7 @@ import repro.ccoll.computation as computation_module
 import repro.ccoll.movement as movement_module
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
-from repro.ccoll.adapter import CompressionAdapter, warm_round
+from repro.ccoll.adapter import warm_round
 from repro.mpisim.errors import RankProgramError
 from repro.mpisim.launcher import run_simulation
 from repro.utils.chunking import split_counts, split_displacements
@@ -66,20 +66,6 @@ def _assert_same_outcome(outcome, oracle):
     assert len(ours) == len(theirs)
     for mine, expected in zip(ours, theirs):
         assert mine.dtype == expected.dtype and mine.tobytes() == expected.tobytes()
-
-
-@pytest.fixture
-def adapters(monkeypatch):
-    """Every ``CompressionAdapter`` made from here on, in order."""
-    made = []
-    real = CompressionAdapter.__init__
-
-    def recording(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(CompressionAdapter, "__init__", recording)
-    return made
 
 
 def _queued(adapters) -> int:

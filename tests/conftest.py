@@ -84,6 +84,22 @@ def codec_calls(monkeypatch):
 
 
 @pytest.fixture
+def adapters(monkeypatch):
+    """Every ``CompressionAdapter`` made from here on, in order."""
+    from repro.ccoll.adapter import CompressionAdapter
+
+    made = []
+    real = CompressionAdapter.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(CompressionAdapter, "__init__", recording)
+    return made
+
+
+@pytest.fixture
 def sha256_calls(monkeypatch):
     """SHA-256 digests started anywhere in the process, counted per calling module.
 

@@ -9,14 +9,17 @@ can happen, and nothing keeps one alive once none can.
 
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.ccoll.topology_aware as topology_aware
 import repro.workload.engine as workload_engine
 import repro.workload.job as workload_job
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
+from repro.ccoll.adapter import warm_round
 from repro.faults import DomainOutage, FailureDomain, FaultSchedule, NodeLoss
 from repro.workload import (
     CollectiveCall,
@@ -115,17 +118,18 @@ class TestCodecCalls:
     def test_baselines_cost_no_codec_calls(self, codec_calls):
         """343 compressions and no decode (a message carries its reconstruction), with
         or without the 16 baselines (686 / 1 090 before results were reused) — gated
-        here exactly because the committed ledger still holds the old counts.  332
-        of them are ring rounds, one ``compress_many`` batch each; the 11 a rank
-        makes on its own are the bcast roots and the topology-aware leader rings."""
+        here exactly because the committed ledger still holds the old counts.  336
+        of them are ring rounds, one ``compress_many`` batch each (the flat rings'
+        and the topology-aware leader ring's: 2 rounds of 2 leaders, which were 4
+        calls of their own); the 7 a rank makes on its own are the bcast roots."""
         engine = WorkloadEngine(_cluster(), policy="spread")
         engine.run(_ledger_mix(), baseline=False)
         assert codec_calls == {
-            "compress": 11, "decompress": 0, "compress_many": 48, "many_inputs": 332
+            "compress": 7, "decompress": 0, "compress_many": 50, "many_inputs": 336
         }  # fmt: skip
         engine.run(_ledger_mix(), baseline=True)
         assert codec_calls == {
-            "compress": 22, "decompress": 0, "compress_many": 96, "many_inputs": 664
+            "compress": 14, "decompress": 0, "compress_many": 100, "many_inputs": 672
         }  # fmt: skip
 
     @pytest.mark.parametrize("baseline", [False, True])
@@ -244,6 +248,75 @@ class TestALyingTape:
         # its own: one codec call per input the tape-less run batched for that step
         assert codec_calls["compress"] - before["compress"] == self.PER_STEP
         assert codec_calls["many_inputs"] == before["many_inputs"]
+
+
+def _no_warm(arrays, ranks):
+    return None
+
+
+class TestTheLeaderRingOnATape:
+    """``compression="auto"`` on 2-rank nodes: the topology-aware leader ring, whose
+    warm compresses one round each time a leader finds its queue empty."""
+
+    #: 8 ranks packed on 4 nodes: 4 leaders, 3 reduce-scatter rounds and the
+    #: allgather's blocks per step, 3 steps
+    SPEC = JobSpec(
+        job_id="auto", n_ranks=8, iterations=3, seed=3,
+        calls=(CollectiveCall(op="allreduce", msg_elems=8192, compression="auto"),),
+    )  # fmt: skip
+    PER_STEP = 4 * 4
+
+    @pytest.fixture
+    def leader_warm(self, monkeypatch):
+        """The inputs the leader warm compressed, and a switch that turns it off."""
+        warmed = [0]
+
+        def counting(arrays, ranks):
+            warmed[0] += len(arrays)
+            return warm_round(arrays, ranks)
+
+        monkeypatch.setattr(topology_aware, "warm_round", counting)
+        return warmed, partial(monkeypatch.setattr, topology_aware, "warm_round", _no_warm)
+
+    def test_a_baseline_replays_its_tape_and_warms_nothing(self, codec_calls, leader_warm):
+        warmed, _ = leader_warm
+        report = WorkloadEngine(_cluster(), policy="packed").run([self.SPEC], baseline=True)
+        assert report.records[0].isolated is not None
+        assert warmed[0] == codec_calls["many_inputs"] == 3 * self.PER_STEP
+        assert codec_calls["compress"] == 0
+
+    def test_a_step_killed_mid_ring_restarts_from_its_partial_tape(
+        self, codec_calls, compiles, leader_warm, monkeypatch
+    ):
+        """Node 1 is lost while step 1's leader ring has warmed 2 of its 4 rounds: the
+        restart replays steps 0 and 1 from the tape, its leaders compress step 1's
+        other 2 rounds themselves (and record them), step 2 warms as usual, and the
+        baseline replays everything.  The report is the one a run without a memo,
+        and one without the warm, makes."""
+        _, off = leader_warm
+        healthy = WorkloadEngine(_cluster(), policy="packed").run([self.SPEC], baseline=False)
+        faults = FaultSchedule(events=(NodeLoss(time=0.45 * healthy.makespan, node=1),))
+
+        def run():
+            return WorkloadEngine(
+                _cluster(), policy="packed", faults=faults, failure_policy="restart_elsewhere"
+            ).run([self.SPEC], baseline=True)
+
+        before = dict(codec_calls)
+        compiles.clear()
+        report = run()
+        assert report.total_restarts == 1
+        # the restart's compile found step 0's 4 rounds and step 1's first 2 taped
+        assert [taped for _, (_, _, taped) in compiles] == [0, 4 * 4 + 2 * 4, 3 * self.PER_STEP]
+        assert {kind: count - before[kind] for kind, count in codec_calls.items()} == {
+            "compress": 2 * 4, "decompress": 0, "compress_many": 4 + 2 + 4,
+            "many_inputs": 4 * 4 + 2 * 4 + 4 * 4,
+        }  # fmt: skip
+        with monkeypatch.context() as patch:
+            patch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
+            assert run() == report
+        off()
+        assert run() == report
 
 
 class TestMemoLifetime:
