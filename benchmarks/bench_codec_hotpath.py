@@ -256,7 +256,7 @@ class TestRestoredOutParameter:
         assert both < 1.4 * compress
 
 
-class TestCompressMany:
+class TestCompressedNbytes:
     @pytest.mark.parametrize("codec_type", [SZxCompressor, PipelinedSZx])
     @pytest.mark.parametrize(
         "batch, values, bar",
@@ -264,14 +264,14 @@ class TestCompressMany:
         ids=["16x15552", "8x1024", "8x31104"],
     )
     def test_one_pass_beats_separate_calls(self, codec_type, batch, values, bar):
-        """One ``compress_many`` over a ring round against one ``compress_bytes`` per
-        chunk, both filling ``restored`` (ratios of calls timed alternately in one
-        process).  The chunks are the RTM field's, as ``allreduce_ccoll`` cuts it over
-        16 ranks (and 8 ranks' worth of 1 024-value chunks), and as its
-        topology-aware leader ring cuts it over 8 node leaders (31 104 values):
-        with the per-call fixed cost paid once per round, the batch must stay
-        under 0.7x / 0.5x / 0.75x of the separate calls (~0.4x / ~0.3x /
-        0.54-0.61x measured, median over rounds)."""
+        """One ``compressed_nbytes`` over a ring round against one per chunk (a batch
+        of one, as a rank compresses with nothing queued), both filling ``restored``
+        (ratios of calls timed alternately in one process).  The chunks are the RTM
+        field's, as ``allreduce_ccoll`` cuts it over 16 ranks (and 8 ranks' worth
+        of 1 024-value chunks), and as its topology-aware leader ring cuts it over
+        8 node leaders (31 104 values): with the per-call fixed cost paid once per
+        round, the batch must stay under 0.7x / 0.5x / 0.75x of the separate
+        calls."""
         rng = np.random.default_rng(3)
         field = generate_rtm_snapshot(seed=0).flatten()
         field += (0.2 * HOTPATH_EB * rng.standard_normal(field.size)).astype(np.float32)
@@ -279,7 +279,9 @@ class TestCompressMany:
         restoreds = [np.empty_like(data) for data in arrays]
         codec = codec_type(error_bound=HOTPATH_EB)
         expected = [codec.compress_bytes(data, out) for data, out in zip(arrays, restoreds)]
-        assert codec.compress_many(arrays, restoreds) == expected
+        counted = [np.empty_like(data) for data in arrays]
+        assert codec.compressed_nbytes(arrays, counted) == [len(payload) for payload in expected]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(counted, restoreds))
 
         # each round times both back to back and keeps their ratio, so a slow
         # spell of a shared host slows both sides of the rounds it covers
@@ -287,14 +289,14 @@ class TestCompressMany:
         for _ in range(60):
             t0 = time.perf_counter()
             for data, restored in zip(arrays, restoreds):
-                codec.compress_bytes(data, restored)
+                codec.compressed_nbytes([data], [restored])
             separate.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            codec.compress_many(arrays, restoreds)
+            codec.compressed_nbytes(arrays, restoreds)
             many.append(time.perf_counter() - t0)
         ratio = float(np.median(np.asarray(many) / np.asarray(separate)))
         print(f"\n{codec.name} {batch} x {values}: separate {min(separate) * 1e3:.2f} ms, "
-              f"compress_many {min(many) * 1e3:.2f} ms, median ratio {ratio:.2f}x")
+              f"one batch {min(many) * 1e3:.2f} ms, median ratio {ratio:.2f}x")
         assert ratio < bar
 
 

@@ -3,9 +3,9 @@
 This corresponds to the "Compression Adapter" box in the paper's architecture
 (Figure 1).  The collectives never talk to a codec directly; they hand flat
 arrays to the adapter and get back :class:`CompressedMessage` objects that
-bundle the payload with everything the simulation needs:
+bundle everything the simulation needs of a payload, which is not its bytes:
 
-* the real compressed bytes and the array they decode to (what the receivers
+* the real payload's length and the array it decodes to (what the receivers
   compute with, so data fidelity is preserved end to end),
 * the *virtual* sizes used by the network/cost models (real sizes scaled by
   the configured ``size_multiplier``),
@@ -19,13 +19,21 @@ Virtual time charges every rank for every compression and decompression it
 performs (the programs still yield one ``Compute`` per call, the adapter still
 records one ratio per call).  The *host* compresses a C-Coll ring round's
 inputs in one codec call, compresses nothing twice for a job that executes
-more than once and, on the simulation path, decodes nothing:
+more than once and, on the simulation path, neither packs nor decodes a
+payload:
 
-* **A message carries its reconstruction.**  An encoder holds what its payload
-  decodes to as a by-product, so :meth:`CompressionAdapter.compress` asks the
-  codec for it (the ``restored`` out-parameter of ``Compressor.compress``,
-  byte for byte the array ``decompress_bytes(payload)`` returns) and stores it
-  on the message as :attr:`CompressedMessage.decoded`.  Messages travel by
+* **A message carries its length and its reconstruction, not its bytes.**
+  The network is charged for a payload's length and the ranks compute with
+  what it decodes to; nothing reads the bytes in between.  So
+  :meth:`CompressionAdapter.compress` asks the codec for exactly those two
+  (``Compressor.compressed_nbytes``, whose lengths equal
+  ``len(compress_bytes(data))`` and whose ``restored`` out-parameter is byte
+  for byte the array ``decompress_bytes(payload)`` returns), as a batch of
+  one after the validation ``Compressor.compress`` makes, and stores them on
+  the message as :attr:`CompressedMessage.real_nbytes` and
+  :attr:`CompressedMessage.decoded`.  SZx and PIPE-SZx count a length from
+  the bit widths their quantisation settles, so they skip the bit-packing
+  and the payload framing altogether.  Messages travel by
   reference, so the sender, the one receiver of a reduce-scatter chunk and the
   N-1 receivers of an allgather block or a broadcast buffer all hold the same
   array, for exactly as long as the message lives.  That is why it is
@@ -35,16 +43,19 @@ more than once and, on the simulation path, decodes nothing:
   array itself, for receivers that only read it (``chunk + incoming``, a
   ``concatenate``); :meth:`CompressionAdapter.decompress` hands out a copy the
   caller owns, for programs that return what they received as their value.
-  The real decoders stay honest through the codec tests and the fuzzer's
-  ``codec_roundtrip`` audit, which compares them with ``restored`` bytewise.
+  The real encoders and decoders stay honest through the codec tests (the
+  length differential of ``compressed_nbytes`` against ``compress_bytes``
+  among them) and the fuzzer's ``codec_roundtrip`` audit, which compares the
+  decoders with ``restored`` bytewise.
 * **A ring round is one codec call, and a rank finds its round by a byte
   compare.**  The values of C-Coll's ring never depend on timing: round ``k``
   of rank ``r`` compresses its own chunk plus what round ``k - 1`` of rank
   ``r - 1`` decoded to.  So the planners of the C-Coll reduce-scatter,
   allreduce (Overlap and ND), allgather and topology-aware allreduce run their
   ring ahead of the programs, in lockstep, and :func:`warm_round` compresses
-  each round's ``n`` inputs with one ``Compressor.compress_many`` call (one
-  kernel pass for SZx and PIPE-SZx, whose small calls are mostly fixed cost).
+  each round's ``n`` inputs with one ``Compressor.compressed_nbytes`` call
+  (one kernel pass for SZx and PIPE-SZx, whose small calls are mostly fixed
+  cost).
   Each result goes on the queue of the rank that will compress it
   (:attr:`CompressionAdapter.warmed`), in the order that rank compresses, with
   the input it stands for: an array nothing else can write (one the warm made,
@@ -100,10 +111,9 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro.collectives.context import CollectiveContext
-from repro.compression.base import CompressedBuffer, Compressor, check_compressible
+from repro.compression.base import Compressor, check_compressible
 from repro.compression.errors import CompressionError
-from repro.metrics.ratios import CompressionStats
-from repro.utils.validation import ensure_1d_float_array
+from repro.metrics.ratios import CompressionStats, compression_ratio
 
 __all__ = [
     "CodecTape",
@@ -113,9 +123,9 @@ __all__ = [
     "warm_round",
 ]
 
-#: one compression as a queue holds it: the read-only input, its buffer and the
-#: read-only array it decodes to
-Entry = Tuple[np.ndarray, CompressedBuffer, np.ndarray]
+#: one compression as a queue holds it: the read-only input, the length of its
+#: payload and the read-only array that payload decodes to
+Entry = Tuple[np.ndarray, int, np.ndarray]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -158,14 +168,14 @@ class CodecTape:
 
 @dataclass(frozen=True)
 class CompressedMessage:
-    """A compressed chunk ready to be sent through the simulated network."""
+    """A compressed chunk ready to be sent through the simulated network: the
+    length of its payload and what that payload decodes to, not its bytes."""
 
-    payload: bytes
     real_nbytes: int
     virtual_nbytes: int
     original_virtual_nbytes: int
     ratio: float
-    #: what ``payload`` decodes to, from the encoder that produced it: read-only,
+    #: what the payload decodes to, from the encoder that sized it: read-only,
     #: and shared by everyone who holds the message
     decoded: np.ndarray = field(repr=False, compare=False)
 
@@ -206,43 +216,41 @@ class CompressionAdapter:
 
     # ------------------------------------------------------------- compress
 
-    def _encode(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        """``data`` through the codec: the buffer and the read-only array it decodes to."""
-        values = ensure_1d_float_array(data)  # what the codec compresses: it widens float16
+    def _encode(self, data: np.ndarray) -> Tuple[int, np.ndarray]:
+        """``data`` through the codec: its payload's length and the read-only
+        array that payload decodes to (a batch of one, validated as
+        ``Compressor.compress`` validates, so a refusal raises the same)."""
+        values = check_compressible(data)  # what the codec compresses: it widens float16
         restored = np.empty_like(values)
-        buf = self.codec.compress(values, restored=restored)
+        (nbytes,) = self.codec.compressed_nbytes([values], [restored])
         restored.setflags(write=False)
-        return buf, restored
+        return nbytes, restored
 
-    def _result(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+    def _result(self, data: np.ndarray) -> Tuple[int, np.ndarray]:
         """The head of :attr:`warmed` if its input is ``data`` bit for bit, else
         :meth:`_encode` of it — recorded on :attr:`tape` when the queue was empty."""
         if self.warmed:
-            warmed, buf, decoded = self.warmed.popleft()
-            return (buf, decoded) if _same_bits(warmed, data) else self._encode(data)
-        buf, decoded = self._encode(data)
+            warmed, nbytes, decoded = self.warmed.popleft()
+            return (nbytes, decoded) if _same_bits(warmed, data) else self._encode(data)
+        nbytes, decoded = self._encode(data)
         if self.tape is not None:
             frozen = data.copy()  # the caller's array is not the tape's to freeze
             frozen.setflags(write=False)
-            self.tape.append((frozen, buf, decoded))
-        return buf, decoded
+            self.tape.append((frozen, nbytes, decoded))
+        return nbytes, decoded
 
     def compress(self, data: np.ndarray) -> CompressedMessage:
         """Compress ``data`` and return the message plus bookkeeping."""
         if not self.warmed and self._warm is not None:
             self._warm()
         data = np.ascontiguousarray(data).reshape(-1)
-        buf, decoded = self._result(data)
-        real = buf.nbytes
-        original_virtual = self.ctx.vbytes(data)
-        virtual = max(1, self.ctx.vbytes_raw(real))
-        self.stats.record(buf.original_nbytes, real)
+        real, decoded = self._result(data)
+        self.stats.record(decoded.nbytes, real)
         return CompressedMessage(
-            payload=buf.payload,
             real_nbytes=real,
-            virtual_nbytes=virtual,
-            original_virtual_nbytes=original_virtual,
-            ratio=buf.ratio,
+            virtual_nbytes=max(1, self.ctx.vbytes_raw(real)),
+            original_virtual_nbytes=self.ctx.vbytes(data),
+            ratio=compression_ratio(decoded.nbytes, real),
             decoded=decoded,
         )
 
@@ -285,7 +293,7 @@ def warm_round(
 
     The ``adapters`` share one codec (that of ``adapters[0]``).  Every input
     goes through it in **one**
-    :meth:`~repro.compression.base.Compressor.compress_many` call, and its
+    :meth:`~repro.compression.base.Compressor.compressed_nbytes` call, and its
     result joins the back of ``adapters[i].warmed`` (and of its tape, if it
     has one), so that adapter's next :meth:`~CompressionAdapter.compress` of
     an array equal to it bit for bit costs no codec call.  The queue keeps
@@ -301,15 +309,13 @@ def warm_round(
         # validated as compress validates: Compressor.compress refuses NaN / Inf
         values = [check_compressible(data) for data in flat]
         restoreds = _empty_like_each(values)
-        payloads = codec.compress_many(values, restoreds)
+        sizes = codec.compressed_nbytes(values, restoreds)
     except CompressionError:
         return None
-    for adapter, data, value, payload, restored in zip(
-        adapters, flat, values, payloads, restoreds
-    ):
+    for adapter, data, nbytes, restored in zip(adapters, flat, sizes, restoreds):
         data.setflags(write=False)
         restored.setflags(write=False)
-        entry = (data, CompressedBuffer(payload, value.size, value.dtype, codec.name), restored)
+        entry = (data, nbytes, restored)
         adapter.warmed.append(entry)
         if adapter.tape is not None:
             adapter.tape.append(entry)

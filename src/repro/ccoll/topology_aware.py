@@ -45,7 +45,8 @@ chunk of that sum plus what round ``k - 1`` of leader ``i - 1`` decoded to.
 So the plan warms the leaders' adapters with :func:`_leader_rounds`: each
 resumption compresses one round, the ``L - 1`` reduce-scatter rounds and then
 the allgather's compress-once blocks, for all ``L`` leaders in one
-``compress_many`` call, and :func:`~repro.ccoll.adapter.warm_ahead` resumes
+``compressed_nbytes`` call (payload lengths and reconstructions, no payload
+bytes), and :func:`~repro.ccoll.adapter.warm_ahead` resumes
 it only when a leader asks to compress with an empty queue.  A round's
 chunks are built slice by slice from the inputs, in the order
 ``_group_binomial_reduce`` adds them (elementwise sums of slices are the

@@ -1,10 +1,12 @@
 """Compressor interface shared by every codec in the reproduction.
 
 Every compressor turns a flat float array into a *self-describing* byte string
-(so that the byte string can travel through the simulated MPI network with no
-side-band metadata) and back.  The :class:`CompressedBuffer` wrapper carries
-the byte payload together with bookkeeping used by the harness (original size,
-ratio, the codec that produced it).
+(one that decodes with no side-band metadata) and back.  The
+:class:`CompressedBuffer` wrapper carries the byte payload together with
+bookkeeping used by the harness (original size, ratio, the codec that produced
+it).  The simulated MPI network never carries the bytes: a simulated message
+needs only the payload's length and reconstruction
+(:meth:`Compressor.compressed_nbytes`).
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ class Compressor(abc.ABC):
     was just handed.  It selects an extra output, never a behaviour: the
     payload is the same with or without it, and anything else than such an
     array is a ``ValueError`` before any work.
+
+    A simulated message needs a payload's length and its reconstruction, never
+    its bytes, so :meth:`compressed_nbytes` returns exactly those for a batch
+    of arrays; the simulated collectives compress through it alone.
     """
 
     #: short identifier used by the registry and in harness tables
@@ -152,18 +158,22 @@ class Compressor(abc.ABC):
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array from a payload produced by :meth:`compress_bytes`."""
 
-    def compress_many(
+    def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
-    ) -> List[bytes]:
-        """:meth:`compress_bytes` of every array, filling the ``restored`` of the same index.
+    ) -> List[int]:
+        """The length of :meth:`compress_bytes` of every array, filling the
+        ``restored`` of the same index.
 
-        The payloads are byte-identical to one :meth:`compress_bytes` call per
-        array, in order, and an input that call refuses raises what it raises.
-        This loop is the definition; SZx (absolute bound) and PIPE-SZx run the
-        whole batch through one kernel pass instead, which is what makes many
-        small inputs cheaper than as many calls.
+        Length ``i`` equals ``len(compress_bytes(arrays[i], restoreds[i]))``,
+        ``restoreds[i]`` is filled as that call fills it, and an input that call
+        refuses raises what it raises.  This loop is the definition, which ZFP
+        and ``null`` keep; SZx and PIPE-SZx run the whole batch through one
+        kernel pass that packs nothing, since a length follows from the bit
+        widths alone.
         """
-        return [self.compress_bytes(data, restored) for data, restored in zip(arrays, restoreds)]
+        return [
+            len(self.compress_bytes(data, restored)) for data, restored in zip(arrays, restoreds)
+        ]
 
     def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
         """Validate ``data`` and compress it, returning a :class:`CompressedBuffer`."""

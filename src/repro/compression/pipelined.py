@@ -13,19 +13,23 @@ interleaved with MPI progress polling:
 
 :class:`PipelinedSZx` is a drop-in :class:`~repro.compression.base.Compressor`
 for that payload format.  The simulation never hands control back between
-chunks on the host: the collective computation framework
-(:mod:`repro.ccoll.computation`) compresses a whole ring round's chunks in one
-:meth:`PipelinedSZx.compress_many` call and *models* the interleaving as
-pipeline segments in virtual time.
+chunks on the host, and never makes the payload either: the collective
+computation framework (:mod:`repro.ccoll.computation`) asks for a whole ring
+round's payload lengths and reconstructions in one
+:meth:`PipelinedSZx.compressed_nbytes` call, charges the network for the
+lengths and *models* the interleaving as pipeline segments in virtual time.
 
 Every path runs the same chunked SZx kernel
 (:func:`repro.compression.szx.compress_chunks` /
-:func:`~repro.compression.szx.decompress_chunks`).
+:func:`~repro.compression.szx.decompress_chunks`, and
+:func:`~repro.compression.szx.chunk_nbytes` for the lengths).
 :meth:`PipelinedSZx.compress_bytes` hands it the whole buffer, so all chunks
 are classified, quantised and bit-packed in **one** blockwise pass and this
-module only adds (or reads) the chunk index; :meth:`PipelinedSZx.compress_many`
-hands it every input's chunks back to back, one pass for a whole batch of
-buffers.  Each chunk's payload is byte for byte the
+module only adds (or reads) the chunk index;
+:meth:`PipelinedSZx.compressed_nbytes` hands it every input's chunks back to
+back, one pass for a whole batch of buffers that packs nothing, and adds the
+header and the index's ``8 + 4 * n_chunks`` bytes to each input's summed chunk
+lengths.  Each chunk's payload is byte for byte the
 :class:`~repro.compression.szx.SZxCompressor` payload of its 5120-value slice,
 which makes plain SZx the per-chunk oracle PIPE-SZx is tested against.
 """
@@ -48,7 +52,7 @@ from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
 from repro.compression.szx import (
     DEFAULT_BLOCK_SIZE,
-    compress_batch,
+    batch_nbytes,
     compress_chunks,
     decompress_chunks,
 )
@@ -58,6 +62,8 @@ __all__ = ["PipelinedSZx", "DEFAULT_CHUNK_ELEMS"]
 
 _MAGIC = b"PSZX"
 _INDEX_HEADER = struct.Struct("<II")  # chunk_elems, n_chunks
+#: the bytes of a payload before its chunk-size index
+_FRONT = PayloadHeader.SIZE + _INDEX_HEADER.size
 
 #: the chunk granularity used by the paper (5120 data points per chunk)
 DEFAULT_CHUNK_ELEMS = 5120
@@ -112,16 +118,14 @@ class PipelinedSZx(Compressor):
         payloads = compress_chunks(arr, lens, self.block_size, self.error_bound, restored)
         return self._frame(payloads, arr.size, arr.dtype)
 
-    def compress_many(
+    def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
-    ) -> List[bytes]:
-        return compress_batch(
-            self,
-            arrays,
-            restoreds,
-            lambda count: _chunk_lens(count, self.chunk_elems),
-            lambda chunks, data: self._frame(chunks, data.size, data.dtype),
+    ) -> List[int]:
+        total, chunks = batch_nbytes(
+            self, arrays, restoreds, lambda count: _chunk_lens(count, self.chunk_elems)
         )
+        # the header, the index's own header and one u32 size per chunk
+        return (total + _FRONT + 4 * chunks).tolist()
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         header, chunk_elems, pieces = self._parse(payload)

@@ -54,11 +54,13 @@ iteration per *block*.
 Chunked layout
 --------------
 :func:`compress_chunks` / :func:`decompress_chunks` are the one blockwise
-kernel behind :class:`SZxCompressor` (the whole buffer is one chunk), PIPE-SZx
-(5120-value chunks, each a complete SZx payload of its own) and the batches of
-``compress_many`` (every input's chunks back to back).  The kernel takes the
-list of chunk lengths, which may be ragged, and a buffer of ``c`` chunks goes
-through the steps above **once**, not ``c`` times:
+kernel behind :class:`SZxCompressor` (the whole buffer is one chunk) and
+PIPE-SZx (5120-value chunks, each a complete SZx payload of its own), and
+:func:`chunk_nbytes` is its twin behind the batches of ``compressed_nbytes``
+(every input's chunks back to back), which count payloads instead of making
+them.  The kernel takes the list of chunk lengths, which may be ragged, and a
+buffer of ``c`` chunks goes through the steps above **once**, not ``c``
+times:
 
 * *per-chunk padding*: every chunk is padded to a whole number of blocks with
   **its own** last value and owns the next ``ceil(length / block)`` rows of one
@@ -66,20 +68,28 @@ through the steps above **once**, not ``c`` times:
   lengths need not be a multiple of the block size, nor block counts a
   multiple of 8.  A run of equal-length chunks is filled with one reshape, so
   a one-shot call costs no more than the uniform grid it generalises;
-* min/max, medium, classification, quantisation, zigzag, bit lengths and
-  ``pack_width_classes`` run over that matrix in one go (rows are byte-aligned,
-  so the packed region of chunk ``i`` is a contiguous slice of the whole).
-  The matrix is quantised in place, every row: a constant block's offsets
-  are within the bound, so its quants are 0 and are simply not packed, and no
-  copy of the non-constant rows is made;
-* *cutting*: chunk ``i``'s payload is its own header (count = chunk length)
-  followed by four slices — its row of the per-chunk ``packbits`` flag matrix,
-  its blocks' ``medium`` values, the ``nbits`` of its non-constant blocks, and
-  the bytes of the packed region those blocks own.
+* min/max, medium, classification, quantisation, zigzag and bit lengths run
+  over that matrix in one go (``_quantise``, the step both tails share: it
+  raises every refusal and fills ``restored``).  The matrix is quantised in
+  place, every row: a constant block's offsets are within the bound, so its
+  quants are 0 and are simply not packed, and no copy of the non-constant
+  rows is made;
+* *packing and cutting* (:func:`compress_chunks`): ``pack_width_classes``
+  packs the whole matrix (rows are byte-aligned, so the packed region of
+  chunk ``i`` is a contiguous slice of the whole), and chunk ``i``'s payload
+  is its own header (count = chunk length) followed by four slices — its row
+  of the per-chunk ``packbits`` flag matrix, its blocks' ``medium`` values,
+  the ``nbits`` of its non-constant blocks, and the bytes of the packed region
+  those blocks own;
+* *counting* (:func:`chunk_nbytes`): the same four slices have lengths the
+  widths fix, so a chunk of ``per`` blocks is ``_META_OFFSET + ceil(per / 8) +
+  4 * per`` bytes plus, per non-constant block, one width byte and
+  ``row_nbytes(block, nbits)``.  Nothing is packed: this is all a simulated
+  message needs of its payload, besides ``restored``.
 
 Every data-dependent refusal of the kernel (the float32 anchor range, the
 quantised width) is a maximum over blocks, so a batch is refused exactly when
-one of its inputs would be on its own; ``compress_many`` then re-runs the
+one of its inputs would be on its own; ``compressed_nbytes`` then re-runs the
 inputs one by one to raise what that input raises.
 
 Decompression walks the chunk fronts once (every header and length is checked
@@ -103,7 +113,7 @@ with.  ``restored`` then equals the decode byte for byte (``-0.0``
 mediums, float32 rounding and per-chunk padding included) by construction, at
 a fraction of what un-bit-packing the same quants back out of the payload
 costs; ``tests/compression/test_restored.py`` is the differential.  A batch
-(``compress_batch``) restores into its own concatenated input, which the
+(``batch_nbytes``) restores into its own concatenated input, which the
 kernel has read whole by then, so filling ``restoreds`` costs no buffer.
 """
 
@@ -176,17 +186,14 @@ class SZxCompressor(Compressor):
             return _chunk_head(data.dtype, 0, self.error_bound, self.block_size)
         return compress_chunks(data, [data.size], self.block_size, self.error_bound, restored)[0]
 
-    def compress_many(
+    def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
-    ) -> List[bytes]:
-        eb, block = self.error_bound, self.block_size
-        return compress_batch(
-            self,
-            arrays,
-            restoreds,
-            lambda count: [count] if count else [],
-            lambda chunks, data: chunks[0] if chunks else _chunk_head(data.dtype, 0, eb, block),
+    ) -> List[int]:
+        total, chunks = batch_nbytes(
+            self, arrays, restoreds, lambda count: [count] if count else []
         )
+        # an empty array's payload is the front of a chunk with no blocks
+        return (total + _META_OFFSET * (chunks == 0)).tolist()
 
     # --------------------------------------------------------- decompression
 
@@ -281,26 +288,22 @@ def _unpad(out: np.ndarray, out_blocks: np.ndarray, runs, block: int) -> None:
         ].reshape(count, per * block)[:, :length]
 
 
-def compress_chunks(
+def _quantise(
     data: np.ndarray,
     chunk_lens: Sequence[int],
     block: int,
     eb: float,
-    restored: Optional[np.ndarray] = None,
-) -> List[bytes]:
-    """One SZx payload per chunk of ``data``, from a single pass.
+    restored: Optional[np.ndarray],
+) -> Tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's one pass up to packing: every refusal, and ``restored`` filled.
 
-    ``data`` is a validated 1-D float array cut, in order, into chunks of the
-    ``chunk_lens`` values (each >= 1, summing to ``data.size``), and ``eb`` the
-    resolved absolute error bound.  Element ``i`` of the result is
-    byte-identical to compressing chunk ``i`` on its own (see "Chunked layout"
-    in the module docstring).  ``restored``, an array the caller has put
-    through :func:`~repro.compression.base.check_restored`, is filled with
-    what :func:`decompress_chunks` makes of the result; it may be ``data``
-    itself, which is read whole before ``restored`` is written.
+    Returns ``(runs, const_mask, medium, encoded, nbits)``: the :func:`_runs` of
+    ``chunk_lens``, every block's constant flag and float32 medium, and the
+    zigzag quants and bit width of every non-constant block, in block order.
+    What a payload holds is fixed here; :func:`compress_chunks` cuts it into
+    payloads and :func:`chunk_nbytes` counts their lengths (see "Chunked
+    layout" in the module docstring).
     """
-    if data.size == 0:
-        return []
     runs = _runs(chunk_lens, block)
     n_blocks = _extent(runs)[1]
 
@@ -377,6 +380,32 @@ def compress_chunks(
         # the quants are out of ``blocks`` by now: it is scratch of the right shape
         _dequantise(blocks, every_quant, medium, const_mask, nonconst_idx, step)
         _unpad(restored, blocks, runs, block)
+    return runs, const_mask, medium, encoded, nbits_arr
+
+
+def compress_chunks(
+    data: np.ndarray,
+    chunk_lens: Sequence[int],
+    block: int,
+    eb: float,
+    restored: Optional[np.ndarray] = None,
+) -> List[bytes]:
+    """One SZx payload per chunk of ``data``, from a single pass.
+
+    ``data`` is a validated 1-D float array cut, in order, into chunks of the
+    ``chunk_lens`` values (each >= 1, summing to ``data.size``), and ``eb`` the
+    resolved absolute error bound.  Element ``i`` of the result is
+    byte-identical to compressing chunk ``i`` on its own (see "Chunked layout"
+    in the module docstring).  ``restored``, an array the caller has put
+    through :func:`~repro.compression.base.check_restored`, is filled with
+    what :func:`decompress_chunks` makes of the result; it may be ``data``
+    itself, which is read whole before ``restored`` is written.
+    """
+    if data.size == 0:
+        return []
+    runs, const_mask, medium, encoded, nbits_arr = _quantise(
+        data, chunk_lens, block, eb, restored
+    )
     data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
     region = np.zeros(int(data_at[-1]), dtype=np.uint8)
     pack_width_classes(encoded, nbits_arr, data_at[:-1], region.size, out=region)
@@ -405,6 +434,31 @@ def compress_chunks(
             )))  # fmt: skip
             width_at = width_end
     return payloads
+
+
+def chunk_nbytes(
+    data: np.ndarray,
+    chunk_lens: Sequence[int],
+    block: int,
+    eb: float,
+    restored: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The length of every payload :func:`compress_chunks` returns for the same
+    arguments, and the same ``restored``, with nothing packed.
+
+    A chunk of ``per`` blocks is its fixed-size front, ``ceil(per / 8)`` flag
+    bytes and a float32 medium per block, plus, per non-constant block, one
+    width byte and its packed row; so the length is a sum over the chunk's
+    blocks, taken from the widths the quantisation settled.
+    """
+    if data.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, const_mask, _, _, nbits_arr = _quantise(data, chunk_lens, block, eb, restored)
+    block_bytes = np.full(const_mask.size, 4, dtype=np.int64)  # the medium
+    block_bytes[~const_mask] += 1 + row_nbytes(block, nbits_arr)  # the width, the row
+    pers = -(-np.asarray(chunk_lens, dtype=np.int64) // block)  # a chunk's blocks
+    at = _cursors(block_bytes)[_cursors(pers)]
+    return _META_OFFSET + (pers + 7) // 8 + at[1:] - at[:-1]
 
 
 def decompress_chunks(pieces: Sequence, chunk_lens: Sequence[int]) -> np.ndarray:
@@ -497,42 +551,40 @@ def decompress_chunks(pieces: Sequence, chunk_lens: Sequence[int]) -> np.ndarray
     return out
 
 
-def compress_batch(
+def batch_nbytes(
     codec,
     arrays: Sequence[np.ndarray],
     restoreds: Sequence[np.ndarray],
     lens_of: Callable[[int], List[int]],
-    frame: Callable[[List[bytes], np.ndarray], bytes],
-) -> List[bytes]:
-    """``codec.compress_many`` for SZx and PIPE-SZx: one kernel pass.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``codec.compressed_nbytes`` of SZx and PIPE-SZx frames: one kernel pass.
 
-    The arrays go through :func:`compress_chunks` back to back, cut as
+    The arrays go through :func:`chunk_nbytes` back to back, cut as
     ``lens_of(n)`` cuts an ``n``-value array (no chunk for an empty one), and
-    ``frame(chunk payloads, array)`` makes each array's payload of its chunks,
-    so payload ``i`` and ``restoreds[i]`` are what ``codec.compress_bytes`` of
-    ``arrays[i]`` returns and fills.  Arrays of mixed dtypes (a payload has
-    one) take the per-array loop, and a refused batch re-runs it to raise what
-    the refused input raises (see "Chunked layout" in the module docstring).
+    ``restoreds[i]`` is filled as ``codec.compress_bytes`` of ``arrays[i]``
+    fills it.  Returns, per array, the summed length of its chunk payloads and
+    its number of chunks; the codec adds its own framing.  Arrays of mixed
+    dtypes share the pass (a payload's length does not depend on its dtype, and
+    a float32 value is exact in float64), and a refused batch re-runs the
+    per-array loop to raise what the refused input raises (see "Chunked
+    layout" in the module docstring).
     """
-    if len({data.dtype for data in arrays}) > 1:
-        return Compressor.compress_many(codec, arrays, restoreds)
     for data, restored in zip(arrays, restoreds):
         check_restored(data, restored)
-    if not arrays:
-        return []
     lens = [lens_of(data.size) for data in arrays]
-    values = np.concatenate(arrays)
+    counts = np.array([len(own) for own in lens], dtype=np.int64)
+    values = np.concatenate(arrays) if arrays else np.zeros(0)
     try:
         # the kernel restores the batch into ``values``, whose inputs it has read
-        payloads = iter(compress_chunks(
+        sizes = chunk_nbytes(
             values, [n for own in lens for n in own], codec.block_size, codec.error_bound, values
-        ))  # fmt: skip
+        )
     except CompressionError:
-        Compressor.compress_many(codec, arrays, restoreds)
+        Compressor.compressed_nbytes(codec, arrays, restoreds)
         raise
-    out, at = [], 0
-    for data, restored, own in zip(arrays, restoreds, lens):
-        restored[...] = values[at : at + data.size]
-        at += data.size
-        out.append(frame([next(payloads) for _ in own], data))
-    return out
+    at = 0
+    for restored in restoreds:
+        restored[...] = values[at : at + restored.size]
+        at += restored.size
+    bounds = _cursors(sizes)[_cursors(counts)]
+    return bounds[1:] - bounds[:-1], counts

@@ -2,7 +2,9 @@
 
 This package replaces the MPICH/Omni-Path cluster used by the paper with a
 deterministic simulator: rank programs are Python generators yielding MPI-like
-commands; payloads move for real (numpy arrays / byte strings), and time is
+commands; payloads move for real as Python objects, charged for their
+``nbytes`` (numpy arrays, or C-Coll's compressed messages, which carry a
+payload's length and reconstruction rather than its bytes), and time is
 modelled by an alpha-beta network with rendezvous progress-on-poll semantics
 (see :mod:`repro.mpisim.network` for why that matters to C-Coll).
 """

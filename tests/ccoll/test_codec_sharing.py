@@ -12,7 +12,9 @@ import pytest
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
 from repro.ccoll.adapter import CodecTape
+from repro.compression import PipelinedSZx, SZxCompressor
 from repro.compression.errors import CompressionError, UnsupportedDataError
+from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 
 
 class TestSharedEndpointDecode:
@@ -20,7 +22,7 @@ class TestSharedEndpointDecode:
         """The ledger's ``allreduce_ccoll`` shape: 16 ranks on the fat tree, off / on / auto.
 
         ``on``: 15 x 16 reduce-scatter messages + 16 allgather blocks, each ring
-        round compressed as one batch (15 + 1 ``compress_many`` calls);
+        round compressed as one batch (15 + 1 ``compressed_nbytes`` calls);
         ``auto``: the topology-aware leader ring over the 8 node leaders, 7
         reduce-scatter rounds + the allgather's blocks, one batch of 8 each
         (7 + 1 calls; it was one codec call per message, 64, before).  No rank
@@ -37,8 +39,36 @@ class TestSharedEndpointDecode:
         for mode in ("off", "on", "auto"):
             comm.allreduce(inputs, compression=mode)
         assert codec_calls == {
-            "compress": 0, "decompress": 0, "compress_many": 24, "many_inputs": 320
+            "compress_bytes": 0, "compress": 0, "decompress": 0,
+            "compressed_nbytes": 24, "nbytes_inputs": 320,
         }  # fmt: skip
+
+    def test_no_simulation_packs_a_payload(self, codec_calls, monkeypatch):
+        """A message carries its payload's length and reconstruction, never its
+        bytes, so neither SZx nor PIPE-SZx packs one: not in an allreduce ``off``,
+        ``on`` (PIPE-SZx reduce-scatter, SZx allgather) or ``auto`` (the leader
+        ring), nor in a workload run with baselines, whose bcast roots compress
+        on their own (a batch of one) and whose baselines replay a tape."""
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"a simulation packed a {self.name} payload")
+
+        for codec in (SZxCompressor, PipelinedSZx):
+            monkeypatch.setattr(codec, "compress_bytes", forbidden)
+        comm = Cluster.from_preset("fat_tree", ranks_per_node=2).communicator(8)
+        rng = np.random.default_rng(6)
+        inputs = [rng.standard_normal(4096).astype(np.float32) for _ in range(8)]
+        for mode in ("off", "on", "auto"):
+            comm.allreduce(inputs, compression=mode)
+        calls = tuple(
+            CollectiveCall(op=op, msg_elems=2048, compression=mode)
+            for op, mode in (("bcast", "on"), ("allreduce", "on"), ("allreduce", "auto"))
+        )
+        spec = JobSpec(job_id="j", n_ranks=4, iterations=2, seed=4, calls=calls)
+        cluster = Cluster.from_preset("fat_tree", nodes=8, ranks_per_node=2, contention="fair")
+        report = WorkloadEngine(cluster, policy="packed").run([spec], baseline=True)
+        assert report.records[0].isolated is not None
+        assert codec_calls["compress"] == 2 and codec_calls["compressed_nbytes"] > 0
 
     @pytest.mark.parametrize("mode", ["on", "di"])
     @pytest.mark.parametrize("op", ["bcast", "allgather", "allreduce", "scatter"])
@@ -113,7 +143,7 @@ class TestCodecTape:
         messages.append(replay.compress(data))  # past the end of the tape: recorded
         assert codec_calls["compress"] == 3 and len(entries) == 2
         for message in messages:
-            assert message == expected and message.payload == expected.payload
+            assert message == expected
         # every call is still a call: the ratio statistics count them all
         assert (first.stats.count, replay.stats.count) == (1, 2)
         assert replay.overall_ratio() == plain.overall_ratio()
@@ -127,7 +157,9 @@ class TestCodecTape:
             assert not np.shares_memory(tape_input, data)
             assert tape_input.tobytes() == data.tobytes()
         assert codec_calls["decompress"] == 0  # with a tape or without
-        assert np.array_equal(decoded[0], plain.codec.decompress(expected.payload))
+        payload = plain.codec.compress_bytes(data)
+        assert expected.real_nbytes == len(payload)
+        assert decoded[0].tobytes() == plain.codec.decompress_bytes(payload).tobytes()
 
     def test_config_equality_ignores_the_tape(self):
         assert CCollConfig(codec_tape=CodecTape([])) == CCollConfig()
@@ -161,7 +193,9 @@ class TestCodecTape:
             assert message == plain.compress(data)
             restored = replay.decompress(message)
             assert restored.dtype == data.dtype
-            assert np.array_equal(restored, plain.codec.decompress(message.payload))
+            payload = plain.codec.compress_bytes(data)
+            assert message.real_nbytes == len(payload)
+            assert restored.tobytes() == plain.codec.decompress_bytes(payload).tobytes()
             if not data.any():  # a zero keeps its sign through the codec
                 assert np.array_equal(np.signbit(restored), np.signbit(data))
 

@@ -1,7 +1,7 @@
 """The ring warm: every C-Coll ring round is compressed in one codec call, bit for bit.
 
 C-Coll's reduce-scatter, allreduce (Overlap and ND) and allgather compress each
-ring round's chunks ahead of the rank programs, one ``compress_many`` batch per
+ring round's chunks ahead of the rank programs, one ``compressed_nbytes`` batch per
 round, onto the queue of the rank that compresses each chunk.  The programs
 then find every compression done, after a byte compare and without a digest.
 Nothing they compute may change: the oracle is the same collective with the
@@ -97,7 +97,7 @@ def test_the_programs_find_every_compression_done(
     assert codec_calls["compress"] == 0  # no rank compressed anything itself
     assert adapters and _queued(adapters) == 0  # and every rank took all it was queued
     rounds = {"allreduce": n, "reduce_scatter": n - 1, "allgather": 1}[op] if n > 1 else 0
-    assert codec_calls["compress_many"] == rounds
+    assert codec_calls["compressed_nbytes"] == rounds
     batched = dict(codec_calls)
 
     # a lying warm: the first non-empty array it is handed is off by one
@@ -116,13 +116,13 @@ def test_the_programs_find_every_compression_done(
     misses = codec_calls["compress"]
     assert misses == (LIE_COST[op](n) if n > 1 else 0)
     assert _queued(adapters) == 0  # a miss pops the entry it did not match
-    for kind in ("compress_many", "many_inputs"):  # the warm did exactly what it did before
+    for kind in ("compressed_nbytes", "nbytes_inputs"):  # the warm did exactly what it did before
         assert codec_calls[kind] == 2 * batched[kind]
 
     # the oracle: no warm, one codec call per compression, as before the warm existed
     _replace_warm(monkeypatch, lambda arrays, ranks: None)
     _assert_same_outcome(_run(op, mode, n, inputs), warmed)
-    assert codec_calls["compress"] - misses == batched["many_inputs"]
+    assert codec_calls["compress"] - misses == batched["nbytes_inputs"]
 
 
 def _raised(*call) -> str:
@@ -155,11 +155,12 @@ def test_the_warm_runs_when_a_rank_first_compresses(op, mode, codec_calls):
     comm = Cluster().communicator(4)
     plan = comm.capture(lambda c: getattr(c, op)(_inputs(4, 4_097), compression=mode))
     programs = [plan.factory(rank, 4) for rank in range(4)]
-    assert codec_calls["compress_many"] == 0
+    assert codec_calls["compressed_nbytes"] == 0
     run_simulation(4, lambda rank, size: programs[rank])
     rounds = {"allreduce": 4, "reduce_scatter": 3, "allgather": 1}[op]
     assert codec_calls == {
-        "compress": 0, "decompress": 0, "compress_many": rounds, "many_inputs": 4 * rounds
+        "compress_bytes": 0, "compress": 0, "decompress": 0,
+        "compressed_nbytes": rounds, "nbytes_inputs": 4 * rounds,
     }  # fmt: skip
 
 
@@ -206,7 +207,10 @@ def test_a_queued_entry_is_matched_bit_for_bit(codec_calls):
     zeros = np.zeros(256)
     decoded = warm_round([-zeros, zeros.copy()], [rank, warmer])
     assert np.signbit(decoded[0]).all() and not np.signbit(decoded[1]).any()
-    assert codec_calls == {"compress": 0, "decompress": 0, "compress_many": 1, "many_inputs": 2}
+    assert codec_calls == {
+        "compress_bytes": 0, "compress": 0, "decompress": 0,
+        "compressed_nbytes": 1, "nbytes_inputs": 2,
+    }  # fmt: skip
     # the queue keeps the input it matches against, frozen
     assert not rank.warmed[0][0].flags.writeable
     message = rank.compress(zeros)  # -0.0 queued: a miss, and the entry is gone
@@ -226,7 +230,7 @@ def test_a_communicator_collective_digests_nothing(sha256_calls, adapters, codec
     inputs = _inputs(16, 15_552)
     for op in ("allreduce", "reduce_scatter", "allgather"):
         getattr(comm, op)(inputs, compression="on")
-    assert codec_calls["compress_many"] == 16 + 15 + 1 and codec_calls["compress"] == 0
+    assert codec_calls["compressed_nbytes"] == 16 + 15 + 1 and codec_calls["compress"] == 0
     assert sum(sha256_calls.values()) == 0 and _queued(adapters) == 0
 
 
@@ -250,7 +254,7 @@ def test_a_baseline_replays_its_tape_and_warms_nothing(sha256_calls, codec_calls
     cluster = Cluster.from_preset("fat_tree", nodes=16, ranks_per_node=2, contention="fair")
     WorkloadEngine(cluster, policy="packed").run([spec], baseline=True)
     per_execution = 2 * (4 * 4 + 4)  # two iterations of an allreduce's 4 rounds and an allgather
-    assert warmed[0] == codec_calls["many_inputs"] == per_execution
+    assert warmed[0] == codec_calls["nbytes_inputs"] == per_execution
     assert codec_calls["compress"] == 0
     assert sum(sha256_calls.values()) == 0
 

@@ -136,7 +136,7 @@ class TestLeaderWarm:
     def test_every_leader_finds_its_rounds_compressed(
         self, placement, dtype, codec_calls, adapters, monkeypatch
     ):
-        """One ``compress_many`` per round over the ``L`` leaders (``L - 1``
+        """One ``compressed_nbytes`` per round over the ``L`` leaders (``L - 1``
         reduce-scatter rounds and the allgather's blocks), no leader compressing on
         its own, and the outcome of the warm-off oracle bit for bit."""
         placement = PLACEMENTS[placement]
@@ -144,7 +144,8 @@ class TestLeaderWarm:
         inputs = _noisy_inputs(len(placement), dtype=dtype)
         warmed = _auto(placement, inputs)
         assert codec_calls == {
-            "compress": 0, "decompress": 0, "compress_many": leaders, "many_inputs": leaders**2
+            "compress_bytes": 0, "compress": 0, "decompress": 0,
+            "compressed_nbytes": leaders, "nbytes_inputs": leaders**2,
         }  # fmt: skip
         assert all(not adapter.warmed for adapter in adapters)
 
@@ -220,7 +221,7 @@ class TestLeaderWarm:
         _replace_leader_warm(monkeypatch, lying)
         _assert_same_outcome(_auto(placement, inputs), honest)
         assert codec_calls["compress"] == leaders
-        assert codec_calls["compress_many"] == 2 * leaders
+        assert codec_calls["compressed_nbytes"] == 2 * leaders
 
     def test_the_ledger_shape_compresses_nothing_rank_by_rank(self, codec_calls, adapters):
         """``allreduce_ccoll``'s ``auto`` call: 16 ranks, 2 per node on the fat tree,
@@ -246,6 +247,7 @@ class TestLeaderWarm:
         assert outcome.inter_compressed is True
         assert set(sizes) == {31_104} and len(sizes) == 64
         assert codec_calls == {
-            "compress": 0, "decompress": 0, "compress_many": 8, "many_inputs": 64
+            "compress_bytes": 0, "compress": 0, "decompress": 0,
+            "compressed_nbytes": 8, "nbytes_inputs": 64,
         }  # fmt: skip
         assert all(not adapter.warmed for adapter in adapters)

@@ -126,7 +126,7 @@ class TestOneShotEqualsPerChunkOracle:
 
 class TestChunkBoundaries:
     """Every size on either side of a 5120-value boundary, through all three
-    codec paths: ``compress_bytes``, ``compress_many`` and ``restored``."""
+    codec paths: ``compress_bytes``, ``compressed_nbytes`` and ``restored``."""
 
     SIZES = [0, 1, 5119, 5120, 5121, 10_240, 10_241, 15_359]
 
@@ -142,7 +142,7 @@ class TestChunkBoundaries:
         restored = np.empty_like(data)
         assert pipe.compress_bytes(data, restored) == framed
         batched = np.empty_like(data)
-        assert pipe.compress_many([data], [batched]) == [framed]
+        assert pipe.compressed_nbytes([data], [batched]) == [len(framed)]
 
         parts = [plain.decompress_bytes(piece) for piece in pieces]
         oracle = np.concatenate(parts) if parts else np.zeros(0, dtype=data.dtype)

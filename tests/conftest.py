@@ -46,40 +46,59 @@ def sparse_signal(rng) -> np.ndarray:
 def codec_calls(monkeypatch):
     """Counts of the real SZx / PIPE-SZx calls.
 
-    ``compress`` / ``decompress`` count ``compress_bytes`` / ``decompress_bytes``
-    calls made one input at a time (a rank's own codec call), ``compress_many``
-    the batched calls and ``many_inputs`` the inputs those carried.  Neither
-    codec calls the other's, and what a ``compress_many`` does inside counts
-    as that one call, so every count is an outermost call.
+    ``compress`` counts a rank's own compressions (the one-input
+    ``compressed_nbytes`` call a ``CompressionAdapter`` makes with nothing
+    queued), ``compressed_nbytes`` the warm's ring-round batches and
+    ``nbytes_inputs`` the inputs those carried; ``compress_bytes`` /
+    ``decompress`` count the calls that pack or decode a payload, which no
+    simulation makes.  Neither codec calls the other's, and what a call does
+    inside counts as that one call, so every count is an outermost call.
     """
-    seen = {"compress": 0, "decompress": 0, "compress_many": 0, "many_inputs": 0}
-    inside_many = [False]
+    from repro.ccoll.adapter import CompressionAdapter
+
+    seen = {
+        "compress_bytes": 0, "compress": 0, "decompress": 0,
+        "compressed_nbytes": 0, "nbytes_inputs": 0,
+    }  # fmt: skip
+    inside, own = [False], [False]
 
     def counted(kind, real):
         def wrapper(self, *args, **kwargs):
-            if not inside_many[0]:
+            if not inside[0]:
                 seen[kind] += 1
             return real(self, *args, **kwargs)
 
         return wrapper
 
-    def counted_many(real):
+    def counted_nbytes(real):
         def wrapper(self, arrays, restoreds):
-            seen["compress_many"] += 1
-            seen["many_inputs"] += len(arrays)
-            inside_many[0] = True
+            if own[0]:
+                seen["compress"] += 1
+            else:
+                seen["compressed_nbytes"] += 1
+                seen["nbytes_inputs"] += len(arrays)
+            inside[0] = True
             try:
                 return real(self, arrays, restoreds)
             finally:
-                inside_many[0] = False
+                inside[0] = False
 
         return wrapper
 
+    real_encode = CompressionAdapter._encode
+
+    def encode(self, data):
+        own[0] = True
+        try:
+            return real_encode(self, data)
+        finally:
+            own[0] = False
+
+    monkeypatch.setattr(CompressionAdapter, "_encode", encode)
     for codec in (SZxCompressor, PipelinedSZx):
-        for kind in ("compress", "decompress"):
-            name = f"{kind}_bytes"
-            monkeypatch.setattr(codec, name, counted(kind, vars(codec)[name]))
-        monkeypatch.setattr(codec, "compress_many", counted_many(vars(codec)["compress_many"]))
+        for name, kind in (("compress_bytes", "compress_bytes"), ("decompress_bytes", "decompress")):
+            monkeypatch.setattr(codec, name, counted(kind, getattr(codec, name)))
+        monkeypatch.setattr(codec, "compressed_nbytes", counted_nbytes(codec.compressed_nbytes))
     return seen
 
 

@@ -119,17 +119,21 @@ class TestCodecCalls:
         """343 compressions and no decode (a message carries its reconstruction), with
         or without the 16 baselines (686 / 1 090 before results were reused) — gated
         here exactly because the committed ledger still holds the old counts.  336
-        of them are ring rounds, one ``compress_many`` batch each (the flat rings'
+        of them are ring rounds, one ``compressed_nbytes`` batch each (the flat rings'
         and the topology-aware leader ring's: 2 rounds of 2 leaders, which were 4
-        calls of their own); the 7 a rank makes on its own are the bcast roots."""
+        calls of their own); the 7 a rank makes on its own are the bcast roots.  None
+        packs a payload (``compress_bytes``: 7 and 14 before messages carried their
+        length instead of their bytes)."""
         engine = WorkloadEngine(_cluster(), policy="spread")
         engine.run(_ledger_mix(), baseline=False)
         assert codec_calls == {
-            "compress": 7, "decompress": 0, "compress_many": 50, "many_inputs": 336
+            "compress_bytes": 0, "compress": 7, "decompress": 0,
+            "compressed_nbytes": 50, "nbytes_inputs": 336,
         }  # fmt: skip
         engine.run(_ledger_mix(), baseline=True)
         assert codec_calls == {
-            "compress": 14, "decompress": 0, "compress_many": 100, "many_inputs": 672
+            "compress_bytes": 0, "compress": 14, "decompress": 0,
+            "compressed_nbytes": 100, "nbytes_inputs": 672,
         }  # fmt: skip
 
     @pytest.mark.parametrize("baseline", [False, True])
@@ -155,9 +159,12 @@ class TestCodecCalls:
         672 under two kills and two restarts from checkpoints (876 before a restart
         reused the killed attempt's results) — gated here exactly because the
         committed ledger still holds the old count.  Every one is part of a ring
-        round batch: 112 ``compress_many`` calls, no rank compresses on its own."""
+        round batch: 112 ``compressed_nbytes`` calls, no rank compresses on its own."""
         specs, faults = _recovery_shape()
-        once = {"compress": 0, "decompress": 0, "compress_many": 112, "many_inputs": 672}
+        once = {
+            "compress_bytes": 0, "compress": 0, "decompress": 0,
+            "compressed_nbytes": 112, "nbytes_inputs": 672,
+        }  # fmt: skip
         assert codec_calls == once
         report = _recovery_run(specs, faults)
         assert codec_calls == {kind: 2 * count for kind, count in once.items()}
@@ -168,8 +175,9 @@ class TestCodecCalls:
         monkeypatch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
         assert _recovery_run(specs, faults) == report
         assert codec_calls == {
-            "compress": 0, "decompress": 0, "compress_many": 2 * 112 + 144,
-            "many_inputs": 2 * 672 + 928,
+            "compress_bytes": 0, "compress": 0, "decompress": 0,
+            "compressed_nbytes": 2 * 112 + 144,
+            "nbytes_inputs": 2 * 672 + 928,
         }  # fmt: skip
 
     def test_a_workload_run_digests_nothing(self, sha256_calls):
@@ -220,9 +228,9 @@ class TestALyingTape:
     def test_a_flipped_bit_costs_one_codec_call(self, codec_calls):
         memo = JobMemo()
         truth = _execute(self.SPEC, memo)
-        assert codec_calls["many_inputs"] == 2 * self.PER_STEP and _taped(memo) == 2 * self.PER_STEP
+        assert codec_calls["nbytes_inputs"] == 2 * self.PER_STEP and _taped(memo) == 2 * self.PER_STEP
         assert _execute(self.SPEC, memo) == truth
-        assert codec_calls["many_inputs"] == 2 * self.PER_STEP and codec_calls["compress"] == 0
+        assert codec_calls["nbytes_inputs"] == 2 * self.PER_STEP and codec_calls["compress"] == 0
         # one bit of the input rank 2's second reduce-scatter round was recorded with
         describe, entries = memo.tapes[1][2]
         recorded, buf, decoded = entries[1]
@@ -232,13 +240,13 @@ class TestALyingTape:
         entries[1] = (lied, buf, decoded)
         assert _execute(self.SPEC, memo) == truth
         assert codec_calls["compress"] == 1
-        assert codec_calls["many_inputs"] == 2 * self.PER_STEP  # no warm ran either
+        assert codec_calls["nbytes_inputs"] == 2 * self.PER_STEP  # no warm ran either
         assert entries[1][0] is lied  # a miss leaves the tape as it was
 
     def test_another_steps_tape_misses_everywhere_and_changes_nothing(self, codec_calls):
         truth = _execute(self.SPEC, None)
         untaped = dict(codec_calls)
-        assert untaped["many_inputs"] == 2 * self.PER_STEP
+        assert untaped["nbytes_inputs"] == 2 * self.PER_STEP
         memo = JobMemo()
         _execute(self.SPEC, memo)
         memo.tapes[1] = memo.tapes[0]  # step 1 replays what step 0 compressed
@@ -247,7 +255,7 @@ class TestALyingTape:
         # step 0 hits everything; step 1 skips its warm and every rank compresses
         # its own: one codec call per input the tape-less run batched for that step
         assert codec_calls["compress"] - before["compress"] == self.PER_STEP
-        assert codec_calls["many_inputs"] == before["many_inputs"]
+        assert codec_calls["nbytes_inputs"] == before["nbytes_inputs"]
 
 
 def _no_warm(arrays, ranks):
@@ -282,7 +290,7 @@ class TestTheLeaderRingOnATape:
         warmed, _ = leader_warm
         report = WorkloadEngine(_cluster(), policy="packed").run([self.SPEC], baseline=True)
         assert report.records[0].isolated is not None
-        assert warmed[0] == codec_calls["many_inputs"] == 3 * self.PER_STEP
+        assert warmed[0] == codec_calls["nbytes_inputs"] == 3 * self.PER_STEP
         assert codec_calls["compress"] == 0
 
     def test_a_step_killed_mid_ring_restarts_from_its_partial_tape(
@@ -309,8 +317,9 @@ class TestTheLeaderRingOnATape:
         # the restart's compile found step 0's 4 rounds and step 1's first 2 taped
         assert [taped for _, (_, _, taped) in compiles] == [0, 4 * 4 + 2 * 4, 3 * self.PER_STEP]
         assert {kind: count - before[kind] for kind, count in codec_calls.items()} == {
-            "compress": 2 * 4, "decompress": 0, "compress_many": 4 + 2 + 4,
-            "many_inputs": 4 * 4 + 2 * 4 + 4 * 4,
+            "compress_bytes": 0, "compress": 2 * 4, "decompress": 0,
+            "compressed_nbytes": 4 + 2 + 4,
+            "nbytes_inputs": 4 * 4 + 2 * 4 + 4 * 4,
         }  # fmt: skip
         with monkeypatch.context() as patch:
             patch.setattr(WorkloadEngine, "_runs_again", lambda self, spec, baseline: False)
