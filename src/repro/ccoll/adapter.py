@@ -72,17 +72,24 @@ payload:
   :func:`warm_ahead` its adapters and its rounds, a generator that queues
   work each time it is resumed; whenever one of those adapters is asked to
   compress with nothing queued, the generator is resumed once.  So a
-  captured plan runs nothing, the codec time is booked to the programs, and
-  how far ahead a warm runs is the planner's choice of where its generator
-  pauses.  The flat rings (the C-Coll reduce-scatter, allreduce and
-  allgather) queue their whole step at the first compression: their rounds
-  are small and one resumption is cheapest.  The topology-aware leader ring
-  queues one round per resumption, so each leader's queue runs at most one
-  round ahead of it: its chunks are the node sums of every rank's vector, and
-  holding every round of them at once would cost more memory than the batch
-  saves time.  The queues hold a round's inputs, buffers and reconstructions
-  until each rank has compressed its own (a tape, below, keeps them longer);
-  a successful run leaves every queue empty.
+  captured plan runs nothing and the codec time is booked to the programs.
+  Every reduce-scatter ring runs one generator,
+  :func:`repro.ccoll.computation.ring_rounds` (a round per resumption), and
+  how far ahead it runs is only how the plan resumes it.  The topology-aware
+  leader ring hands it over as it is, so each leader's queue runs at most
+  one round ahead of it: its chunks are node sums, and every round of them
+  at once would cost more memory than the batch saves time.  The flat rings
+  (the C-Coll reduce-scatter and allreduce) wrap it in
+  :func:`~repro.ccoll.computation.whole_step`, which runs every round at the
+  first resumption and then ends.  Whole-step, because a step killed after
+  its first compression then has every round on its tape (below), so its
+  replay compresses nothing rank by rank.  Ending, because a warm that ends
+  unhooks its adapters; one left paused keeps each adapter alive in a cycle
+  through the hook.  C-Allgather queues its blocks, one round, at the first
+  compression.  The
+  queues hold a round's inputs, buffers and reconstructions until each rank
+  has compressed its own (a tape, below, keeps them longer); a successful
+  run leaves every queue empty and no adapter hooked.
 * **A re-execution replays the first execution's queues.**  A job compresses
   the same inputs in the same order, rank by rank, every time it executes.  A
   :class:`CodecTape` records a plan's queues — per adapter, in creation order,
@@ -327,8 +334,13 @@ def warm_ahead(adapters: Sequence[CompressionAdapter], rounds: Iterator[None]) -
 
     ``rounds`` is a generator that queues what the ``adapters`` compress next
     (with :func:`warm_round`) each time it is resumed, and pauses at a
-    ``yield``; once it returns, the warm is over and every later compression
-    finds what is left on its queue or compresses on its own.  A resumption
+    ``yield``; once it returns, the warm is over, every adapter is unhooked,
+    and every later compression finds what is left on its queue or
+    compresses on its own.  A ring plan passes
+    :func:`repro.ccoll.computation.ring_rounds` itself (one round ahead) or
+    drained by :func:`~repro.ccoll.computation.whole_step` (the whole step at
+    once); a generator that pauses after its last round instead leaves every
+    adapter hooked, and alive in a cycle through the hook.  A resumption
     must queue one entry for every adapter that is short of one (or end the
     warm), so the queues stay aligned with the order each rank compresses.
     Nothing runs at plan time, when a captured plan must run nothing, nor in

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter, warm_ahead, warm_round
-from repro.ccoll.computation import c_reduce_scatter_program, warm_ring_reduce_scatter
+from repro.ccoll.adapter import CompressionAdapter, warm_ahead
+from repro.ccoll.computation import c_reduce_scatter_program, ring_rounds, whole_step
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
@@ -68,13 +68,8 @@ def _plan_c_allreduce(inputs, n_ranks: int, config: CCollConfig, overlap: bool) 
     rs_adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
     ag_adapters = config.make_adapters(ctx, n_ranks)
 
-    def warm():  # every round of both stages at the first compression
-        reduced = warm_ring_reduce_scatter(vectors, rs_adapters)
-        if reduced is not None:  # sums the warm made: the queues may keep them
-            warm_round(reduced, ag_adapters)
-        yield from ()
-
-    warm_ahead(rs_adapters + ag_adapters, warm())
+    rounds = ring_rounds([[vector] for vector in vectors], rs_adapters, ag_adapters)
+    warm_ahead(rs_adapters + ag_adapters, whole_step(rounds))
     return CollectivePlan(
         lambda rank, size: c_allreduce_program(
             rank, size, vectors[rank], rs_adapters[rank], ag_adapters[rank], ctx, overlap=overlap

@@ -25,7 +25,7 @@ variant of Table V (DI runs :func:`repro.ccoll.cpr_p2p.cpr_allreduce_program`).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +70,63 @@ def _chunk_views(vector: np.ndarray, n_ranks: int) -> List[np.ndarray]:
     counts = split_counts(vector.size, n_ranks)
     displs = split_displacements(counts)
     return [vector[displs[i] : displs[i] + counts[i]] for i in range(n_ranks)]
+
+
+def _binomial_sum(parts: Sequence[np.ndarray], position: int = 0) -> np.ndarray:
+    """What :func:`~repro.collectives.hierarchical._group_binomial_reduce` leaves
+    at ``position`` of a group whose ranks hold ``parts``: its own part plus each
+    child's subtree sum, low bits first, added as ``held + arrived``."""
+    held, mask = parts[position], 1
+    while mask < len(parts) and not position & mask:
+        if position + mask < len(parts):
+            held = held + _binomial_sum(parts, position + mask)
+        mask <<= 1
+    return held
+
+
+def ring_rounds(
+    parts: List[List[np.ndarray]],
+    rs_adapters: List[CompressionAdapter],
+    ag_adapters: Optional[List[CompressionAdapter]] = None,
+) -> Iterator[None]:
+    """A compressed ring allreduce run ahead of its programs, one round per resumption.
+
+    Position ``i`` holds the :func:`_binomial_sum` of ``parts[i]`` (one input
+    on a flat ring, a node's inputs with the leader first on the leader
+    ring).  Round ``k`` of position ``i`` compresses that vector's chunk
+    ``i - k - 1`` plus, after round 0, what round ``k - 1`` of position
+    ``i - 1`` decoded to: ``size - 1`` reduce-scatter rounds onto
+    ``rs_adapters``, then, given ``ag_adapters``, the reduced chunk ``i`` for
+    the allgather.  A round is one :func:`~repro.ccoll.adapter.warm_round`
+    call, built slice by slice (no vector is summed whole); the generator
+    returns once the codec refuses a round, whose rank then raises.
+    """
+    size = len(parts)
+    views = [[_chunk_views(array, size) for array in arrays] for arrays in parts]
+    decoded = None
+    for step in range(size - 1 if ag_adapters is None else size):
+        if step:
+            yield
+        outgoing = []
+        for index, chunked in enumerate(views):
+            chunk = _binomial_sum([chunks[(index - step - 1) % size] for chunks in chunked])
+            if decoded is not None:
+                chunk = chunk + decoded[(index - 1) % size]
+            elif len(chunked) == 1:
+                chunk = chunk.copy()  # a caller's input itself: not the queue's to freeze
+            outgoing.append(chunk)
+        decoded = warm_round(outgoing, rs_adapters if step < size - 1 else ag_adapters)
+        if decoded is None:
+            return
+
+
+def whole_step(rounds: Iterator[None]) -> Iterator[None]:
+    """Run ``rounds`` to its end at the first resumption, then end: the flat rings'
+    pacing (see "A warm runs when a rank finds its queue empty" in
+    :mod:`repro.ccoll.adapter`)."""
+    for _ in rounds:
+        pass
+    yield from ()
 
 
 def c_reduce_scatter_program(
@@ -168,38 +225,6 @@ def c_reduce_scatter_program(
     return chunks[rank]
 
 
-def warm_ring_reduce_scatter(
-    vectors: List[np.ndarray], adapters: List[CompressionAdapter]
-) -> Optional[List[np.ndarray]]:
-    """Run the ring of :func:`c_reduce_scatter_program` in lockstep, one codec call per round.
-
-    Round ``k`` of rank ``r`` compresses ``input_r[c]`` plus what round
-    ``k - 1`` of rank ``r - 1`` decoded to, whatever the timing, so every
-    round's chunks are known before any rank sends them.  Each round's ``n``
-    outgoing chunks go through one :func:`~repro.ccoll.adapter.warm_round`
-    call onto the queues of the ``adapters`` (one per rank) that will compress
-    them, and the decodes are added in with the program's own
-    ``chunks[i] + incoming``.
-    What the queues keep is the warm's own: round 0 sends copies of the
-    inputs' chunks, every later round the sums the warm made.
-    Returns every rank's reduced chunk (``None`` once the codec refuses a
-    round: the programs then compress it themselves and raise).
-    """
-    size = len(vectors)
-    chunks = [_chunk_views(vector, size) for vector in vectors]
-    for step in range(size - 1):
-        outgoing = [chunks[r][(r - step - 1) % size] for r in range(size)]
-        decoded = warm_round(
-            [chunk.copy() for chunk in outgoing] if step == 0 else outgoing, adapters
-        )
-        if decoded is None:
-            return None
-        for rank in range(size):
-            index = (rank - step - 2) % size
-            chunks[rank][index] = chunks[rank][index] + decoded[(rank - 1) % size]
-    return [chunks[rank][rank] for rank in range(size)]
-
-
 def _plan_c_reduce_scatter(
     inputs, n_ranks: int, config: CCollConfig, overlap: bool
 ) -> CollectivePlan:
@@ -208,11 +233,7 @@ def _plan_c_reduce_scatter(
     vectors = as_rank_arrays(inputs, n_ranks)
     adapters = config.make_adapters(ctx, n_ranks, pipelined=True)
 
-    def warm():  # every round at the first compression
-        warm_ring_reduce_scatter(vectors, adapters)
-        yield from ()
-
-    warm_ahead(adapters, warm())
+    warm_ahead(adapters, whole_step(ring_rounds([[vector] for vector in vectors], adapters)))
     return CollectivePlan(
         lambda rank, size: c_reduce_scatter_program(
             rank, size, vectors[rank], adapters[rank], ctx, overlap=overlap

@@ -42,30 +42,33 @@ Like the flat C-Coll rings (see :mod:`repro.ccoll.adapter`), the leader
 ring's values never depend on timing: a leader's node sum is the binomial
 reduce of its node's inputs, and round ``k`` of leader ``i`` compresses a
 chunk of that sum plus what round ``k - 1`` of leader ``i - 1`` decoded to.
-So the plan warms the leaders' adapters with :func:`_leader_rounds`: each
-resumption compresses one round, the ``L - 1`` reduce-scatter rounds and then
-the allgather's compress-once blocks, for all ``L`` leaders in one
-``compressed_nbytes`` call (payload lengths and reconstructions, no payload
-bytes), and :func:`~repro.ccoll.adapter.warm_ahead` resumes
-it only when a leader asks to compress with an empty queue.  A round's
-chunks are built slice by slice from the inputs, in the order
-``_group_binomial_reduce`` adds them (elementwise sums of slices are the
-slices of the sums, bit for bit), and between rounds the warm keeps nothing
-but the decodes the queues hold anyway: no node vector is ever summed whole
-on its behalf.  A leader finds its chunk by a byte compare, so a warm that
-drifts costs a codec call, never a wrong value; a plan that replays a tape
-runs no warm.
+So the plan warms the leaders' adapters with the flat rings' generator,
+:func:`~repro.ccoll.computation.ring_rounds`, each position holding its
+node's inputs: a resumption compresses one round (the ``L - 1``
+reduce-scatter rounds, then the allgather's compress-once blocks) for all
+``L`` leaders in one ``compressed_nbytes`` call.  Where the flat rings drain
+it at the first compression, this plan hands it to
+:func:`~repro.ccoll.adapter.warm_ahead` as it is, so a round is compressed
+only when a leader asks with an empty queue and no queue runs more than one
+round ahead.  Chunks are built slice by slice, in the order
+``_group_binomial_reduce`` adds them (sums of slices are the slices of the
+sums, bit for bit), so no node vector is ever summed whole for the warm.
+The generator returns in the resumption that queues the allgather round,
+leaving no leader hooked.  A leader finds its chunk by a byte compare, so a
+warm that drifts costs a codec call, never a wrong value; a plan that
+replays a tape runs no warm.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import partial
-from typing import Iterator, List, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.ccoll.adapter import CompressionAdapter, warm_ahead, warm_round
+from repro.ccoll.adapter import CompressionAdapter, warm_ahead
+from repro.ccoll.computation import ring_rounds
 from repro.ccoll.config import CCollConfig
 from repro.ccoll.movement import _ccoll_finish, c_allgather_stage
 from repro.collectives.context import CollectiveContext, CollectivePlan, as_rank_arrays
@@ -78,7 +81,6 @@ from repro.collectives.reduce_scatter import _ring_reduce_scatter_over_group, pa
 from repro.mpisim.commands import Compute
 from repro.mpisim.topology import DEFAULT_INTER_BANDWIDTH, Topology
 from repro.mpisim.timeline import CAT_COMDECOM
-from repro.utils.chunking import split_counts, split_displacements
 
 __all__ = ["select_inter_compression"]
 
@@ -135,53 +137,6 @@ def _group_compressed_ring_allreduce(
     return np.concatenate(blocks)
 
 
-def _binomial_sum(parts: Sequence[np.ndarray], position: int = 0) -> np.ndarray:
-    """What :func:`~repro.collectives.hierarchical._group_binomial_reduce` leaves
-    at ``position`` of a group whose ranks hold ``parts``: its own part plus each
-    child's subtree sum, low bits first, added as ``held + arrived``."""
-    held, mask = parts[position], 1
-    while mask < len(parts) and not position & mask:
-        if position + mask < len(parts):
-            held = held + _binomial_sum(parts, position + mask)
-        mask <<= 1
-    return held
-
-
-def _leader_rounds(
-    vectors: List[np.ndarray], nodes: List[List[int]], adapters: List[CompressionAdapter]
-) -> Iterator[None]:
-    """The leader ring run ahead of its programs, one round per resumption.
-
-    ``nodes[i]`` lists the ranks of leader ``i``'s node (the leader first) and
-    ``adapters[i]`` is that leader's adapter.  Round ``k < L - 1`` queues what
-    each leader sends in reduce-scatter round ``k``, round ``L - 1`` the
-    reduced chunk it compresses once for the allgather; each chunk is the
-    slice of the node sum the ring sends (partitioned as
-    :func:`~repro.collectives.reduce_scatter.partition_chunks` does) plus,
-    after round 0, what the left neighbour's chunk decoded to.  Stops early
-    when the codec refuses a round: the leader that compresses it raises.
-    """
-    size = len(nodes)
-    counts = split_counts(vectors[0].size, size)
-    bounds = [(at, at + count) for at, count in zip(split_displacements(counts), counts)]
-    decoded = None
-    for step in range(size):
-        if step:
-            yield
-        outgoing = []
-        for index, ranks in enumerate(nodes):
-            lo, hi = bounds[(index - step - 1) % size]
-            chunk = _binomial_sum([vectors[rank][lo:hi] for rank in ranks])
-            if decoded is not None:
-                chunk = chunk + decoded[(index - 1) % size]
-            elif len(ranks) == 1:
-                chunk = chunk.copy()  # the rank's input itself: not the queue's to freeze
-            outgoing.append(chunk)
-        decoded = warm_round(outgoing, adapters)
-        if decoded is None:
-            return
-
-
 def select_inter_compression(
     topology: Topology,
     config: CCollConfig,
@@ -225,8 +180,8 @@ def _plan_topology_aware_c_allreduce(
     adapters = config.make_adapters(ctx, n_ranks)
     if len(leaders) > 1:
         ring = [adapters[leader] for leader in leaders]
-        nodes = [peers_by_rank[leader] for leader in leaders]
-        warm_ahead(ring, _leader_rounds(vectors, nodes, ring))
+        nodes = [[vectors[rank] for rank in peers_by_rank[leader]] for leader in leaders]
+        warm_ahead(ring, ring_rounds(nodes, ring, ring))
     return CollectivePlan(
         lambda rank, size: hierarchical_allreduce_program(
             rank, size, vectors[rank], ctx, peers_by_rank[rank], leaders,

@@ -68,19 +68,21 @@ times:
   lengths need not be a multiple of the block size, nor block counts a
   multiple of 8.  A run of equal-length chunks is filled with one reshape, so
   a one-shot call costs no more than the uniform grid it generalises;
-* min/max, medium, classification, quantisation, zigzag and bit lengths run
-  over that matrix in one go (``_quantise``, the step both tails share: it
-  raises every refusal and fills ``restored``).  The matrix is quantised in
-  place, every row: a constant block's offsets are within the bound, so its
-  quants are 0 and are simply not packed, and no copy of the non-constant
-  rows is made;
-* *packing and cutting* (:func:`compress_chunks`): ``pack_width_classes``
-  packs the whole matrix (rows are byte-aligned, so the packed region of
-  chunk ``i`` is a contiguous slice of the whole), and chunk ``i``'s payload
-  is its own header (count = chunk length) followed by four slices — its row
-  of the per-chunk ``packbits`` flag matrix, its blocks' ``medium`` values,
-  the ``nbits`` of its non-constant blocks, and the bytes of the packed region
-  those blocks own;
+* min/max, medium, classification, quantisation and bit widths run over
+  that matrix in one go (``_quantise``, the step both tails share: it raises
+  every refusal and fills ``restored``).  The matrix is quantised in place,
+  every row: a constant block's offsets are within the bound, so its quants
+  are 0 and are simply not packed.  A row's width needs no pass over the
+  row: subtraction, division and ``rint`` are monotone, so its quants lie
+  between ``rint(row_min / step)`` and ``rint(row_max / step)``, and the
+  widest zigzag code is that of one of the two;
+* *packing and cutting* (:func:`compress_chunks`): the non-constant rows are
+  zigzag-encoded and ``pack_width_classes`` packs them (rows are
+  byte-aligned, so the packed region of chunk ``i`` is a contiguous slice of
+  the whole), and chunk ``i``'s payload is its own header (count = chunk
+  length) followed by four slices — its row of the per-chunk ``packbits``
+  flag matrix, its blocks' ``medium`` values, the ``nbits`` of its
+  non-constant blocks, and the bytes of the packed region those blocks own;
 * *counting* (:func:`chunk_nbytes`): the same four slices have lengths the
   widths fix, so a chunk of ``per`` blocks is ``_META_OFFSET + ceil(per / 8) +
   4 * per`` bytes plus, per non-constant block, one width byte and
@@ -130,7 +132,6 @@ from repro.compression.base import Compressor, check_restored
 from repro.compression.errors import CompressionError, DecompressionError, UnsupportedDataError
 from repro.compression.header import PayloadHeader
 from repro.utils.bitpack import (
-    bit_length_u64,
     narrow_signed_dtype,
     pack_width_classes,
     row_nbytes,
@@ -297,9 +298,10 @@ def _quantise(
 ) -> Tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The kernel's one pass up to packing: every refusal, and ``restored`` filled.
 
-    Returns ``(runs, const_mask, medium, encoded, nbits)``: the :func:`_runs` of
-    ``chunk_lens``, every block's constant flag and float32 medium, and the
-    zigzag quants and bit width of every non-constant block, in block order.
+    Returns ``(runs, const_mask, medium, quants, nbits)``: the :func:`_runs` of
+    ``chunk_lens``, every block's constant flag and float32 medium, every
+    block's signed quants (a constant block's are 0; ``None`` when every block
+    is constant) and the bit width of every non-constant block, in block order.
     What a payload holds is fixed here; :func:`compress_chunks` cuts it into
     payloads and :func:`chunk_nbytes` counts their lengths (see "Chunked
     layout" in the module docstring).
@@ -342,16 +344,11 @@ def _quantise(
     nonconst_idx = np.nonzero(~const_mask)[0]
     step = 2.0 * eb
     nbits_arr = np.zeros(0, dtype=np.int64)
-    encoded = np.zeros((0, block), dtype=np.uint8)
     every_quant = None
     if nonconst_idx.size:
-        if nonconst_idx.size == n_blocks:
-            max_abs = max(float(row_max.max()), -float(row_min.min()))
-        else:
-            max_abs = max(
-                float(row_max[nonconst_idx].max()),
-                -float(row_min[nonconst_idx].min()),
-            )
+        if nonconst_idx.size < n_blocks:
+            row_max, row_min = row_max[nonconst_idx], row_min[nonconst_idx]
+        max_abs = max(float(row_max.max()), -float(row_min.min()))
         # zigzag magnitude of a quant q is <= 2*|q| + 1; the division
         # bound (plus rounding margin) picks the narrowest safe dtype.
         # Reject quants beyond int64 before casting (the width check
@@ -368,9 +365,13 @@ def _quantise(
         np.divide(offsets_all, step, out=offsets_all)
         np.rint(offsets_all, out=offsets_all)
         every_quant = offsets_all.astype(narrow_signed_dtype(quant_bound))
-        quants = every_quant if nonconst_idx.size == n_blocks else every_quant[nonconst_idx]
-        encoded = zigzag_encode(quants)
-        nbits_arr = bit_length_u64(encoded.max(axis=1))
+        # a row's quants run from rint(row_min / step) to rint(row_max / step)
+        # (each step is monotone), so its widest zigzag code (2q for q >= 0,
+        # -2q - 1 below) is at one end.  The codes are exact in float64 up to
+        # 2**53 and rounded monotonically beyond, so a width of at most
+        # _MAX_QUANT_BITS (< 53) is exact and a wider one still refused
+        widest = np.maximum(2.0 * np.rint(row_max / step), -2.0 * np.rint(row_min / step) - 1.0)
+        nbits_arr = np.frexp(widest)[1].astype(np.int64)
         if int(nbits_arr.max()) > _MAX_QUANT_BITS:
             raise CompressionError(
                 "quantised offsets exceed the supported width; the error bound "
@@ -380,7 +381,7 @@ def _quantise(
         # the quants are out of ``blocks`` by now: it is scratch of the right shape
         _dequantise(blocks, every_quant, medium, const_mask, nonconst_idx, step)
         _unpad(restored, blocks, runs, block)
-    return runs, const_mask, medium, encoded, nbits_arr
+    return runs, const_mask, medium, every_quant, nbits_arr
 
 
 def compress_chunks(
@@ -403,9 +404,12 @@ def compress_chunks(
     """
     if data.size == 0:
         return []
-    runs, const_mask, medium, encoded, nbits_arr = _quantise(
-        data, chunk_lens, block, eb, restored
-    )
+    runs, const_mask, medium, quants, nbits_arr = _quantise(data, chunk_lens, block, eb, restored)
+    if quants is None:  # every block constant: nothing to pack
+        encoded = np.zeros((0, block), dtype=np.uint8)
+    else:
+        encoded = zigzag_encode(quants if nbits_arr.size == len(quants) else quants[~const_mask])
+    del quants  # packing holds the codes and the region: not the signed quants too
     data_at = _cursors(row_nbytes(block, nbits_arr))  # byte cursor of every non-constant block
     region = np.zeros(int(data_at[-1]), dtype=np.uint8)
     pack_width_classes(encoded, nbits_arr, data_at[:-1], region.size, out=region)

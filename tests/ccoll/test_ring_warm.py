@@ -8,15 +8,18 @@ Nothing they compute may change: the oracle is the same collective with the
 warm switched off, where every rank compresses on its own as it always did.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-import repro.ccoll.allreduce as allreduce_module
 import repro.ccoll.computation as computation_module
 import repro.ccoll.movement as movement_module
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
-from repro.ccoll.adapter import warm_round
+from repro.ccoll.adapter import CompressionAdapter, warm_round
+from repro.mpisim import HierarchicalTopology
 from repro.mpisim.errors import RankProgramError
 from repro.mpisim.launcher import run_simulation
 from repro.utils.chunking import split_counts, split_displacements
@@ -74,7 +77,7 @@ def _queued(adapters) -> int:
 
 def _replace_warm(monkeypatch, warm):
     """Make every ring planner warm its rounds with ``warm`` instead of ``warm_round``."""
-    for planner in (computation_module, allreduce_module, movement_module):
+    for planner in (computation_module, movement_module):
         monkeypatch.setattr(planner, "warm_round", warm)
 
 
@@ -199,6 +202,37 @@ def test_an_input_equal_by_value_but_not_by_bits_is_a_miss(
     assert lied and np.signbit(lied[0]).any()
     assert codec_calls["compress"] - before["compress"] == 1
     assert _queued(adapters) == 0
+
+
+@pytest.mark.parametrize("op, mode", [*CALLS, ("allreduce", "auto")])
+def test_no_adapter_keeps_the_warm_after_a_run(op, mode, monkeypatch):
+    """Every warm ends once its adapters have what they compress, and ending it
+    unhooks them: a warm left paused instead (a drain ending in a bare ``yield``)
+    keeps each adapter alive in a cycle through ``warm_ahead``'s ``resume``, so
+    with the cycle collector off no adapter may outlive the outcome.  ``auto``
+    runs the leader ring on four nodes."""
+    made = []
+    real = CompressionAdapter.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(CompressionAdapter, "__init__", recording)
+    placement = [0, 0, 1, 2, 2, 3]
+    topology = HierarchicalTopology(placement=placement, inter_bandwidth=1e8)
+    comm = Cluster(topology=topology if mode == "auto" else None).communicator(len(placement))
+    inputs = _inputs(len(placement), 4_097)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = getattr(comm, op)(inputs, compression=mode)
+        assert made and all(ref()._warm is None for ref in made if ref() is not None)
+        del outcome
+        assert [ref() for ref in made] == [None] * len(made)
+    finally:
+        gc.enable()
+    assert mode != "auto" or comm.last_compression == "topology_aware"
 
 
 def test_a_queued_entry_is_matched_bit_for_bit(codec_calls):

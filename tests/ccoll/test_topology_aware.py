@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.ccoll.topology_aware as topology_aware
+import repro.ccoll.computation as computation
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
 from repro.ccoll.adapter import CompressionAdapter, warm_round
@@ -85,7 +85,7 @@ class TestPerformance:
 
 # ----------------------------------------------------------------- leader warm
 # The leader ring is compressed ahead of its programs, one round per codec call
-# (``_leader_rounds``).  Nothing the programs compute may change: the oracle is
+# (``ring_rounds``).  Nothing the programs compute may change: the oracle is
 # the same allreduce with the warm switched off, where every leader compresses
 # on its own as it did before the warm existed.
 
@@ -120,7 +120,7 @@ def _auto(placement, inputs):
 
 
 def _replace_leader_warm(monkeypatch, warm):
-    monkeypatch.setattr(topology_aware, "warm_round", warm)
+    monkeypatch.setattr(computation, "warm_round", warm)
 
 
 def _assert_same_outcome(outcome, oracle):

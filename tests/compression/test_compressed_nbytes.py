@@ -27,6 +27,7 @@ import pytest
 
 import repro.compression.szx as szx
 from repro.compression import NullCompressor, PipelinedSZx, SZxCompressor, ZFPCompressor
+from repro.utils.bitpack import bit_length_u64, zigzag_encode
 
 #: empty, one value, block edges, ragged PIPE-SZx tails (5 121 and 192) and the
 #: ledger's RTM chunk
@@ -67,12 +68,15 @@ def _field(kind: str, n: int, dtype, rng: np.random.Generator) -> np.ndarray:
         values = np.where(np.arange(n) % 700 < 350, 0.5, rng.standard_normal(n))
     elif kind == "wide_range":
         values = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 5.0, n)
+    elif kind == "one_sided":  # blocks ~2**20 from zero, spread within one float32 step
+        sign = np.where(np.arange(n) // 1_000 % 2, -1.0, 1.0)
+        values = sign * (2.0**20 + rng.uniform(0.001, 0.016, n))
     else:  # float32 subnormal steps below zero, or -0.0
         values = -float(np.finfo(np.float32).smallest_subnormal) * rng.integers(0, 2, n)
     return values.astype(dtype)
 
 
-KINDS = ("sine_noise", "constant", "partly_constant", "wide_range", "denormals")
+KINDS = ("sine_noise", "constant", "partly_constant", "wide_range", "one_sided", "denormals")
 
 
 def _batch(dtype, seed: int = 2024):
@@ -99,12 +103,38 @@ def _assert_same_as_one_by_one(codec, arrays):
         assert restored.tobytes() == expected_restored[index].tobytes(), case
 
 
+def test_a_one_sided_block_has_its_medium_outside_its_range():
+    """In float64, the float32 medium of a ``one_sided`` block rounds past its
+    values (a float32 step at 2**20 is 1/8), so every offset, and every quant,
+    has the block's sign: its width comes from one end of the row alone."""
+    block = SZxCompressor.block_size
+    rows = _field("one_sided", 120 * block, np.float64, np.random.default_rng(0)).reshape(-1, block)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    medium = ((lo + hi) * 0.5).astype(np.float32).astype(np.float64)
+    assert (hi - lo > 2e-3).all()  # no block is constant at the tests' bound
+    assert ((medium < lo) | (medium > hi)).mean() > 0.8  # all but those a sign change cuts
+
+
+@pytest.mark.parametrize("block", [128, 50])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_a_width_is_that_of_the_widest_zigzag_code_in_its_row(dtype, block):
+    """The widths come from each row's two ends; a width one bit too wide would
+    still round-trip and count consistently, so the oracle is the row itself."""
+    arrays = [data for data in _batch(dtype) if data.size]
+    values = np.concatenate(arrays)
+    _, const_mask, _, quants, nbits = szx._quantise(
+        values, [data.size for data in arrays], block, 1e-3, None
+    )
+    widest = zigzag_encode(quants[~const_mask]).max(axis=1)
+    assert nbits.tolist() == bit_length_u64(widest).tolist()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("codec_name", list(CODECS))
 def test_a_batch_is_its_inputs_compressed_one_by_one(codec_name, dtype):
     codec = CODECS[codec_name]()
     arrays = _batch(dtype)
-    _assert_same_as_one_by_one(codec, arrays)  # the whole batch, 40 inputs
+    _assert_same_as_one_by_one(codec, arrays)  # the whole batch, 48 inputs
     _assert_same_as_one_by_one(codec, arrays[::-1][:7])  # another order, another mix
     for data in arrays[::3]:
         _assert_same_as_one_by_one(codec, [data])  # a batch of one, as a rank compresses

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-import repro.ccoll.topology_aware as topology_aware
+import repro.ccoll.computation as computation
 import repro.workload.engine as workload_engine
 import repro.workload.job as workload_job
 from repro.api import Cluster
@@ -283,8 +283,8 @@ class TestTheLeaderRingOnATape:
             warmed[0] += len(arrays)
             return warm_round(arrays, ranks)
 
-        monkeypatch.setattr(topology_aware, "warm_round", counting)
-        return warmed, partial(monkeypatch.setattr, topology_aware, "warm_round", _no_warm)
+        monkeypatch.setattr(computation, "warm_round", counting)
+        return warmed, partial(monkeypatch.setattr, computation, "warm_round", _no_warm)
 
     def test_a_baseline_replays_its_tape_and_warms_nothing(self, codec_calls, leader_warm):
         warmed, _ = leader_warm
