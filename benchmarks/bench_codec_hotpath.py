@@ -136,7 +136,9 @@ class TestSZxHotPath:
         assert np.max(np.abs(out.astype(np.float64) - data.astype(np.float64))) <= 2 * HOTPATH_EB
 
     def test_batched_beats_scalar_reference(self):
-        """The width-class data plane must stay well ahead of the per-block loop."""
+        """Guards: SZx packs by width class; a pack call per block drops the speedup to ~1x.
+
+        The width-class data plane must stay well ahead of the per-block loop."""
         data = hotpath_field(n=1_000_000)
         codec = SZxCompressor(error_bound=HOTPATH_EB)
         codec.compress_bytes(data)  # warm
@@ -187,7 +189,9 @@ class TestPipelinedHotPath:
         assert out.size == data.size
 
     def test_chunking_costs_no_second_pass(self):
-        """196 chunks ride the same blockwise pass as one: PIPE-SZx must stay
+        """Guards: chunks share one blockwise pass; a pass per chunk read 2.7x plain SZx.
+
+        196 chunks ride the same blockwise pass as one: PIPE-SZx must stay
         close to plain SZx on the same buffer (it was 2.7x when every chunk
         was a whole-codec call).  The best of five round trips each, the two
         codecs taking turns."""
@@ -222,7 +226,9 @@ RESTORING_CODECS = {
 class TestRestoredOutParameter:
     @pytest.mark.parametrize("codec_name", list(RESTORING_CODECS))
     def test_restored_costs_a_fraction_of_the_decode_it_replaces(self, codec_name):
-        """Ratios of calls timed in one process, so no wall-clock threshold.  At a
+        """Guards: ``restored`` comes from the encoder; a decode to fill it reads ~1x of the pair.
+
+        Ratios of calls timed in one process, so no wall-clock threshold.  At a
         message size (16 384 values: the simulated collectives send 1-64 KiB) a
         compress that also fills ``restored`` must stay under 0.85x of compress +
         decompress — the pair it replaces on the simulation path, ~0.6x measured
@@ -264,7 +270,9 @@ class TestCompressedNbytes:
         ids=["16x15552", "8x1024", "8x31104"],
     )
     def test_one_pass_beats_separate_calls(self, codec_type, batch, values, bar):
-        """One ``compressed_nbytes`` over a ring round against one per chunk (a batch
+        """Guards: a batch pays one fixed cost; a call per input inside it would read ~1x.
+
+        One ``compressed_nbytes`` over a ring round against one per chunk (a batch
         of one, as a rank compresses with nothing queued), both filling ``restored``
         (ratios of calls timed alternately in one process).  The chunks are the RTM
         field's, as ``allreduce_ccoll`` cuts it over 16 ranks (and 8 ranks' worth
@@ -321,7 +329,9 @@ class TestBitpackPrimitives:
         ids=["szx", "zfp_detail"],
     )
     def test_width_classes_cost_little_beyond_their_kernels(self, n_rows, count, widths):
-        """``pack_width_classes`` + ``unpack_width_classes`` against the per-class
+        """Guards: placement adds no per-byte pass; an index per byte read 1.7-2.2x.
+
+        ``pack_width_classes`` + ``unpack_width_classes`` against the per-class
         kernel calls inside them, summed: the best of 40 calls each, taken in
         eight spells of five after a warm-up, all in one process, so no
         wall-clock threshold.  The shapes are 1 M values as SZx lays them out
@@ -370,7 +380,9 @@ class TestBitpackPrimitives:
         ids=["szx", "zfp_detail"],
     )
     def test_word_kernels_beat_the_bitplane_loops(self, n_rows, count, widths):
-        """``pack_uint_bits_rows`` + ``unpack_uint_bits_rows`` against the per-bit
+        """Guards: the kernels move words, not bits; a pass per bit would read ~1x.
+
+        ``pack_uint_bits_rows`` + ``unpack_uint_bits_rows`` against the per-bit
         loops they replaced, per width class of 1 M values laid out as SZx
         (128-value rows) and ZFP's detail field (15-value rows) lay them out:
         the best of 40 round trips each, taken in eight spells of five after a

@@ -120,6 +120,23 @@ def _haar_forward(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _detail_or(encoded: np.ndarray) -> np.ndarray:
+    """Each block's bitwise OR over its detail values (``encoded[:, 1:]``).
+
+    Column by column while a block's row is at most 32 bytes (``uint16``
+    quants, whenever their zigzag bound is under 2**15): numpy runs a reduce
+    along ``axis=1`` one 15-value row at a time, 1.3-1.7x slower.  A column
+    pass over a wider row streams the whole matrix again, so ``uint32`` /
+    ``uint64`` quants keep the row reduce, 2-4x faster there.
+    """
+    if encoded.itemsize > 2:
+        return np.bitwise_or.reduce(encoded[:, 1:], axis=1)
+    acc = np.bitwise_or(encoded[:, 1], encoded[:, 2])
+    for col in range(3, encoded.shape[1]):
+        np.bitwise_or(acc, encoded[:, col], out=acc)
+    return acc
+
+
 def _haar_inverse(coeffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Inverse of :func:`_haar_forward`, written into ``out``.
 
@@ -334,7 +351,7 @@ class ZFPCompressor(Compressor):
         # (block-1 values; an OR has the bit length of the maximum and
         # reduces faster); a block is all-zero when both are 0
         nbits_dc = bit_length_u64(encoded[:, 0])
-        nbits_det = bit_length_u64(np.bitwise_or.reduce(encoded[:, 1:], axis=1))
+        nbits_det = bit_length_u64(_detail_or(encoded))
         if max(int(nbits_dc.max()), int(nbits_det.max())) > _MAX_QUANT_BITS:
             raise CompressionError(
                 "quantised coefficients exceed the supported width; the error bound "
@@ -372,7 +389,13 @@ class ZFPCompressor(Compressor):
         coef_bits = self._coef_bits
         block_bytes = self._block_bytes
         n_blocks = coeffs.shape[0]
-        max_abs = np.abs(coeffs).max(axis=1)
+        # each block's largest magnitude by pairwise halving of the flat
+        # magnitudes (a block is a power of two long, so no pair straddles
+        # two blocks): exact, NaN-propagating like .max(axis=1), which numpy
+        # runs one 16-value row at a time and ~3.5x slower
+        max_abs = np.abs(coeffs).ravel()
+        while max_abs.size > n_blocks:
+            max_abs = np.maximum(max_abs[0::2], max_abs[1::2])
         zero_mask = max_abs == 0.0
         nonzero_idx = np.nonzero(~zero_mask)[0]
 

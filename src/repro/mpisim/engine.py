@@ -39,15 +39,17 @@ What the engine holds
 
 The request handle a program gets back from ``Isend``/``Irecv`` *is* the
 engine's record of that operation (see :mod:`repro.mpisim.requests`); there
-is no request table.  The engine itself references only: the slots (program,
-clock, the handles of the ``Wait`` a rank is inside and the one it blocks on),
-unmatched postings (``_unmatched_sends`` / ``_unmatched_recvs``, a key gone
-with its last entry), matched messages whose transfer is still in flight
-(``_inflight[rank]``, keyed by the message, in match order) and the event
-heap, whose entries are numbers.  For a finished operation it holds nothing:
-message and payload live exactly as long as the program keeps a handle, and
-since a message never points back at its handles, reference counting frees
-them the moment the last handle is dropped.
+is no request table.  A posted send is one record, a ``_Message``: the message
+and, as a :class:`~repro.mpisim.network.TransferState`, its transfer.  The
+engine itself references only: the slots (program, clock, the handles of the
+``Wait`` a rank is inside and the one it blocks on), unmatched postings
+(``_unmatched_sends`` / ``_unmatched_recvs``, a key gone with its last
+entry), matched messages still in flight (``_inflight[rank]``, keyed by the
+message, in match order) and the event heap, whose entries are numbers.
+For a finished operation it holds nothing: message and payload live exactly
+as long as the program keeps a handle, and since a message never points back
+at its handles, reference counting frees them the moment the last handle is
+dropped.
 
 Event-heap core
 ---------------
@@ -84,7 +86,8 @@ one and returns it, left on the heap.  :meth:`Engine.run` pops it and
 dispatches by tier; a stepped rank keeps running inline until the one
 comparison ``top < (clock, r+1)`` says a live entry precedes it (a callback
 or commit due at or before its clock sorts first: its order is below
-``r+1``).  :attr:`Engine.event_counts` counts the three tiers.
+``r+1``; without a registry, no peek runs while even the raw heap top does
+not precede).  :attr:`Engine.event_counts` counts the three tiers.
 
 Priority/tiebreak contract (what keeps golden makespans bit-for-bit):
 
@@ -189,19 +192,35 @@ def payload_nbytes(data: Any) -> int:
     raise TypeError(f"a {type(data).__name__} payload has no nbytes and no length; pass nbytes=")
 
 
-@dataclass(slots=True, eq=False)
-class _Message:
-    """A posted send and, once matched, the transfer it drives.
-
-    Hashed by identity (``eq=False``): ``_inflight`` is keyed by the message.
-    Handles point here; nothing here points back at a handle.
+@dataclass(slots=True, eq=False, init=False)
+class _Message(TransferState):
+    """A posted send, one record: the message and, once matched, the
+    :class:`~repro.mpisim.network.TransferState` of its transfer (``__init__``
+    sets the inherited fields too).  Hashed by identity: ``_inflight`` is keyed
+    by the message.  Handles point here; nothing here points back at a handle.
     """
 
     src: int
     dst: int
     data: Any
     send_post_time: float
-    transfer: TransferState
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, src, dst, data, send_post_time, nbytes, network, eager, link, fair):
+        self.src = src
+        self.dst = dst
+        self.data = data
+        self.send_post_time = send_post_time
+        self.nbytes = nbytes
+        self.network = network
+        self.eager = eager
+        self.link = link
+        self.fair = fair
+        self.eligible_time = self.last_ack_time = self.completion_time = self.fair_flow = None
+        self.delivered_bytes = 0.0
+        self.completed = False
 
 
 @dataclass(slots=True)
@@ -395,7 +414,6 @@ class Engine:
         # ranks); empty means every Compute runs at its modelled duration, so
         # fault-free simulations take the exact historical code path
         self._compute_scale: Dict[int, float] = {}
-        self._commands_total = 0
         self._ran = False
         # the event heap of (timestamp, order, token) entries in three tiers:
         # order -1 callbacks, 0 fair commits, rank+1 rank steps
@@ -625,7 +643,7 @@ class Engine:
         for slot in job.slots:
             inflight = self._inflight[slot]
             for message in inflight:
-                message.transfer.cancel(now)
+                message.cancel(now)
             inflight.clear()
         job._barrier.clear()
         job._pending.clear()
@@ -641,7 +659,7 @@ class Engine:
         """
         finish, flow = self.fair_registry.commit_departure()
         message: _Message = flow.token
-        message.transfer.finish_fair(finish)
+        message.finish_fair(finish)
         self._inflight[message.dst].pop(message, None)
         self._notify_send_completion(message)
         receiver = self._states[message.dst]
@@ -664,6 +682,7 @@ class Engine:
         states = self._states
         fair = self.fair_registry
         live_top = self._live_top
+        handlers, max_commands, commands = self._handlers, self.max_commands, 0
         trace = self.event_trace if self._trace_events else None
         while True:
             top = live_top()
@@ -693,22 +712,42 @@ class Engine:
                 self._commits_run += 1
                 self._commit_fair_departure()
                 continue
-            # ---- inline stepping: keep driving this rank without touching
-            # the heap until a live entry precedes (clock, rank + 1)
+            # ---- inline stepping: resume this rank command by command (the end of
+            # its program counts as one) until a live entry precedes (clock, rank + 1)
             state = states[order - 1]
             while True:
-                self._step(state)
-                self._commands_total += 1
-                if self._commands_total > self.max_commands:
+                value, state.resume_value = state.resume_value, None
+                try:
+                    command = state.gen.send(value)
+                except StopIteration as stop:
+                    state.result = stop.value
+                    state.status = _IDLE
+                    state.gen = None
+                    self._retire_slot(state.job, state)
+                except Exception as exc:  # surfaces bugs in rank programs with context
+                    raise RankProgramError(f"rank {state.rank} raised {exc!r}") from exc
+                else:
+                    state.commands_executed += 1
+                    handler = handlers.get(type(command))
+                    if handler is None:
+                        raise InvalidCommandError(
+                            f"rank {state.rank} yielded {command!r}, "
+                            "which is not a simulator command"
+                        )
+                    handler(state, command)
+                commands += 1
+                if commands > max_commands:
                     raise RunawayProgramError(self._describe_runaway())
                 if state.status != _READY or state.ready_token != token:
                     # done, blocked, or a completed wait/barrier already pushed
                     # a fresh heap entry for this rank
                     break
-                top = live_top()
-                if top is not None and top < (state.clock, order):
-                    self._push_ready(state)
-                    break
+                key = (state.clock, order)
+                if fair is not None or (heap and heap[0] < key):  # raw top <= live top
+                    top = live_top()
+                    if top is not None and top < key:
+                        self._push_ready(state)
+                        break
         return [
             RankResult(
                 rank=s.rank,
@@ -721,36 +760,13 @@ class Engine:
             for s in self._states
         ]
 
-    # ----------------------------------------------------------- scheduling
-
-    def _step(self, state: _RankState) -> None:
-        """Resume one rank program by one command."""
-        value, state.resume_value = state.resume_value, None
-        try:
-            command = state.gen.send(value)
-        except StopIteration as stop:
-            state.result = stop.value
-            state.status = _IDLE
-            state.gen = None
-            self._retire_slot(state.job, state)
-            return
-        except Exception as exc:  # surfaces bugs in rank programs with context
-            raise RankProgramError(f"rank {state.rank} raised {exc!r}") from exc
-        state.commands_executed += 1
-        handler = self._handlers.get(type(command))
-        if handler is None:
-            raise InvalidCommandError(
-                f"rank {state.rank} yielded {command!r}, which is not a simulator command"
-            )
-        handler(state, command)
+    # ------------------------------------------------------------- commands
 
     def _handle_wait(self, state: _RankState, cmd: Wait) -> None:
         self._start_wait(state, [cmd.request], cmd.category, single=True)
 
     def _handle_waitall(self, state: _RankState, cmd: Waitall) -> None:
         self._start_wait(state, list(cmd.requests), cmd.category, single=False)
-
-    # ------------------------------------------------------------- commands
 
     def _handle_compute(self, state: _RankState, cmd: Compute) -> None:
         seconds = cmd.seconds
@@ -783,20 +799,17 @@ class Engine:
             else None
         )
         network = self.network
-        transfer = TransferState(
-            nbytes=nbytes,
-            network=network,
-            eager=network.is_eager(nbytes),
-            link=link,
-            # only a transfer that crosses shared stages is fair-shared
-            fair=self.fair_registry if link is not None and link.stages else None,
-        )
         message = _Message(
-            src=state.rank,
-            dst=dest,
-            data=cmd.data,
-            send_post_time=state.clock,
-            transfer=transfer,
+            state.rank,
+            dest,
+            cmd.data,
+            state.clock,
+            nbytes,
+            network,
+            nbytes <= network.eager_threshold,  # NetworkModel.is_eager
+            link,
+            # only a transfer that crosses shared stages is fair-shared
+            self.fair_registry if link is not None and link.stages else None,
         )
         # per rank for RankResult, per job for whoever retires or kills it
         state.bytes_sent += nbytes
@@ -813,9 +826,7 @@ class Engine:
             self._establish_match(message, posting)
         else:
             self._unmatched_sends.setdefault(key, deque()).append(message)
-        state.resume_value = SendRequest(
-            rank=state.rank, peer=dest, tag=cmd.tag, owner=state, message=message
-        )
+        state.resume_value = SendRequest(state.rank, dest, cmd.tag, state, message)
 
     def _handle_irecv(self, state: _RankState, cmd: Irecv) -> None:
         slots = state.job.slots
@@ -824,9 +835,7 @@ class Engine:
                 f"rank {state.rank} posted a receive from invalid source {cmd.source}"
             )
         source = slots[cmd.source]
-        posting = RecvRequest(
-            rank=state.rank, peer=source, tag=cmd.tag, owner=state, post_time=state.clock
-        )
+        posting = RecvRequest(state.rank, source, cmd.tag, state, None, state.clock)
         key = (state.rank, source, cmd.tag)
         sends = self._unmatched_sends.get(key)
         if sends:
@@ -841,8 +850,10 @@ class Engine:
     def _establish_match(self, message: _Message, posting: RecvRequest) -> None:
         """Bind a posted send to a posted receive and start the transfer clock."""
         posting.message = message
-        match_time = max(message.send_post_time, posting.post_time)
-        message.transfer.set_eligible(match_time)
+        link = message.link  # inlined TransferState.set_eligible: a message matches once
+        message.eligible_time = message.last_ack_time = max(
+            message.send_post_time, posting.post_time
+        ) + (link.latency if link is not None else message.network.latency)
         self._inflight[message.dst][message] = None
         # If the receiver is already blocked waiting for exactly this request,
         # it can now make progress.
@@ -896,7 +907,9 @@ class Engine:
         state.status = _READY
         state.block_kind = None
         state.block_on = None
-        self._push_ready(state)
+        self._ready_tokens = token = self._ready_tokens + 1  # inlined _push_ready
+        state.ready_token = token
+        heapq.heappush(self._heap, (state.clock, state.rank + 1, token))
         if state.wait_single:
             state.resume_value = state.wait_results[0] if state.wait_results else None
         else:
@@ -910,36 +923,40 @@ class Engine:
             state.block_kind = _BLOCK_RECV_MATCH
             state.block_on = request
             return False
-        transfer = message.transfer
         now = state.clock
-        if not transfer.completed and transfer.fair is not None:
+        if not message.completed and message.fair is not None:
             # fair-share path: progress everything inbound, then hand the flow
             # to the registry and block until the engine commits its departure
             # (instead of precomputing a reservation finish time)
-            self._ack_incoming(state.rank, now, continuous=False)
-            if not transfer.completed:
-                if transfer.fair_flow is None:
+            self._ack_incoming(state.rank, now, False)
+            if not message.completed:
+                if message.fair_flow is None:
                     # delivered bytes are attributed to the job (the sender's
                     # and the receiver's are the same one)
-                    transfer.activate_fair(now, token=message, group=state.job.tag)
+                    message.activate_fair(now, message, state.job.tag)
                 state.block_kind = _BLOCK_FLOW_COMPLETION
                 state.block_on = request
                 return False
         inflight = self._inflight[state.rank]
-        if transfer.completed:
-            completion = transfer.completion_time
+        if message.completed:
+            completion = message.completion_time
         else:
             # entering the progress engine: everything inbound advances first
             if inflight:
-                self._ack_incoming(state.rank, now, continuous=False)
-            completion = transfer.completion_from(now)
+                self._ack_incoming(state.rank, now, False)
+            completion = message.completion_from(now)
             inflight.pop(message, None)
             self._notify_send_completion(message)
         effective = completion if completion > now else now
         # other inbound transfers keep flowing while this rank sits in MPI_Wait
         if inflight:
-            self._ack_incoming(state.rank, effective, continuous=True, skip=message)
-        state.breakdown.add(state.wait_category, effective - now)
+            self._ack_incoming(state.rank, effective, True, message)
+        # inlined TimeBreakdown.add, guard included
+        waited = effective - now
+        if waited < 0:
+            raise ValueError(f"duration must be >= 0, got {waited}")
+        acc = state.breakdown.seconds
+        acc[state.wait_category] = acc.get(state.wait_category, 0.0) + float(waited)
         state.clock = effective
         state.wait_results.append(message.data)
         return True
@@ -947,13 +964,17 @@ class Engine:
     def _complete_send(self, state: _RankState, request: SendRequest) -> bool:
         message: _Message = request.message
         now = state.clock
-        if message.transfer.eager:
+        if message.eager:
             # buffered by the transport: the sender's wait returns immediately
             state.wait_results.append(None)
             return True
-        if message.transfer.completed:
-            effective = max(now, message.transfer.completion_time)
-            state.breakdown.add(state.wait_category, effective - now)
+        if message.completed:
+            effective = max(now, message.completion_time)
+            waited = effective - now
+            if waited < 0:
+                raise ValueError(f"duration must be >= 0, got {waited}")
+            acc = state.breakdown.seconds
+            acc[state.wait_category] = acc.get(state.wait_category, 0.0) + float(waited)
             state.clock = effective
             state.wait_results.append(None)
             return True
@@ -968,7 +989,7 @@ class Engine:
         The sender re-enters the event heap at the transfer's completion
         time — this is the transfer-completion event of the taxonomy above.
         """
-        if not message.transfer.completed:
+        if not message.completed:
             return
         sender = self._states[message.src]
         if (
@@ -998,7 +1019,7 @@ class Engine:
         for message in self._inflight[rank]:
             if message is skip:
                 continue
-            if message.transfer.ack(now, continuous=continuous):
+            if message.ack(now, continuous):
                 completed.append(message)
                 self._notify_send_completion(message)
         if completed:
@@ -1012,11 +1033,10 @@ class Engine:
         request = cmd.request
         if not isinstance(request, Request) or request.owner is not state:
             raise self._not_posted_by(state, request, "tested")
-        self._ack_incoming(state.rank, state.clock, continuous=False)
+        self._ack_incoming(state.rank, state.clock, False)
         message: Optional[_Message] = request.message
         state.resume_value = message is not None and (
-            message.transfer.completed
-            or (message.transfer.eager and isinstance(request, SendRequest))
+            message.completed or (message.eager and isinstance(request, SendRequest))
         )
 
     # ---------------------------------------------------------------- barrier

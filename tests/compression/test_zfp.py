@@ -160,6 +160,17 @@ class TestFxrNonFinite:
         with pytest.raises(CompressionError, match="non-finite"):
             ZFPCompressor(mode="fxr", rate=8).compress_bytes(data)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 7, 15])
+    def test_a_non_finite_coefficient_reaches_the_encoders_refusal(self, bad, position):
+        """Behind ``compress_bytes``' own finite-input check, the FXR encoder
+        refuses a non-finite coefficient too: each block's maximum carries a
+        NaN or an infinity from any position of the block through to it."""
+        coeffs = np.full((3, 16), 0.25)
+        coeffs[1, position] = bad
+        with pytest.raises(CompressionError, match="non-finite values cannot be fixed-rate"):
+            ZFPCompressor(mode="fxr", rate=8)._compress_fxr(coeffs, restore=False)
+
 
 def _with_param(payload: bytes, param: float) -> bytes:
     """``payload`` with its header's error bound / rate replaced by ``param``."""

@@ -497,6 +497,24 @@ class TestKillJob:
 
 
 class TestRunawayProgram:
+    @pytest.mark.parametrize("n_commands,runs", [(9, True), (10, False)], ids=["9-runs", "10-raises"])
+    def test_the_step_that_ends_a_program_counts(self, n_commands, runs):
+        """The budget counts every resume of a program, the one that ends it
+        included: with ``max_commands=10`` a program of nine commands takes
+        ten steps and runs, one of ten takes eleven and raises."""
+
+        def program(rank, n_ranks):
+            for _ in range(n_commands):
+                yield Compute(1e-6)
+            return "done"
+
+        engine = Engine(1, program, network=NET, max_commands=10)
+        if runs:
+            assert [r.value for r in engine.run()] == ["done"]
+        else:
+            with pytest.raises(RunawayProgramError, match="max_commands=10"):
+                engine.run()
+
     def test_the_error_names_the_tenant_that_spun(self):
         """On a shared engine the command budget is everyone's: the error
         lists the busiest slots with their job tags, so it says who spun."""

@@ -284,6 +284,49 @@ class TestEventOrder:
         assert sum(1 for _, tier in log if tier < 0) == 6
         assert log == sorted(log)
 
+    def test_a_departure_due_during_an_inline_run_commits_before_the_next_command(self):
+        """Rank 0 opens a fair flow to a blocked receiver, then computes far past
+        that flow's departure while nothing else is ready, so it keeps stepping
+        inline.  The departure must commit before rank 0's next command runs:
+        the peek after each command also refreshes the commit entry, not only
+        the heap top that was already there."""
+        log = []  # (departure, -1) per commit, (clock, 0) per program resume
+
+        def program(rank, size):
+            if rank == 0:
+                yield Compute(1e-6)
+                first = yield Isend(dest=2, data=None, nbytes=1 << 20, tag=0)
+                yield Compute(1.0)
+                second = yield Isend(dest=3, data=None, nbytes=1 << 20, tag=0)
+                yield Waitall([first, second])
+            elif rank >= 2:
+                yield Wait((yield Irecv(source=0, tag=0)))
+            return rank
+
+        def logged(rank, size):
+            inner, value = program(rank, size), None
+            while True:
+                log.append((engine.clock_of(rank), 0))
+                try:
+                    command = inner.send(value)
+                except StopIteration:
+                    return rank
+                value = yield command
+
+        engine = Engine(4, logged, **_uplink_fabric("fair"))
+        registry = engine.fair_registry
+        commit = registry.commit_departure
+
+        def logged_commit():
+            finish, flow = commit()
+            log.append((finish, -1))
+            return finish, flow
+
+        registry.commit_departure = logged_commit
+        engine.run()
+        assert sum(1 for _, kind in log if kind < 0) == 2
+        assert log == sorted(log)
+
 
 class TestLiveTop:
     def test_the_peek_drops_stale_entries_and_leaves_the_live_one(self):
@@ -305,15 +348,23 @@ class TestLiveTop:
         heapq.heappush(heap, current)
         assert engine._live_top() == current
 
-    def test_event_counts_are_the_three_heap_tiers(self):
-        """One fair ring with a scheduled callback; the total was taken before
-        the counts were regrouped by tier (rank steps, commits, callbacks)."""
+    @pytest.mark.parametrize(
+        "contention,expected",
+        [
+            ("fair", {"rank-step": 52, "fair-commit": 12, "scheduled-callback": 1}),
+            ("reservation", {"rank-step": 51, "fair-commit": 0, "scheduled-callback": 1}),
+        ],
+        ids=["fair", "reservation"],
+    )
+    def test_event_counts_are_the_three_heap_tiers(self, contention, expected):
+        """One ring with a scheduled callback, on fair and on reservation
+        stages: each tier's count (rank steps pushed, commits and callbacks
+        run) is pinned, so a change to how the run loop steps a rank or when
+        it pushes one back shows here.  The fair total, 65, was taken before
+        the counts were regrouped by tier."""
         compute_s = {r: 1e-6 * (r + 1) for r in range(8)}
         sizes = {r: 1 << (10 + r % 4) for r in range(8)}
-        engine = Engine(8, _scenario_program(compute_s, sizes, 3), **_uplink_fabric("fair"))
+        engine = Engine(8, _scenario_program(compute_s, sizes, 3), **_uplink_fabric(contention))
         engine.schedule_event(5e-6, lambda now: None)
         engine.run()
-        counts = engine.event_counts
-        assert set(counts) == {"rank-step", "fair-commit", "scheduled-callback"}
-        assert counts["scheduled-callback"] == 1
-        assert sum(counts.values()) == 65
+        assert engine.event_counts == expected
