@@ -123,14 +123,9 @@ def _haar_forward(blocks: np.ndarray) -> np.ndarray:
 def _detail_or(encoded: np.ndarray) -> np.ndarray:
     """Each block's bitwise OR over its detail values (``encoded[:, 1:]``).
 
-    Column by column while a block's row is at most 32 bytes (``uint16``
-    quants, whenever their zigzag bound is under 2**15): numpy runs a reduce
-    along ``axis=1`` one 15-value row at a time, 1.3-1.7x slower.  A column
-    pass over a wider row streams the whole matrix again, so ``uint32`` /
-    ``uint64`` quants keep the row reduce, 2-4x faster there.
+    Column by column: numpy runs a reduce along ``axis=1`` one 15-value row
+    at a time, 1.3-1.7x slower on ``uint16`` quants.
     """
-    if encoded.itemsize > 2:
-        return np.bitwise_or.reduce(encoded[:, 1:], axis=1)
     acc = np.bitwise_or(encoded[:, 1], encoded[:, 2])
     for col in range(3, encoded.shape[1]):
         np.bitwise_or(acc, encoded[:, col], out=acc)

@@ -86,8 +86,7 @@ one and returns it, left on the heap.  :meth:`Engine.run` pops it and
 dispatches by tier; a stepped rank keeps running inline until the one
 comparison ``top < (clock, r+1)`` says a live entry precedes it (a callback
 or commit due at or before its clock sorts first: its order is below
-``r+1``; without a registry, no peek runs while even the raw heap top does
-not precede).  :attr:`Engine.event_counts` counts the three tiers.
+``r+1``).  :attr:`Engine.event_counts` counts the three tiers.
 
 Priority/tiebreak contract (what keeps golden makespans bit-for-bit):
 
@@ -742,12 +741,10 @@ class Engine:
                     # done, blocked, or a completed wait/barrier already pushed
                     # a fresh heap entry for this rank
                     break
-                key = (state.clock, order)
-                if fair is not None or (heap and heap[0] < key):  # raw top <= live top
-                    top = live_top()
-                    if top is not None and top < key:
-                        self._push_ready(state)
-                        break
+                top = live_top()
+                if top is not None and top < (state.clock, order):
+                    self._push_ready(state)
+                    break
         return [
             RankResult(
                 rank=s.rank,
@@ -806,7 +803,7 @@ class Engine:
             state.clock,
             nbytes,
             network,
-            nbytes <= network.eager_threshold,  # NetworkModel.is_eager
+            network.is_eager(nbytes),
             link,
             # only a transfer that crosses shared stages is fair-shared
             self.fair_registry if link is not None and link.stages else None,
@@ -850,10 +847,7 @@ class Engine:
     def _establish_match(self, message: _Message, posting: RecvRequest) -> None:
         """Bind a posted send to a posted receive and start the transfer clock."""
         posting.message = message
-        link = message.link  # inlined TransferState.set_eligible: a message matches once
-        message.eligible_time = message.last_ack_time = max(
-            message.send_post_time, posting.post_time
-        ) + (link.latency if link is not None else message.network.latency)
+        message.set_eligible(max(message.send_post_time, posting.post_time))
         self._inflight[message.dst][message] = None
         # If the receiver is already blocked waiting for exactly this request,
         # it can now make progress.
@@ -907,9 +901,7 @@ class Engine:
         state.status = _READY
         state.block_kind = None
         state.block_on = None
-        self._ready_tokens = token = self._ready_tokens + 1  # inlined _push_ready
-        state.ready_token = token
-        heapq.heappush(self._heap, (state.clock, state.rank + 1, token))
+        self._push_ready(state)
         if state.wait_single:
             state.resume_value = state.wait_results[0] if state.wait_results else None
         else:
@@ -951,12 +943,7 @@ class Engine:
         # other inbound transfers keep flowing while this rank sits in MPI_Wait
         if inflight:
             self._ack_incoming(state.rank, effective, True, message)
-        # inlined TimeBreakdown.add, guard included
-        waited = effective - now
-        if waited < 0:
-            raise ValueError(f"duration must be >= 0, got {waited}")
-        acc = state.breakdown.seconds
-        acc[state.wait_category] = acc.get(state.wait_category, 0.0) + float(waited)
+        state.breakdown.add(state.wait_category, effective - now)
         state.clock = effective
         state.wait_results.append(message.data)
         return True
@@ -970,11 +957,7 @@ class Engine:
             return True
         if message.completed:
             effective = max(now, message.completion_time)
-            waited = effective - now
-            if waited < 0:
-                raise ValueError(f"duration must be >= 0, got {waited}")
-            acc = state.breakdown.seconds
-            acc[state.wait_category] = acc.get(state.wait_category, 0.0) + float(waited)
+            state.breakdown.add(state.wait_category, effective - now)
             state.clock = effective
             state.wait_results.append(None)
             return True

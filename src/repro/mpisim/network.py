@@ -105,10 +105,10 @@ class TransferState:
 
     In the engine a posted send is one record: its message class subclasses
     this one, so a send's transfer state lives on the message itself.  The
-    engine owns the life cycle: it does what :meth:`set_eligible` does (inline)
-    when both sides have posted, calls :meth:`ack` whenever the receiving rank
-    enters the progress engine (``Test`` or the entry of a ``Wait``), and
-    :meth:`completion_from` when the receiver blocks until completion.
+    engine owns the life cycle: it calls :meth:`set_eligible` when both sides
+    have posted, :meth:`ack` whenever the receiving rank enters the progress
+    engine (``Test`` or the entry of a ``Wait``), and :meth:`completion_from`
+    when the receiver blocks until completion.
 
     When ``link`` is set (the engine resolved a per-pair link through a
     :class:`~repro.mpisim.topology.Topology`), latency and bandwidth come from

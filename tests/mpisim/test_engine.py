@@ -507,6 +507,37 @@ class TestEngineHoldsOnlyLiveOperations:
         assert all(not inflight for inflight in engine._inflight.values())
 
 
+class TestMessageIsOneRecord:
+    """A posted send is one ``_Message``, a ``TransferState`` whose own
+    ``__init__`` sets the inherited fields by hand."""
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_a_fresh_message_starts_as_a_fresh_transfer(self, eager):
+        from dataclasses import fields
+
+        from repro.mpisim.engine import _Message
+        from repro.mpisim.network import TransferState
+
+        link, fair = object(), object()
+        message = _Message(1, 2, b"x", 0.5, 640, NET, eager, link, fair)
+        transfer = TransferState(640, NET, eager, link, fair)
+        for f in fields(TransferState):
+            assert getattr(message, f.name) == getattr(transfer, f.name), f.name
+        assert (message.src, message.dst, message.data, message.send_post_time) == (
+            1,
+            2,
+            b"x",
+            0.5,
+        )
+
+    def test_messages_are_hashed_and_compared_by_identity(self):
+        from repro.mpisim.engine import _Message
+
+        a, b = (_Message(0, 1, None, 0.0, 8, NET, True, None, None) for _ in range(2))
+        assert a != b and a == a
+        assert len({a: None, b: None}) == 2
+
+
 class TestEngineReuse:
     """An engine is single-use; what simulations reuse is the topology.
 
