@@ -6,10 +6,10 @@ width-class batched bit-packing primitives underneath them.  The headline
 test also re-runs SZx through a *scalar reference* encoder (one
 ``pack_uint_bits`` call per block, the pre-vectorisation code shape) so the
 batched data plane's speedup is measured inside the suite rather than against
-git archaeology, and prices the ``restored`` out-parameter against the decode
-it replaces in the simulations.  The word-level packing kernels are likewise
-timed against the per-bit loops they replaced (``bitplane_reference_pack`` /
-``bitplane_reference_unpack``).  The gated numbers for this path are the
+git archaeology, and prices ``compressed_nbytes`` — a simulated message's
+length and reconstruction — against the compress + decode pair it replaces.
+The word-level packing kernels are likewise timed against the per-bit loops
+they replaced (``bitplane_reference_pack`` / ``bitplane_reference_unpack``).  The gated numbers for this path are the
 ``codec_large`` / ``codec_small`` workloads of ``benchmarks/ledger`` (see
 ``benchmarks/README.md``).
 """
@@ -214,7 +214,7 @@ class TestPipelinedHotPath:
         assert piped < 1.5 * plain
 
 
-#: the codecs whose ``restored`` comes from the encoder, as the simulations make them
+#: the codecs a simulated message compresses through, as the simulations make them
 RESTORING_CODECS = {
     "szx": lambda: SZxCompressor(error_bound=HOTPATH_EB),
     "pipe_szx": lambda: PipelinedSZx(error_bound=HOTPATH_EB),
@@ -223,22 +223,18 @@ RESTORING_CODECS = {
 }
 
 
-class TestRestoredOutParameter:
+class TestReconstructionWithoutDecode:
     @pytest.mark.parametrize("codec_name", list(RESTORING_CODECS))
-    def test_restored_costs_a_fraction_of_the_decode_it_replaces(self, codec_name):
-        """Guards: ``restored`` comes from the encoder; a decode to fill it reads ~1x of the pair.
+    def test_a_message_costs_a_fraction_of_the_pair_it_replaces(self, codec_name):
+        """Guards: the reconstruction comes from the quants; a decode to fill it reads ~1x of the pair.
 
         Ratios of calls timed in one process, so no wall-clock threshold.  At a
-        message size (16 384 values: the simulated collectives send 1-64 KiB) a
-        compress that also fills ``restored`` must stay under 0.85x of compress +
-        decompress — the pair it replaces on the simulation path, ~0.6x measured
-        for SZx, PIPE-SZx and ZFP ABS, ~0.7x for ZFP FXR — and under 1.4x of
-        compress alone (~1.1x; ~1.25x for ZFP FXR, whose compress is the
-        cheapest and whose inverse transform is the same as ABS's).  At 1 M
-        values SZx sits near its limits (0.74-0.90x, 1.29-1.47x): the
-        dequantise pass is bandwidth-bound like everything else there.  The
-        best of 200 calls each, taken in 40 spells of five, the three call
-        kinds taking turns."""
+        message size (16 384 values: the simulated collectives send 1-64 KiB)
+        ``compressed_nbytes([x], [r])`` — all a simulated message asks of the
+        codec: its payload's length and reconstruction — must stay under 0.85x
+        of ``compress_bytes`` + ``decompress_bytes``, the pair it replaces, and
+        under 1.4x of ``compress_bytes`` alone.  The best of 200 calls each,
+        taken in 40 spells of five, the three call kinds taking turns."""
         data = hotpath_field(n=16_384)
         codec = RESTORING_CODECS[codec_name]()
         restored = np.empty_like(data)
@@ -248,18 +244,20 @@ class TestRestoredOutParameter:
             {
                 "compress": lambda: codec.compress_bytes(data),
                 "decompress": lambda: codec.decompress_bytes(payload),
-                "both": lambda: codec.compress_bytes(data, restored=restored),
+                "nbytes": lambda: codec.compressed_nbytes([data], [restored]),
             },
             spells=40,
             per_spell=5,
         )
-        compress, decompress, both = best["compress"], best["decompress"], best["both"]
+        compress, decompress, nbytes = best["compress"], best["decompress"], best["nbytes"]
         print(f"\n{codec.name} at 16 384 values: compress {compress * 1e6:.0f} us, decompress "
-              f"{decompress * 1e6:.0f} us, compress with restored {both * 1e6:.0f} us "
-              f"({both / (compress + decompress):.2f}x of the pair, {both / compress:.2f}x of compress)")
+              f"{decompress * 1e6:.0f} us, compressed_nbytes {nbytes * 1e6:.0f} us "
+              f"({nbytes / (compress + decompress):.2f}x of the pair, "
+              f"{nbytes / compress:.2f}x of compress)")
+        assert codec.compressed_nbytes([data], [restored]) == [len(payload)]
         assert restored.tobytes() == codec.decompress_bytes(payload).tobytes()
-        assert both < 0.85 * (compress + decompress)
-        assert both < 1.4 * compress
+        assert nbytes < 0.85 * (compress + decompress)
+        assert nbytes < 1.4 * compress
 
 
 class TestCompressedNbytes:
@@ -286,10 +284,10 @@ class TestCompressedNbytes:
         arrays = [field[i * values : (i + 1) * values].copy() for i in range(batch)]
         restoreds = [np.empty_like(data) for data in arrays]
         codec = codec_type(error_bound=HOTPATH_EB)
-        expected = [codec.compress_bytes(data, out) for data, out in zip(arrays, restoreds)]
-        counted = [np.empty_like(data) for data in arrays]
-        assert codec.compressed_nbytes(arrays, counted) == [len(payload) for payload in expected]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(counted, restoreds))
+        expected = [codec.compress_bytes(data) for data in arrays]
+        assert codec.compressed_nbytes(arrays, restoreds) == [len(payload) for payload in expected]
+        for restored, payload in zip(restoreds, expected):
+            assert restored.tobytes() == codec.decompress_bytes(payload).tobytes()
 
         # each round times both back to back and keeps their ratio, so a slow
         # spell of a shared host slows both sides of the rounds it covers
@@ -339,7 +337,11 @@ class TestBitpackPrimitives:
         random per-row widths.  What the wrappers add is placing each row at
         its cursor: with one index per row the round trip measured 1.04-1.22x
         its kernels at the SZx shape and 1.27-1.35x at the ZFP one; one index
-        per byte measured 1.80-2.17x and 1.67-1.86x.  The bar is 1.5x."""
+        per byte measured 1.80-2.17x and 1.67-1.86x.  The bar is 1.5x.
+
+        What this guards is ``compress_bytes`` / ``decompress_bytes`` alone:
+        Table I, the codec API and the ledger's ``codec_*`` rows.  No
+        simulation runs that path (``compressed_nbytes`` packs nothing)."""
         rng = np.random.default_rng(5)
         nbits = rng.integers(widths[0], widths[1] + 1, size=n_rows).astype(np.int64)
         values = (
@@ -388,7 +390,11 @@ class TestBitpackPrimitives:
         the best of 40 round trips each, taken in eight spells of five after a
         warm-up, all in one process, so no wall-clock threshold.  Width 8,
         whose packed row is the values themselves, is no per-bit work in
-        either and is left out.  The bar is 0.6x."""
+        either and is left out.  The bar is 0.6x.
+
+        What this guards is ``compress_bytes`` / ``decompress_bytes`` alone:
+        Table I, the codec API and the ledger's ``codec_*`` rows.  No
+        simulation runs that path (``compressed_nbytes`` packs nothing)."""
         rng = np.random.default_rng(5)
         nbits = rng.integers(widths[0], widths[1] + 1, size=n_rows).astype(np.int64)
         values = (

@@ -26,14 +26,16 @@ payload:
   The network is charged for a payload's length and the ranks compute with
   what it decodes to; nothing reads the bytes in between.  So
   :meth:`CompressionAdapter.compress` asks the codec for exactly those two
-  (``Compressor.compressed_nbytes``, whose lengths equal
-  ``len(compress_bytes(data))`` and whose ``restored`` out-parameter is byte
-  for byte the array ``decompress_bytes(payload)`` returns), as a batch of
-  one after the validation ``Compressor.compress`` makes, and stores them on
-  the message as :attr:`CompressedMessage.real_nbytes` and
-  :attr:`CompressedMessage.decoded`.  SZx and PIPE-SZx count a length from
-  the bit widths their quantisation settles, so they skip the bit-packing
-  and the payload framing altogether.  Messages travel by
+  through ``Compressor.compressed_nbytes``, a codec's one route to a
+  reconstruction: its lengths equal ``len(compress_bytes(data))`` and the
+  ``restoreds`` it fills are byte for byte the arrays
+  ``decompress_bytes(payload)`` returns.  It asks as a batch of one after the
+  validation ``Compressor.compress`` makes, and stores the two on the message
+  as :attr:`CompressedMessage.real_nbytes` and
+  :attr:`CompressedMessage.decoded`.  Every codec counts a length from what
+  its quantisation settles (the bit widths for SZx, PIPE-SZx and ZFP ABS, the
+  block geometry for ZFP FXR, the size for ``null``), so none packs bits or
+  frames a payload.  Messages travel by
   reference, so the sender, the one receiver of a reduce-scatter chunk and the
   N-1 receivers of an allgather block or a broadcast buffer all hold the same
   array, for exactly as long as the message lives.  That is why it is
@@ -45,8 +47,9 @@ payload:
   caller owns, for programs that return what they received as their value.
   The real encoders and decoders stay honest through the codec tests (the
   length differential of ``compressed_nbytes`` against ``compress_bytes``
-  among them) and the fuzzer's ``codec_roundtrip`` audit, which compares the
-  decoders with ``restored`` bytewise.
+  among them) and the fuzzer's ``codec_roundtrip`` audit, which holds
+  ``compressed_nbytes`` to ``compress_bytes`` + ``decompress_bytes``, length
+  and bytes.
 * **A ring round is one codec call, and a rank finds its round by a byte
   compare.**  The values of C-Coll's ring never depend on timing: round ``k``
   of rank ``r`` compresses its own chunk plus what round ``k - 1`` of rank

@@ -5,8 +5,9 @@ Every compressor turns a flat float array into a *self-describing* byte string
 :class:`CompressedBuffer` wrapper carries the byte payload together with
 bookkeeping used by the harness (original size, ratio, the codec that produced
 it).  The simulated MPI network never carries the bytes: a simulated message
-needs only the payload's length and reconstruction
-(:meth:`Compressor.compressed_nbytes`).
+needs only the payload's length and reconstruction, and
+:meth:`Compressor.compressed_nbytes` is the one call that produces a
+reconstruction without decoding.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def check_compressible(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 
 def check_restored(data: np.ndarray, restored: Optional[np.ndarray]) -> None:
-    """Reject a ``restored`` out-parameter that cannot receive ``data``'s reconstruction.
+    """Reject a ``restored`` array that cannot receive ``data``'s reconstruction.
 
-    Every ``compress_bytes`` calls this before any work: the codecs fill
+    Every ``compressed_nbytes`` calls this before any work: the codecs fill
     ``restored`` through reshaped views, which only write through to a
     writable, contiguous 1-D array of ``data``'s size and dtype.
     """
@@ -120,23 +121,15 @@ class Compressor(abc.ABC):
     """Abstract base class for all codecs.
 
     Subclasses implement :meth:`compress_bytes` / :meth:`decompress_bytes` on
-    self-describing byte strings; the public :meth:`compress` /
-    :meth:`decompress` wrappers add validation and the
+    self-describing byte strings, and :meth:`compressed_nbytes`; the public
+    :meth:`compress` / :meth:`decompress` wrappers add validation and the
     :class:`CompressedBuffer` bookkeeping.
-
-    ``restored`` is an out-parameter of both compress calls: a writable,
-    contiguous 1-D array of the data's size and dtype that the codec fills
-    with exactly the array :meth:`decompress_bytes` would return for the
-    payload — same dtype, same bytes.  An encoder holds its reconstruction as
-    a by-product, so a caller that needs both sides of the round trip (the
-    simulated collectives) asks for it here instead of decoding the bytes it
-    was just handed.  It selects an extra output, never a behaviour: the
-    payload is the same with or without it, and anything else than such an
-    array is a ``ValueError`` before any work.
 
     A simulated message needs a payload's length and its reconstruction, never
     its bytes, so :meth:`compressed_nbytes` returns exactly those for a batch
-    of arrays; the simulated collectives compress through it alone.
+    of arrays and packs nothing; the simulated collectives compress through it
+    alone.  It is a codec's one route to a reconstruction besides its decoder,
+    built from the quants its quantisation settles.
     """
 
     #: short identifier used by the registry and in harness tables
@@ -145,46 +138,32 @@ class Compressor(abc.ABC):
     error_bounded: bool = False
 
     @abc.abstractmethod
-    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
-        """Compress a validated 1-D float array into a self-describing payload
-        and, when ``restored`` is given, fill it with what the payload decodes to.
-
-        Every codec fills ``restored`` from its encoder — SZx and PIPE-SZx
-        from the quants and mediums they pack, ZFP from the quants it packs
-        through the same inverse transform its decoder runs, ``null`` with
-        the data — and never runs its decoder to do it."""
+    def compress_bytes(self, data: np.ndarray) -> bytes:
+        """Compress a validated 1-D float array into a self-describing payload."""
 
     @abc.abstractmethod
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array from a payload produced by :meth:`compress_bytes`."""
 
+    @abc.abstractmethod
     def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
     ) -> List[int]:
         """The length of :meth:`compress_bytes` of every array, filling the
-        ``restored`` of the same index.
+        ``restored`` of the same index with what that payload decodes to.
 
-        Length ``i`` equals ``len(compress_bytes(arrays[i], restoreds[i]))``,
-        ``restoreds[i]`` is filled as that call fills it, and an input that call
-        refuses raises what it raises.  This loop is the definition, which ZFP
-        and ``null`` keep; SZx and PIPE-SZx run the whole batch through one
-        kernel pass that packs nothing, since a length follows from the bit
-        widths alone.
+        Length ``i`` equals ``len(compress_bytes(arrays[i]))``, ``restoreds[i]``
+        is filled with ``decompress_bytes`` of that payload byte for byte (same
+        dtype, signs of zero and float32 rounding included) without running the
+        decoder, and an input ``compress_bytes`` refuses raises what it raises.
+        Every ``restoreds[i]`` goes through :func:`check_restored` before any
+        work.
         """
-        return [
-            len(self.compress_bytes(data, restored)) for data, restored in zip(arrays, restoreds)
-        ]
 
-    def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
+    def compress(self, data) -> CompressedBuffer:
         """Validate ``data`` and compress it, returning a :class:`CompressedBuffer`."""
         arr = check_compressible(data)
-        payload = self.compress_bytes(arr, restored)
-        return CompressedBuffer(
-            payload=payload,
-            original_count=arr.size,
-            original_dtype=arr.dtype,
-            codec=self.name,
-        )
+        return CompressedBuffer(self.compress_bytes(arr), arr.size, arr.dtype, self.name)
 
     def decompress(self, compressed) -> np.ndarray:
         """Decompress either a :class:`CompressedBuffer` or a raw payload."""

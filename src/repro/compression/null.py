@@ -8,7 +8,7 @@ same code paths as the real codecs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Sequence
 
 import numpy as np
 
@@ -27,12 +27,18 @@ class NullCompressor(Compressor):
     name = "null"
     error_bounded = True  # trivially: the error is exactly zero
 
-    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
-        check_restored(data, restored)
-        if restored is not None:
-            restored[...] = data
+    def compress_bytes(self, data: np.ndarray) -> bytes:
         header = PayloadHeader(magic=_MAGIC, dtype=data.dtype, count=data.size, param=0.0)
         return header.pack() + data.tobytes()
+
+    def compressed_nbytes(
+        self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
+    ) -> List[int]:
+        for data, restored in zip(arrays, restoreds):
+            check_restored(data, restored)
+        for data, restored in zip(arrays, restoreds):
+            restored[...] = data
+        return [PayloadHeader.SIZE + data.nbytes for data in arrays]
 
     def decompress_bytes(self, payload: bytes) -> np.ndarray:
         header = PayloadHeader.unpack(payload, _MAGIC)

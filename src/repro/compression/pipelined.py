@@ -37,17 +37,13 @@ which makes plain SZx the per-chunk oracle PIPE-SZx is tested against.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from itertools import accumulate
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.compression.base import (
-    CompressedBuffer,
-    Compressor,
-    check_compressible,
-    check_restored,
-)
+from repro.compression.base import CompressedBuffer, Compressor, check_compressible
 from repro.compression.errors import DecompressionError
 from repro.compression.header import PayloadHeader
 from repro.compression.szx import (
@@ -100,30 +96,23 @@ class PipelinedSZx(Compressor):
     def describe(self) -> dict:
         return {"name": self.name, "error_bounded": True, "error_bound": self.error_bound}
 
-    def compress(self, data, restored: Optional[np.ndarray] = None) -> CompressedBuffer:
+    def compress(self, data) -> CompressedBuffer:
         # compress_bytes is itself called with unvalidated buffers and checks
         # them; the base wrapper's own finiteness pass would be a second one
         arr = ensure_1d_float_array(data)
-        return CompressedBuffer(
-            payload=self.compress_bytes(arr, restored),
-            original_count=arr.size,
-            original_dtype=arr.dtype,
-            codec=self.name,
-        )
+        return CompressedBuffer(self.compress_bytes(arr), arr.size, arr.dtype, self.name)
 
-    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
+    def compress_bytes(self, data: np.ndarray) -> bytes:
         arr = check_compressible(data)
-        check_restored(arr, restored)
         lens = _chunk_lens(arr.size, self.chunk_elems)
-        payloads = compress_chunks(arr, lens, self.block_size, self.error_bound, restored)
+        payloads = compress_chunks(arr, lens, self.block_size, self.error_bound)
         return self._frame(payloads, arr.size, arr.dtype)
 
     def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
     ) -> List[int]:
-        total, chunks = batch_nbytes(
-            self, arrays, restoreds, lambda count: _chunk_lens(count, self.chunk_elems)
-        )
+        lens_of = partial(_chunk_lens, chunk_elems=self.chunk_elems)
+        total, chunks = batch_nbytes(self, arrays, restoreds, lens_of, check_compressible)
         # the header, the index's own header and one u32 size per chunk
         return (total + _FRONT + 4 * chunks).tolist()
 

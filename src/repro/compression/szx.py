@@ -68,14 +68,15 @@ times:
   lengths need not be a multiple of the block size, nor block counts a
   multiple of 8.  A run of equal-length chunks is filled with one reshape, so
   a one-shot call costs no more than the uniform grid it generalises;
-* min/max, medium, classification, quantisation and bit widths run over
-  that matrix in one go (``_quantise``, the step both tails share: it raises
-  every refusal and fills ``restored``).  The matrix is quantised in place,
-  every row: a constant block's offsets are within the bound, so its quants
-  are 0 and are simply not packed.  A row's width needs no pass over the
-  row: subtraction, division and ``rint`` are monotone, so its quants lie
-  between ``rint(row_min / step)`` and ``rint(row_max / step)``, and the
-  widest zigzag code is that of one of the two;
+* min/max, medium, classification, quantisation and bit widths run over that
+  matrix in one go (``_quantise``, the step both tails share: it raises every
+  refusal and, for the counting tail alone, fills ``restored``).  The matrix
+  is quantised in place, every row: a constant block's offsets are within the
+  bound, so its quants are 0 and are simply not packed.  A row's width needs
+  no pass over the row: subtraction, division and ``rint`` are monotone, so
+  its quants lie between ``rint(row_min / step)`` and
+  ``rint(row_max / step)``, and the widest zigzag code is that of one of the
+  two;
 * *packing and cutting* (:func:`compress_chunks`): the non-constant rows are
   zigzag-encoded and ``pack_width_classes`` packs them (rows are
   byte-aligned, so the packed region of chunk ``i`` is a contiguous slice of
@@ -87,12 +88,13 @@ times:
   widths fix, so a chunk of ``per`` blocks is ``_META_OFFSET + ceil(per / 8) +
   4 * per`` bytes plus, per non-constant block, one width byte and
   ``row_nbytes(block, nbits)``.  Nothing is packed: this is all a simulated
-  message needs of its payload, besides ``restored``.
+  message needs of its payload, besides its reconstruction.
 
 Every data-dependent refusal of the kernel (the float32 anchor range, the
 quantised width) is a maximum over blocks, so a batch is refused exactly when
-one of its inputs would be on its own; ``compressed_nbytes`` then re-runs the
-inputs one by one to raise what that input raises.
+one of its inputs would be on its own; ``compressed_nbytes`` then re-runs
+:func:`chunk_nbytes` on the inputs one by one to raise what the first refused
+input raises.
 
 Decompression walks the chunk fronts once (every header and length is checked
 there, before any array is sized from it), concatenates the same four slices
@@ -101,22 +103,22 @@ pass and drops each chunk's padding while casting to the output dtype.  The
 bytes equal compressing every chunk on its own, which is how the per-chunk
 generators of :mod:`repro.compression.pipelined` serve as the oracle.
 
-*The reconstruction is a by-product of encoding.*  Past the bit-unpacking, the
-decoder needs exactly three things — the signed quants, the float32 mediums and
-the constant mask — and the encoder holds all three before it packs a byte.
-The last two steps of decoding are therefore one helper pair, ``_dequantise``
-(``medium + quant * step`` into the block matrix) and ``_unpad`` (drop every
-chunk's padding, cast to the output dtype), that both directions call:
-:func:`decompress_chunks` on what it unpacked, :func:`compress_chunks` — when
-handed the ``restored`` out-parameter of
-:meth:`~repro.compression.base.Compressor.compress_bytes` — on what it is
-about to pack, dequantised in place into the block matrix it has finished
-with.  ``restored`` then equals the decode byte for byte (``-0.0``
-mediums, float32 rounding and per-chunk padding included) by construction, at
-a fraction of what un-bit-packing the same quants back out of the payload
-costs; ``tests/compression/test_restored.py`` is the differential.  A batch
-(``batch_nbytes``) restores into its own concatenated input, which the
-kernel has read whole by then, so filling ``restoreds`` costs no buffer.
+*The reconstruction comes from the counting tail.*  Past the bit-unpacking,
+the decoder needs exactly three things — the signed quants, the float32
+mediums and the constant mask — and the quantisation holds all three before
+anything is packed.  The last two steps of decoding are therefore one helper
+pair, ``_dequantise`` (``medium + quant * step`` into the block matrix) and
+``_unpad`` (drop every chunk's padding, cast to the output dtype), that both
+directions call: :func:`decompress_chunks` on what it unpacked,
+:func:`chunk_nbytes` on what it counted, dequantised in place into the block
+matrix the quantisation has finished with.  :func:`compress_chunks` never
+restores.  The reconstruction a ``compressed_nbytes`` call fills then equals
+the decode byte for byte (``-0.0`` mediums, float32 rounding and per-chunk
+padding included) by construction, at a fraction of what un-bit-packing the
+same quants back out of a payload costs;
+``tests/compression/test_compressed_nbytes.py`` is the differential.  A batch
+(``batch_nbytes``) restores into its own concatenated input, which the kernel
+has read whole by then, so filling ``restoreds`` costs no buffer.
 """
 
 from __future__ import annotations
@@ -181,11 +183,10 @@ class SZxCompressor(Compressor):
 
     # ----------------------------------------------------------- compression
 
-    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
-        check_restored(data, restored)
+    def compress_bytes(self, data: np.ndarray) -> bytes:
         if data.size == 0:
             return _chunk_head(data.dtype, 0, self.error_bound, self.block_size)
-        return compress_chunks(data, [data.size], self.block_size, self.error_bound, restored)[0]
+        return compress_chunks(data, [data.size], self.block_size, self.error_bound)[0]
 
     def compressed_nbytes(
         self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
@@ -385,11 +386,7 @@ def _quantise(
 
 
 def compress_chunks(
-    data: np.ndarray,
-    chunk_lens: Sequence[int],
-    block: int,
-    eb: float,
-    restored: Optional[np.ndarray] = None,
+    data: np.ndarray, chunk_lens: Sequence[int], block: int, eb: float
 ) -> List[bytes]:
     """One SZx payload per chunk of ``data``, from a single pass.
 
@@ -397,14 +394,11 @@ def compress_chunks(
     ``chunk_lens`` values (each >= 1, summing to ``data.size``), and ``eb`` the
     resolved absolute error bound.  Element ``i`` of the result is
     byte-identical to compressing chunk ``i`` on its own (see "Chunked layout"
-    in the module docstring).  ``restored``, an array the caller has put
-    through :func:`~repro.compression.base.check_restored`, is filled with
-    what :func:`decompress_chunks` makes of the result; it may be ``data``
-    itself, which is read whole before ``restored`` is written.
+    in the module docstring).  It packs and never restores.
     """
     if data.size == 0:
         return []
-    runs, const_mask, medium, quants, nbits_arr = _quantise(data, chunk_lens, block, eb, restored)
+    runs, const_mask, medium, quants, nbits_arr = _quantise(data, chunk_lens, block, eb, None)
     if quants is None:  # every block constant: nothing to pack
         encoded = np.zeros((0, block), dtype=np.uint8)
     else:
@@ -441,19 +435,19 @@ def compress_chunks(
 
 
 def chunk_nbytes(
-    data: np.ndarray,
-    chunk_lens: Sequence[int],
-    block: int,
-    eb: float,
-    restored: Optional[np.ndarray] = None,
+    data: np.ndarray, chunk_lens: Sequence[int], block: int, eb: float, restored: np.ndarray
 ) -> np.ndarray:
     """The length of every payload :func:`compress_chunks` returns for the same
-    arguments, and the same ``restored``, with nothing packed.
+    arguments, with nothing packed, and ``restored`` filled with what
+    :func:`decompress_chunks` makes of those payloads.
 
-    A chunk of ``per`` blocks is its fixed-size front, ``ceil(per / 8)`` flag
-    bytes and a float32 medium per block, plus, per non-constant block, one
-    width byte and its packed row; so the length is a sum over the chunk's
-    blocks, taken from the widths the quantisation settled.
+    ``restored`` is an array the caller has put through
+    :func:`~repro.compression.base.check_restored`; it may be ``data`` itself,
+    which is read whole before ``restored`` is written.  A chunk of ``per``
+    blocks is its fixed-size front, ``ceil(per / 8)`` flag bytes and a float32
+    medium per block, plus, per non-constant block, one width byte and its
+    packed row; so the length is a sum over the chunk's blocks, taken from the
+    widths the quantisation settled.
     """
     if data.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -560,18 +554,20 @@ def batch_nbytes(
     arrays: Sequence[np.ndarray],
     restoreds: Sequence[np.ndarray],
     lens_of: Callable[[int], List[int]],
+    check: Callable[[np.ndarray], np.ndarray] = lambda data: data,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What ``codec.compressed_nbytes`` of SZx and PIPE-SZx frames: one kernel pass.
 
     The arrays go through :func:`chunk_nbytes` back to back, cut as
     ``lens_of(n)`` cuts an ``n``-value array (no chunk for an empty one), and
-    ``restoreds[i]`` is filled as ``codec.compress_bytes`` of ``arrays[i]``
-    fills it.  Returns, per array, the summed length of its chunk payloads and
-    its number of chunks; the codec adds its own framing.  Arrays of mixed
+    ``restoreds[i]`` is filled with the decode of ``codec.compress_bytes`` of
+    ``arrays[i]``.  Returns, per array, the summed length of its chunk payloads
+    and its number of chunks; the codec adds its own framing.  Arrays of mixed
     dtypes share the pass (a payload's length does not depend on its dtype, and
-    a float32 value is exact in float64), and a refused batch re-runs the
-    per-array loop to raise what the refused input raises (see "Chunked
-    layout" in the module docstring).
+    a float32 value is exact in float64).  A refused batch re-runs the inputs
+    one by one, each through ``check`` (what ``codec.compress_bytes`` checks
+    before the kernel) and :func:`chunk_nbytes`, to raise what the first
+    refused input raises alone (see "Chunked layout" in the module docstring).
     """
     for data, restored in zip(arrays, restoreds):
         check_restored(data, restored)
@@ -584,7 +580,10 @@ def batch_nbytes(
             values, [n for own in lens for n in own], codec.block_size, codec.error_bound, values
         )
     except CompressionError:
-        Compressor.compressed_nbytes(codec, arrays, restoreds)
+        for data, restored in zip(arrays, restoreds):
+            chunk_nbytes(
+                check(data), lens_of(data.size), codec.block_size, codec.error_bound, restored
+            )
         raise
     at = 0
     for restored in restoreds:

@@ -34,29 +34,26 @@ bit-for-bit those of the historical per-block loop (pinned by
   data-dependent, unbounded error — exactly the trade-off the paper exploits
   when comparing against fixed-rate baselines.
 
-*The reconstruction is a by-product of encoding*, as in
-:mod:`repro.compression.szx`.  Past the bit-unpacking, the decoder needs the
-signed quants, the step of every block (one step in ABS, one per block in FXR)
-and which blocks are all-zero — and the encoder holds all three before it
-packs a byte.  An all-zero block's quants are all 0, so dequantising every
-block the encoder quantised gives the decoder's coefficients by construction:
-``quant * step`` in float64 (FXR's per-block form, zero blocks left at 0, is
-``_dequantise_rows`` in both directions).  Both directions then end in
+*The reconstruction comes from the counting tail*, as in
+:mod:`repro.compression.szx`.  One quantise step (``_quantise``: every
+refusal, the forward transform, the quants and widths) feeds two tails:
+:meth:`ZFPCompressor.compress_bytes` packs and never restores, and
+:meth:`ZFPCompressor.compressed_nbytes` counts the length from the widths (ABS)
+or the geometry (FXR) and dequantises the quants.  An all-zero block's quants
+are all 0, so ``quant * step`` in float64 over every block (FXR's per-block
+form, zero blocks left at 0, is ``_dequantise_rows`` in both directions) gives
+the decoder's coefficients by construction, and both directions end in
 ``_reconstruct`` — the inverse Haar transform, its finest level written
-straight into the output dtype, padding dropped —
-:meth:`ZFPCompressor.decompress_bytes` on what it unpacked and
-:meth:`ZFPCompressor.compress_bytes`, when handed the ``restored``
-out-parameter, on what it is about to pack.  ``restored`` then equals the
-decode byte for byte at a fraction of what un-bit-packing the same quants back
-out of the payload costs; ``tests/compression/test_restored.py`` is the
-differential and ``tests/compression/test_zfp.py`` checks no decoder runs.
+straight into the output dtype, padding dropped.  The reconstruction equals
+the decode byte for byte with nothing packed or unpacked;
+``tests/compression/test_compressed_nbytes.py`` is the differential.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +77,8 @@ __all__ = ["ZFPCompressor", "MODE_ABS", "MODE_FXR", "DEFAULT_ZFP_BLOCK"]
 
 _MAGIC = b"ZFP1"
 _BODY_HEADER = struct.Struct("<BBHI")  # mode, reserved, block_size, n_blocks
+#: the bytes of a payload before its body
+_HEAD_SIZE = PayloadHeader.SIZE + _BODY_HEADER.size
 
 MODE_ABS = "abs"
 MODE_FXR = "fxr"
@@ -285,14 +284,38 @@ class ZFPCompressor(Compressor):
 
     # ----------------------------------------------------------- compression
 
-    def compress_bytes(self, data: np.ndarray, restored: Optional[np.ndarray] = None) -> bytes:
-        check_restored(data, restored)
+    def compress_bytes(self, data: np.ndarray) -> bytes:
         param = self.error_bound if self.mode == MODE_ABS else float(self.rate)
         header = PayloadHeader(magic=_MAGIC, dtype=data.dtype, count=data.size, param=param)
-        mode_code = 0 if self.mode == MODE_ABS else 1
+        n_blocks = -(-data.size // self.block_size)
+        mode_code = int(self.mode == MODE_FXR)
+        head = header.pack() + _BODY_HEADER.pack(mode_code, 0, self.block_size, n_blocks)
         if data.size == 0:
-            return header.pack() + _BODY_HEADER.pack(mode_code, 0, self.block_size, 0)
+            return head
+        coeffs, quantised = self._quantise(data)
+        if self.mode == MODE_ABS:
+            _, encoded, nbits_dc, nbits_det = quantised
+            body = self._pack_abs(encoded, nbits_dc, nbits_det)
+        else:
+            nonzero_idx, emax, _, quants = quantised
+            body = self._pack_fxr(len(coeffs), nonzero_idx, emax, quants)
+        return b"".join([head, *body])
 
+    def compressed_nbytes(
+        self, arrays: Sequence[np.ndarray], restoreds: Sequence[np.ndarray]
+    ) -> List[int]:
+        for data, restored in zip(arrays, restoreds):
+            check_restored(data, restored)
+        return [self._count(data, restored) for data, restored in zip(arrays, restoreds)]
+
+    def _quantise(self, data: np.ndarray) -> Tuple[np.ndarray, tuple]:
+        """The step both tails share: every refusal, the transform and the quants.
+
+        Returns the coefficient matrix, which the quantisation has finished
+        with (scratch of the block shape), and what the mode's tails take:
+        ``(quants, encoded, nbits_dc, nbits_det)`` in ABS mode,
+        ``(nonzero_idx, emax, steps, quants)`` in FXR mode.
+        """
         largest = max(float(data.max()), -float(data.min()))
         if not math.isfinite(largest):
             raise UnsupportedDataError(
@@ -313,20 +336,35 @@ class ZFPCompressor(Compressor):
             padded[data.size :] = data[-1]
             blocks = padded.reshape(n_blocks, block)
         coeffs = _haar_forward(blocks)
+        quantise = self._quantise_abs if self.mode == MODE_ABS else self._quantise_fxr
+        return coeffs, quantise(coeffs)
 
-        encode = self._compress_abs if self.mode == MODE_ABS else self._compress_fxr
-        parts, dequantised = encode(coeffs, restored is not None)
-        payload = b"".join(
-            [header.pack(), _BODY_HEADER.pack(mode_code, 0, block, n_blocks), *parts]
-        )
-        if restored is not None:
-            _reconstruct(dequantised, data.size, data.dtype, restored)
-        return payload
+    def _count(self, data: np.ndarray, restored: np.ndarray) -> int:
+        """``len(compress_bytes(data))`` with nothing packed, and ``restored``
+        filled with what that payload decodes to."""
+        if data.size == 0:
+            return _HEAD_SIZE
+        coeffs, quantised = self._quantise(data)
+        n_blocks = len(coeffs)
+        if self.mode == MODE_ABS:
+            quants, _, nbits_dc, nbits_det = quantised
+            # the zero flags, then per non-zero block two width bytes and its two
+            # rows: an all-zero block is the one whose rows are empty
+            rows = row_nbytes(1, nbits_dc) + row_nbytes(self.block_size - 1, nbits_det)
+            body = (n_blocks + 7) // 8 + 2 * int(np.count_nonzero(rows)) + int(rows.sum())
+            # an all-zero block's quants are all 0, so every block dequantises as
+            # the decoder's does: zero blocks to 0, the others to quants * step
+            step = self.error_bound / _ABS_MARGIN
+            coeffs = np.multiply(quants, step, out=coeffs, dtype=np.float64)
+        else:
+            nonzero_idx, _, steps, quants = quantised
+            body = n_blocks * self._block_bytes
+            coeffs = _dequantise_rows(quants, steps, nonzero_idx, n_blocks)
+        _reconstruct(coeffs, data.size, data.dtype, restored)
+        return _HEAD_SIZE + body
 
-    def _compress_abs(self, coeffs: np.ndarray, restore: bool) -> Tuple[list, Optional[np.ndarray]]:
-        """The body after the block header, as byte-like parts, and — when
-        ``restore`` — the coefficients the decoder will unpack.  Quantises
-        ``coeffs`` in place."""
+    def _quantise_abs(self, coeffs: np.ndarray) -> tuple:
+        """ABS mode of :meth:`_quantise`; quantises ``coeffs`` in place."""
         step = self.error_bound / _ABS_MARGIN
         max_abs = max(float(coeffs.max()), -float(coeffs.min()))
         # reject quants beyond int64 before casting: the width check below
@@ -352,37 +390,27 @@ class ZFPCompressor(Compressor):
                 "quantised coefficients exceed the supported width; the error bound "
                 f"({self.error_bound!r}) is too small relative to the data range"
             )
-        zero_mask = (nbits_dc == 0) & (nbits_det == 0)
-        # an all-zero block's quants are all 0, so every block dequantises as
-        # the decoder's does: zero blocks to 0, the others to quants * step
-        dequantised = np.multiply(quants, step, out=coeffs, dtype=np.float64) if restore else None
-        parts = [np.packbits(zero_mask)]
-        nonzero_idx = np.nonzero(~zero_mask)[0]
-        if not nonzero_idx.size:
-            return parts, dequantised
-        if nonzero_idx.size != len(encoded):
-            encoded = encoded[nonzero_idx]
-            nbits_dc = nbits_dc[nonzero_idx]
-            nbits_det = nbits_det[nonzero_idx]
-        meta = np.empty((nonzero_idx.size, 2), dtype=np.uint8)
-        meta[:, 0] = nbits_dc
-        meta[:, 1] = nbits_det
+        return quants, encoded, nbits_dc, nbits_det
+
+    @staticmethod
+    def _pack_abs(encoded, nbits_dc, nbits_det) -> list:
+        """The ABS body after the block header, as byte-like parts: the zero
+        flags, the widths of every non-zero block and its rows (an all-zero
+        block's rows are empty, so the packers skip it)."""
+        nonzero = (nbits_dc != 0) | (nbits_det != 0)
+        meta = np.stack([nbits_dc, nbits_det], axis=1).astype(np.uint8)[nonzero]
         dc_sizes = row_nbytes(1, nbits_dc)
-        det_sizes = row_nbytes(encoded.shape[1] - 1, nbits_det)
-        piece_sizes = dc_sizes + det_sizes
+        piece_sizes = dc_sizes + row_nbytes(encoded.shape[1] - 1, nbits_det)
         piece_starts = np.cumsum(piece_sizes) - piece_sizes
         total = int(piece_sizes.sum())
         region = np.zeros(total, dtype=np.uint8)
         pack_width_classes(encoded[:, :1], nbits_dc, piece_starts, total, out=region)
         pack_width_classes(encoded[:, 1:], nbits_det, piece_starts + dc_sizes, total, out=region)
-        parts += [meta, region]
-        return parts, dequantised
+        return [np.packbits(~nonzero), meta, region]
 
-    def _compress_fxr(self, coeffs: np.ndarray, restore: bool) -> Tuple[list, Optional[np.ndarray]]:
-        """As :meth:`_compress_abs`, for the fixed-rate body."""
-        block = self.block_size
+    def _quantise_fxr(self, coeffs: np.ndarray) -> tuple:
+        """FXR mode of :meth:`_quantise`; overwrites ``coeffs``."""
         coef_bits = self._coef_bits
-        block_bytes = self._block_bytes
         n_blocks = coeffs.shape[0]
         # each block's largest magnitude by pairwise halving of the flat
         # magnitudes (a block is a power of two long, so no pair straddles
@@ -391,13 +419,7 @@ class ZFPCompressor(Compressor):
         max_abs = np.abs(coeffs).ravel()
         while max_abs.size > n_blocks:
             max_abs = np.maximum(max_abs[0::2], max_abs[1::2])
-        zero_mask = max_abs == 0.0
-        nonzero_idx = np.nonzero(~zero_mask)[0]
-
-        chunks = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
-        chunks[zero_mask, 0] = _FXR_ZERO_EXPONENT & 0xFF
-        if not nonzero_idx.size:
-            return [chunks], (np.zeros(coeffs.shape) if restore else None)
+        nonzero_idx = np.nonzero(max_abs != 0.0)[0]
         if not np.isfinite(max_abs[nonzero_idx]).all():
             # the scalar loop failed loudly on int(ceil(log2(inf/nan)));
             # keep non-finite input an error, not a corrupt payload
@@ -406,7 +428,6 @@ class ZFPCompressor(Compressor):
                 "requires finite input data"
             )
         emax = np.clip(_ceil_log2(max_abs[nonzero_idx]), -127, 127)
-        chunks[nonzero_idx, 0] = (emax & 0xFF).astype(np.uint8)
         # step chosen so the largest coefficient fits in coef_bits signed bits
         denom = float(2 ** (coef_bits - 1) - 1) if coef_bits > 1 else 1.0
         steps = (np.ldexp(1.0, emax.astype(np.int32)) / denom)[:, None]
@@ -431,12 +452,18 @@ class ZFPCompressor(Compressor):
             np.clip(scaled, -fbound, fbound, out=scaled)
             q = scaled.astype(np.int64)
             np.clip(q, -limit, limit, out=q)
-        blob = pack_uint_bits_rows(zigzag_encode(q), coef_bits)
-        per_row = int(row_nbytes(block, coef_bits))
+        return nonzero_idx, emax, steps, q
+
+    def _pack_fxr(self, n_blocks, nonzero_idx, emax, quants) -> list:
+        """The FXR body after the block header: one fixed-size row per block."""
+        chunks = np.zeros((n_blocks, self._block_bytes), dtype=np.uint8)
+        chunks[:, 0] = _FXR_ZERO_EXPONENT & 0xFF
+        chunks[nonzero_idx, 0] = (emax & 0xFF).astype(np.uint8)
+        blob = pack_uint_bits_rows(zigzag_encode(quants), self._coef_bits)
+        per_row = int(row_nbytes(self.block_size, self._coef_bits))
         packed = np.frombuffer(blob, dtype=np.uint8).reshape(nonzero_idx.size, per_row)
         chunks[nonzero_idx, 1 : 1 + per_row] = packed
-        dequantised = _dequantise_rows(q, steps, nonzero_idx, n_blocks) if restore else None
-        return [chunks], dequantised
+        return [chunks]
 
     # --------------------------------------------------------- decompression
 

@@ -24,9 +24,11 @@ that applies to that scenario:
     Executing the same scenario twice from freshly built sessions yields the
     same makespan, the same bytes-sent counter and bit-identical values.
 ``codec_roundtrip``
-    For error-bounded codecs, the configured codec round-trips the rank-0
-    payload within its effective bound (checked outside the collective, so a
-    values failure can be attributed to the schedule vs the codec).
+    The configured codec round-trips the rank-0 payload, within its effective
+    bound for error-bounded codecs (checked outside the collective, so a
+    values failure can be attributed to the schedule vs the codec), and
+    ``compressed_nbytes`` — what the simulations run — gives that payload's
+    length and its decode, byte for byte, for every codec, ``zfp_fxr`` too.
 
 Results are plain dicts (JSONL-ready) keyed by a deterministic ``run_id``
 derived from the scenario's canonical JSON — replaying a run id re-executes
@@ -473,38 +475,34 @@ def execute(scenario: Scenario) -> Dict[str, object]:
 def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
     """Round-trip the rank-0 payload through the configured codec.
 
-    The simulations compute with the reconstruction the encoder hands out
-    (``restored``) and never run the decoder, so the audit also holds the two
-    to each other: the decode of the payload must be that array, byte for byte.
+    The simulations charge a message what ``compressed_nbytes`` counts and
+    compute with what it fills, so the audit holds that path to the real one:
+    ``len(payload)`` and the decode of the payload, byte for byte.
     """
-    if scenario.compression == "off" or scenario.codec == "zfp_fxr":
+    if scenario.compression == "off":
         return None
     codec = build_cluster(scenario).config.make_codec()
     data = make_inputs(scenario)[0]
-    from_encoder = np.empty_like(data)
+    simulated = np.empty_like(data)
+
+    def problem(detail: str) -> Dict[str, str]:
+        return {"invariant": "codec_roundtrip", "detail": detail}
+
     try:
-        restored = codec.decompress_bytes(codec.compress_bytes(data, restored=from_encoder))
+        payload = codec.compress_bytes(data)
+        restored = codec.decompress_bytes(payload)
+        (nbytes,) = codec.compressed_nbytes([data], [simulated])
     except Exception as exc:  # noqa: BLE001
-        return {
-            "invariant": "codec_roundtrip",
-            "detail": f"round-trip raised {type(exc).__name__}: {exc}",
-        }
+        return problem(f"round-trip raised {type(exc).__name__}: {exc}")
     if restored.shape != data.shape or restored.dtype != data.dtype:
-        return {
-            "invariant": "codec_roundtrip",
-            "detail": f"round-trip changed shape/dtype to {restored.shape}/{restored.dtype}",
-        }
-    if restored.tobytes() != from_encoder.tobytes():
-        return {
-            "invariant": "codec_roundtrip",
-            "detail": "the encoder's restored array differs from the decode of its payload",
-        }
-    if data.size:
+        return problem(f"round-trip changed shape/dtype to {restored.shape}/{restored.dtype}")
+    if nbytes != len(payload):
+        return problem(f"compressed_nbytes counts {nbytes} bytes of a {len(payload)}-byte payload")
+    if simulated.tobytes() != restored.tobytes():
+        return problem("the reconstruction compressed_nbytes fills differs from the decode")
+    if data.size and scenario.codec != "zfp_fxr":  # fixed-rate: no bound to hold
         bound = float(codec.error_bound)
         err = float(np.max(np.abs(restored.astype(np.float64) - data.astype(np.float64))))
         if not err <= bound + rounding_margin(data, bound):
-            return {
-                "invariant": "codec_roundtrip",
-                "detail": f"max round-trip error {err:.6g} exceeds bound {bound:.6g}",
-            }
+            return problem(f"max round-trip error {err:.6g} exceeds bound {bound:.6g}")
     return None

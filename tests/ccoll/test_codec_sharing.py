@@ -12,7 +12,7 @@ import pytest
 from repro.api import Cluster
 from repro.ccoll import CCollConfig
 from repro.ccoll.adapter import CodecTape
-from repro.compression import PipelinedSZx, SZxCompressor
+from repro.compression import PipelinedSZx, SZxCompressor, ZFPCompressor
 from repro.compression.errors import CompressionError, UnsupportedDataError
 from repro.workload import CollectiveCall, JobSpec, WorkloadEngine
 
@@ -45,15 +45,16 @@ class TestSharedEndpointDecode:
 
     def test_no_simulation_packs_a_payload(self, codec_calls, monkeypatch):
         """A message carries its payload's length and reconstruction, never its
-        bytes, so neither SZx nor PIPE-SZx packs one: not in an allreduce ``off``,
+        bytes, so no codec packs one: not SZx or PIPE-SZx in an allreduce ``off``,
         ``on`` (PIPE-SZx reduce-scatter, SZx allgather) or ``auto`` (the leader
         ring), nor in a workload run with baselines, whose bcast roots compress
-        on their own (a batch of one) and whose baselines replay a tape."""
+        on their own (a batch of one) and whose baselines replay a tape; and not
+        ZFP ABS or FXR in a C-Coll ``on`` allgather or a CPR-P2P ``di`` ring."""
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError(f"a simulation packed a {self.name} payload")
 
-        for codec in (SZxCompressor, PipelinedSZx):
+        for codec in (SZxCompressor, PipelinedSZx, ZFPCompressor):
             monkeypatch.setattr(codec, "compress_bytes", forbidden)
         comm = Cluster.from_preset("fat_tree", ranks_per_node=2).communicator(8)
         rng = np.random.default_rng(6)
@@ -69,6 +70,10 @@ class TestSharedEndpointDecode:
         report = WorkloadEngine(cluster, policy="packed").run([spec], baseline=True)
         assert report.records[0].isolated is not None
         assert codec_calls["compress"] == 2 and codec_calls["compressed_nbytes"] > 0
+        for name in ("zfp_abs", "zfp_fxr"):
+            comm = Cluster(config=CCollConfig(codec=name)).communicator(8)
+            for mode in ("on", "di"):
+                comm.allreduce(inputs, compression=mode)
 
     @pytest.mark.parametrize("mode", ["on", "di"])
     @pytest.mark.parametrize("op", ["bcast", "allgather", "allreduce", "scatter"])

@@ -1,23 +1,30 @@
-"""``compressed_nbytes`` against one ``compress_bytes`` call per array: the length
-differential.
+"""``compressed_nbytes`` against ``compress_bytes`` and ``decompress_bytes``: the
+one differential between a simulated message and a real payload.
 
 A simulated message carries its payload's length and its reconstruction, never
-its bytes, so the batch call must return ``len(compress_bytes(data))`` for every
-input and fill every ``restored`` byte for byte as that call does.  SZx and
-PIPE-SZx count a batch in one pass of the chunked kernel that packs nothing
-(every input's chunks back to back); ZFP and ``null`` go through the base
-class's loop.  An input ``compress_bytes`` refuses must raise the same error,
-class and text, from the batch.  Block and chunk sizes other than the codecs'
-go through the kernel with explicit lengths and block size, and through codec
-subclasses whose class constants are those sizes.
+its bytes, and the simulated collectives compute with that reconstruction
+without running the decoder.  So the batch call must return
+``len(compress_bytes(data))`` for every input and fill every ``restored`` with
+``decompress_bytes(compress_bytes(data))`` byte for byte: same dtype, signs of
+zero and float32 rounding included.  SZx and PIPE-SZx count a batch in one
+pass of the chunked kernel that packs nothing (every input's chunks back to
+back); ZFP counts each input from its widths (ABS) or its geometry (FXR), and
+``null`` from its size.  An input ``compress_bytes`` refuses must raise the
+same error, class and text, from the batch.  Block and chunk sizes other than
+the codecs' go through the kernel with explicit lengths and block size, and
+through codec subclasses whose class constants are those sizes.
 
-Each of these mutants of the length tail fails here (checked on a copy of the
-kernel): the flag bytes off by one (``(per + 8) // 8`` or ``per // 8``), a
+Each of these mutants of the length tails fails here (checked on a copy of the
+codecs): the flag bytes off by one (``(per + 8) // 8`` or ``per // 8``), a
 dropped width byte (``row_nbytes`` without the ``1 +``), a medium of fewer than
 4 bytes, PIPE-SZx's index one size short or without its own header, an empty
 SZx payload counted as 0 bytes, a batch that skips copying its reconstruction
-back or copies it from the wrong offset, and a refused batch that raises the
-kernel's error instead of re-running the inputs one by one.
+back or copies it from the wrong offset, a refused batch that raises the
+kernel's error instead of re-running the inputs one by one, PIPE-SZx's re-run
+without its finiteness check; ZFP-ABS's zero flags off by one, one width byte
+per block or 16-value detail rows, ZFP-FXR's blocks a byte short, ZFP-ABS
+dequantising without its margin, ZFP without ``check_restored``, and
+``null`` without its header.
 """
 
 import functools
@@ -35,7 +42,7 @@ SIZES = (0, 1, 127, 129, 192, 5_120, 5_121, 15_552)
 
 #: (block size, chunk length; ``None``: an input is one chunk) of the kernel
 #: geometries no codec constructor takes
-GEOMETRIES = {"szx_block50": (50, None), "pipe_300_64": (64, 300)}
+GEOMETRIES = {"szx_block50": (50, None), "pipe_300_64": (64, 300), "pipe_1000_128": (128, 1000)}
 
 
 def _at_geometry(name: str):
@@ -60,8 +67,16 @@ ONE_PASS = ("szx_abs", "pipe_5120_128", *GEOMETRIES)
 
 
 def _field(kind: str, n: int, dtype, rng: np.random.Generator) -> np.ndarray:
-    if kind == "sine_noise":
+    if kind in ("sine_noise", "zero_heavy", "half_constant"):
         values = np.sin(np.linspace(0.0, 20.0, n)) + 0.05 * rng.standard_normal(n)
+        if kind == "zero_heavy":  # runs of all-zero blocks between noisy ones
+            values = np.where((np.arange(n) // 40) % 3 == 0, values, 0.0)
+        elif kind == "half_constant":
+            values[: n // 2] = 1.0
+    elif kind == "sparse":  # zero and non-zero blocks side by side: ZFP's zero-fill and scatter
+        values = np.where(np.arange(n) % 50 == 7, 5.0 * rng.standard_normal(n), 0.0)
+    elif kind == "signed_zeros":
+        values = np.where(rng.integers(0, 2, n) == 1, -0.0, 0.0)
     elif kind == "constant":
         values = np.full(n, 3.25)
     elif kind == "partly_constant":  # runs of flat blocks between noisy ones
@@ -71,12 +86,20 @@ def _field(kind: str, n: int, dtype, rng: np.random.Generator) -> np.ndarray:
     elif kind == "one_sided":  # blocks ~2**20 from zero, spread within one float32 step
         sign = np.where(np.arange(n) // 1_000 % 2, -1.0, 1.0)
         values = sign * (2.0**20 + rng.uniform(0.001, 0.016, n))
-    else:  # float32 subnormal steps below zero, or -0.0
+    else:
+        # one float32 subnormal step below zero, or -0.0: a block's midpoint is half
+        # a step, which the float32 medium rounds to -0.0.  Under a bound scaled to
+        # the value range those blocks are non-constant, and a zero quant on a -0.0
+        # medium decodes to +0.0 only because the quant is an integer (a float rint
+        # keeps the sign)
         values = -float(np.finfo(np.float32).smallest_subnormal) * rng.integers(0, 2, n)
     return values.astype(dtype)
 
 
-KINDS = ("sine_noise", "constant", "partly_constant", "wide_range", "one_sided", "denormals")
+KINDS = (
+    "sine_noise", "constant", "partly_constant", "wide_range", "one_sided", "denormals",
+    "signed_zeros", "sparse", "zero_heavy", "half_constant",
+)  # fmt: skip
 
 
 def _batch(dtype, seed: int = 2024):
@@ -86,21 +109,21 @@ def _batch(dtype, seed: int = 2024):
 
 
 def _one_by_one(codec, arrays):
-    restoreds = [np.full(data.size, np.nan, dtype=data.dtype) for data in arrays]
-    payloads = [codec.compress_bytes(data, restored) for data, restored in zip(arrays, restoreds)]
-    return payloads, restoreds
+    """Every array's payload, made on its own, and what that payload decodes to."""
+    payloads = [codec.compress_bytes(data) for data in arrays]
+    return payloads, [codec.decompress_bytes(payload) for payload in payloads]
 
 
 def _assert_same_as_one_by_one(codec, arrays):
-    expected, expected_restored = _one_by_one(codec, arrays)
+    expected, decoded = _one_by_one(codec, arrays)
     restoreds = [np.full(data.size, np.nan, dtype=data.dtype) for data in arrays]
     sizes = codec.compressed_nbytes(arrays, restoreds)
     assert sizes == [len(payload) for payload in expected]
     assert all(type(size) is int for size in sizes)
     for index, (data, restored) in enumerate(zip(arrays, restoreds)):
         case = (index, data.size, data.dtype.name)
-        assert restored.dtype == data.dtype, case
-        assert restored.tobytes() == expected_restored[index].tobytes(), case
+        assert restored.dtype == decoded[index].dtype == data.dtype, case
+        assert restored.tobytes() == decoded[index].tobytes(), case
 
 
 def test_a_one_sided_block_has_its_medium_outside_its_range():
@@ -134,7 +157,7 @@ def test_a_width_is_that_of_the_widest_zigzag_code_in_its_row(dtype, block):
 def test_a_batch_is_its_inputs_compressed_one_by_one(codec_name, dtype):
     codec = CODECS[codec_name]()
     arrays = _batch(dtype)
-    _assert_same_as_one_by_one(codec, arrays)  # the whole batch, 48 inputs
+    _assert_same_as_one_by_one(codec, arrays)  # the whole batch, 80 inputs
     _assert_same_as_one_by_one(codec, arrays[::-1][:7])  # another order, another mix
     for data in arrays[::3]:
         _assert_same_as_one_by_one(codec, [data])  # a batch of one, as a rank compresses
@@ -156,11 +179,20 @@ def test_a_batch_of_mixed_dtypes_is_still_exact(codec_name):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_a_range_scaled_bound_is_still_exact(dtype):
+    """A relative bound resolved by the caller (``1e-3 * value range``, as Figs.
+    14-15 do): the denormal fields' blocks turn non-constant on -0.0 mediums."""
+    for data in _batch(dtype):
+        value_range = float(np.max(data)) - float(np.min(data)) if data.size else 0.0
+        _assert_same_as_one_by_one(SZxCompressor(error_bound=1e-3 * (value_range or 1.0)), [data])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("geometry", list(GEOMETRIES))
 def test_a_ragged_batch_counts_what_its_chunks_compress_to(geometry, dtype):
     """Every input's chunks back to back, whatever the block and chunk size: each
-    chunk's length is that of its payload in one packing pass, and the pass
-    restores what that pass restores."""
+    chunk's length is that of its payload in one packing pass, and the counting
+    pass restores what the payloads decode to."""
     block, chunk = GEOMETRIES[geometry]
     arrays = [data for data in _batch(dtype) if data.size]
     lens = [
@@ -170,11 +202,12 @@ def test_a_ragged_batch_counts_what_its_chunks_compress_to(geometry, dtype):
     ]
     values = np.concatenate(arrays)
     restored = np.full(values.size, np.nan, dtype=dtype)
-    counted = np.full(values.size, np.nan, dtype=dtype)
-    payloads = szx.compress_chunks(values, lens, block, 1e-3, restored)
-    sizes = szx.chunk_nbytes(values, lens, block, 1e-3, counted)
+    payloads = szx.compress_chunks(values, lens, block, 1e-3)
+    sizes = szx.chunk_nbytes(values, lens, block, 1e-3, restored)
     assert sizes.tolist() == [len(payload) for payload in payloads]
-    assert counted.tobytes() == restored.tobytes()
+    decoded = szx.decompress_chunks(payloads, lens)
+    assert restored.dtype == decoded.dtype
+    assert restored.tobytes() == decoded.tobytes()
 
 
 @pytest.mark.parametrize("codec_name", ONE_PASS)
@@ -226,7 +259,7 @@ def test_a_refusal_raises_what_the_per_array_call_raises(codec_name, refusal, wh
     arrays = [_field("sine_noise", n, np.float64, rng) for n in (129, 5_121, 300, 1, 192)]
     arrays[where][arrays[where].size // 2] = REFUSALS[refusal](arrays[where])
     restoreds = [np.empty_like(data) for data in arrays]
-    alone = _outcome(lambda: codec.compress_bytes(arrays[where], restoreds[where]))
+    alone = _outcome(lambda: codec.compress_bytes(arrays[where]))
     assert _outcome(lambda: codec.compressed_nbytes(arrays, restoreds)) == alone
     if codec_name in ONE_PASS:
         assert alone is not None
@@ -242,6 +275,27 @@ def test_the_first_refused_input_is_the_one_that_raises():
     restoreds = [np.empty_like(data) for data in arrays]
     for name in ONE_PASS:
         codec = CODECS[name]()
-        alone = _outcome(lambda: codec.compress_bytes(arrays[0], restoreds[0]))
+        alone = _outcome(lambda: codec.compress_bytes(arrays[0]))
         assert "too small relative to the data range" in alone[1]
         assert _outcome(lambda: codec.compressed_nbytes(arrays, restoreds)) == alone
+
+
+@pytest.mark.parametrize("codec_name", list(CODECS))
+def test_an_unusable_restored_is_refused_before_any_work(codec_name):
+    codec = CODECS[codec_name]()
+    data = np.linspace(0.0, 1.0, 256)
+    read_only = np.zeros(256)
+    read_only.setflags(write=False)
+    unusable = {
+        "size": np.zeros(255),
+        "dtype": np.zeros(256, dtype=np.float32),
+        "dimensionality": np.zeros((2, 128)),
+        "writability": read_only,
+        "contiguity": np.zeros(512)[::2],
+        "type": [0.0] * 256,
+    }
+    for what, restored in unusable.items():
+        usable = np.zeros(256)
+        with pytest.raises(ValueError, match="restored"):
+            codec.compressed_nbytes([data, data], [usable, restored])
+        assert not np.any(usable) and not np.any(restored), what

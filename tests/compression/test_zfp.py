@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import repro.compression.zfp as zfp
 from repro.compression import CompressionError, DecompressionError, ZFPCompressor
 from repro.compression.header import PayloadHeader
 from repro.compression.zfp import _haar_forward, _haar_inverse
@@ -169,7 +170,7 @@ class TestFxrNonFinite:
         coeffs = np.full((3, 16), 0.25)
         coeffs[1, position] = bad
         with pytest.raises(CompressionError, match="non-finite values cannot be fixed-rate"):
-            ZFPCompressor(mode="fxr", rate=8)._compress_fxr(coeffs, restore=False)
+            ZFPCompressor(mode="fxr", rate=8)._quantise_fxr(coeffs)
 
 
 def _with_param(payload: bytes, param: float) -> bytes:
@@ -211,7 +212,8 @@ class TestDecoderRefusesWhatTheConstructorRefuses:
 
 
 class TestRestoredComesFromTheEncoder:
-    """``compress_bytes(restored=)`` dequantises the quants it packs: no decoder runs."""
+    """``compressed_nbytes`` counts and dequantises the quants: no decoder runs
+    and nothing is packed."""
 
     @staticmethod
     def _inputs(rng) -> dict:
@@ -226,17 +228,20 @@ class TestRestoredComesFromTheEncoder:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
     @pytest.mark.parametrize("mode", ["abs", "fxr"])
-    def test_no_decoder_call(self, mode, dtype, rng, monkeypatch):
+    def test_no_decoder_call_and_nothing_packed(self, mode, dtype, rng, monkeypatch):
         codec = ZFPCompressor(mode=mode, error_bound=1e-3, rate=8)
         inputs = {name: data.astype(dtype) for name, data in self._inputs(rng).items()}
-        expected = {name: codec.roundtrip(data) for name, data in inputs.items()}
+        payloads = {name: codec.compress_bytes(data) for name, data in inputs.items()}
+        expected = {name: codec.decompress_bytes(payload) for name, payload in payloads.items()}
 
         def refuse(*args, **kwargs):
-            raise AssertionError("compress_bytes ran the decoder")
+            raise AssertionError("compressed_nbytes ran the decoder or packed a payload")
 
-        for name in ("decompress_bytes", "_decompress_abs", "_decompress_fxr"):
+        for name in ("compress_bytes", "decompress_bytes", "_decompress_abs", "_decompress_fxr"):
             monkeypatch.setattr(ZFPCompressor, name, refuse)
+        for name in ("pack_width_classes", "pack_uint_bits_rows"):
+            monkeypatch.setattr(zfp, name, refuse)
         for name, data in inputs.items():
             restored = np.full(data.size, np.nan, dtype=dtype)
-            codec.compress_bytes(data, restored=restored)
+            assert codec.compressed_nbytes([data], [restored]) == [len(payloads[name])], name
             assert restored.tobytes() == expected[name].tobytes(), name

@@ -54,6 +54,12 @@ class TestHealthyRuns:
         record = execute(_scenario(msg_elems=0, compression="on", codec="pipe_szx"))
         assert record["status"] == "ok", record["violations"]
 
+    @pytest.mark.parametrize("op", ["allreduce", "allgather"])
+    def test_fixed_rate_run_is_clean(self, op):
+        # no values tolerance and no bound, but the codec audit still runs
+        record = execute(_scenario(op=op, compression="on", codec="zfp_fxr"))
+        assert record["status"] == "ok", record["violations"]
+
     def test_fair_contention_run_is_clean(self):
         record = execute(
             _scenario(contention="fair", placement="irregular", msg_elems=4097)
@@ -104,21 +110,43 @@ class TestInvariantSensitivity:
         assert any(v["invariant"] == "values" for v in record["violations"])
 
     def test_codec_roundtrip_catches_a_lying_encoder(self, monkeypatch):
-        # the simulations compute with the encoder's ``restored`` and never run the
-        # decoder; a real codec's two sides agree by construction, so a disagreement
-        # has to come from an encoder lying about one element by one ulp
+        # the simulations compute with what ``compressed_nbytes`` fills and never
+        # run the decoder; a real codec's two paths agree by construction, so a
+        # disagreement has to come from a codec lying about one element by one ulp
         class LyingSZx(SZxCompressor):
-            def compress_bytes(self, data, restored=None):
-                payload = super().compress_bytes(data, restored)
-                if restored is not None:
+            def compressed_nbytes(self, arrays, restoreds):
+                sizes = super().compressed_nbytes(arrays, restoreds)
+                for restored in restoreds:
                     restored[3] = np.nextafter(restored[3], np.inf)
-                return payload
+                return sizes
 
         monkeypatch.setattr(CCollConfig, "make_codec", lambda self: LyingSZx(self.error_bound))
         record = execute(_scenario(op="allgather", compression="on"))
         assert record["status"] == "violation"
         assert [v["invariant"] for v in record["violations"]] == ["codec_roundtrip"]
         assert "differs from the decode" in record["violations"][0]["detail"]
+
+    @pytest.mark.parametrize("codec", ["szx", "pipe_szx", "zfp_abs", "zfp_fxr"])
+    def test_codec_roundtrip_catches_a_lying_length(self, codec, monkeypatch):
+        # a message is charged the length ``compressed_nbytes`` counts, not that of
+        # a payload: one byte off is a length the network would charge wrongly.
+        # ``zfp_fxr`` has no bound to hold, but its length and reconstruction are
+        # audited all the same
+        make_codec = CCollConfig.make_codec
+
+        def lying_codec(self):
+            real = make_codec(self)
+            count = real.compressed_nbytes
+            real.compressed_nbytes = lambda arrays, restoreds: [
+                size + 1 for size in count(arrays, restoreds)
+            ]
+            return real
+
+        monkeypatch.setattr(CCollConfig, "make_codec", lying_codec)
+        record = execute(_scenario(op="allgather", compression="on", codec=codec))
+        assert record["status"] == "violation"
+        assert [v["invariant"] for v in record["violations"]] == ["codec_roundtrip"]
+        assert "bytes of a" in record["violations"][0]["detail"]
 
     def test_fair_share_hook_catches_an_overcommitted_stage(self):
         # the real registry always re-divides consistently, so a broken
