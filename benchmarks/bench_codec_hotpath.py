@@ -1,17 +1,19 @@
 """Component micro-benchmarks: the vectorised codec data plane.
 
 Tracks the throughput of the two hottest codec paths — SZx and ZFP on a
-4M-value, mostly-non-constant field at the paper's block sizes — plus the
-width-class batched bit-packing primitives underneath them.  The headline
-test also re-runs SZx through a *scalar reference* encoder (one
-``pack_uint_bits`` call per block, the pre-vectorisation code shape) so the
-batched data plane's speedup is measured inside the suite rather than against
-git archaeology, and prices ``compressed_nbytes`` — a simulated message's
-length and reconstruction — against the compress + decode pair it replaces.
-The word-level packing kernels are likewise timed against the per-bit loops
-they replaced (``bitplane_reference_pack`` / ``bitplane_reference_unpack``).  The gated numbers for this path are the
-``codec_large`` / ``codec_small`` workloads of ``benchmarks/ledger`` (see
-``benchmarks/README.md``).
+4M-value, mostly-non-constant field at the paper's block sizes — plus the row
+bit-packing kernels underneath them.  The headline test also re-runs SZx
+through a *scalar reference* encoder (one ``pack_uint_bits`` call per block,
+the pre-vectorisation code shape) so the batched data plane's speedup is
+measured inside the suite rather than against git archaeology, and prices
+``compressed_nbytes`` — a simulated message's length and reconstruction —
+against the compress + decode pair it replaces.  The word-level packing
+kernels are likewise timed against the per-bit loops they replaced
+(``bitplane_reference_pack`` / ``bitplane_reference_unpack``).  That placing
+width classes adds no per-byte pass is checked exactly, by allocation, in
+``tests/utils/test_bitpack.py::TestPlacementAllocatesNoPerBytePass``.  The
+gated numbers for this path are the ``codec_large`` / ``codec_small``
+workloads of ``benchmarks/ledger`` (see ``benchmarks/README.md``).
 """
 
 import time
@@ -28,11 +30,9 @@ from repro.utils.bitpack import (
     narrow_uint_dtype,
     pack_uint_bits,
     pack_uint_bits_rows,
-    pack_width_classes,
     row_nbytes,
     unpack_uint_bits,
     unpack_uint_bits_rows,
-    unpack_width_classes,
 )
 
 #: the acceptance scenario: 4M values, mostly non-constant at eb=1e-3
@@ -264,8 +264,8 @@ class TestCompressedNbytes:
     @pytest.mark.parametrize("codec_type", [SZxCompressor, PipelinedSZx])
     @pytest.mark.parametrize(
         "batch, values, bar",
-        [(16, 15_552, 0.7), (8, 1_024, 0.5), (8, 31_104, 0.75)],
-        ids=["16x15552", "8x1024", "8x31104"],
+        [(16, 15_552, 0.7), (8, 1_024, 0.5)],
+        ids=["16x15552", "8x1024"],
     )
     def test_one_pass_beats_separate_calls(self, codec_type, batch, values, bar):
         """Guards: a batch pays one fixed cost; a call per input inside it would read ~1x.
@@ -274,10 +274,12 @@ class TestCompressedNbytes:
         of one, as a rank compresses with nothing queued), both filling ``restored``
         (ratios of calls timed alternately in one process).  The chunks are the RTM
         field's, as ``allreduce_ccoll`` cuts it over 16 ranks (and 8 ranks' worth
-        of 1 024-value chunks), and as its topology-aware leader ring cuts it over
-        8 node leaders (31 104 values): with the per-call fixed cost paid once per
-        round, the batch must stay under 0.7x / 0.5x / 0.75x of the separate
-        calls."""
+        of 1 024-value chunks), where the fixed cost is a large share of a call:
+        with it paid once per round, the batch must stay under 0.7x / 0.5x of
+        the separate calls.  The leader ring's 8 x 31 104 round is left out: its
+        per-value passes put the ratio's floor near 0.74 whatever the batch does;
+        ``tests/compression/test_compressed_nbytes.py::test_one_kernel_pass_and_nothing_packed``
+        checks exactly that a batch is one kernel pass."""
         rng = np.random.default_rng(3)
         field = generate_rtm_snapshot(seed=0).flatten()
         field += (0.2 * HOTPATH_EB * rng.standard_normal(field.size)).astype(np.float32)
@@ -321,61 +323,6 @@ class TestBitpackPrimitives:
             unpack_uint_bits_rows, args=(blob, 8192, 128, 10), rounds=3, iterations=1
         )
         np.testing.assert_array_equal(out, values)
-
-    @pytest.mark.parametrize(
-        "n_rows, count, widths", [(7_800, 128, (7, 9)), (62_500, 15, (7, 11))],
-        ids=["szx", "zfp_detail"],
-    )
-    def test_width_classes_cost_little_beyond_their_kernels(self, n_rows, count, widths):
-        """Guards: placement adds no per-byte pass; an index per byte read 1.7-2.2x.
-
-        ``pack_width_classes`` + ``unpack_width_classes`` against the per-class
-        kernel calls inside them, summed: the best of 40 calls each, taken in
-        eight spells of five after a warm-up, all in one process, so no
-        wall-clock threshold.  The shapes are 1 M values as SZx lays them out
-        (128-value rows) and as ZFP's detail field does (15-value rows), with
-        random per-row widths.  What the wrappers add is placing each row at
-        its cursor: with one index per row the round trip measured 1.04-1.22x
-        its kernels at the SZx shape and 1.27-1.35x at the ZFP one; one index
-        per byte measured 1.80-2.17x and 1.67-1.86x.  The bar is 1.5x.
-
-        What this guards is ``compress_bytes`` / ``decompress_bytes`` alone:
-        Table I, the codec API and the ledger's ``codec_*`` rows.  No
-        simulation runs that path (``compressed_nbytes`` packs nothing)."""
-        rng = np.random.default_rng(5)
-        nbits = rng.integers(widths[0], widths[1] + 1, size=n_rows).astype(np.int64)
-        values = (
-            rng.integers(0, 1 << 16, size=(n_rows, count), dtype=np.uint16)
-            >> (16 - nbits[:, None]).astype(np.uint16)
-        )
-        sizes = row_nbytes(count, nbits)
-        starts = np.cumsum(sizes) - sizes
-        total = int(sizes.sum())
-        classes = [(int(w), np.nonzero(nbits == w)[0]) for w in np.unique(nbits)]
-        class_values = {w: values[rows] for w, rows in classes}
-        blobs = {w: pack_uint_bits_rows(class_values[w], w) for w, _ in classes}
-        region = np.zeros(total, dtype=np.uint8)
-        pack_width_classes(values, nbits, starts, total, out=region)
-        np.testing.assert_array_equal(
-            unpack_width_classes(region, nbits, starts, count, dtype=None), values
-        )
-
-        calls = {
-            "pack": lambda: pack_width_classes(values, nbits, starts, total, out=region),
-            "pack_kernels": lambda: [pack_uint_bits_rows(class_values[w], w) for w, _ in classes],
-            "unpack": lambda: unpack_width_classes(region, nbits, starts, count, dtype=None),
-            "unpack_kernels": lambda: [
-                unpack_uint_bits_rows(blobs[w], rows.size, count, w, dtype=None)
-                for w, rows in classes
-            ],
-        }
-        best = best_in_spells(calls, spells=8, per_spell=5)
-        ratio = (best["pack"] + best["unpack"]) / (best["pack_kernels"] + best["unpack_kernels"])
-        print(f"\n{n_rows} x {count}, widths {widths[0]}-{widths[1]}: pack "
-              f"{best['pack'] * 1e3:.2f} ms ({best['pack'] / best['pack_kernels']:.2f}x its "
-              f"kernels), unpack {best['unpack'] * 1e3:.2f} ms "
-              f"({best['unpack'] / best['unpack_kernels']:.2f}x), round trip {ratio:.2f}x")
-        assert ratio < 1.5
 
     @pytest.mark.parametrize(
         "n_rows, count, widths", [(7_800, 128, (7, 9)), (62_500, 15, (7, 11))],

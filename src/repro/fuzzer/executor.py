@@ -1,38 +1,45 @@
-"""Scenario execution with the full invariant catalog checked on every run.
+"""Scenario execution: one run protocol, with the invariant catalog checked.
 
-The executor turns a :class:`~repro.fuzzer.generator.Scenario` into a live
-``Cluster``/``Communicator`` session, runs its program — ``program_len``
-back-to-back collectives with per-step payloads — and checks every invariant
-that applies to that scenario:
+A :class:`~repro.fuzzer.generator.Scenario` is one of three kinds, each with
+one run function that executes it once, from freshly built state, under
+:func:`repro.mpisim.audit.audit_fabric`, and fingerprints what it computed:
 
-``values``
-    Every rank's result matches the numpy reference within the scenario's
-    tolerance — exact (1e-10 relative) for uncompressed runs, the documented
-    error-accumulation envelope for compressed runs.  Skipped for the
-    fixed-rate ``zfp_fxr`` codec, whose error is data-dependent by design.
-``capacity``
-    No shared stage is ever allocated beyond its capacity: the run executes
-    under :func:`repro.mpisim.audit.audit_fabric`, which traces every
-    reservation.  Holds for both contention disciplines (fair runs
-    re-express fluid segments as reservations).
-``fair_share``
-    On ``contention="fair"`` runs, the same audit checks every max-min
-    allocation the registry commits, live: stages never exceed capacity,
-    backlogged stages are saturated, and every active flow is bottlenecked
-    on some saturated stage of its path.
+* a collective program (``_collective_run``): a new ``Communicator`` session
+  runs ``program_len`` collectives with per-step payloads; fingerprint: the
+  summed makespan and a digest of every rank's values, bit for bit;
+* a harness experiment (``_harness_run``) at small scale; fingerprint: its
+  rows' canonical JSON;
+* a faulted multi-tenant workload (``_faulted_workload_run``): four jobs under
+  the scenario's fault schedule and recovery policy; fingerprint: the makespan
+  and each job's ``(finished, outcome, restarts, last_durable_step)``, so
+  recovery decisions must replay, not just finish times.
+
+:func:`execute` runs the scenario's kind twice and checks:
+
+``no_crash``
+    A raise in either run makes the record an ``error`` with this violation.
+``capacity`` / ``fair_share``
+    In both runs, no shared stage is allocated beyond its capacity (against
+    reserve-time capacities, so mid-run degradations are covered; fair runs
+    re-express fluid segments as reservations), and on ``contention="fair"``
+    every max-min allocation the registry commits keeps backlogged stages
+    saturated and every active flow bottlenecked on a saturated stage.
 ``determinism``
-    Executing the same scenario twice from freshly built sessions yields the
-    same makespan, the same bytes-sent counter and bit-identical values.
-``codec_roundtrip``
-    The configured codec round-trips the rank-0 payload, within its effective
-    bound for error-bounded codecs (checked outside the collective, so a
-    values failure can be attributed to the schedule vs the codec), and
-    ``compressed_nbytes`` — what the simulations run — gives that payload's
-    length and its decode, byte for byte, for every codec, ``zfp_fxr`` too.
+    The two runs' fingerprints are equal.
+``values`` (collectives, first run)
+    Every rank's result matches the numpy reference within the scenario's
+    tolerance — 1e-10 relative uncompressed, the documented
+    error-accumulation envelope compressed; the first rank outside it is
+    reported.  Skipped for ``zfp_fxr``, whose error is data-dependent.
+``codec_roundtrip`` (collectives, first run)
+    The run's codec round-trips the rank-0 payload within its effective bound
+    (error-bounded codecs; outside the collective, so a values failure can be
+    attributed to the schedule vs the codec), and ``compressed_nbytes`` — what
+    the simulations run — gives that payload's length and its decode, byte for
+    byte, for every codec, ``zfp_fxr`` too.
 
-Results are plain dicts (JSONL-ready) keyed by a deterministic ``run_id``
-derived from the scenario's canonical JSON — replaying a run id re-executes
-the identical scenario.
+Records are plain dicts (JSONL-ready) keyed by a deterministic ``run_id``
+derived from the scenario's canonical JSON, so a run id replays its scenario.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import numpy as np
 
 from repro.api import Cluster
 from repro.api.communicator import Communicator, issue_collective
+from repro.ccoll import CCollConfig
 from repro.collectives.reduce_scatter import partition_chunks
 from repro.compression import rounding_margin
 from repro.fuzzer.generator import _FABRIC_HOSTS, Scenario, placement_list, sanitize
@@ -57,6 +65,12 @@ __all__ = [
     "execute",
     "run_id_for",
 ]
+
+Problem = Dict[str, str]
+#: one execution of a scenario: its fingerprint (named parts), the facts it
+#: adds to the record, its audit problems, and the audits that need only the
+#: first run (``None``: none)
+Run = Tuple[Dict[str, object], Dict[str, object], List[Problem], Optional[Callable]]
 
 
 def run_id_for(scenario: Scenario) -> str:
@@ -130,6 +144,157 @@ def make_inputs(scenario: Scenario, step: int = 0) -> List[np.ndarray]:
 # ----------------------------------------------------------------- execution
 
 
+def execute(scenario: Scenario) -> Dict[str, object]:
+    """Run ``scenario`` twice with every applicable invariant checked.
+
+    Returns a JSONL-ready record: ``status`` is ``"ok"``, ``"violation"``
+    (one or more invariants failed) or ``"error"`` (a run raised).
+    """
+    scenario = sanitize(scenario)
+    record: Dict[str, object] = {"run_id": run_id_for(scenario), "scenario": scenario.to_dict()}
+    if scenario.harness_experiment != "none":
+        run = _harness_run
+    elif scenario.fault_mix != "none":
+        run = _faulted_workload_run
+    else:
+        run = _collective_run
+    try:
+        fingerprint, facts, problems, first_run_audits = run(scenario)
+        rerun, _, rerun_problems, _ = run(scenario)
+    except Exception as exc:  # noqa: BLE001 - a crash *is* a fuzzing result
+        record.update(
+            status="error",
+            violations=[{"invariant": "no_crash", "detail": f"{type(exc).__name__}: {exc}"}],
+        )
+        return record
+
+    violations = problems + rerun_problems
+    diverged = [part for part, value in fingerprint.items() if rerun[part] != value]
+    if diverged:
+        detail = "a second run from fresh state differs in " + ", ".join(diverged)
+        violations.append({"invariant": "determinism", "detail": detail})
+    if first_run_audits is not None:
+        violations.extend(first_run_audits())
+    record.update(status="violation" if violations else "ok", violations=violations, **facts)
+    return record
+
+
+def _audited(label: str, run: Callable[[], object]) -> Tuple[object, List[Problem]]:
+    """``run()`` under the fabric audit: its result plus capacity + fair-share problems."""
+    with audit_fabric() as violations:
+        result = run()
+    problems = [
+        {"invariant": "capacity", "detail": f"{label}: {detail}"}
+        if kind == "capacity"
+        else {"invariant": "fair_share", "detail": f"{label}: {kind}: {detail}"}
+        for kind, detail in violations
+    ]
+    return result, problems
+
+
+def _collective_run(scenario: Scenario) -> Run:
+    """One execution of the scenario's collective program on a fresh session.
+
+    Each step is traced and audited separately — the engine resets contention
+    state per run, so a cross-step reservation trace would see overlapping
+    timelines and misreport capacity violations.
+    """
+    comm = build_communicator(scenario)
+    outcomes = []
+    step_values: List[List[np.ndarray]] = []
+    problems: List[Problem] = []
+    for step in range(scenario.program_len):
+        inputs = make_inputs(scenario, step)
+        outcome, found = _audited(
+            f"step {step}",
+            lambda: issue_collective(
+                comm, scenario.op, inputs,
+                algorithm=scenario.algorithm, compression=scenario.compression,
+            ),
+        )
+        outcomes.append(outcome)
+        step_values.append([np.asarray(outcome.value(r)) for r in range(scenario.n_ranks)])
+        problems.extend(found)
+    makespan = sum(outcome.total_time for outcome in outcomes)
+    digest = _digest([value for values in step_values for value in values])
+    facts = dict(
+        makespan=float(makespan),
+        bytes_sent=sum(int(outcome.sim.total_bytes_sent) for outcome in outcomes),
+        value_digest=digest,
+        algorithm=comm.last_algorithm,
+        compression_route=comm.last_compression,
+    )
+
+    def audits() -> List[Problem]:
+        found = (
+            _values_problem(scenario, step_values),
+            _codec_roundtrip_problem(scenario, comm.cluster.config),
+        )
+        return [problem for problem in found if problem is not None]
+
+    return {"makespan": makespan, "values": digest}, facts, problems, audits
+
+
+def _harness_run(scenario: Scenario) -> Run:
+    """One small-scale run of the scenario's harness experiment (seeded, so its
+    rows must replay bit for bit)."""
+    from repro.harness.runner import run_experiment
+
+    name = scenario.harness_experiment
+    result, problems = _audited(name, lambda: run_experiment(name, scale="small"))
+    rows = json.dumps(result.rows, sort_keys=True, default=repr)
+    facts = dict(harness_experiment=name, harness_rows=len(result.rows))
+    return {"rows": rows}, facts, problems, None
+
+
+def _faulted_workload_run(scenario: Scenario) -> Run:
+    """One run of a small multi-tenant workload under the scenario's fault mix,
+    on a fresh cluster with its fault schedule and jobs drawn from the seed."""
+    from repro.faults import FaultSchedule
+    from repro.workload import JobMix, WorkloadEngine
+
+    sc = scenario
+    rpn = sc.ranks_per_node
+    kwargs: Dict[str, object] = dict(
+        ranks_per_node=rpn, contention=sc.contention, nics_per_node=sc.nics_per_node
+    )
+    if sc.preset in ("fat_tree", "dragonfly"):
+        kwargs["routing"] = sc.routing
+    cluster = Cluster.from_preset(sc.preset, **kwargs)
+    n_fabric = int(cluster.topology.n_fabric_nodes)
+    schedule = FaultSchedule.generate(
+        sc.fault_mix,
+        sc.seed,
+        # target the busy half of the fabric so faults hit live tenants
+        n_nodes=max(1, n_fabric // 2),
+        n_ranks=max(1, n_fabric // 2) * rpn,
+        nics_per_node=sc.nics_per_node,
+        horizon=6e-3,
+        link_families=cluster.topology.link_families,
+    )
+    # jobs span >= 2 nodes so fabric faults intersect tenant traffic
+    specs = JobMix(n_jobs=4, arrival_rate=900.0, sizes=(2 * rpn, 4 * rpn)).generate(sc.seed)
+    policy = {"block": "packed", "cyclic": "spread", "irregular": "random"}[sc.placement]
+    engine = WorkloadEngine(
+        cluster, policy=policy, seed=sc.seed, faults=schedule,
+        failure_policy=sc.failure_policy, checkpoint=sc.checkpoint_every,
+    )
+    report, problems = _audited(sc.fault_mix, lambda: engine.run(specs, baseline=False))
+    jobs = tuple((rec.finished, rec.outcome, rec.restarts, rec.last_durable_step)
+                 for rec in report.records)
+    facts = dict(
+        makespan=float(report.makespan),
+        fault_mix=sc.fault_mix,
+        fault_events=len(schedule),
+        failed_jobs=report.failed_jobs,
+        restarts=report.total_restarts,
+    )
+    return {"makespan": report.makespan, "jobs": jobs}, facts, problems, None
+
+
+# ------------------------------------------------------------------- audits
+
+
 def _expected_values(scenario: Scenario, inputs: List[np.ndarray]) -> List[np.ndarray]:
     wide = [arr.astype(np.float64) for arr in inputs]
     op = scenario.op
@@ -167,6 +332,33 @@ def _value_tolerance(scenario: Scenario) -> Optional[Tuple[float, float]]:
     return (f32_rtol, atol * 1.01)
 
 
+def _values_problem(
+    scenario: Scenario, step_values: List[List[np.ndarray]]
+) -> Optional[Problem]:
+    """The first rank, step by step, whose result leaves the scenario's tolerance
+    (one rank's detail is enough; records stay compact), or ``None``."""
+    tolerances = _value_tolerance(scenario)
+    if tolerances is None:
+        return None
+    rtol, atol = tolerances
+    for step, values in enumerate(step_values):
+        expected = _expected_values(scenario, make_inputs(scenario, step))
+        for rank, (got, want) in enumerate(zip(values, expected)):
+            want = np.asarray(want)
+            if got.shape != want.shape:
+                detail = f"shape {got.shape} != expected {want.shape}"
+            elif not got.size:
+                continue
+            else:
+                err = np.max(np.abs(got.astype(np.float64) - want.astype(np.float64)))
+                bound = atol + rtol * max(1.0, float(np.max(np.abs(want))))
+                if err <= bound:
+                    continue
+                detail = f"max error {err:.6g} exceeds bound {bound:.6g}"
+            return {"invariant": "values", "detail": f"step {step} rank {rank}: {detail}"}
+    return None
+
+
 def _digest(values: List[np.ndarray]) -> str:
     h = hashlib.sha256()
     for value in values:
@@ -177,303 +369,8 @@ def _digest(values: List[np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _single_run(scenario: Scenario):
-    """One traced execution of the scenario's whole program.
-
-    Returns ``(comm, outcomes, step_values, violations)``: one outcome and
-    one per-rank value list per collective step.  Each step is traced and
-    audited separately — the engine resets contention state per run, so a
-    cross-step reservation trace would see overlapping timelines and
-    misreport capacity violations.
-    """
-    comm = build_communicator(scenario)
-    outcomes = []
-    step_values: List[List[np.ndarray]] = []
-    problems: List[Dict[str, str]] = []
-    for step in range(scenario.program_len):
-        inputs = make_inputs(scenario, step)
-        outcome, found = _audited(
-            f"step {step}",
-            lambda: issue_collective(
-                comm, scenario.op, inputs,
-                algorithm=scenario.algorithm, compression=scenario.compression,
-            ),
-        )
-        outcomes.append(outcome)
-        step_values.append(
-            [np.asarray(outcome.value(rank)) for rank in range(scenario.n_ranks)]
-        )
-        problems.extend(found)
-    return comm, outcomes, step_values, problems
-
-
-def _audited(label: str, run: Callable[[], object]) -> Tuple[object, List[Dict[str, str]]]:
-    """``run()`` under the fabric audit: its result plus capacity + fair-share problems."""
-    with audit_fabric() as violations:
-        result = run()
-    problems = [
-        {"invariant": "capacity", "detail": f"{label}: {detail}"}
-        if kind == "capacity"
-        else {"invariant": "fair_share", "detail": f"{label}: {kind}: {detail}"}
-        for kind, detail in violations
-    ]
-    return result, problems
-
-
-def _execute_harness(scenario: Scenario, record: Dict[str, object]) -> Dict[str, object]:
-    """Run a whole harness experiment under the fuzzer's invariant monitors.
-
-    The experiment runs twice; both runs are audited for capacity
-    conservation and the fair bottleneck property, and their result rows
-    must agree bit-for-bit (canonical JSON) — harness experiments are
-    seeded, so nondeterminism is a bug.
-    """
-    from repro.harness.runner import run_experiment
-
-    def one_run():
-        return _audited(
-            scenario.harness_experiment,
-            lambda: run_experiment(scenario.harness_experiment, scale="small"),
-        )
-
-    try:
-        first, problems = one_run()
-        second, rerun_problems = one_run()
-    except Exception as exc:  # noqa: BLE001 - a crash *is* a fuzzing result
-        record.update(
-            status="error",
-            violations=[
-                {"invariant": "no_crash", "detail": f"{type(exc).__name__}: {exc}"}
-            ],
-        )
-        return record
-
-    violations = problems + rerun_problems
-    canonical = json.dumps(first.rows, sort_keys=True, default=repr)
-    if canonical != json.dumps(second.rows, sort_keys=True, default=repr):
-        violations.append(
-            {
-                "invariant": "determinism",
-                "detail": f"experiment {scenario.harness_experiment!r} rows "
-                "differ between two runs",
-            }
-        )
-    record.update(
-        status="violation" if violations else "ok",
-        violations=violations,
-        harness_experiment=scenario.harness_experiment,
-        harness_rows=len(first.rows),
-    )
-    return record
-
-
-def _execute_faulted_workload(
-    scenario: Scenario, record: Dict[str, object]
-) -> Dict[str, object]:
-    """Run a small multi-tenant workload under the scenario's fault mix.
-
-    The same (jobs, schedule) pair runs twice; both runs are audited for
-    capacity conservation (against reserve-time capacities, so mid-run
-    degradations are covered) and the fair bottleneck property, and their
-    makespans and per-job finish times must be bit-identical.
-    """
-    from repro.faults import FaultSchedule
-    from repro.workload import JobMix, WorkloadEngine
-
-    sc = scenario
-    rpn = sc.ranks_per_node
-    kwargs: Dict[str, object] = {
-        "ranks_per_node": rpn,
-        "contention": sc.contention,
-        "nics_per_node": sc.nics_per_node,
-    }
-    if sc.preset in ("fat_tree", "dragonfly"):
-        kwargs["routing"] = sc.routing
-    policy = {"block": "packed", "cyclic": "spread", "irregular": "random"}[
-        sc.placement
-    ]
-
-    try:
-        cluster = Cluster.from_preset(sc.preset, **kwargs)
-        n_fabric = int(cluster.topology.n_fabric_nodes)
-        schedule = FaultSchedule.generate(
-            sc.fault_mix,
-            sc.seed,
-            # target the busy half of the fabric so faults hit live tenants
-            n_nodes=max(1, n_fabric // 2),
-            n_ranks=max(1, n_fabric // 2) * rpn,
-            nics_per_node=sc.nics_per_node,
-            horizon=6e-3,
-            link_families=cluster.topology.link_families,
-        )
-        # jobs span >= 2 nodes so fabric faults intersect tenant traffic
-        mix = JobMix(n_jobs=4, arrival_rate=900.0, sizes=(2 * rpn, 4 * rpn))
-        specs = mix.generate(sc.seed)
-
-        def one_run():
-            engine = WorkloadEngine(
-                cluster, policy=policy, seed=sc.seed, faults=schedule,
-                failure_policy=sc.failure_policy,
-                checkpoint=sc.checkpoint_every,
-            )
-            report, problems = _audited(
-                sc.fault_mix, lambda: engine.run(specs, baseline=False)
-            )
-            # outcome + restart counts join the determinism fingerprint:
-            # recovery decisions must replay exactly, not just finish times
-            finishes = tuple(
-                (rec.finished, rec.outcome, rec.restarts, rec.last_durable_step)
-                for rec in report.records
-            )
-            return report, finishes, problems
-
-        report1, finishes, problems = one_run()
-        report2, finishes2, rerun_problems = one_run()
-        makespan, makespan2 = report1.makespan, report2.makespan
-    except Exception as exc:  # noqa: BLE001 - a crash *is* a fuzzing result
-        record.update(
-            status="error",
-            violations=[
-                {"invariant": "no_crash", "detail": f"{type(exc).__name__}: {exc}"}
-            ],
-        )
-        return record
-
-    violations = problems + rerun_problems
-    if makespan != makespan2 or finishes != finishes2:
-        violations.append(
-            {
-                "invariant": "determinism",
-                "detail": (
-                    f"faulted workload replay diverged: makespan {makespan!r} "
-                    f"vs {makespan2!r}"
-                ),
-            }
-        )
-    record.update(
-        status="violation" if violations else "ok",
-        violations=violations,
-        makespan=float(makespan),
-        fault_mix=sc.fault_mix,
-        fault_events=len(schedule),
-        failed_jobs=report1.failed_jobs,
-        restarts=report1.total_restarts,
-    )
-    return record
-
-
-def execute(scenario: Scenario) -> Dict[str, object]:
-    """Run ``scenario`` with every applicable invariant checked.
-
-    Returns a JSONL-ready record: ``status`` is ``"ok"``, ``"violation"``
-    (one or more invariants failed) or ``"error"`` (the run raised).
-
-    Extension scenarios take dedicated paths: ``harness_experiment`` runs a
-    whole harness experiment (twice, audited + compared) and ``fault_mix``
-    runs a faulted multi-tenant workload (twice, audited + compared).
-    """
-    scenario = sanitize(scenario)
-    record: Dict[str, object] = {
-        "run_id": run_id_for(scenario),
-        "scenario": scenario.to_dict(),
-    }
-    if scenario.harness_experiment != "none":
-        return _execute_harness(scenario, record)
-    if scenario.fault_mix != "none":
-        return _execute_faulted_workload(scenario, record)
-    try:
-        comm, outcomes, step_values, problems = _single_run(scenario)
-    except Exception as exc:  # noqa: BLE001 - a crash *is* a fuzzing result
-        record.update(
-            status="error",
-            violations=[{"invariant": "no_crash", "detail": f"{type(exc).__name__}: {exc}"}],
-        )
-        return record
-
-    violations = list(problems)
-    makespan = sum(outcome.total_time for outcome in outcomes)
-    flat_values = [value for values in step_values for value in values]
-
-    tolerances = _value_tolerance(scenario)
-    if tolerances is not None:
-        rtol, atol = tolerances
-        for step, values in enumerate(step_values):
-            expected = _expected_values(scenario, make_inputs(scenario, step))
-            bad = False
-            for rank, (got, want) in enumerate(zip(values, expected)):
-                want = np.asarray(want)
-                if got.shape != want.shape:
-                    violations.append(
-                        {
-                            "invariant": "values",
-                            "detail": (
-                                f"step {step} rank {rank}: shape {got.shape} != "
-                                f"expected {want.shape}"
-                            ),
-                        }
-                    )
-                    continue
-                if got.size == 0:
-                    continue
-                err = np.max(np.abs(got.astype(np.float64) - want.astype(np.float64)))
-                bound = atol + rtol * max(1.0, float(np.max(np.abs(want))))
-                if not err <= bound:
-                    violations.append(
-                        {
-                            "invariant": "values",
-                            "detail": (
-                                f"step {step} rank {rank}: max error {err:.6g} "
-                                f"exceeds bound {bound:.6g}"
-                            ),
-                        }
-                    )
-                    bad = True
-                    break  # one rank's detail is enough; keep records compact
-            if bad:
-                break
-
-    # determinism: a fresh session over the same scenario must be bit-identical
-    try:
-        _, outcomes2, step_values2, _ = _single_run(scenario)
-    except Exception as exc:  # noqa: BLE001
-        violations.append(
-            {
-                "invariant": "determinism",
-                "detail": f"re-run raised {type(exc).__name__}: {exc}",
-            }
-        )
-    else:
-        makespan2 = sum(outcome.total_time for outcome in outcomes2)
-        if makespan2 != makespan:
-            violations.append(
-                {
-                    "invariant": "determinism",
-                    "detail": f"makespan {makespan!r} != re-run {makespan2!r}",
-                }
-            )
-        elif _digest([v for vs in step_values2 for v in vs]) != _digest(flat_values):
-            violations.append(
-                {"invariant": "determinism", "detail": "re-run values differ bitwise"}
-            )
-
-    roundtrip_problem = _codec_roundtrip_problem(scenario)
-    if roundtrip_problem is not None:
-        violations.append(roundtrip_problem)
-
-    record.update(
-        status="violation" if violations else "ok",
-        violations=violations,
-        makespan=float(makespan),
-        bytes_sent=sum(int(outcome.sim.total_bytes_sent) for outcome in outcomes),
-        value_digest=_digest(flat_values),
-        algorithm=comm.last_algorithm,
-        compression_route=comm.last_compression,
-    )
-    return record
-
-
-def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
-    """Round-trip the rank-0 payload through the configured codec.
+def _codec_roundtrip_problem(scenario: Scenario, config: CCollConfig) -> Optional[Problem]:
+    """Round-trip the rank-0 payload through the run's codec.
 
     The simulations charge a message what ``compressed_nbytes`` counts and
     compute with what it fills, so the audit holds that path to the real one:
@@ -481,11 +378,11 @@ def _codec_roundtrip_problem(scenario: Scenario) -> Optional[Dict[str, str]]:
     """
     if scenario.compression == "off":
         return None
-    codec = build_cluster(scenario).config.make_codec()
+    codec = config.make_codec()
     data = make_inputs(scenario)[0]
     simulated = np.empty_like(data)
 
-    def problem(detail: str) -> Dict[str, str]:
+    def problem(detail: str) -> Problem:
         return {"invariant": "codec_roundtrip", "detail": detail}
 
     try:

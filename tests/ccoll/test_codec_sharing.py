@@ -49,7 +49,9 @@ class TestSharedEndpointDecode:
         ``on`` (PIPE-SZx reduce-scatter, SZx allgather) or ``auto`` (the leader
         ring), nor in a workload run with baselines, whose bcast roots compress
         on their own (a batch of one) and whose baselines replay a tape; and not
-        ZFP ABS or FXR in a C-Coll ``on`` allgather or a CPR-P2P ``di`` ring."""
+        ZFP ABS or FXR, whose C-Coll ``on`` allreduce over 8 ranks compresses each
+        of its 7 + 1 ring rounds in one batch of 8, and whose CPR-P2P ``di`` ring
+        has each rank compress on its own at each of its 14 hops."""
 
         def forbidden(self, *args, **kwargs):
             raise AssertionError(f"a simulation packed a {self.name} payload")
@@ -72,8 +74,11 @@ class TestSharedEndpointDecode:
         assert codec_calls["compress"] == 2 and codec_calls["compressed_nbytes"] > 0
         for name in ("zfp_abs", "zfp_fxr"):
             comm = Cluster(config=CCollConfig(codec=name)).communicator(8)
-            for mode in ("on", "di"):
+            for mode, counts in (("on", (0, 8, 64)), ("di", (8 * 14, 0, 0))):
+                before = dict(codec_calls)
                 comm.allreduce(inputs, compression=mode)
+                kinds = ("compress", "compressed_nbytes", "nbytes_inputs")
+                assert tuple(codec_calls[k] - before[k] for k in kinds) == counts, (name, mode)
 
     @pytest.mark.parametrize("mode", ["on", "di"])
     @pytest.mark.parametrize("op", ["bcast", "allgather", "allreduce", "scatter"])
@@ -192,8 +197,7 @@ class TestCodecTape:
             replay = _adapter(recorded, **config)
             message = replay.compress(data)
             assert not replay.warmed
-            if config.get("codec") != "zfp_abs":  # the counting fixture watches SZx / PIPE-SZx
-                assert codec_calls["compress"] == before + 1
+            assert codec_calls["compress"] == before + 1
             plain = _adapter(None, **config)
             assert message == plain.compress(data)
             restored = replay.decompress(message)

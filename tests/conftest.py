@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.compression import PipelinedSZx, SZxCompressor
+from repro.compression import NullCompressor, PipelinedSZx, SZxCompressor, ZFPCompressor
 
 
 @pytest.fixture
@@ -44,15 +44,15 @@ def sparse_signal(rng) -> np.ndarray:
 
 @pytest.fixture
 def codec_calls(monkeypatch):
-    """Counts of the real SZx / PIPE-SZx calls.
+    """Counts of the real codec calls: SZx, PIPE-SZx, ZFP (both modes) and ``null``.
 
     ``compress`` counts a rank's own compressions (the one-input
     ``compressed_nbytes`` call a ``CompressionAdapter`` makes with nothing
     queued), ``compressed_nbytes`` the warm's ring-round batches and
     ``nbytes_inputs`` the inputs those carried; ``compress_bytes`` /
     ``decompress`` count the calls that pack or decode a payload, which no
-    simulation makes.  Neither codec calls the other's, and what a call does
-    inside counts as that one call, so every count is an outermost call.
+    simulation makes.  No codec calls another's, and what a call does inside
+    counts as that one call, so every count is an outermost call.
     """
     from repro.ccoll.adapter import CompressionAdapter
 
@@ -95,7 +95,7 @@ def codec_calls(monkeypatch):
             own[0] = False
 
     monkeypatch.setattr(CompressionAdapter, "_encode", encode)
-    for codec in (SZxCompressor, PipelinedSZx):
+    for codec in (SZxCompressor, PipelinedSZx, ZFPCompressor, NullCompressor):
         for name, kind in (("compress_bytes", "compress_bytes"), ("decompress_bytes", "decompress")):
             monkeypatch.setattr(codec, name, counted(kind, getattr(codec, name)))
         monkeypatch.setattr(codec, "compressed_nbytes", counted_nbytes(codec.compressed_nbytes))

@@ -94,20 +94,22 @@ class TestInvariantSensitivity:
     """Broken executions must actually trip the invariant checks."""
 
     def test_values_invariant_catches_a_wrong_sum(self, monkeypatch):
-        scenario = _scenario()
+        # every rank of every step is wrong, the same way in both runs: one
+        # violation names the first of them
         from repro.fuzzer import executor as executor_module
 
         real = executor_module.issue_collective
 
         def corrupted(comm, op, inputs, **options):
             outcome = real(comm, op, inputs, **options)
-            outcome.values[0] = outcome.values[0] + 1.0
+            outcome.values[:] = [value + 1.0 for value in outcome.values]
             return outcome
 
         monkeypatch.setattr(executor_module, "issue_collective", corrupted)
-        record = execute(scenario)
+        record = execute(_scenario(program_len=2))
         assert record["status"] == "violation"
-        assert any(v["invariant"] == "values" for v in record["violations"])
+        assert [v["invariant"] for v in record["violations"]] == ["values"]
+        assert record["violations"][0]["detail"].startswith("step 0 rank 0: max error")
 
     def test_codec_roundtrip_catches_a_lying_encoder(self, monkeypatch):
         # the simulations compute with what ``compressed_nbytes`` fills and never
@@ -180,6 +182,99 @@ class TestInvariantSensitivity:
             while registry.pending_count():
                 registry.commit_departure()
         assert violations == []
+
+
+def _kind_scenario(kind: str) -> Scenario:
+    """A cheap scenario of each kind the executor runs."""
+    if kind == "collective":
+        return _scenario()
+    if kind == "harness":
+        return _scenario(harness_experiment="multitenant")
+    return _scenario(
+        preset="fat_tree", ranks_per_node=2, nics_per_node=2, contention="fair",
+        fault_mix="stragglers",
+    )
+
+
+def _perturb_collective(outcome):
+    value = np.array(outcome.values[0])
+    value.flat[0] = np.nextafter(value.flat[0], np.inf)
+    outcome.values[0] = value
+
+
+def _perturb_harness(result):
+    row = result.rows[0]
+    key = next(key for key, value in row.items() if isinstance(value, float))
+    result.rows[0] = {**row, key: float(np.nextafter(row[key], np.inf))}
+
+
+def _perturb_faulted_workload(report):
+    report.records[0].finished = np.nextafter(report.records[0].finished, np.inf)
+
+
+def _on_second_run(monkeypatch, kind, act):
+    """Hook the one call each run of ``kind`` makes (a one-step program, one
+    experiment, one workload) and apply ``act`` to the second run's result."""
+    from repro.fuzzer import executor as executor_module
+    from repro.harness import runner
+    from repro.workload import WorkloadEngine
+
+    owner, name = {
+        "collective": (executor_module, "issue_collective"),
+        "harness": (runner, "run_experiment"),
+        "faulted_workload": (WorkloadEngine, "run"),
+    }[kind]
+    real, calls = getattr(owner, name), []
+
+    def hooked(*args, **kwargs):
+        calls.append(name)
+        result = real(*args, **kwargs)
+        if len(calls) == 2:
+            act(result)
+        return result
+
+    monkeypatch.setattr(owner, name, hooked)
+    return calls
+
+
+KINDS = ["collective", "harness", "faulted_workload"]
+
+
+class TestOneRunProtocol:
+    """Every kind runs twice through one driver: a second run that lies shows as
+    one ``determinism`` violation, and one that raises as one ``no_crash`` error."""
+
+    @pytest.mark.parametrize(
+        "kind, perturb, part",
+        [
+            ("collective", _perturb_collective, "values"),
+            ("harness", _perturb_harness, "rows"),
+            ("faulted_workload", _perturb_faulted_workload, "jobs"),
+        ],
+        ids=KINDS,
+    )
+    def test_a_lying_replay_is_one_determinism_violation(self, kind, perturb, part, monkeypatch):
+        # one ulp of one rank's value, of one harness row's value, of one job's
+        # finish: only the second run lies, so the values check (first run) stays quiet
+        calls = _on_second_run(monkeypatch, kind, perturb)
+        record = execute(_kind_scenario(kind))
+        assert len(calls) == 2
+        assert record["status"] == "violation"
+        assert [v["invariant"] for v in record["violations"]] == ["determinism"]
+        assert record["violations"][0]["detail"].endswith(f"differs in {part}")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_raise_in_the_second_run_is_a_crash(self, kind, monkeypatch):
+        def crash(result):
+            raise RuntimeError("the second run fell over")
+
+        _on_second_run(monkeypatch, kind, crash)
+        record = execute(_kind_scenario(kind))
+        assert record["status"] == "error"
+        assert record["violations"] == [
+            {"invariant": "no_crash", "detail": "RuntimeError: the second run fell over"}
+        ]
+        assert "makespan" not in record and "harness_rows" not in record
 
 
 class TestInputs:

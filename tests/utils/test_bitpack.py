@@ -1,9 +1,12 @@
 """Tests for repro.utils.bitpack."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.utils import bitpack
 from repro.utils.bitpack import (
     bit_length_u64,
     narrow_signed_dtype,
@@ -547,3 +550,88 @@ class TestWidthClasses:
         starts = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError, match="do not fit"):
             pack_width_classes(values, nbits, starts, 1)
+
+
+def _traced_peak(call):
+    """``(bytes, result)``: what ``call()`` had allocated at its peak beyond what
+    was live before it, and what it returned."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - live, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class _PerByteWindows:
+    """A planted placement: an int64 cursor for every byte of the rows placed
+    (``starts[rows][:, None] + arange(per_row)``), as the width classes placed
+    rows before each row got one cursor."""
+
+    def __init__(self, region, per_row):
+        self.region, self.per_row = region, per_row
+
+    def _cursors(self, starts):
+        return starts[:, None] + np.arange(self.per_row)
+
+    def __setitem__(self, starts, rows):
+        self.region[self._cursors(starts)] = rows.view(np.uint8).reshape(-1, self.per_row)
+
+    def __getitem__(self, starts):
+        return self.region[self._cursors(starts)]
+
+
+class TestPlacementAllocatesNoPerBytePass:
+    """Guards: placing a width class's rows adds no per-byte pass.
+
+    ``pack_width_classes`` / ``unpack_width_classes`` place each row of a class
+    at its cursor with one index per row; an index per byte would allocate
+    8 bytes per placed byte.  The shapes are 1 M values as SZx lays them out
+    (7 800 rows x 128, width 9) and as ZFP's detail field does (62 500 x 15,
+    width 11), one width class each, so the placement handles every byte of
+    the region.  Each direction's ``tracemalloc`` peak beyond the same class
+    through its kernel alone (``pack_uint_bits_rows`` / ``unpack_uint_bits_rows``),
+    and for unpack beyond the matrix it returns, stays under 4x the region:
+    1.8x / 1.8x to pack and 1.1x / 1.4x to unpack, where the planted per-byte
+    cursors read 7.3-8.4x.  Allocation sizes do not depend on the host, so
+    this cannot flake as a time ratio can."""
+
+    SHAPES = pytest.mark.parametrize(
+        "n_rows, count, width", [(7_800, 128, 9), (62_500, 15, 11)], ids=["szx", "zfp_detail"]
+    )
+    BOUND = 4.0
+
+    def _extra(self, n_rows, count, width):
+        """Each direction's peak beyond its kernel, in region bytes."""
+        values = np.random.default_rng(5).integers(0, 1 << width, (n_rows, count), np.uint16)
+        nbits = np.full(n_rows, width, dtype=np.int64)
+        starts = np.arange(n_rows) * int(row_nbytes(count, width))
+        total = int(row_nbytes(count, width)) * n_rows
+        region = np.zeros(total, dtype=np.uint8)
+        pack, _ = _traced_peak(lambda: pack_width_classes(values, nbits, starts, total, out=region))
+        pack_kernel, blob = _traced_peak(lambda: pack_uint_bits_rows(values, width))
+        assert region.tobytes() == blob
+        unpack, decoded = _traced_peak(
+            lambda: unpack_width_classes(region, nbits, starts, count, dtype=None)
+        )
+        unpack_kernel, _ = _traced_peak(
+            lambda: unpack_uint_bits_rows(blob, n_rows, count, width, dtype=None)
+        )
+        np.testing.assert_array_equal(decoded, values)
+        return (pack - pack_kernel) / total, (unpack - decoded.nbytes - unpack_kernel) / total
+
+    @SHAPES
+    def test_each_direction_stays_under_a_per_byte_index(self, n_rows, count, width):
+        pack, unpack = self._extra(n_rows, count, width)
+        assert pack < self.BOUND and unpack < self.BOUND, (pack, unpack)
+
+    @SHAPES
+    def test_a_per_byte_placement_fails_the_bound(self, n_rows, count, width, monkeypatch):
+        monkeypatch.setattr(bitpack, "_row_windows", _PerByteWindows)
+        pack, unpack = self._extra(n_rows, count, width)
+        assert pack > self.BOUND and unpack > self.BOUND, (pack, unpack)
