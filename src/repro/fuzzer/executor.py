@@ -1,23 +1,27 @@
 """Scenario execution: one run protocol, with the invariant catalog checked.
 
 A :class:`~repro.fuzzer.generator.Scenario` is one of three kinds, each with
-one run function that executes it once, from freshly built state, under
-:func:`repro.mpisim.audit.audit_fabric`, and fingerprints what it computed:
+one function that prepares the scenario and returns its run: a zero-argument
+callable that executes it once under :func:`repro.mpisim.audit.audit_fabric`
+and fingerprints what it computed:
 
-* a collective program (``_collective_run``): a new ``Communicator`` session
-  runs ``program_len`` collectives with per-step payloads; fingerprint: the
-  summed makespan and a digest of every rank's values, bit for bit;
+* a collective program (``_collective_run``): each run opens a new
+  ``Communicator`` session and issues ``program_len`` collectives with per-step
+  payloads; fingerprint: the summed makespan and a digest of every rank's
+  values, bit for bit;
 * a harness experiment (``_harness_run``) at small scale; fingerprint: its
   rows' canonical JSON;
-* a faulted multi-tenant workload (``_faulted_workload_run``): four jobs under
-  the scenario's fault schedule and recovery policy; fingerprint: the makespan
-  and each job's ``(finished, outcome, restarts, last_durable_step)``, so
-  recovery decisions must replay, not just finish times.
+* a faulted multi-tenant workload (``_faulted_workload_run``): one cluster,
+  fault schedule and four jobs, and a new ``WorkloadEngine`` per run, so the
+  replay checks that ``topology.reset()`` clears what a faulted run leaves;
+  fingerprint: the makespan and each job's ``(finished, outcome, restarts,
+  last_durable_step)``, so recovery decisions must replay, not just finish times.
 
 :func:`execute` runs the scenario's kind twice and checks:
 
 ``no_crash``
-    A raise in either run makes the record an ``error`` with this violation.
+    A raise while preparing or in either run makes the record an ``error``
+    with this violation.
 ``capacity`` / ``fair_share``
     In both runs, no shared stage is allocated beyond its capacity (against
     reserve-time capacities, so mid-run degradations are covered; fair runs
@@ -58,19 +62,14 @@ from repro.compression import rounding_margin
 from repro.fuzzer.generator import _FABRIC_HOSTS, Scenario, placement_list, sanitize
 from repro.mpisim.audit import audit_fabric
 
-__all__ = [
-    "build_cluster",
-    "build_communicator",
-    "make_inputs",
-    "execute",
-    "run_id_for",
-]
+__all__ = ["build_cluster", "build_communicator", "make_inputs", "execute", "run_id_for"]
 
 Problem = Dict[str, str]
 #: one execution of a scenario: its fingerprint (named parts), the facts it
 #: adds to the record, its audit problems, and the audits that need only the
 #: first run (``None``: none)
-Run = Tuple[Dict[str, object], Dict[str, object], List[Problem], Optional[Callable]]
+Result = Tuple[Dict[str, object], Dict[str, object], List[Problem], Optional[Callable]]
+Run = Callable[[], Result]
 
 
 def run_id_for(scenario: Scenario) -> str:
@@ -153,14 +152,15 @@ def execute(scenario: Scenario) -> Dict[str, object]:
     scenario = sanitize(scenario)
     record: Dict[str, object] = {"run_id": run_id_for(scenario), "scenario": scenario.to_dict()}
     if scenario.harness_experiment != "none":
-        run = _harness_run
+        kind = _harness_run
     elif scenario.fault_mix != "none":
-        run = _faulted_workload_run
+        kind = _faulted_workload_run
     else:
-        run = _collective_run
+        kind = _collective_run
     try:
-        fingerprint, facts, problems, first_run_audits = run(scenario)
-        rerun, _, rerun_problems, _ = run(scenario)
+        run = kind(scenario)
+        fingerprint, facts, problems, first_run_audits = run()
+        rerun, _, rerun_problems, _ = run()
     except Exception as exc:  # noqa: BLE001 - a crash *is* a fuzzing result
         record.update(
             status="error",
@@ -171,7 +171,7 @@ def execute(scenario: Scenario) -> Dict[str, object]:
     violations = problems + rerun_problems
     diverged = [part for part, value in fingerprint.items() if rerun[part] != value]
     if diverged:
-        detail = "a second run from fresh state differs in " + ", ".join(diverged)
+        detail = "the second run differs in " + ", ".join(diverged)
         violations.append({"invariant": "determinism", "detail": detail})
     if first_run_audits is not None:
         violations.extend(first_run_audits())
@@ -193,63 +193,70 @@ def _audited(label: str, run: Callable[[], object]) -> Tuple[object, List[Proble
 
 
 def _collective_run(scenario: Scenario) -> Run:
-    """One execution of the scenario's collective program on a fresh session.
+    """The scenario's collective program, each run on a fresh session.
 
     Each step is traced and audited separately — the engine resets contention
     state per run, so a cross-step reservation trace would see overlapping
     timelines and misreport capacity violations.
     """
-    comm = build_communicator(scenario)
-    outcomes = []
-    step_values: List[List[np.ndarray]] = []
-    problems: List[Problem] = []
-    for step in range(scenario.program_len):
-        inputs = make_inputs(scenario, step)
-        outcome, found = _audited(
-            f"step {step}",
-            lambda: issue_collective(
-                comm, scenario.op, inputs,
-                algorithm=scenario.algorithm, compression=scenario.compression,
-            ),
-        )
-        outcomes.append(outcome)
-        step_values.append([np.asarray(outcome.value(r)) for r in range(scenario.n_ranks)])
-        problems.extend(found)
-    makespan = sum(outcome.total_time for outcome in outcomes)
-    digest = _digest([value for values in step_values for value in values])
-    facts = dict(
-        makespan=float(makespan),
-        bytes_sent=sum(int(outcome.sim.total_bytes_sent) for outcome in outcomes),
-        value_digest=digest,
-        algorithm=comm.last_algorithm,
-        compression_route=comm.last_compression,
-    )
 
-    def audits() -> List[Problem]:
-        found = (
-            _values_problem(scenario, step_values),
-            _codec_roundtrip_problem(scenario, comm.cluster.config),
+    def run() -> Result:
+        comm = build_communicator(scenario)
+        outcomes, step_values, problems = [], [], []
+        for step in range(scenario.program_len):
+            inputs = make_inputs(scenario, step)
+            outcome, found = _audited(
+                f"step {step}",
+                lambda: issue_collective(
+                    comm, scenario.op, inputs,
+                    algorithm=scenario.algorithm, compression=scenario.compression,
+                ),
+            )
+            outcomes.append(outcome)
+            step_values.append([np.asarray(outcome.value(r)) for r in range(scenario.n_ranks)])
+            problems.extend(found)
+        makespan = sum(outcome.total_time for outcome in outcomes)
+        digest = _digest([value for values in step_values for value in values])
+        facts = dict(
+            makespan=float(makespan),
+            bytes_sent=sum(int(outcome.sim.total_bytes_sent) for outcome in outcomes),
+            value_digest=digest,
+            algorithm=comm.last_algorithm,
+            compression_route=comm.last_compression,
         )
-        return [problem for problem in found if problem is not None]
 
-    return {"makespan": makespan, "values": digest}, facts, problems, audits
+        def audits() -> List[Problem]:
+            found = (
+                _values_problem(scenario, step_values),
+                _codec_roundtrip_problem(scenario, comm.cluster.config),
+            )
+            return [problem for problem in found if problem is not None]
+
+        return {"makespan": makespan, "values": digest}, facts, problems, audits
+
+    return run
 
 
 def _harness_run(scenario: Scenario) -> Run:
-    """One small-scale run of the scenario's harness experiment (seeded, so its
+    """A small-scale run of the scenario's harness experiment (seeded, so its
     rows must replay bit for bit)."""
     from repro.harness.runner import run_experiment
 
     name = scenario.harness_experiment
-    result, problems = _audited(name, lambda: run_experiment(name, scale="small"))
-    rows = json.dumps(result.rows, sort_keys=True, default=repr)
-    facts = dict(harness_experiment=name, harness_rows=len(result.rows))
-    return {"rows": rows}, facts, problems, None
+
+    def run() -> Result:
+        result, problems = _audited(name, lambda: run_experiment(name, scale="small"))
+        rows = json.dumps(result.rows, sort_keys=True, default=repr)
+        facts = dict(harness_experiment=name, harness_rows=len(result.rows))
+        return {"rows": rows}, facts, problems, None
+
+    return run
 
 
 def _faulted_workload_run(scenario: Scenario) -> Run:
-    """One run of a small multi-tenant workload under the scenario's fault mix,
-    on a fresh cluster with its fault schedule and jobs drawn from the seed."""
+    """A small multi-tenant workload under the scenario's fault mix: one cluster,
+    fault schedule and job set drawn from the seed, and a new engine on them per
+    run, so a replay goes through ``topology.reset()`` after a faulted run."""
     from repro.faults import FaultSchedule
     from repro.workload import JobMix, WorkloadEngine
 
@@ -261,35 +268,33 @@ def _faulted_workload_run(scenario: Scenario) -> Run:
     if sc.preset in ("fat_tree", "dragonfly"):
         kwargs["routing"] = sc.routing
     cluster = Cluster.from_preset(sc.preset, **kwargs)
-    n_fabric = int(cluster.topology.n_fabric_nodes)
-    schedule = FaultSchedule.generate(
-        sc.fault_mix,
-        sc.seed,
-        # target the busy half of the fabric so faults hit live tenants
-        n_nodes=max(1, n_fabric // 2),
-        n_ranks=max(1, n_fabric // 2) * rpn,
-        nics_per_node=sc.nics_per_node,
-        horizon=6e-3,
-        link_families=cluster.topology.link_families,
+    half = max(1, int(cluster.topology.n_fabric_nodes) // 2)
+    schedule = FaultSchedule.generate(  # faults target the busy half, where tenants live
+        sc.fault_mix, sc.seed, n_nodes=half, n_ranks=half * rpn, nics_per_node=sc.nics_per_node,
+        horizon=6e-3, link_families=cluster.topology.link_families,
     )
     # jobs span >= 2 nodes so fabric faults intersect tenant traffic
     specs = JobMix(n_jobs=4, arrival_rate=900.0, sizes=(2 * rpn, 4 * rpn)).generate(sc.seed)
     policy = {"block": "packed", "cyclic": "spread", "irregular": "random"}[sc.placement]
-    engine = WorkloadEngine(
-        cluster, policy=policy, seed=sc.seed, faults=schedule,
-        failure_policy=sc.failure_policy, checkpoint=sc.checkpoint_every,
-    )
-    report, problems = _audited(sc.fault_mix, lambda: engine.run(specs, baseline=False))
-    jobs = tuple((rec.finished, rec.outcome, rec.restarts, rec.last_durable_step)
-                 for rec in report.records)
-    facts = dict(
-        makespan=float(report.makespan),
-        fault_mix=sc.fault_mix,
-        fault_events=len(schedule),
-        failed_jobs=report.failed_jobs,
-        restarts=report.total_restarts,
-    )
-    return {"makespan": report.makespan, "jobs": jobs}, facts, problems, None
+
+    def run() -> Result:
+        engine = WorkloadEngine(
+            cluster, policy=policy, seed=sc.seed, faults=schedule,
+            failure_policy=sc.failure_policy, checkpoint=sc.checkpoint_every,
+        )
+        report, problems = _audited(sc.fault_mix, lambda: engine.run(specs, baseline=False))
+        jobs = tuple((rec.finished, rec.outcome, rec.restarts, rec.last_durable_step)
+                     for rec in report.records)
+        facts = dict(
+            makespan=float(report.makespan),
+            fault_mix=sc.fault_mix,
+            fault_events=len(schedule),
+            failed_jobs=report.failed_jobs,
+            restarts=report.total_restarts,
+        )
+        return {"makespan": report.makespan, "jobs": jobs}, facts, problems, None
+
+    return run
 
 
 # ------------------------------------------------------------------- audits

@@ -276,6 +276,24 @@ class TestOneRunProtocol:
         ]
         assert "makespan" not in record and "harness_rows" not in record
 
+    @pytest.mark.parametrize("fault_mix", ["degraded_tier", "mixed"])
+    def test_a_reset_that_keeps_a_fault_is_a_determinism_violation(self, fault_mix, monkeypatch):
+        # both runs share one cluster, so the replay starts from what
+        # topology.reset() left: a reset that forgets to clear the fault
+        # overlay starts the second run on the first run's degraded links
+        from repro.mpisim.topology.switch import SwitchFabricTopology
+
+        def reset_keeping_faults(self):
+            super(SwitchFabricTopology, self).reset()
+            self._stripe_counters.clear()
+
+        scenario = _kind_scenario("faulted_workload").replace(fault_mix=fault_mix)
+        assert execute(scenario)["status"] == "ok"
+        monkeypatch.setattr(SwitchFabricTopology, "reset", reset_keeping_faults)
+        record = execute(scenario)
+        assert [v["invariant"] for v in record["violations"]] == ["determinism"]
+        assert record["violations"][0]["detail"] == "the second run differs in jobs"
+
 
 class TestInputs:
     def test_inputs_are_deterministic_and_typed(self):
