@@ -8,7 +8,8 @@
 
 ``run`` sweeps scenarios under a wall-clock budget and exits non-zero if any
 invariant was violated.  ``replay`` re-executes the scenario stored under a
-run id and verifies the recorded makespan and value digest bit-for-bit.
+run id and verifies the recorded makespan and value digest bit-for-bit; it
+refuses (exit 2) a record whose scenario no longer rebuilds under its run id.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 
 from repro.fuzzer.autopilot import sweep
 from repro.fuzzer.database import ResultsDatabase
-from repro.fuzzer.executor import execute
-from repro.fuzzer.generator import Scenario
+from repro.fuzzer.executor import execute, run_id_for
+from repro.fuzzer.generator import Scenario, sanitize
 
 DEFAULT_DB = "fuzz_results.jsonl"
 
@@ -49,7 +50,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if record is None:
         print(f"run id {args.run_id!r} not found in {args.db}", file=sys.stderr)
         return 2
-    scenario = Scenario.from_dict(record["scenario"])
+    scenario = sanitize(Scenario.from_dict(record["scenario"]))
+    rebuilt = run_id_for(scenario)
+    if rebuilt != args.run_id:
+        # the record names a scenario this version cannot rebuild (a field it
+        # no longer has, or one sanitize now folds): replaying would run
+        # another scenario and compare it against this record
+        print(
+            f"run id {args.run_id!r}: its recorded scenario rebuilds as {rebuilt!r} "
+            "in this version; refusing to replay",
+            file=sys.stderr,
+        )
+        return 2
     fresh = execute(scenario)
     mismatches = []
     for key in ("makespan", "bytes_sent", "value_digest", "status"):

@@ -37,9 +37,8 @@ _REDUCTIONS = (
     ("domain_outage", (False,)),
     ("failure_policy", ("fail",)),
     ("checkpoint_every", (0, 1)),
-    # extension knobs next: a failure that reproduces without the harness
-    # run or the fault schedule is a far simpler reproducer
-    ("harness_experiment", ("none",)),
+    # the fault schedule next: a failure that reproduces on a plain
+    # collective is a far simpler reproducer
     ("fault_mix", ("none",)),
     ("preset", ("flat", "two_level", "shared_uplink", "fat_tree")),
     ("compression", ("off",)),

@@ -1,6 +1,6 @@
 """Scenario execution: one run protocol, with the invariant catalog checked.
 
-A :class:`~repro.fuzzer.generator.Scenario` is one of three kinds, each with
+A :class:`~repro.fuzzer.generator.Scenario` is one of two kinds, each with
 one function that prepares the scenario and returns its run: a zero-argument
 callable that executes it once under :func:`repro.mpisim.audit.audit_fabric`
 and fingerprints what it computed:
@@ -9,8 +9,6 @@ and fingerprints what it computed:
   ``Communicator`` session and issues ``program_len`` collectives with per-step
   payloads; fingerprint: the summed makespan and a digest of every rank's
   values, bit for bit;
-* a harness experiment (``_harness_run``) at small scale; fingerprint: its
-  rows' canonical JSON;
 * a faulted multi-tenant workload (``_faulted_workload_run``): one cluster,
   fault schedule and four jobs, and a new ``WorkloadEngine`` per run, so the
   replay checks that ``topology.reset()`` clears what a faulted run leaves;
@@ -151,12 +149,7 @@ def execute(scenario: Scenario) -> Dict[str, object]:
     """
     scenario = sanitize(scenario)
     record: Dict[str, object] = {"run_id": run_id_for(scenario), "scenario": scenario.to_dict()}
-    if scenario.harness_experiment != "none":
-        kind = _harness_run
-    elif scenario.fault_mix != "none":
-        kind = _faulted_workload_run
-    else:
-        kind = _collective_run
+    kind = _collective_run if scenario.fault_mix == "none" else _faulted_workload_run
     try:
         run = kind(scenario)
         fingerprint, facts, problems, first_run_audits = run()
@@ -233,22 +226,6 @@ def _collective_run(scenario: Scenario) -> Run:
             return [problem for problem in found if problem is not None]
 
         return {"makespan": makespan, "values": digest}, facts, problems, audits
-
-    return run
-
-
-def _harness_run(scenario: Scenario) -> Run:
-    """A small-scale run of the scenario's harness experiment (seeded, so its
-    rows must replay bit for bit)."""
-    from repro.harness.runner import run_experiment
-
-    name = scenario.harness_experiment
-
-    def run() -> Result:
-        result, problems = _audited(name, lambda: run_experiment(name, scale="small"))
-        rows = json.dumps(result.rows, sort_keys=True, default=repr)
-        facts = dict(harness_experiment=name, harness_rows=len(result.rows))
-        return {"rows": rows}, facts, problems, None
 
     return run
 

@@ -1,10 +1,13 @@
 """Deterministic scenario generation for the invariant fuzzer.
 
 A :class:`Scenario` is a fully explicit, JSON-serialisable description of one
-simulated collective: the fabric (preset, placement pattern, rails, routing,
+simulated run: the fabric (preset, placement pattern, rails, routing,
 contention discipline), the collective (operation, algorithm, compression
-route, codec, error bound) and the payload (element count, dtype, data
-profile).  :func:`generate_scenario` expands an integer seed into one point of
+route, codec, error bound), the payload (element count, dtype, data profile)
+and the program length.  A scenario with a ``fault_mix`` other than
+``"none"`` is a faulted multi-tenant workload on that fabric instead (with
+its recovery knobs); every other scenario is a collective program.
+:func:`generate_scenario` expands an integer seed into one point of
 that cross-product with :class:`random.Random` — the same seed always yields
 the same scenario, and because the scenario records every resolved dimension
 it replays exactly from its dict alone, without the seed.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.api.communicator import C_VARIANTS, COMPRESSION_MODES
 
@@ -37,7 +40,6 @@ __all__ = [
     "OPS",
     "CODECS",
     "MESSAGE_ELEMS",
-    "HARNESS_EXPERIMENTS",
     "FAULT_MIXES",
 ]
 
@@ -85,16 +87,6 @@ MESSAGE_ELEMS: Tuple[int, ...] = (0, 1, 2, 3, 5, 127, 128, 129, 1000, 1024, 4097
 DATA_PROFILES: Tuple[str, ...] = ("gaussian", "ramp", "constant", "zeros", "mixed_scale")
 
 DTYPES: Tuple[str, ...] = ("float64", "float32")
-
-#: harness experiment presets the fuzzer can run whole (scale="small"):
-#: "none" keeps the scenario a plain collective run
-HARNESS_EXPERIMENTS: Tuple[str, ...] = (
-    "none",
-    "topo",
-    "fabric",
-    "multitenant",
-    "faults",
-)
 
 #: named fault mixes a scenario can inject into a small workload run
 #: (subset of :data:`repro.faults.FAULT_MIXES` that applies to the fuzzed
@@ -154,13 +146,8 @@ class Scenario:
     #: back-to-back collective steps per run (same op, fresh per-step inputs);
     #: declared last so seeds from before the knob expand to the same scenario
     program_len: int = 1
-    #: run a whole harness experiment instead of a single collective ("none"
-    #: = plain collective run); drawn after program_len — trailing fields
-    #: keep pre-knob seeds expanding to the same scenario
-    harness_experiment: str = "none"
     #: named fault mix injected into a small multi-tenant workload run
-    #: ("none" = no fault extension); mutually exclusive with
-    #: harness_experiment (sanitize keeps at most one extension active)
+    #: ("none" = a plain collective program)
     fault_mix: str = "none"
     #: recovery knobs for faulted workload runs, declared (and drawn) after
     #: fault_mix so pre-recovery seeds expand to the same scenario; sanitize
@@ -274,26 +261,13 @@ def sanitize(scenario: Scenario) -> Scenario:
     if not 1 <= scenario.program_len <= 4:
         updates["program_len"] = min(4, max(1, scenario.program_len))
 
-    # ------------------------------------------------ extension knobs
-    harness = scenario.harness_experiment
-    if harness not in HARNESS_EXPERIMENTS:
-        harness = "none"
-        updates["harness_experiment"] = harness
+    # ------------------------------------------------ fault extension
     fault_mix = scenario.fault_mix
     if fault_mix not in FAULT_MIXES:
         fault_mix = "none"
         updates["fault_mix"] = fault_mix
-    if harness != "none" and fault_mix != "none":
-        # at most one extension per scenario; the harness run wins (the
-        # faults experiment inside HARNESS_EXPERIMENTS covers fault paths)
-        fault_mix = "none"
-        updates["fault_mix"] = fault_mix
     domain_outage = bool(scenario.domain_outage)
     if domain_outage is not scenario.domain_outage:
-        updates["domain_outage"] = domain_outage
-    if domain_outage and harness != "none":
-        # the harness extension won above; drop the outage flag with the mix
-        domain_outage = False
         updates["domain_outage"] = domain_outage
     if domain_outage and fault_mix != "domain_outage":
         # the flag upgrades (or installs) the fault extension
@@ -335,6 +309,13 @@ def sanitize(scenario: Scenario) -> Scenario:
     return scenario.replace(**updates) if updates else scenario
 
 
+def _draw_fault_mix(rng: random.Random) -> str:
+    # the deleted harness-experiment knob drew a 40-way choice just before
+    # the fault mix; consuming the same draw keeps every seed's later fields
+    rng.randrange(40)
+    return rng.choice(_FAULT_MIX_DRAW)
+
+
 def generate_scenario(seed: int) -> Scenario:
     """Expand ``seed`` into one valid scenario (deterministic)."""
     rng = random.Random(seed)
@@ -362,13 +343,8 @@ def generate_scenario(seed: int) -> Scenario:
         # drawn last (and biased toward 1) so pre-knob seeds keep every other
         # dimension's draw; multi-step runs cost program_len simulations
         program_len=rng.choice((1, 1, 1, 2, 3, 4)),
-        # extension knobs drawn after program_len (same trailing-field rule);
-        # both are rare — a harness experiment or faulted workload run costs
-        # seconds where a plain collective costs milliseconds
-        harness_experiment=rng.choice(
-            ("none",) * 36 + HARNESS_EXPERIMENTS[1:]
-        ),
-        fault_mix=rng.choice(_FAULT_MIX_DRAW),
+        # rare: a faulted workload run costs more than a plain collective
+        fault_mix=_draw_fault_mix(rng),
         # recovery knobs, drawn after every pre-existing dimension; sanitize
         # folds them to defaults unless the fault mix loses nodes, so they
         # only change scenarios that were already faulted-workload runs
@@ -381,9 +357,3 @@ def generate_scenario(seed: int) -> Scenario:
     )
     return sanitize(raw)
 
-
-def scenario_matrix(seed: int, count: int) -> List[Scenario]:
-    """``count`` scenarios derived from ``seed`` (scenario ``i`` uses seed
-    ``seed * 1_000_003 + i`` so sweeps with different base seeds do not
-    collide on their early indices)."""
-    return [generate_scenario(seed * 1_000_003 + i) for i in range(count)]

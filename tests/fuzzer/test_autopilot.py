@@ -94,7 +94,6 @@ class TestRecoveryKnobShrinking:
     def test_failure_independent_of_recovery_knobs_sheds_them(self):
         seed_scenario = sanitize(
             generate_scenario(11).replace(
-                harness_experiment="none",
                 fault_mix="node_loss",
                 failure_policy="restart_elsewhere",
                 checkpoint_every=4,

@@ -6,10 +6,26 @@ import json
 
 import pytest
 
+from repro.fuzzer import __main__ as fuzzer_cli
 from repro.fuzzer.database import ResultsDatabase
 from repro.fuzzer.executor import execute, run_id_for
 from repro.fuzzer.generator import Scenario, generate_scenario
 from repro.fuzzer.__main__ import main as fuzzer_main
+
+#: a harness-experiment record, as written before that scenario kind was
+#: deleted: its scenario now rebuilds as a collective with another run id
+_HARNESS_RECORD = {
+    "harness_experiment": "multitenant", "harness_rows": 6, "run_id": "fz-4f831f1844fb",
+    "scenario": {
+        "algorithm": "auto", "checkpoint_every": 0, "codec": "zfp_abs", "compression": "on",
+        "contention": "reservation", "data_profile": "gaussian", "domain_outage": False,
+        "dtype": "float32", "error_bound": 0.01, "failure_policy": "fail", "fault_mix": "none",
+        "harness_experiment": "multitenant", "msg_elems": 5121, "n_ranks": 6,
+        "nics_per_node": 1, "op": "allgather", "placement": "block", "preset": "flat",
+        "program_len": 3, "ranks_per_node": 1, "routing": "minimal", "seed": 61000190,
+    },
+    "status": "ok", "violations": [],
+}
 
 
 class TestDatabase:
@@ -71,3 +87,20 @@ class TestReplayFidelity:
         db = str(tmp_path / "db.jsonl")
         ResultsDatabase(db).append({"run_id": "fz-real", "status": "ok"})
         assert fuzzer_main(["replay", "fz-nope", "--db", db]) == 2
+
+    def test_cli_replay_refuses_a_record_it_cannot_rebuild(self, tmp_path, capsys, monkeypatch):
+        db = str(tmp_path / "db.jsonl")
+        ResultsDatabase(db).append(_HARNESS_RECORD)
+
+        def never(scenario):
+            raise AssertionError("replay ran a scenario the record does not name")
+
+        monkeypatch.setattr(fuzzer_cli, "execute", never)
+        assert fuzzer_main(["replay", "fz-4f831f1844fb", "--db", db]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        rebuilt = run_id_for(Scenario.from_dict(_HARNESS_RECORD["scenario"]))
+        assert err == (
+            f"run id 'fz-4f831f1844fb': its recorded scenario rebuilds as {rebuilt!r} "
+            "in this version; refusing to replay\n"
+        )

@@ -188,8 +188,6 @@ def _kind_scenario(kind: str) -> Scenario:
     """A cheap scenario of each kind the executor runs."""
     if kind == "collective":
         return _scenario()
-    if kind == "harness":
-        return _scenario(harness_experiment="multitenant")
     return _scenario(
         preset="fat_tree", ranks_per_node=2, nics_per_node=2, contention="fair",
         fault_mix="stragglers",
@@ -202,26 +200,18 @@ def _perturb_collective(outcome):
     outcome.values[0] = value
 
 
-def _perturb_harness(result):
-    row = result.rows[0]
-    key = next(key for key, value in row.items() if isinstance(value, float))
-    result.rows[0] = {**row, key: float(np.nextafter(row[key], np.inf))}
-
-
 def _perturb_faulted_workload(report):
     report.records[0].finished = np.nextafter(report.records[0].finished, np.inf)
 
 
 def _on_second_run(monkeypatch, kind, act):
     """Hook the one call each run of ``kind`` makes (a one-step program, one
-    experiment, one workload) and apply ``act`` to the second run's result."""
+    workload) and apply ``act`` to the second run's result."""
     from repro.fuzzer import executor as executor_module
-    from repro.harness import runner
     from repro.workload import WorkloadEngine
 
     owner, name = {
         "collective": (executor_module, "issue_collective"),
-        "harness": (runner, "run_experiment"),
         "faulted_workload": (WorkloadEngine, "run"),
     }[kind]
     real, calls = getattr(owner, name), []
@@ -237,7 +227,7 @@ def _on_second_run(monkeypatch, kind, act):
     return calls
 
 
-KINDS = ["collective", "harness", "faulted_workload"]
+KINDS = ["collective", "faulted_workload"]
 
 
 class TestOneRunProtocol:
@@ -248,14 +238,13 @@ class TestOneRunProtocol:
         "kind, perturb, part",
         [
             ("collective", _perturb_collective, "values"),
-            ("harness", _perturb_harness, "rows"),
             ("faulted_workload", _perturb_faulted_workload, "jobs"),
         ],
         ids=KINDS,
     )
     def test_a_lying_replay_is_one_determinism_violation(self, kind, perturb, part, monkeypatch):
-        # one ulp of one rank's value, of one harness row's value, of one job's
-        # finish: only the second run lies, so the values check (first run) stays quiet
+        # one ulp of one rank's value or of one job's finish: only the second
+        # run lies, so the values check (first run) stays quiet
         calls = _on_second_run(monkeypatch, kind, perturb)
         record = execute(_kind_scenario(kind))
         assert len(calls) == 2
@@ -274,7 +263,7 @@ class TestOneRunProtocol:
         assert record["violations"] == [
             {"invariant": "no_crash", "detail": "RuntimeError: the second run fell over"}
         ]
-        assert "makespan" not in record and "harness_rows" not in record
+        assert "makespan" not in record
 
     @pytest.mark.parametrize("fault_mix", ["degraded_tier", "mixed"])
     def test_a_reset_that_keeps_a_fault_is_a_determinism_violation(self, fault_mix, monkeypatch):

@@ -1,4 +1,4 @@
-"""Fuzzer extension knobs: harness-experiment and fault-mix scenarios."""
+"""Fuzzer extension knob: fault-mix scenarios."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.fuzzer.autopilot import _REDUCTIONS
 from repro.fuzzer.executor import execute
 from repro.fuzzer.generator import (
     FAULT_MIXES,
-    HARNESS_EXPERIMENTS,
     generate_scenario,
     sanitize,
 )
@@ -19,30 +18,18 @@ def _base(seed=0, **overrides):
 
 class TestSanitizeExtensions:
     def test_unknown_values_fold_to_none(self):
-        scenario = sanitize(
-            _base(harness_experiment="chaos", fault_mix="meteor_strike")
-        )
-        assert scenario.harness_experiment == "none"
-        assert scenario.fault_mix == "none"
-
-    def test_at_most_one_extension_harness_wins(self):
-        scenario = sanitize(
-            _base(harness_experiment="topo", fault_mix="degraded_tier")
-        )
-        assert scenario.harness_experiment == "topo"
+        scenario = sanitize(_base(fault_mix="meteor_strike"))
         assert scenario.fault_mix == "none"
 
     def test_fault_mix_folds_preset_onto_a_fabric(self):
         scenario = sanitize(
-            _base(preset="flat", harness_experiment="none",
-                  fault_mix="degraded_tier")
+            _base(preset="flat", fault_mix="degraded_tier")
         )
         assert scenario.preset in ("fat_tree", "dragonfly", "rail_fat_tree")
 
     def test_rail_outage_forces_multirail(self):
         scenario = sanitize(
-            _base(preset="fat_tree", nics_per_node=1,
-                  harness_experiment="none", fault_mix="rail_outage")
+            _base(preset="fat_tree", nics_per_node=1, fault_mix="rail_outage")
         )
         assert scenario.nics_per_node >= 2
 
@@ -53,15 +40,10 @@ class TestSanitizeExtensions:
 
 
 class TestGeneratorDrawsExtensions:
-    def test_both_knobs_eventually_drawn_and_mostly_none(self):
-        scenarios = [generate_scenario(seed) for seed in range(400)]
-        harness = [s.harness_experiment for s in scenarios]
-        faults = [s.fault_mix for s in scenarios]
-        assert set(harness) - {"none"}, "harness experiments never drawn"
+    def test_fault_mixes_eventually_drawn_and_mostly_none(self):
+        faults = [generate_scenario(seed).fault_mix for seed in range(400)]
         assert set(faults) - {"none"}, "fault mixes never drawn"
-        assert harness.count("none") > len(scenarios) * 0.7
-        assert faults.count("none") > len(scenarios) * 0.7
-        assert set(harness) <= set(HARNESS_EXPERIMENTS)
+        assert faults.count("none") > len(faults) * 0.7
         assert set(faults) <= set(FAULT_MIXES)
 
     def test_trailing_knobs_keep_other_draws_stable(self):
@@ -71,22 +53,35 @@ class TestGeneratorDrawsExtensions:
         core = {
             k: v
             for k, v in scenario.to_dict().items()
-            if k not in ("harness_experiment", "fault_mix")
+            if k != "fault_mix"
         }
         assert core["seed"] == 11
         assert core["n_ranks"] >= 2
+
+    def test_a_deleted_knob_still_consumes_its_draw(self):
+        # the harness-experiment knob drew between program_len and fault_mix;
+        # its draw is still consumed, so these seeds keep the faulted
+        # workloads (and recovery knobs) they have always expanded to
+        pinned = {
+            4_000_019: ("domain_outage", "restart_elsewhere", 4),
+            11_000_040: ("node_loss", "restart_elsewhere", 0),
+            16_000_055: ("domain_outage", "restart_elsewhere", 1),
+            19_000_064: ("node_loss", "restart_elsewhere", 4),
+            42_000_133: ("rail_outage", "fail", 0),
+        }
+        for seed, knobs in pinned.items():
+            s = generate_scenario(seed)
+            assert (s.fault_mix, s.failure_policy, s.checkpoint_every) == knobs, seed
 
 
 class TestShrinkerKnowsExtensions:
     def test_reductions_drop_extensions_first(self):
         fields = [name for name, _ in _REDUCTIONS]
-        # newest knobs first (PR 10 recovery), then the extension switches,
-        # all ahead of every core dimension
-        assert fields[:5] == [
-            "domain_outage", "failure_policy", "checkpoint_every",
-            "harness_experiment", "fault_mix",
+        # the recovery knobs first, then the fault extension, all ahead of
+        # every core dimension
+        assert fields[:4] == [
+            "domain_outage", "failure_policy", "checkpoint_every", "fault_mix",
         ]
-        assert ("harness_experiment", ("none",)) in _REDUCTIONS
         assert ("fault_mix", ("none",)) in _REDUCTIONS
 
 
@@ -100,7 +95,6 @@ class TestExecuteExtensions:
                 placement="block",
                 contention="fair",
                 routing="minimal",
-                harness_experiment="none",
                 fault_mix="stragglers",
             )
         )
@@ -108,11 +102,3 @@ class TestExecuteExtensions:
         assert record["status"] == "ok", record.get("violations")
         assert record["fault_mix"] == "stragglers"
         assert record["fault_events"] >= 1
-
-    def test_harness_scenario_executes_clean(self):
-        scenario = sanitize(
-            _base(harness_experiment="multitenant", fault_mix="none")
-        )
-        record = execute(scenario)
-        assert record["status"] == "ok", record.get("violations")
-        assert record["harness_experiment"] == "multitenant"

@@ -11,7 +11,6 @@ from repro.fuzzer.generator import (
     generate_scenario,
     placement_list,
     sanitize,
-    scenario_matrix,
 )
 
 
@@ -26,16 +25,18 @@ class TestDeterminism:
             assert Scenario.from_dict(scenario.to_dict()) == scenario
 
     def test_matrix_is_deterministic_and_seed_disjoint(self):
-        assert scenario_matrix(7, 20) == scenario_matrix(7, 20)
+        assert [generate_scenario(7 * 1_000_003 + i) for i in range(20)] == [
+            generate_scenario(7 * 1_000_003 + i) for i in range(20)
+        ]
         # different base seeds never collide on early indices
-        a = {s.seed for s in scenario_matrix(1, 50)}
-        b = {s.seed for s in scenario_matrix(2, 50)}
+        a = {generate_scenario(1 * 1_000_003 + i).seed for i in range(50)}
+        b = {generate_scenario(2 * 1_000_003 + i).seed for i in range(50)}
         assert not (a & b)
 
 
 class TestCoverage:
     def test_sweep_reaches_every_preset_and_edge_sizes(self):
-        scenarios = scenario_matrix(0, 400)
+        scenarios = [generate_scenario(i) for i in range(400)]
         presets = {s.preset for s in scenarios}
         assert presets == set(PRESETS)
         sizes = {s.msg_elems for s in scenarios}
@@ -165,18 +166,6 @@ class TestRecoveryKnobs:
         fixed = sanitize(self._faulted(fault_mix="node_loss", domain_outage=True))
         assert fixed.fault_mix == "domain_outage"
 
-    def test_harness_extension_wins_over_the_outage_flag(self):
-        fixed = sanitize(self._faulted(
-            harness_experiment="topo", fault_mix="node_loss",
-            domain_outage=True, failure_policy="restart", checkpoint_every=2,
-        ))
-        assert fixed.harness_experiment == "topo"
-        assert fixed.fault_mix == "none"
-        assert fixed.domain_outage is False
-        # with the fault extension gone the recovery knobs fold too
-        assert fixed.failure_policy == "fail"
-        assert fixed.checkpoint_every == 0
-
     def test_recovery_knobs_fold_unless_nodes_are_lost(self):
         # "mixed" degrades links and slows ranks but never loses a node
         for mix in ("none", "flaky_links", "mixed"):
@@ -207,7 +196,6 @@ class TestRecoveryKnobs:
     def test_crafted_recovery_scenarios_sanitize_idempotently(self):
         crafted = [
             self._faulted(fault_mix="none", domain_outage=True),
-            self._faulted(harness_experiment="faults", domain_outage=True),
             self._faulted(failure_policy="restart", checkpoint_every=True),
             self._faulted(fault_mix="mixed", failure_policy="restart"),
         ]
@@ -216,7 +204,7 @@ class TestRecoveryKnobs:
             assert sanitize(once) == once
 
     def test_knob_draws_are_trailing_and_rare(self):
-        scenarios = scenario_matrix(0, 2000)
+        scenarios = [generate_scenario(i) for i in range(2000)]
         mixes = {s.fault_mix for s in scenarios}
         assert "domain_outage" in mixes  # the flag installs the new mix
         # knobs are inert off the node-loss mixes ...

@@ -7,6 +7,7 @@ supposed to show.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.harness.experiments.fabric_contention import FABRIC_NAMES, run_fabric
 from repro.harness.experiments.recovery import _job_mix
 from repro.harness.experiments.topology_scaling import run_topology_scaling
 from repro.harness.runner import main
+from repro.mpisim.audit import audit_fabric
 from repro.mpisim.engine import Engine
 
 #: a miniature scale so harness tests stay fast
@@ -319,6 +321,28 @@ class TestMultitenant:
         assert "mean slowdown" in notes
         assert "p50" in notes and "p99" in notes
         assert "utilization" in notes
+
+
+#: the seeded network experiments, at the settings their own tests use
+_SEEDED_RUNS = {
+    "topo": lambda: run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3),
+    "fabric": lambda: run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3),
+    "multitenant": lambda: run_experiment("multitenant", scale=TINY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_RUNS))
+def test_a_seeded_experiment_replays_exactly_under_the_audit(name):
+    # run twice, each under one fabric audit: the rows' canonical JSON must
+    # match bit for bit and no run may break capacity or fair share
+    rows, violations = [], []
+    for _ in range(2):
+        with audit_fabric() as found:
+            result = _SEEDED_RUNS[name]()
+        rows.append(json.dumps(result.rows, sort_keys=True, default=repr))
+        violations.extend(found)
+    assert rows[0] == rows[1]
+    assert violations == []
 
 
 class TestTheoryAndDistribution:
