@@ -4,16 +4,31 @@ Each experiment is run at a deliberately tiny scale (few sizes, few ranks) so
 the whole module stays fast; the assertions check the *structure* of every
 result plus the headline qualitative findings that each paper table/figure is
 supposed to show.
+
+The swept experiments' tiny tables are also pinned, printed cells at full
+precision, in ``tiny_tables_pin.json``.  Regenerating it is a deliberate act,
+never a side effect of a test run::
+
+    PYTHONPATH=src python tests/harness/test_experiments.py
 """
 
+import copy
 import dataclasses
+import difflib
+import functools
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from repro.harness import EXPERIMENTS, ExperimentResult, list_experiments, run_experiment
 from repro.harness.common import SCALES, ScaleSettings, resolve_scale
-from repro.harness.experiments.allreduce_comparison import run_fig11_datasizes, run_fig13_fields
+from repro.harness.experiments.allreduce_comparison import (
+    run_fig11_datasizes,
+    run_fig12_scaling,
+    run_fig13_fields,
+)
 from repro.harness.experiments.compressor_tables import characterise, run_table1, run_table2, run_table3
 from repro.harness.experiments.scatter_bcast import run_fig16_scatter_bcast
 from repro.harness.experiments.stacking import (
@@ -23,6 +38,7 @@ from repro.harness.experiments.stacking import (
 )
 from repro.harness.experiments.stepwise_breakdown import (
     run_fig7_breakdown,
+    run_fig8_di_vs_nd,
     run_fig9_wait_overlap,
     run_fig10_stepwise,
     stepwise_sweep,
@@ -44,6 +60,32 @@ TINY = ScaleSettings(
     node_sweep=(2, 4),
     table_points=60_000,
 )
+
+
+@functools.cache
+def _stepwise_rows():
+    return stepwise_sweep(dataclasses.replace(TINY, size_sweep_mb=(64, 160)))
+
+
+#: the swept experiments at the tiny settings their tests use
+_TINY_RUNS = {
+    "fig7": lambda: run_fig7_breakdown(rows=_stepwise_rows()),
+    "fig8": lambda: run_fig8_di_vs_nd(rows=_stepwise_rows()),
+    "fig9": lambda: run_fig9_wait_overlap(rows=_stepwise_rows()),
+    "fig10": lambda: run_fig10_stepwise(rows=_stepwise_rows()),
+    "fig11": lambda: run_fig11_datasizes(scale=dataclasses.replace(TINY, size_sweep_mb=(96,))),
+    "fig12": lambda: run_fig12_scaling(scale=TINY),
+    "fig13": lambda: run_fig13_fields(scale=TINY, size_mb=64),
+    "fig16": lambda: run_fig16_scatter_bcast(scale=dataclasses.replace(TINY, size_sweep_mb=(96,))),
+    "topo": lambda: run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3),
+    "fabric": lambda: run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3),
+}
+
+
+@functools.cache
+def tiny_result(name):
+    """One shared run of ``_TINY_RUNS[name]``; callers must not mutate it."""
+    return _TINY_RUNS[name]()
 
 
 class TestRegistry:
@@ -169,27 +211,24 @@ class TestCompressorTables:
 
 
 class TestStepwiseFigures:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return stepwise_sweep(dataclasses.replace(TINY, size_sweep_mb=(64, 160)))
-
-    def test_sweep_rows(self, rows):
+    def test_sweep_rows(self):
+        rows = _stepwise_rows()
         assert len(rows) == 2 * 4
         assert {row["variant"] for row in rows} == {"AD", "DI", "ND", "Overlap"}
 
-    def test_fig7(self, rows):
-        result = run_fig7_breakdown(rows=rows)
+    def test_fig7(self):
+        result = tiny_result("fig7")
         variants = {row["variant"] for row in result.rows}
         assert variants == {"AD", "DI"}
         di_rows = [r for r in result.rows if r["variant"] == "DI"]
         assert all(r["ComDecom"] > 0 for r in di_rows)
 
-    def test_fig9_reduction(self, rows):
-        result = run_fig9_wait_overlap(rows=rows)
+    def test_fig9_reduction(self):
+        result = tiny_result("fig9")
         assert all(row["reduction_pct"] > 50 for row in result.rows)
 
-    def test_fig10_speedup(self, rows):
-        result = run_fig10_stepwise(rows=rows)
+    def test_fig10_speedup(self):
+        result = tiny_result("fig10")
         overlap = [r for r in result.rows if r["variant"] == "Overlap"]
         assert all(r["normalized_to_AD"] < 0.8 for r in overlap)
         ad = [r for r in result.rows if r["variant"] == "AD"]
@@ -198,7 +237,7 @@ class TestStepwiseFigures:
 
 class TestComparisonFigures:
     def test_fig11_structure_and_winner(self):
-        result = run_fig11_datasizes(scale=dataclasses.replace(TINY, size_sweep_mb=(96,)))
+        result = tiny_result("fig11")
         impls = {row["implementation"] for row in result.rows}
         assert impls == {"Allreduce", "ZFP(FXR)", "ZFP(ABS)", "SZx", "C-Allreduce"}
         ccoll = [r for r in result.rows if r["implementation"] == "C-Allreduce"]
@@ -207,7 +246,7 @@ class TestComparisonFigures:
         assert all(r["normalized"] > 0.9 for r in cpr)
 
     def test_fig13_fields(self):
-        result = run_fig13_fields(scale=TINY, size_mb=64)
+        result = tiny_result("fig13")
         ccoll = [r for r in result.rows if r["implementation"] == "C-Allreduce"]
         assert len(ccoll) == 4
         assert all(r["speedup_vs_allreduce"] > 1.2 for r in ccoll)
@@ -219,7 +258,7 @@ class TestComparisonFigures:
         assert all(45 < r["psnr_db"] < 75 for r in rel_rows)
 
     def test_fig16(self):
-        result = run_fig16_scatter_bcast(scale=dataclasses.replace(TINY, size_sweep_mb=(96,)))
+        result = tiny_result("fig16")
         c_rows = [
             r
             for r in result.rows
@@ -265,7 +304,7 @@ class TestStackingFigures:
 
 class TestTopologyScaling:
     def test_topo_structure_and_selection(self):
-        result = run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3)
+        result = tiny_result("topo")
         topologies = {row["topology"] for row in result.rows}
         assert topologies == {"flat", "two_level", "shared_uplink"}
         # exactly one algorithm is marked selected per (topology, size) cell
@@ -288,7 +327,7 @@ class TestTopologyScaling:
 
 class TestFabricContention:
     def test_fabric_structure_and_gate_flip(self):
-        result = run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3)
+        result = tiny_result("fabric")
         fabrics = {row["fabric"] for row in result.rows}
         assert fabrics == set(FABRIC_NAMES)
         # every fabric row carries an effective bandwidth and exactly one pick
@@ -325,8 +364,8 @@ class TestMultitenant:
 
 #: the seeded network experiments, at the settings their own tests use
 _SEEDED_RUNS = {
-    "topo": lambda: run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3),
-    "fabric": lambda: run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3),
+    "topo": _TINY_RUNS["topo"],
+    "fabric": _TINY_RUNS["fabric"],
     "multitenant": lambda: run_experiment("multitenant", scale=TINY),
 }
 
@@ -345,6 +384,30 @@ def test_a_seeded_experiment_replays_exactly_under_the_audit(name):
     assert violations == []
 
 
+PIN_PATH = Path(__file__).parent / "tiny_tables_pin.json"
+
+
+def _pinned_lines(result):
+    """``to_text()``, then every printed cell at full precision, one row a line."""
+    exact = [json.dumps([row.get(c) for c in result.columns], default=repr) for row in result.rows]
+    return result.to_text().splitlines() + exact
+
+
+@pytest.mark.parametrize("name", list(_TINY_RUNS))
+def test_a_tiny_table_matches_its_pin(name):
+    pinned = json.loads(PIN_PATH.read_text())[name]
+    observed = _pinned_lines(tiny_result(name))
+    diff = difflib.unified_diff(pinned, observed, "pinned", "observed", lineterm="")
+    assert observed == pinned, "\n".join(diff)
+
+
+def test_the_pin_sees_one_ulp():
+    moved = copy.deepcopy(tiny_result("fig12"))
+    row = moved.rows[-1]
+    row["total_time_s"] = math.nextafter(row["total_time_s"], math.inf)
+    assert _pinned_lines(moved) != _pinned_lines(tiny_result("fig12"))
+
+
 class TestTheoryAndDistribution:
     def test_theory_bounds_all_hold(self):
         result = run_experiment("theory", scale=TINY, trials=20_000)
@@ -354,3 +417,8 @@ class TestTheoryAndDistribution:
         result = run_experiment("fig5", scale=TINY)
         assert len(result.rows) == 2 * 3 * 2  # codecs x datasets x generations
         assert all(0.0 <= row["within_3sigma"] <= 1.0 for row in result.rows)
+
+
+if __name__ == "__main__":
+    pin = {name: _pinned_lines(run()) for name, run in _TINY_RUNS.items()}
+    PIN_PATH.write_text(json.dumps(pin, indent=1) + "\n")
