@@ -3,6 +3,11 @@
 ``run_experiment("fig11")`` (or ``python -m repro.harness fig11``) produces an
 :class:`~repro.harness.reporting.ExperimentResult` whose rows mirror the
 corresponding table/figure; ``EXPERIMENTS`` lists everything available.
+
+An experiment is a header (the result's name, title, paper claim and columns)
+plus its rows.  A swept one declares named axes and one cell function (cell
+key -> rows), and :func:`~repro.harness.common.sweep`, the one sweep loop,
+runs every cell in the axes' product order.
 """
 
 from repro.harness.common import SCALES, ScaleSettings, resolve_scale

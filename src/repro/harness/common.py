@@ -12,13 +12,15 @@ Every experiment accepts a ``scale`` argument:
 
 The helpers here centralise how per-rank inputs are built from the synthetic
 datasets and how the real-array size / size-multiplier pair is chosen for a
-requested virtual message size.
+requested virtual message size, and hold :func:`sweep`, the one loop that
+runs every swept experiment's cells.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "virtual_message",
     "per_rank_variants",
     "default_config",
+    "sweep",
 ]
 
 #: the absolute error bound of the evaluation wherever a figure does not sweep it
@@ -146,3 +149,19 @@ def default_config(
 def load_rtm_message(virtual_mb: float, settings: ScaleSettings):
     """Convenience: an RTM-backed virtual message (the dataset used by most figures)."""
     return virtual_message(load_field("rtm", seed=3), virtual_mb, settings)
+
+
+def sweep(
+    axes: Dict[str, Sequence], cell: Callable[..., Iterable[Dict[str, object]]]
+) -> List[Dict[str, object]]:
+    """The harness's one sweep loop: ``cell(**key)`` for every key of ``axes``.
+
+    A key takes one value from each named axis; keys come in product order,
+    the last axis varying fastest.  Each row the cell returns is prefixed
+    with its key's columns.
+    """
+    rows: List[Dict[str, object]] = []
+    for values in itertools.product(*axes.values()):
+        key = dict(zip(axes, values))
+        rows.extend({**key, **row} for row in cell(**key))
+    return rows

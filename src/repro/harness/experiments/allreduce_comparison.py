@@ -9,6 +9,12 @@
   (PRECIPf / QGRAUPf / CLOUDf) and CESM-ATM (Q) at error bound 1e-4.
 * **Figures 14-15** — the accuracy of the C-Allreduce result on the Hurricane
   and CESM-ATM fields (PSNR / NRMSE of the reduced data at bound 1e-3).
+
+Every figure is one axis and a cell function run by
+:func:`~repro.harness.common.sweep`.  Figures 11-13 share one cell,
+:func:`versus_allreduce` (the implementations on one input, normalized to the
+uncompressed Allreduce); each names only its axis (message size, rank count
+or field) and how a key becomes that input.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.harness.common import (
     load_rtm_message,
     per_rank_variants,
     resolve_scale,
+    sweep,
     virtual_message,
 )
 from repro.harness.reporting import ExperimentResult
@@ -37,10 +44,20 @@ __all__ = [
     "run_fig13_fields",
     "run_fig14_15_accuracy",
     "IMPLEMENTATIONS",
+    "versus_allreduce",
 ]
 
+#: each implementation's (codec, compression) session; the first, the
+#: uncompressed ring, is the baseline every cell normalizes to
+_SESSIONS = {
+    "Allreduce": ("szx", "off"),
+    "ZFP(FXR)": ("zfp_fxr", "di"),
+    "ZFP(ABS)": ("zfp_abs", "di"),
+    "SZx": ("szx", "di"),
+    "C-Allreduce": ("szx", "on"),
+}
 #: the five implementations compared in Figure 11
-IMPLEMENTATIONS = ("Allreduce", "ZFP(FXR)", "ZFP(ABS)", "SZx", "C-Allreduce")
+IMPLEMENTATIONS = tuple(_SESSIONS)
 #: the three of them Figures 12 and 13 keep
 SZX_IMPLEMENTATIONS = ("Allreduce", "SZx", "C-Allreduce")
 
@@ -48,46 +65,41 @@ SZX_IMPLEMENTATIONS = ("Allreduce", "SZx", "C-Allreduce")
 SCALING_SIZE_MB = 678
 
 
-def _run_implementation(
-    name: str,
-    inputs,
-    n_ranks: int,
-    multiplier: float,
-    network,
-    error_bound: float,
-):
-    """Dispatch one of the Figure 11 implementations through the session API."""
-    if name == "Allreduce":
-        config = default_config(size_multiplier=multiplier)
-        compression = "off"
-    elif name == "ZFP(FXR)":
-        config = default_config(codec="zfp_fxr", size_multiplier=multiplier)
-        compression = "di"
-    elif name == "ZFP(ABS)":
-        config = default_config(
-            codec="zfp_abs", error_bound=error_bound, size_multiplier=multiplier
+def versus_allreduce(implementations, data, multiplier, n_ranks, error_bound):
+    """One cell of Figures 11-13: each implementation on per-rank copies of
+    ``data``, normalized to the first one (the uncompressed Allreduce)."""
+    inputs = per_rank_variants(data, n_ranks)
+    rows = []
+    for name in implementations:
+        codec, compression = _SESSIONS[name]
+        config = default_config(codec=codec, error_bound=error_bound, size_multiplier=multiplier)
+        comm = Cluster(network=default_network(), config=config).communicator(n_ranks)
+        # the paper's baseline is the ring; the compressed variants fix their schedule
+        algorithm = "ring" if compression == "off" else "auto"
+        outcome = comm.allreduce(inputs, algorithm=algorithm, compression=compression)
+        normalized = outcome.total_time / (rows[0]["total_time_s"] if rows else outcome.total_time)
+        rows.append(
+            dict(
+                implementation=name,
+                total_time_s=outcome.total_time,
+                normalized=normalized,
+                speedup_vs_allreduce=1.0 / normalized,
+                compression_ratio=getattr(outcome, "compression_ratio", None),
+            )
         )
-        compression = "di"
-    elif name == "SZx":
-        config = default_config(codec="szx", error_bound=error_bound, size_multiplier=multiplier)
-        compression = "di"
-    elif name == "C-Allreduce":
-        config = default_config(codec="szx", error_bound=error_bound, size_multiplier=multiplier)
-        compression = "on"
-    else:
-        raise ValueError(f"unknown implementation {name!r}")
-    comm = Cluster(network=network, config=config).communicator(n_ranks)
-    # the paper's baseline is the ring; the compressed variants fix their schedule
-    algorithm = "ring" if compression == "off" else "auto"
-    return comm.allreduce(inputs, algorithm=algorithm, compression=compression)
+    return rows
 
 
 def run_fig11_datasizes(scale="small") -> ExperimentResult:
     """Figure 11: normalized execution time vs message size on the large cluster."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
-    network = default_network()
-    result = ExperimentResult(
+
+    def cell(size_mb):
+        data, multiplier = load_rtm_message(size_mb, settings)
+        return versus_allreduce(IMPLEMENTATIONS, data, multiplier, n_ranks, ERROR_BOUND)
+
+    return ExperimentResult(
         experiment="fig11",
         title=f"C-Allreduce vs baselines across message sizes ({n_ranks} ranks)",
         paper_reference=(
@@ -95,33 +107,19 @@ def run_fig11_datasizes(scale="small") -> ExperimentResult:
             "(Figure 11, 128 nodes)"
         ),
         columns=["size_mb", "implementation", "total_time_s", "normalized", "compression_ratio"],
+        rows=sweep({"size_mb": settings.size_sweep_mb}, cell),
     )
-    for size_mb in settings.size_sweep_mb:
-        data, multiplier = load_rtm_message(size_mb, settings)
-        inputs = per_rank_variants(data, n_ranks)
-        baseline_time = None
-        for name in IMPLEMENTATIONS:
-            outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, ERROR_BOUND
-            )
-            if name == "Allreduce":
-                baseline_time = outcome.total_time
-            ratio = getattr(outcome, "compression_ratio", None)
-            result.add_row(
-                size_mb=size_mb,
-                implementation=name,
-                total_time_s=outcome.total_time,
-                normalized=outcome.total_time / baseline_time if baseline_time else None,
-                compression_ratio=ratio,
-            )
-    return result
 
 
 def run_fig12_scaling(scale="small") -> ExperimentResult:
     """Figure 12: scaling the node count at a fixed 678 MB message."""
     settings = resolve_scale(scale)
-    network = default_network()
-    result = ExperimentResult(
+    data, multiplier = load_rtm_message(SCALING_SIZE_MB, settings)
+
+    def cell(n_ranks):
+        return versus_allreduce(SZX_IMPLEMENTATIONS, data, multiplier, n_ranks, ERROR_BOUND)
+
+    return ExperimentResult(
         experiment="fig12",
         title=f"Node scaling at {SCALING_SIZE_MB} MB",
         paper_reference=(
@@ -129,32 +127,22 @@ def run_fig12_scaling(scale="small") -> ExperimentResult:
             "original Allreduce (Figure 12)"
         ),
         columns=["n_ranks", "implementation", "total_time_s", "normalized"],
+        rows=sweep({"n_ranks": settings.node_sweep}, cell),
     )
-    data, multiplier = load_rtm_message(SCALING_SIZE_MB, settings)
-    for n_ranks in settings.node_sweep:
-        inputs = per_rank_variants(data, n_ranks)
-        baseline_time = None
-        for name in SZX_IMPLEMENTATIONS:
-            outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, ERROR_BOUND
-            )
-            if name == "Allreduce":
-                baseline_time = outcome.total_time
-            result.add_row(
-                n_ranks=n_ranks,
-                implementation=name,
-                total_time_s=outcome.total_time,
-                normalized=outcome.total_time / baseline_time if baseline_time else None,
-            )
-    return result
 
 
 def run_fig13_fields(scale="small", size_mb: int = 278) -> ExperimentResult:
     """Figure 13: per-field comparison at error bound 1e-4."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
-    network = default_network()
-    result = ExperimentResult(
+
+    def cell(field):
+        application, field_name = field.split("/")
+        field_data = load_field(application, field_name, seed=4)
+        data, multiplier = virtual_message(field_data, size_mb, settings)
+        return versus_allreduce(SZX_IMPLEMENTATIONS, data, multiplier, n_ranks, FIELD_ERROR_BOUND)
+
+    return ExperimentResult(
         experiment="fig13",
         title=f"C-Allreduce vs baselines per application field (bound {FIELD_ERROR_BOUND:g})",
         paper_reference=(
@@ -169,28 +157,8 @@ def run_fig13_fields(scale="small", size_mb: int = 278) -> ExperimentResult:
             "speedup_vs_allreduce",
             "compression_ratio",
         ],
+        rows=sweep({"field": [f"{app}/{name}" for app, name in FIELD_CASES]}, cell),
     )
-    for application, field_name in FIELD_CASES:
-        field = load_field(application, field_name, seed=4)
-        data, multiplier = virtual_message(field, size_mb, settings)
-        inputs = per_rank_variants(data, n_ranks)
-        baseline_time = None
-        for name in SZX_IMPLEMENTATIONS:
-            outcome = _run_implementation(
-                name, inputs, n_ranks, multiplier, network, FIELD_ERROR_BOUND
-            )
-            if name == "Allreduce":
-                baseline_time = outcome.total_time
-            normalized = outcome.total_time / baseline_time if baseline_time else None
-            result.add_row(
-                field=f"{application}/{field_name}",
-                implementation=name,
-                total_time_s=outcome.total_time,
-                normalized=normalized,
-                speedup_vs_allreduce=(1.0 / normalized) if normalized else None,
-                compression_ratio=getattr(outcome, "compression_ratio", None),
-            )
-    return result
 
 
 def run_fig14_15_accuracy(scale="small") -> ExperimentResult:
@@ -203,8 +171,34 @@ def run_fig14_15_accuracy(scale="small") -> ExperimentResult:
     """
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_small_cluster
-    network = default_network()
-    result = ExperimentResult(
+
+    def cell(field):
+        application, field_name = field.split("/")
+        field_data = load_field(application, field_name, seed=4)
+        data, multiplier = virtual_message(field_data, 128, settings)
+        inputs = per_rank_variants(data, n_ranks)
+        exact = np.sum(np.stack(inputs), axis=0, dtype=np.float64)
+        value_range = float(exact.max() - exact.min())
+        rows = []
+        bounds = {"abs": ERROR_BOUND, "rel (x value range)": ERROR_BOUND * value_range}
+        for mode, bound in bounds.items():
+            config = default_config(codec="szx", error_bound=bound, size_multiplier=multiplier)
+            comm = Cluster(network=default_network(), config=config).communicator(n_ranks)
+            outcome = comm.allreduce(inputs, compression="on")
+            quality = quality_report(exact, outcome.value(0))
+            rows.append(
+                dict(
+                    bound_mode=mode,
+                    effective_bound=bound,
+                    psnr_db=quality.psnr,
+                    nrmse=quality.nrmse,
+                    max_abs_error=quality.max_abs_error,
+                    within_chain_bound=quality.max_abs_error <= (n_ranks + 1) * bound,
+                )
+            )
+        return rows
+
+    return ExperimentResult(
         experiment="fig14_15",
         title=f"Accuracy of the C-Allreduce result (error bound {ERROR_BOUND:g})",
         paper_reference="PSNR 60.04 / 59.19 and NRMSE ~1e-3 on Hurricane / CESM-ATM (Figures 14-15)",
@@ -217,32 +211,9 @@ def run_fig14_15_accuracy(scale="small") -> ExperimentResult:
             "max_abs_error",
             "within_chain_bound",
         ],
+        rows=sweep({"field": ["hurricane/TCf", "cesm/CLOUD"]}, cell),
+        notes=[
+            "the PSNR of an error-bounded result is set by bound / value-range; the relative rows "
+            "reproduce the paper's ~60 dB operating point independent of the field's physical units."
+        ],
     )
-    for application, field_name in (("hurricane", "TCf"), ("cesm", "CLOUD")):
-        field = load_field(application, field_name, seed=4)
-        data, multiplier = virtual_message(field, 128, settings)
-        inputs = per_rank_variants(data, n_ranks)
-        exact = np.sum(np.stack(inputs), axis=0, dtype=np.float64)
-        value_range = float(exact.max() - exact.min())
-        for mode, bound in (
-            ("abs", ERROR_BOUND),
-            ("rel (x value range)", ERROR_BOUND * value_range),
-        ):
-            config = default_config(codec="szx", error_bound=bound, size_multiplier=multiplier)
-            comm = Cluster(network=network, config=config).communicator(n_ranks)
-            outcome = comm.allreduce(inputs, compression="on")
-            quality = quality_report(exact, outcome.value(0))
-            result.add_row(
-                field=f"{application}/{field_name}",
-                bound_mode=mode,
-                effective_bound=bound,
-                psnr_db=quality.psnr,
-                nrmse=quality.nrmse,
-                max_abs_error=quality.max_abs_error,
-                within_chain_bound=quality.max_abs_error <= (n_ranks + 1) * bound,
-            )
-    result.add_note(
-        "the PSNR of an error-bounded result is set by bound / value-range; the relative rows "
-        "reproduce the paper's ~60 dB operating point independent of the field's physical units."
-    )
-    return result

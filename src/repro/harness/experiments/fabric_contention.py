@@ -28,34 +28,26 @@ model says should stay raw.  ``benchmarks/bench_fabric_contention.py`` pins
 both flips and the capacity-conservation invariants behind them.
 
 Every fabric accepts ``contention="reservation"`` (the serialising default)
-or ``"fair"`` (max-min fair processor sharing); the sweep itself reuses one
-session per fabric and adjusts per-size settings through
-``Communicator.with_options`` instead of rebuilding clusters per cell.
+or ``"fair"`` (max-min fair processor sharing).  The rows come from ``topo``'s
+cells (:func:`~repro.harness.experiments.topology_scaling.algorithms_sweep`),
+which add each fabric's effective bandwidth and the C-Allreduce gate's call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from repro.api import Cluster
 from repro.api.cluster import _fat_tree_arity_for
-from repro.collectives.selection import select_algorithm
-from repro.harness.common import (
-    default_config,
-    load_rtm_message,
-    per_rank_variants,
-    resolve_scale,
-)
+from repro.harness.common import resolve_scale
+from repro.harness.experiments.topology_scaling import algorithms_sweep
 from repro.harness.reporting import ExperimentResult
 from repro.mpisim.topology import Topology
 from repro.perfmodel.presets import (
-    default_network,
     dragonfly_topology,
     fat_tree_topology,
     rail_optimized_fat_tree,
     shared_uplink_topology,
 )
-from repro.utils.units import MB
 
 __all__ = ["run_fabric_contention", "FABRIC_NAMES", "fabric_factories"]
 
@@ -67,11 +59,6 @@ FABRIC_NAMES = (
     "dragonfly_2to1",
     "rail_fat_tree",
 )
-
-#: algorithms compared in every cell — the full tuning-table range, so the
-#: 'selected' column always points at a swept row (the compressed
-#: topology-aware variant rides along)
-_ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
 
 #: per-node NIC rate (GB/s) of every fabric: 2x the calibrated effective
 #: rate, the regime where the C-Allreduce compression gate sits *between* the
@@ -149,10 +136,9 @@ def run_fabric_contention(
     """
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
-    network = default_network()
-    sizes = list(sizes_mb) if sizes_mb is not None else [28, 278]
     factories = fabric_factories(ranks_per_node, n_ranks, contention=contention)
-    result = ExperimentResult(
+    sizes = sizes_mb if sizes_mb is not None else [28, 278]
+    return ExperimentResult(
         experiment="fabric",
         title=(
             f"Collectives across switch-level fabrics ({n_ranks} ranks, "
@@ -173,67 +159,10 @@ def run_fabric_contention(
             "effective_gbps",
             "inter_compressed",
         ],
+        rows=algorithms_sweep("fabric", fabrics, lambda name: factories[name](), sizes, settings),
+        notes=[
+            "'selected' marks select_algorithm()'s pick (thresholds rescale with the "
+            "fabric's effective bandwidth); 'inter_compressed' is the C-Allreduce "
+            "auto gate's call — watch it flip between the 1:1 and 2:1 rows"
+        ],
     )
-    for fabric_name in fabrics:
-        # one fabric, one session: the per-size loop only swaps the virtual
-        # size multiplier through with_options, so the topology's stage and
-        # path caches are built once (the engine resets contention state per
-        # run) instead of rebuilding the cluster for every cell
-        topology = factories[fabric_name]()
-        base_comm = Cluster(
-            network=network, topology=topology, config=default_config()
-        ).communicator(n_ranks)
-        for size_mb in sizes:
-            data, multiplier = load_rtm_message(size_mb, settings)
-            inputs = per_rank_variants(data, n_ranks)
-            comm = base_comm.with_options(size_multiplier=multiplier)
-            virtual_nbytes = int(size_mb * MB)
-            ring_time = None
-            rows: List[Dict[str, object]] = []
-            choice = select_algorithm(virtual_nbytes, n_ranks, topology)
-            for algo in _ALGORITHMS:
-                outcome = comm.allreduce(inputs, algorithm=algo)
-                if algo == "ring":
-                    ring_time = outcome.total_time
-                rows.append(
-                    dict(
-                        fabric=fabric_name,
-                        size_mb=size_mb,
-                        algorithm=algo,
-                        total_time_s=outcome.total_time,
-                        normalized_to_ring=(
-                            outcome.total_time / ring_time if ring_time else None
-                        ),
-                        selected=(algo == choice),
-                        effective_gbps=_effective_gbps(topology),
-                        inter_compressed=None,
-                    )
-                )
-            outcome = comm.allreduce(inputs, compression="auto")
-            rows.append(
-                dict(
-                    fabric=fabric_name,
-                    size_mb=size_mb,
-                    algorithm="c_allreduce_topo",
-                    total_time_s=outcome.total_time,
-                    normalized_to_ring=(
-                        outcome.total_time / ring_time if ring_time else None
-                    ),
-                    selected=False,
-                    effective_gbps=_effective_gbps(topology),
-                    inter_compressed=outcome.inter_compressed,
-                )
-            )
-            for row in rows:
-                result.add_row(**row)
-    result.add_note(
-        "'selected' marks select_algorithm()'s pick (thresholds rescale with the "
-        "fabric's effective bandwidth); 'inter_compressed' is the C-Allreduce "
-        "auto gate's call — watch it flip between the 1:1 and 2:1 rows"
-    )
-    return result
-
-
-def _effective_gbps(topology: Topology) -> Optional[float]:
-    effective = topology.effective_inter_bandwidth()
-    return effective / 1e9 if effective is not None else None

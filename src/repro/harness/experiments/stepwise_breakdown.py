@@ -12,8 +12,10 @@ Table V variants:
   computation framework (Overlap);
 * **Figure 10** — end-to-end times of all four variants.
 
-One sweep of the simulator provides all four views; the individual ``run_*``
-functions slice the shared rows accordingly.
+One sweep provides all four views: :func:`stepwise_sweep` hands its size axis
+and one cell (every variant at one size, on one session) to
+:func:`~repro.harness.common.sweep`, and the individual ``run_*`` functions
+slice the shared rows accordingly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.harness.common import (
     load_rtm_message,
     per_rank_variants,
     resolve_scale,
+    sweep,
 )
 from repro.harness.reporting import ExperimentResult
 from repro.mpisim.timeline import STANDARD_CATEGORIES
@@ -50,29 +53,30 @@ def stepwise_sweep(scale="small", variants=VARIANTS) -> List[Dict[str, object]]:
     """Run the Table V variants over the message-size sweep; one row per (size, variant)."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_small_cluster
-    network = default_network()
-    rows: List[Dict[str, object]] = []
-    for size_mb in settings.size_sweep_mb:
+
+    def cell(size_mb):
         data, multiplier = load_rtm_message(size_mb, settings)
         inputs = per_rank_variants(data, n_ranks)
         config = default_config(size_multiplier=multiplier)
-        comm = Cluster(network=network, config=config).communicator(n_ranks)
+        comm = Cluster(network=default_network(), config=config).communicator(n_ranks)
+        rows = []
         for variant in variants:
             # the paper's AD is the ring; the compressed variants fix their schedule
             algorithm = "ring" if variant == "AD" else "auto"
             outcome = comm.allreduce(inputs, algorithm=algorithm, compression=_SPELLING[variant])
             breakdown = outcome.sim.breakdown_mean()
-            row: Dict[str, object] = {
-                "size_mb": size_mb,
-                "variant": variant,
-                "n_ranks": n_ranks,
-                "total_time_s": outcome.total_time,
-                "compression_ratio": getattr(outcome, "compression_ratio", None),
-            }
-            for category in STANDARD_CATEGORIES:
-                row[category] = breakdown.get(category)
-            rows.append(row)
-    return rows
+            rows.append(
+                {
+                    "variant": variant,
+                    "n_ranks": n_ranks,
+                    "total_time_s": outcome.total_time,
+                    "compression_ratio": getattr(outcome, "compression_ratio", None),
+                    **{category: breakdown.get(category) for category in STANDARD_CATEGORIES},
+                }
+            )
+        return rows
+
+    return sweep({"size_mb": settings.size_sweep_mb}, cell)
 
 
 def _by_variant(rows, variant):

@@ -14,12 +14,14 @@ contention — the question the tuning table in
   split one uplink, and the hierarchical / topology-aware C-Allreduce
   schedules — one inter-node flow per node — pull ahead.
 
-Each row reports one (topology, message size, algorithm) cell plus what
-``select_algorithm`` would have picked for that cell.
+A cell is one (topology, message size) pair.  Its rows are the algorithms,
+each marked with whether ``select_algorithm`` would have picked it; the
+``fabric`` experiment runs the same cell on switch-level fabrics.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional
 
 from repro.api import Cluster
@@ -29,18 +31,69 @@ from repro.harness.common import (
     load_rtm_message,
     per_rank_variants,
     resolve_scale,
+    sweep,
 )
 from repro.harness.reporting import ExperimentResult
 from repro.perfmodel.presets import default_network, make_topology
 from repro.utils.units import MB
 
-__all__ = ["run_topology_scaling", "TOPOLOGY_NAMES"]
+__all__ = ["run_topology_scaling", "TOPOLOGY_NAMES", "algorithms_sweep"]
 
 #: presets swept by the experiment (ranks_per_node fixed at 4 for the two-level ones)
 TOPOLOGY_NAMES = ("flat", "two_level", "shared_uplink")
 
-#: algorithms compared in every cell (plus the compressed topology-aware variant)
+#: algorithms compared in every cell — the full tuning-table range, so the
+#: 'selected' column always points at a swept row (the compressed
+#: topology-aware variant rides along)
 _ALGORITHMS = ("ring", "recursive_doubling", "rabenseifner", "hierarchical")
+
+
+def algorithms_sweep(axis, names, build, sizes_mb, settings) -> List[Dict[str, object]]:
+    """The ``topo`` / ``fabric`` rows: one cell per (fabric name, message size).
+
+    A cell runs every algorithm of :data:`_ALGORITHMS` on one fabric,
+    normalized to the ring, and marks ``select_algorithm``'s pick; the
+    compressed, placement-aware C-Allreduce (``compression="auto"``) rides
+    along except on ``flat``, where it degenerates to leaderless ring hops.
+    ``build(name)`` runs once per fabric: its cells only swap the virtual
+    size multiplier through ``with_options`` (the engine resets contention
+    state per run).
+    """
+    n_ranks = settings.ranks_large_cluster
+
+    @functools.lru_cache(maxsize=1)  # the sweep visits one fabric's sizes in a row
+    def session(name):
+        cluster = Cluster(network=default_network(), topology=build(name), config=default_config())
+        return cluster.communicator(n_ranks)
+
+    def cell(size_mb, **key):
+        name = key[axis]
+        data, multiplier = load_rtm_message(size_mb, settings)
+        inputs = per_rank_variants(data, n_ranks)
+        comm = session(name).with_options(size_multiplier=multiplier)
+        topology = comm.cluster.topology
+        choice = select_algorithm(int(size_mb * MB), n_ranks, topology)
+        effective = topology.effective_inter_bandwidth()
+        runs = [(algo, {"algorithm": algo}) for algo in _ALGORITHMS]
+        if name != "flat":
+            runs.append(("c_allreduce_topo", {"compression": "auto"}))
+        rows = []
+        for algorithm, options in runs:
+            outcome = comm.allreduce(inputs, **options)
+            ring_time = rows[0]["total_time_s"] if rows else outcome.total_time
+            rows.append(
+                dict(
+                    algorithm=algorithm,
+                    total_time_s=outcome.total_time,
+                    normalized_to_ring=outcome.total_time / ring_time,
+                    selected=algorithm == choice,
+                    effective_gbps=effective / 1e9 if effective is not None else None,
+                    inter_compressed=getattr(outcome, "inter_compressed", None),
+                )
+            )
+        return rows
+
+    return sweep({axis: names, "size_mb": sizes_mb}, cell)
 
 
 def run_topology_scaling(
@@ -49,9 +102,12 @@ def run_topology_scaling(
     """Allreduce makespan per (topology, message size, algorithm) cell."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_large_cluster
-    network = default_network()
-    sizes = list(sizes_mb) if sizes_mb is not None else [0.03, 28, 278]
-    result = ExperimentResult(
+    sizes = sizes_mb if sizes_mb is not None else [0.03, 28, 278]
+
+    def build(name):  # flat pins one rank per node
+        return make_topology(name, **({} if name == "flat" else {"ranks_per_node": ranks_per_node}))
+
+    return ExperimentResult(
         experiment="topo",
         title=(
             f"Allreduce algorithms across interconnect topologies "
@@ -69,61 +125,9 @@ def run_topology_scaling(
             "normalized_to_ring",
             "selected",
         ],
+        rows=algorithms_sweep("topology", TOPOLOGY_NAMES, build, sizes, settings),
+        notes=[
+            "'selected' marks the algorithm select_algorithm() picks for that "
+            "(size, ranks, topology) cell; c_allreduce_topo compresses inter-node hops only"
+        ],
     )
-    for topo_name in TOPOLOGY_NAMES:
-        topo_kwargs = {} if topo_name == "flat" else {"ranks_per_node": ranks_per_node}
-        for size_mb in sizes:
-            data, multiplier = load_rtm_message(size_mb, settings)
-            inputs = per_rank_variants(data, n_ranks)
-            config = default_config(size_multiplier=multiplier)
-            virtual_nbytes = int(size_mb * MB)
-            ring_time = None
-            rows: List[Dict[str, object]] = []
-            for algo in _ALGORITHMS:
-                topology = make_topology(topo_name, **topo_kwargs)
-                choice = select_algorithm(virtual_nbytes, n_ranks, topology)
-                comm = Cluster(
-                    network=network, topology=topology, config=config
-                ).communicator(n_ranks)
-                outcome = comm.allreduce(inputs, algorithm=algo)
-                if algo == "ring":
-                    ring_time = outcome.total_time
-                rows.append(
-                    dict(
-                        topology=topo_name,
-                        size_mb=size_mb,
-                        algorithm=algo,
-                        total_time_s=outcome.total_time,
-                        normalized_to_ring=(
-                            outcome.total_time / ring_time if ring_time else None
-                        ),
-                        selected=(algo == choice),
-                    )
-                )
-            # the compressed, placement-aware C-Allreduce rides along for the
-            # two-level presets (on flat it degenerates to leaderless ring hops)
-            if topo_name != "flat":
-                topology = make_topology(topo_name, **topo_kwargs)
-                comm = Cluster(
-                    network=network, topology=topology, config=config
-                ).communicator(n_ranks)
-                outcome = comm.allreduce(inputs, compression="auto")
-                rows.append(
-                    dict(
-                        topology=topo_name,
-                        size_mb=size_mb,
-                        algorithm="c_allreduce_topo",
-                        total_time_s=outcome.total_time,
-                        normalized_to_ring=(
-                            outcome.total_time / ring_time if ring_time else None
-                        ),
-                        selected=False,
-                    )
-                )
-            for row in rows:
-                result.add_row(**row)
-    result.add_note(
-        "'selected' marks the algorithm select_algorithm() picks for that "
-        "(size, ranks, topology) cell; c_allreduce_topo compresses inter-node hops only"
-    )
-    return result

@@ -2,8 +2,10 @@
 
 Every table and figure of the paper's evaluation maps to one named experiment;
 ``run_experiment(name)`` regenerates it and returns an
-:class:`~repro.harness.reporting.ExperimentResult`.  The module doubles as a
-CLI::
+:class:`~repro.harness.reporting.ExperimentResult`.  Each runner resolves its
+scale first, then builds its header and rows; the swept ones (``fig7``-``fig16``,
+``topo``, ``fabric``) get their rows from :func:`repro.harness.common.sweep`,
+which runs their cells.  The module doubles as a CLI::
 
     python -m repro.harness --list
     python -m repro.harness fig11 --scale small
