@@ -67,8 +67,21 @@ def _stepwise_rows():
     return stepwise_sweep(dataclasses.replace(TINY, size_sweep_mb=(64, 160)))
 
 
-#: the swept experiments at the tiny settings their tests use
+@functools.cache
+def _characterised():
+    return characterise(TINY, n_files=2)
+
+
+@functools.cache
+def _stacked():
+    return stacking_sweep(TINY, virtual_mb=48, image_shape=(48, 48))
+
+
+#: the swept experiments and the shared sweeps' views at the tiny settings
+#: their tests use (Table I's ``python_*`` columns are host-measured)
 _TINY_RUNS = {
+    "table2": lambda: run_table2(rows=_characterised()),
+    "table3": lambda: run_table3(rows=_characterised()),
     "fig7": lambda: run_fig7_breakdown(rows=_stepwise_rows()),
     "fig8": lambda: run_fig8_di_vs_nd(rows=_stepwise_rows()),
     "fig9": lambda: run_fig9_wait_overlap(rows=_stepwise_rows()),
@@ -77,6 +90,8 @@ _TINY_RUNS = {
     "fig12": lambda: run_fig12_scaling(scale=TINY),
     "fig13": lambda: run_fig13_fields(scale=TINY, size_mb=64),
     "fig16": lambda: run_fig16_scatter_bcast(scale=dataclasses.replace(TINY, size_sweep_mb=(96,))),
+    "fig17": lambda: run_fig17_stacking_perf(rows=_stacked()),
+    "fig18": lambda: run_fig18_stacking_quality(rows=_stacked()),
     "topo": lambda: run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3),
     "fabric": lambda: run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3),
 }
