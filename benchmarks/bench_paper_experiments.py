@@ -8,7 +8,7 @@ experiment name.  Run one with ``pytest benchmarks/bench_paper_experiments.py
 
 import pytest
 
-from repro.harness import EXPERIMENTS
+from repro.harness import EXPERIMENTS, run_experiment
 
 
 def _table1(rows):
@@ -122,7 +122,7 @@ HEADLINES = {
 
 @pytest.mark.parametrize("name", HEADLINES)
 def test_paper_experiment(run_experiment_once, name):
-    result = run_experiment_once(EXPERIMENTS[name][0], scale="small")
+    result = run_experiment_once(run_experiment, name, scale="small")
     HEADLINES[name](result.rows)
 
 

@@ -11,10 +11,12 @@
   and CESM-ATM fields (PSNR / NRMSE of the reduced data at bound 1e-3).
 
 Every figure is one axis and a cell function run by
-:func:`~repro.harness.common.sweep`.  Figures 11-13 share one cell,
-:func:`versus_allreduce` (the implementations on one input, normalized to the
-uncompressed Allreduce); each names only its axis (message size, rank count
-or field) and how a key becomes that input.
+:func:`~repro.harness.common.sweep`.  :func:`versus_allreduce` is the one
+cell behind Figures 7-13: the implementations on one input, each with its
+time breakdown, normalized to the uncompressed Allreduce.  Figures 11-13 each
+name only their axis (message size, rank count or field) and how a key
+becomes that input; Figures 7-10 view the Table V variants' size sweep
+(:func:`~repro.harness.experiments.stepwise_breakdown.stepwise_sweep`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.harness.common import (
 )
 from repro.harness.reporting import ExperimentResult
 from repro.metrics.quality import quality_report
+from repro.mpisim.timeline import STANDARD_CATEGORIES
 from repro.perfmodel.presets import default_network
 
 __all__ = [
@@ -47,17 +50,21 @@ __all__ = [
     "versus_allreduce",
 ]
 
-#: each implementation's (codec, compression) session; the first, the
-#: uncompressed ring, is the baseline every cell normalizes to
+#: each implementation's (codec, compression) session; the uncompressed
+#: ring (``Allreduce`` or Table V's ``AD``) is the baseline a cell lists first
 _SESSIONS = {
     "Allreduce": ("szx", "off"),
     "ZFP(FXR)": ("zfp_fxr", "di"),
     "ZFP(ABS)": ("zfp_abs", "di"),
     "SZx": ("szx", "di"),
     "C-Allreduce": ("szx", "on"),
+    "AD": ("szx", "off"),
+    "DI": ("szx", "di"),
+    "ND": ("szx", "nd"),
+    "Overlap": ("szx", "on"),
 }
 #: the five implementations compared in Figure 11
-IMPLEMENTATIONS = tuple(_SESSIONS)
+IMPLEMENTATIONS = ("Allreduce", "ZFP(FXR)", "ZFP(ABS)", "SZx", "C-Allreduce")
 #: the three of them Figures 12 and 13 keep
 SZX_IMPLEMENTATIONS = ("Allreduce", "SZx", "C-Allreduce")
 
@@ -66,8 +73,9 @@ SCALING_SIZE_MB = 678
 
 
 def versus_allreduce(implementations, data, multiplier, n_ranks, error_bound):
-    """One cell of Figures 11-13: each implementation on per-rank copies of
-    ``data``, normalized to the first one (the uncompressed Allreduce)."""
+    """One cell of Figures 7-13: each implementation on per-rank copies of
+    ``data``, normalized to the first one (the uncompressed Allreduce), with
+    its mean time per breakdown category."""
     inputs = per_rank_variants(data, n_ranks)
     rows = []
     for name in implementations:
@@ -78,6 +86,7 @@ def versus_allreduce(implementations, data, multiplier, n_ranks, error_bound):
         algorithm = "ring" if compression == "off" else "auto"
         outcome = comm.allreduce(inputs, algorithm=algorithm, compression=compression)
         normalized = outcome.total_time / (rows[0]["total_time_s"] if rows else outcome.total_time)
+        breakdown = outcome.sim.breakdown_mean()
         rows.append(
             dict(
                 implementation=name,
@@ -85,6 +94,7 @@ def versus_allreduce(implementations, data, multiplier, n_ranks, error_bound):
                 normalized=normalized,
                 speedup_vs_allreduce=1.0 / normalized,
                 compression_ratio=getattr(outcome, "compression_ratio", None),
+                **{category: breakdown.get(category) for category in STANDARD_CATEGORIES},
             )
         )
     return rows

@@ -9,8 +9,10 @@ CESM-ATM fields (Section III-C) before picking SZx for C-Coll:
 * **Table VI** — per-field ratios for the Hurricane/CESM fields used in
   Figure 13.
 
-This module regenerates all four from the synthetic dataset surrogates.  Two
-throughput numbers are reported for Table I: the *modelled* throughput (the
+This module regenerates all four from the synthetic dataset surrogates.
+Tables I-III are views of one sweep, :func:`characterise`: each is a pure
+function from its rows to an :class:`~repro.harness.reporting.ExperimentResult`.
+Two throughput numbers are reported for Table I: the *modelled* throughput (the
 calibrated cost model evaluated at the measured ratio — the quantity every
 performance figure uses) and the *measured* throughput of this repository's
 pure-Python codecs (honest, but not comparable to the C implementations).
@@ -33,9 +35,9 @@ from repro.perfmodel.costmodel import CostModel
 
 __all__ = [
     "characterise",
-    "run_table1",
-    "run_table2",
-    "run_table3",
+    "table1_throughput",
+    "table2_ratios",
+    "table3_quality",
     "run_table6",
 ]
 
@@ -124,9 +126,8 @@ def characterise(scale="small", n_files: int = N_FILES) -> List[Dict[str, object
     return rows
 
 
-def run_table1(scale="small", rows: List[Dict[str, object]] = None) -> ExperimentResult:
+def table1_throughput(rows: List[Dict[str, object]]) -> ExperimentResult:
     """Table I: compression/decompression throughput (MB/s)."""
-    rows = rows if rows is not None else characterise(scale)
     result = ExperimentResult(
         experiment="table1",
         title="Compression/decompression throughput (MB/s)",
@@ -144,8 +145,7 @@ def run_table1(scale="small", rows: List[Dict[str, object]] = None) -> Experimen
             "python_decompress_MBps",
         ],
     )
-    for row in rows:
-        result.add_row(**{k: row[k] for k in result.columns})
+    result.add_rows(rows)
     result.add_note(
         "model_* columns come from the calibrated cost model (what the performance figures use); "
         "python_* columns are the measured throughput of this repository's numpy codecs."
@@ -153,9 +153,8 @@ def run_table1(scale="small", rows: List[Dict[str, object]] = None) -> Experimen
     return result
 
 
-def run_table2(scale="small", rows: List[Dict[str, object]] = None) -> ExperimentResult:
+def table2_ratios(rows: List[Dict[str, object]]) -> ExperimentResult:
     """Table II: compression ratios (min/avg/max)."""
-    rows = rows if rows is not None else characterise(scale)
     result = ExperimentResult(
         experiment="table2",
         title="Compression ratios (original size / compressed size)",
@@ -165,14 +164,12 @@ def run_table2(scale="small", rows: List[Dict[str, object]] = None) -> Experimen
         ),
         columns=["dataset", "codec", "setting", "ratio_min", "ratio_avg", "ratio_max"],
     )
-    for row in rows:
-        result.add_row(**{k: row[k] for k in result.columns})
+    result.add_rows(rows)
     return result
 
 
-def run_table3(scale="small", rows: List[Dict[str, object]] = None) -> ExperimentResult:
+def table3_quality(rows: List[Dict[str, object]]) -> ExperimentResult:
     """Table III: compression quality (PSNR, dB)."""
-    rows = rows if rows is not None else characterise(scale)
     result = ExperimentResult(
         experiment="table3",
         title="Compression quality (PSNR, dB)",
@@ -182,8 +179,7 @@ def run_table3(scale="small", rows: List[Dict[str, object]] = None) -> Experimen
         ),
         columns=["dataset", "codec", "setting", "psnr_min", "psnr_avg", "psnr_max"],
     )
-    for row in rows:
-        result.add_row(**{k: row[k] for k in result.columns})
+    result.add_rows(rows)
     return result
 
 

@@ -6,12 +6,14 @@ CPR-P2P baselines across error bounds (1e-2 / 1e-3 / 1e-4 for the
 error-bounded codecs, rates 4 / 8 / 16 for fixed-rate ZFP); Figure 18 compares
 the quality of the resulting stacked images (PSNR / NRMSE), where the paper
 reports 42.86 / 57.97 / 79.57 dB for C-Allreduce and a destroyed image for the
-rate-4 fixed-rate baseline.
+rate-4 fixed-rate baseline.  Both figures are views of one sweep,
+:func:`stacking_sweep`: each is a pure function from its rows to an
+:class:`~repro.harness.reporting.ExperimentResult`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.apps.image_stacking import generate_partial_images, run_image_stacking
 from repro.harness.common import resolve_scale
@@ -19,7 +21,7 @@ from repro.harness.reporting import ExperimentResult
 from repro.perfmodel.presets import default_network
 from repro.utils.units import MB
 
-__all__ = ["stacking_sweep", "run_fig17_stacking_perf", "run_fig18_stacking_quality"]
+__all__ = ["stacking_sweep", "fig17_stacking_perf", "fig18_stacking_quality"]
 
 ERROR_BOUNDS = (1e-2, 1e-3, 1e-4)
 FIXED_RATES = (4, 8, 16)
@@ -71,15 +73,9 @@ def stacking_sweep(
     return rows
 
 
-def _normalize(rows):
-    baseline = next(row["time_s"] for row in rows if row["method"] == "allreduce")
-    return baseline
-
-
-def run_fig17_stacking_perf(scale="small", rows=None) -> ExperimentResult:
+def fig17_stacking_perf(rows) -> ExperimentResult:
     """Figure 17: image-stacking performance across error bounds / rates."""
-    rows = rows if rows is not None else stacking_sweep(scale)
-    baseline = _normalize(rows)
+    baseline = next(row["time_s"] for row in rows if row["method"] == "allreduce")
     result = ExperimentResult(
         experiment="fig17",
         title="Image-stacking performance (normalized to the original Allreduce)",
@@ -101,9 +97,8 @@ def run_fig17_stacking_perf(scale="small", rows=None) -> ExperimentResult:
     return result
 
 
-def run_fig18_stacking_quality(scale="small", rows=None) -> ExperimentResult:
+def fig18_stacking_quality(rows) -> ExperimentResult:
     """Figure 18: quality of the stacked image for each method/setting."""
-    rows = rows if rows is not None else stacking_sweep(scale)
     result = ExperimentResult(
         experiment="fig18",
         title="Stacked-image quality",
@@ -113,6 +108,5 @@ def run_fig18_stacking_quality(scale="small", rows=None) -> ExperimentResult:
         ),
         columns=["method", "setting", "psnr_db", "nrmse", "max_abs_error", "compression_ratio"],
     )
-    for row in rows:
-        result.add_row(**{k: row.get(k) for k in result.columns})
+    result.add_rows(rows)
     return result

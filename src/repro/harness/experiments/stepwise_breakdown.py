@@ -12,80 +12,56 @@ Table V variants:
   computation framework (Overlap);
 * **Figure 10** — end-to-end times of all four variants.
 
-One sweep provides all four views: :func:`stepwise_sweep` hands its size axis
-and one cell (every variant at one size, on one session) to
-:func:`~repro.harness.common.sweep`, and the individual ``run_*`` functions
-slice the shared rows accordingly.
+This module has no cell of its own: :func:`stepwise_sweep` is a size axis over
+:func:`~repro.harness.experiments.allreduce_comparison.versus_allreduce`, the
+one cell behind Figures 7-13, run with the four variants.  Each figure is a
+view of its rows, a pure function from those rows to an
+:class:`~repro.harness.reporting.ExperimentResult`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.api import Cluster
-from repro.api.communicator import COMPRESSION_MODES
-from repro.harness.common import (
-    default_config,
-    load_rtm_message,
-    per_rank_variants,
-    resolve_scale,
-    sweep,
-)
+from repro.harness.common import ERROR_BOUND, load_rtm_message, resolve_scale, sweep
+from repro.harness.experiments.allreduce_comparison import versus_allreduce
 from repro.harness.reporting import ExperimentResult
 from repro.mpisim.timeline import STANDARD_CATEGORIES
-from repro.perfmodel.presets import default_network
 
 __all__ = [
     "stepwise_sweep",
-    "run_fig7_breakdown",
-    "run_fig8_di_vs_nd",
-    "run_fig9_wait_overlap",
-    "run_fig10_stepwise",
+    "fig7_breakdown",
+    "fig8_di_vs_nd",
+    "fig9_wait_overlap",
+    "fig10_stepwise",
 ]
 
 VARIANTS = ("AD", "DI", "ND", "Overlap")
 
-#: the ``compression`` spelling of each Table V variant
-_SPELLING = {label: spelling for spelling, label in COMPRESSION_MODES.items()}
 
-
-def stepwise_sweep(scale="small", variants=VARIANTS) -> List[Dict[str, object]]:
+def stepwise_sweep(scale="small") -> List[Dict[str, object]]:
     """Run the Table V variants over the message-size sweep; one row per (size, variant)."""
     settings = resolve_scale(scale)
     n_ranks = settings.ranks_small_cluster
 
     def cell(size_mb):
         data, multiplier = load_rtm_message(size_mb, settings)
-        inputs = per_rank_variants(data, n_ranks)
-        config = default_config(size_multiplier=multiplier)
-        comm = Cluster(network=default_network(), config=config).communicator(n_ranks)
-        rows = []
-        for variant in variants:
-            # the paper's AD is the ring; the compressed variants fix their schedule
-            algorithm = "ring" if variant == "AD" else "auto"
-            outcome = comm.allreduce(inputs, algorithm=algorithm, compression=_SPELLING[variant])
-            breakdown = outcome.sim.breakdown_mean()
-            rows.append(
-                {
-                    "variant": variant,
-                    "n_ranks": n_ranks,
-                    "total_time_s": outcome.total_time,
-                    "compression_ratio": getattr(outcome, "compression_ratio", None),
-                    **{category: breakdown.get(category) for category in STANDARD_CATEGORIES},
-                }
-            )
-        return rows
+        rows = versus_allreduce(VARIANTS, data, multiplier, n_ranks, ERROR_BOUND)
+        # Table V's names for the cell's implementation and its time relative to AD
+        return [
+            {"variant": row["implementation"], "normalized_to_AD": row["normalized"], **row}
+            for row in rows
+        ]
 
     return sweep({"size_mb": settings.size_sweep_mb}, cell)
 
 
-def _by_variant(rows, variant):
-    return [row for row in rows if row["variant"] == variant]
+def _of(rows, *variants):
+    return [row for row in rows if row["variant"] in variants]
 
 
-def run_fig7_breakdown(scale="small", rows=None) -> ExperimentResult:
+def fig7_breakdown(rows) -> ExperimentResult:
     """Figure 7: AD vs DI execution-time breakdown."""
-    rows = rows if rows is not None else stepwise_sweep(scale, variants=("AD", "DI"))
     result = ExperimentResult(
         experiment="fig7",
         title="Breakdown of original Allreduce (AD) vs direct SZx integration (DI)",
@@ -95,15 +71,12 @@ def run_fig7_breakdown(scale="small", rows=None) -> ExperimentResult:
         ),
         columns=["size_mb", "variant", "total_time_s", *STANDARD_CATEGORIES],
     )
-    for row in rows:
-        if row["variant"] in ("AD", "DI"):
-            result.add_row(**{k: row.get(k) for k in result.columns})
+    result.add_rows(_of(rows, "AD", "DI"))
     return result
 
 
-def run_fig8_di_vs_nd(scale="small", rows=None) -> ExperimentResult:
+def fig8_di_vs_nd(rows) -> ExperimentResult:
     """Figure 8: allgather-stage cost of DI vs the data-movement framework (ND)."""
-    rows = rows if rows is not None else stepwise_sweep(scale, variants=("DI", "ND"))
     result = ExperimentResult(
         experiment="fig8",
         title="DI vs ND: compression and allgather-stage time",
@@ -113,29 +86,23 @@ def run_fig8_di_vs_nd(scale="small", rows=None) -> ExperimentResult:
         ),
         columns=["size_mb", "variant", "ComDecom", "Allgather", "total_time_s"],
     )
-    for row in rows:
-        if row["variant"] in ("DI", "ND"):
-            result.add_row(**{k: row.get(k) for k in result.columns})
+    result.add_rows(_of(rows, "DI", "ND"))
     return result
 
 
-def run_fig9_wait_overlap(scale="small", rows=None) -> ExperimentResult:
+def fig9_wait_overlap(rows) -> ExperimentResult:
     """Figure 9: reduce-scatter Wait time of ND vs the overlapped framework."""
-    rows = rows if rows is not None else stepwise_sweep(scale, variants=("ND", "Overlap"))
     result = ExperimentResult(
         experiment="fig9",
         title="Reduce-scatter Wait time: ND vs Overlap (PIPE-SZx)",
         paper_reference="the overlap removes 73-80% of the Wait time (Figure 9)",
         columns=["size_mb", "nd_wait_s", "overlap_wait_s", "reduction_pct"],
     )
-    nd_rows = {row["size_mb"]: row for row in _by_variant(rows, "ND")}
-    overlap_rows = {row["size_mb"]: row for row in _by_variant(rows, "Overlap")}
-    for size_mb in sorted(set(nd_rows) & set(overlap_rows)):
-        nd_wait = nd_rows[size_mb]["Wait"]
-        overlap_wait = overlap_rows[size_mb]["Wait"]
+    for nd, overlap in zip(_of(rows, "ND"), _of(rows, "Overlap")):
+        nd_wait, overlap_wait = nd["Wait"], overlap["Wait"]
         reduction = 100.0 * (1.0 - overlap_wait / nd_wait) if nd_wait > 0 else 0.0
         result.add_row(
-            size_mb=size_mb,
+            size_mb=nd["size_mb"],
             nd_wait_s=nd_wait,
             overlap_wait_s=overlap_wait,
             reduction_pct=reduction,
@@ -143,9 +110,8 @@ def run_fig9_wait_overlap(scale="small", rows=None) -> ExperimentResult:
     return result
 
 
-def run_fig10_stepwise(scale="small", rows=None) -> ExperimentResult:
+def fig10_stepwise(rows) -> ExperimentResult:
     """Figure 10: end-to-end time of AD / DI / ND / Overlap across message sizes."""
-    rows = rows if rows is not None else stepwise_sweep(scale)
     result = ExperimentResult(
         experiment="fig10",
         title="End-to-end step-wise optimization of C-Allreduce",
@@ -155,13 +121,5 @@ def run_fig10_stepwise(scale="small", rows=None) -> ExperimentResult:
         ),
         columns=["size_mb", "variant", "total_time_s", "normalized_to_AD"],
     )
-    ad_times = {row["size_mb"]: row["total_time_s"] for row in _by_variant(rows, "AD")}
-    for row in rows:
-        baseline = ad_times.get(row["size_mb"])
-        result.add_row(
-            size_mb=row["size_mb"],
-            variant=row["variant"],
-            total_time_s=row["total_time_s"],
-            normalized_to_AD=(row["total_time_s"] / baseline) if baseline else None,
-        )
+    result.add_rows(rows)
     return result

@@ -81,6 +81,10 @@ class ExperimentResult:
         """Append one row to the result table."""
         self.rows.append(values)
 
+    def add_rows(self, rows) -> None:
+        """Append each of ``rows``, holding only this result's columns."""
+        self.rows.extend({column: row.get(column) for column in self.columns} for row in rows)
+
     def add_note(self, note: str) -> None:
         """Attach a free-form note."""
         self.notes.append(note)

@@ -201,9 +201,8 @@ def test_a_codec_is_its_name_and_its_bound():
 def test_an_experiment_is_its_scale():
     """Bounds, sizes, implementations, fabrics' NIC rate and taper, policies
     and seeds are module constants: what a runner still takes besides
-    ``scale`` is the CLI's ``contention``, the shared
-    sweeps' ``rows`` / ``variants`` and the shrink settings of the tests and
-    benches."""
+    ``scale`` is the CLI's ``contention`` and the shrink settings of the
+    tests and benches; a shared sweep's views take only its ``rows``."""
     from repro.harness.experiments import (
         allreduce_comparison,
         compressor_tables,
@@ -226,9 +225,9 @@ def test_an_experiment_is_its_scale():
         allreduce_comparison.run_fig13_fields: ["scale", "size_mb"],
         allreduce_comparison.run_fig14_15_accuracy: ["scale"],
         compressor_tables.characterise: ["scale", "n_files"],
-        compressor_tables.run_table1: ["scale", "rows"],
-        compressor_tables.run_table2: ["scale", "rows"],
-        compressor_tables.run_table3: ["scale", "rows"],
+        compressor_tables.table1_throughput: ["rows"],
+        compressor_tables.table2_ratios: ["rows"],
+        compressor_tables.table3_quality: ["rows"],
         compressor_tables.run_table6: ["scale"],
         fabric_contention.fabric_factories: ["ranks_per_node", "n_ranks", "contention"],
         fabric_contention.run_fabric_contention: [
@@ -240,13 +239,13 @@ def test_an_experiment_is_its_scale():
         recovery.run_recovery: ["scale", "contention"],
         scatter_bcast.run_fig16_scatter_bcast: ["scale"],
         stacking.stacking_sweep: ["scale", "virtual_mb", "image_shape"],
-        stacking.run_fig17_stacking_perf: ["scale", "rows"],
-        stacking.run_fig18_stacking_quality: ["scale", "rows"],
-        stepwise_breakdown.stepwise_sweep: ["scale", "variants"],
-        stepwise_breakdown.run_fig7_breakdown: ["scale", "rows"],
-        stepwise_breakdown.run_fig8_di_vs_nd: ["scale", "rows"],
-        stepwise_breakdown.run_fig9_wait_overlap: ["scale", "rows"],
-        stepwise_breakdown.run_fig10_stepwise: ["scale", "rows"],
+        stacking.fig17_stacking_perf: ["rows"],
+        stacking.fig18_stacking_quality: ["rows"],
+        stepwise_breakdown.stepwise_sweep: ["scale"],
+        stepwise_breakdown.fig7_breakdown: ["rows"],
+        stepwise_breakdown.fig8_di_vs_nd: ["rows"],
+        stepwise_breakdown.fig9_wait_overlap: ["rows"],
+        stepwise_breakdown.fig10_stepwise: ["rows"],
         theory_bounds.run_theory_bounds: ["scale", "trials"],
         topology_scaling.run_topology_scaling: ["scale", "sizes_mb", "ranks_per_node"],
         per_rank_variants: ["data", "n_ranks"],

@@ -12,6 +12,7 @@ never a side effect of a test run::
     PYTHONPATH=src python tests/harness/test_experiments.py
 """
 
+import collections
 import copy
 import dataclasses
 import difflib
@@ -29,24 +30,29 @@ from repro.harness.experiments.allreduce_comparison import (
     run_fig12_scaling,
     run_fig13_fields,
 )
-from repro.harness.experiments.compressor_tables import characterise, run_table1, run_table2, run_table3
+from repro.harness.experiments.compressor_tables import (
+    characterise,
+    table1_throughput,
+    table2_ratios,
+    table3_quality,
+)
 from repro.harness.experiments.scatter_bcast import run_fig16_scatter_bcast
 from repro.harness.experiments.stacking import (
-    run_fig17_stacking_perf,
-    run_fig18_stacking_quality,
+    fig17_stacking_perf,
+    fig18_stacking_quality,
     stacking_sweep,
 )
 from repro.harness.experiments.stepwise_breakdown import (
-    run_fig7_breakdown,
-    run_fig8_di_vs_nd,
-    run_fig9_wait_overlap,
-    run_fig10_stepwise,
+    fig7_breakdown,
+    fig8_di_vs_nd,
+    fig9_wait_overlap,
+    fig10_stepwise,
     stepwise_sweep,
 )
 from repro.harness.experiments.fabric_contention import FABRIC_NAMES, run_fabric_contention
 from repro.harness.experiments.recovery import _job_mix
 from repro.harness.experiments.topology_scaling import run_topology_scaling
-from repro.harness.runner import main
+from repro.harness.runner import SHARED_SWEEP, main
 from repro.mpisim.audit import audit_fabric
 from repro.mpisim.engine import Engine
 
@@ -80,18 +86,18 @@ def _stacked():
 #: the swept experiments and the shared sweeps' views at the tiny settings
 #: their tests use (Table I's ``python_*`` columns are host-measured)
 _TINY_RUNS = {
-    "table2": lambda: run_table2(rows=_characterised()),
-    "table3": lambda: run_table3(rows=_characterised()),
-    "fig7": lambda: run_fig7_breakdown(rows=_stepwise_rows()),
-    "fig8": lambda: run_fig8_di_vs_nd(rows=_stepwise_rows()),
-    "fig9": lambda: run_fig9_wait_overlap(rows=_stepwise_rows()),
-    "fig10": lambda: run_fig10_stepwise(rows=_stepwise_rows()),
+    "table2": lambda: table2_ratios(_characterised()),
+    "table3": lambda: table3_quality(_characterised()),
+    "fig7": lambda: fig7_breakdown(_stepwise_rows()),
+    "fig8": lambda: fig8_di_vs_nd(_stepwise_rows()),
+    "fig9": lambda: fig9_wait_overlap(_stepwise_rows()),
+    "fig10": lambda: fig10_stepwise(_stepwise_rows()),
     "fig11": lambda: run_fig11_datasizes(scale=dataclasses.replace(TINY, size_sweep_mb=(96,))),
     "fig12": lambda: run_fig12_scaling(scale=TINY),
     "fig13": lambda: run_fig13_fields(scale=TINY, size_mb=64),
     "fig16": lambda: run_fig16_scatter_bcast(scale=dataclasses.replace(TINY, size_sweep_mb=(96,))),
-    "fig17": lambda: run_fig17_stacking_perf(rows=_stacked()),
-    "fig18": lambda: run_fig18_stacking_quality(rows=_stacked()),
+    "fig17": lambda: fig17_stacking_perf(_stacked()),
+    "fig18": lambda: fig18_stacking_quality(_stacked()),
     "topo": lambda: run_topology_scaling(scale=TINY, sizes_mb=[0.03, 28], ranks_per_node=3),
     "fabric": lambda: run_fabric_contention(scale=TINY, sizes_mb=[28], ranks_per_node=3),
 }
@@ -160,10 +166,41 @@ class TestRegistry:
         assert "fig11" in out
 
 
+#: each shared sweep, at the tiny settings its views' tests use
+_TINY_SWEEPS = {
+    characterise: _characterised,
+    stepwise_sweep: _stepwise_rows,
+    stacking_sweep: _stacked,
+}
+
+
+def test_one_invocation_runs_each_shared_sweep_once(monkeypatch, capsys):
+    calls = collections.Counter()
+
+    def counted(sweep):
+        def run(scale, **kwargs):
+            calls[sweep.__name__] += 1
+            return _TINY_SWEEPS[sweep]()
+
+        return run
+
+    wrapped = {sweep: counted(sweep) for sweep in _TINY_SWEEPS}
+    for name, sweep in SHARED_SWEEP.items():
+        monkeypatch.setitem(SHARED_SWEEP, name, wrapped[sweep])
+    views = ["table1", "table2", "table3", "fig7", "fig8", "fig9", "fig10", "fig17", "fig18"]
+    assert main(views) == 0
+    assert calls == {"characterise": 1, "stepwise_sweep": 1, "stacking_sweep": 1}
+    assert capsys.readouterr().out.count("\n== ") == len(views) - 1
+    # outside one invocation, a view's sweep runs afresh every call
+    run_experiment("fig17")
+    run_experiment("fig18")
+    assert calls["stacking_sweep"] == 3
+
+
 class TestCompressorTables:
     @pytest.fixture(scope="class")
     def rows(self):
-        return characterise(TINY, n_files=2)
+        return _characterised()
 
     def test_row_structure(self, rows):
         assert len(rows) == 3 * 9  # 3 datasets x (3+3+3 codec settings)
@@ -172,7 +209,7 @@ class TestCompressorTables:
             assert row["ratio_max"] >= row["ratio_avg"] - 1e-12
 
     def test_table1_result(self, rows):
-        result = run_table1(rows=rows)
+        result = table1_throughput(rows)
         assert isinstance(result, ExperimentResult)
         assert len(result.rows) == len(rows)
         # SZx is modelled faster than ZFP(ABS) for the same dataset and error
@@ -192,7 +229,7 @@ class TestCompressorTables:
             assert szx[key] > zfp[key]
 
     def test_table2_ratio_trends(self, rows):
-        result = run_table2(rows=rows)
+        result = table2_ratios(rows)
         szx_rtm = {
             r["setting"]: r["ratio_avg"]
             for r in result.rows
@@ -211,7 +248,7 @@ class TestCompressorTables:
         assert fxr["FXR 16"] == pytest.approx(2.0, rel=0.05)
 
     def test_table3_psnr_trends(self, rows):
-        result = run_table3(rows=rows)
+        result = table3_quality(rows)
         szx_rtm = {
             r["setting"]: r["psnr_avg"]
             for r in result.rows
@@ -287,10 +324,10 @@ class TestComparisonFigures:
 class TestStackingFigures:
     @pytest.fixture(scope="class")
     def rows(self):
-        return stacking_sweep(TINY, virtual_mb=48, image_shape=(48, 48))
+        return _stacked()
 
     def test_fig17_speedups(self, rows):
-        result = run_fig17_stacking_perf(rows=rows)
+        result = fig17_stacking_perf(rows)
         ccoll = {r["setting"]: r["speedup_vs_allreduce"] for r in result.rows if r["method"] == "c-allreduce"}
         # looser bounds compress better and therefore speed up more (Figure 17's
         # trend); the loosest bound must clearly beat the original Allreduce.
@@ -305,7 +342,7 @@ class TestStackingFigures:
                 assert ccoll[row["setting"]] > row["speedup_vs_allreduce"]
 
     def test_fig18_quality(self, rows):
-        result = run_fig18_stacking_quality(rows=rows)
+        result = fig18_stacking_quality(rows)
         by_setting = {
             (r["method"], r["setting"]): r for r in result.rows
         }

@@ -1,9 +1,13 @@
 """``python -m repro.harness`` argument handling: names are checked before anything runs."""
 
+import dataclasses
+
 import pytest
 
+from repro.harness.common import resolve_scale
+from repro.harness.experiments.stepwise_breakdown import stepwise_sweep
 from repro.harness.reporting import ExperimentResult
-from repro.harness.runner import EXPERIMENTS, main, run_experiment
+from repro.harness.runner import EXPERIMENTS, SHARED_SWEEP, main, run_experiment
 from repro.mpisim import SharedLink
 
 
@@ -86,3 +90,34 @@ def test_each_experiment_gets_its_own_audit_and_all_of_them_run(ran, capsys):
     assert "invariants ok in fig11: " in captured.err
     assert "invariants" not in captured.out
     assert ran == ["small", "small"]
+
+
+def _one_size_stepwise_sweep(scale):
+    return stepwise_sweep(dataclasses.replace(resolve_scale(scale), size_sweep_mb=(28,)))
+
+
+def _double_booking_sweep(scale):
+    _double_booked(scale)
+    return []
+
+
+@pytest.mark.parametrize("names", [["fig7", "fig8"], ["fig8", "fig7"]])
+def test_a_shared_sweep_is_audited_under_the_first_name_that_runs_it(names, monkeypatch, capsys):
+    for name in names:
+        monkeypatch.setitem(SHARED_SWEEP, name, _one_size_stepwise_sweep)
+    assert main([*names, "--check-invariants"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "".join(
+        f"invariants ok in {name}: capacity conservation + fair bottleneck property\n"
+        for name in names
+    )
+    assert "invariants" not in captured.out
+
+    for name in names:
+        monkeypatch.setitem(SHARED_SWEEP, name, _double_booking_sweep)
+    assert main([*names, "--check-invariants"]) == 1
+    err = capsys.readouterr().err
+    first, later = names
+    assert err.startswith(f"INVARIANT VIOLATIONS in {first} (1):\n  [capacity] stage capacity=1 ")
+    assert err.count("INVARIANT VIOLATIONS") == 1
+    assert err.endswith(f"invariants ok in {later}: capacity conservation + fair bottleneck property\n")
